@@ -86,13 +86,7 @@ def run_inproc(config: dict, rundir: Path) -> None:
     from repro.tasks.planner import plan_analysis
 
     from ldpbench import inputs
-    from ldpbench.stats import (
-        SETUP_PROBES,
-        proc_cpu_seconds,
-        proc_peak_rss_mb,
-        speed_probe_ns,
-        w1_unit,
-    )
+    from ldpbench.stats import SETUP_PROBES, proc_peak_rss_mb, speed_probe_ns, w1_unit
 
     plan = inputs.canonical_plan()
     planned = plan_analysis(plan)
@@ -103,8 +97,10 @@ def run_inproc(config: dict, rundir: Path) -> None:
     truth = inputs.canonical_unit_counts(population)
 
     def one_round(index: int, round_id: str):
+        """One op; returns its wall and CPU nanoseconds, the server and its report."""
         rng = np.random.default_rng([seed, 10, index])
         traced = tracer.span("op", corr=round_id) if tracer else nullcontext()
+        cpu = time.process_time_ns()
         start = time.perf_counter_ns()
         with traced:
             reports = client.privatize(population, rng=rng)
@@ -112,7 +108,8 @@ def run_inproc(config: dict, rundir: Path) -> None:
             server = PlanServer(plan, round_id, planned=planned)
             server.ingest_feed(feed)
             report = server.report()
-        return time.perf_counter_ns() - start, server, report
+        elapsed = time.perf_counter_ns() - start
+        return elapsed, time.process_time_ns() - cpu, server, report
 
     paused = tracer.paused() if tracer else nullcontext()
     with paused:
@@ -121,23 +118,24 @@ def run_inproc(config: dict, rundir: Path) -> None:
     if sys.stdin.readline().strip() != "GO":
         return
 
-    latencies, probes, w1s, failures = [], [], [], []
-    marks = [(time.perf_counter_ns(), proc_cpu_seconds(), 0)]
+    latencies, cpu_ns, probes, w1s, failures = [], [], [], [], []
+    started = time.perf_counter_ns()
     for index in range(config["ops"]):
         probes.append(speed_probe_ns())
-        elapsed, server, report = one_round(index, f"r{index}")
+        elapsed, cpu, server, report = one_round(index, f"r{index}")
         latencies.append(elapsed)
+        cpu_ns.append(cpu)
         with tracer.paused() if tracer else nullcontext():
             failures.extend(_check_round(plan, server, report, n_users, index))
             for j, attr in enumerate(("age", "income")):
                 w1s.append(w1_unit(server.estimate(attr), truth[j]))
-        done = index + 1
-        if done % config["mark_every"] == 0 or done == config["ops"]:
-            marks.append((time.perf_counter_ns(), proc_cpu_seconds(), done * n_users))
     result = {
+        "phase_ns": [started, time.perf_counter_ns()],
         "latencies_ns": latencies,
+        # User+sys CPU of this process over each op: the clock /proc/<pid>/stat
+        # reads, at nanosecond rather than 10 ms resolution.
+        "cpu_ns": cpu_ns,
         "probes_ns": probes,
-        "marks": marks,
         "peak_rss_mb": proc_peak_rss_mb(),
         "w1": w1s,
         "failures": failures,

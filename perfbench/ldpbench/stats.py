@@ -160,7 +160,7 @@ def slowdowns(probes_ns: Sequence[int], span: int) -> list[float]:
     ]
 
 
-def proc_cpu_seconds(pid: int | str = "self") -> float:
+def proc_cpu_seconds(pid: int) -> float:
     with open(f"/proc/{pid}/stat") as fh:
         return parse_proc_cpu_seconds(fh.read(), os.sysconf("SC_CLK_TCK"))
 

@@ -20,6 +20,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,10 +43,6 @@ from ldpbench.stats import (
 ROUNDS_PER_S = 6.0
 UPLOADS_PER_S = 1000.0
 MONITOR_ROUNDS_PER_S = 1.7
-#: Lower bounds on the op count, so that p90 keeps 10 samples beyond it.
-MIN_ROUNDS = 100
-MIN_UPLOADS = 1000
-MIN_MONITOR_ROUNDS = 28
 #: Ops per throughput/CPU window (about 1.5 s each). Rates are the median
 #: over windows, so a burst of host contention moves them less than a mean would.
 INPROC_MARK_EVERY = 10
@@ -74,16 +71,10 @@ class Context:
     seconds: float
     trace: bool
     launches: int = SETUP_LAUNCHES
-    #: Shrinks the op-count floors; below 1 only for smoke tests, where p90
-    #: then has too few samples beyond it to be reported.
-    scale: float = 1.0
 
     children: list["Child"] = field(default_factory=list)
     #: Launch-to-warm times as measured, before host-speed scaling.
     raw_setup_s: list[float] = field(default_factory=list)
-
-    def floor(self, ops: int) -> int:
-        return max(1, math.ceil(ops * self.scale))
 
     def __post_init__(self) -> None:
         self.rundir.mkdir(parents=True, exist_ok=True)
@@ -101,8 +92,11 @@ class Run:
     op_ms: list[float]
     setup_s: list[float]
     #: ``(time_ns, cpu_s, reports)`` of the process under test, cumulative,
-    #: at the start, at every window boundary and at the end of the timed phase.
+    #: at the start, at every window boundary and at the end of the timed
+    #: phase; ``round_inproc`` counts the time and CPU of its ops alone.
     marks: list[tuple[int, float, int]]
+    #: Start and end of the timed phase on the monotonic clock all processes share.
+    window: tuple[int, int]
     peak_rss_mb: float
     w1: float
     attempted: int
@@ -117,10 +111,6 @@ class Run:
     window_slowdown: list[float] = field(default_factory=list)
     #: Op latencies as measured, before host-speed normalisation.
     raw_op_ms: list[float] = field(default_factory=list)
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.marks[0][0], self.marks[-1][0]
 
     @property
     def reports(self) -> int:
@@ -145,7 +135,7 @@ class Run:
         return per_s, cpu_us
 
 
-def mark(pid: int | str, reports: int) -> tuple[int, float, int]:
+def mark(pid: int, reports: int) -> tuple[int, float, int]:
     return time.perf_counter_ns(), proc_cpu_seconds(pid), reports
 
 
@@ -252,11 +242,9 @@ def round_inproc(ctx: Context) -> Run:
     population = inputs.canonical_population(ctx.seed)
     for key, values in population.items():
         np.save(ctx.rundir / f"{key}.npy", values)
-    ops = max(ctx.floor(MIN_ROUNDS), math.ceil(ctx.seconds * ROUNDS_PER_S))
+    ops = math.ceil(ctx.seconds * ROUNDS_PER_S)
     child, setups, _ = _launch_until_warm(
-        ctx,
-        {"mode": "inproc", "ops": ops, "inputs": str(ctx.rundir), "mark_every": INPROC_MARK_EVERY},
-        Child.ready,
+        ctx, {"mode": "inproc", "ops": ops, "inputs": str(ctx.rundir)}, Child.ready
     )
     child.send("GO")
     child.stop(timeout=600.0)
@@ -267,7 +255,13 @@ def round_inproc(ctx: Context) -> Run:
     # in. A probe run just before each op on the same thread tracks that
     # phase; latencies are scaled to the probe's reference speed.
     slowdown = slowdowns(result["probes_ns"], PROBE_SPAN)
-    raw_ms = [ns / 1e6 for ns in result["latencies_ns"]]
+    latency_ns, cpu_ns = result["latencies_ns"], result["cpu_ns"]
+    raw_ms = [ns / 1e6 for ns in latency_ns]
+    # Windows count the ops' own wall and CPU time only: the probe, the
+    # output checks and W1 run between ops, outside both clocks.
+    marks = [(0, 0.0, 0)]
+    for end in [*range(INPROC_MARK_EVERY, ops, INPROC_MARK_EVERY), ops]:
+        marks.append((sum(latency_ns[:end]), sum(cpu_ns[:end]) / 1e9, end * inputs.CANON_USERS))
     return Run(
         op_ms=[ms / slow for ms, slow in zip(raw_ms, slowdown)],
         raw_op_ms=raw_ms,
@@ -276,7 +270,8 @@ def round_inproc(ctx: Context) -> Run:
             for i in range(0, len(slowdown), INPROC_MARK_EVERY)
         ],
         setup_s=setups,
-        marks=[tuple(m) for m in result["marks"]],
+        marks=marks,
+        window=tuple(result["phase_ns"]),
         peak_rss_mb=result["peak_rss_mb"],
         w1=float(np.mean(result["w1"])),
         attempted=ops,
@@ -312,7 +307,7 @@ class _Http:
 
 def ingest_http(ctx: Context) -> Run:
     frames, frame_counts = inputs.ingest_frames(ctx.seed, INGEST_ROUND)
-    timed_uploads = max(ctx.floor(MIN_UPLOADS), math.ceil(ctx.seconds * UPLOADS_PER_S))
+    timed_uploads = math.ceil(ctx.seconds * UPLOADS_PER_S)
     total = INGEST_WARMUP + timed_uploads
     path = f"/v1/rounds/{INGEST_ROUND}/reports"
     cursor = {"next": 0}
@@ -378,6 +373,7 @@ def ingest_http(ctx: Context) -> Run:
         window_slowdown=window_slowdown,
         setup_s=setups,
         marks=marks,
+        window=(marks[0][0], marks[-1][0]),
         peak_rss_mb=peak,
         w1=w1,
         attempted=http.tally.attempts,
@@ -428,7 +424,7 @@ def _skew(statz: dict | None) -> float:
 
 def monitor_http(ctx: Context) -> Run:
     window = inputs.MONITOR_WINDOW
-    timed_rounds = max(ctx.floor(MIN_MONITOR_ROUNDS), math.ceil(ctx.seconds * MONITOR_ROUNDS_PER_S))
+    timed_rounds = math.ceil(ctx.seconds * MONITOR_ROUNDS_PER_S)
     rounds, truth_counts = inputs.monitor_rounds(ctx.seed, window + timed_rounds)
     per_upload = inputs.MONITOR_USERS // inputs.MONITOR_UPLOADS
 
@@ -488,15 +484,13 @@ def monitor_http(ctx: Context) -> Run:
             marks.append(mark(child.pid, n * inputs.MONITOR_USERS))
             window_probes.append(len(probes))
     slow = slowdowns(probes, PROBE_SPAN)
-    stream = http.run(call(http.conns[0], http.tally, http.samples, "stream", "",
-                           "GET", "/v1/stream/estimate"))
     statz = http.run(http.conns[0].request("statz", "", "GET", "/statz")).body
     peak = proc_peak_rss_mb(child.pid)
     http.close()
     child.stop()
 
-    if stream is None or stream.body["effective_rounds"] != window:
-        failures.append(f"window holds {stream and stream.body['effective_rounds']} rounds, want {window}")
+    advanced = [x for x in http.samples + timed if x.kind == "advance" and 200 <= x.status < 300]
+    failures += _check_windows(advanced, rounds, window)
     polls = [(x, i) for x, i in probed if x.kind == "poll"]
     advances = [(x, i) for x, i in probed if x.kind == "advance"]
     # Every attribute's windowed estimate after every timed advance, against
@@ -516,6 +510,7 @@ def monitor_http(ctx: Context) -> Run:
         ],
         setup_s=setups,
         marks=marks,
+        window=(marks[0][0], marks[-1][0]),
         peak_rss_mb=peak,
         w1=float(np.mean(w1s)) if w1s else math.nan,
         attempted=http.tally.attempts,
@@ -526,6 +521,52 @@ def monitor_http(ctx: Context) -> Run:
         skew=_skew(statz),
         advances=len(advances),
     )
+
+
+def _check_windows(advanced: list[Sample], rounds: list[list[bytes]], window: int) -> list[str]:
+    """Every window holds the last ``window`` rounds, and the service's estimates show it.
+
+    The service's ticks are replayed in this process: per advanced round, a
+    ``PlanServer`` fed that round's frames is pushed into a
+    ``StreamingCollector`` with the same window. Each replayed window must
+    equal a fresh merge of the last ``window`` rounds and hold their reports,
+    and each of the service's windowed estimates must equal the replay's bit
+    for bit.
+    """
+    from repro.protocol.server import PlanServer
+    from repro.streaming import StreamingCollector
+    from repro.tasks.planner import plan_analysis
+
+    plan = inputs.monitor_plan()
+    planned = plan_analysis(plan)
+    replay = StreamingCollector.from_plan(planned, window=window)
+    last: deque[PlanServer] = deque(maxlen=window)
+    failures = []
+    for r, got in enumerate(advanced):
+        rid = inputs.monitor_round_id(r)
+        if got.corr != rid:
+            return failures + [f"advance {r} closed round {got.corr}, want {rid}"]
+        server = PlanServer(plan, rid, planned=planned)
+        for frame in rounds[r]:
+            server.ingest_feed(frame)
+        last.append(server)
+        tick = replay.tick({attr: server.server(attr).estimator for attr in server.attributes})
+        held = 0
+        for attr, result in tick.attributes.items():
+            current = replay.window_state(attr).current
+            union = planned.choice_for(attr).make()
+            for earlier in last:
+                union.merge(earlier.server(attr).estimator)
+            if current.to_state() != union.to_state():
+                failures.append(f"{rid} {attr}: window is not the merge of the last {len(last)} rounds")
+            held += current.n_reports
+            have = np.asarray(got.body["attributes"][attr]["estimate"], dtype=np.float64)
+            want = np.asarray(result.estimate, dtype=np.float64)
+            if have.tobytes() != want.tobytes():
+                failures.append(f"{rid} {attr}: windowed estimate differs from the replayed window")
+        if held != len(last) * inputs.MONITOR_USERS:
+            failures.append(f"{rid}: window holds {held} reports, want {len(last) * inputs.MONITOR_USERS}")
+    return failures
 
 
 WORKLOADS = {
