@@ -37,6 +37,7 @@ import numpy as np
 from repro.engine.backend import effective_cpu_count
 from repro.service import (
     ServiceConfig,
+    ServiceOverloadError,
     ShardedCollector,
     run_load,
     start_local_service,
@@ -75,15 +76,18 @@ def bench_plan() -> AnalysisPlan:
 
 
 def _drain_submit(collector: ShardedCollector, frame: bytes, round_id: str) -> int:
-    """Submit with retry-on-backpressure; returns throttle count."""
+    """Submit with retry-on-backpressure; returns throttle count.
+
+    Only :class:`ServiceOverloadError` (a full queue, HTTP 429) is retried;
+    any other rejection — e.g. a feed that can never fit ``queue_depth`` —
+    is permanent and propagates.
+    """
     throttled = 0
     while True:
         try:
             collector.submit_feed(frame, round_id)
             return throttled
-        except Exception as exc:
-            if "queue" not in str(exc):
-                raise
+        except ServiceOverloadError:
             throttled += 1
             collector.flush()
 

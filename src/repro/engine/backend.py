@@ -9,19 +9,26 @@ many the machine has (the checked-in BENCH files record exactly that). This
 module narrows them into a :class:`ComputeBackend` seam with three
 implementations:
 
-* :class:`NumpyBackend` — the default; every primitive is the literal NumPy
-  expression the callers used to inline, so routing through it is
-  bitwise-identical to the historical path.
-* :class:`ThreadedBackend` — shards batched work (EM/EMS problem columns,
-  OLH user chunks, frame blocks) across a thread pool. NumPy releases the
-  GIL inside its kernels, so contiguous-slice shards scale near-linearly
-  with cores. Shard boundaries depend only on the *data shape* (a fixed
+* :class:`NumpyBackend` — the default; every primitive is one whole-array
+  NumPy expression, and a one-problem solve through it is bitwise-identical
+  to the historical inline path.
+* :class:`ThreadedBackend` — shards batched work (EM/EMS problems, OLH
+  user chunks, frame blocks) across a thread pool. NumPy releases the GIL
+  inside its kernels, so contiguous-slice shards scale near-linearly with
+  cores. Shard boundaries depend only on the *data shape* (a fixed
   ``column_chunk``), never on the worker count, so results are bit-identical
   whether one worker or sixteen drain the queue.
 * :class:`NumbaBackend` — JIT-compiles the cumsum-boxcar operator product
   and the Carter-Wegman hash loop when ``numba`` is importable; construction
   raises :class:`BackendUnavailableError` otherwise, and everything not
   worth JIT-ing (BLAS matmuls) inherits the NumPy implementation.
+
+Batched primitives are *problem-major*: ``B`` stacked problems arrive as a
+C-contiguous ``(B, n)`` array, one problem per row, so every per-problem
+sum and cumulative sum runs over contiguous memory in the same order
+whatever ``B`` is. A problem's result is therefore bit-identical whether it
+is computed alone or as one row of a batch (dense ``matmul``/``rmatmul``
+excepted: a BLAS gemm does not round like per-row gemv calls).
 
 The active backend is process-wide state mirroring
 :func:`repro.engine.operators.set_channel_mode`: read it with
@@ -157,15 +164,15 @@ class ComputeBackend:
     olh_chunk_size: int | None = None
 
     def matmul(self, m: FloatArray, x: FloatArray) -> FloatArray:
-        """``m @ x`` for ``x`` of shape ``(d,)`` or ``(d, B)``."""
+        """``m @ x`` per problem: ``x`` is ``(d,)`` or ``(B, d)`` rows."""
         raise NotImplementedError
 
     def rmatmul(self, m: FloatArray, y: FloatArray) -> FloatArray:
-        """``m.T @ y`` for ``y`` of shape ``(d_out,)`` or ``(d_out, B)``."""
+        """``m.T @ y`` per problem: ``y`` is ``(d_out,)`` or ``(B, d_out)`` rows."""
         raise NotImplementedError
 
     def padded_cumsum(self, v: FloatArray) -> FloatArray:
-        """``S`` with ``S[k] = v[:k].sum()`` along axis 0 (batch-aware)."""
+        """``S`` with ``S[..., k] = v[..., :k].sum()`` along the last axis."""
         raise NotImplementedError
 
     def banded_product(
@@ -178,13 +185,16 @@ class ComputeBackend:
     ) -> FloatArray:
         """The cumsum-boxcar product of the uniform-plus-band channels.
 
-        ``out[j] = outside * v.sum() + delta * v[lo[j]:hi[j]].sum()`` along
-        axis 0 — the whole structured matvec/rmatvec for two-valued band
-        channels, and the plateau term of the Toeplitz channel.
+        ``out[..., j] = outside * v.sum() + delta * v[..., lo[j]:hi[j]].sum()``
+        per problem row — the whole structured matvec/rmatvec for two-valued
+        band channels, and the plateau term of the Toeplitz channel.
         """
         s = self.padded_cumsum(v)
-        total = s[-1]
-        return outside * total + delta * (s[hi] - s[lo])
+        band = np.take(s, hi, axis=-1)
+        band -= np.take(s, lo, axis=-1)
+        band *= delta
+        band += outside * s[..., -1:]
+        return band
 
     def olh_support_counts(
         self,
@@ -219,20 +229,20 @@ class ComputeBackend:
 
 
 class NumpyBackend(ComputeBackend):
-    """Single-core NumPy: every primitive is the historical inline call."""
+    """Single-core NumPy: every primitive is one whole-array NumPy call."""
 
     name = "numpy"
 
     def matmul(self, m: FloatArray, x: FloatArray) -> FloatArray:
-        return m @ x
+        # Row form of ``m @ x``; one row is the same gemv, bit for bit.
+        return x @ m.T
 
     def rmatmul(self, m: FloatArray, y: FloatArray) -> FloatArray:
-        return m.T @ y
+        return y @ m
 
     def padded_cumsum(self, v: FloatArray) -> FloatArray:
-        shape = (v.shape[0] + 1,) + v.shape[1:]
-        out = np.zeros(shape, dtype=np.float64)
-        np.cumsum(v, axis=0, out=out[1:])
+        out = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.float64)
+        np.cumsum(v, axis=-1, out=out[..., 1:])
         return out
 
     def olh_support_counts(
@@ -261,10 +271,10 @@ class ThreadedBackend(NumpyBackend):
     workers:
         Pool size; defaults to :func:`effective_cpu_count`.
     column_chunk:
-        Problem columns per matmul/cumsum shard. Shard boundaries are a
-        pure function of the input width — *not* of ``workers`` — so a
-        solve's float result is bit-identical under any worker count; the
-        pool only changes who computes each shard.
+        Problems (rows of a problem-major batch) per matmul/cumsum shard.
+        Shard boundaries are a pure function of the batch size — *not* of
+        ``workers`` — so a solve's float result is bit-identical under any
+        worker count; the pool only changes who computes each shard.
     olh_chunk_size:
         Per-worker OLH aggregation chunk (rows of the ``(chunk, d)`` hash
         buffer). Defaults to the OLH module's tuned serial chunk, which
@@ -310,21 +320,22 @@ class ThreadedBackend(NumpyBackend):
             pool.shutdown(wait=True)
 
     # -- sharding helpers --------------------------------------------------
-    def _column_spans(self, width: int) -> list[tuple[int, int]] | None:
-        """Fixed-width column shards, or ``None`` when sharding can't pay.
+    def _row_spans(self, v: FloatArray) -> list[tuple[int, int]] | None:
+        """Fixed-size problem shards, or ``None`` when sharding can't pay.
 
-        Spans depend only on ``width`` and ``column_chunk`` — NEVER on
+        Spans depend only on the batch size and ``column_chunk`` — NEVER on
         ``workers``. Sliced BLAS products round differently than one
         whole-array call, so a worker-count-dependent shard layout would
         make the same solve drift across pool sizes; a shape-only layout
         keeps every ``ThreadedBackend(w)`` bit-identical to every other.
         """
-        if width < 2 * self.column_chunk:
+        rows = v.shape[0] if v.ndim == 2 else 0
+        if rows < 2 * self.column_chunk:
             return None
         step = self.column_chunk
-        return [(lo, min(lo + step, width)) for lo in range(0, width, step)]
+        return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
-    def _sharded_columns(
+    def _sharded_rows(
         self, compute: Callable[[int, int], FloatArray], spans: list[tuple[int, int]]
     ) -> list[FloatArray]:
         futures = [
@@ -334,32 +345,32 @@ class ThreadedBackend(NumpyBackend):
 
     # -- primitives --------------------------------------------------------
     def matmul(self, m: FloatArray, x: FloatArray) -> FloatArray:
-        spans = self._column_spans(x.shape[1]) if x.ndim == 2 else None
+        spans = self._row_spans(x)
         if spans is None:
-            return m @ x
-        blocks = self._sharded_columns(lambda lo, hi: m @ x[:, lo:hi], spans)
-        return np.concatenate(blocks, axis=1)
+            return super().matmul(m, x)
+        blocks = self._sharded_rows(lambda lo, hi: x[lo:hi] @ m.T, spans)
+        return np.concatenate(blocks, axis=0)
 
     def rmatmul(self, m: FloatArray, y: FloatArray) -> FloatArray:
-        spans = self._column_spans(y.shape[1]) if y.ndim == 2 else None
+        spans = self._row_spans(y)
         if spans is None:
-            return m.T @ y
-        blocks = self._sharded_columns(lambda lo, hi: m.T @ y[:, lo:hi], spans)
-        return np.concatenate(blocks, axis=1)
+            return super().rmatmul(m, y)
+        blocks = self._sharded_rows(lambda lo, hi: y[lo:hi] @ m, spans)
+        return np.concatenate(blocks, axis=0)
 
     def padded_cumsum(self, v: FloatArray) -> FloatArray:
-        spans = self._column_spans(v.shape[1]) if v.ndim == 2 else None
+        spans = self._row_spans(v)
         if spans is None:
             return super().padded_cumsum(v)
-        out = np.zeros((v.shape[0] + 1,) + v.shape[1:], dtype=np.float64)
+        out = np.zeros((v.shape[0], v.shape[1] + 1), dtype=np.float64)
 
         def fill(lo: int, hi: int) -> FloatArray:
-            # Disjoint output slices: safe to fill concurrently. Per-column
+            # Disjoint output rows: safe to fill concurrently. Per-row
             # cumsum order matches the whole-array call exactly.
-            np.cumsum(v[:, lo:hi], axis=0, out=out[1:, lo:hi])
+            np.cumsum(v[lo:hi], axis=1, out=out[lo:hi, 1:])
             return out
 
-        self._sharded_columns(fill, spans)
+        self._sharded_rows(fill, spans)
         return out
 
     def olh_support_counts(
@@ -448,17 +459,17 @@ class NumbaBackend(NumpyBackend):
                 delta: float,
                 outside: float,
             ) -> FloatArray:  # pragma: no cover - requires numba
-                d, batch = v.shape
+                batch, d = v.shape
                 rows = lo.shape[0]
-                s = np.zeros((d + 1, batch))
-                for i in range(d):
-                    for j in range(batch):
-                        s[i + 1, j] = s[i, j] + v[i, j]
-                out = np.empty((rows, batch))
-                for r in range(rows):
-                    for j in range(batch):
-                        out[r, j] = outside * s[d, j] + delta * (
-                            s[hi[r], j] - s[lo[r], j]
+                s = np.zeros((batch, d + 1))
+                for j in range(batch):
+                    for i in range(d):
+                        s[j, i + 1] = s[j, i] + v[j, i]
+                out = np.empty((batch, rows))
+                for j in range(batch):
+                    for r in range(rows):
+                        out[j, r] = outside * s[j, d] + delta * (
+                            s[j, hi[r]] - s[j, lo[r]]
                         )
                 return out
 
@@ -489,7 +500,7 @@ class NumbaBackend(NumpyBackend):
         assert self._banded is not None
         squeeze = v.ndim == 1
         v2 = np.ascontiguousarray(
-            v[:, None] if squeeze else v, dtype=np.float64
+            v[None, :] if squeeze else v, dtype=np.float64
         )
         out = self._banded(
             v2,
@@ -498,7 +509,7 @@ class NumbaBackend(NumpyBackend):
             float(delta),
             float(outside),
         )
-        return out[:, 0] if squeeze else out
+        return out[0, :] if squeeze else out
 
     def olh_support_counts(
         self,

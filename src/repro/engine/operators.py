@@ -35,6 +35,14 @@ Three operator implementations cover the package's channels:
   dense matrix to float rounding (~1e-14 relative, verified by the
   hypothesis suite in ``tests/engine/test_operators.py``).
 
+Every operator computes its products *problem-major*
+(:meth:`ChannelOperator.matvec_rows`): ``B`` problems arrive as a
+C-contiguous ``(B, n)`` array, so each problem's cumulative sums, band-end
+gathers and ramp sums run over its own contiguous row, in the same order
+whatever ``B`` is. A structured product for one row of a batch is therefore
+bit-identical to the same product computed alone. The column-layout
+``matvec``/``rmatvec`` (``(d,)`` or ``(d, B)``) wrap the row form.
+
 Selection is automatic: estimators ask the engine cache
 (:func:`repro.engine.cache.cached_channel_operator`) which consults the
 mechanism's ``channel_operator`` hook and falls back to dense. Force the
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -109,15 +117,31 @@ def _freeze(arr: ArrayLike, dtype: Any = np.float64) -> Any:
     return out
 
 
+def _by_columns(
+    rows_product: Callable[[FloatArray, ComputeBackend], FloatArray],
+    v: ArrayLike,
+    backend: ComputeBackend | None,
+) -> FloatArray:
+    """Apply a problem-major product to a ``(n,)`` vector or ``(n, B)`` batch."""
+    v = np.asarray(v, dtype=np.float64)
+    bk = resolve_backend(backend)
+    if v.ndim == 1:
+        return rows_product(v[None, :], bk)[0, :]
+    return rows_product(np.ascontiguousarray(v.T), bk).T
+
+
 class ChannelOperator:
     """A transition matrix exposed through its action, not its entries.
 
-    Subclasses implement :meth:`matvec` (``M x``) and :meth:`rmatvec`
-    (``Mᵀ y``) for 1-d vectors and ``(·, B)`` stacked batches, plus
-    :meth:`to_dense` for tests and interoperability. ``structured`` tells
-    the solver whether the operator earns the product-reuse fast loop
-    (``False`` only for :class:`DenseChannel`, which must stay bitwise
-    compatible with the raw-ndarray path).
+    Subclasses implement the problem-major products :meth:`matvec_rows`
+    (``M x`` per row) and :meth:`rmatvec_rows` (``Mᵀ y`` per row), plus
+    :meth:`to_dense` for tests and interoperability; :meth:`matvec` and
+    :meth:`rmatvec` take column-layout vectors and batches. ``structured``
+    tells the solver whether the operator earns the product-reuse fast
+    loop (``False`` only for :class:`DenseChannel`, which must stay bitwise
+    compatible with the raw-ndarray path). Structured operators are also
+    the only ones whose batched rows are bit-identical to solo products,
+    which is what lets same-channel solves fuse.
     """
 
     #: Whether the solver may take the structured (product-reusing) loop.
@@ -141,12 +165,20 @@ class ChannelOperator:
         ``backend`` selects the compute backend for the product; ``None``
         uses the process-wide active one (:func:`repro.engine.backend.backend`).
         """
-        raise NotImplementedError
+        return _by_columns(self.matvec_rows, x, backend)
 
     def rmatvec(
         self, y: ArrayLike, *, backend: ComputeBackend | None = None
     ) -> FloatArray:
         """``M.T @ y`` for ``y`` of shape ``(d_out,)`` or ``(d_out, B)``."""
+        return _by_columns(self.rmatvec_rows, y, backend)
+
+    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
+        """``M x`` for every row of a C-contiguous ``(B, d)`` float batch."""
+        raise NotImplementedError
+
+    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
+        """``Mᵀ y`` for every row of a C-contiguous ``(B, d_out)`` float batch."""
         raise NotImplementedError
 
     def to_dense(self) -> FloatArray:
@@ -164,9 +196,9 @@ class ChannelOperator:
 class DenseChannel(ChannelOperator):
     """Dense fallback: any matrix, applied through the usual BLAS products.
 
-    ``matvec``/``rmatvec`` are exactly ``m @ x`` / ``m.T @ y``, so the
-    solver's output through this wrapper is bitwise-identical to passing
-    the raw array.
+    The products are the backend's ``matmul``/``rmatmul`` — exactly what
+    the solver runs for a raw array, so its output through this wrapper is
+    bitwise-identical to passing the raw array.
     """
 
     structured: bool = False
@@ -182,19 +214,11 @@ class DenseChannel(ChannelOperator):
     def matrix(self) -> FloatArray:
         return self._m
 
-    def matvec(
-        self, x: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        return resolve_backend(backend).matmul(
-            self._m, np.asarray(x, dtype=np.float64)
-        )
+    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
+        return backend.matmul(self._m, x)
 
-    def rmatvec(
-        self, y: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        return resolve_backend(backend).rmatmul(
-            self._m, np.asarray(y, dtype=np.float64)
-        )
+    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
+        return backend.rmatmul(self._m, y)
 
     def to_dense(self) -> FloatArray:
         return self._m
@@ -258,19 +282,13 @@ class UniformPlusBandedChannel(ChannelOperator):
         self._rlo = _freeze(rlo, np.int64)
         self._rhi = _freeze(rhi, np.int64)
 
-    def matvec(
-        self, x: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        return resolve_backend(backend).banded_product(
+    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
+        return backend.banded_product(
             x, self._lo, self._hi, self._delta, self.outside
         )
 
-    def rmatvec(
-        self, y: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        y = np.asarray(y, dtype=np.float64)
-        return resolve_backend(backend).banded_product(
+    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
+        return backend.banded_product(
             y, self._rlo, self._rhi, self._delta, self.outside
         )
 
@@ -304,11 +322,14 @@ class _CorrectionWindows:
         self._idx = _freeze(idx, np.int64)
 
     def apply(self, v: FloatArray) -> FloatArray:
-        """``out[k] = sum_r values[r, k] * v[idx[r, k]]`` (batch-aware)."""
-        gathered = v[self._idx]  # (width, n) or (width, n, B)
-        if gathered.ndim == 3:
-            return np.einsum("rk,rkb->kb", self.values, gathered)
-        return (self.values * gathered).sum(axis=0)
+        """``out[b, k] = sum_r values[r, k] * v[b, idx[r, k]]`` per problem row.
+
+        The sum over ``r`` runs in index order for every row, so a row's
+        result does not depend on how many rows share the batch.
+        """
+        gathered = np.take(v, self._idx, axis=1)  # (B, width, n)
+        gathered *= self.values
+        return gathered.sum(axis=1)
 
 
 class UniformPlusToeplitzChannel(ChannelOperator):
@@ -436,22 +457,16 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         return max(self._rise.values.shape[0], self._fall.values.shape[0])
 
     # -- products ----------------------------------------------------------
-    def matvec(
-        self, x: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        out = resolve_backend(backend).banded_product(
+    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
+        out = backend.banded_product(
             x, self._band_lo, self._band_hi, self._plateau, self._baseline
         )
         out += self._rise.apply(x)
         out += self._fall.apply(x)
         return out
 
-    def rmatvec(
-        self, y: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        y = np.asarray(y, dtype=np.float64)
-        out = resolve_backend(backend).banded_product(
+    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
+        out = backend.banded_product(
             y, self._col_band_lo, self._col_band_hi, self._plateau, self._baseline
         )
         out += self._col_rise.apply(y)

@@ -19,6 +19,16 @@ work for the wave channels. On the structured path the ``M X`` product
 computed for the log-likelihood is reused as the next iteration's E-step
 densities, so each iteration costs one ``matvec`` + one ``rmatvec``.
 
+Internally the batch is *problem-major*: each problem's vectors are one
+contiguous row of a ``(B, d)`` array, so every per-problem sum (column
+totals, log-likelihoods, the smoothing renormalization) and every
+structured product runs in the same order whatever ``B`` is. On a
+structured channel, column ``j`` of a ``B``-problem solve is therefore
+bit-identical to solving problem ``j`` alone — which is what lets the
+serving tiers fuse same-channel solves without changing a single estimate.
+Dense channels do not get that guarantee (a BLAS gemm does not round like
+``B`` separate gemv calls), so callers fuse structured channels only.
+
 Columns converge independently: a per-column mask freezes finished problems
 (their iteration counts and log-likelihood histories match a sequential run
 column by column) while the remaining ones keep iterating, so the batch
@@ -40,7 +50,7 @@ import numpy as np
 
 from repro.api.config import DEFAULT_MAX_ITER
 from repro.engine.backend import ComputeBackend, resolve_backend
-from repro.engine.operators import ChannelOperator
+from repro.engine.operators import ChannelOperator, DenseChannel
 from repro.utils.typing import ArrayLike, BoolArray, FloatArray, IntArray
 
 __all__ = [
@@ -126,47 +136,45 @@ class BatchEMResult:
         return (self.column(j) for j in range(self.batch_size))
 
 
-def _log_likelihood_columns(
-    counts: FloatArray, predicted: FloatArray, positive: BoolArray | None = None
+def _log_likelihood_rows(
+    counts: FloatArray, predicted: FloatArray, positive: BoolArray
 ) -> FloatArray:
-    """Per-column ``sum_j n_j log p_j`` (zero-count terms contribute 0).
+    """Per-problem ``sum_j n_j log p_j`` (zero-count terms contribute 0).
 
     ``positive`` is the precomputed ``counts > 0`` mask; the log is
     evaluated only on those cells (zero-count cells never touch
     ``predicted``, so nothing rides on the ``1e-300`` floor there), while
-    the summation still runs over the full column in the historical order —
-    the result is bitwise-identical to the old mask-after-log version.
+    the summation still runs over each full contiguous row — the same
+    pairwise order as a lone 1-d sum.
     """
-    if positive is None:
-        positive = counts > 0.0
     log_predicted = np.zeros_like(predicted)
     np.log(predicted, out=log_predicted, where=positive)
-    return (counts * log_predicted).sum(axis=0)
+    return (counts * log_predicted).sum(axis=1)
 
 
-def _smooth_columns(x: FloatArray, kernel: FloatArray) -> FloatArray:
-    """Column-wise :func:`repro.core.smoothing.smooth` (edge-renormalized).
+def _smooth_rows(x: FloatArray, kernel: FloatArray) -> FloatArray:
+    """Row-wise :func:`repro.core.smoothing.smooth` (edge-renormalized).
 
     Same semantics as the 1-d version: kernel taps that fall outside the
     domain are dropped and the surviving weights rescaled, applied to every
-    column at once via shifted-slice accumulation instead of ``B`` separate
-    convolutions.
+    problem row at once via shifted-slice accumulation instead of ``B``
+    separate convolutions.
     """
-    d = x.shape[0]
+    d = x.shape[1]
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError("kernel must be 1-d with odd length")
     if kernel.size > 2 * d - 1:
         raise ValueError("kernel wider than the signal")
     half = kernel.size // 2
     numerator = np.zeros_like(x)
-    weight = np.zeros((d, 1))
+    weight = np.zeros(d)
     for j, tap in enumerate(kernel):
         # Convolution orientation: output[i] += kernel[j] * x[i + half - j].
         offset = half - j
         lo = max(0, -offset)
         hi = min(d, d - offset)
-        numerator[lo:hi] += tap * x[lo + offset : hi + offset]
-        weight[lo:hi, 0] += tap
+        numerator[:, lo:hi] += tap * x[:, lo + offset : hi + offset]
+        weight[lo:hi] += tap
     return numerator / weight
 
 
@@ -205,7 +213,9 @@ def batched_expectation_maximization(
         ``None`` disables smoothing (plain EM).
     x0:
         Starting histogram — ``(d,)`` shared by every column or ``(d, B)``
-        per-column; defaults to uniform.
+        per-column; defaults to uniform. Each column is normalized to sum
+        to 1, so an all-ones column starts exactly where a cold solve does
+        (``1/d`` everywhere) — the way to mix cold and warm columns.
     validate_matrix:
         Skip the column-stochastic check when the channel comes from the
         engine cache (already validated at insert).
@@ -220,38 +230,18 @@ def batched_expectation_maximization(
     Returns
     -------
     BatchEMResult
+        ``estimates`` is a ``(d, B)`` view of the problem-major solution.
     """
     bk = resolve_backend(backend)
-    operator: ChannelOperator | None
     if isinstance(matrix, ChannelOperator):
-        operator = matrix
-        structured = operator.structured
-        d_out, d = operator.shape
-        op = operator
-
-        def product(v: FloatArray) -> FloatArray:
-            return op.matvec(v, backend=bk)
-
-        def transpose_product(v: FloatArray) -> FloatArray:
-            return op.rmatvec(v, backend=bk)
-
-        column_sums = op.column_sums
+        op: ChannelOperator = matrix
     else:
-        operator = None
         m = np.asarray(matrix, dtype=np.float64)
-        structured = False
         if m.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
-        d_out, d = m.shape
-
-        def product(v: FloatArray) -> FloatArray:
-            return bk.matmul(m, v)
-
-        def transpose_product(v: FloatArray) -> FloatArray:
-            return bk.rmatmul(m, v)
-
-        def column_sums() -> FloatArray:
-            return m.sum(axis=0)
+        op = DenseChannel(m)
+    structured = op.structured
+    d_out, d = op.shape
     n = np.asarray(counts, dtype=np.float64)
     if n.ndim != 2 or n.shape[0] != d_out:
         raise ValueError(f"counts must have shape ({d_out}, B), got {n.shape}")
@@ -263,7 +253,7 @@ def batched_expectation_maximization(
     if not (n.sum(axis=0) > 0).all():
         raise ValueError("counts must contain at least one report")
     if validate_matrix:
-        if not np.allclose(column_sums(), 1.0, atol=1e-6):
+        if not np.allclose(op.column_sums(), 1.0, atol=1e-6):
             raise ValueError("matrix columns must sum to 1")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -272,58 +262,58 @@ def batched_expectation_maximization(
         if smoothing_kernel is None
         else np.asarray(smoothing_kernel, dtype=np.float64)
     )
+    n = np.ascontiguousarray(n.T)  # (B, d_out): one problem per row
 
     if x0 is None:
-        x = np.full((d, batch), 1.0 / d)
+        x = np.full((batch, d), 1.0 / d)
     else:
         x = np.asarray(x0, dtype=np.float64)
         if x.ndim == 1:
-            x = np.repeat(x[:, None], batch, axis=1)
+            x = np.repeat(x[None, :], batch, axis=0)
         else:
-            x = x.copy()
+            x = np.ascontiguousarray(x.T)
         if (
-            x.shape != (d, batch)
+            x.shape != (batch, d)
             or x.min() < 0
-            or not (x.sum(axis=0) > 0).all()
+            or not (x.sum(axis=1) > 0).all()
         ):
             raise ValueError(
                 "x0 must be a non-negative length-d vector with positive sum"
             )
-        x = x / x.sum(axis=0, keepdims=True)
+        x = x / x.sum(axis=1, keepdims=True)
 
-    active = np.ones(batch, dtype=bool)
+    def product(v: FloatArray) -> FloatArray:
+        out = op.matvec_rows(v, bk)
+        return np.maximum(out, _DENSITY_FLOOR, out=out)
+
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
     positive = n > 0.0  # fixed across iterations: counts never change
     ll_buffer = np.zeros((min(max_iter, _HISTORY_CHUNK), batch))
-    initial = np.maximum(product(x), _DENSITY_FLOOR)
-    previous = _log_likelihood_columns(n, initial, positive)
+    initial = product(x)
+    previous = _log_likelihood_rows(n, initial, positive)
     # Structured channels reuse the log-likelihood product as the next
-    # E-step's predicted densities (columns tracked alongside `active`).
+    # E-step's predicted densities (rows tracked alongside `idx`).
     carried: FloatArray | None = initial if structured else None
+    idx = np.arange(batch)  # the still-active problems
+    xa, na, pa = x, n, positive
 
     for iteration in range(1, max_iter + 1):
-        idx = np.flatnonzero(active)
-        xa = x[:, idx]
-        na = n[:, idx]
-        if carried is not None:
-            predicted = carried
-        else:
-            predicted = np.maximum(product(xa), _DENSITY_FLOOR)
-        weights = transpose_product(na / predicted)
+        predicted = carried if carried is not None else product(xa)
+        weights = op.rmatvec_rows(na / predicted, bk)
         xa = xa * weights
-        totals = xa.sum(axis=0)
-        dead = totals <= 0  # defensive; cannot occur with a valid matrix
+        totals = xa.sum(axis=1, keepdims=True)
+        dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix
         if dead.any():  # pragma: no cover
-            xa[:, dead] = 1.0 / d
-            totals = np.where(dead, 1.0, totals)
+            xa[dead] = 1.0 / d
+            totals[dead] = 1.0
         xa = xa / totals
         if kernel is not None:
-            xa = _smooth_columns(xa, kernel)
-            xa = xa / xa.sum(axis=0, keepdims=True)
-        refreshed = np.maximum(product(xa), _DENSITY_FLOOR)
-        current = _log_likelihood_columns(na, refreshed, positive[:, idx])
-        x[:, idx] = xa
+            xa = _smooth_rows(xa, kernel)
+            xa = xa / xa.sum(axis=1, keepdims=True)
+        refreshed = product(xa)
+        current = _log_likelihood_rows(na, refreshed, pa)
+        x[idx] = xa
         iterations[idx] = iteration
         if iteration > ll_buffer.shape[0]:
             grown = np.zeros((min(max_iter, 2 * ll_buffer.shape[0]), batch))
@@ -332,16 +322,21 @@ def batched_expectation_maximization(
         ll_buffer[iteration - 1, idx] = current
         finished = current - previous[idx] < tol
         converged[idx[finished]] = True
-        active[idx[finished]] = False
         previous[idx] = current
-        if not active.any():
+        if finished.all():
             break
+        if finished.any():
+            # Freeze finished problems: keep only the still-active rows.
+            keep = ~finished
+            idx = idx[keep]
+            xa, na, pa = xa[keep], na[keep], pa[keep]
+            refreshed = refreshed[keep]
         if structured:
-            carried = refreshed[:, ~finished]
+            carried = refreshed
 
     log_likelihood = ll_buffer[iterations - 1, np.arange(batch)].copy()
     return BatchEMResult(
-        estimates=x,
+        estimates=x.T,
         iterations=iterations,
         converged=converged,
         log_likelihood=log_likelihood,

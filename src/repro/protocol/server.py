@@ -20,6 +20,15 @@ of :mod:`repro.engine.operators` (the wrapped estimators request them by
 default), so a wave-mechanism round pays ``O(d)`` per iteration rather
 than a dense ``O(d^2)`` matmul.
 
+Solves that share a structured channel fuse: :func:`estimate_rounds`
+stacks every EM-backed server with the same channel object, ``EMConfig``
+and epsilon into one :meth:`repro.api.EMConfig.run_many` batch, each
+column warm-started from its own server's cached posterior. The batched
+solver is problem-major, so every fused column is bit-identical to the
+same server solving alone — fusion changes the cost of a poll, never its
+answer. :class:`repro.streaming.StreamingCollector` fuses its window
+solves through the same :func:`solve_together`.
+
 :class:`PlanServer` serves a whole :class:`~repro.tasks.plan.AnalysisPlan`
 — one ``CollectionServer`` per planned attribute — off a single mixed
 frame/JSONL feed, and emits the typed
@@ -31,10 +40,11 @@ frame/JSONL feed, and emits the typed
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import warnings
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,6 +56,7 @@ from repro.api.errors import EmptyAggregateError
 from repro.api.registry import make_estimator
 from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import SWEstimator, WaveEstimator
+from repro.engine.operators import ChannelOperator
 from repro.protocol.codecs import codec_for_estimator
 from repro.protocol.frames import (
     decode_any_feed,
@@ -110,24 +121,173 @@ class EstimateFailure:
         }
 
 
+def warm_startable(estimator: Estimator) -> bool:
+    """EM-backed families whose ``estimate`` accepts ``x0=``."""
+    if isinstance(estimator, WaveEstimator):
+        return True
+    return isinstance(estimator, CFOBinning) and estimator.em is not None
+
+
+def _em_inputs(estimator: Estimator) -> tuple[Any, np.ndarray, EMConfig] | None:
+    """``(channel, counts, config)`` an EM-backed estimator solves, else ``None``."""
+    if isinstance(estimator, WaveEstimator):
+        return estimator.channel, estimator._counts, estimator.config
+    if isinstance(estimator, CFOBinning) and estimator.em is not None:
+        return estimator.channel, estimator._chunk_acc, estimator.em
+    return None
+
+
+def _fusion_key(estimator: Estimator) -> tuple | None:
+    """What a solve may share a batch on, or ``None`` if it solves alone.
+
+    Only structured channels fuse: their batched columns are bit-identical
+    to solo solves, while a dense gemm rounds differently from per-column
+    products.
+    """
+    inputs = _em_inputs(estimator)
+    if inputs is None:
+        return None
+    channel, _, config = inputs
+    if not (isinstance(channel, ChannelOperator) and channel.structured):
+        return None
+    return (channel, config, estimator.epsilon)
+
+
+def _warm_start(posterior: np.ndarray) -> np.ndarray:
+    """A cached posterior nudged strictly positive for the next warm start."""
+    return (1.0 - _WARM_START_MIX) * posterior + _WARM_START_MIX / posterior.size
+
+
+def fusion_groups(estimators: Sequence[Estimator]) -> list[list[int]]:
+    """Indices of ``estimators`` grouped into solves that may share a batch.
+
+    Estimators on the same structured channel object with equal
+    ``EMConfig`` and epsilon share a group; every other estimator is a
+    group of its own. Groups keep first-appearance order.
+    """
+    groups: list[list[int]] = []
+    by_key: dict[tuple, list[int]] = {}
+    for index, estimator in enumerate(estimators):
+        key = _fusion_key(estimator)
+        if key is None:
+            groups.append([index])
+        elif key in by_key:
+            by_key[key].append(index)
+        else:
+            by_key[key] = [index]
+            groups.append(by_key[key])
+    return groups
+
+
+def solve_together(
+    estimators: Sequence[Estimator],
+    posteriors: Sequence[np.ndarray | None],
+) -> list[Any]:
+    """Solve one :func:`fusion_groups` group; returns each estimate in order.
+
+    Two or more estimators sharing a fusion key run as one
+    :meth:`~repro.api.EMConfig.run_many` batch whose column ``j``
+    warm-starts from ``posteriors[j]`` (``None``: a cold column, started
+    from exactly the uniform prior a solo cold solve uses); each
+    estimator's ``result_`` receives its column. Anything else solves
+    alone through its own ``estimate``, warm-started when it can be. Either
+    way an estimate is bit-identical to the solo solve.
+    """
+    keys = {_fusion_key(estimator) for estimator in estimators}
+    if len(estimators) < 2 or len(keys) != 1 or None in keys:
+        return [
+            estimator.estimate(x0=_warm_start(posterior))
+            if posterior is not None and warm_startable(estimator)
+            else estimator.estimate()
+            for estimator, posterior in zip(estimators, posteriors, strict=True)
+        ]
+    ((channel, config, epsilon),) = keys
+    counts = np.stack([_em_inputs(e)[1] for e in estimators], axis=1)
+    x0 = None
+    if any(posterior is not None for posterior in posteriors):
+        # An all-ones column normalizes to exactly 1/d: the cold prior.
+        x0 = np.stack(
+            [
+                np.ones(channel.d) if posterior is None else _warm_start(posterior)
+                for posterior in posteriors
+            ],
+            axis=1,
+        )
+    batch = config.run_many(channel, counts, epsilon, validated=True, x0=x0)
+    estimates = []
+    for j, estimator in enumerate(estimators):
+        estimator.result_ = batch.column(j)
+        estimates.append(estimator.result_.estimate)
+    return estimates
+
+
+@contextlib.contextmanager
+def _holding(locks: Iterable[threading.RLock]) -> Any:
+    """Hold every distinct lock, taken in id order (as ``merge`` does)."""
+    with contextlib.ExitStack() as stack:
+        for lock in sorted({id(lock): lock for lock in locks}.values(), key=id):
+            stack.enter_context(lock)
+        yield
+
+
+def _estimate_group(
+    named: Sequence[tuple[str, "CollectionServer"]],
+) -> dict[str, Any]:
+    """Estimate servers of one fusion group under all their locks.
+
+    Cache hits and empty rounds are answered per server; the rest solve
+    together through :func:`solve_together`. Failures come back as
+    :class:`EstimateFailure` values, never raised.
+    """
+    out: dict[str, Any] = {}
+    pending: list[tuple[str, CollectionServer, str | None]] = []
+    with _holding(server._lock for _, server in named):
+        for name, server in named:
+            try:
+                hit, value = server._lookup()
+            except Exception as exc:  # surfaced per key, not aborted mid-batch
+                out[name] = EstimateFailure(key=name, error=exc)
+                continue
+            if hit:
+                out[name] = value
+            else:
+                pending.append((name, server, value))
+        try:
+            estimates = solve_together(
+                [server._estimator for _, server, _ in pending],
+                [server._warm_posterior() for _, server, _ in pending],
+            )
+        except Exception as exc:
+            for name, _, _ in pending:
+                out[name] = EstimateFailure(key=name, error=exc)
+        else:
+            for (name, server, key), estimate in zip(pending, estimates, strict=True):
+                server._remember(key, estimate)
+                out[name] = estimate
+    return out
+
+
 def estimate_rounds(
     servers: Mapping[str, "CollectionServer"],
     *,
     on_error: str = "raise",
     backend: Any = None,
 ) -> dict[str, Any]:
-    """Reconstruct several independent servers' estimates in one pass.
+    """Reconstruct several servers' estimates, fusing same-channel solves.
 
-    The multi-shard solve scheduler: each server's :meth:`estimate` is an
-    independent solve (its own estimator, its own channel), so the batch
-    fans out across the compute backend's workers (``backend=`` — a
-    :class:`~repro.engine.backend.ComputeBackend`, a spec string like
-    ``"threaded:4"``, or ``None`` for the process-wide active backend) — a
-    plan's attributes, or several rounds' servers, solve concurrently
-    instead of one after another. The engine's matrix cache is
-    lock-protected, so concurrent solves sharing a channel are safe.
+    The multi-attribute solve scheduler. Servers whose estimators share a
+    structured channel object, ``EMConfig`` and epsilon (see
+    :func:`fusion_groups`) are solved as one
+    :meth:`~repro.api.EMConfig.run_many` batch: each member's lock is
+    taken in id order, cache hits still skip the solve, and each column
+    warm-starts from its own server's cached posterior. Every fused column
+    is bit-identical to that server's solo :meth:`CollectionServer.estimate`.
+    Servers that cannot fuse (dense channels, non-EM families) solve alone.
+    The groups fan out across the compute backend's workers (``backend=`` —
+    a :class:`~repro.engine.backend.ComputeBackend`, a spec string like
+    ``"threaded:4"``, or ``None`` for the process-wide active backend).
 
-    Every solve runs to completion regardless of the others: one empty or
+    Every group runs to completion regardless of the others: one empty or
     broken round no longer aborts the whole batch. Failures surface per
     key — with ``on_error="return"`` the result maps each failed key to an
     :class:`EstimateFailure` (successes map to their estimates as usual);
@@ -146,16 +306,15 @@ def estimate_rounds(
         )
     from repro.engine.backend import resolve_backend
 
-    names = list(servers)
-
-    def solve(name: str) -> Any:
-        try:
-            return servers[name].estimate()
-        except Exception as exc:  # surfaced per key, not aborted mid-batch
-            return EstimateFailure(key=name, error=exc)
-
-    estimates = resolve_backend(backend).map_ordered(solve, names)
-    results = dict(zip(names, estimates, strict=True))
+    named = list(servers.items())
+    groups = [
+        [named[i] for i in group]
+        for group in fusion_groups([server.estimator for _, server in named])
+    ]
+    solved: dict[str, Any] = {}
+    for part in resolve_backend(backend).map_ordered(_estimate_group, groups):
+        solved.update(part)
+    results = {name: solved[name] for name in servers}
     if on_error == "raise":
         for value in results.values():
             if isinstance(value, EstimateFailure):
@@ -341,12 +500,6 @@ class CollectionServer:
         return self._ingest_groups(groups)
 
     # -- estimation --------------------------------------------------------
-    def _warm_startable(self) -> bool:
-        est = self._estimator
-        if isinstance(est, WaveEstimator):
-            return True
-        return isinstance(est, CFOBinning) and est.em is not None
-
     def _state_key(self) -> str:
         """Cheap fingerprint of the aggregation state the cache is keyed on.
 
@@ -367,31 +520,38 @@ class CollectionServer:
         otherwise. Raises :class:`repro.EmptyAggregateError` naming the
         round and attribute while the round is still empty.
         """
-        with self._lock:
-            if self._estimator.n_reports == 0:
-                raise EmptyAggregateError(
-                    f"no reports ingested for round {self.round_id!r}, "
-                    f"attribute {self.attr!r}"
-                )
-            key = self._state_key() if self.incremental else None
-            if self.incremental and key == self._cached_key:
-                return _copy_estimate(self._cached)
-            x0 = None
-            if (
-                self.incremental
-                and isinstance(self._cached, np.ndarray)
-                and self._warm_startable()
-            ):
-                prev = self._cached
-                x0 = (1.0 - _WARM_START_MIX) * prev + _WARM_START_MIX / prev.size
-            if x0 is not None:
-                estimate = self._estimator.estimate(x0=x0)
-            else:
-                estimate = self._estimator.estimate()
-            if self.incremental:
-                self._cached = _copy_estimate(estimate)
-                self._cached_key = key
-            return estimate
+        value = _estimate_group([(self.attr, self)])[self.attr]
+        if isinstance(value, EstimateFailure):
+            raise value.error
+        return value
+
+    def _lookup(self) -> tuple[bool, Any]:
+        """``(True, cached estimate)`` on a cache hit, else ``(False, state key)``.
+
+        Called under the lock; raises :class:`repro.EmptyAggregateError`
+        while the round is empty.
+        """
+        if self._estimator.n_reports == 0:
+            raise EmptyAggregateError(
+                f"no reports ingested for round {self.round_id!r}, "
+                f"attribute {self.attr!r}"
+            )
+        key = self._state_key() if self.incremental else None
+        if self.incremental and key == self._cached_key:
+            return True, _copy_estimate(self._cached)
+        return False, key
+
+    def _warm_posterior(self) -> np.ndarray | None:
+        """The cached posterior the next solve warm-starts from, if any."""
+        if self.incremental and isinstance(self._cached, np.ndarray):
+            return self._cached
+        return None
+
+    def _remember(self, key: str | None, estimate: Any) -> None:
+        """Cache a fresh solve's estimate under its state key."""
+        if self.incremental:
+            self._cached = _copy_estimate(estimate)
+            self._cached_key = key
 
     # -- shard merge + serialization --------------------------------------
     def merge(self, other: "CollectionServer") -> "CollectionServer":
@@ -545,11 +705,12 @@ class PlanServer:
         """Answer every task in the plan from the state aggregated so far.
 
         Reconstructions route through each attribute's incremental server
-        (cached posteriors are reused, EM warm-starts after deltas), with
-        independent attributes solved concurrently via
-        :func:`estimate_rounds` when the active compute backend has
-        workers; the session turns them into the typed
-        :class:`~repro.tasks.results.AnalysisReport`. Raises
+        (cached posteriors are reused, EM warm-starts after deltas) via
+        :func:`estimate_rounds`: attributes on one structured channel
+        solve as a single fused batch, bit-identical to solving each
+        alone, and the remaining groups run concurrently when the active
+        compute backend has workers. The session turns the estimates into
+        the typed :class:`~repro.tasks.results.AnalysisReport`. Raises
         :class:`repro.EmptyAggregateError` naming the round and the
         still-empty attribute if any aggregator has no reports yet.
         """

@@ -46,10 +46,13 @@ shard's states under their locks, fold per-attribute snapshots through
 the binary :func:`~repro.service.sharding.merge_tree`, and rebind the
 result into a persistent per-round server so the incremental posterior
 cache survives re-merges — an unchanged round skips its solves, a grown
-round warm-starts EM. Solves fan out per home shard through
-:func:`~repro.protocol.server.estimate_rounds` with ``on_error="return"``,
-so one empty attribute reports a structured error instead of hiding every
-other attribute's result.
+round warm-starts EM. A round's attributes then solve together through
+:func:`~repro.protocol.server.estimate_rounds` with ``on_error="return"``:
+attributes on one structured channel fuse into a single batched solve
+(bit-identical to solving each alone) across shards, split only where
+their home shards solve on different compute backends, and one empty
+attribute reports a structured error instead of hiding every other
+attribute's result.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ class ShardAggregator:
         self._servers: dict[tuple[str, str], CollectionServer] = {}
         self._servers_lock = threading.Lock()
         self._counters = _ShardCounters()
+        self._crashed = False
         self._worker = threading.Thread(
             target=self._drain, name=f"repro-shard-{shard_id}", daemon=True
         )
@@ -150,8 +154,10 @@ class ShardAggregator:
         A worker only dies on an injected crash (or an interpreter-level
         failure) — ordinary fold errors are counted, not fatal — so a
         dead worker means the shard has genuinely lost its ingest path.
+        A dying worker reads as dead before its last block is marked
+        done, so a :meth:`flush` that returns never sees it alive.
         """
-        return self._worker.is_alive()
+        return not self._crashed and self._worker.is_alive()
 
     # -- submission (called from the collector's submit thread) ------------
     def free_slots(self) -> int:
@@ -224,6 +230,9 @@ class ShardAggregator:
                     # exactly as a real thread death would.
                     faults.crash("shard.fold")
                 self._fold(round_id, block)
+            except BaseException:
+                self._crashed = True
+                raise
             finally:
                 self._queue.task_done()
 
@@ -749,19 +758,21 @@ class ShardedCollector:
         return merged
 
     def _solve(self, merged: dict[str, CollectionServer], round_id: str) -> dict[str, Any]:
-        """Fan solves out per home shard, on that shard's backend."""
-        by_shard: dict[int, dict[str, CollectionServer]] = {}
+        """Solve the round, fusing across shards that share a backend.
+
+        Each attribute solves on its home shard's backend; attributes whose
+        homes share one (every attribute, by default) go through a single
+        :func:`estimate_rounds` call, so same-channel attributes fuse no
+        matter which shard they live on.
+        """
+        by_backend: dict[int, tuple[ComputeBackend | None, dict[str, CollectionServer]]] = {}
         for attr, server in merged.items():
-            home = self.ring.shard_for(round_id, attr)
-            by_shard.setdefault(home, {})[attr] = server
+            backend = self.shards[self.ring.shard_for(round_id, attr)].backend
+            by_backend.setdefault(id(backend), (backend, {}))[1][attr] = server
         results: dict[str, Any] = {}
-        for shard_id in sorted(by_shard):
+        for backend, servers in by_backend.values():
             results.update(
-                estimate_rounds(
-                    by_shard[shard_id],
-                    on_error="return",
-                    backend=self.shards[shard_id].backend,
-                )
+                estimate_rounds(servers, on_error="return", backend=backend)
             )
         return {attr: results[attr] for attr in merged}
 
@@ -846,8 +857,8 @@ class ShardedCollector:
         aggregates into the streaming scheduler
         (:class:`repro.streaming.StreamingCollector`): the sliding window
         advances in O(d) per attribute, EM warm-starts from the previous
-        tick's posterior, and wave attributes sharing a channel solve as
-        one fused batch. Each round may be advanced exactly once —
+        tick's posterior, and attributes sharing a structured channel
+        solve as one fused batch. Each round may be advanced exactly once —
         advancing it again raises ``ValueError`` (reports that arrive
         after the advance would otherwise be double-counted); a round no
         upload ever touched raises ``LookupError``. With journaling, the

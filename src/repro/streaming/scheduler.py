@@ -11,10 +11,14 @@ estimates with three amortizations layered on the one-shot pipeline:
    posterior (mixed with a drop of uniform so no coordinate is exactly
    zero), via the estimator's existing ``estimate(x0=)`` plumbing. Same
    fixed point, far fewer iterations when the window moved by one round.
-3. **Fusion** — wave-mechanism attributes that share a channel operator
-   and EM configuration are stacked into one ``(d_out, B)``
+3. **Fusion** — attributes that share a structured channel operator, EM
+   configuration and epsilon are stacked into one ``(d_out, B)``
    :meth:`repro.api.EMConfig.run_many` batch, so a multi-attribute tick
-   pays one solver dispatch through the backend seam instead of B.
+   pays one solver dispatch through the backend seam instead of B. The
+   grouping and the batched solve are the serving tier's own
+   (:func:`repro.protocol.server.fusion_groups` and
+   :func:`~repro.protocol.server.solve_together`), and every fused column
+   is bit-identical to the attribute solving alone.
 
 Drift is the failure mode of warm starting: on a sampled cadence the
 scheduler cross-checks the warm posterior against a cold solve
@@ -36,8 +40,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.base import Estimator
-from repro.binning.cfo_binning import CFOBinning
-from repro.core.pipeline import WaveEstimator
+from repro.protocol.server import fusion_groups, solve_together, warm_startable
 from repro.streaming.drift import DriftMonitor
 from repro.streaming.window import (
     CumulativeState,
@@ -49,11 +52,6 @@ from repro.streaming.window import (
 from repro.utils.rng import RngLike, as_generator
 
 __all__ = ["AttributeTick", "StreamingCollector", "TickResult"]
-
-#: Uniform-mixing weight applied to a cached posterior before it seeds the
-#: next warm start (EM cannot move a coordinate off exactly zero). Matches
-#: the incremental-serving constant in :mod:`repro.protocol.server`.
-_WARM_START_MIX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,20 +114,6 @@ class TickResult:
                 name: t.to_dict() for name, t in self.attributes.items()
             },
         }
-
-
-def _warm_startable(estimator: Estimator) -> bool:
-    """EM-backed families whose ``estimate`` accepts ``x0=``."""
-    if isinstance(estimator, WaveEstimator):
-        return True
-    return isinstance(estimator, CFOBinning) and estimator.em is not None
-
-
-def _mixed(posterior: np.ndarray) -> np.ndarray:
-    """Cached posterior nudged strictly positive for the next warm start."""
-    return (
-        1.0 - _WARM_START_MIX
-    ) * posterior + _WARM_START_MIX / posterior.size
 
 
 class StreamingCollector:
@@ -268,7 +252,7 @@ class StreamingCollector:
             self._windows[str(name)].push(round_estimator)
 
         ticks: dict[str, AttributeTick] = {}
-        fuse_groups: dict[tuple[Any, ...], list[tuple[str, WaveEstimator, str]]] = {}
+        pending: list[tuple[str, Estimator, str]] = []
         for name, state in self._windows.items():
             current = state.current
             fingerprint = state.fingerprint()
@@ -286,20 +270,12 @@ class StreamingCollector:
                     attribute=name, estimate=None, skipped=True, empty=True
                 )
                 continue
-            if isinstance(current, WaveEstimator):
-                key = (id(current.channel), current.config, current.epsilon)
-                fuse_groups.setdefault(key, []).append(
-                    (name, current, fingerprint)
-                )
-            else:
-                ticks[name] = self._solve_one(name, current, fingerprint)
+            pending.append((name, current, fingerprint))
 
-        for members in fuse_groups.values():
-            if len(members) == 1:
-                name, estimator, fingerprint = members[0]
-                ticks[name] = self._solve_one(name, estimator, fingerprint)
-            else:
-                ticks.update(self._solve_fused(members))
+        groups = fusion_groups([estimator for _, estimator, _ in pending])
+        for group in groups:
+            ticks.update(self._solve([pending[i] for i in group]))
+        ticks = {name: ticks[name] for name in self._windows}
 
         self._last.update(ticks)
         solved = sum(1 for t in ticks.values() if not t.skipped)
@@ -307,77 +283,41 @@ class StreamingCollector:
         return TickResult(
             tick=self._ticks,
             attributes=ticks,
-            fused_groups=sum(1 for m in fuse_groups.values() if len(m) > 1),
+            fused_groups=sum(1 for group in groups if len(group) > 1),
             solved=solved,
             skipped=skipped,
         )
 
-    # -- solve paths -------------------------------------------------------
-    def _x0_for(self, name: str) -> np.ndarray | None:
-        if not self.warm_start:
+    # -- solve path --------------------------------------------------------
+    def _posterior_for(self, name: str, estimator: Estimator) -> np.ndarray | None:
+        """The previous tick's posterior to warm-start from, if any."""
+        if not (self.warm_start and warm_startable(estimator)):
             return None
         cached = self._cache.get(name)
-        if cached is None:
-            return None
-        return _mixed(cached[1])
+        return None if cached is None else cached[1]
 
-    def _solve_one(
-        self, name: str, estimator: Estimator, fingerprint: str
-    ) -> AttributeTick:
-        """Solve one attribute through its own ``estimate`` path."""
-        x0 = self._x0_for(name) if _warm_startable(estimator) else None
-        if _warm_startable(estimator):
-            estimate = estimator.estimate(x0=x0)
-        else:
-            estimate = estimator.estimate()
-        result = getattr(estimator, "result_", None)
-        iterations = int(result.iterations) if result is not None else None
-        converged = bool(result.converged) if result is not None else None
-        tick = AttributeTick(
-            attribute=name,
-            estimate=_copy(estimate),
-            iterations=iterations,
-            converged=converged,
-            warm=x0 is not None,
-        )
-        return self._finish(name, estimator, fingerprint, tick)
-
-    def _solve_fused(
-        self, members: list[tuple[str, WaveEstimator, str]]
+    def _solve(
+        self, members: list[tuple[str, Estimator, str]]
     ) -> dict[str, AttributeTick]:
-        """One ``run_many`` batch for wave attributes sharing a channel."""
-        _, first, _ = members[0]
-        d = first.d
-        counts = np.stack(
-            [estimator._counts for _, estimator, _ in members], axis=1
-        )
-        x0: np.ndarray | None = None
-        warm_flags = [False] * len(members)
-        if self.warm_start:
-            columns = np.full((d, len(members)), 1.0 / d)
-            any_warm = False
-            for j, (name, _, _) in enumerate(members):
-                seed = self._x0_for(name)
-                if seed is not None:
-                    columns[:, j] = seed
-                    warm_flags[j] = True
-                    any_warm = True
-            if any_warm:
-                x0 = columns
-        batch = first.config.run_many(
-            first.channel, counts, first.epsilon, validated=True, x0=x0
+        """Solve one fusion group (a fused batch, or one attribute alone)."""
+        posteriors = [
+            self._posterior_for(name, estimator) for name, estimator, _ in members
+        ]
+        estimates = solve_together(
+            [estimator for _, estimator, _ in members], posteriors
         )
         out: dict[str, AttributeTick] = {}
-        for j, (name, estimator, fingerprint) in enumerate(members):
-            column = batch.column(j)
-            estimator.result_ = column
+        for (name, estimator, fingerprint), posterior, estimate in zip(
+            members, posteriors, estimates, strict=True
+        ):
+            result = getattr(estimator, "result_", None)
             tick = AttributeTick(
                 attribute=name,
-                estimate=column.estimate.copy(),
-                iterations=int(column.iterations),
-                converged=bool(column.converged),
-                warm=warm_flags[j],
-                fused=True,
+                estimate=_copy(estimate),
+                iterations=int(result.iterations) if result is not None else None,
+                converged=bool(result.converged) if result is not None else None,
+                warm=posterior is not None,
+                fused=len(members) > 1,
             )
             out[name] = self._finish(name, estimator, fingerprint, tick)
         return out
@@ -397,7 +337,7 @@ class StreamingCollector:
             tick.warm
             and not tick.skipped
             and self.drift.due(self._ticks)
-            and _warm_startable(estimator)
+            and warm_startable(estimator)
         ):
             fresh = np.asarray(estimator.estimate(x0=None), dtype=np.float64)
             check = self.drift.observe(self._ticks, name, posterior, fresh)

@@ -107,10 +107,49 @@ class TestFusion:
         del gen_b
         fused_result = fused.tick(rounds_fused)
         solo_result = solo.tick(rounds_solo)
-        np.testing.assert_allclose(
-            fused_result.attributes["a0"].estimate,
-            solo_result.attributes["a0"].estimate,
+        assert fused_result.attributes["a0"].fused
+        assert not solo_result.attributes["a0"].fused
+        assert (
+            fused_result.attributes["a0"].estimate.tobytes()
+            == solo_result.attributes["a0"].estimate.tobytes()
         )
+
+    def test_cold_column_beside_a_warm_one_matches_a_cold_solo_solve(self):
+        """d=100: a uniform 1/d column does not sum to exactly 1, so a cold
+        column must start from the exact prior, not a renormalized one."""
+        templates = {
+            name: make_estimator("sw-ems", 1.0, 100) for name in ("warm", "cold")
+        }
+        fused = StreamingCollector(templates, window=4)
+        solo_warm = StreamingCollector({"warm": templates["warm"]}, window=4)
+        solo_cold = StreamingCollector({"cold": templates["cold"]}, window=4)
+        gen = as_generator(11)
+        first = gen.beta(2.0, 5.0, 3000)
+        fused.tick({"warm": fused.make_round("warm", first, rng=as_generator(1))})
+        solo_warm.tick(
+            {"warm": solo_warm.make_round("warm", first, rng=as_generator(1))}
+        )
+        second, third = gen.beta(2.0, 5.0, 3000), gen.beta(5.0, 2.0, 3000)
+        result = fused.tick(
+            {
+                "warm": fused.make_round("warm", second, rng=as_generator(2)),
+                "cold": fused.make_round("cold", third, rng=as_generator(3)),
+            }
+        )
+        assert result.fused_groups == 1
+        assert result.attributes["warm"].warm and not result.attributes["cold"].warm
+        alone_warm = solo_warm.tick(
+            {"warm": solo_warm.make_round("warm", second, rng=as_generator(2))}
+        )
+        alone_cold = solo_cold.tick(
+            {"cold": solo_cold.make_round("cold", third, rng=as_generator(3))}
+        )
+        for name, alone in (("warm", alone_warm), ("cold", alone_cold)):
+            assert (
+                result.attributes[name].estimate.tobytes()
+                == alone.attributes[name].estimate.tobytes()
+            )
+            assert result.attributes[name].iterations == alone.attributes[name].iterations
 
     def test_mixed_families_do_not_fuse(self):
         templates = {
