@@ -180,12 +180,18 @@ class WaveEstimator(Estimator):
         self._counts += self._bucketize(reports)
 
     def ingest_counts(self, counts: np.ndarray) -> None:
-        """Fold an already-bucketized report histogram into the state."""
+        """Fold an already-bucketized report histogram into the state.
+
+        The histogram is validated whole before anything is folded, so a
+        rejected one leaves the state unchanged.
+        """
         arr = np.asarray(counts, dtype=np.float64)
         if arr.shape != (self.d_out,):
             raise ValueError(
                 f"counts must have shape ({self.d_out},), got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("counts must be finite (no inf or NaN)")
         if arr.min() < 0:
             raise ValueError("counts must be non-negative")
         self._counts += arr

@@ -83,14 +83,28 @@ class SquareWave:
         vals = check_unit_values(values)
         gen = as_generator(rng)
         n = vals.size
-        near_mass = 2.0 * self.b * self.p
-        near = gen.random(n) < near_mass
+        b = self.b
+        near_mass = 2.0 * b * self.p
+        out = gen.random(n)
+        near = out < near_mass
         u = gen.random(n)
-        near_draw = vals - self.b + u * (2.0 * self.b)
         # Far region = [-b, v - b) U (v + b, 1 + b]; the left piece has
         # length v, so u < v lands left and u >= v lands right.
-        far_draw = np.where(u < vals, -self.b + u, vals + self.b + (u - vals))
-        return np.where(near, near_draw, far_draw)
+        left = u < vals
+        # Each case is computed whole, into the first draw's buffer and
+        # one scratch array, then selected: far right (v + b) + (u - v),
+        # far left (-b) + u, near (v - b) + u * 2b. `vals` may be the
+        # caller's array and is never written.
+        scratch = np.subtract(u, vals)
+        np.add(vals, b, out=out)
+        out += scratch
+        np.add(u, -b, out=scratch)
+        np.copyto(out, scratch, where=left)
+        np.subtract(vals, b, out=scratch)
+        u *= 2.0 * b
+        scratch += u
+        np.copyto(out, scratch, where=near)
+        return out
 
     def bucketize_reports(self, reports: np.ndarray, d_out: int) -> np.ndarray:
         """Histogram counts of reports over ``d_out`` output buckets."""

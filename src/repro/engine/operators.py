@@ -302,34 +302,48 @@ class UniformPlusBandedChannel(ChannelOperator):
         return self.outside * (self.d_out - height) + self.inside * height
 
 
-class _CorrectionWindows:
-    """A rectangular gather/sum of sparse per-row (or per-column) corrections.
+class _RampWindows:
+    """The rise and fall ramp corrections of one product, gathered together.
 
-    ``starts[k]`` is the first index of row/column ``k``'s window into the
-    opposing axis; ``values`` is ``(width, n)`` with zero padding beyond
-    each window's true extent, so padded cells contribute nothing and the
-    gather indices can be safely clipped into range.
+    Each ramp is a rectangular window table: ``starts[k]`` is the first
+    index of row/column ``k``'s window into the opposing axis, and its
+    ``(width, n)`` values are zero-padded beyond each window's true extent,
+    so padded cells contribute nothing and the gather indices can be safely
+    clipped into range. The rise table is stacked on the fall table, so one
+    ``np.take`` gathers both; ``split`` is the rise width. The tables are
+    read-only, since operators are shared across threads.
     """
 
-    __slots__ = ("starts", "values", "_idx")
+    __slots__ = ("split", "values", "_idx")
 
-    def __init__(self, starts: IntArray, values: FloatArray, limit: int) -> None:
-        self.starts = _freeze(starts, np.int64)
-        self.values = _freeze(values)
-        width = values.shape[0]
-        idx = starts[None, :] + np.arange(width, dtype=np.int64)[:, None]
-        np.clip(idx, 0, max(limit - 1, 0), out=idx)
-        self._idx = _freeze(idx, np.int64)
+    def __init__(
+        self,
+        rise: tuple[IntArray, FloatArray],
+        fall: tuple[IntArray, FloatArray],
+        limit: int,
+    ) -> None:
+        tables = []
+        for starts, values in (rise, fall):
+            width = values.shape[0]
+            idx = starts[None, :] + np.arange(width, dtype=np.int64)[:, None]
+            np.clip(idx, 0, max(limit - 1, 0), out=idx)
+            tables.append(idx)
+        self.split = rise[1].shape[0]
+        self.values = _freeze(np.concatenate([rise[1], fall[1]]))
+        self._idx = _freeze(np.concatenate(tables), np.int64)
 
-    def apply(self, v: FloatArray) -> FloatArray:
-        """``out[b, k] = sum_r values[r, k] * v[b, idx[r, k]]`` per problem row.
+    def add_to(self, out: FloatArray, v: FloatArray) -> None:
+        """Add the rise, then the fall sums to ``out``, per problem row.
 
-        The sum over ``r`` runs in index order for every row, so a row's
-        result does not depend on how many rows share the batch.
+        A ramp adds ``sum_r values[r, k] * v[b, idx[r, k]]`` to
+        ``out[b, k]``. Each ramp sums over ``r`` on its own, in index
+        order for every row, so a row's result does not depend on how
+        many rows share the batch.
         """
-        gathered = np.take(v, self._idx, axis=1)  # (B, width, n)
+        gathered = np.take(v, self._idx, axis=1)  # (B, rise + fall, n)
         gathered *= self.values
-        return gathered.sum(axis=1)
+        out += gathered[:, : self.split].sum(axis=1)
+        out += gathered[:, self.split :].sum(axis=1)
 
 
 class UniformPlusToeplitzChannel(ChannelOperator):
@@ -346,9 +360,9 @@ class UniformPlusToeplitzChannel(ChannelOperator):
     antiderivative as the dense builder.
 
     The products therefore decompose into a column sum (uniform part), a
-    cumulative-sum boxcar (plateau band), and two narrow correction-window
-    gathers (ramps) — no ``O(d_out · d)`` work anywhere, including
-    construction.
+    cumulative-sum boxcar (plateau band), and two narrow correction windows
+    (ramps) fetched by one gather — no ``O(d_out · d)`` work anywhere,
+    including construction.
     """
 
     def __init__(self, p: float, q: float, b: float, d: int, d_out: int) -> None:
@@ -390,14 +404,20 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         self._band_lo = _freeze(band_lo, np.int64)
         self._band_hi = _freeze(band_hi, np.int64)
 
-        self._rise = self._row_windows(band_lo, plat_lo)
-        self._fall = self._row_windows(plat_hi, band_hi)
+        self._ramps = _RampWindows(
+            self._row_windows(band_lo, plat_lo),
+            self._row_windows(plat_hi, band_hi),
+            d,
+        )
 
         rlo, rhi = _transpose_bands(band_lo, band_hi, d)
         self._col_band_lo = _freeze(rlo, np.int64)
         self._col_band_hi = _freeze(rhi, np.int64)
-        self._col_rise = self._col_windows(plat_lo, band_lo)
-        self._col_fall = self._col_windows(band_hi, plat_hi)
+        self._col_ramps = _RampWindows(
+            self._col_windows(plat_lo, band_lo),
+            self._col_windows(band_hi, plat_hi),
+            d_out,
+        )
 
     # -- exact band values -------------------------------------------------
     def _band_overlap(self, rows: IntArray, cols: IntArray) -> FloatArray:
@@ -416,24 +436,25 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         """Entry minus the boxcar height: ``(p−q)·(T[j,i] − lmax)``."""
         return (self.p - self.q) * (self._band_overlap(rows, cols) - self._lmax)
 
-    def _row_windows(self, start: IntArray, stop: IntArray) -> _CorrectionWindows:
+    def _row_windows(
+        self, start: IntArray, stop: IntArray
+    ) -> tuple[IntArray, FloatArray]:
+        """Per-row ``(starts, values)`` ramp table over columns ``[start, stop)``."""
         d_out, d = self.shape
         widths = stop - start
         k = int(widths.max()) if widths.size else 0
         if k == 0:
-            return _CorrectionWindows(
-                np.zeros(d_out, np.int64), np.zeros((0, d_out)), d
-            )
+            return np.zeros(d_out, np.int64), np.zeros((0, d_out))
         offsets = np.arange(k, dtype=np.int64)[:, None]
         cols = np.clip(start[None, :] + offsets, 0, d - 1)
         rows = np.broadcast_to(np.arange(d_out, dtype=np.int64)[None, :], cols.shape)
         values = self._correction(rows, cols)
         values = np.where(offsets < widths[None, :], values, 0.0)
-        return _CorrectionWindows(start, values, d)
+        return start, values
 
     def _col_windows(
         self, upper_bound: IntArray, lower_bound: IntArray
-    ) -> _CorrectionWindows:
+    ) -> tuple[IntArray, FloatArray]:
         """Column-oriented windows for rows with ``lower_j <= i < upper_j``."""
         d_out, d = self.shape
         cols = np.arange(d, dtype=np.int64)
@@ -443,34 +464,33 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         widths = stop - start
         k = int(widths.max()) if widths.size else 0
         if k == 0:
-            return _CorrectionWindows(np.zeros(d, np.int64), np.zeros((0, d)), d_out)
+            return np.zeros(d, np.int64), np.zeros((0, d))
         offsets = np.arange(k, dtype=np.int64)[:, None]
         rows = np.clip(start[None, :] + offsets, 0, d_out - 1)
         col_idx = np.broadcast_to(cols[None, :], rows.shape)
         values = self._correction(rows, col_idx)
         values = np.where(offsets < widths[None, :], values, 0.0)
-        return _CorrectionWindows(start, values, d_out)
+        return start, values
 
     @property
     def window_width(self) -> int:
         """Widest ramp window — the ``k`` in the O(d·k·B) product cost."""
-        return max(self._rise.values.shape[0], self._fall.values.shape[0])
+        ramps = self._ramps
+        return max(ramps.split, ramps.values.shape[0] - ramps.split)
 
     # -- products ----------------------------------------------------------
     def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
         out = backend.banded_product(
             x, self._band_lo, self._band_hi, self._plateau, self._baseline
         )
-        out += self._rise.apply(x)
-        out += self._fall.apply(x)
+        self._ramps.add_to(out, x)
         return out
 
     def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
         out = backend.banded_product(
             y, self._col_band_lo, self._col_band_hi, self._plateau, self._baseline
         )
-        out += self._col_rise.apply(y)
-        out += self._col_fall.apply(y)
+        self._col_ramps.add_to(out, y)
         return out
 
     def to_dense(self) -> FloatArray:

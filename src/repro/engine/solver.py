@@ -36,6 +36,12 @@ stops exactly when the slowest problem does. Stopping follows the paper's
 Section 6.1 rule — iterate until the per-column log-likelihood improvement
 drops below ``tol``.
 
+What does not change between iterations — the smoothing taps and edge
+weights, a zeroed log-likelihood scratch block — is set up once per solve,
+and the E/M/S steps update the active rows in place. The arithmetic is the
+historical loop's, operation for operation: ``tests/engine/
+reference_solver.py`` keeps that loop, and the tests require the same bytes.
+
 :func:`repro.core.em.expectation_maximization` is the single-problem
 wrapper around this solver; :class:`EMResult` lives here so both views
 share one diagnostics type.
@@ -61,11 +67,6 @@ __all__ = [
 
 #: Floor applied to predicted report probabilities before dividing/logging.
 _DENSITY_FLOOR = 1e-300
-
-#: Initial row capacity of the log-likelihood history buffer; doubled on
-#: demand so a ``max_iter`` of 10k with a wide batch does not preallocate
-#: a huge mostly-unused array.
-_HISTORY_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,10 @@ class BatchEMResult:
 
 
 def _log_likelihood_rows(
-    counts: FloatArray, predicted: FloatArray, positive: BoolArray
+    counts: FloatArray,
+    predicted: FloatArray,
+    positive: BoolArray,
+    log_predicted: FloatArray,
 ) -> FloatArray:
     """Per-problem ``sum_j n_j log p_j`` (zero-count terms contribute 0).
 
@@ -145,37 +149,39 @@ def _log_likelihood_rows(
     evaluated only on those cells (zero-count cells never touch
     ``predicted``, so nothing rides on the ``1e-300`` floor there), while
     the summation still runs over each full contiguous row — the same
-    pairwise order as a lone 1-d sum.
+    pairwise order as a lone 1-d sum. The logs land in the caller's
+    ``log_predicted`` scratch block, whose zero-count cells must hold 0.
     """
-    log_predicted = np.zeros_like(predicted)
     np.log(predicted, out=log_predicted, where=positive)
     return (counts * log_predicted).sum(axis=1)
 
 
-def _smooth_rows(x: FloatArray, kernel: FloatArray) -> FloatArray:
-    """Row-wise :func:`repro.core.smoothing.smooth` (edge-renormalized).
+def _smoothing_taps(
+    kernel: FloatArray, d: int
+) -> tuple[list[tuple[float, slice, slice]], FloatArray]:
+    """Per-solve setup of the row-wise edge-renormalized S-step.
 
-    Same semantics as the 1-d version: kernel taps that fall outside the
-    domain are dropped and the surviving weights rescaled, applied to every
-    problem row at once via shifted-slice accumulation instead of ``B``
-    separate convolutions.
+    Same semantics as :func:`repro.core.smoothing.smooth`: kernel taps that
+    fall outside the domain are dropped and the surviving weights rescaled.
+    Returns ``(tap, target, source)`` triples for the shifted-slice
+    accumulation ``numerator[:, target] += tap * x[:, source]`` and the
+    per-bucket sum of surviving taps, accumulated in tap order.
     """
-    d = x.shape[1]
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise ValueError("kernel must be 1-d with odd length")
     if kernel.size > 2 * d - 1:
         raise ValueError("kernel wider than the signal")
     half = kernel.size // 2
-    numerator = np.zeros_like(x)
+    taps = []
     weight = np.zeros(d)
-    for j, tap in enumerate(kernel):
+    for j, tap in enumerate(kernel.tolist()):
         # Convolution orientation: output[i] += kernel[j] * x[i + half - j].
         offset = half - j
         lo = max(0, -offset)
         hi = min(d, d - offset)
-        numerator[:, lo:hi] += tap * x[:, lo + offset : hi + offset]
+        taps.append((tap, slice(lo, hi), slice(lo + offset, hi + offset)))
         weight[lo:hi] += tap
-    return numerator / weight
+    return taps, weight
 
 
 def batched_expectation_maximization(
@@ -243,6 +249,8 @@ def batched_expectation_maximization(
     structured = op.structured
     d_out, d = op.shape
     n = np.asarray(counts, dtype=np.float64)
+    if not np.isfinite(n).all():
+        raise ValueError("counts must be finite (no inf or NaN)")
     if n.ndim != 2 or n.shape[0] != d_out:
         raise ValueError(f"counts must have shape ({d_out}, B), got {n.shape}")
     batch = n.shape[1]
@@ -268,6 +276,8 @@ def batched_expectation_maximization(
         x = np.full((batch, d), 1.0 / d)
     else:
         x = np.asarray(x0, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite (no inf or NaN)")
         if x.ndim == 1:
             x = np.repeat(x[None, :], batch, axis=0)
         else:
@@ -281,6 +291,7 @@ def batched_expectation_maximization(
                 "x0 must be a non-negative length-d vector with positive sum"
             )
         x = x / x.sum(axis=1, keepdims=True)
+    smoothing = None if kernel is None else _smoothing_taps(kernel, d)
 
     def product(v: FloatArray) -> FloatArray:
         out = op.matvec_rows(v, bk)
@@ -289,58 +300,82 @@ def batched_expectation_maximization(
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
     positive = n > 0.0  # fixed across iterations: counts never change
-    ll_buffer = np.zeros((min(max_iter, _HISTORY_CHUNK), batch))
+    # Zeroed once: logs land only on positive cells, so the zero-count
+    # cells stay 0 as the rows are compacted with the active set.
+    log_predicted = np.zeros((batch, d_out))
     initial = product(x)
-    previous = _log_likelihood_rows(n, initial, positive)
+    previous = _log_likelihood_rows(n, initial, positive, log_predicted)
     # Structured channels reuse the log-likelihood product as the next
     # E-step's predicted densities (rows tracked alongside `idx`).
     carried: FloatArray | None = initial if structured else None
     idx = np.arange(batch)  # the still-active problems
+    # `x` is this solve's own array; the active rows `xa` are updated in
+    # place and written back to `x` when a column freezes or the loop ends.
     xa, na, pa = x, n, positive
+    # The active columns' log-likelihoods, iteration after iteration, as
+    # packed float64 bytes, and the iteration index from which each active
+    # set applies.
+    trace = bytearray()
+    active_sets = [(0, idx)]
 
     for iteration in range(1, max_iter + 1):
         predicted = carried if carried is not None else product(xa)
-        weights = op.rmatvec_rows(na / predicted, bk)
-        xa = xa * weights
+        # E-step ratio in place: `predicted` is not read again.
+        weights = op.rmatvec_rows(np.divide(na, predicted, out=predicted), bk)
+        xa *= weights
         totals = xa.sum(axis=1, keepdims=True)
         dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix
         if dead.any():  # pragma: no cover
             xa[dead] = 1.0 / d
             totals[dead] = 1.0
-        xa = xa / totals
-        if kernel is not None:
-            xa = _smooth_rows(xa, kernel)
-            xa = xa / xa.sum(axis=1, keepdims=True)
+        xa /= totals
+        if smoothing is not None:
+            taps, tap_weight = smoothing
+            numerator = np.zeros_like(xa)
+            for tap, target, source in taps:
+                numerator[:, target] += tap * xa[:, source]
+            np.divide(numerator, tap_weight, out=xa)
+            xa /= xa.sum(axis=1, keepdims=True)
         refreshed = product(xa)
-        current = _log_likelihood_rows(na, refreshed, pa)
-        x[idx] = xa
-        iterations[idx] = iteration
-        if iteration > ll_buffer.shape[0]:
-            grown = np.zeros((min(max_iter, 2 * ll_buffer.shape[0]), batch))
-            grown[: ll_buffer.shape[0]] = ll_buffer
-            ll_buffer = grown
-        ll_buffer[iteration - 1, idx] = current
-        finished = current - previous[idx] < tol
-        converged[idx[finished]] = True
-        previous[idx] = current
-        if finished.all():
-            break
+        current = _log_likelihood_rows(na, refreshed, pa, log_predicted)
+        trace += current.tobytes()
+        finished = current - previous < tol
         if finished.any():
+            done = idx[finished]
+            x[done] = xa[finished]
+            iterations[done] = iteration
+            converged[done] = True
+            if finished.all():
+                break
             # Freeze finished problems: keep only the still-active rows.
             keep = ~finished
             idx = idx[keep]
+            active_sets.append((iteration, idx))
             xa, na, pa = xa[keep], na[keep], pa[keep]
-            refreshed = refreshed[keep]
+            log_predicted = log_predicted[keep]
+            current, refreshed = current[keep], refreshed[keep]
+        previous = current
         if structured:
             carried = refreshed
+    else:
+        x[idx] = xa
+        iterations[idx] = max_iter
 
-    log_likelihood = ll_buffer[iterations - 1, np.arange(batch)].copy()
+    # Unpack the trace: each active set's rows fill that set's columns.
+    table = np.empty((int(iterations.max()), batch))
+    stops = [start for start, _ in active_sets[1:]] + [table.shape[0]]
+    flat = np.frombuffer(trace)
+    offset = 0
+    for (start, cols), stop in zip(active_sets, stops, strict=True):
+        size = (stop - start) * cols.size
+        table[start:stop, cols] = flat[offset : offset + size].reshape(-1, cols.size)
+        offset += size
     return BatchEMResult(
         estimates=x.T,
         iterations=iterations,
         converged=converged,
-        log_likelihood=log_likelihood,
+        log_likelihood=table[iterations - 1, np.arange(batch)],
         histories=tuple(
-            ll_buffer[: iterations[j], j].copy() for j in range(batch)
+            table[: iterations[j], j].copy() for j in range(batch)
         ),
     )

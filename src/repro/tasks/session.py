@@ -149,7 +149,7 @@ class Session:
             n = next(iter(arrays.values())).size
             assignment = self._assign(n, gen)
             for index, name in enumerate(self.attributes):
-                group = arrays[name][assignment == index]
+                group = np.compress(assignment == index, arrays[name])
                 if group.size == 0:
                     continue
                 unit = self.plan.attribute(name).to_unit(group)

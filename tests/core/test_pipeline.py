@@ -1,8 +1,11 @@
 """Unit and integration tests for the high-level estimators."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.api import Estimator
 from repro.core.general_wave import GeneralWave
 from repro.core.pipeline import (
     DiscreteSWEstimator,
@@ -90,6 +93,40 @@ class TestWaveEstimator:
     def test_epsilon_property(self):
         est = WaveEstimator(GeneralWave(1.7, ratio=0.0), d=16)
         assert est.epsilon == pytest.approx(1.7)
+
+
+class TestNonFiniteCounts:
+    """``inf``/``NaN`` never reach the solver: ``NaN < 0`` is False, so a
+    sign check alone lets them through (to a 10k-iteration NaN solve)."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ingest_counts_rejects_and_leaves_state_unchanged(self, bad):
+        est = SWEstimator(1.0, d=16)
+        est.ingest_counts(np.ones(16))
+        before = est.to_state()
+        counts = np.ones(16)
+        counts[5] = bad
+        with pytest.raises(ValueError, match="counts must be finite"):
+            est.ingest_counts(counts)
+        assert est.to_state() == before
+
+    def test_estimate_rejects_non_finite_warm_start(self):
+        est = SWEstimator(1.0, d=16)
+        est.ingest_counts(np.arange(16.0))
+        x0 = np.full(16, 1.0 / 16)
+        x0[2] = np.inf
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            est.estimate(x0=x0)
+
+    def test_json_state_holding_infinity_is_rejected(self):
+        est = SWEstimator(1.0, d=16)
+        est.ingest_counts(np.ones(16))
+        payload = est.to_state()
+        payload["state"]["counts"][3] = float("inf")
+        text = json.dumps(payload)  # Python's json writes and reads Infinity
+        assert "Infinity" in text
+        with pytest.raises(ValueError, match="counts must be finite"):
+            Estimator.from_state(json.loads(text))
 
 
 class TestDiscreteSWEstimator:

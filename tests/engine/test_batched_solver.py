@@ -10,8 +10,9 @@ from repro.binning.cfo_binning import CFOBinning
 from repro.core.em import expectation_maximization
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
-from repro.engine.operators import UniformPlusToeplitzChannel
+from repro.engine.operators import DenseChannel, UniformPlusToeplitzChannel
 from repro.engine.solver import batched_expectation_maximization
+from tests.engine import reference_solver
 
 
 def _problem_batch(d=24, batch=9, n=3000, seed=0):
@@ -126,6 +127,20 @@ class TestBatchedValidation:
         counts[0, 0] = -1.0
         with pytest.raises(ValueError, match="non-negative"):
             batched_expectation_maximization(np.eye(3), counts)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_counts(self, bad):
+        counts = np.ones((3, 2))
+        counts[1, 1] = bad
+        with pytest.raises(ValueError, match="counts must be finite"):
+            batched_expectation_maximization(np.eye(3), counts)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_x0(self, bad):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            batched_expectation_maximization(
+                np.eye(3), np.ones((3, 2)), x0=np.array([1.0, bad, 1.0])
+            )
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError, match="at least one problem column"):
@@ -260,3 +275,88 @@ class TestFusedColumnsBitIdentical:
             assert fused.estimates[:, j].tobytes() == solo.estimates[:, 0].tobytes()
             assert fused.iterations[j] == solo.iterations[0]
             assert fused.histories[j].tobytes() == solo.histories[0].tobytes()
+
+
+class TestMatchesHistoricalLoop:
+    """The solver returns the bytes the historical loop returns.
+
+    ``tests/engine/reference_solver.py`` keeps the loop as it was before
+    per-solve setup moved out of the iteration loop; any reordering of the
+    arithmetic would show up here as a last-bit difference.
+    """
+
+    @given(
+        kind=st.sampled_from(
+            ["sw-toeplitz", "dsw-banded", "cfo-grr", "dense-array", "dense-channel"]
+        ),
+        d=st.integers(5, 130),
+        starts=st.lists(
+            st.sampled_from(["cold", "warm", "ones"]), min_size=1, max_size=6
+        ),
+        shared_start=st.booleans(),
+        smoothing_order=st.sampled_from([None, 2, 4]),
+        tol=st.sampled_from([1e-2, 1e-3, 1e-4]),
+        max_iter=st.sampled_from([5, 50, 10_000]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_byte_equal_to_reference_loop(
+        self, kind, d, starts, shared_start, smoothing_order, tol, max_iter, seed
+    ):
+        if kind.startswith("dense"):
+            channel = SquareWave(1.0).transition_matrix(d, d)
+            dense = channel
+            if kind == "dense-channel":
+                channel = DenseChannel(channel)
+        else:
+            channel = _structured_channel(kind, d)
+            dense = channel.to_dense()
+        d_in = dense.shape[1]
+        rng = np.random.default_rng(seed)
+        counts = np.stack(
+            [
+                rng.multinomial(
+                    int(rng.integers(20, 20_000)),
+                    dense @ rng.dirichlet(np.full(d_in, 0.5)),
+                ).astype(float)
+                for _ in starts
+            ],
+            axis=1,
+        )
+        if shared_start:
+            x0 = None if starts[0] == "cold" else rng.dirichlet(np.ones(d_in))
+        elif all(s == "cold" for s in starts):
+            x0 = None
+        else:
+            x0 = np.stack(
+                [
+                    rng.dirichlet(np.ones(d_in)) if s == "warm" else np.ones(d_in)
+                    for s in starts
+                ],
+                axis=1,
+            )
+        kwargs = dict(
+            tol=tol,
+            max_iter=max_iter,
+            smoothing_kernel=(
+                None if smoothing_order is None else binomial_kernel(smoothing_order)
+            ),
+            x0=x0,
+        )
+        counts_before = counts.copy()
+        x0_before = None if x0 is None else x0.copy()
+        got = batched_expectation_maximization(channel, counts, **kwargs)
+        ref = reference_solver.batched_expectation_maximization(
+            channel, counts, **kwargs
+        )
+        assert got.estimates.shape == ref.estimates.shape
+        assert got.estimates.tobytes() == ref.estimates.tobytes()
+        np.testing.assert_array_equal(got.iterations, ref.iterations)
+        np.testing.assert_array_equal(got.converged, ref.converged)
+        assert got.log_likelihood.tobytes() == ref.log_likelihood.tobytes()
+        assert len(got.histories) == len(ref.histories)
+        for mine, theirs in zip(got.histories, ref.histories, strict=True):
+            assert mine.tobytes() == theirs.tobytes()
+        # Neither the counts nor the warm start are written to.
+        np.testing.assert_array_equal(counts, counts_before)
+        if x0 is not None:
+            np.testing.assert_array_equal(x0, x0_before)

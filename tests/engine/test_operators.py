@@ -23,6 +23,7 @@ from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
+from repro.engine.backend import resolve_backend
 from repro.engine.cache import cached_channel_operator, clear_caches
 from repro.engine.operators import (
     ChannelOperator,
@@ -71,6 +72,37 @@ class TestContinuousOperator:
         np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, atol=ATOL)
         np.testing.assert_allclose(op.to_dense(), dense, atol=ATOL)
         np.testing.assert_allclose(op.column_sums(), 1.0, atol=1e-9)
+
+    @given(
+        epsilon=st.floats(0.05, 5.0),
+        b=st.one_of(st.none(), st.floats(0.01, 0.5)),
+        d=st.integers(1, 180),
+        d_out=st.integers(1, 260),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_one_gather_keeps_each_ramp_sum_separate(
+        self, epsilon, b, d, d_out, batch, seed
+    ):
+        # One np.take fetches both ramps, yet the bytes are those of a
+        # gather and sum per ramp, added band, then rise, then fall.
+        sw = SquareWave(epsilon, b=b)
+        op = UniformPlusToeplitzChannel(sw.p, sw.q, sw.b, d, d_out)
+        bk = resolve_backend("numpy")
+        rng = np.random.default_rng(seed)
+        cases = (
+            (op.matvec_rows, rng.random((batch, d)), op._ramps,
+             op._band_lo, op._band_hi),
+            (op.rmatvec_rows, rng.random((batch, d_out)), op._col_ramps,
+             op._col_band_lo, op._col_band_hi),
+        )
+        for product, v, ramps, lo, hi in cases:
+            want = bk.banded_product(v, lo, hi, op._plateau, op._baseline)
+            for ramp in (slice(None, ramps.split), slice(ramps.split, None)):
+                gathered = np.take(v, ramps._idx[ramp], axis=1)
+                gathered *= ramps.values[ramp]
+                want += gathered.sum(axis=1)
+            assert product(v, bk).tobytes() == want.tobytes()
 
     def test_one_dimensional_vectors(self):
         sw = SquareWave(1.0)
@@ -223,8 +255,8 @@ class TestSolverEquivalence:
         assert result.batch_size == 1
 
     def test_history_buffer_growth_preserves_trajectories(self):
-        # More iterations than the initial history chunk (128): the buffer
-        # must grow without losing earlier entries.
+        # A long run (150 iterations): the histories assembled at the end
+        # must keep every entry.
         dense, op, counts = _sw_problem(0.3, 24, 24, 2, seed=3, n=100_000)
         kwargs = dict(tol=-1.0, max_iter=150)
         ref = batched_expectation_maximization(dense, counts, **kwargs)
