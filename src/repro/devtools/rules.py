@@ -32,9 +32,12 @@ REG001    Every concrete ``Estimator`` subclass must be referenced by a
           ``wire_codec``, and ``n_reports`` (declared on itself or an
           ancestor below the ``Estimator`` root).
 SVC001    No blocking calls inside ``repro.service`` async handlers:
-          ``time.sleep``, synchronous ``socket`` use, or direct solve
-          calls (``.estimate()``/``.report()``/``estimate_rounds``) on
-          the event loop. CPU-bound work must be offloaded through
+          ``time.sleep``, synchronous ``socket`` use, direct solve calls
+          (``.estimate()``/``.report()``/``estimate_rounds``), or
+          JSON-lines decodes (``decode_feed_grouped``,
+          ``decode_any_feed``, ``decode_batch_grouped``) on the event
+          loop. Upload admission runs on the loop; work that costs in
+          proportion to its input must be offloaded through
           ``run_in_executor``/``asyncio.to_thread`` worker threads.
 STATE001  Window/decay maintenance must go through the sanctioned state
           arithmetic (``repro.api.subtract_state``/``scale_state`` and
@@ -924,6 +927,11 @@ class RegistryRule:
 _BLOCKING_SLEEPS = frozenset({"time.sleep", "sleep"})
 #: Synchronous solve entry points — each can run a full EM reconstruction.
 _BLOCKING_SOLVES = frozenset({"estimate", "report", "estimate_rounds"})
+#: JSON-lines decoders: ~50 ms per MB, so never on the loop. Admission of
+#: what they return (and frame header parsing) does run on the loop.
+_JSONL_DECODES = frozenset(
+    {"decode_feed_grouped", "decode_any_feed", "decode_batch_grouped"}
+)
 #: Offload seams whose argument subtrees legitimately name blocking work.
 _OFFLOAD_CALLS = frozenset({"run_in_executor", "to_thread"})
 
@@ -931,21 +939,23 @@ _OFFLOAD_CALLS = frozenset({"run_in_executor", "to_thread"})
 class AsyncBlockingRule:
     """SVC001 — ``repro.service`` async handlers never block the loop.
 
-    The service's throughput story rests on the event loop doing nothing
-    but parse/route/respond: one ``time.sleep``, one synchronous socket
-    round-trip, or one un-offloaded ``CollectionServer.estimate()`` in a
-    coroutine stalls *every* connection, and the loadgen's p99 shows it.
-    Blocking work belongs on worker threads behind ``run_in_executor`` /
-    ``asyncio.to_thread`` — calls inside those offload arguments (e.g. a
-    lambda handed to an executor) are exempt, as is ``asyncio.sleep``.
+    The service's throughput story rests on the event loop doing only
+    bounded work per request: parse the HTTP head, read a frame header,
+    admit the upload, respond. One ``time.sleep``, one synchronous socket
+    round-trip, one un-offloaded ``CollectionServer.estimate()`` or one
+    JSON-lines decode (about 50 ms per MB) in a coroutine stalls *every*
+    connection, and the loadgen's p99 shows it. Such work belongs on
+    worker threads behind ``run_in_executor`` / ``asyncio.to_thread`` —
+    calls inside those offload arguments (e.g. a lambda handed to an
+    executor) are exempt, as is ``asyncio.sleep``.
     """
 
     code = "SVC001"
     summary = (
         "no blocking calls (time.sleep, sync socket use, direct "
-        ".estimate()/.report()/estimate_rounds solves) inside "
-        "repro.service async handlers; offload via run_in_executor/"
-        "to_thread worker threads"
+        ".estimate()/.report()/estimate_rounds solves, JSON-lines "
+        "decodes) inside repro.service async handlers; offload via "
+        "run_in_executor/to_thread worker threads"
     )
 
     def check_module(self, module: AnalyzedModule) -> list[Finding]:
@@ -1022,6 +1032,17 @@ class AsyncBlockingRule:
                     f"directly inside async {func.name}() blocks every "
                     "connection — offload it via loop.run_in_executor or "
                     "asyncio.to_thread",
+                )
+            ]
+        if fn in _JSONL_DECODES:
+            return [
+                module.finding(
+                    node,
+                    self.code,
+                    f"{fn}() decodes JSON lines at about 50 ms per MB; "
+                    f"inside async {func.name}() it blocks every connection "
+                    "— parse via loop.run_in_executor or asyncio.to_thread "
+                    "and admit the parsed upload on the loop",
                 )
             ]
         if fn == "estimate_rounds" and isinstance(node.func, ast.Name):

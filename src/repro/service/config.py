@@ -107,12 +107,14 @@ class ServiceConfig:
         logs plus a collector-level commit log *before* they are acked,
         and a restarted service recovers bit-identical state from them.
     journal_fsync:
-        Fsync policy for the journals: ``"always"`` (fsync per record),
-        ``"checkpoint"`` (fsync at checkpoints, OS-flush per record —
-        the default), or ``"never"``.
+        Fsync policy for the journals: ``"always"`` (fsync per record,
+        on the admitting thread — the HTTP tier's event loop),
+        ``"checkpoint"`` (fsync at checkpoints, by the shard workers,
+        OS-flush per record — the default), or ``"never"``.
     checkpoint_every:
-        Accepted uploads between automatic state checkpoints. Bounds
-        recovery replay time; only meaningful with ``journal_dir``.
+        Accepted uploads between automatic state checkpoints, which the
+        shard workers write. Bounds recovery replay time; only
+        meaningful with ``journal_dir``.
     dedup_capacity:
         Bound on the idempotency ledger (entries). Must be at least
         ``checkpoint_every`` so the post-checkpoint replay window is

@@ -3,19 +3,28 @@
 The ingest tier is a fixed set of :class:`ShardAggregator` workers. Each
 owns the :class:`~repro.protocol.server.CollectionServer` aggregation
 states for the ``(round, attr)`` keys the consistent ring
-(:mod:`repro.service.sharding`) assigns it, plus one bounded queue of
-pending wire blocks and one worker thread that drains it. Memory in this
-tier is bounded by construction: a queue slot holds one decoded-columns
-block (itself bounded by the upload size limit), aggregation state is
-O(state) per key, and nothing ever concatenates a full feed.
+(:mod:`repro.service.sharding`) assigns it, plus one FIFO of pending
+wire blocks and tasks and one worker thread that drains it in order.
+Memory in this tier is bounded by construction: at most ``queue_depth``
+blocks per shard are pending (one decoded-columns block each, itself
+bounded by the upload size limit), aggregation state is O(state) per
+key, and nothing ever concatenates a full feed. The block bound is kept
+by two single-writer counters — blocks enqueued (written only by the
+admitting thread) and blocks folded (written only by the worker) — and
+tasks (flush barriers, checkpoint writes) never take a block slot.
 
-:class:`ShardedCollector` is the coordinator. Uploads are validated and
-split into per-shard block batches on the submitting thread; a batch is
-accepted **all-or-nothing** — if any target shard's queue cannot take its
-blocks, :class:`ServiceOverloadError` is raised (HTTP 429) and *no* block
-is enqueued, so a retried upload can never double-count. The capacity
-check is sound because submissions are serialized (the HTTP tier runs
-them on one executor thread) while workers only ever *free* slots.
+:class:`ShardedCollector` is the coordinator. An upload is handled in two
+steps: :meth:`~ShardedCollector.parse` is stateless — it computes the
+content digest, decodes the frame header or the JSON lines, checks every
+block against the plan and counts reports — so it may run on any thread;
+:meth:`~ShardedCollector.submit` admits it, on one serialized admitting
+thread (the HTTP tier's event loop). Admission splits the upload into
+per-shard blocks and accepts it **all-or-nothing** — if any target
+shard's pending blocks would exceed ``queue_depth``,
+:class:`ServiceOverloadError` is raised (HTTP 429) and *no* block is
+enqueued, so a retried upload can never double-count. The capacity check
+is sound because admission is serialized while workers only ever *free*
+slots.
 
 Fault tolerance is layered on the same serialization point
 (:mod:`repro.service.resilience`):
@@ -23,16 +32,22 @@ Fault tolerance is layered on the same serialization point
 * With ``journal_dir`` configured, every accepted upload's blocks are
   appended to the target shards' write-ahead logs and then sealed with a
   commit record in the collector's meta journal *before* any block is
-  enqueued. A restarted collector recovers by loading each shard's last
-  checkpoint and re-folding the committed journal tail in append order —
-  the fold sequence is identical to the uninterrupted run, so the
-  recovered estimates are bit-identical. Uploads that crashed before
-  their commit record are rolled back (their journal records are
-  skipped), which is what makes a client retry after a lost ack
-  exactly-once rather than at-least-once.
+  enqueued. Every ``checkpoint_every`` uploads, admission cuts a
+  checkpoint: it records each live shard's journal end offset and queues
+  a checkpoint task behind that shard's blocks. The worker reaches the
+  task having folded exactly the records before the offset, fsyncs, and
+  writes the checkpoint itself, so admission never waits on a flush
+  barrier, an fsync or a file write. A restarted collector recovers by
+  loading each shard's newest verifying checkpoint and re-folding the
+  committed journal tail in append order — the fold sequence is
+  identical to the uninterrupted run, so the recovered estimates are
+  bit-identical. Uploads that crashed before their commit record are
+  rolled back (their journal records are skipped), which is what makes
+  a client retry after a lost ack exactly-once rather than
+  at-least-once.
 * Idempotent ingest: a caller-supplied idempotency key is checked
   against a bounded :class:`~repro.service.resilience.DedupLedger`
-  before any work happens — a repeat of an accepted upload returns a
+  first thing in admission — a repeat of an accepted upload returns a
   replay receipt (nothing ingested), a key reused for different bytes
   raises :exc:`~repro.service.resilience.IdempotencyConflictError`.
 * Graceful degradation: a shard whose worker thread has died is routed
@@ -57,12 +72,13 @@ attribute's result.
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 from uuid import uuid4
 
 import numpy as np
@@ -96,11 +112,30 @@ from repro.service.resilience import (
 from repro.service.sharding import HashRing, merge_tree
 from repro.tasks.session import Session
 
-__all__ = ["ServiceOverloadError", "ShardAggregator", "ShardedCollector"]
+__all__ = [
+    "ParsedUpload",
+    "ServiceOverloadError",
+    "ShardAggregator",
+    "ShardedCollector",
+]
 
 
 class ServiceOverloadError(RuntimeError):
     """An upload was rejected whole because a shard queue is full (429)."""
+
+
+@dataclass(frozen=True)
+class ParsedUpload:
+    """One validated upload, ready for admission.
+
+    What :meth:`ShardedCollector.parse` returns. Producing it touches no
+    collector state, so it may run on any thread.
+    """
+
+    round_id: str
+    digest: str
+    blocks: tuple[FrameBlock | FeedGroup, ...]
+    reports: int
 
 
 def _jsonify_estimate(value: Any) -> Any:
@@ -123,10 +158,17 @@ class _ShardCounters:
     errors: int = 0
     last_error: str | None = None
     ingest_seconds: float = 0.0
+    checkpoint_errors: int = 0
+    last_checkpoint_error: str | None = None
+
+
+#: One FIFO entry: a ``(round_id, block)`` to fold, a task to run, or the
+#: ``None`` that stops the worker.
+_Item = tuple[str, FrameBlock | FeedGroup] | Callable[[], None] | None
 
 
 class ShardAggregator:
-    """One shard: a bounded block queue, a worker thread, and its servers."""
+    """One shard: a FIFO of blocks and tasks, a worker thread, its servers."""
 
     def __init__(self, shard_id: int, config: ServiceConfig) -> None:
         self.shard_id = int(shard_id)
@@ -135,13 +177,24 @@ class ShardAggregator:
         self.backend: ComputeBackend | None = (
             None if spec is None else make_backend(spec)
         )
-        self._queue: queue.Queue[tuple[str, FrameBlock | FeedGroup] | None] = (
-            queue.Queue(maxsize=config.queue_depth)
+        self._queue: queue.SimpleQueue[_Item] = queue.SimpleQueue()
+        # The block bound, kept by two single-writer counters: only the
+        # admitting thread writes _enqueued, only the worker writes _folded.
+        self._enqueued = 0
+        self._folded = 0
+        self._checkpoint_path = (
+            None
+            if config.journal_dir is None
+            else Path(config.journal_dir) / f"shard-{self.shard_id}.ckpt"
         )
+        self._checkpoint_generation = 0
         self._servers: dict[tuple[str, str], CollectionServer] = {}
         self._servers_lock = threading.Lock()
         self._counters = _ShardCounters()
+        # Guards _stopped; barrier tasks and the worker's exit notify it.
+        self._state = threading.Condition()
         self._crashed = False
+        self._stopped = False
         self._worker = threading.Thread(
             target=self._drain, name=f"repro-shard-{shard_id}", daemon=True
         )
@@ -152,29 +205,44 @@ class ShardAggregator:
         """Health probe: whether the drain worker is still running.
 
         A worker only dies on an injected crash (or an interpreter-level
-        failure) — ordinary fold errors are counted, not fatal — so a
-        dead worker means the shard has genuinely lost its ingest path.
-        A dying worker reads as dead before its last block is marked
-        done, so a :meth:`flush` that returns never sees it alive.
+        failure) — ordinary fold and checkpoint errors are counted, not
+        fatal — so a dead worker means the shard has genuinely lost its
+        ingest path. A dying worker reads as dead before it wakes any
+        :meth:`flush`, so a flush that returns never sees it alive.
         """
         return not self._crashed and self._worker.is_alive()
 
-    # -- submission (called from the collector's submit thread) ------------
+    # -- admission (called from the collector's admitting thread) ----------
     def free_slots(self) -> int:
-        """Queue slots currently open. Only workers free slots, so a
-        capacity observed by the single submitting thread cannot shrink
-        before its puts land."""
-        return self._queue.maxsize - self._queue.qsize()
+        """Block slots currently open: ``queue_depth`` minus the blocks
+        enqueued but not yet folded. Only the worker frees slots, so a
+        capacity observed by the single admitting thread cannot shrink
+        before its enqueues land. Tasks never take a slot."""
+        return self._config.queue_depth - (self._enqueued - self._folded)
 
     def enqueue(self, block: FrameBlock | FeedGroup, round_id: str) -> None:
-        try:
-            self._queue.put_nowait((round_id, block))
-        except queue.Full:
+        if self.free_slots() < 1:
             # The collector checks capacity first; reaching this means the
             # all-or-nothing contract was violated upstream.
             raise ServiceOverloadError(
                 f"shard {self.shard_id} queue overflowed past its capacity check"
-            ) from None
+            )
+        self._enqueued += 1
+        self._queue.put((round_id, block))
+
+    def cut_checkpoint(
+        self, journal_offset: int, *syncs: Callable[[], None]
+    ) -> None:
+        """Queue a checkpoint of this shard at ``journal_offset``.
+
+        Called right after the last block before that offset was
+        enqueued, so the worker reaches the task having folded exactly the
+        journal records before it. There it runs ``syncs`` (the journal
+        and meta-log fsyncs) and then writes the checkpoint.
+        """
+        self._queue.put(
+            functools.partial(self._write_checkpoint, journal_offset, syncs)
+        )
 
     # -- worker ------------------------------------------------------------
     def _server_for(self, round_id: str, attr: str) -> CollectionServer:
@@ -215,26 +283,58 @@ class ShardAggregator:
         finally:
             self._counters.ingest_seconds += time.perf_counter() - started
 
+    def _write_checkpoint(
+        self, journal_offset: int, syncs: tuple[Callable[[], None], ...]
+    ) -> None:
+        """Checkpoint task body; runs on this shard's worker.
+
+        A failed write is counted and leaves the previous checkpoint in
+        place (the next generation reuses the same slot); only an
+        injected crash kills the worker.
+        """
+        assert self._checkpoint_path is not None
+        generation = self._checkpoint_generation + 1
+        try:
+            for sync in syncs:
+                sync()
+            write_checkpoint(
+                self._checkpoint_path,
+                generation=generation,
+                journal_offset=journal_offset,
+                states=self.snapshot_all(),
+                counters=self.counters(),
+                faults=self._config.faults,
+            )
+        except Exception as exc:
+            self._counters.checkpoint_errors += 1
+            self._counters.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
+        else:
+            self._checkpoint_generation = generation
+
     def _drain(self) -> None:
         faults = self._config.faults
-        while True:
-            item = self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            round_id, block = item
-            try:
-                if faults is not None:
-                    # InjectedCrash is a BaseException: it punches through
-                    # the fold's error accounting and kills this worker,
-                    # exactly as a real thread death would.
-                    faults.crash("shard.fold")
-                self._fold(round_id, block)
-            except BaseException:
-                self._crashed = True
-                raise
-            finally:
-                self._queue.task_done()
+        try:
+            while True:
+                item = self._queue.get()
+                if item is None:
+                    return
+                if isinstance(item, tuple):
+                    if faults is not None:
+                        # InjectedCrash is a BaseException: it punches
+                        # through the fold's error accounting and kills
+                        # this worker, exactly as a real thread death would.
+                        faults.crash("shard.fold")
+                    self._fold(*item)
+                    self._folded += 1
+                else:
+                    item()
+        except BaseException:
+            self._crashed = True
+            raise
+        finally:
+            with self._state:
+                self._stopped = True
+                self._state.notify_all()
 
     def ingest_direct(self, round_id: str, block: FrameBlock | FeedGroup) -> None:
         """Fold one block synchronously on the calling thread.
@@ -248,17 +348,21 @@ class ShardAggregator:
 
     # -- merge-tier views --------------------------------------------------
     def flush(self) -> None:
-        """Block until every enqueued block has been folded in.
+        """Block until everything queued before this call has run.
 
-        With a fault plan active the worker can die mid-drain, which
-        would deadlock ``Queue.join()`` (queued items never get
-        ``task_done``) — so chaos runs poll aliveness instead.
+        Enqueues a barrier task and waits for it — or for the worker to
+        stop, since a worker that died mid-drain never reaches it.
         """
-        if self._config.faults is None:
-            self._queue.join()
-            return
-        while self._queue.unfinished_tasks and self._worker.is_alive():
-            time.sleep(0.0005)
+        reached: list[bool] = []
+
+        def barrier() -> None:
+            with self._state:
+                reached.append(True)
+                self._state.notify_all()
+
+        self._queue.put(barrier)
+        with self._state:
+            self._state.wait_for(lambda: reached or self._stopped)
 
     def snapshot(self, round_id: str) -> dict[str, dict]:
         """Serialized per-attribute server states for one round."""
@@ -279,22 +383,25 @@ class ShardAggregator:
             result.setdefault(round_id, {})[attr] = server.to_state()
         return result
 
-    def restore(
-        self,
-        states: dict[str, dict[str, Any]],
-        counters: dict[str, int] | None = None,
-    ) -> None:
-        """Rebuild servers (and counters) from a checkpoint payload."""
+    def restore_checkpoint(self) -> int:
+        """Rebuild servers and counters from this shard's newest verifying
+        checkpoint; returns the journal offset it covers (0 when none)."""
+        assert self._checkpoint_path is not None
+        ckpt = load_checkpoint(self._checkpoint_path)
+        if ckpt is None:
+            return 0
         with self._servers_lock:
-            for round_id, attrs in states.items():
+            for round_id, attrs in ckpt["states"].items():
                 for attr, state in attrs.items():
                     self._servers[(round_id, attr)] = CollectionServer.from_state(
                         state
                     )
-        if counters:
-            self._counters.blocks = int(counters.get("blocks", 0))
-            self._counters.reports = int(counters.get("reports", 0))
-            self._counters.errors = int(counters.get("errors", 0))
+        counters = ckpt.get("counters") or {}
+        self._counters.blocks = int(counters.get("blocks", 0))
+        self._counters.reports = int(counters.get("reports", 0))
+        self._counters.errors = int(counters.get("errors", 0))
+        self._checkpoint_generation = int(ckpt["generation"])
+        return int(ckpt["journal_offset"])
 
     def rounds(self) -> set[str]:
         with self._servers_lock:
@@ -305,13 +412,16 @@ class ShardAggregator:
         return {
             "shard": self.shard_id,
             "alive": self.alive,
-            "queue_depth": self._queue.qsize(),
-            "queue_capacity": self._queue.maxsize,
+            "queue_depth": self._enqueued - self._folded,
+            "queue_capacity": self._config.queue_depth,
             "blocks_ingested": c.blocks,
             "reports_ingested": c.reports,
             "ingest_errors": c.errors,
             "last_error": c.last_error,
             "ingest_seconds": round(c.ingest_seconds, 6),
+            "checkpoint_generation": self._checkpoint_generation,
+            "checkpoint_errors": c.checkpoint_errors,
+            "last_checkpoint_error": c.last_checkpoint_error,
             "backend": None if self.backend is None else self.backend.name,
         }
 
@@ -321,10 +431,7 @@ class ShardAggregator:
         return {"blocks": c.blocks, "reports": c.reports, "errors": c.errors}
 
     def close(self) -> None:
-        try:
-            self._queue.put_nowait(None)
-        except queue.Full:
-            pass  # a dead worker never drains; join below returns at once
+        self._queue.put(None)  # a dead worker never drains; join returns at once
         self._worker.join(timeout=10.0)
 
 
@@ -347,7 +454,9 @@ class ShardedCollector:
         # survive re-merges (rebind_estimator), giving warm starts.
         self._merged: dict[str, dict[str, CollectionServer]] = {}
         self._merge_lock = threading.Lock()
-        self._merge_seconds: list[float] = []
+        self._merges = 0
+        self._merge_s_max = 0.0
+        self._merge_s_last = 0.0
         # Windowed mode: the streaming scheduler and the rounds already
         # advanced into it (a round may be advanced exactly once).
         self._stream: Any = None
@@ -380,10 +489,6 @@ class ShardedCollector:
             self._recover()
 
     # -- durability: recovery ----------------------------------------------
-    def _checkpoint_path(self, shard_id: int) -> Path:
-        assert self.config.journal_dir is not None
-        return Path(self.config.journal_dir) / f"shard-{shard_id}.ckpt"
-
     def _committed_keys(
         self, meta_records: list[dict[str, Any]]
     ) -> set[str]:
@@ -454,11 +559,7 @@ class ShardedCollector:
             committed = self._committed_keys(meta_records)
             replayed_any = False
             for shard_id, shard in enumerate(self.shards):
-                ckpt = load_checkpoint(self._checkpoint_path(shard_id))
-                offset = 0
-                if ckpt is not None:
-                    shard.restore(ckpt["states"], ckpt.get("counters"))
-                    offset = int(ckpt["journal_offset"])
+                offset = shard.restore_checkpoint()
                 for record in self._journals[shard_id].replay(offset):
                     if record.key not in committed:
                         continue  # upload rolled back: never committed
@@ -466,6 +567,7 @@ class ShardedCollector:
                     replayed_any = True
             if replayed_any:
                 self.checkpoint()
+                self.flush()
 
     def _recover_windowed(self, meta_records: list[dict[str, Any]]) -> None:
         """Replay the full journal, re-advancing windows at their recorded
@@ -510,32 +612,28 @@ class ShardedCollector:
 
     # -- durability: checkpoints -------------------------------------------
     def checkpoint(self) -> None:
-        """Flush, then atomically checkpoint every live shard's state.
+        """Cut a checkpoint of every live shard at its journal's end.
 
-        Each checkpoint pairs the shard's serialized servers with the
-        journal offset they cover, so the next recovery replays only the
-        tail. Dead shards keep their previous checkpoint — their
-        in-memory state may trail their journal, and a wrong offset would
-        corrupt recovery. Requires ``journal_dir``.
+        Only the cut happens here: each live shard gets a checkpoint task
+        queued behind the blocks already admitted, carrying its journal's
+        current end offset. The shard's worker reaches the task having
+        folded exactly the journal records before that offset; it fsyncs
+        its journal and the meta log (per ``journal_fsync``), then writes
+        the states with the offset they cover, so the next recovery
+        replays only the tail. A caller that needs the files on disk calls
+        :meth:`flush` afterwards. Dead shards keep their previous
+        checkpoint, since their workers never reach the task. Like
+        :meth:`submit`, call it from the admitting thread. Requires
+        ``journal_dir``.
         """
-        if self._journals is None:
+        if self._journals is None or self._meta is None:
             raise RuntimeError(
                 "checkpointing requires a journal_dir-configured service"
             )
-        self.flush()
         for shard_id, shard in enumerate(self.shards):
-            if not shard.alive:
-                continue
-            journal = self._journals[shard_id]
-            journal.sync()
-            write_checkpoint(
-                self._checkpoint_path(shard_id),
-                journal_offset=journal.size,
-                states=shard.snapshot_all(),
-                counters=shard.counters(),
-            )
-        if self._meta is not None:
-            self._meta.sync()
+            if shard.alive:
+                journal = self._journals[shard_id]
+                shard.cut_checkpoint(journal.size, journal.sync, self._meta.sync)
         self._since_checkpoint = 0
 
     # -- degradation --------------------------------------------------------
@@ -568,11 +666,7 @@ class ShardedCollector:
         replayed = 0
         if self._journals is not None and self._meta is not None:
             committed = self._committed_keys(self._meta.read())
-            ckpt = load_checkpoint(self._checkpoint_path(shard_id))
-            offset = 0
-            if ckpt is not None:
-                fresh.restore(ckpt["states"], ckpt.get("counters"))
-                offset = int(ckpt["journal_offset"])
+            offset = fresh.restore_checkpoint()
             for record in self._journals[shard_id].replay(offset):
                 if record.key not in committed:
                     continue
@@ -607,10 +701,56 @@ class ShardedCollector:
                 "capacity until a shard is revived"
             ) from None
 
+    def parse(self, data: bytes | str, round_id: str) -> ParsedUpload:
+        """Decode and validate one upload without touching collector state.
+
+        Computes the upload's content digest, checks every block against
+        the plan and counts its reports. A frame is read header-first: its
+        blocks stay zero-copy views until a shard worker materializes
+        them. A JSON-lines feed decodes in full, which is why the HTTP
+        tier runs this step on an executor thread for it. Raises
+        ``ValueError`` for a malformed or mismatched feed.
+        """
+        raw: bytes | str = (
+            bytes(data)
+            if isinstance(data, (bytes, bytearray, memoryview))
+            else data
+        )
+        blocks: list[FrameBlock | FeedGroup] = []
+        if isinstance(raw, bytes) and is_frame(raw):
+            for block in iter_frame_blocks(raw, expected_round=round_id):
+                self._check_block(block.attr, block.mechanism, block.round_id)
+                blocks.append(block)
+        else:
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+            _, groups = decode_feed_grouped(text, expected_round=round_id)
+            for attr, group in groups.items():
+                self._check_block(attr, group.mechanism, round_id)
+                blocks.append(group)
+        if not blocks:
+            raise ValueError("feed carries no report blocks")
+        return ParsedUpload(
+            round_id=round_id,
+            digest=frame_digest(raw),
+            blocks=tuple(blocks),
+            reports=sum(block.n for block in blocks),
+        )
+
     def submit(
-        self, data: bytes | str, round_id: str, *, key: str | None = None
+        self,
+        data: bytes | str | ParsedUpload,
+        round_id: str,
+        *,
+        key: str | None = None,
     ) -> IngestReceipt:
-        """Validate, journal, and enqueue one upload; returns its receipt.
+        """Admit one upload: journal it, enqueue it, return its receipt.
+
+        ``data`` is the raw upload or what :meth:`parse` made of it.
+        Admission is stateful and must be serialized — one admitting
+        thread at a time (the HTTP tier admits on its event loop). It
+        checks the idempotency ledger, routes around dead shards, checks
+        capacity, journals and commits the upload, enqueues its blocks,
+        and every ``checkpoint_every`` uploads cuts a checkpoint.
 
         All-or-nothing: raises ``ValueError`` (bad feed) or
         :class:`ServiceOverloadError` (a full shard queue) with no block
@@ -627,40 +767,26 @@ class ShardedCollector:
         """
         if self._closed:
             raise RuntimeError("collector is closed")
-        raw: bytes | str = (
-            bytes(data)
-            if isinstance(data, (bytes, bytearray, memoryview))
-            else data
-        )
-        digest = frame_digest(raw)
+        upload = data if isinstance(data, ParsedUpload) else self.parse(data, round_id)
+        if upload.round_id != round_id:
+            raise ValueError(
+                f"upload parsed for round {upload.round_id!r} "
+                f"submitted to round {round_id!r}"
+            )
         if key is not None:
             try:
-                replay = self._ledger.lookup(key, digest)
+                replay = self._ledger.lookup(key, upload.digest)
             except IdempotencyConflictError:
                 self._conflicts += 1
                 raise
             if replay is not None:
                 self._replays_served += 1
                 return replay
-        journal_key = key if key is not None else f"anon:{uuid4().hex}"
-        batches: list[tuple[int, FrameBlock | FeedGroup]] = []
-        total = 0
         dead = self._dead_shards()
-        if isinstance(raw, bytes) and is_frame(raw):
-            for block in iter_frame_blocks(raw, expected_round=round_id):
-                self._check_block(block.attr, block.mechanism, block.round_id)
-                batches.append((self._route(round_id, block.attr, dead), block))
-                total += block.n
-        else:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            _, groups = decode_feed_grouped(raw, expected_round=round_id)
-            for attr, group in groups.items():
-                self._check_block(attr, group.mechanism, round_id)
-                batches.append((self._route(round_id, attr, dead), group))
-                total += group.n
-        if not batches:
-            raise ValueError("feed carries no report blocks")
+        batches = [
+            (self._route(round_id, block.attr, dead), block)
+            for block in upload.blocks
+        ]
         demand: dict[int, int] = {}
         for shard_id, _ in batches:
             demand[shard_id] = demand.get(shard_id, 0) + 1
@@ -680,7 +806,10 @@ class ShardedCollector:
                     f"{self.shards[shard_id].free_slots()} slots free); retry"
                 )
         receipt = IngestReceipt(
-            round_id=round_id, key=journal_key, digest=digest, accepted=total
+            round_id=round_id,
+            key=key if key is not None else f"anon:{uuid4().hex}",
+            digest=upload.digest,
+            accepted=upload.reports,
         )
         if self._journals is not None and self._meta is not None:
             # Journal first, commit second, enqueue third: a crash at any
@@ -698,7 +827,7 @@ class ShardedCollector:
                         block.attr,
                     )
                 )
-                self._journals[shard_id].append(journal_key, segment)
+                self._journals[shard_id].append(receipt.key, segment)
             self._meta.commit(receipt)
         for shard_id, block in batches:
             self.shards[shard_id].enqueue(block, round_id)
@@ -716,7 +845,8 @@ class ShardedCollector:
         return self.submit(data, round_id).accepted
 
     def flush(self) -> None:
-        """Drain every live shard queue (all accepted blocks folded in).
+        """Drain every live shard queue: every block accepted so far is
+        folded in and every checkpoint cut so far is on disk.
 
         Dead shards are skipped — their queues can never drain — so a
         degraded service still merges and estimates; the gap shows up in
@@ -793,7 +923,10 @@ class ShardedCollector:
         with self._merge_lock:
             started = time.perf_counter()
             merged = self._merge_round(round_id)
-            self._merge_seconds.append(time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+            self._merges += 1
+            self._merge_s_last = elapsed
+            self._merge_s_max = max(self._merge_s_max, elapsed)
             solved = self._solve(merged, round_id)
             estimates = {
                 attr: value
@@ -943,7 +1076,6 @@ class ShardedCollector:
         return sorted(seen)
 
     def stats(self) -> dict[str, Any]:
-        merge_ms = sorted(s * 1000.0 for s in self._merge_seconds)
         journal_info = None
         if self._journals is not None:
             journal_info = {
@@ -969,10 +1101,12 @@ class ShardedCollector:
                 "conflicts": self._conflicts,
             },
             "journal": journal_info,
-            "merges": len(merge_ms),
-            "merge_ms_max": round(merge_ms[-1], 3) if merge_ms else None,
+            "merges": self._merges,
+            "merge_ms_max": (
+                round(self._merge_s_max * 1000.0, 3) if self._merges else None
+            ),
             "merge_ms_last": (
-                round(self._merge_seconds[-1] * 1000.0, 3) if merge_ms else None
+                round(self._merge_s_last * 1000.0, 3) if self._merges else None
             ),
         }
 

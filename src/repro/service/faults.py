@@ -7,11 +7,12 @@ deterministic way to break the service at its real seams:
 * :class:`FaultPlan` — a set of :class:`Fault` rules attached to named
   injection **sites** the production code consults at its critical
   points (``journal.append.before``/``.after``, ``journal.truncate``,
-  ``meta.commit.before``/``.after``, ``shard.fold``, ``http.drop``,
-  ``http.delay``). Each rule fires on an exact hit count (``at=``), a
-  cadence (``every=``), or a seeded coin (``prob=``); the coin is a pure
-  function of ``(seed, site, hit index)``, so a failing chaos run replays
-  bit-identically from its seed — no hidden RNG state, no flaky repro.
+  ``meta.commit.before``/``.after``, ``shard.fold``,
+  ``checkpoint.truncate``, ``http.drop``, ``http.delay``). Each rule
+  fires on an exact hit count (``at=``), a cadence (``every=``), or a
+  seeded coin (``prob=``); the coin is a pure function of ``(seed, site,
+  hit index)``, so a failing chaos run replays bit-identically from its
+  seed — no hidden RNG state, no flaky repro.
 * :exc:`InjectedCrash` — raised by crash sites. It derives from
   ``BaseException`` deliberately: the service's broad ``except
   Exception`` error accounting must *not* be able to absorb a simulated
@@ -53,6 +54,7 @@ FAULT_SITES = (
     "meta.commit.before",  # crash before the upload's commit record
     "meta.commit.after",  # crash after commit, before enqueue/ack
     "shard.fold",  # crash a shard worker mid-fold (kills the drain thread)
+    "checkpoint.truncate",  # write part of a checkpoint slot, then crash its worker
     "http.drop",  # close the connection instead of writing the response
     "http.delay",  # delay the response by Fault.delay seconds
 )
@@ -94,8 +96,8 @@ class Fault:
     ``prob`` flips the seeded per-hit coin. ``times`` caps the total
     number of firings (``None`` = unlimited); ``delay`` is the injected
     latency for ``http.delay``; ``keep_bytes`` is how much of the record
-    a ``journal.truncate`` firing actually writes before crashing
-    (``None`` = half the record).
+    a ``journal.truncate`` or ``checkpoint.truncate`` firing actually
+    writes before crashing (``None`` = half the record).
     """
 
     site: str
@@ -144,10 +146,10 @@ class Fault:
 class FaultPlan:
     """A seeded, deterministic set of faults over the injection sites.
 
-    Thread-safe: sites are hit from the submit thread, shard workers, and
-    the event loop. Hit counters are per-site and monotonically increase;
-    given the same sequence of site hits, the same plan fires the same
-    faults — the whole point of seeding.
+    Thread-safe: sites are hit from the admitting thread (the event loop
+    under HTTP) and from shard workers. Hit counters are per-site and
+    monotonically increase; given the same sequence of site hits, the
+    same plan fires the same faults — the whole point of seeding.
     """
 
     def __init__(self, faults: Any = (), *, seed: int = 0) -> None:

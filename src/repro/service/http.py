@@ -28,35 +28,44 @@ leverage:
 * ``GET /healthz`` — liveness.
 * ``GET /statz`` — per-shard counters, queue depths, merge latencies.
 
-The event loop only parses requests and writes responses. Everything
-that can block — feed validation + enqueue, and the merge/solve of an
-estimate — is pushed off the loop: submissions onto a dedicated
-single-thread executor (serializing them is what makes the collector's
-all-or-nothing capacity check sound), solves onto a separate executor so
-a long EM run cannot stall ingest. ``repro.devtools`` rule SVC001 lints
-this property.
+Uploads are admitted on the event loop itself: the loop's single thread
+serializes admission (ledger lookup, routing, the all-or-nothing
+capacity check, journal append, commit record, enqueue and the
+checkpoint cut), which is what keeps the collector's capacity check
+sound, and no upload crosses a thread before its shard worker folds it.
+Admission never waits on a flush barrier or a checkpoint write — shard
+workers write checkpoints themselves — but under
+``journal_fsync="always"`` its per-record fsync runs on the loop. A
+frame is parsed inline, reading only its header; hashing the body is
+what costs: an 8 MB frame (the default body cap) holds the loop for
+about 16 ms, and about 40 ms with the journal on (measured on a 2-core
+host). Work that costs far more per byte runs off the loop: a JSON-lines
+body is decoded on a parse executor thread (50–100 ms per MB) and then
+admitted on the loop, and the merge/solve of an estimate runs on a
+separate solve executor so a long EM run cannot stall ingest.
+``repro.devtools`` rule SVC001 lints this property.
 
 Hardening: each request's head+body must arrive within
 ``config.read_timeout`` seconds (``408`` and the connection closes — a
 slow-loris client cannot pin a connection slot), request heads larger
-than ``config.max_header_bytes`` get ``431``, and oversized bodies are
-rejected with ``413`` before they are read. A configured
-:class:`~repro.service.faults.FaultPlan` can drop connections
+than ``config.max_header_bytes`` get ``431``, a ``Content-Length`` that
+is not plain ASCII digits (or two that disagree) gets ``400``, and
+oversized bodies are rejected with ``413`` before they are read. A
+configured :class:`~repro.service.faults.FaultPlan` can drop connections
 (``http.drop``) or delay responses (``http.delay``) for chaos testing.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable
 
-from repro.protocol.frames import frame_digest
+from repro.protocol.frames import is_frame
 from repro.service.config import ServiceConfig
-from repro.service.core import ServiceOverloadError, ShardedCollector
+from repro.service.core import ParsedUpload, ServiceOverloadError, ShardedCollector
 from repro.service.resilience import IdempotencyConflictError
 
 __all__ = ["ReportService", "ServiceHandle", "serve", "start_local_service"]
@@ -104,16 +113,36 @@ def _response(
     return ("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + body
 
 
+def _content_length(values: set[str], cap: int) -> int:
+    """The request's body length from its ``Content-Length`` values.
+
+    ``400`` unless there is at most one distinct value made of ASCII
+    digits; ``413`` past ``cap``.
+    """
+    if len(values) > 1:
+        # RFC 9110 §8.6: disagreeing lengths leave the body unframed.
+        raise _HttpError(400, "conflicting Content-Length headers")
+    raw = next(iter(values), "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpError(400, f"malformed Content-Length {raw[:32]!r}")
+    digits = raw.lstrip("0") or "0"
+    # Count digits first: int() refuses very long digit strings.
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise _HttpError(
+            413, f"body of {digits[:32]} bytes exceeds the {cap}-byte upload limit"
+        )
+    return int(digits)
+
+
 class ReportService:
     """The asyncio server wrapping one :class:`ShardedCollector`."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.collector = ShardedCollector(config)
-        # One thread: submissions are serialized, so the collector's
-        # capacity check stays all-or-nothing (workers only free slots).
-        self._submit_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-submit"
+        # JSON-lines decodes run here; admission stays on the loop.
+        self._parse_pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-parse"
         )
         # Solves run elsewhere so a slow merge/EM never blocks ingest.
         self._solve_pool = ThreadPoolExecutor(
@@ -149,7 +178,7 @@ class ReportService:
             writer.close()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        self._submit_pool.shutdown(wait=True)
+        self._parse_pool.shutdown(wait=True)
         self._solve_pool.shutdown(wait=True)
         self.collector.close()
 
@@ -171,18 +200,16 @@ class ReportService:
         except ValueError:
             raise _HttpError(400, f"malformed request line {lines[0]!r}") from None
         headers: dict[str, str] = {}
+        lengths: set[str] = set()
         for line in lines[1:]:
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > self.config.max_body_bytes:
-            raise _HttpError(
-                413,
-                f"body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte upload limit",
-            )
+            name = name.strip().lower()
+            headers[name] = value.strip()
+            if name == "content-length":
+                lengths.add(headers[name])
+        length = _content_length(lengths, self.config.max_body_bytes)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, headers, body
 
@@ -304,26 +331,26 @@ class ReportService:
         if not body:
             raise _HttpError(400, "upload body is empty")
         content_type = headers.get("content-type", "").split(";")[0].strip()
-        feed: bytes | str = body
-        if content_type and content_type not in _FRAME_TYPES:
-            try:
-                feed = body.decode("utf-8")
-            except UnicodeDecodeError:
-                raise _HttpError(
-                    400, f"{content_type!r} body is not valid UTF-8"
-                ) from None
+        frame = content_type in ("", *_FRAME_TYPES) and is_frame(body)
         # Exactly-once contract: the client's Idempotency-Key when given,
         # the body's content digest otherwise. A replayed upload is acked
         # again (200) with its original count and nothing is re-ingested.
-        key = headers.get("idempotency-key", "").strip() or frame_digest(body)
-        loop = asyncio.get_running_loop()
+        key = headers.get("idempotency-key", "").strip()
         try:
-            receipt = await loop.run_in_executor(
-                self._submit_pool,
-                functools.partial(
-                    self.collector.submit, feed, round_id, key=key
-                ),
-            )
+            if frame and key:
+                # Parsing a frame reads only its header: submit parses and
+                # admits it in one call on the loop.
+                receipt = self.collector.submit(body, round_id, key=key)
+            else:
+                if frame:
+                    upload = self.collector.parse(body, round_id)
+                else:
+                    upload = await asyncio.get_running_loop().run_in_executor(
+                        self._parse_pool, self._parse_text, body, round_id, content_type
+                    )
+                receipt = self.collector.submit(
+                    upload, round_id, key=key or upload.digest
+                )
         except ServiceOverloadError as exc:
             return 429, {"error": str(exc)}, 1
         except IdempotencyConflictError as exc:
@@ -332,6 +359,20 @@ class ReportService:
             raise _HttpError(400, str(exc)) from None
         status = 200 if receipt.replayed else 202
         return status, receipt.to_dict(), None
+
+    def _parse_text(
+        self, body: bytes, round_id: str, content_type: str
+    ) -> ParsedUpload:
+        """Parse a non-frame upload; runs on the parse executor."""
+        feed: bytes | str = body
+        if content_type and content_type not in _FRAME_TYPES:
+            try:
+                feed = body.decode("utf-8")
+            except UnicodeDecodeError:
+                raise _HttpError(
+                    400, f"{content_type!r} body is not valid UTF-8"
+                ) from None
+        return self.collector.parse(feed, round_id)
 
     async def _handle_estimate(
         self, round_id: str

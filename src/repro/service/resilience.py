@@ -31,18 +31,24 @@ file-format + ledger primitives with no service state of their own:
   original count, nothing ingested); the same key over different bytes
   is a **conflict** (:exc:`IdempotencyConflictError`, HTTP 409).
 
-* :func:`write_checkpoint` / :func:`load_checkpoint` — atomically
-  written per-shard state snapshots (the estimators' ``to_state()``
-  payloads plus the journal offset they cover), so recovery replays only
-  the journal tail. Atomicity is the standard tmp-file + ``os.replace``
-  dance with an fsync before the rename.
+* :func:`write_checkpoint` / :func:`load_checkpoint` — per-shard state
+  snapshots (the estimators' ``to_state()`` payloads plus the journal
+  offset they cover), so recovery replays only the journal tail. Each
+  shard alternates between two slot files, ``shard-N.ckpt.0`` and
+  ``shard-N.ckpt.1``, overwritten in place under a header carrying the
+  generation, the payload length and a BLAKE2b digest; loading picks the
+  newest slot that verifies. No checkpoint step truncates, renames or
+  deletes a file, so none frees disk blocks.
 
 The bit-identity argument, in one place: per shard, live fold order is
-submission order (one serialized submit thread appends, one worker
-drains FIFO), journal append order *is* submission order, and recovery
+admission order (one serialized admitting thread appends, one worker
+drains a FIFO), journal append order *is* admission order, and recovery
 folds checkpoint-state + committed tail records in journal order —
 identical sequences of identical block folds produce bit-identical
 estimator states, and identical states solve to bit-identical estimates.
+A checkpoint is a cut in that sequence: the worker writes it when it
+reaches the cut's task in its FIFO, having folded exactly the journal
+records before the cut's offset.
 """
 
 from __future__ import annotations
@@ -402,6 +408,23 @@ class DedupLedger:
 
 _CHECKPOINT_VERSION = 1
 
+#: Slot header: magic | BLAKE2b-128 digest | generation | payload length.
+#: The digest covers generation, length and payload, so a write torn
+#: anywhere — header included — leaves a slot that fails verification.
+_SLOT_HEAD = struct.Struct("<4s16sQQ")
+_SLOT_MAGIC = b"RCK2"
+
+
+def _slot_path(path: Path, generation: int) -> Path:
+    return path.with_name(f"{path.name}.{generation % 2}")
+
+
+def _slot_digest(generation: int, payload: bytes) -> bytes:
+    digest = blake2b(digest_size=16)
+    digest.update(struct.pack("<QQ", generation, len(payload)))
+    digest.update(payload)
+    return digest.digest()
+
 
 def write_checkpoint(
     path: str | Path,
@@ -409,57 +432,101 @@ def write_checkpoint(
     journal_offset: int,
     states: dict[str, dict[str, Any]],
     counters: dict[str, int] | None = None,
-) -> None:
-    """Atomically write one shard's checkpoint.
+    generation: int = 1,
+    faults: FaultPlan | None = None,
+) -> Path:
+    """Write generation ``generation`` of one shard's checkpoint.
 
     ``states`` maps ``round_id -> {attr: CollectionServer.to_state()}``;
     ``journal_offset`` is the shard-journal offset the states cover —
     recovery loads the states and replays strictly after it; ``counters``
     carries the shard's ingest counters at that point so observability
-    survives restarts too. Written to a temp file, fsynced, then
-    ``os.replace``d so a crash mid-checkpoint leaves the previous
-    checkpoint intact.
+    survives restarts too.
+
+    A checkpoint alternates between two slot files, ``<path>.0`` and
+    ``<path>.1``; generation ``g`` overwrites slot ``g % 2`` in place and
+    is fsynced. Nothing is truncated, renamed or deleted, so no write
+    frees disk blocks (freeing an inode can stall for tens of
+    milliseconds on a filesystem mounted with ``discard``). A crash
+    mid-write tears only the older slot, and :func:`load_checkpoint`
+    falls back to the newer one. Returns the slot path written.
     """
-    path = Path(path)
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "journal_offset": int(journal_offset),
-        "states": states,
-        "counters": dict(counters or {}),
-    }
-    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    body = _digest(raw).hex().encode("ascii") + b"\n" + raw
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    slot = _slot_path(Path(path), generation)
+    payload = json.dumps(
+        {
+            "version": _CHECKPOINT_VERSION,
+            "journal_offset": int(journal_offset),
+            "states": states,
+            "counters": dict(counters or {}),
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    record = (
+        _SLOT_HEAD.pack(
+            _SLOT_MAGIC,
+            _slot_digest(generation, payload),
+            generation,
+            len(payload),
+        )
+        + payload
+    )
+    keep = None
+    if faults is not None:
+        keep = faults.truncation("checkpoint.truncate", len(record))
+    fd = os.open(slot, os.O_WRONLY | os.O_CREAT, 0o644)
+    try:
+        view = memoryview(record)[: len(record) if keep is None else keep]
+        written = 0
+        while written < len(view):
+            written += os.pwrite(fd, view[written:], written)
+        if keep is not None:
+            raise InjectedCrash("checkpoint.truncate", keep)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    return slot
 
 
-def load_checkpoint(path: str | Path) -> dict[str, Any] | None:
-    """Load a checkpoint; ``None`` when absent or failing verification.
-
-    A checkpoint that does not verify (torn, corrupt, wrong version) is
-    treated as absent — recovery falls back to a full journal replay,
-    trading time for correctness rather than trusting bad state.
-    """
-    path = Path(path)
-    if not path.exists():
+def _read_slot(slot: Path) -> dict[str, Any] | None:
+    """One slot's payload (with its ``generation``), or ``None``."""
+    try:
+        with open(slot, "rb") as handle:
+            head = handle.read(_SLOT_HEAD.size)
+            if len(head) < _SLOT_HEAD.size:
+                return None
+            magic, digest, generation, length = _SLOT_HEAD.unpack(head)
+            if magic != _SLOT_MAGIC or length > os.fstat(handle.fileno()).st_size:
+                return None
+            payload = handle.read(length)
+    except OSError:  # missing or unreadable: as good as absent
         return None
-    raw = path.read_bytes()
-    prefix, _, body = raw.partition(b"\n")
-    if not body or _digest(body).hex().encode("ascii") != prefix:
+    if len(payload) < length or _slot_digest(generation, payload) != digest:
         return None
     try:
-        payload = json.loads(body.decode("utf-8"))
+        state = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError):
         return None
     if (
-        not isinstance(payload, dict)
-        or payload.get("version") != _CHECKPOINT_VERSION
-        or not isinstance(payload.get("journal_offset"), int)
-        or not isinstance(payload.get("states"), dict)
+        not isinstance(state, dict)
+        or state.get("version") != _CHECKPOINT_VERSION
+        or not isinstance(state.get("journal_offset"), int)
+        or not isinstance(state.get("states"), dict)
     ):
         return None
-    return payload
+    state["generation"] = generation
+    return state
+
+
+def load_checkpoint(path: str | Path) -> dict[str, Any] | None:
+    """The newest slot of ``path`` that verifies; ``None`` when neither does.
+
+    The payload carries its slot's ``generation``. A slot that does not
+    verify (torn, corrupt, wrong version) is treated as absent, and with
+    both slots absent recovery falls back to a full journal replay,
+    trading time for correctness rather than trusting bad state. A
+    legacy single-file ``<path>`` is never read.
+    """
+    path = Path(path)
+    loaded = [_read_slot(_slot_path(path, slot)) for slot in (0, 1)]
+    valid = [ckpt for ckpt in loaded if ckpt is not None]
+    return max(valid, key=lambda ckpt: ckpt["generation"], default=None)

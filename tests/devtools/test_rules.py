@@ -611,6 +611,42 @@ class TestAsyncBlockingRule:
         )
         assert findings == []
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "decode_feed_grouped(body, expected_round=round_id)",
+            "messages.decode_batch_grouped(body)",
+            "frames.decode_any_feed(body, round_id)",
+        ],
+    )
+    def test_jsonl_decode_on_the_loop_flagged(self, tmp_path, call):
+        findings, _ = lint_source(
+            tmp_path,
+            "from repro.protocol import frames, messages\n"
+            "from repro.protocol.messages import decode_feed_grouped\n"
+            "async def handle(body, round_id):\n"
+            f"    return {call}\n",
+            rel="service/handlers.py",
+        )
+        assert codes(findings) == ["SVC001"]
+        assert "run_in_executor" in findings[0].message
+
+    def test_offloaded_jsonl_decode_is_exempt(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            "import asyncio\n"
+            "from repro.protocol.messages import decode_feed_grouped\n"
+            "async def handle(pool, collector, body, round_id):\n"
+            "    loop = asyncio.get_running_loop()\n"
+            "    groups = await loop.run_in_executor(\n"
+            "        pool, lambda: decode_feed_grouped(body, expected_round=round_id)\n"
+            "    )\n"
+            "    parsed = await asyncio.to_thread(collector.parse, body, round_id)\n"
+            "    return collector.submit(parsed, round_id), groups\n",
+            rel="service/handlers.py",
+        )
+        assert findings == []
+
     def test_sync_socket_use_flagged(self, tmp_path):
         findings, _ = lint_source(
             tmp_path,

@@ -1,12 +1,14 @@
 """ShardedCollector: routing, backpressure, merge/estimate, observability."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.protocol.messages import FeedGroup
 from repro.service import ServiceConfig, ServiceOverloadError, ShardedCollector
+from repro.service import core
 from repro.service.loadgen import synthesize_frames
 from repro.tasks import (
     AnalysisPlan,
@@ -139,6 +141,45 @@ class TestBackpressure:
         assert stats["reports_ingested"] == accepted + 20
         assert stats["ingest_errors"] == 0
         collector.close()
+
+    def test_checkpoint_tasks_take_no_block_slot(self, tmp_path, monkeypatch):
+        """queue_depth=1 bounds blocks only: a checkpoint task queued or
+        running on the worker never turns a single-block upload into a 429."""
+        plan = AnalysisPlan(
+            epsilon=2.0,
+            attributes=(AttributeSpec("age", low=0.0, high=100.0, d=32),),
+            tasks=(Distribution("age"),),
+        )
+        frames = feed_frames(plan, n_users=1200, batch=40)
+        entered, release = threading.Event(), threading.Event()
+        real_write = core.write_checkpoint
+
+        def gated_write(path, **kwargs):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return real_write(path, **kwargs)
+
+        monkeypatch.setattr(core, "write_checkpoint", gated_write)
+        config = ServiceConfig(
+            plan=plan, n_shards=1, queue_depth=1, checkpoint_every=1,
+            journal_dir=tmp_path / "wal",
+        )
+        with ShardedCollector(config) as collector:
+            collector.submit(frames[0][0], "r1", key="k0")
+            # The worker folded block 0 and now sits in checkpoint 0.
+            assert entered.wait(timeout=10.0)
+            collector.submit(frames[1][0], "r1", key="k1")
+            # Block 1 is pending behind the stalled task: the bound holds.
+            with pytest.raises(ServiceOverloadError):
+                collector.submit(frames[2][0], "r1", key="k2")
+            release.set()
+            collector.flush()
+            for index, (frame, _n) in enumerate(frames[2:], start=2):
+                collector.submit(frame, "r1", key=f"k{index}")
+                collector.flush()
+            shard = collector.stats()["shards"][0]
+            assert shard["reports_ingested"] == 1200
+            assert shard["checkpoint_generation"] == len(frames)
 
     def test_ingest_error_is_counted_not_fatal(self):
         plan = make_plan()
@@ -306,6 +347,40 @@ class TestStats:
             assert [s["shard"] for s in per_shard] == [0, 1]
             assert sum(s["reports_ingested"] for s in per_shard) == 1000
             assert all(s["queue_depth"] == 0 for s in per_shard)
+
+    def test_merge_stats_stay_constant_size(self, monkeypatch):
+        """/statz merge fields keep the values a full duration log would
+        give, from O(1) stored state."""
+        plan = make_plan()
+        with ShardedCollector(ServiceConfig(plan=plan)) as collector:
+            for frame, _ in feed_frames(plan, n_users=400, batch=200):
+                collector.submit_feed(frame, "r1")
+            collector.flush()
+            # After the flush no fold runs, so the only clock reads in
+            # repro.service.core are each merge's start and end.
+            rng = np.random.default_rng(3)
+            readings = []
+            for start in np.cumsum(rng.uniform(0.001, 0.1, 1000)):
+                readings += [start, start + rng.uniform(1e-5, 5e-2)]
+            clock = iter(readings)
+            monkeypatch.setattr(
+                core, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+            )
+            for _ in range(1000):
+                collector.estimate("r1")
+            stats = collector.stats()
+        durations = [
+            end - start for start, end in zip(readings[::2], readings[1::2], strict=True)
+        ]
+        logged_ms = sorted(s * 1000.0 for s in durations)
+        assert stats["merges"] == 1000
+        assert stats["merge_ms_max"] == round(logged_ms[-1], 3)
+        assert stats["merge_ms_last"] == round(durations[-1] * 1000.0, 3)
+        assert not [
+            name
+            for name, value in vars(collector).items()
+            if isinstance(value, (list, dict, set, tuple)) and len(value) >= 1000
+        ]
 
     def test_closed_collector_rejects_submissions(self):
         plan = make_plan()

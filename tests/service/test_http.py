@@ -2,10 +2,12 @@
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from repro.protocol.frames import is_frame
 from repro.service import ServiceConfig, start_local_service
 from repro.service.loadgen import http_request, synthesize_frames
 from repro.tasks import (
@@ -120,6 +122,75 @@ class TestIngestRoutes:
             )
             assert status == 413
             assert "upload limit" in payload["error"]
+
+
+class TestAdmissionPlacement:
+    def test_admission_on_the_loop_and_jsonl_parse_off_it(
+        self, service, plan, monkeypatch
+    ):
+        """Frames parse and every upload is admitted on the loop thread;
+        a JSON-lines decode never runs there."""
+        collector = service.collector
+        seen: list[tuple[str, threading.Thread]] = []
+        real_parse, real_submit = collector.parse, collector.submit
+
+        def parse(data, round_id):
+            kind = "frame" if isinstance(data, bytes) and is_frame(data) else "jsonl"
+            seen.append((kind, threading.current_thread()))
+            return real_parse(data, round_id)
+
+        def submit(upload, round_id, *, key=None):
+            seen.append(("admit", threading.current_thread()))
+            return real_submit(upload, round_id, key=key)
+
+        monkeypatch.setattr(collector, "parse", parse)
+        monkeypatch.setattr(collector, "submit", submit)
+        frames = [
+            frame
+            for frame, _n in synthesize_frames(plan, "r1", 120, batch_size=60, rng=2)
+        ]
+        session = Session(plan)
+        values = {"age": np.linspace(1.0, 99.0, 40), "income": np.linspace(5.0, 9e4, 40)}
+        feeds = [
+            session.to_feed(
+                session.privatize(values, rng=np.random.default_rng(seed)),
+                "r1",
+                format="jsonl",
+            ).encode("utf-8")
+            for seed in (4, 5)
+        ]
+
+        async def upload(body, content_type, headers=None):
+            status, _payload, _reader, writer = await http_request(
+                service.host, service.port, "POST", "/v1/rounds/r1/reports",
+                body=body, content_type=content_type, headers=headers,
+            )
+            writer.close()
+            return status
+
+        uploads = [
+            (frames[0], "application/x-repro-frame", {"Idempotency-Key": "f0"}),
+            (frames[1], "application/x-repro-frame", None),  # keyed by digest
+            (feeds[0], "application/jsonlines", None),  # decoded to text first
+            (feeds[1], "application/octet-stream", None),  # not a frame: bytes
+        ]
+        for body, content_type, headers in uploads:
+            assert asyncio.run(upload(body, content_type, headers)) == 202
+        loop_thread = service._thread
+        # A keyed frame is parsed inside submit; every other upload is
+        # parsed first, then admitted.
+        assert [kind for kind, _ in seen] == [
+            "admit", "frame",
+            "frame", "admit",
+            "jsonl", "admit",
+            "jsonl", "admit",
+        ]
+        for kind, thread in seen:
+            if kind == "jsonl":
+                assert thread is not loop_thread
+                assert thread.name.startswith("repro-parse")
+            else:
+                assert thread is loop_thread
 
 
 class TestEstimateRoute:

@@ -143,6 +143,92 @@ class TestHeaderGuards:
         assert b"200" in status
 
 
+async def exchange_head(host, port, payload: bytes, *, read_timeout=5.0):
+    """Send raw bytes; return (status line, response head) as the peer sent them."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        status = await asyncio.wait_for(reader.readline(), timeout=read_timeout)
+        head = await asyncio.wait_for(
+            reader.readuntil(b"\r\n\r\n"), timeout=read_timeout
+        )
+        return status, head
+    finally:
+        writer.close()
+
+
+class TestContentLength:
+    """A malformed length is a 400 that closes the connection, never a
+    handler crash that leaves the client without a status line."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [b"abc", b"1e3", b"-5", b"+5", b" 0x10", b"", b"1 2", b"\xb2"],
+        ids=["letters", "exponent", "negative", "plus", "hex", "empty",
+             "inner-space", "superscript-two"],
+    )
+    def test_malformed_content_length_is_400_and_close(
+        self, strict_service, value
+    ):
+        head = (
+            b"POST /v1/rounds/r1/reports HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + value + b"\r\n\r\nxyz"
+        )
+        status, response = asyncio.run(
+            exchange_head(strict_service.host, strict_service.port, head)
+        )
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in response
+        # The listener keeps serving other connections.
+        assert b"200" in asyncio.run(
+            raw_exchange(
+                strict_service.host,
+                strict_service.port,
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+            )
+        )
+
+    def test_disagreeing_content_lengths_are_400(self, strict_service):
+        head = (
+            b"POST /v1/rounds/r1/reports HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 3\r\nContent-Length: 4\r\n\r\nxyzw"
+        )
+        status, response = asyncio.run(
+            exchange_head(strict_service.host, strict_service.port, head)
+        )
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in response
+
+    def test_repeated_equal_content_length_is_accepted(self, strict_service):
+        head = (
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 0\r\nContent-Length: 0\r\n\r\n"
+        )
+        status = asyncio.run(
+            raw_exchange(strict_service.host, strict_service.port, head)
+        )
+        assert status.startswith(b"HTTP/1.1 200 ")
+
+    def test_digit_strings_longer_than_int_parsing_allows(self, plan):
+        """Past 4300 digits ``int()`` raises; the default 32 KiB head cap
+        admits such a header, so the length check must not call it."""
+        with start_local_service(ServiceConfig(plan=plan, n_shards=1)) as handle:
+
+            def status_for(value: bytes) -> bytes:
+                return asyncio.run(
+                    raw_exchange(
+                        handle.host,
+                        handle.port,
+                        b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: " + value + b"\r\n\r\n",
+                    )
+                )
+
+            assert status_for(b"9" * 5000).startswith(b"HTTP/1.1 413 ")
+            assert status_for(b"0" * 5000).startswith(b"HTTP/1.1 200 ")
+
+
 class TestIdempotentRetries:
     def test_duplicate_upload_is_replay_acked_not_reingested(
         self, strict_service, plan

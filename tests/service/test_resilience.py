@@ -8,23 +8,28 @@ change nothing.
 """
 
 import json
+import sys
 
 import pytest
 
+from repro.protocol.frames import iter_frame_blocks
 from repro.service import (
     DedupLedger,
     Fault,
     FaultPlan,
     IdempotencyConflictError,
     IngestReceipt,
+    InjectedCrash,
     InjectedFault,
     MetaJournal,
     ServiceConfig,
+    ShardAggregator,
     ShardJournal,
     ShardedCollector,
     load_checkpoint,
     write_checkpoint,
 )
+from repro.service import core
 from repro.service.loadgen import synthesize_frames
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Mean
 
@@ -70,10 +75,10 @@ def estimates_of(collector, round_id="r1") -> str:
     return json.dumps(collector.estimate(round_id)["estimates"], sort_keys=True)
 
 
-def config_for(tmp_path, *, faults=None, **kwargs) -> ServiceConfig:
+def config_for(tmp_path, *, faults=None, n_shards=3, **kwargs) -> ServiceConfig:
     return ServiceConfig(
         plan=make_plan(),
-        n_shards=3,
+        n_shards=n_shards,
         journal_dir=tmp_path / "wal",
         faults=faults,
         **kwargs,
@@ -227,11 +232,84 @@ class TestCheckpointFiles:
     def test_missing_or_corrupt_means_full_replay(self, tmp_path):
         path = tmp_path / "shard-0.ckpt"
         assert load_checkpoint(path) is None
-        write_checkpoint(path, journal_offset=0, states={})
-        raw = bytearray(path.read_bytes())
+        slot = write_checkpoint(path, journal_offset=0, states={})
+        raw = bytearray(slot.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
+        slot.write_bytes(bytes(raw))
         assert load_checkpoint(path) is None
+
+
+SLOT_STATES = {"r1": {"age": {"n": 10, "counts": list(range(16))}}}
+
+
+class TestCheckpointSlots:
+    """Two alternating slots: a torn write never costs the previous one."""
+
+    def test_generations_alternate_between_two_slots(self, tmp_path):
+        path = tmp_path / "shard-0.ckpt"
+        slots = [
+            write_checkpoint(path, generation=g, journal_offset=g, states={})
+            for g in (1, 2, 3)
+        ]
+        assert [slot.name for slot in slots] == [
+            "shard-0.ckpt.1", "shard-0.ckpt.0", "shard-0.ckpt.1",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "shard-0.ckpt.0", "shard-0.ckpt.1",
+        ]
+        ckpt = load_checkpoint(path)
+        assert ckpt["generation"] == 3 and ckpt["journal_offset"] == 3
+
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_write_torn_at_any_byte_loads_previous_generation(
+        self, tmp_path, idle
+    ):
+        """A write torn after any byte loads generation 2, unless the bytes
+        that landed already make up the whole generation 3. ``idle``:
+        generation 3 carries the payload of the generation 1 it
+        overwrites, as an idle shard's would."""
+        path = tmp_path / "shard-0.ckpt"
+        write_checkpoint(path, generation=1, journal_offset=10, states=SLOT_STATES)
+        write_checkpoint(path, generation=2, journal_offset=20, states={})
+        older = (tmp_path / "shard-0.ckpt.1").read_bytes()  # generation 1
+        newer = {"journal_offset": 10, "states": SLOT_STATES}
+        if not idle:
+            newer = {"journal_offset": 30, "states": {"r1": {"income": {"n": 3}}}}
+        record = write_checkpoint(
+            tmp_path / "probe.ckpt", generation=3, **newer
+        ).read_bytes()
+        landed_at = []
+        for keep in range(len(record) + 1):
+            (tmp_path / "shard-0.ckpt.1").write_bytes(older)
+            faults = FaultPlan([Fault("checkpoint.truncate", at=1, keep_bytes=keep)])
+            with pytest.raises(InjectedCrash):
+                write_checkpoint(path, generation=3, faults=faults, **newer)
+            landed = (record[:keep] + older[keep:])[: len(record)] == record
+            if landed:
+                landed_at.append(keep)
+            ckpt = load_checkpoint(path)
+            assert ckpt is not None
+            assert (ckpt["generation"], ckpt["journal_offset"]) == (
+                (3, newer["journal_offset"]) if landed else (2, 20)
+            ), keep
+        # Only an idle write lands before its last byte: the tail it skips
+        # already holds the same bytes.
+        assert (landed_at[0] < len(record)) == idle
+
+    def test_both_slots_torn_means_no_checkpoint(self, tmp_path):
+        path = tmp_path / "shard-0.ckpt"
+        for generation in (1, 2):
+            slot = write_checkpoint(
+                path, generation=generation, journal_offset=0, states={}
+            )
+            raw = bytearray(slot.read_bytes())
+            raw[len(raw) // 2] ^= 0xFF
+            slot.write_bytes(bytes(raw))
+        assert load_checkpoint(path) is None
+
+    def test_legacy_single_file_checkpoint_is_ignored(self, tmp_path):
+        (tmp_path / "shard-0.ckpt").write_bytes(b"legacy checkpoint bytes")
+        assert load_checkpoint(tmp_path / "shard-0.ckpt") is None
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +445,211 @@ class TestCrashRecoveryProperty:
             assert collector.stats()["uploads_accepted"] == len(uploads)
         finally:
             collector.close()
+
+
+def replay_prefix(config, shard_id, journal_offset) -> dict:
+    """A fresh replay of one shard's journal from 0 up to ``journal_offset``."""
+    shard = ShardAggregator(shard_id, config)
+    journal = ShardJournal(config.journal_dir / f"shard-{shard_id}.journal")
+    try:
+        for record in journal.replay(0):
+            if record.end_offset > journal_offset:
+                break
+            for block in iter_frame_blocks(record.segment):
+                shard.ingest_direct(block.round_id, block)
+        return json.loads(json.dumps(shard.snapshot_all()))
+    finally:
+        journal.close()
+        shard.close()
+
+
+def restart_healthy(config) -> ShardedCollector:
+    """Restart until no shard died writing its recovery checkpoint."""
+    while True:
+        collector = ShardedCollector(config)
+        if not collector.stats()["shards_dead"]:
+            return collector
+        collector.close()
+
+
+def tear(slot) -> None:
+    """Overwrite the middle of a checkpoint slot in place."""
+    with open(slot, "r+b") as handle:
+        handle.seek(slot.stat().st_size // 2)
+        handle.write(b"\x00" * 8)
+
+
+class TestCheckpointCuts:
+    """A checkpoint is a cut at a journal offset, written by its worker."""
+
+    def test_every_checkpoint_equals_a_replay_of_its_journal_prefix(
+        self, tmp_path, monkeypatch
+    ):
+        written = []
+        real_write = core.write_checkpoint
+
+        def recording_write(path, **kwargs):
+            # Runs on the shard worker, while admission keeps going.
+            written.append(
+                (
+                    int(path.name.split("-")[1].split(".")[0]),
+                    kwargs["journal_offset"],
+                    json.loads(json.dumps(kwargs["states"])),
+                )
+            )
+            return real_write(path, **kwargs)
+
+        monkeypatch.setattr(core, "write_checkpoint", recording_write)
+        uploads = [
+            upload
+            for round_id in ("r1", "r2")
+            for upload in keyed_uploads(
+                make_plan(), round_id=round_id, n_users=1800, batch=150
+            )
+        ]
+        config = config_for(tmp_path, checkpoint_every=1, dedup_capacity=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedCollector(config) as collector:
+                for key, frame in uploads:
+                    collector.submit(frame, key.split("-")[1], key=key)
+                before = {rid: estimates_of(collector, rid) for rid in ("r1", "r2")}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(written) == len(uploads) * config.n_shards
+        assert any(offset > 0 for _, offset, _ in written)
+        for shard_id, offset, states in written:
+            assert states == replay_prefix(config, shard_id, offset)
+        with ShardedCollector(config) as recovered:
+            replayed = recovered.stats()["journal"]["recovered_records"]
+            assert replayed < config.checkpoint_every * config.n_shards
+            after = {rid: estimates_of(recovered, rid) for rid in ("r1", "r2")}
+        assert after == before
+
+    @pytest.mark.parametrize("torn", [0, 1, 2])
+    def test_restart_over_torn_slots_is_bit_identical(self, tmp_path, torn):
+        """Tear the newest ``torn`` slots of every shard, then restart."""
+        uploads = keyed_uploads(make_plan())
+        config = config_for(tmp_path, checkpoint_every=2)
+        with ShardedCollector(config) as collector:
+            for key, frame in uploads:
+                collector.submit(frame, "r1", key=key)
+            before = estimates_of(collector)
+        prefixes = [
+            config.journal_dir / f"shard-{shard_id}.ckpt"
+            for shard_id in range(config.n_shards)
+        ]
+        for prefix in prefixes:
+            newest = load_checkpoint(prefix)["generation"]
+            assert newest == 2  # cuts after uploads 2 and 4
+            for generation in (newest, newest - 1)[:torn]:
+                tear(prefix.with_name(f"{prefix.name}.{generation % 2}"))
+            ckpt = load_checkpoint(prefix)
+            assert (ckpt["generation"] if ckpt else None) == {0: 2, 1: 1, 2: None}[torn]
+        with ShardedCollector(config) as recovered:
+            replayed = recovered.stats()["journal"]["recovered_records"]
+            # Two blocks an upload: the tail after the newest intact cut.
+            assert replayed == 2 * (1, 3, 5)[torn]
+            assert estimates_of(recovered) == before
+            assert recovered.stats()["uploads_accepted"] == len(uploads)
+            # Recovery's own cut continues the generations: it is the one
+            # that loads next, at the journal's end.
+            for shard_id, prefix in enumerate(prefixes):
+                ckpt = load_checkpoint(prefix)
+                journal = config.journal_dir / f"shard-{shard_id}.journal"
+                assert ckpt["generation"] == (3, 2, 1)[torn]
+                assert ckpt["journal_offset"] == journal.stat().st_size
+
+    def test_torn_checkpoint_write_recovers_from_the_other_slot(self, tmp_path):
+        uploads = keyed_uploads(make_plan(), n_users=3000)
+        baseline = fault_free_baseline(tmp_path, uploads)
+        # Two shards, each holding one attribute of r1. Hits 5 and 6 are
+        # the third cut's writes: each overwrites the slot holding its
+        # shard's first generation.
+        faults = FaultPlan([Fault("checkpoint.truncate", at=5)])
+        config = config_for(
+            tmp_path / "torn", faults=faults, n_shards=2, checkpoint_every=2
+        )
+        collector = ShardedCollector(config)
+        torn = []
+        try:
+            for key, frame in uploads:
+                collector.submit(frame, "r1", key=key)
+                collector.flush()  # the worker dies in its checkpoint task
+                dead = collector.stats()["shards_dead"]
+                if dead:
+                    torn += [
+                        load_checkpoint(config.journal_dir / f"shard-{i}.ckpt")["generation"]
+                        for i in dead
+                    ]
+                    collector.close()
+                    collector = ShardedCollector(config)
+                    assert collector.stats()["journal"]["recovered_records"] > 0
+            assert faults.fired == (("checkpoint.truncate", 5),)
+            assert torn == [2]
+            assert estimates_of(collector) == baseline
+            assert collector.stats()["uploads_accepted"] == len(uploads)
+            for key, frame in uploads:  # exactly-once: every retry is a replay
+                assert collector.submit(frame, "r1", key=key).replayed
+            assert estimates_of(collector) == baseline
+        finally:
+            collector.close()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_storm_with_torn_checkpoints(self, tmp_path, seed):
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        sites = (*CRASH_SITES, "checkpoint.truncate")
+        faults = FaultPlan(
+            [Fault(site, prob=0.12, times=None) for site in sites], seed=seed
+        )
+        config = config_for(tmp_path / "storm", faults=faults, checkpoint_every=1)
+        collector = restart_healthy(config)
+        try:
+            for key, frame in uploads:
+                for _ in range(200):
+                    try:
+                        collector.submit(frame, "r1", key=key)
+                    except InjectedFault:
+                        pass
+                    else:
+                        collector.flush()
+                        if not collector.stats()["shards_dead"]:
+                            break
+                    collector.close()
+                    collector = restart_healthy(config)
+                else:  # pragma: no cover - fault storm never let one through
+                    pytest.fail("upload never survived the fault storm")
+            assert any(site == "checkpoint.truncate" for site, _ in faults.fired)
+            assert estimates_of(collector) == baseline
+            assert collector.stats()["uploads_accepted"] == len(uploads)
+        finally:
+            collector.close()
+
+    def test_failed_checkpoint_write_is_counted_not_fatal(self, tmp_path):
+        uploads = keyed_uploads(make_plan())
+        config = config_for(tmp_path, n_shards=1, checkpoint_every=1)
+        with ShardedCollector(config) as collector:
+            collector.submit(uploads[0][1], "r1", key=uploads[0][0])
+            collector.flush()
+            prefix = config.journal_dir / "shard-0.ckpt"
+            assert load_checkpoint(prefix)["generation"] == 1
+            # Generation 2's slot cannot be opened for writing.
+            prefix.with_name(f"{prefix.name}.0").mkdir()
+            collector.submit(uploads[1][1], "r1", key=uploads[1][0])
+            collector.flush()
+            shard = collector.stats()["shards"][0]
+            assert shard["alive"] is True
+            assert shard["checkpoint_errors"] == 1
+            assert "IsADirectoryError" in shard["last_checkpoint_error"]
+            assert shard["checkpoint_generation"] == 1
+            assert load_checkpoint(prefix)["journal_offset"] > 0
+            for key, frame in uploads[2:]:
+                collector.submit(frame, "r1", key=key)
+            before = estimates_of(collector)
+        with ShardedCollector(config) as recovered:
+            assert estimates_of(recovered) == before
 
 
 class TestWindowedRecovery:
