@@ -11,7 +11,7 @@ bounded by the upload size limit), aggregation state is O(state) per
 key, and nothing ever concatenates a full feed. The block bound is kept
 by two single-writer counters — blocks enqueued (written only by the
 admitting thread) and blocks folded (written only by the worker) — and
-tasks (flush barriers, checkpoint writes) never take a block slot.
+tasks (flush barriers, checkpoint cuts) never take a block slot.
 
 :class:`ShardedCollector` is the coordinator. An upload is handled in two
 steps: :meth:`~ShardedCollector.parse` is stateless — it computes the
@@ -35,9 +35,12 @@ Fault tolerance is layered on the same serialization point
   enqueued. Every ``checkpoint_every`` uploads, admission cuts a
   checkpoint: it records each live shard's journal end offset and queues
   a checkpoint task behind that shard's blocks. The worker reaches the
-  task having folded exactly the records before the offset, fsyncs, and
-  writes the checkpoint itself, so admission never waits on a flush
-  barrier, an fsync or a file write. A restarted collector recovers by
+  task having folded exactly the records before the offset, takes a
+  snapshot of its states and counters, hands it to the collector's one
+  :class:`CheckpointWriter` thread and goes straight back to folding.
+  The writer fsyncs and writes the snapshots in cut order, so neither
+  admission nor a shard's folds ever wait on a flush barrier, an fsync
+  or a file write. A restarted collector recovers by
   loading each shard's newest verifying checkpoint and re-folding the
   committed journal tail in append order — the fold sequence is
   identical to the uninterrupted run, so the recovered estimates are
@@ -73,9 +76,11 @@ attribute's result.
 from __future__ import annotations
 
 import functools
+import math
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -100,6 +105,7 @@ from repro.protocol.server import (
     estimate_rounds,
 )
 from repro.service.config import ServiceConfig
+from repro.service.faults import InjectedFault
 from repro.service.resilience import (
     DedupLedger,
     IdempotencyConflictError,
@@ -113,6 +119,7 @@ from repro.service.sharding import HashRing, merge_tree
 from repro.tasks.session import Session
 
 __all__ = [
+    "CheckpointWriter",
     "ParsedUpload",
     "ServiceOverloadError",
     "ShardAggregator",
@@ -151,15 +158,36 @@ def _jsonify_estimate(value: Any) -> Any:
 
 @dataclass
 class _ShardCounters:
-    """Mutable ingest counters, updated by the shard's worker thread."""
+    """Mutable shard counters, each with one writing thread: the shard's
+    worker for the ingest fields and ``checkpoints_handed``, the
+    checkpoint writer for the other checkpoint fields."""
 
     blocks: int = 0
     reports: int = 0
     errors: int = 0
     last_error: str | None = None
     ingest_seconds: float = 0.0
+    checkpoints_handed: int = 0
+    checkpoints_done: int = 0
     checkpoint_errors: int = 0
     last_checkpoint_error: str | None = None
+    checkpoint_seconds_last: float | None = None
+    checkpoint_seconds_max: float = 0.0
+
+
+@dataclass
+class _Snapshot:
+    """One shard's states at a checkpoint cut, waiting for the writer."""
+
+    shard: ShardAggregator
+    cut: int
+    journal_offset: int
+    states: dict[str, dict[str, Any]]
+    counters: dict[str, int]
+    #: Hand-off number of the oldest cut this snapshot answers for.
+    seq: int = 0
+    #: Cuts it answers for: its own and every older one it replaced.
+    cuts: int = 1
 
 
 #: One FIFO entry: a ``(round_id, block)`` to fold, a task to run, or the
@@ -182,6 +210,7 @@ class ShardAggregator:
         # admitting thread writes _enqueued, only the worker writes _folded.
         self._enqueued = 0
         self._folded = 0
+        self._queue_depth_max = 0
         self._checkpoint_path = (
             None
             if config.journal_dir is None
@@ -228,20 +257,23 @@ class ShardAggregator:
                 f"shard {self.shard_id} queue overflowed past its capacity check"
             )
         self._enqueued += 1
+        depth = self._enqueued - self._folded
+        if depth > self._queue_depth_max:
+            self._queue_depth_max = depth
         self._queue.put((round_id, block))
 
     def cut_checkpoint(
-        self, journal_offset: int, *syncs: Callable[[], None]
+        self, journal_offset: int, cut: int, writer: CheckpointWriter
     ) -> None:
-        """Queue a checkpoint of this shard at ``journal_offset``.
+        """Queue cut number ``cut`` of this shard at ``journal_offset``.
 
         Called right after the last block before that offset was
         enqueued, so the worker reaches the task having folded exactly the
-        journal records before it. There it runs ``syncs`` (the journal
-        and meta-log fsyncs) and then writes the checkpoint.
+        journal records before it. There it hands a snapshot of its states
+        and counters to ``writer``, which puts it on disk.
         """
         self._queue.put(
-            functools.partial(self._write_checkpoint, journal_offset, syncs)
+            functools.partial(self._hand_checkpoint, journal_offset, cut, writer)
         )
 
     # -- worker ------------------------------------------------------------
@@ -283,40 +315,70 @@ class ShardAggregator:
         finally:
             self._counters.ingest_seconds += time.perf_counter() - started
 
-    def _write_checkpoint(
-        self, journal_offset: int, syncs: tuple[Callable[[], None], ...]
+    def _hand_checkpoint(
+        self, journal_offset: int, cut: int, writer: CheckpointWriter
     ) -> None:
-        """Checkpoint task body; runs on this shard's worker.
+        """Checkpoint task body; runs on this shard's worker, off the disk."""
+        self._counters.checkpoints_handed += 1
+        writer.hand(
+            _Snapshot(
+                self, cut, journal_offset, self.snapshot_all(), self.counters()
+            )
+        )
 
-        A failed write is counted and leaves the previous checkpoint in
-        place (the next generation reuses the same slot); only an
-        injected crash kills the worker.
+    def _write_checkpoint(
+        self, snapshot: _Snapshot, syncs: tuple[Callable[[], None], ...]
+    ) -> None:
+        """Put one snapshot on disk; runs on the checkpoint writer.
+
+        Runs ``syncs`` (the journal and meta-log fsyncs), then writes the
+        next generation's slot. A failed write is counted and leaves the
+        previous checkpoint in place (the next generation reuses the same
+        slot). An injected crash marks this shard dead, as a crash of its
+        worker would, and a dead shard's snapshots are dropped unwritten:
+        it keeps its previous checkpoint.
         """
         assert self._checkpoint_path is not None
-        generation = self._checkpoint_generation + 1
+        counters = self._counters
         try:
-            for sync in syncs:
-                sync()
-            write_checkpoint(
-                self._checkpoint_path,
-                generation=generation,
-                journal_offset=journal_offset,
-                states=self.snapshot_all(),
-                counters=self.counters(),
-                faults=self._config.faults,
+            if self._crashed:
+                return
+            generation = self._checkpoint_generation + 1
+            started = time.perf_counter()
+            try:
+                for sync in syncs:
+                    sync()
+                write_checkpoint(
+                    self._checkpoint_path,
+                    generation=generation,
+                    journal_offset=snapshot.journal_offset,
+                    states=snapshot.states,
+                    counters=snapshot.counters,
+                    faults=self._config.faults,
+                )
+            except Exception as exc:
+                counters.checkpoint_errors += 1
+                counters.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
+            else:
+                self._checkpoint_generation = generation
+            elapsed = time.perf_counter() - started
+            counters.checkpoint_seconds_last = elapsed
+            counters.checkpoint_seconds_max = max(
+                counters.checkpoint_seconds_max, elapsed
             )
-        except Exception as exc:
-            self._counters.checkpoint_errors += 1
-            self._counters.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
-        else:
-            self._checkpoint_generation = generation
+        except InjectedFault:
+            # The worker stops at its next item, so the shard is as dead as
+            # after a crash on the worker itself.
+            self._crashed = True
+        finally:
+            counters.checkpoints_done += snapshot.cuts
 
     def _drain(self) -> None:
         faults = self._config.faults
         try:
             while True:
                 item = self._queue.get()
-                if item is None:
+                if item is None or self._crashed:
                     return
                 if isinstance(item, tuple):
                     if faults is not None:
@@ -413,6 +475,7 @@ class ShardAggregator:
             "shard": self.shard_id,
             "alive": self.alive,
             "queue_depth": self._enqueued - self._folded,
+            "queue_depth_max": self._queue_depth_max,
             "queue_capacity": self._config.queue_depth,
             "blocks_ingested": c.blocks,
             "reports_ingested": c.reports,
@@ -420,6 +483,17 @@ class ShardAggregator:
             "last_error": c.last_error,
             "ingest_seconds": round(c.ingest_seconds, 6),
             "checkpoint_generation": self._checkpoint_generation,
+            "checkpoints_pending": c.checkpoints_handed - c.checkpoints_done,
+            "checkpoint_ms_last": (
+                None
+                if c.checkpoint_seconds_last is None
+                else round(c.checkpoint_seconds_last * 1000.0, 3)
+            ),
+            "checkpoint_ms_max": (
+                None
+                if c.checkpoint_seconds_last is None
+                else round(c.checkpoint_seconds_max * 1000.0, 3)
+            ),
             "checkpoint_errors": c.checkpoint_errors,
             "last_checkpoint_error": c.last_checkpoint_error,
             "backend": None if self.backend is None else self.backend.name,
@@ -433,6 +507,121 @@ class ShardAggregator:
     def close(self) -> None:
         self._queue.put(None)  # a dead worker never drains; join returns at once
         self._worker.join(timeout=10.0)
+
+
+class CheckpointWriter:
+    """The one thread that puts the shards' checkpoint snapshots on disk.
+
+    Shard workers :meth:`hand` it a snapshot at each cut and go straight
+    back to folding; :meth:`hand` never touches the disk. The writer takes
+    the snapshots in hand-off order, which is cut order for every shard.
+    For each it fsyncs that shard's journal and, once per cut, the meta
+    log, both as ``journal_fsync`` says, then writes the shard's next
+    checkpoint slot. Those fsyncs cover every record and commit before the
+    cut, so a checkpoint never lands ahead of the journal it points into.
+
+    The writer holds at most ``depth`` unwritten snapshots per shard.
+    Past that, a newer cut replaces the shard's newest unwritten snapshot,
+    so a disk that stays slower than the cuts bounds the writer's backlog
+    instead of growing it.
+    """
+
+    def __init__(
+        self,
+        journals: list[ShardJournal],
+        meta: MetaJournal,
+        *,
+        depth: int,
+    ) -> None:
+        self._journals = journals
+        self._meta = meta
+        self._depth = int(depth)
+        self._cond = threading.Condition()
+        self._queue: deque[_Snapshot] = deque()
+        self._queued: dict[ShardAggregator, int] = {}
+        self._newest: dict[ShardAggregator, _Snapshot] = {}
+        self._writing: _Snapshot | None = None
+        self._handed = 0
+        self._meta_synced_cut = 0
+        self._closing = False
+        self._stopped = False
+        self._thread = threading.Thread(
+            target=self._run, name="repro-checkpoint-writer", daemon=True
+        )
+        self._thread.start()
+
+    def hand(self, snapshot: _Snapshot) -> None:
+        """Take one shard's snapshot; called on that shard's worker."""
+        shard = snapshot.shard
+        with self._cond:
+            self._handed += 1
+            queued = self._queued.get(shard, 0)
+            if queued >= self._depth:
+                newest = self._newest[shard]
+                newest.cut = snapshot.cut
+                newest.journal_offset = snapshot.journal_offset
+                newest.states = snapshot.states
+                newest.counters = snapshot.counters
+                newest.cuts += snapshot.cuts
+                return
+            snapshot.seq = self._handed
+            self._queue.append(snapshot)
+            self._queued[shard] = queued + 1
+            self._newest[shard] = snapshot
+            self._cond.notify_all()
+
+    def _oldest_seq(self) -> float:
+        """Hand-off number of the oldest snapshot not yet written."""
+        if self._writing is not None:
+            return self._writing.seq
+        return self._queue[0].seq if self._queue else math.inf
+
+    def wait(self) -> None:
+        """Block until every snapshot handed before this call is written,
+        or dropped because its shard is dead."""
+        with self._cond:
+            mark = self._handed
+            self._cond.wait_for(
+                lambda: self._stopped or self._oldest_seq() > mark
+            )
+
+    def _sync_meta(self, cut: int) -> None:
+        if cut > self._meta_synced_cut:
+            self._meta.sync()
+            self._meta_synced_cut = cut
+
+    def _run(self) -> None:
+        try:
+            while True:
+                with self._cond:
+                    self._cond.wait_for(lambda: self._queue or self._closing)
+                    if not self._queue:
+                        return
+                    snapshot = self._queue.popleft()
+                    shard = snapshot.shard
+                    self._queued[shard] -= 1
+                    if not self._queued[shard]:
+                        del self._queued[shard], self._newest[shard]
+                    self._writing = snapshot
+                journal = self._journals[shard.shard_id]
+                shard._write_checkpoint(
+                    snapshot,
+                    (journal.sync, functools.partial(self._sync_meta, snapshot.cut)),
+                )
+                with self._cond:
+                    self._writing = None
+                    self._cond.notify_all()
+        finally:
+            with self._cond:
+                self._stopped = True
+                self._cond.notify_all()
+
+    def close(self) -> None:
+        """Write every snapshot handed so far, then stop the thread."""
+        with self._cond:
+            self._closing = True
+            self._cond.notify_all()
+        self._thread.join()
 
 
 class ShardedCollector:
@@ -468,9 +657,11 @@ class ShardedCollector:
         self._conflicts = 0
         self._uploads_accepted = 0
         self._since_checkpoint = 0
+        self._cuts = 0
         self._recovered_records = 0
         self._journals: list[ShardJournal] | None = None
         self._meta: MetaJournal | None = None
+        self._writer: CheckpointWriter | None = None
         if config.journal_dir is not None:
             journal_dir = Path(config.journal_dir)
             self._journals = [
@@ -485,6 +676,9 @@ class ShardedCollector:
                 journal_dir / "meta.log",
                 fsync=config.journal_fsync,
                 faults=config.faults,
+            )
+            self._writer = CheckpointWriter(
+                self._journals, self._meta, depth=config.queue_depth
             )
             self._recover()
 
@@ -617,23 +811,26 @@ class ShardedCollector:
         Only the cut happens here: each live shard gets a checkpoint task
         queued behind the blocks already admitted, carrying its journal's
         current end offset. The shard's worker reaches the task having
-        folded exactly the journal records before that offset; it fsyncs
-        its journal and the meta log (per ``journal_fsync``), then writes
-        the states with the offset they cover, so the next recovery
-        replays only the tail. A caller that needs the files on disk calls
-        :meth:`flush` afterwards. Dead shards keep their previous
-        checkpoint, since their workers never reach the task. Like
-        :meth:`submit`, call it from the admitting thread. Requires
-        ``journal_dir``.
+        folded exactly the journal records before that offset, and hands
+        a snapshot of its states to the :class:`CheckpointWriter`. The
+        writer fsyncs the shard's journal and the meta log (per
+        ``journal_fsync``), then writes the states with the offset they
+        cover, so the next recovery replays only the tail. A caller that
+        needs the files on disk calls :meth:`flush` afterwards. Dead
+        shards keep their previous checkpoint, since their workers never
+        reach the task. Like :meth:`submit`, call it from the admitting
+        thread. Requires ``journal_dir``.
         """
-        if self._journals is None or self._meta is None:
+        if self._journals is None or self._writer is None:
             raise RuntimeError(
                 "checkpointing requires a journal_dir-configured service"
             )
+        self._cuts += 1
         for shard_id, shard in enumerate(self.shards):
             if shard.alive:
-                journal = self._journals[shard_id]
-                shard.cut_checkpoint(journal.size, journal.sync, self._meta.sync)
+                shard.cut_checkpoint(
+                    self._journals[shard_id].size, self._cuts, self._writer
+                )
         self._since_checkpoint = 0
 
     # -- degradation --------------------------------------------------------
@@ -662,6 +859,8 @@ class ShardedCollector:
         if old.alive:
             raise ValueError(f"shard {shard_id} is alive; nothing to revive")
         old.close()
+        if self._writer is not None:
+            self._writer.wait()
         fresh = ShardAggregator(shard_id, self.config)
         replayed = 0
         if self._journals is not None and self._meta is not None:
@@ -855,6 +1054,8 @@ class ShardedCollector:
         for shard in self.shards:
             if shard.alive:
                 shard.flush()
+        if self._writer is not None:
+            self._writer.wait()
 
     # -- merge + estimate tier ---------------------------------------------
     def _merge_round(self, round_id: str) -> dict[str, CollectionServer]:
@@ -1115,6 +1316,8 @@ class ShardedCollector:
             self._closed = True
             for shard in self.shards:
                 shard.close()
+            if self._writer is not None:
+                self._writer.close()
             if self._journals is not None:
                 for journal in self._journals:
                     journal.close()

@@ -1,6 +1,7 @@
 """ShardedCollector: routing, backpressure, merge/estimate, observability."""
 
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,16 @@ def feed_frames(plan, n_users=4000, round_id="r1", seed=7, batch=1000):
     return list(
         synthesize_frames(plan, round_id, n_users, batch_size=batch, rng=seed)
     )
+
+
+def wait_until(predicate, timeout=10.0) -> bool:
+    """Poll ``predicate`` until it holds; ``False`` once ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 class TestSubmitAndRoute:
@@ -140,6 +151,7 @@ class TestBackpressure:
         stats = collector.shards[0].stats()
         assert stats["reports_ingested"] == accepted + 20
         assert stats["ingest_errors"] == 0
+        assert stats["queue_depth_max"] == 4
         collector.close()
 
     def test_checkpoint_tasks_take_no_block_slot(self, tmp_path, monkeypatch):
@@ -165,21 +177,29 @@ class TestBackpressure:
             journal_dir=tmp_path / "wal",
         )
         with ShardedCollector(config) as collector:
-            collector.submit(frames[0][0], "r1", key="k0")
-            # The worker folded block 0 and now sits in checkpoint 0.
-            assert entered.wait(timeout=10.0)
-            collector.submit(frames[1][0], "r1", key="k1")
-            # Block 1 is pending behind the stalled task: the bound holds.
-            with pytest.raises(ServiceOverloadError):
-                collector.submit(frames[2][0], "r1", key="k2")
-            release.set()
+            shard = collector.shards[0]
+            try:
+                collector.submit(frames[0][0], "r1", key="k0")
+                # The worker folded block 0 and handed checkpoint 1 to the
+                # writer, which now sits in its write.
+                assert entered.wait(timeout=10.0)
+                # The worker keeps folding: each upload is admitted and
+                # folded while the write is held.
+                for index in (1, 2, 3):
+                    collector.submit(frames[index][0], "r1", key=f"k{index}")
+                    assert wait_until(lambda: shard.free_slots() == 1)
+                assert shard.stats()["blocks_ingested"] == 4
+            finally:
+                release.set()
             collector.flush()
-            for index, (frame, _n) in enumerate(frames[2:], start=2):
+            for index, (frame, _n) in enumerate(frames[4:], start=4):
                 collector.submit(frame, "r1", key=f"k{index}")
                 collector.flush()
-            shard = collector.stats()["shards"][0]
-            assert shard["reports_ingested"] == 1200
-            assert shard["checkpoint_generation"] == len(frames)
+            stats = collector.stats()["shards"][0]
+            assert stats["reports_ingested"] == 1200
+            # The writer holds queue_depth=1 unwritten snapshot per shard:
+            # cuts 3 and 4 each replaced the one before, unwritten.
+            assert stats["checkpoint_generation"] == len(frames) - 2
 
     def test_ingest_error_is_counted_not_fatal(self):
         plan = make_plan()

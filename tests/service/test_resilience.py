@@ -7,8 +7,11 @@ through idempotency keys are exactly-once — duplicates and lost acks
 change nothing.
 """
 
+import asyncio
 import json
 import sys
+import threading
+import time
 
 import pytest
 
@@ -27,10 +30,11 @@ from repro.service import (
     ShardJournal,
     ShardedCollector,
     load_checkpoint,
+    start_local_service,
     write_checkpoint,
 )
 from repro.service import core
-from repro.service.loadgen import synthesize_frames
+from repro.service.loadgen import http_request, synthesize_frames
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Mean
 
 # Injected crashes deliberately kill threads mid-flight; pytest's
@@ -650,6 +654,127 @@ class TestCheckpointCuts:
             before = estimates_of(collector)
         with ShardedCollector(config) as recovered:
             assert estimates_of(recovered) == before
+
+
+def wait_until(predicate, timeout=10.0) -> bool:
+    """Poll ``predicate`` until it holds; ``False`` once ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def hold_journal_fsync(monkeypatch, collector):
+    """Park the next fsync of shard 0's journal until ``release`` is set."""
+    entered, release = threading.Event(), threading.Event()
+    journal = collector._journals[0]
+    real_sync = journal.sync
+
+    def held_sync():
+        entered.set()
+        assert release.wait(timeout=10.0)
+        real_sync()
+
+    monkeypatch.setattr(journal, "sync", held_sync)
+    return entered, release
+
+
+class TestCheckpointWriter:
+    """A slow checkpoint fsync stalls neither admission nor the folds."""
+
+    def config(self, tmp_path) -> ServiceConfig:
+        # One attribute on one shard: every upload is one block.
+        plan = AnalysisPlan(
+            epsilon=2.0,
+            attributes=(AttributeSpec("age", low=0.0, high=100.0, d=16),),
+            tasks=(Distribution("age"),),
+        )
+        return ServiceConfig(
+            plan=plan,
+            n_shards=1,
+            queue_depth=2,
+            checkpoint_every=1,
+            journal_dir=tmp_path / "wal",
+        )
+
+    def test_uploads_fold_while_a_journal_fsync_is_held(
+        self, tmp_path, monkeypatch
+    ):
+        config = self.config(tmp_path)
+        uploads = keyed_uploads(config.plan, n_users=1200, batch=100)
+        with ShardedCollector(config) as collector:
+            entered, release = hold_journal_fsync(monkeypatch, collector)
+            shard = collector.shards[0]
+            try:
+                collector.submit(uploads[0][1], "r1", key=uploads[0][0])
+                assert entered.wait(timeout=10.0)
+                held_at = time.perf_counter()
+                for key, frame in uploads[1:8]:
+                    collector.submit(frame, "r1", key=key)
+                    assert wait_until(lambda: shard.free_slots() == 2)
+                stats = shard.stats()
+                assert stats["blocks_ingested"] == 8
+                # The stall shows in the backlog first: eight cuts handed,
+                # none on disk yet.
+                assert stats["checkpoints_pending"] == 8
+                assert stats["checkpoint_ms_max"] is None
+                time.sleep(0.02)
+                held_ms = (time.perf_counter() - held_at) * 1000.0
+            finally:
+                release.set()
+            collector.flush()
+            stats = shard.stats()
+            assert stats["checkpoints_pending"] == 0
+            assert stats["checkpoint_ms_max"] >= held_ms - 0.001
+            # Cut 1 was held; cuts 2 and 3 filled the writer's two places,
+            # and each later cut replaced cut 3's snapshot unwritten.
+            ckpt = load_checkpoint(config.journal_dir / "shard-0.ckpt")
+            assert ckpt["generation"] == stats["checkpoint_generation"] == 3
+            journal = config.journal_dir / "shard-0.journal"
+            assert ckpt["journal_offset"] == journal.stat().st_size
+            assert ckpt["states"] == replay_prefix(config, 0, ckpt["journal_offset"])
+            for key, frame in uploads[8:]:
+                collector.submit(frame, "r1", key=key)
+                collector.flush()
+            before = estimates_of(collector)
+        with ShardedCollector(config) as recovered:
+            assert recovered.stats()["journal"]["recovered_records"] == 0
+            assert estimates_of(recovered) == before
+            assert recovered.stats()["uploads_accepted"] == len(uploads)
+
+    def test_keyed_http_uploads_accepted_while_a_journal_fsync_is_held(
+        self, tmp_path, monkeypatch
+    ):
+        config = self.config(tmp_path)
+        uploads = keyed_uploads(config.plan, n_users=800, batch=100)
+
+        async def post(handle, key, frame):
+            status, payload, _reader, writer = await http_request(
+                handle.host, handle.port, "POST", "/v1/rounds/r1/reports",
+                body=frame, headers={"Idempotency-Key": key},
+            )
+            writer.close()
+            return status, json.loads(payload)
+
+        with start_local_service(config) as handle:
+            collector = handle.service.collector
+            entered, release = hold_journal_fsync(monkeypatch, collector)
+            shard = collector.shards[0]
+            try:
+                for index, (key, frame) in enumerate(uploads):
+                    status, payload = asyncio.run(post(handle, key, frame))
+                    assert status == 202, payload
+                    if index == 0:
+                        assert entered.wait(timeout=10.0)
+                    assert wait_until(lambda: shard.free_slots() == 2)
+                assert shard.stats()["checkpoints_pending"] == len(uploads)
+            finally:
+                release.set()
+            collector.flush()
+            assert shard.stats()["reports_ingested"] == 800
+            assert shard.stats()["checkpoint_errors"] == 0
 
 
 class TestWindowedRecovery:
