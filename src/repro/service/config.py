@@ -76,6 +76,8 @@ class ServiceConfig:
     queue_depth:
         Bound on each shard's pending-block queue; submissions that would
         exceed it are rejected whole (HTTP 429), never partially applied.
+        With ``journal_dir`` it also bounds the checkpoint snapshots per
+        shard waiting for the checkpoint writer.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
     backends:
@@ -109,12 +111,13 @@ class ServiceConfig:
     journal_fsync:
         Fsync policy for the journals: ``"always"`` (fsync per record,
         on the admitting thread — the HTTP tier's event loop),
-        ``"checkpoint"`` (fsync at checkpoints, by the shard workers,
+        ``"checkpoint"`` (fsync at checkpoints, by the checkpoint writer,
         OS-flush per record — the default), or ``"never"``.
     checkpoint_every:
-        Accepted uploads between automatic state checkpoints, which the
-        shard workers write. Bounds recovery replay time; only
-        meaningful with ``journal_dir``.
+        Accepted uploads between automatic state checkpoints. Each shard
+        worker snapshots its states at the cut and the collector's
+        checkpoint writer thread writes them. Bounds recovery replay
+        time; only meaningful with ``journal_dir``.
     dedup_capacity:
         Bound on the idempotency ledger (entries). Must be at least
         ``checkpoint_every`` so the post-checkpoint replay window is

@@ -54,7 +54,7 @@ FAULT_SITES = (
     "meta.commit.before",  # crash before the upload's commit record
     "meta.commit.after",  # crash after commit, before enqueue/ack
     "shard.fold",  # crash a shard worker mid-fold (kills the drain thread)
-    "checkpoint.truncate",  # write part of a checkpoint slot, then crash its worker
+    "checkpoint.truncate",  # write part of a checkpoint slot, then crash its shard
     "http.drop",  # close the connection instead of writing the response
     "http.delay",  # delay the response by Fault.delay seconds
 )
@@ -147,9 +147,10 @@ class FaultPlan:
     """A seeded, deterministic set of faults over the injection sites.
 
     Thread-safe: sites are hit from the admitting thread (the event loop
-    under HTTP) and from shard workers. Hit counters are per-site and
-    monotonically increase; given the same sequence of site hits, the
-    same plan fires the same faults — the whole point of seeding.
+    under HTTP), from shard workers and from the checkpoint writer. Hit
+    counters are per-site and monotonically increase; given the same
+    sequence of site hits, the same plan fires the same faults — the
+    whole point of seeding.
     """
 
     def __init__(self, faults: Any = (), *, seed: int = 0) -> None:

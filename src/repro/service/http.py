@@ -33,8 +33,8 @@ serializes admission (ledger lookup, routing, the all-or-nothing
 capacity check, journal append, commit record, enqueue and the
 checkpoint cut), which is what keeps the collector's capacity check
 sound, and no upload crosses a thread before its shard worker folds it.
-Admission never waits on a flush barrier or a checkpoint write — shard
-workers write checkpoints themselves — but under
+Admission never waits on a flush barrier or a checkpoint write — the
+collector's checkpoint writer thread does every checkpoint fsync — but under
 ``journal_fsync="always"`` its per-record fsync runs on the loop. A
 frame is parsed inline, reading only its header; hashing the body is
 what costs: an 8 MB frame (the default body cap) holds the loop for

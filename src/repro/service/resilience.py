@@ -46,9 +46,10 @@ drains a FIFO), journal append order *is* admission order, and recovery
 folds checkpoint-state + committed tail records in journal order —
 identical sequences of identical block folds produce bit-identical
 estimator states, and identical states solve to bit-identical estimates.
-A checkpoint is a cut in that sequence: the worker writes it when it
-reaches the cut's task in its FIFO, having folded exactly the journal
-records before the cut's offset.
+A checkpoint is a cut in that sequence: the worker snapshots its states
+when it reaches the cut's task in its FIFO, having folded exactly the
+journal records before the cut's offset, and the collector's checkpoint
+writer puts that snapshot on disk.
 """
 
 from __future__ import annotations
