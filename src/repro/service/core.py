@@ -180,7 +180,6 @@ class _Snapshot:
     """One shard's states at a checkpoint cut, waiting for the writer."""
 
     shard: ShardAggregator
-    cut: int
     journal_offset: int
     states: dict[str, dict[str, Any]]
     counters: dict[str, int]
@@ -262,10 +261,8 @@ class ShardAggregator:
             self._queue_depth_max = depth
         self._queue.put((round_id, block))
 
-    def cut_checkpoint(
-        self, journal_offset: int, cut: int, writer: CheckpointWriter
-    ) -> None:
-        """Queue cut number ``cut`` of this shard at ``journal_offset``.
+    def cut_checkpoint(self, journal_offset: int, writer: CheckpointWriter) -> None:
+        """Queue a checkpoint of this shard at ``journal_offset``.
 
         Called right after the last block before that offset was
         enqueued, so the worker reaches the task having folded exactly the
@@ -273,7 +270,7 @@ class ShardAggregator:
         and counters to ``writer``, which puts it on disk.
         """
         self._queue.put(
-            functools.partial(self._hand_checkpoint, journal_offset, cut, writer)
+            functools.partial(self._hand_checkpoint, journal_offset, writer)
         )
 
     # -- worker ------------------------------------------------------------
@@ -315,15 +312,11 @@ class ShardAggregator:
         finally:
             self._counters.ingest_seconds += time.perf_counter() - started
 
-    def _hand_checkpoint(
-        self, journal_offset: int, cut: int, writer: CheckpointWriter
-    ) -> None:
+    def _hand_checkpoint(self, journal_offset: int, writer: CheckpointWriter) -> None:
         """Checkpoint task body; runs on this shard's worker, off the disk."""
         self._counters.checkpoints_handed += 1
         writer.hand(
-            _Snapshot(
-                self, cut, journal_offset, self.snapshot_all(), self.counters()
-            )
+            _Snapshot(self, journal_offset, self.snapshot_all(), self.counters())
         )
 
     def _write_checkpoint(
@@ -515,10 +508,10 @@ class CheckpointWriter:
     Shard workers :meth:`hand` it a snapshot at each cut and go straight
     back to folding; :meth:`hand` never touches the disk. The writer takes
     the snapshots in hand-off order, which is cut order for every shard.
-    For each it fsyncs that shard's journal and, once per cut, the meta
-    log, both as ``journal_fsync`` says, then writes the shard's next
-    checkpoint slot. Those fsyncs cover every record and commit before the
-    cut, so a checkpoint never lands ahead of the journal it points into.
+    For each it fsyncs that shard's journal and the meta log, as
+    ``journal_fsync`` says, then writes the shard's next checkpoint slot.
+    Those fsyncs cover every record and commit before the cut, so a
+    checkpoint never lands ahead of the journal it points into.
 
     The writer holds at most ``depth`` unwritten snapshots per shard.
     Past that, a newer cut replaces the shard's newest unwritten snapshot,
@@ -538,11 +531,8 @@ class CheckpointWriter:
         self._depth = int(depth)
         self._cond = threading.Condition()
         self._queue: deque[_Snapshot] = deque()
-        self._queued: dict[ShardAggregator, int] = {}
-        self._newest: dict[ShardAggregator, _Snapshot] = {}
         self._writing: _Snapshot | None = None
         self._handed = 0
-        self._meta_synced_cut = 0
         self._closing = False
         self._stopped = False
         self._thread = threading.Thread(
@@ -552,13 +542,11 @@ class CheckpointWriter:
 
     def hand(self, snapshot: _Snapshot) -> None:
         """Take one shard's snapshot; called on that shard's worker."""
-        shard = snapshot.shard
         with self._cond:
             self._handed += 1
-            queued = self._queued.get(shard, 0)
-            if queued >= self._depth:
-                newest = self._newest[shard]
-                newest.cut = snapshot.cut
+            queued = [item for item in self._queue if item.shard is snapshot.shard]
+            if len(queued) >= self._depth:
+                newest = queued[-1]
                 newest.journal_offset = snapshot.journal_offset
                 newest.states = snapshot.states
                 newest.counters = snapshot.counters
@@ -566,8 +554,6 @@ class CheckpointWriter:
                 return
             snapshot.seq = self._handed
             self._queue.append(snapshot)
-            self._queued[shard] = queued + 1
-            self._newest[shard] = snapshot
             self._cond.notify_all()
 
     def _oldest_seq(self) -> float:
@@ -585,11 +571,6 @@ class CheckpointWriter:
                 lambda: self._stopped or self._oldest_seq() > mark
             )
 
-    def _sync_meta(self, cut: int) -> None:
-        if cut > self._meta_synced_cut:
-            self._meta.sync()
-            self._meta_synced_cut = cut
-
     def _run(self) -> None:
         try:
             while True:
@@ -597,16 +578,10 @@ class CheckpointWriter:
                     self._cond.wait_for(lambda: self._queue or self._closing)
                     if not self._queue:
                         return
-                    snapshot = self._queue.popleft()
-                    shard = snapshot.shard
-                    self._queued[shard] -= 1
-                    if not self._queued[shard]:
-                        del self._queued[shard], self._newest[shard]
-                    self._writing = snapshot
-                journal = self._journals[shard.shard_id]
+                    snapshot = self._writing = self._queue.popleft()
+                shard = snapshot.shard
                 shard._write_checkpoint(
-                    snapshot,
-                    (journal.sync, functools.partial(self._sync_meta, snapshot.cut)),
+                    snapshot, (self._journals[shard.shard_id].sync, self._meta.sync)
                 )
                 with self._cond:
                     self._writing = None
@@ -657,7 +632,6 @@ class ShardedCollector:
         self._conflicts = 0
         self._uploads_accepted = 0
         self._since_checkpoint = 0
-        self._cuts = 0
         self._recovered_records = 0
         self._journals: list[ShardJournal] | None = None
         self._meta: MetaJournal | None = None
@@ -825,12 +799,9 @@ class ShardedCollector:
             raise RuntimeError(
                 "checkpointing requires a journal_dir-configured service"
             )
-        self._cuts += 1
         for shard_id, shard in enumerate(self.shards):
             if shard.alive:
-                shard.cut_checkpoint(
-                    self._journals[shard_id].size, self._cuts, self._writer
-                )
+                shard.cut_checkpoint(self._journals[shard_id].size, self._writer)
         self._since_checkpoint = 0
 
     # -- degradation --------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.service import (
     InjectedFault,
     MetaJournal,
     ServiceConfig,
+    ServiceOverloadError,
     ShardAggregator,
     ShardJournal,
     ShardedCollector,
@@ -775,6 +776,70 @@ class TestCheckpointWriter:
             collector.flush()
             assert shard.stats()["reports_ingested"] == 800
             assert shard.stats()["checkpoint_errors"] == 0
+
+
+    def test_snapshots_replaced_under_thread_churn(self, tmp_path, monkeypatch):
+        """Four shards, a one-snapshot writer backlog and a 1 µs switch
+        interval: every written checkpoint equals a replay of its journal
+        prefix, and every cut is written or replaced by a newer one."""
+        written = []
+        entered, release = threading.Event(), threading.Event()
+        real_write = core.write_checkpoint
+
+        def recording_write(path, **kwargs):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            written.append(
+                (
+                    int(path.name.split("-")[1].split(".")[0]),
+                    kwargs["journal_offset"],
+                    json.loads(json.dumps(kwargs["states"])),
+                )
+            )
+            return real_write(path, **kwargs)
+
+        monkeypatch.setattr(core, "write_checkpoint", recording_write)
+        uploads = keyed_uploads(make_plan(), n_users=3000, batch=100)
+        config = config_for(
+            tmp_path, n_shards=4, queue_depth=1, checkpoint_every=1,
+            dedup_capacity=64,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedCollector(config) as collector:
+                for index, (key, frame) in enumerate(uploads):
+                    if index == len(uploads) // 2:
+                        # The first write held while half the uploads
+                        # were cut: each shard's backlog stayed at one.
+                        assert entered.wait(timeout=10.0)
+                        release.set()
+                    for _ in range(10_000):
+                        try:
+                            collector.submit(frame, "r1", key=key)
+                            break
+                        except ServiceOverloadError:
+                            time.sleep(0.0005)
+                    else:  # pragma: no cover - a shard never drained
+                        pytest.fail("upload never admitted")
+                before = estimates_of(collector)
+                shards = collector.stats()["shards"]
+        finally:
+            release.set()
+            sys.setswitchinterval(interval)
+        cuts = len(uploads) * config.n_shards
+        assert len(written) == sum(s["checkpoint_generation"] for s in shards)
+        assert len(written) < cuts
+        assert all(s["checkpoints_pending"] == 0 for s in shards)
+        for shard_id, offset, states in written:
+            assert states == replay_prefix(config, shard_id, offset)
+        newest = {shard_id: offset for shard_id, offset, _ in written}
+        for shard_id in range(config.n_shards):
+            journal = config.journal_dir / f"shard-{shard_id}.journal"
+            assert newest[shard_id] == journal.stat().st_size
+        with ShardedCollector(config) as recovered:
+            assert recovered.stats()["journal"]["recovered_records"] == 0
+            assert estimates_of(recovered) == before
 
 
 class TestWindowedRecovery:
