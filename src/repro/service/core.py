@@ -464,6 +464,9 @@ class ShardAggregator:
 
     def stats(self) -> dict[str, Any]:
         c = self._counters
+        # Read the writer's counter first: it never passes the worker's, so
+        # the difference cannot go negative between the two reads.
+        checkpoints_done = c.checkpoints_done
         return {
             "shard": self.shard_id,
             "alive": self.alive,
@@ -476,7 +479,7 @@ class ShardAggregator:
             "last_error": c.last_error,
             "ingest_seconds": round(c.ingest_seconds, 6),
             "checkpoint_generation": self._checkpoint_generation,
-            "checkpoints_pending": c.checkpoints_handed - c.checkpoints_done,
+            "checkpoints_pending": c.checkpoints_handed - checkpoints_done,
             "checkpoint_ms_last": (
                 None
                 if c.checkpoint_seconds_last is None

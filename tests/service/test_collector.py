@@ -188,6 +188,7 @@ class TestBackpressure:
                 for index in (1, 2, 3):
                     collector.submit(frames[index][0], "r1", key=f"k{index}")
                     assert wait_until(lambda: shard.free_slots() == 1)
+                shard.flush()  # the worker's own FIFO only, not the writer
                 assert shard.stats()["blocks_ingested"] == 4
             finally:
                 release.set()

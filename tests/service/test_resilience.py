@@ -715,6 +715,7 @@ class TestCheckpointWriter:
                 for key, frame in uploads[1:8]:
                     collector.submit(frame, "r1", key=key)
                     assert wait_until(lambda: shard.free_slots() == 2)
+                shard.flush()  # the worker's own FIFO only, not the writer
                 stats = shard.stats()
                 assert stats["blocks_ingested"] == 8
                 # The stall shows in the backlog first: eight cuts handed,
@@ -770,6 +771,7 @@ class TestCheckpointWriter:
                     if index == 0:
                         assert entered.wait(timeout=10.0)
                     assert wait_until(lambda: shard.free_slots() == 2)
+                shard.flush()  # the worker's own FIFO only, not the writer
                 assert shard.stats()["checkpoints_pending"] == len(uploads)
             finally:
                 release.set()
