@@ -8,12 +8,18 @@ machine-readable ``BENCH_service.json`` (uploaded as a CI artifact):
    reports/sec, the tracemalloc peak of the whole ingest tier, and the
    acceptance contract: the 4-shard merged estimate is **bit-identical**
    to the single-shard ingest of the same frames.
-2. **Backpressure exactness** — the same feed against a tiny
-   (``queue_depth=2``) collector with retry-on-429 semantics; every
-   report must land exactly once despite throttling.
+2. **Backpressure exactness** — JSON-lines uploads over HTTP from more
+   concurrent clients than a ``queue_depth=2`` service lets wait for its
+   parse executor. Uploads past that bound get 429; each client retries
+   them under the same idempotency key after ``Retry-After``, and every
+   report must land exactly once. ``throttled_submissions`` counts the
+   429s.
 3. **HTTP end-to-end** — ``loadgen.run_load`` against a real socket
    service: upload latency p50/p95/p99 and reports/sec, then one
    ``/estimate`` round-trip.
+4. **Admission** — the time ``ShardedCollector.submit`` takes to admit
+   one 1M-report frame (about 8 MB, the default body cap), without and
+   with the journal: what such an upload holds the event loop for.
 
 Exit status gates only the deterministic contracts (bit-identity,
 exact accepted counts, bounded ingest memory); wall-clock numbers are
@@ -26,8 +32,11 @@ Run:  PYTHONPATH=src python benchmarks/bench_perf_service.py [--quick]
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import platform
+import statistics
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -42,13 +51,14 @@ from repro.service import (
     run_load,
     start_local_service,
 )
-from repro.service.loadgen import synthesize_frames
+from repro.service.loadgen import http_request, synthesize_frames
 from repro.tasks import (
     AnalysisPlan,
     AttributeSpec,
     Distribution,
     Mean,
     Quantiles,
+    Session,
 )
 
 #: The "never materialize the feed" contract: peak tracked ingest memory
@@ -78,9 +88,9 @@ def bench_plan() -> AnalysisPlan:
 def _drain_submit(collector: ShardedCollector, frame: bytes, round_id: str) -> int:
     """Submit with retry-on-backpressure; returns throttle count.
 
-    Only :class:`ServiceOverloadError` (a full queue, HTTP 429) is retried;
-    any other rejection — e.g. a feed that can never fit ``queue_depth`` —
-    is permanent and propagates.
+    Only :class:`ServiceOverloadError` (no live shard, HTTP 429) is
+    retried; any other rejection — e.g. a feed for an attribute the plan
+    does not declare — is permanent and propagates.
     """
     throttled = 0
     while True:
@@ -148,30 +158,103 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
     return results
 
 
-def bench_backpressure(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
-    """Tiny queues + retries: throttling must never lose or double-count."""
-    collector = ShardedCollector(
-        ServiceConfig(plan=plan, n_shards=2, queue_depth=2)
-    )
-    throttled = 0
-    for frame, _n in synthesize_frames(
-        plan, "bp", n_users, batch_size=batch, rng=11
-    ):
-        throttled += _drain_submit(collector, frame, "bp")
-    collector.flush()
-    ingested = sum(
-        s["reports_ingested"] for s in collector.stats()["shards"]
-    )
-    errors = sum(s["ingest_errors"] for s in collector.stats()["shards"])
-    collector.close()
+def _jsonl_uploads(
+    plan: AnalysisPlan, round_id: str, n_users: int, batch: int, seed: int
+) -> list[tuple[str, bytes]]:
+    """``(idempotency key, JSON-lines body)`` uploads for ``n_users`` clients."""
+    session = Session(plan)
+    gen = np.random.default_rng(seed)
+    uploads = []
+    for start in range(0, n_users, batch):
+        size = min(batch, n_users - start)
+        values = {
+            spec.name: gen.uniform(spec.low, spec.high, size)
+            for spec in plan.attributes
+        }
+        feed = session.to_feed(session.privatize(values, rng=gen), round_id, format="jsonl")
+        uploads.append((f"{round_id}-{start}", feed.encode("utf-8")))
+    return uploads
+
+
+async def _post_until_admitted(
+    host: str, port: int, round_id: str, uploads: list[tuple[str, bytes]],
+    concurrency: int,
+) -> tuple[int, int]:
+    """Post every upload from ``concurrency`` clients; returns
+    ``(reports accepted, 429s)``.
+
+    Each client retries a 429 under the same idempotency key after its
+    ``Retry-After``; any other refusal is permanent and raises.
+    """
+    pending = list(reversed(uploads))
+    accepted = throttled = 0
+
+    async def client() -> None:
+        nonlocal accepted, throttled
+        while pending:
+            key, body = pending.pop()
+            while True:
+                headers: dict[str, str] = {}
+                status, payload, _reader, writer = await http_request(
+                    host, port, "POST", f"/v1/rounds/{round_id}/reports",
+                    body=body, content_type="application/jsonlines",
+                    headers={"Idempotency-Key": key}, response_headers=headers,
+                )
+                writer.close()
+                if status != 429:
+                    break
+                throttled += 1
+                await asyncio.sleep(float(headers.get("retry-after", "1")))
+            if status not in (200, 202):
+                raise RuntimeError(f"upload {key} refused ({status}): {payload!r}")
+            accepted += json.loads(payload)["accepted"]
+
+    await asyncio.gather(*(client() for _ in range(concurrency)))
+    return accepted, throttled
+
+
+def bench_backpressure(
+    plan: AnalysisPlan, n_users: int, batch: int, concurrency: int = 8
+) -> dict:
+    """Throttled JSON-lines uploads must never be lost or double-counted."""
+    uploads = _jsonl_uploads(plan, "bp", n_users, batch, seed=11)
+    config = ServiceConfig(plan=plan, n_shards=2, queue_depth=2)
+    with start_local_service(config) as handle:
+        accepted, throttled = asyncio.run(
+            _post_until_admitted(handle.host, handle.port, "bp", uploads, concurrency)
+        )
+        shards = handle.collector.stats()["shards"]
+    ingested = sum(s["reports_ingested"] for s in shards)
+    errors = sum(s["ingest_errors"] for s in shards)
     return {
         "n_users": n_users,
         "queue_depth": 2,
+        "concurrency": concurrency,
         "throttled_submissions": throttled,
+        "reports_accepted": accepted,
         "reports_ingested": ingested,
         "ingest_errors": errors,
-        "exact": bool(ingested == n_users and errors == 0),
+        "exact": bool(accepted == ingested == n_users and errors == 0),
     }
+
+
+def bench_admission(plan: AnalysisPlan, repeats: int = 7) -> dict:
+    """Median time to admit one 1M-report frame, without and with the journal."""
+    frame, _n = next(
+        synthesize_frames(plan, "admit", 1_000_000, batch_size=1_000_000, rng=3)
+    )
+    results: dict = {"frame_bytes": len(frame), "repeats": repeats}
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, journal_dir in (("no_journal", None), ("journal", Path(scratch))):
+            config = ServiceConfig(plan=plan, journal_dir=journal_dir)
+            seconds = []
+            with ShardedCollector(config) as collector:
+                for index in range(repeats):
+                    started = time.perf_counter()
+                    collector.submit(frame, "admit", key=f"admit-{index}")
+                    seconds.append(time.perf_counter() - started)
+            results[f"{label}_ms"] = round(statistics.median(seconds) * 1000.0, 2)
+    return results
 
 
 def bench_http(plan: AnalysisPlan, n_users: int, batch: int, concurrency: int) -> dict:
@@ -232,6 +315,7 @@ def main() -> int:
     )
     report["backpressure"] = bench_backpressure(plan, bp_users, bp_batch)
     report["http"] = bench_http(plan, http_users, http_batch, concurrency=8)
+    report["admission"] = bench_admission(plan)
 
     report["targets"] = {
         "bit_identical_1_vs_4_shards_ok": report["sharded_ingest"][
@@ -272,6 +356,12 @@ def main() -> int:
         f"p95={http['latency_ms']['p95']:.2f}ms "
         f"p99={http['latency_ms']['p99']:.2f}ms, "
         f"throttled={http['n_throttled']}"
+    )
+    admission = report["admission"]
+    print(
+        f"admit one {admission['frame_bytes'] / 1e6:.1f} MB frame: "
+        f"{admission['no_journal_ms']:.1f} ms, "
+        f"{admission['journal_ms']:.1f} ms with the journal"
     )
     print(f"wrote {out}")
 

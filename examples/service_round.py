@@ -1,7 +1,7 @@
 """One collection round through the sharded HTTP service, end to end.
 
-Scenario: an aggregator runs ``repro.service`` with four shard workers
-behind its asyncio front end. A fleet of simulated devices privatizes
+Scenario: an aggregator runs ``repro.service`` with four shards behind
+its asyncio front end. A fleet of simulated devices privatizes
 two attributes (income, age), packs RPF2 frames through the same
 ``Session`` client path a real deployment uses, and uploads them over
 HTTP with the load harness. The aggregator then answers the whole

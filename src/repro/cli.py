@@ -382,7 +382,7 @@ def _cmd_serve(args) -> int:
             mode += f", journaling to {config.journal_dir}"
         print(
             f"serving plan {args.plan} on http://{host}:{port} "
-            f"({config.n_shards} shards, queue depth {config.queue_depth}"
+            f"({config.n_shards} shards, parse backlog {config.queue_depth}"
             f"{mode}); Ctrl-C to stop",
             flush=True,
         )
@@ -670,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=2, help="shard aggregators")
     p.add_argument(
         "--queue-depth", type=int, default=64,
-        help="per-shard pending-block bound (backpressure threshold)",
+        help="JSON-lines uploads that may wait to be parsed; one more gets "
+        "429 (also bounds unwritten checkpoint snapshots per shard)",
     )
     p.add_argument(
         "--backend", default=None,

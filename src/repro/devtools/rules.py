@@ -941,13 +941,16 @@ class AsyncBlockingRule:
 
     The service's throughput story rests on the event loop doing only
     bounded work per request: parse the HTTP head, read a frame header,
-    admit the upload, respond. One ``time.sleep``, one synchronous socket
-    round-trip, one un-offloaded ``CollectionServer.estimate()`` or one
-    JSON-lines decode (about 50 ms per MB) in a coroutine stalls *every*
-    connection, and the loadgen's p99 shows it. Such work belongs on
-    worker threads behind ``run_in_executor`` / ``asyncio.to_thread`` —
-    calls inside those offload arguments (e.g. a lambda handed to an
-    executor) are exempt, as is ``asyncio.sleep``.
+    admit the upload, fold its decoded blocks, respond. Folding is work in
+    proportion to the upload, but at a few milliseconds per MB and with
+    ``max_body_bytes`` bounding the upload, it stays on the loop. One
+    ``time.sleep``, one synchronous socket round-trip, one un-offloaded
+    ``CollectionServer.estimate()`` or one JSON-lines decode (about 50 ms
+    per MB) in a coroutine stalls *every* connection, and the loadgen's
+    p99 shows it. Such work belongs on worker threads behind
+    ``run_in_executor`` / ``asyncio.to_thread`` — calls inside those
+    offload arguments (e.g. a lambda handed to an executor) are exempt,
+    as is ``asyncio.sleep``.
     """
 
     code = "SVC001"

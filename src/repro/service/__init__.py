@@ -2,8 +2,9 @@
 
 The deployment-shaped top layer: an asyncio HTTP/1.1 ingest front end
 (:mod:`repro.service.http`) accepting RPF2 frame and JSON-lines uploads
-with bounded-queue backpressure, a set of shard aggregators routed by a
-consistent hash over ``(round, attr)`` (:mod:`repro.service.core`,
+(a bounded parse backlog answers 429 when full), a set of shard
+partitions routed by a consistent hash over ``(round, attr)`` into which
+each upload is folded as it is admitted (:mod:`repro.service.core`,
 :mod:`repro.service.sharding`), a warm-start-aware merge/estimate tier
 folding shard snapshots through a binary merge tree, and a load
 harness that simulates millions of clients

@@ -2,10 +2,10 @@
 
 A :class:`ServiceConfig` binds one :class:`~repro.tasks.plan.AnalysisPlan`
 to the deployment knobs of :mod:`repro.service`: how many shard
-aggregators to run, how deep each shard's ingest queue is (the
-backpressure bound — the whole point is that the ingest tier never holds
-more than ``n_shards * queue_depth`` undecoded blocks), how large one
-upload may be, and which compute backend each shard's solves run on.
+partitions to run, how many JSON-lines uploads may wait to be parsed
+(the backpressure bound — the ingest tier never holds more than
+``queue_depth`` of them), how large one upload may be, and which compute
+backend each shard's solves run on.
 
 The plan is resolved once (:func:`~repro.tasks.planner.plan_analysis`)
 and the resulting :class:`~repro.tasks.planner.PlannedAnalysis` is shared
@@ -34,9 +34,10 @@ __all__ = [
     "ServiceConfig",
 ]
 
-#: Per-shard ingest queue bound (pending blocks, not reports). Deep enough
-#: to ride out a solve hiccup, shallow enough that ingest-tier memory stays
-#: a small multiple of one upload.
+#: Bound on the JSON-lines uploads waiting to be parsed, and on the
+#: unwritten checkpoint snapshots per shard. Deep enough to ride out a
+#: burst, shallow enough that ingest-tier memory stays a small multiple of
+#: one upload.
 DEFAULT_QUEUE_DEPTH = 64
 
 #: Largest accepted upload body. Bounds per-request ingest memory; clients
@@ -74,10 +75,11 @@ class ServiceConfig:
         Number of shard aggregators; ``(round, attr)`` keys are spread
         over them by the consistent ring of :mod:`repro.service.sharding`.
     queue_depth:
-        Bound on each shard's pending-block queue; submissions that would
-        exceed it are rejected whole (HTTP 429), never partially applied.
-        With ``journal_dir`` it also bounds the checkpoint snapshots per
-        shard waiting for the checkpoint writer.
+        Bound on the JSON-lines uploads waiting for the HTTP tier's parse
+        executor; one more is rejected whole (HTTP 429) before anything
+        of it is parsed. Frames are admitted inline and never wait. With
+        ``journal_dir`` it also bounds the checkpoint snapshots per shard
+        waiting for the checkpoint writer.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
     backends:
@@ -114,8 +116,8 @@ class ServiceConfig:
         ``"checkpoint"`` (fsync at checkpoints, by the checkpoint writer,
         OS-flush per record — the default), or ``"never"``.
     checkpoint_every:
-        Accepted uploads between automatic state checkpoints. Each shard
-        worker snapshots its states at the cut and the collector's
+        Accepted uploads between automatic state checkpoints. Admission
+        snapshots each live shard's states at the cut and the collector's
         checkpoint writer thread writes them. Bounds recovery replay
         time; only meaningful with ``journal_dir``.
     dedup_capacity:

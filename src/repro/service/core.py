@@ -1,17 +1,15 @@
-"""Shard aggregators and the sharded collector behind the HTTP front end.
+"""Shard partitions and the sharded collector behind the HTTP front end.
 
-The ingest tier is a fixed set of :class:`ShardAggregator` workers. Each
-owns the :class:`~repro.protocol.server.CollectionServer` aggregation
-states for the ``(round, attr)`` keys the consistent ring
-(:mod:`repro.service.sharding`) assigns it, plus one FIFO of pending
-wire blocks and tasks and one worker thread that drains it in order.
-Memory in this tier is bounded by construction: at most ``queue_depth``
-blocks per shard are pending (one decoded-columns block each, itself
-bounded by the upload size limit), aggregation state is O(state) per
-key, and nothing ever concatenates a full feed. The block bound is kept
-by two single-writer counters — blocks enqueued (written only by the
-admitting thread) and blocks folded (written only by the worker) — and
-tasks (flush barriers, checkpoint cuts) never take a block slot.
+The ingest tier is a fixed set of :class:`ShardAggregator` partitions.
+Each owns the :class:`~repro.protocol.server.CollectionServer`
+aggregation states for the ``(round, attr)`` keys the consistent ring
+(:mod:`repro.service.sharding`) assigns it, plus an ``alive`` flag; with
+``journal_dir`` it also has one write-ahead journal. A shard runs no
+thread of its own: each block is folded into its server on the admitting
+thread as soon as its upload is accepted. Memory in this tier is bounded
+by construction: an upload is folded block by block (one decoded-columns
+block at a time, bounded by the upload size limit), aggregation state is
+O(state) per key, and nothing ever concatenates a full feed.
 
 :class:`ShardedCollector` is the coordinator. An upload is handled in two
 steps: :meth:`~ShardedCollector.parse` is stateless — it computes the
@@ -19,12 +17,13 @@ content digest, decodes the frame header or the JSON lines, checks every
 block against the plan and counts reports — so it may run on any thread;
 :meth:`~ShardedCollector.submit` admits it, on one serialized admitting
 thread (the HTTP tier's event loop). Admission splits the upload into
-per-shard blocks and accepts it **all-or-nothing** — if any target
-shard's pending blocks would exceed ``queue_depth``,
-:class:`ServiceOverloadError` is raised (HTTP 429) and *no* block is
-enqueued, so a retried upload can never double-count. The capacity check
-is sound because admission is serialized while workers only ever *free*
-slots.
+per-shard blocks, journals and commits them, then folds each one. It is
+**all-or-nothing**: an upload that fails validation, or finds every
+shard dead (:class:`ServiceOverloadError`, HTTP 429), raises before any
+block is journaled or folded, so a retried upload can never
+double-count. Load is bounded in front of admission: the HTTP tier
+refuses a JSON-lines upload with 429 while ``queue_depth`` of them wait
+for its parse executor (:mod:`repro.service.http`).
 
 Fault tolerance is layered on the same serialization point
 (:mod:`repro.service.resilience`):
@@ -32,35 +31,33 @@ Fault tolerance is layered on the same serialization point
 * With ``journal_dir`` configured, every accepted upload's blocks are
   appended to the target shards' write-ahead logs and then sealed with a
   commit record in the collector's meta journal *before* any block is
-  enqueued. Every ``checkpoint_every`` uploads, admission cuts a
-  checkpoint: it records each live shard's journal end offset and queues
-  a checkpoint task behind that shard's blocks. The worker reaches the
-  task having folded exactly the records before the offset, takes a
-  snapshot of its states and counters, hands it to the collector's one
-  :class:`CheckpointWriter` thread and goes straight back to folding.
-  The writer fsyncs and writes the snapshots in cut order, so neither
-  admission nor a shard's folds ever wait on a flush barrier, an fsync
-  or a file write. A restarted collector recovers by
-  loading each shard's newest verifying checkpoint and re-folding the
-  committed journal tail in append order — the fold sequence is
-  identical to the uninterrupted run, so the recovered estimates are
-  bit-identical. Uploads that crashed before their commit record are
-  rolled back (their journal records are skipped), which is what makes
-  a client retry after a lost ack exactly-once rather than
+  folded. Every ``checkpoint_every`` uploads, admission cuts a
+  checkpoint: right after the upload's folds it snapshots each live
+  shard's states and counters, pairs them with the shard's journal end
+  offset and hands them to the collector's one :class:`CheckpointWriter`
+  thread. The writer fsyncs and writes the snapshots in cut order, so
+  admission never waits on an fsync or a file write. A restarted
+  collector recovers by loading each shard's newest verifying checkpoint
+  and re-folding the committed journal tail in append order — the fold
+  sequence is identical to the uninterrupted run, so the recovered
+  estimates are bit-identical. Uploads that crashed before their commit
+  record are rolled back (their journal records are skipped), which is
+  what makes a client retry after a lost ack exactly-once rather than
   at-least-once.
 * Idempotent ingest: a caller-supplied idempotency key is checked
   against a bounded :class:`~repro.service.resilience.DedupLedger`
   first thing in admission — a repeat of an accepted upload returns a
   replay receipt (nothing ingested), a key reused for different bytes
   raises :exc:`~repro.service.resilience.IdempotencyConflictError`.
-* Graceful degradation: a shard whose worker thread has died is routed
-  around on the ring (``exclude=``), skipped by ``flush()``, and
-  reported in ``estimate()``'s coverage metadata instead of failing the
-  round; :meth:`ShardedCollector.revive` replays its journal to bring it
-  back warm.
+* Graceful degradation: a shard whose fold or checkpoint write crashed
+  (the ``shard.fold`` and ``checkpoint.truncate`` fault sites) is dead.
+  It folds nothing more, is routed around on the ring (``exclude=``) and
+  is reported in ``estimate()``'s coverage metadata instead of failing
+  the round; :meth:`ShardedCollector.revive` replays its journal to
+  bring it back warm.
 
-``estimate()`` is the merge tier: drain the queues, snapshot every
-shard's states under their locks, fold per-attribute snapshots through
+``estimate()`` is the merge tier: snapshot every shard's states under
+their locks, fold per-attribute snapshots through
 the binary :func:`~repro.service.sharding.merge_tree`, and rebind the
 result into a persistent per-round server so the incremental posterior
 cache survives re-merges — an unchanged round skips its solves, a grown
@@ -75,9 +72,7 @@ attribute's result.
 
 from __future__ import annotations
 
-import functools
 import math
-import queue
 import threading
 import time
 from collections import deque
@@ -128,7 +123,7 @@ __all__ = [
 
 
 class ServiceOverloadError(RuntimeError):
-    """An upload was rejected whole because a shard queue is full (429)."""
+    """An upload was rejected whole for lack of capacity (HTTP 429)."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,8 @@ def _jsonify_estimate(value: Any) -> Any:
 
 @dataclass
 class _ShardCounters:
-    """Mutable shard counters, each with one writing thread: the shard's
-    worker for the ingest fields and ``checkpoints_handed``, the
+    """Mutable shard counters, each with one writing thread: the admitting
+    thread for the ingest fields and ``checkpoints_handed``, the
     checkpoint writer for the other checkpoint fields."""
 
     blocks: int = 0
@@ -189,13 +184,12 @@ class _Snapshot:
     cuts: int = 1
 
 
-#: One FIFO entry: a ``(round_id, block)`` to fold, a task to run, or the
-#: ``None`` that stops the worker.
-_Item = tuple[str, FrameBlock | FeedGroup] | Callable[[], None] | None
-
-
 class ShardAggregator:
-    """One shard: a FIFO of blocks and tasks, a worker thread, its servers."""
+    """One shard: a partition of the servers, and whether it is alive.
+
+    It runs no thread. :meth:`enqueue` folds each admitted block on the
+    admitting thread; journal replay folds through :meth:`ingest_direct`.
+    """
 
     def __init__(self, shard_id: int, config: ServiceConfig) -> None:
         self.shard_id = int(shard_id)
@@ -204,12 +198,6 @@ class ShardAggregator:
         self.backend: ComputeBackend | None = (
             None if spec is None else make_backend(spec)
         )
-        self._queue: queue.SimpleQueue[_Item] = queue.SimpleQueue()
-        # The block bound, kept by two single-writer counters: only the
-        # admitting thread writes _enqueued, only the worker writes _folded.
-        self._enqueued = 0
-        self._folded = 0
-        self._queue_depth_max = 0
         self._checkpoint_path = (
             None
             if config.journal_dir is None
@@ -219,61 +207,33 @@ class ShardAggregator:
         self._servers: dict[tuple[str, str], CollectionServer] = {}
         self._servers_lock = threading.Lock()
         self._counters = _ShardCounters()
-        # Guards _stopped; barrier tasks and the worker's exit notify it.
-        self._state = threading.Condition()
-        self._crashed = False
-        self._stopped = False
-        self._worker = threading.Thread(
-            target=self._drain, name=f"repro-shard-{shard_id}", daemon=True
-        )
-        self._worker.start()
-
-    @property
-    def alive(self) -> bool:
-        """Health probe: whether the drain worker is still running.
-
-        A worker only dies on an injected crash (or an interpreter-level
-        failure) — ordinary fold and checkpoint errors are counted, not
-        fatal — so a dead worker means the shard has genuinely lost its
-        ingest path. A dying worker reads as dead before it wakes any
-        :meth:`flush`, so a flush that returns never sees it alive.
-        """
-        return not self._crashed and self._worker.is_alive()
+        #: False once an injected crash hit this shard's fold or its
+        #: checkpoint write. Ordinary fold and checkpoint errors are
+        #: counted, not fatal, so a dead shard has genuinely lost its
+        #: ingest path; only :meth:`ShardedCollector.revive` replaces it.
+        self.alive = True
 
     # -- admission (called from the collector's admitting thread) ----------
-    def free_slots(self) -> int:
-        """Block slots currently open: ``queue_depth`` minus the blocks
-        enqueued but not yet folded. Only the worker frees slots, so a
-        capacity observed by the single admitting thread cannot shrink
-        before its enqueues land. Tasks never take a slot."""
-        return self._config.queue_depth - (self._enqueued - self._folded)
-
     def enqueue(self, block: FrameBlock | FeedGroup, round_id: str) -> None:
-        if self.free_slots() < 1:
-            # The collector checks capacity first; reaching this means the
-            # all-or-nothing contract was violated upstream.
-            raise ServiceOverloadError(
-                f"shard {self.shard_id} queue overflowed past its capacity check"
-            )
-        self._enqueued += 1
-        depth = self._enqueued - self._folded
-        if depth > self._queue_depth_max:
-            self._queue_depth_max = depth
-        self._queue.put((round_id, block))
+        """Fold one admitted block into its server, on the calling thread.
 
-    def cut_checkpoint(self, journal_offset: int, writer: CheckpointWriter) -> None:
-        """Queue a checkpoint of this shard at ``journal_offset``.
-
-        Called right after the last block before that offset was
-        enqueued, so the worker reaches the task having folded exactly the
-        journal records before it. There it hands a snapshot of its states
-        and counters to ``writer``, which puts it on disk.
+        Fires the ``shard.fold`` fault site first. An injected crash there
+        kills the shard: it is marked dead and the block is dropped
+        unfolded, as a process death would drop it. A dead shard folds
+        nothing more; its journal still holds every committed block, which
+        :meth:`ShardedCollector.revive` replays.
         """
-        self._queue.put(
-            functools.partial(self._hand_checkpoint, journal_offset, writer)
-        )
+        if not self.alive:
+            return
+        faults = self._config.faults
+        if faults is not None:
+            try:
+                faults.crash("shard.fold")
+            except InjectedFault:
+                self.alive = False
+                return
+        self._fold(round_id, block)
 
-    # -- worker ------------------------------------------------------------
     def _server_for(self, round_id: str, attr: str) -> CollectionServer:
         key = (round_id, attr)
         with self._servers_lock:
@@ -293,9 +253,9 @@ class ShardAggregator:
     def _fold(self, round_id: str, block: FrameBlock | FeedGroup) -> None:
         """Fold one block into its server, with full error accounting.
 
-        Shared by the live drain worker and journal replay, so a
-        recovered shard reproduces exactly the counter trajectory the
-        uninterrupted run would have had.
+        Shared by admission and journal replay, so a recovered shard
+        reproduces exactly the counter trajectory the uninterrupted run
+        would have had.
         """
         started = time.perf_counter()
         try:
@@ -306,14 +266,19 @@ class ShardAggregator:
         except Exception as exc:
             # A block that validated at submit time but fails to fold
             # (e.g. out-of-domain reports) is dropped and surfaced via
-            # /statz rather than killing the worker.
+            # /statz rather than killing the shard.
             self._counters.errors += 1
             self._counters.last_error = f"{type(exc).__name__}: {exc}"
         finally:
             self._counters.ingest_seconds += time.perf_counter() - started
 
     def _hand_checkpoint(self, journal_offset: int, writer: CheckpointWriter) -> None:
-        """Checkpoint task body; runs on this shard's worker, off the disk."""
+        """Snapshot this shard at ``journal_offset`` and hand it to ``writer``.
+
+        Called on the admitting thread right after the last fold before
+        that offset, so the snapshot is exactly the fold of the journal
+        records before it. Takes no disk step: ``writer`` puts it on disk.
+        """
         self._counters.checkpoints_handed += 1
         writer.hand(
             _Snapshot(self, journal_offset, self.snapshot_all(), self.counters())
@@ -328,13 +293,13 @@ class ShardAggregator:
         next generation's slot. A failed write is counted and leaves the
         previous checkpoint in place (the next generation reuses the same
         slot). An injected crash marks this shard dead, as a crash of its
-        worker would, and a dead shard's snapshots are dropped unwritten:
-        it keeps its previous checkpoint.
+        fold does, and a dead shard's snapshots are dropped unwritten: it
+        keeps its previous checkpoint.
         """
         assert self._checkpoint_path is not None
         counters = self._counters
         try:
-            if self._crashed:
+            if not self.alive:
                 return
             generation = self._checkpoint_generation + 1
             started = time.perf_counter()
@@ -360,65 +325,21 @@ class ShardAggregator:
                 counters.checkpoint_seconds_max, elapsed
             )
         except InjectedFault:
-            # The worker stops at its next item, so the shard is as dead as
-            # after a crash on the worker itself.
-            self._crashed = True
+            # Admission stops folding into this shard from its next block.
+            self.alive = False
         finally:
             counters.checkpoints_done += snapshot.cuts
 
-    def _drain(self) -> None:
-        faults = self._config.faults
-        try:
-            while True:
-                item = self._queue.get()
-                if item is None or self._crashed:
-                    return
-                if isinstance(item, tuple):
-                    if faults is not None:
-                        # InjectedCrash is a BaseException: it punches
-                        # through the fold's error accounting and kills
-                        # this worker, exactly as a real thread death would.
-                        faults.crash("shard.fold")
-                    self._fold(*item)
-                    self._folded += 1
-                else:
-                    item()
-        except BaseException:
-            self._crashed = True
-            raise
-        finally:
-            with self._state:
-                self._stopped = True
-                self._state.notify_all()
-
     def ingest_direct(self, round_id: str, block: FrameBlock | FeedGroup) -> None:
-        """Fold one block synchronously on the calling thread.
+        """Fold one block, firing no fault site: the journal replay path.
 
-        The recovery replay path: journal records must fold in exact
-        journal order, so replay bypasses the queue entirely. Only safe
+        Journal records must fold in exact journal order; only call this
         while no live traffic targets this shard (collector construction
         and :meth:`ShardedCollector.revive` both guarantee that).
         """
         self._fold(round_id, block)
 
     # -- merge-tier views --------------------------------------------------
-    def flush(self) -> None:
-        """Block until everything queued before this call has run.
-
-        Enqueues a barrier task and waits for it — or for the worker to
-        stop, since a worker that died mid-drain never reaches it.
-        """
-        reached: list[bool] = []
-
-        def barrier() -> None:
-            with self._state:
-                reached.append(True)
-                self._state.notify_all()
-
-        self._queue.put(barrier)
-        with self._state:
-            self._state.wait_for(lambda: reached or self._stopped)
-
     def snapshot(self, round_id: str) -> dict[str, dict]:
         """Serialized per-attribute server states for one round."""
         with self._servers_lock:
@@ -464,15 +385,12 @@ class ShardAggregator:
 
     def stats(self) -> dict[str, Any]:
         c = self._counters
-        # Read the writer's counter first: it never passes the worker's, so
-        # the difference cannot go negative between the two reads.
+        # Read the writer's counter first: it never passes the admitting
+        # thread's, so the difference cannot go negative between the reads.
         checkpoints_done = c.checkpoints_done
         return {
             "shard": self.shard_id,
             "alive": self.alive,
-            "queue_depth": self._enqueued - self._folded,
-            "queue_depth_max": self._queue_depth_max,
-            "queue_capacity": self._config.queue_depth,
             "blocks_ingested": c.blocks,
             "reports_ingested": c.reports,
             "ingest_errors": c.errors,
@@ -500,17 +418,14 @@ class ShardAggregator:
         c = self._counters
         return {"blocks": c.blocks, "reports": c.reports, "errors": c.errors}
 
-    def close(self) -> None:
-        self._queue.put(None)  # a dead worker never drains; join returns at once
-        self._worker.join(timeout=10.0)
-
 
 class CheckpointWriter:
     """The one thread that puts the shards' checkpoint snapshots on disk.
 
-    Shard workers :meth:`hand` it a snapshot at each cut and go straight
-    back to folding; :meth:`hand` never touches the disk. The writer takes
-    the snapshots in hand-off order, which is cut order for every shard.
+    At each cut, admission calls :meth:`hand` with a snapshot of each live
+    shard and goes straight on; :meth:`hand` never touches the disk. The
+    writer takes the snapshots in hand-off order, which is cut order for
+    every shard.
     For each it fsyncs that shard's journal and the meta log, as
     ``journal_fsync`` says, then writes the shard's next checkpoint slot.
     Those fsyncs cover every record and commit before the cut, so a
@@ -544,7 +459,7 @@ class CheckpointWriter:
         self._thread.start()
 
     def hand(self, snapshot: _Snapshot) -> None:
-        """Take one shard's snapshot; called on that shard's worker."""
+        """Take one shard's snapshot; called on the admitting thread."""
         with self._cond:
             self._handed += 1
             queued = [item for item in self._queue if item.shard is snapshot.shard]
@@ -785,18 +700,16 @@ class ShardedCollector:
     def checkpoint(self) -> None:
         """Cut a checkpoint of every live shard at its journal's end.
 
-        Only the cut happens here: each live shard gets a checkpoint task
-        queued behind the blocks already admitted, carrying its journal's
-        current end offset. The shard's worker reaches the task having
-        folded exactly the journal records before that offset, and hands
-        a snapshot of its states to the :class:`CheckpointWriter`. The
+        Only the cut happens here: every admitted block is already folded,
+        so each live shard's states are exactly the fold of its journal
+        records up to the journal's current end offset. Each is snapshotted
+        with that offset and handed to the :class:`CheckpointWriter`. The
         writer fsyncs the shard's journal and the meta log (per
         ``journal_fsync``), then writes the states with the offset they
         cover, so the next recovery replays only the tail. A caller that
         needs the files on disk calls :meth:`flush` afterwards. Dead
-        shards keep their previous checkpoint, since their workers never
-        reach the task. Like :meth:`submit`, call it from the admitting
-        thread. Requires ``journal_dir``.
+        shards keep their previous checkpoint. Like :meth:`submit`, call
+        it from the admitting thread. Requires ``journal_dir``.
         """
         if self._journals is None or self._writer is None:
             raise RuntimeError(
@@ -804,12 +717,12 @@ class ShardedCollector:
             )
         for shard_id, shard in enumerate(self.shards):
             if shard.alive:
-                shard.cut_checkpoint(self._journals[shard_id].size, self._writer)
+                shard._hand_checkpoint(self._journals[shard_id].size, self._writer)
         self._since_checkpoint = 0
 
     # -- degradation --------------------------------------------------------
     def _dead_shards(self) -> frozenset[int]:
-        """Shards whose drain workers have died (health probe)."""
+        """Shards marked dead by an injected crash (health probe)."""
         return frozenset(
             index for index, shard in enumerate(self.shards) if not shard.alive
         )
@@ -819,11 +732,11 @@ class ShardedCollector:
 
         With journaling, the replacement replays the dead shard's
         checkpoint + committed journal tail, so everything the shard ever
-        acked — including blocks that were still queued when its worker
-        died — is recovered. Without journaling the replacement starts
-        empty (the in-memory state is gone) and coverage metadata keeps
-        reporting the loss. The ring re-includes the shard automatically
-        on the next submit.
+        acked — including the blocks it dropped unfolded once it died — is
+        recovered. Without journaling the replacement starts empty (the
+        in-memory state is gone) and coverage metadata keeps reporting the
+        loss. The ring re-includes the shard automatically on the next
+        submit.
         """
         if not 0 <= shard_id < len(self.shards):
             raise ValueError(
@@ -832,7 +745,6 @@ class ShardedCollector:
         old = self.shards[shard_id]
         if old.alive:
             raise ValueError(f"shard {shard_id} is alive; nothing to revive")
-        old.close()
         if self._writer is not None:
             self._writer.wait()
         fresh = ShardAggregator(shard_id, self.config)
@@ -870,7 +782,7 @@ class ShardedCollector:
             return self.ring.shard_for(round_id, attr, exclude=dead)
         except ValueError:
             raise ServiceOverloadError(
-                "every shard worker is dead; the service has no ingest "
+                "every shard is dead; the service has no ingest "
                 "capacity until a shard is revived"
             ) from None
 
@@ -879,8 +791,8 @@ class ShardedCollector:
 
         Computes the upload's content digest, checks every block against
         the plan and counts its reports. A frame is read header-first: its
-        blocks stay zero-copy views until a shard worker materializes
-        them. A JSON-lines feed decodes in full, which is why the HTTP
+        blocks stay zero-copy views until admission folds them. A
+        JSON-lines feed decodes in full, which is why the HTTP
         tier runs this step on an executor thread for it. Raises
         ``ValueError`` for a malformed or mismatched feed.
         """
@@ -916,18 +828,20 @@ class ShardedCollector:
         *,
         key: str | None = None,
     ) -> IngestReceipt:
-        """Admit one upload: journal it, enqueue it, return its receipt.
+        """Admit one upload: journal it, fold it, return its receipt.
 
         ``data`` is the raw upload or what :meth:`parse` made of it.
         Admission is stateful and must be serialized — one admitting
         thread at a time (the HTTP tier admits on its event loop). It
-        checks the idempotency ledger, routes around dead shards, checks
-        capacity, journals and commits the upload, enqueues its blocks,
-        and every ``checkpoint_every`` uploads cuts a checkpoint.
+        checks the idempotency ledger, routes around dead shards, journals
+        and commits the upload, folds its blocks, records its key, and
+        every ``checkpoint_every`` uploads cuts a checkpoint.
 
         All-or-nothing: raises ``ValueError`` (bad feed) or
-        :class:`ServiceOverloadError` (a full shard queue) with no block
-        enqueued and nothing journaled as committed.
+        :class:`ServiceOverloadError` (every shard dead) with no block
+        folded and nothing journaled as committed. Once committed, the
+        upload gets its receipt: a fold that crashes its shard kills that
+        shard, not the upload, whose blocks :meth:`revive` replays.
 
         ``key`` is the upload's idempotency key. When supplied, a repeat
         of an already-accepted upload returns a ``replayed=True`` receipt
@@ -960,24 +874,6 @@ class ShardedCollector:
             (self._route(round_id, block.attr, dead), block)
             for block in upload.blocks
         ]
-        demand: dict[int, int] = {}
-        for shard_id, _ in batches:
-            demand[shard_id] = demand.get(shard_id, 0) + 1
-        for shard_id, needed in demand.items():
-            if needed > self.config.queue_depth:
-                # No amount of retrying can make this feed fit: reject it
-                # as malformed-for-this-deployment, not as backpressure.
-                raise ValueError(
-                    f"feed routes {needed} blocks to shard {shard_id} but "
-                    f"queue_depth is {self.config.queue_depth}; split the "
-                    f"upload or raise --queue-depth"
-                )
-            if self.shards[shard_id].free_slots() < needed:
-                raise ServiceOverloadError(
-                    f"shard {shard_id} ingest queue is full "
-                    f"({needed} blocks pending, "
-                    f"{self.shards[shard_id].free_slots()} slots free); retry"
-                )
         receipt = IngestReceipt(
             round_id=round_id,
             key=key if key is not None else f"anon:{uuid4().hex}",
@@ -985,7 +881,7 @@ class ShardedCollector:
             accepted=upload.reports,
         )
         if self._journals is not None and self._meta is not None:
-            # Journal first, commit second, enqueue third: a crash at any
+            # Journal first, commit second, fold third: a crash at any
             # boundary leaves the upload either fully rolled back (the
             # client retries, exactly-once) or fully durable (the retry
             # gets a replay ack). The commit record is the pivot.
@@ -1018,16 +914,13 @@ class ShardedCollector:
         return self.submit(data, round_id).accepted
 
     def flush(self) -> None:
-        """Drain every live shard queue: every block accepted so far is
-        folded in and every checkpoint cut so far is on disk.
+        """Wait until every checkpoint cut so far is on disk.
 
-        Dead shards are skipped — their queues can never drain — so a
-        degraded service still merges and estimates; the gap shows up in
-        ``estimate()``'s coverage metadata, not as a hang.
+        Every block accepted so far is already folded: admission folds
+        before it returns. So this waits for the checkpoint writer only;
+        a dead shard's pending snapshots are dropped, never written, so a
+        degraded service never hangs here.
         """
-        for shard in self.shards:
-            if shard.alive:
-                shard.flush()
         if self._writer is not None:
             self._writer.wait()
 
@@ -1082,7 +975,7 @@ class ShardedCollector:
         return {attr: results[attr] for attr in merged}
 
     def estimate(self, round_id: str) -> dict[str, Any]:
-        """Drain, merge, and solve one round; returns a JSON-safe summary.
+        """Merge and solve one round; returns a JSON-safe summary.
 
         The result maps ``"estimates"`` per attribute (``None`` where that
         attribute's solve failed, with the failure under ``"errors"``) and
@@ -1091,9 +984,10 @@ class ShardedCollector:
         actually built on — reports seen, home shard, and whether that
         home is alive — so a degraded round returns a usable answer with
         its caveats attached instead of failing. Raises ``LookupError``
-        for a round no upload ever touched.
+        for a round no upload ever touched. Every upload acknowledged
+        before the call is in the answer; pending checkpoint writes are not
+        waited for.
         """
-        self.flush()
         dead = sorted(self._dead_shards())
         with self._merge_lock:
             started = time.perf_counter()
@@ -1160,8 +1054,7 @@ class ShardedCollector:
     def advance_window(self, round_id: str) -> dict[str, Any]:
         """Fold one completed round into the continuous window and re-solve.
 
-        Drains the shard queues, merges ``round_id`` exactly as
-        :meth:`estimate` would, then pushes the merged per-attribute
+        Merges ``round_id`` exactly as :meth:`estimate` would, then pushes the merged per-attribute
         aggregates into the streaming scheduler
         (:class:`repro.streaming.StreamingCollector`): the sliding window
         advances in O(d) per attribute, EM warm-starts from the previous
@@ -1179,7 +1072,6 @@ class ShardedCollector:
                 "collector is not in windowed mode; construct the "
                 "ServiceConfig with window= or decay="
             )
-        self.flush()
         with self._merge_lock:
             return self._advance_locked(round_id, record_meta=True)
 
@@ -1288,8 +1180,6 @@ class ShardedCollector:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            for shard in self.shards:
-                shard.close()
             if self._writer is not None:
                 self._writer.close()
             if self._journals is not None:

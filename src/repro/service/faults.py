@@ -52,8 +52,8 @@ FAULT_SITES = (
     "journal.append.after",  # crash after the record, before the meta commit
     "journal.truncate",  # write only part of a record, then crash (torn tail)
     "meta.commit.before",  # crash before the upload's commit record
-    "meta.commit.after",  # crash after commit, before enqueue/ack
-    "shard.fold",  # crash a shard worker mid-fold (kills the drain thread)
+    "meta.commit.after",  # crash after commit, before fold/ack
+    "shard.fold",  # crash a block's fold at admission (the shard dies)
     "checkpoint.truncate",  # write part of a checkpoint slot, then crash its shard
     "http.drop",  # close the connection instead of writing the response
     "http.delay",  # delay the response by Fault.delay seconds
@@ -147,7 +147,7 @@ class FaultPlan:
     """A seeded, deterministic set of faults over the injection sites.
 
     Thread-safe: sites are hit from the admitting thread (the event loop
-    under HTTP), from shard workers and from the checkpoint writer. Hit
+    under HTTP) and from the checkpoint writer. Hit
     counters are per-site and monotonically increase; given the same
     sequence of site hits, the same plan fires the same faults — the
     whole point of seeding.
@@ -277,7 +277,7 @@ class RetryPolicy:
 
 
 # Default policy the loadgen uses when none is supplied: generous budget,
-# fast initial retry (ingest queues drain in milliseconds), capped so a
+# fast initial retry (a parse backlog drains in milliseconds), capped so a
 # saturated service is probed about once a second.
 DEFAULT_RETRY_POLICY = RetryPolicy(
     attempts=200, base_delay=0.004, max_delay=1.0, multiplier=2.0, jitter=0.5

@@ -10,13 +10,15 @@ leverage:
   count, ``200`` when an ``Idempotency-Key`` (or identical content)
   replays an already-accepted upload, ``400`` on a malformed or
   mismatched feed, ``409`` when an idempotency key is reused for
-  different bytes, ``413`` past the body limit, ``429`` when
-  backpressure rejects the upload whole. Every upload is idempotent:
+  different bytes, ``413`` past the body limit, ``429`` with
+  ``Retry-After`` when a JSON-lines upload finds the parse backlog full
+  (or every shard is dead); a refused upload leaves nothing behind, so
+  its retry is admitted fresh. Every upload is idempotent:
   the key is the ``Idempotency-Key`` header when given, else the body's
   content digest — so a client that times out and retries can never
   double-ingest.
-* ``POST`` (or ``GET``) ``/v1/rounds/{round}/estimate`` — drain, merge,
-  and solve the round. ``200`` with per-attribute estimates/errors and
+* ``POST`` (or ``GET``) ``/v1/rounds/{round}/estimate`` — merge and
+  solve the round. ``200`` with per-attribute estimates/errors and
   the plan-level report, ``404`` for a round no upload ever touched.
 * ``POST /v1/rounds/{round}/advance`` — windowed deployments only: fold
   the completed round into the continuous window
@@ -26,24 +28,27 @@ leverage:
 * ``GET /v1/stream/estimate`` — latest windowed estimates plus the
   per-window privacy audit; ``404`` before the first advance.
 * ``GET /healthz`` — liveness.
-* ``GET /statz`` — per-shard counters, queue depths, merge latencies.
+* ``GET /statz`` — per-shard counters, the parse backlog, merge
+  latencies.
 
 Uploads are admitted on the event loop itself: the loop's single thread
-serializes admission (ledger lookup, routing, the all-or-nothing
-capacity check, journal append, commit record, enqueue and the
-checkpoint cut), which is what keeps the collector's capacity check
-sound, and no upload crosses a thread before its shard worker folds it.
-Admission never waits on a flush barrier or a checkpoint write — the
-collector's checkpoint writer thread does every checkpoint fsync — but under
-``journal_fsync="always"`` its per-record fsync runs on the loop. A
-frame is parsed inline, reading only its header; hashing the body is
-what costs: an 8 MB frame (the default body cap) holds the loop for
-about 16 ms, and about 40 ms with the journal on (measured on a 2-core
-host). Work that costs far more per byte runs off the loop: a JSON-lines
-body is decoded on a parse executor thread (50–100 ms per MB) and then
+serializes admission (ledger lookup, routing, journal append, commit
+record, the fold of every block and the checkpoint cut). Admission never
+waits on a checkpoint write — the collector's checkpoint writer thread
+does every checkpoint fsync — but under ``journal_fsync="always"`` its
+per-record fsync runs on the loop. A frame is parsed inline, reading
+only its header, and folded there: hashing and folding the body are
+what cost. One 8 MB frame (the default body cap, 1M reports) holds the
+loop for about 32 ms, about 60 ms with the journal on (measured on a
+2-core host). Frames never wait, so they are never refused for load.
+Work that costs far more per byte runs off the loop: a JSON-lines body
+is decoded on a parse executor thread (50–100 ms per MB) and then
 admitted on the loop, and the merge/solve of an estimate runs on a
-separate solve executor so a long EM run cannot stall ingest.
-``repro.devtools`` rule SVC001 lints this property.
+separate solve executor so a long EM run cannot stall ingest. The
+JSON-lines uploads handed to the parse executor and not yet back are the
+one queue on the write path: at ``queue_depth`` of them, the next gets
+``429`` before anything of it is parsed. ``repro.devtools`` rule SVC001
+lints what may run on the loop.
 
 Hardening: each request's head+body must arrive within
 ``config.read_timeout`` seconds (``408`` and the connection closes — a
@@ -140,10 +145,14 @@ class ReportService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.collector = ShardedCollector(config)
-        # JSON-lines decodes run here; admission stays on the loop.
+        # JSON-lines decodes run here; admission stays on the loop. The
+        # uploads handed to it and not yet back are the parse backlog,
+        # bounded by queue_depth; only the event loop touches the counts.
         self._parse_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-parse"
         )
+        self._parse_backlog = 0
+        self._parse_backlog_max = 0
         # Solves run elsewhere so a slow merge/EM never blocks ingest.
         self._solve_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-solve"
@@ -302,7 +311,15 @@ class ReportService:
         if path == "/statz":
             if method != "GET":
                 raise _HttpError(405, "statz is GET-only")
-            return 200, self.collector.stats(), None
+            return (
+                200,
+                {
+                    **self.collector.stats(),
+                    "parse_backlog": self._parse_backlog,
+                    "parse_backlog_max": self._parse_backlog_max,
+                },
+                None,
+            )
         if path == "/v1/stream/estimate":
             if method != "GET":
                 raise _HttpError(405, "stream estimate is GET-only")
@@ -345,8 +362,8 @@ class ReportService:
                 if frame:
                     upload = self.collector.parse(body, round_id)
                 else:
-                    upload = await asyncio.get_running_loop().run_in_executor(
-                        self._parse_pool, self._parse_text, body, round_id, content_type
+                    upload = await self._parse_in_backlog(
+                        body, round_id, content_type
                     )
                 receipt = self.collector.submit(
                     upload, round_id, key=key or upload.digest
@@ -359,6 +376,29 @@ class ReportService:
             raise _HttpError(400, str(exc)) from None
         status = 200 if receipt.replayed else 202
         return status, receipt.to_dict(), None
+
+    async def _parse_in_backlog(
+        self, body: bytes, round_id: str, content_type: str
+    ) -> ParsedUpload:
+        """Parse a JSON-lines upload on the parse executor.
+
+        Raises :class:`ServiceOverloadError` (429), before anything of the
+        upload is parsed, when ``queue_depth`` uploads already wait there.
+        """
+        depth = self.config.queue_depth
+        if self._parse_backlog >= depth:
+            raise ServiceOverloadError(
+                f"{self._parse_backlog} JSON-lines uploads are waiting to be "
+                f"parsed (queue_depth {depth}); retry"
+            )
+        self._parse_backlog += 1
+        self._parse_backlog_max = max(self._parse_backlog_max, self._parse_backlog)
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._parse_pool, self._parse_text, body, round_id, content_type
+            )
+        finally:
+            self._parse_backlog -= 1
 
     def _parse_text(
         self, body: bytes, round_id: str, content_type: str

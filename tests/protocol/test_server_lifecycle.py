@@ -1,6 +1,6 @@
 """Concurrency and error-surfacing contracts of the collection server.
 
-The service tier (``repro.service``) ingests on shard worker threads
+The service tier (``repro.service``) ingests on its admitting thread
 while estimates run on a solve pool; these tests pin the primitives
 that make that safe: locked ingest/estimate/merge interleavings,
 ``rebind_estimator``, and ``estimate_rounds``'s structured per-key

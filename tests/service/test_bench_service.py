@@ -5,14 +5,20 @@ import threading
 from benchmarks.bench_perf_service import _drain_submit, bench_plan
 from repro.service import ServiceConfig, ServiceOverloadError, ShardedCollector
 from repro.service.loadgen import synthesize_frames
+from repro.tasks import AnalysisPlan, AttributeSpec, Distribution
 
 
 def test_permanent_rejection_propagates_instead_of_spinning():
-    """A feed that can never fit ``queue_depth`` must fail the bench, not hang it."""
+    """A feed the plan can never accept must fail the bench, not hang it."""
     plan = bench_plan()
-    frame, _ = next(synthesize_frames(plan, "r1", 50, rng=1))
+    other = AnalysisPlan(
+        epsilon=2.0,
+        attributes=(AttributeSpec("height", low=0.0, high=2.5, d=64),),
+        tasks=(Distribution("height"),),
+    )
+    frame, _ = next(synthesize_frames(other, "r1", 50, rng=1))
     outcome: dict = {}
-    config = ServiceConfig(plan=plan, n_shards=1, queue_depth=1)
+    config = ServiceConfig(plan=plan, n_shards=1)
     with ShardedCollector(config) as collector:
 
         def submit() -> None:
@@ -26,7 +32,7 @@ def test_permanent_rejection_propagates_instead_of_spinning():
         worker.join(timeout=10.0)
         assert not worker.is_alive()
     assert isinstance(outcome.get("error"), ValueError)
-    assert "queue_depth is 1" in str(outcome["error"])
+    assert "height" in str(outcome["error"])
 
 
 def test_overload_is_retried_after_a_flush():

@@ -1,14 +1,14 @@
 """ShardedCollector: routing, backpressure, merge/estimate, observability."""
 
+import asyncio
 import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.protocol.messages import FeedGroup
-from repro.service import ServiceConfig, ServiceOverloadError, ShardedCollector
+from repro.service import ReportService, ServiceConfig, ShardedCollector
 from repro.service import core
 from repro.service.loadgen import synthesize_frames
 from repro.tasks import (
@@ -41,14 +41,23 @@ def feed_frames(plan, n_users=4000, round_id="r1", seed=7, batch=1000):
     )
 
 
-def wait_until(predicate, timeout=10.0) -> bool:
-    """Poll ``predicate`` until it holds; ``False`` once ``timeout`` passes."""
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
+def jsonl_feeds(plan, count, round_id="r1", n_users=50):
+    """``count`` distinct JSON-lines uploads of ``n_users`` reports each."""
+    from repro.tasks import Session
+
+    session = Session(plan)
+    rng = np.random.default_rng(5)
+    feeds = []
+    for _ in range(count):
+        reports = session.privatize(
+            {
+                "age": rng.uniform(1.0, 99.0, n_users),
+                "income": rng.uniform(100.0, 9e4, n_users),
+            },
+            rng=rng,
+        )
+        feeds.append(session.to_feed(reports, round_id, format="jsonl").encode())
+    return feeds
 
 
 class TestSubmitAndRoute:
@@ -109,54 +118,64 @@ class TestSubmitAndRoute:
 
 
 class TestBackpressure:
-    def stalled_collector(self, plan, queue_depth):
-        """A 1-shard collector whose worker is parked on a held lock."""
-        collector = ShardedCollector(
-            ServiceConfig(plan=plan, n_shards=1, queue_depth=queue_depth)
-        )
-        frame, _ = feed_frames(plan, n_users=20, batch=20)[0]
-        collector.submit_feed(frame, "r1")
-        collector.flush()
-        # Grab every (round, attr) server lock: the worker will pop one
-        # item off the queue and block inside ingest, freeing no slots.
-        shard = collector.shards[0]
-        locks = [server._lock for server in shard._servers.values()]
-        for lock in locks:
-            lock.acquire()
-        return collector, locks
-
     def test_overflow_rejected_whole_and_drains_after(self):
+        """With the parse executor held, queue_depth JSON-lines uploads wait
+        for it and the next one is refused whole (429), leaving nothing
+        behind: its retry after the release is admitted fresh."""
         plan = make_plan()
-        collector, locks = self.stalled_collector(plan, queue_depth=4)
-        try:
-            frames = feed_frames(plan, n_users=400, batch=50, seed=11)
-            accepted = 0
-            overloaded = False
-            for frame, n in frames:
-                try:
-                    accepted += collector.submit_feed(frame, "r1")
-                except ServiceOverloadError:
-                    overloaded = True
-                    break
-            assert overloaded, "a depth-4 queue must reject an 8-frame burst"
-            qsize_at_reject = collector.shards[0]._queue.qsize()
-            # All-or-nothing: the rejected feed enqueued none of its blocks.
-            with pytest.raises(ServiceOverloadError):
-                collector.submit_feed(frames[-1][0], "r1")
-            assert collector.shards[0]._queue.qsize() == qsize_at_reject
-        finally:
-            for lock in locks:
-                lock.release()
-        collector.flush()
-        stats = collector.shards[0].stats()
-        assert stats["reports_ingested"] == accepted + 20
-        assert stats["ingest_errors"] == 0
-        assert stats["queue_depth_max"] == 4
-        collector.close()
+        depth = 2
+        feeds = jsonl_feeds(plan, depth + 1)
+
+        def post(service, index):
+            headers = {
+                "content-type": "application/jsonlines",
+                "idempotency-key": f"k{index}",
+            }
+            return service._handle_reports("r1", headers, feeds[index])
+
+        async def scenario(service):
+            collector = service.collector
+            release = threading.Event()
+            held = service._parse_pool.submit(release.wait)
+            try:
+                waiting = [asyncio.ensure_future(post(service, i)) for i in range(depth)]
+                await asyncio.sleep(0)  # each reaches the parse executor
+                assert service._parse_backlog == depth
+                status, payload, retry_after = await post(service, depth)
+                assert (status, retry_after) == (429, 1)
+                assert "parse" in payload["error"]
+                # Nothing of the refused upload was kept.
+                assert collector.stats()["uploads_accepted"] == 0
+                assert collector.stats()["dedup"]["entries"] == 0
+            finally:
+                release.set()
+            held.result(timeout=10.0)
+            responses = await asyncio.wait_for(asyncio.gather(*waiting), timeout=10.0)
+            responses.append(await post(service, depth))
+            # 202 throughout: the retry is admitted fresh, not a replay.
+            assert [status for status, _, _ in responses] == [202] * (depth + 1)
+            return collector.stats(), sum(body["accepted"] for _, body, _ in responses)
+
+        async def run():
+            service = ReportService(
+                ServiceConfig(plan=plan, n_shards=1, queue_depth=depth)
+            )
+            try:
+                return service, *await scenario(service)
+            finally:
+                await service.stop()
+
+        service, stats, accepted = asyncio.run(run())
+        assert accepted == 50 * (depth + 1)
+        assert service._parse_backlog == 0
+        assert service._parse_backlog_max == depth
+        assert stats["uploads_accepted"] == depth + 1
+        assert stats["shards"][0]["reports_ingested"] == accepted
+        assert stats["shards"][0]["ingest_errors"] == 0
 
     def test_checkpoint_tasks_take_no_block_slot(self, tmp_path, monkeypatch):
-        """queue_depth=1 bounds blocks only: a checkpoint task queued or
-        running on the worker never turns a single-block upload into a 429."""
+        """queue_depth=1 bounds the writer's unwritten snapshots, not
+        ingest: uploads are admitted and folded while a write is held."""
         plan = AnalysisPlan(
             epsilon=2.0,
             attributes=(AttributeSpec("age", low=0.0, high=100.0, d=32),),
@@ -180,15 +199,12 @@ class TestBackpressure:
             shard = collector.shards[0]
             try:
                 collector.submit(frames[0][0], "r1", key="k0")
-                # The worker folded block 0 and handed checkpoint 1 to the
+                # Admission folded block 0 and handed checkpoint 1 to the
                 # writer, which now sits in its write.
                 assert entered.wait(timeout=10.0)
-                # The worker keeps folding: each upload is admitted and
-                # folded while the write is held.
+                # Each upload is admitted and folded while the write is held.
                 for index in (1, 2, 3):
                     collector.submit(frames[index][0], "r1", key=f"k{index}")
-                    assert wait_until(lambda: shard.free_slots() == 1)
-                shard.flush()  # the worker's own FIFO only, not the writer
                 assert shard.stats()["blocks_ingested"] == 4
             finally:
                 release.set()
@@ -217,7 +233,7 @@ class TestBackpressure:
             stats = collector.shards[0].stats()
             assert stats["ingest_errors"] == 1
             assert stats["last_error"] is not None
-            # The worker survived: a good feed still lands.
+            # The shard survived: a good feed still lands.
             frame, n = feed_frames(plan, n_users=100, batch=100)[0]
             collector.submit_feed(frame, "r1")
             collector.flush()
@@ -367,7 +383,7 @@ class TestStats:
             per_shard = stats["shards"]
             assert [s["shard"] for s in per_shard] == [0, 1]
             assert sum(s["reports_ingested"] for s in per_shard) == 1000
-            assert all(s["queue_depth"] == 0 for s in per_shard)
+            assert all(s["alive"] for s in per_shard)
 
     def test_merge_stats_stay_constant_size(self, monkeypatch):
         """/statz merge fields keep the values a full duration log would
@@ -376,8 +392,7 @@ class TestStats:
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in feed_frames(plan, n_users=400, batch=200):
                 collector.submit_feed(frame, "r1")
-            collector.flush()
-            # After the flush no fold runs, so the only clock reads in
+            # Every fold ran inside submit, so the only clock reads left in
             # repro.service.core are each merge's start and end.
             rng = np.random.default_rng(3)
             readings = []
@@ -436,19 +451,8 @@ class TestBoundedMemoryMillionReports:
                 plan, "r1", n_users, batch_size=batch, rng=42
             ):
                 total_feed_bytes += len(frame)
-                # Bounded queues mean a submit can hit backpressure; the
-                # deployment answer (retry) keeps the feed exact.
                 for collector in (single, multi):
-                    while True:
-                        try:
-                            collector.submit_feed(frame, "r1")
-                            break
-                        except Exception as exc:  # ServiceOverloadError
-                            if "queue" not in str(exc):
-                                raise
-                            collector.flush()
-            single.flush()
-            multi.flush()
+                    collector.submit_feed(frame, "r1")
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert total_feed_bytes > 4_000_000
@@ -495,3 +499,61 @@ class TestConcurrentSubmitters:
             collector.flush()
             assert errors == []
             assert sum(collector.estimate("r1")["n_reports"].values()) == 2000
+
+
+class TestThreadInventory:
+    """Shards run no threads: every fold runs on the admitting thread."""
+
+    @staticmethod
+    def started_since(before):
+        return sorted(
+            t.name for t in set(threading.enumerate()) - before if t.is_alive()
+        )
+
+    def test_collector_without_journal_starts_no_thread(self):
+        plan = make_plan()
+        before = set(threading.enumerate())
+        with ShardedCollector(ServiceConfig(plan=plan, n_shards=4)) as collector:
+            for frame, _ in feed_frames(plan, n_users=1000, batch=250):
+                collector.submit_feed(frame, "r1")
+            collector.estimate("r1")
+            assert self.started_since(before) == []
+
+    def test_journaled_collector_starts_only_the_checkpoint_writer(self, tmp_path):
+        plan = make_plan()
+        before = set(threading.enumerate())
+        config = ServiceConfig(
+            plan=plan, n_shards=4, checkpoint_every=1, journal_dir=tmp_path / "wal"
+        )
+        with ShardedCollector(config) as collector:
+            for index, (frame, _) in enumerate(feed_frames(plan, batch=500)):
+                collector.submit(frame, "r1", key=f"k{index}")
+            collector.estimate("r1")
+            assert self.started_since(before) == ["repro-checkpoint-writer"]
+        assert self.started_since(before) == []
+
+    def test_report_service_adds_only_its_two_executor_threads(self, tmp_path):
+        plan = make_plan()
+        before = set(threading.enumerate())
+        config = ServiceConfig(plan=plan, n_shards=4, journal_dir=tmp_path / "wal")
+
+        async def scenario():
+            service = ReportService(config)
+            try:
+                headers = {"content-type": "application/jsonlines"}
+                status, _, _ = await service._handle_reports(
+                    "r1", headers, jsonl_feeds(plan, 1)[0]
+                )
+                assert status == 202
+                status, _, _ = await service._handle_estimate("r1")
+                assert status == 200
+                return self.started_since(before)
+            finally:
+                await service.stop()
+
+        assert asyncio.run(scenario()) == [
+            "repro-checkpoint-writer",
+            "repro-parse_0",
+            "repro-solve_0",
+        ]
+        assert self.started_since(before) == []

@@ -1,5 +1,8 @@
 """Fault-injection harness, retry policy, and graceful degradation."""
 
+import asyncio
+import json
+
 import numpy as np
 import pytest
 
@@ -12,16 +15,11 @@ from repro.service import (
     ServiceConfig,
     ServiceOverloadError,
     ShardedCollector,
+    start_local_service,
 )
-from repro.service.loadgen import synthesize_frames
+from repro.service.loadgen import http_request, synthesize_frames
 from repro.service.sharding import HashRing
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Mean
-
-# Injected crashes deliberately kill shard drain threads the way SIGKILL
-# would; pytest's thread-exception relay is expected noise here.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
 
 
 def make_plan() -> AnalysisPlan:
@@ -195,7 +193,7 @@ class TestGracefulDegradation:
         with ShardedCollector(self.config(tmp_path, faults)) as collector:
             frames = feed_frames(make_plan())
             collector.submit(frames[0][0], "r1")
-            collector.flush()  # first fold kills one worker
+            collector.flush()  # the first fold killed one shard
             dead = [i for i, s in enumerate(collector.shards) if not s.alive]
             assert len(dead) == 1
             # Ingest keeps working: traffic routes around the corpse.
@@ -229,7 +227,7 @@ class TestGracefulDegradation:
             assert estimates["degraded"] is False
             assert estimates["shards_dead"] == []
             # Every accepted report is visible again, including the block
-            # the dying worker dropped mid-fold.
+            # whose fold crashed the shard.
             seen = sum(
                 cov["n_reports_seen"]
                 for cov in estimates["coverage"].values()
@@ -269,3 +267,51 @@ class TestGracefulDegradation:
             collector.flush()
             injected = collector.estimate("r1")
         assert baseline["estimates"] == injected["estimates"]
+
+    def test_fold_crash_over_http_keeps_the_loop_serving(self, tmp_path):
+        """An injected crash in a fold, which runs on the event loop, kills
+        its shard and nothing else: the upload is still acked, the shard
+        reads dead at once, later uploads route around it, and revive()
+        brings back every acked report."""
+        plan = make_plan()
+        faults = FaultPlan([Fault("shard.fold", at=1)])
+        config = self.config(tmp_path, faults, n_shards=2)
+        uploads = feed_frames(plan)
+        with start_local_service(config) as handle:
+
+            def call(method, path, body=b"", key=None):
+                async def go():
+                    status, payload, _reader, writer = await http_request(
+                        handle.host, handle.port, method, path, body=body,
+                        headers={"Idempotency-Key": key} if key else None,
+                    )
+                    writer.close()
+                    return status, json.loads(payload)
+
+                return asyncio.run(go())
+
+            acked = 0
+            for index, (frame, _n) in enumerate(uploads):
+                status, payload = call(
+                    "POST", "/v1/rounds/r1/reports", frame, key=f"k{index}"
+                )
+                assert status == 202, payload
+                acked += payload["accepted"]
+                if index == 0:
+                    assert faults.fired == (("shard.fold", 1),)
+                    _, statz = call("GET", "/statz")
+                    assert len(statz["shards_dead"]) == 1
+                    dead = statz["shards_dead"][0]
+            assert call("GET", "/healthz") == (200, {"status": "ok", "rounds": ["r1"]})
+            _, statz = call("GET", "/statz")
+            assert statz["shards_dead"] == [dead]
+            assert statz["uploads_accepted"] == len(uploads)
+            # Every upload after the crash was folded on the live shard.
+            alive = statz["shards"][1 - dead]
+            assert alive["blocks_ingested"] >= 2 * (len(uploads) - 1)
+            assert handle.collector.revive(dead)["replayed_records"] >= 1
+            status, estimate = call("GET", "/v1/rounds/r1/estimate")
+            assert status == 200
+            assert estimate["shards_dead"] == []
+            seen = sum(cov["n_reports_seen"] for cov in estimate["coverage"].values())
+            assert seen == acked

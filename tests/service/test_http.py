@@ -226,9 +226,7 @@ class TestObservabilityRoutes:
         assert status == 200
         assert payload == {"status": "ok", "rounds": []}
         upload_round(service, plan, n_users=400)
-        # A 202 means enqueued; rounds appear once a shard worker has
-        # processed the submission, so drain before asserting.
-        service.collector.flush()
+        # A 202 means folded: the round is known at once.
         _, payload = request(service, "GET", "/healthz")
         assert payload["rounds"] == ["r1"]
 
@@ -291,43 +289,83 @@ class TestConnectionBehavior:
 
 class TestBackpressureOverHttp:
     def test_overloaded_service_returns_429_with_retry_after(self, plan):
-        config = ServiceConfig(plan=plan, n_shards=1, queue_depth=2)
+        """queue_depth JSON-lines uploads wait for a held parse executor;
+        the next gets a 429 with Retry-After and leaves nothing behind, so
+        its retry under the same key is admitted fresh (202)."""
+        depth = 2
+        session = Session(plan)
+        rng = np.random.default_rng(7)
+        feeds = []
+        for _ in range(depth + 1):
+            reports = session.privatize(
+                {
+                    "age": rng.uniform(1.0, 99.0, 80),
+                    "income": rng.uniform(50.0, 9e4, 80),
+                },
+                rng=rng,
+            )
+            feeds.append(session.to_feed(reports, "r1", format="jsonl").encode())
+        config = ServiceConfig(plan=plan, n_shards=1, queue_depth=depth)
         with start_local_service(config) as handle:
-            frames = list(synthesize_frames(plan, "r1", 400, batch_size=50, rng=7))
-            # Prime the round, then park the shard worker on the servers'
-            # ingest locks so queued blocks stop draining.
-            status, _ = request(
-                handle, "POST", "/v1/rounds/r1/reports", body=frames[0][0]
-            )
-            assert status == 202
-            handle.collector.flush()
-            shard = handle.collector.shards[0]
-            locks = [server._lock for server in shard._servers.values()]
-            for lock in locks:
-                lock.acquire()
-            try:
-                statuses = []
-                for frame, _ in frames[1:]:
-                    code, payload = request(
-                        handle, "POST", "/v1/rounds/r1/reports", body=frame
-                    )
-                    statuses.append(code)
-                    if code == 429:
-                        assert "queue" in payload["error"]
-                        break
-                assert statuses[-1] == 429
-            finally:
-                for lock in locks:
-                    lock.release()
-            # Drained service accepts again and the round stays solvable.
-            handle.collector.flush()
-            status, _ = request(
-                handle, "POST", "/v1/rounds/r1/reports", body=frames[-1][0]
-            )
-            assert status == 202
+            service = handle.service
+
+            async def call(method, path, body=b"", key=None):
+                response_headers: dict[str, str] = {}
+                status, payload, _reader, writer = await http_request(
+                    handle.host, handle.port, method, path,
+                    body=body, content_type="application/jsonlines",
+                    headers={"Idempotency-Key": key} if key else None,
+                    response_headers=response_headers,
+                )
+                writer.close()
+                return status, json.loads(payload), response_headers
+
+            def post(index):
+                path = "/v1/rounds/r1/reports"
+                return call("POST", path, feeds[index], key=f"k{index}")
+
+            async def backlog_full():
+                while service._parse_backlog < depth:
+                    await asyncio.sleep(0.001)
+
+            async def scenario():
+                release = threading.Event()
+                held = service._parse_pool.submit(release.wait)
+                try:
+                    waiting = [asyncio.ensure_future(post(i)) for i in range(depth)]
+                    await asyncio.wait_for(backlog_full(), timeout=10.0)
+                    refused = await post(depth)
+                    _, statz, _ = await call("GET", "/statz")
+                finally:
+                    release.set()
+                held.result(timeout=10.0)
+                admitted = await asyncio.wait_for(
+                    asyncio.gather(*waiting), timeout=10.0
+                )
+                retried = await post(depth)
+                return refused, statz, admitted, retried
+
+            refused, statz, admitted, retried = asyncio.run(scenario())
+            status, payload, headers = refused
+            assert status == 429
+            assert headers["retry-after"] == "1"
+            assert "parse" in payload["error"]
+            # The refused upload left nothing behind.
+            assert statz["uploads_accepted"] == 0
+            assert statz["dedup"]["entries"] == 0
+            assert statz["parse_backlog"] == depth
+            assert [status for status, _, _ in admitted] == [202] * depth
+            assert retried[0] == 202  # admitted fresh, not a replay
+            accepted = sum(body["accepted"] for _, body, _ in [*admitted, retried])
+            assert accepted == 80 * (depth + 1)
+            status, statz = request(handle, "GET", "/statz")
+            assert statz["parse_backlog"] == 0
+            assert statz["parse_backlog_max"] == depth
+            assert statz["uploads_accepted"] == depth + 1
             status, payload = request(handle, "GET", "/v1/rounds/r1/estimate")
             assert status == 200
             assert payload["errors"] == {}
+            assert sum(payload["n_reports"].values()) == accepted
 
 
 class TestBoundedMemoryOverHttp:
@@ -345,15 +383,10 @@ class TestBoundedMemoryOverHttp:
                 plan, "r1", 400_000, batch_size=10_000, rng=11
             ):
                 total_bytes += len(frame)
-                while True:
-                    status, _payload = request(
-                        handle, "POST", "/v1/rounds/r1/reports", body=frame
-                    )
-                    if status == 202:
-                        break
-                    assert status == 429
-                    handle.collector.flush()
-            handle.collector.flush()
+                status, _payload = request(
+                    handle, "POST", "/v1/rounds/r1/reports", body=frame
+                )
+                assert status == 202
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert total_bytes > 3_000_000
