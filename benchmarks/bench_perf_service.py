@@ -46,7 +46,6 @@ import numpy as np
 from repro.engine.backend import effective_cpu_count
 from repro.service import (
     ServiceConfig,
-    ServiceOverloadError,
     ShardedCollector,
     run_load,
     start_local_service,
@@ -85,23 +84,6 @@ def bench_plan() -> AnalysisPlan:
     )
 
 
-def _drain_submit(collector: ShardedCollector, frame: bytes, round_id: str) -> int:
-    """Submit with retry-on-backpressure; returns throttle count.
-
-    Only :class:`ServiceOverloadError` (no live shard, HTTP 429) is
-    retried; any other rejection — e.g. a feed for an attribute the plan
-    does not declare — is permanent and propagates.
-    """
-    throttled = 0
-    while True:
-        try:
-            collector.submit_feed(frame, round_id)
-            return throttled
-        except ServiceOverloadError:
-            throttled += 1
-            collector.flush()
-
-
 def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
     """1-shard vs 4-shard streaming ingest of one synthetic feed."""
     results: dict = {"n_users": n_users, "batch_size": batch}
@@ -111,7 +93,6 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
             ServiceConfig(plan=plan, n_shards=n_shards, queue_depth=8)
         )
         feed_bytes = 0
-        throttled = 0
         tracemalloc.start()
         tracemalloc.reset_peak()
         started = time.perf_counter()
@@ -119,7 +100,7 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
             plan, "bench", n_users, batch_size=batch, rng=7
         ):
             feed_bytes += len(frame)
-            throttled += _drain_submit(collector, frame, "bench")
+            collector.submit_feed(frame, "bench")
         collector.flush()
         ingest_s = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()
@@ -137,7 +118,6 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
             "feed_bytes": feed_bytes,
             "peak_tracked_bytes": peak,
             "peak_over_feed": round(peak / feed_bytes, 4),
-            "throttled_submissions": throttled,
             "per_shard_reports": [
                 s["reports_ingested"] for s in stats["shards"]
             ],

@@ -30,6 +30,30 @@ from repro.utils.validation import check_domain_size, check_epsilon, check_unit_
 
 __all__ = ["SquareWave", "DiscreteSquareWave"]
 
+#: Elements per block in the large-batch kernels. Their temporaries are
+#: block-sized, so they stay in cache instead of faulting in fresh pages
+#: on every call.
+_BLOCK = 16_384
+
+
+def _select(dst: np.ndarray, src: np.ndarray, mask: np.ndarray) -> None:
+    """Copy ``src`` into ``dst`` where the int64 ``mask`` is -1 (all bits set).
+
+    A branch-free select on the float64 bit patterns: each element is one
+    operand's bits exactly. ``src`` is overwritten.
+    """
+    dst_bits, src_bits = dst.view(np.int64), src.view(np.int64)
+    src_bits ^= dst_bits
+    src_bits &= mask
+    dst_bits ^= src_bits
+
+
+def _bucket_counts(arr: np.ndarray, low: float, span: float, d_out: int) -> np.ndarray:
+    """Integer counts of in-domain reports over ``d_out`` equal buckets."""
+    idx = np.floor((arr - low) / span * d_out).astype(np.int64)
+    idx = np.clip(idx, 0, d_out - 1)
+    return np.bincount(idx, minlength=d_out)
+
 
 class SquareWave:
     """Continuous Square Wave randomizer on ``[0, 1] -> [-b, 1 + b]``.
@@ -85,25 +109,41 @@ class SquareWave:
         n = vals.size
         b = self.b
         near_mass = 2.0 * b * self.p
+        # The first draw picks near or far and its array becomes the
+        # reports. The second is drawn one block at a time into one reused
+        # buffer, which continues the generator stream exactly as one whole
+        # draw would. `vals` may be the caller's array and is never written.
         out = gen.random(n)
-        near = out < near_mass
-        u = gen.random(n)
-        # Far region = [-b, v - b) U (v + b, 1 + b]; the left piece has
-        # length v, so u < v lands left and u >= v lands right.
-        left = u < vals
-        # Each case is computed whole, into the first draw's buffer and
-        # one scratch array, then selected: far right (v + b) + (u - v),
-        # far left (-b) + u, near (v - b) + u * 2b. `vals` may be the
-        # caller's array and is never written.
-        scratch = np.subtract(u, vals)
-        np.add(vals, b, out=out)
-        out += scratch
-        np.add(u, -b, out=scratch)
-        np.copyto(out, scratch, where=left)
-        np.subtract(vals, b, out=scratch)
-        u *= 2.0 * b
-        scratch += u
-        np.copyto(out, scratch, where=near)
+        size = min(n, _BLOCK)
+        buffers = (
+            np.empty(size),
+            np.empty(size),
+            np.empty(size, dtype=bool),
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+        )
+        for start in range(0, n, _BLOCK):
+            block, v = out[start : start + _BLOCK], vals[start : start + _BLOCK]
+            u, scratch, flag, near, left = (buf[: block.size] for buf in buffers)
+            np.less(block, near_mass, out=flag)
+            np.negative(flag, out=near, dtype=np.int64)
+            gen.random(out=u)
+            # Far region = [-b, v - b) U (v + b, 1 + b]; the left piece has
+            # length v, so u < v lands left and u >= v lands right.
+            np.less(u, v, out=flag)
+            np.negative(flag, out=left, dtype=np.int64)
+            # Each case is computed whole over the block, then selected:
+            # far right (v + b) + (u - v), far left (-b) + u, near
+            # (v - b) + u * 2b.
+            np.subtract(u, v, out=scratch)
+            np.add(v, b, out=block)
+            block += scratch
+            np.add(u, -b, out=scratch)
+            _select(block, scratch, left)
+            np.subtract(v, b, out=scratch)
+            u *= 2.0 * b
+            scratch += u
+            _select(block, scratch, near)
         return out
 
     def bucketize_reports(self, reports: np.ndarray, d_out: int) -> np.ndarray:
@@ -112,12 +152,17 @@ class SquareWave:
         arr = np.asarray(reports, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("reports must be a non-empty 1-d array")
-        if arr.min() < self.output_low - 1e-9 or arr.max() > self.output_high + 1e-9:
+        low, high = self.output_low, self.output_high
+        if arr.min() < low - 1e-9 or arr.max() > high + 1e-9:
             raise ValueError("reports outside the SW output domain")
-        span = self.output_high - self.output_low
-        idx = np.floor((arr - self.output_low) / span * d_out).astype(np.int64)
-        idx = np.clip(idx, 0, d_out - 1)
-        return np.bincount(idx, minlength=d_out).astype(np.float64)
+        if arr.size <= _BLOCK:
+            return _bucket_counts(arr, low, high - low, d_out).astype(np.float64)
+        # Larger batches count block by block, so the temporaries stay
+        # block-sized; integer counts add up exactly.
+        counts = np.zeros(d_out, dtype=np.int64)
+        for start in range(0, arr.size, _BLOCK):
+            counts += _bucket_counts(arr[start : start + _BLOCK], low, high - low, d_out)
+        return counts.astype(np.float64)
 
     def transition_matrix(self, d: int, d_out: int | None = None) -> np.ndarray:
         """Exact ``(d_out, d)`` bucket transition matrix (columns sum to 1)."""

@@ -104,8 +104,10 @@ class PayloadCodec(abc.ABC):
                     f"codec {self.name!r}: column {col_name!r} carries "
                     f"non-numeric values"
                 )
+            # A column that already has its wire dtype passes through
+            # uncopied: a decoded frame column is a view of the frame.
             if np.dtype(dtype).kind == "f":
-                arr = arr.astype(np.float64)
+                arr = arr.astype(np.float64, copy=False)
                 if not np.isfinite(arr).all():
                     raise ValueError(
                         f"codec {self.name!r}: column {col_name!r} must be finite"
@@ -115,7 +117,7 @@ class PayloadCodec(abc.ABC):
                     raise ValueError(
                         f"codec {self.name!r}: column {col_name!r} must be integral"
                     )
-                arr = arr.astype(np.int64)
+                arr = arr.astype(np.int64, copy=False)
             if length is None:
                 length = arr.size
             elif arr.size != length:

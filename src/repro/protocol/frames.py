@@ -113,27 +113,7 @@ def encode_frame_blocks(
     attrs = [block.attr for block in prepared]
     if len(set(attrs)) != len(attrs):
         raise ValueError(f"frame repeats attributes: {sorted(attrs)}")
-    header = {
-        "version": PROTOCOL_V2,
-        "round_id": str(round_id),
-        "blocks": [
-            {
-                "attr": block.attr,
-                "mech": block.codec.name,
-                "n": int(block.n),
-                "columns": [[name, dtype] for name, dtype in block.codec.columns],
-            }
-            for block in prepared
-        ],
-    }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    parts = [FRAME_MAGIC, _HEADER_LEN.pack(len(header_bytes)), header_bytes]
-    for block in prepared:
-        for name, dtype in block.codec.columns:
-            parts.append(
-                np.ascontiguousarray(block.columns[name], dtype=np.dtype(dtype)).tobytes()
-            )
-    return b"".join(parts)
+    return _write_frame(str(round_id), prepared)
 
 
 def encode_frame(
@@ -170,9 +150,19 @@ def encode_frame_block(block: FrameBlock) -> bytes:
     hand). Round-trips bit-exactly: ``iter_frame_blocks`` over the result
     yields a block with identical columns.
     """
+    return _write_frame(block.round_id, [block])
+
+
+def _write_frame(round_id: str, blocks: Sequence[_Block | FrameBlock]) -> bytes:
+    """The frame's bytes: magic, header, then each block's columns in order.
+
+    Each column joins as a view of its own buffer. Only a column that is
+    strided or not of its wire dtype is converted first, so the frame is
+    the one copy of the reports.
+    """
     header = {
         "version": PROTOCOL_V2,
-        "round_id": block.round_id,
+        "round_id": round_id,
         "blocks": [
             {
                 "attr": block.attr,
@@ -180,16 +170,19 @@ def encode_frame_block(block: FrameBlock) -> bytes:
                 "n": int(block.n),
                 "columns": [[name, dtype] for name, dtype in block.codec.columns],
             }
+            for block in blocks
         ],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    parts = [FRAME_MAGIC, _HEADER_LEN.pack(len(header_bytes)), header_bytes]
-    for name, dtype in block.codec.columns:
-        parts.append(
-            np.ascontiguousarray(
-                block.columns[name], dtype=np.dtype(dtype)
-            ).tobytes()
-        )
+    parts: list[bytes | memoryview] = [
+        FRAME_MAGIC,
+        _HEADER_LEN.pack(len(header_bytes)),
+        header_bytes,
+    ]
+    for block in blocks:
+        for name, dtype in block.codec.columns:
+            column = np.ascontiguousarray(block.columns[name], dtype=np.dtype(dtype))
+            parts.append(column.data)
     return b"".join(parts)
 
 
@@ -392,8 +385,8 @@ def decode_frame_grouped(
     Header validation and buffer slicing run sequentially through
     :func:`iter_frame_blocks` (zero-copy ``frombuffer`` views, declared
     order, so structural errors surface deterministically); the per-block
-    ``codec.from_columns`` materialization — the astype/validation cost
-    that actually scales with report count — fans out across the active
+    ``codec.from_columns`` materialization — the validation cost that
+    actually scales with report count — fans out across the active
     compute backend's workers (:func:`repro.engine.backend.backend`), one
     task per block.
     """

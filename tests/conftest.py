@@ -14,6 +14,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The byte-equality reference suites also run ten times deeper in their
+# own CI step, through ``pytest --hypothesis-profile=reference``.
+settings.register_profile(
+    "reference",
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("repro")
 
 

@@ -1,17 +1,20 @@
 """The client path returns the reports the historical formulas return.
 
-``Session.privatize`` splits the population with ``np.compress`` and
-``SquareWave.privatize`` computes its three cases in place. The references
-below keep the historical forms — a boolean-mask gather and a three-array
-``np.where`` — and the tests require byte-equal reports from the same
-generator state, with the caller's values left untouched.
+``Session.privatize`` splits the population with ``np.compress``.
+``SquareWave.privatize`` draws its second uniform array block by block into
+one reused buffer and picks each report's case with a bitwise select. The
+references below keep the historical forms — a boolean-mask gather, two
+whole draws and a three-array ``np.where`` — and the tests require
+byte-equal reports from the same generator state, with the caller's values
+left untouched. Batch sizes reach both sides of the block boundary.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.square_wave import SquareWave
+from repro.core.square_wave import _BLOCK, SquareWave
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Session
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_unit_values
@@ -47,15 +50,11 @@ def reference_session_privatize(session: Session, data, rng) -> dict:
     return reports
 
 
-@given(
-    epsilon=st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]),
-    b=st.one_of(st.none(), st.floats(0.001, 0.5)),
-    n=st.one_of(st.integers(1, 100), st.sampled_from([1_000, 10_000, 100_000])),
-    edges=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_square_wave_reports_match_reference(epsilon, b, n, edges, seed):
-    sw = SquareWave(epsilon, b=b)
+#: Batch sizes on both sides of the privatize kernel's block boundary.
+BLOCK_SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+def check_square_wave_against_reference(sw, n, edges, seed):
     values = np.random.default_rng(seed).random(n)
     if edges:  # inputs on the domain ends: empty left or right far piece
         values[::3] = 0.0
@@ -69,8 +68,29 @@ def test_square_wave_reports_match_reference(epsilon, b, n, edges, seed):
 
 
 @given(
+    epsilon=st.sampled_from([0.1, 0.5, 1.0, 2.0, 4.0, 8.0]),
+    b=st.one_of(st.none(), st.floats(0.001, 0.5)),
+    n=st.one_of(
+        st.integers(1, 100),
+        st.sampled_from([1_000, 10_000, 100_000]),
+        st.sampled_from(BLOCK_SIZES),
+    ),
+    edges=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_square_wave_reports_match_reference(epsilon, b, n, edges, seed):
+    check_square_wave_against_reference(SquareWave(epsilon, b=b), n, edges, seed)
+
+
+@pytest.mark.parametrize("edges", [False, True])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_square_wave_reports_match_reference_at_block_boundaries(n, edges):
+    check_square_wave_against_reference(SquareWave(2.0), n, edges, seed=n)
+
+
+@given(
     weights=st.lists(st.sampled_from([1.0, 2.0, 0.5]), min_size=1, max_size=5),
-    n=st.one_of(st.integers(1, 50), st.sampled_from([5_000, 20_000])),
+    n=st.one_of(st.integers(1, 50), st.sampled_from([5_000, 20_000, 4 * _BLOCK + 3])),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_session_population_split_matches_reference(weights, n, seed):
