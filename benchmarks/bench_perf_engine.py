@@ -31,7 +31,6 @@ from repro.core.em import expectation_maximization
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import SquareWave
 from repro.datasets.base import Dataset
-from repro.engine.backend import effective_cpu_count
 from repro.engine.cache import cached_transition_matrix, clear_caches
 from repro.engine.solver import batched_expectation_maximization
 from repro.experiments.runner import SweepConfig, run_sweep
@@ -124,13 +123,13 @@ def bench_parallel_sweep(n_users: int, d: int, repeats: int, jobs: int) -> dict:
     has — is 1: a multiprocess sweep cannot beat serial there, and the
     ~1.0x it would report is scheduler noise, not a perf signal.
     """
-    cores = effective_cpu_count()
+    cores = len(os.sched_getaffinity(0))
     if cores < 2:
         return {
             "skipped": True,
             "reason": (
                 f"only {cores} effective core available "
-                "(len(os.sched_getaffinity(0))); a multiprocess sweep "
+                "(os.sched_getaffinity); a multiprocess sweep "
                 "cannot demonstrate a speedup on this runner"
             ),
             "effective_cores": cores,
@@ -190,7 +189,7 @@ def main() -> int:
         # count (scheduler affinity), which containers and pinned CI
         # runners set far below the machine's cpu_count; both are recorded.
         "cpu_count": os.cpu_count(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
         "matrix_cache": bench_matrix_cache(
             d=256 if args.quick else 1024, repeats=timing_reps
         ),

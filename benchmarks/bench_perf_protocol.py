@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.square_wave import SquareWave
-from repro.engine.backend import effective_cpu_count
 from repro.protocol.frames import decode_frame, encode_frame
 from repro.protocol.messages import SWReport, decode_batch, encode_batch
 from repro.protocol.server import CollectionServer
@@ -161,7 +160,7 @@ def main() -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
         "wire_codecs": bench_wire_codecs(
             n=100_000 if args.quick else 1_000_000, repeats=timing_reps
         ),

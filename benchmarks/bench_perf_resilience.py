@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import shutil
 import tempfile
@@ -40,7 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.backend import effective_cpu_count
 from repro.service import (
     Fault,
     FaultPlan,
@@ -253,7 +253,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
         "n_users": n_users,
     }
     workdir = Path(tempfile.mkdtemp(prefix="bench-resilience-"))

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import platform
 import statistics
 import tempfile
@@ -43,7 +44,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.backend import effective_cpu_count
 from repro.service import (
     ServiceConfig,
     ShardedCollector,
@@ -288,7 +288,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
     }
     report["sharded_ingest"] = bench_sharded_ingest(
         plan, ingest_users, ingest_batch

@@ -37,7 +37,6 @@ import numpy as np
 from repro.api.config import EMConfig
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
-from repro.engine.backend import effective_cpu_count
 from repro.engine.cache import cached_transition_matrix
 from repro.engine.operators import DenseChannel
 from repro.engine.solver import batched_expectation_maximization
@@ -294,7 +293,7 @@ def main() -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
         "per_iteration_em": bench_per_iteration(
             d, batch=1, iters=iters, repeats=timing_reps, smoothing=False
         ),

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 import tracemalloc
@@ -46,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.api import make_estimator
-from repro.engine.backend import effective_cpu_count
 from repro.privacy import audit_stream_budget
 from repro.streaming import SlidingWindowState, StreamingCollector
 from repro.streaming.telemetry import drifting_stream
@@ -279,7 +279,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "effective_cores": effective_cpu_count(),
+        "effective_cores": len(os.sched_getaffinity(0)),
     }
     report["window_maintenance"] = bench_window_maintenance(
         d, window, n_rounds, reports

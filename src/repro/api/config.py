@@ -51,21 +51,12 @@ class EMConfig:
         Hard iteration cap.
     smoothing_order:
         Binomial smoothing kernel order for EMS; ignored by plain EM.
-    backend:
-        Compute backend name for the solver products (``"numpy"``,
-        ``"threaded"``, ``"threaded:4"``, ``"numba"``); ``None`` (the
-        default) defers to the process-wide active backend
-        (:func:`repro.engine.backend.backend`). A performance knob only:
-        backends are value-equivalent, and the name is validated lazily at
-        solve time so configs stay constructible/serializable on machines
-        without the optional backend installed.
     """
 
     postprocess: str = "ems"
     tol: float | None = None
     max_iter: int = DEFAULT_MAX_ITER
     smoothing_order: int = 2
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.postprocess not in POSTPROCESS_CHOICES:
@@ -85,8 +76,6 @@ class EMConfig:
             raise ValueError(
                 f"smoothing_order must be >= 1, got {self.smoothing_order}"
             )
-        if self.backend is not None:
-            object.__setattr__(self, "backend", str(self.backend))
 
     @staticmethod
     def default_tolerance(postprocess: str, epsilon: float) -> float:
@@ -175,7 +164,6 @@ class EMConfig:
             smoothing_kernel=self.kernel(),
             x0=x0,
             validate_matrix=not validated,
-            backend=self.backend,
         )
 
     def to_dict(self) -> dict[str, Any]:

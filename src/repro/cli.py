@@ -345,7 +345,6 @@ def _service_config(args):
         args.plan,
         n_shards=args.shards,
         queue_depth=args.queue_depth,
-        backends=args.backend,
         window=args.window,
         decay=args.decay,
         host=args.host,
@@ -672,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth", type=int, default=64,
         help="JSON-lines uploads that may wait to be parsed; one more gets "
         "429 (also bounds unwritten checkpoint snapshots per shard)",
-    )
-    p.add_argument(
-        "--backend", default=None,
-        help="compute backend spec for shard solves, e.g. threaded:4",
     )
     p.add_argument(
         "--window", type=int, default=None,

@@ -55,10 +55,9 @@ class WaveEstimator(Estimator):
     d_out:
         Report bucket count; defaults to ``d`` (the paper's choice, close to
         the ``sqrt(N)`` guideline for its datasets).
-    postprocess, tol, max_iter, smoothing_order, backend:
+    postprocess, tol, max_iter, smoothing_order:
         EM/EMS controls; ``tol=None`` selects the paper default for the
-        chosen post-processing, ``backend=None`` the process-wide compute
-        backend. Equivalently pass a pre-built ``config``
+        chosen post-processing. Equivalently pass a pre-built ``config``
         (:class:`repro.api.EMConfig`), which takes precedence.
 
     After :meth:`fit`, :meth:`aggregate`, or :meth:`estimate`, the EM
@@ -78,7 +77,6 @@ class WaveEstimator(Estimator):
         tol: float | None = None,
         max_iter: int = DEFAULT_MAX_ITER,
         smoothing_order: int = 2,
-        backend: str | None = None,
         config: EMConfig | None = None,
     ) -> None:
         if config is None:
@@ -87,7 +85,6 @@ class WaveEstimator(Estimator):
                 tol=tol,
                 max_iter=max_iter,
                 smoothing_order=smoothing_order,
-                backend=backend,
             )
         self.mechanism = mechanism
         self.d = check_domain_size(d)

@@ -22,11 +22,6 @@ NUM002    No dense-channel materialization (``transition_matrix``,
           ``.to_dense()``) inside the ``repro.engine`` solver/operator
           hot paths — the operator protocol exists precisely so these
           stay ``O(d * B)``.
-NUM003    No bare matmuls (``@``, ``np.dot``, ``np.matmul``, ``.dot()``)
-          inside the ``repro.engine`` solver/operator hot paths — channel
-          products must route through the ``ComputeBackend`` seam
-          (``backend.matmul``/``rmatmul``/``banded_product``), or the
-          threaded/numba backends silently stop applying.
 REG001    Every concrete ``Estimator`` subclass must be referenced by a
           ``register_estimator`` factory and expose ``name``, ``kind``,
           ``wire_codec``, and ``n_reports`` (declared on itself or an
@@ -55,7 +50,7 @@ FT001     No silently swallowed failures in ``repro.service``: a bare
 ========  ============================================================
 
 Rules that only make sense for production code (PRIV001, PRIV002, NUM001,
-NUM002, NUM003, REG001, SVC001, STATE001, FT001) skip test files; RNG001
+NUM002, REG001, SVC001, STATE001, FT001) skip test files; RNG001
 applies everywhere — a test that draws from global RNG state poisons
 reproducibility just as surely.
 """
@@ -682,84 +677,6 @@ class DenseMaterializationRule:
 
 
 # ----------------------------------------------------------------------
-# NUM003
-# ----------------------------------------------------------------------
-
-_MATMUL_CALLS = frozenset({"dot", "matmul"})
-
-
-class BackendBypassRule:
-    """NUM003 — engine hot-path products route through the backend seam.
-
-    The ``threaded`` and ``numba`` backends only apply to products that go
-    through :class:`repro.engine.backend.ComputeBackend` — a bare ``m @ x``
-    (or ``np.dot``/``np.matmul``/``m.dot(x)``) in ``engine/solver.py`` or
-    ``engine/operators.py`` silently pins that product to single-core NumPy
-    no matter what backend the user selected. Dense work is still allowed
-    where dense is the point (``to_dense``/``__repr__``/``dense``-named
-    scopes, :class:`DenseChannel` — the same allowance as NUM002);
-    ``repro/engine/backend.py`` itself is exempt, since it is where the
-    matmuls are supposed to live.
-    """
-
-    code = "NUM003"
-    summary = (
-        "no bare matmuls (@ / np.dot / np.matmul / .dot()) inside "
-        "repro.engine solver/operator hot paths; route products through "
-        "the ComputeBackend seam"
-    )
-
-    def check_module(self, module: AnalyzedModule) -> list[Finding]:
-        if module.is_test or not module.rel.endswith(_HOT_MODULES):
-            return []
-        findings: list[Finding] = []
-        allowed_scopes = DenseMaterializationRule._dense_definition_spans(
-            module.tree
-        )
-
-        def allowed(lineno: int) -> bool:
-            return any(lo <= lineno <= hi for lo, hi in allowed_scopes)
-
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                if allowed(node.lineno):
-                    continue
-                findings.append(
-                    module.finding(
-                        node,
-                        self.code,
-                        "bare '@' matmul bypasses the ComputeBackend seam; "
-                        "use backend.matmul/rmatmul (or the operator's "
-                        "backend= kwarg) so threaded/numba backends apply",
-                    )
-                )
-            elif isinstance(node, ast.Call):
-                fn = _last_name(node.func)
-                if fn not in _MATMUL_CALLS:
-                    continue
-                if not isinstance(node.func, ast.Attribute):
-                    continue  # plain-name helpers are not array products
-                # backend.matmul(...) IS the seam; only the NumPy module's
-                # matmul is a bypass. (.dot has no backend counterpart, so
-                # any receiver — np or an array — is a bypass.)
-                base = _dotted(node.func.value)
-                if fn == "matmul" and base not in ("np", "numpy"):
-                    continue
-                if allowed(node.lineno):
-                    continue
-                findings.append(
-                    module.finding(
-                        node,
-                        self.code,
-                        f".{fn}() bypasses the ComputeBackend seam; use "
-                        "backend.matmul/rmatmul so threaded/numba backends "
-                        "apply",
-                    )
-                )
-        return findings
-
-
-# ----------------------------------------------------------------------
 # REG001
 # ----------------------------------------------------------------------
 
@@ -1261,7 +1178,6 @@ RULES: tuple[object, ...] = (
     EpsilonValidationRule(),
     NumericsRule(),
     DenseMaterializationRule(),
-    BackendBypassRule(),
     RegistryRule(),
     AsyncBlockingRule(),
     StateArithmeticRule(),

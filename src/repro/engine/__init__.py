@@ -14,11 +14,6 @@ Three pieces, all pure infrastructure (no estimator logic lives here):
   ``B`` independent reconstruction problems sharing one channel run as
   whole-batch products with a per-column convergence mask.
 
-plus :mod:`repro.engine.backend` — the pluggable array-compute seam those
-solves and products run through (``numpy`` default, ``threaded`` worker
-pool, optional ``numba`` kernels; select with :func:`set_backend` /
-:func:`use_backend` or the ``REPRO_BACKEND`` environment variable).
-
 Every EM-backed estimator (``repro.core.pipeline``, the EM mode of
 ``repro.binning``, ``repro.multidim``, the streaming ``repro.protocol``
 server) and the experiment sweep runner route through this package; the
@@ -27,21 +22,6 @@ Force the historical dense path with :func:`set_channel_mode` /
 :func:`dense_channels`.
 """
 
-from repro.engine.backend import (
-    BACKEND_ENV_VAR,
-    BackendUnavailableError,
-    ComputeBackend,
-    NumbaBackend,
-    NumpyBackend,
-    ThreadedBackend,
-    available_backends,
-    backend,
-    effective_cpu_count,
-    make_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from repro.engine.cache import (
     MatrixCacheInfo,
     cached_channel_operator,
@@ -70,19 +50,6 @@ from repro.engine.solver import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BackendUnavailableError",
-    "ComputeBackend",
-    "NumbaBackend",
-    "NumpyBackend",
-    "ThreadedBackend",
-    "available_backends",
-    "backend",
-    "effective_cpu_count",
-    "make_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
     "MatrixCacheInfo",
     "cached_channel_operator",
     "cached_matrix",

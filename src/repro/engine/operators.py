@@ -59,7 +59,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.backend import ComputeBackend, resolve_backend
 from repro.utils.typing import ArrayLike, FloatArray, IntArray
 
 __all__ = [
@@ -118,16 +117,31 @@ def _freeze(arr: ArrayLike, dtype: Any = np.float64) -> Any:
 
 
 def _by_columns(
-    rows_product: Callable[[FloatArray, ComputeBackend], FloatArray],
-    v: ArrayLike,
-    backend: ComputeBackend | None,
+    rows_product: Callable[[FloatArray], FloatArray], v: ArrayLike
 ) -> FloatArray:
     """Apply a problem-major product to a ``(n,)`` vector or ``(n, B)`` batch."""
     v = np.asarray(v, dtype=np.float64)
-    bk = resolve_backend(backend)
     if v.ndim == 1:
-        return rows_product(v[None, :], bk)[0, :]
-    return rows_product(np.ascontiguousarray(v.T), bk).T
+        return rows_product(v[None, :])[0, :]
+    return rows_product(np.ascontiguousarray(v.T)).T
+
+
+def _banded_product(
+    v: FloatArray, lo: IntArray, hi: IntArray, delta: float, outside: float
+) -> FloatArray:
+    """The cumsum-boxcar product of the uniform-plus-band channels.
+
+    ``out[..., j] = outside * v.sum() + delta * v[..., lo[j]:hi[j]].sum()``
+    per problem row — the whole structured matvec/rmatvec for two-valued
+    band channels, and the plateau term of the Toeplitz channel.
+    """
+    s = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.float64)
+    np.cumsum(v, axis=-1, out=s[..., 1:])
+    band = np.take(s, hi, axis=-1)
+    band -= np.take(s, lo, axis=-1)
+    band *= delta
+    band += outside * s[..., -1:]
+    return band
 
 
 class ChannelOperator:
@@ -157,27 +171,19 @@ class ChannelOperator:
     def d(self) -> int:
         return self.shape[1]
 
-    def matvec(
-        self, x: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
-        """``M @ x`` for ``x`` of shape ``(d,)`` or ``(d, B)``.
+    def matvec(self, x: ArrayLike) -> FloatArray:
+        """``M @ x`` for ``x`` of shape ``(d,)`` or ``(d, B)``."""
+        return _by_columns(self.matvec_rows, x)
 
-        ``backend`` selects the compute backend for the product; ``None``
-        uses the process-wide active one (:func:`repro.engine.backend.backend`).
-        """
-        return _by_columns(self.matvec_rows, x, backend)
-
-    def rmatvec(
-        self, y: ArrayLike, *, backend: ComputeBackend | None = None
-    ) -> FloatArray:
+    def rmatvec(self, y: ArrayLike) -> FloatArray:
         """``M.T @ y`` for ``y`` of shape ``(d_out,)`` or ``(d_out, B)``."""
-        return _by_columns(self.rmatvec_rows, y, backend)
+        return _by_columns(self.rmatvec_rows, y)
 
-    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
+    def matvec_rows(self, x: FloatArray) -> FloatArray:
         """``M x`` for every row of a C-contiguous ``(B, d)`` float batch."""
         raise NotImplementedError
 
-    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
+    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
         """``Mᵀ y`` for every row of a C-contiguous ``(B, d_out)`` float batch."""
         raise NotImplementedError
 
@@ -196,9 +202,10 @@ class ChannelOperator:
 class DenseChannel(ChannelOperator):
     """Dense fallback: any matrix, applied through the usual BLAS products.
 
-    The products are the backend's ``matmul``/``rmatmul`` — exactly what
+    The products are the row forms ``x @ Mᵀ`` and ``y @ M`` — exactly what
     the solver runs for a raw array, so its output through this wrapper is
-    bitwise-identical to passing the raw array.
+    bitwise-identical to passing the raw array. One row is the same gemv,
+    bit for bit.
     """
 
     structured: bool = False
@@ -214,11 +221,11 @@ class DenseChannel(ChannelOperator):
     def matrix(self) -> FloatArray:
         return self._m
 
-    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
-        return backend.matmul(self._m, x)
+    def matvec_rows(self, x: FloatArray) -> FloatArray:
+        return x @ self._m.T
 
-    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
-        return backend.rmatmul(self._m, y)
+    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
+        return y @ self._m
 
     def to_dense(self) -> FloatArray:
         return self._m
@@ -282,15 +289,11 @@ class UniformPlusBandedChannel(ChannelOperator):
         self._rlo = _freeze(rlo, np.int64)
         self._rhi = _freeze(rhi, np.int64)
 
-    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
-        return backend.banded_product(
-            x, self._lo, self._hi, self._delta, self.outside
-        )
+    def matvec_rows(self, x: FloatArray) -> FloatArray:
+        return _banded_product(x, self._lo, self._hi, self._delta, self.outside)
 
-    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
-        return backend.banded_product(
-            y, self._rlo, self._rhi, self._delta, self.outside
-        )
+    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
+        return _banded_product(y, self._rlo, self._rhi, self._delta, self.outside)
 
     def to_dense(self) -> FloatArray:
         cols = np.arange(self.d)[None, :]
@@ -479,15 +482,15 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         return max(ramps.split, ramps.values.shape[0] - ramps.split)
 
     # -- products ----------------------------------------------------------
-    def matvec_rows(self, x: FloatArray, backend: ComputeBackend) -> FloatArray:
-        out = backend.banded_product(
+    def matvec_rows(self, x: FloatArray) -> FloatArray:
+        out = _banded_product(
             x, self._band_lo, self._band_hi, self._plateau, self._baseline
         )
         self._ramps.add_to(out, x)
         return out
 
-    def rmatvec_rows(self, y: FloatArray, backend: ComputeBackend) -> FloatArray:
-        out = backend.banded_product(
+    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
+        out = _banded_product(
             y, self._col_band_lo, self._col_band_hi, self._plateau, self._baseline
         )
         self._col_ramps.add_to(out, y)

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.config import DEFAULT_MAX_ITER
-from repro.engine.backend import ComputeBackend, resolve_backend
 from repro.engine.operators import ChannelOperator, DenseChannel
 from repro.utils.typing import ArrayLike, BoolArray, FloatArray, IntArray
 
@@ -193,7 +192,6 @@ def batched_expectation_maximization(
     smoothing_kernel: ArrayLike | None = None,
     x0: ArrayLike | None = None,
     validate_matrix: bool = True,
-    backend: ComputeBackend | str | None = None,
 ) -> BatchEMResult:
     """Reconstruct ``B`` input histograms sharing one channel.
 
@@ -225,20 +223,12 @@ def batched_expectation_maximization(
     validate_matrix:
         Skip the column-stochastic check when the channel comes from the
         engine cache (already validated at insert).
-    backend:
-        Compute backend for the channel products — an instance, a registry
-        name (``"numpy"``, ``"threaded"``, ``"threaded:4"``, ``"numba"``),
-        or ``None`` for the process-wide active backend
-        (:func:`repro.engine.backend.backend`). Backends are
-        value-equivalent to 1e-12; the default NumPy backend is
-        bitwise-identical to the historical inline products.
 
     Returns
     -------
     BatchEMResult
         ``estimates`` is a ``(d, B)`` view of the problem-major solution.
     """
-    bk = resolve_backend(backend)
     if isinstance(matrix, ChannelOperator):
         op: ChannelOperator = matrix
     else:
@@ -294,7 +284,7 @@ def batched_expectation_maximization(
     smoothing = None if kernel is None else _smoothing_taps(kernel, d)
 
     def product(v: FloatArray) -> FloatArray:
-        out = op.matvec_rows(v, bk)
+        out = op.matvec_rows(v)
         return np.maximum(out, _DENSITY_FLOOR, out=out)
 
     iterations = np.zeros(batch, dtype=np.int64)
@@ -321,7 +311,7 @@ def batched_expectation_maximization(
     for iteration in range(1, max_iter + 1):
         predicted = carried if carried is not None else product(xa)
         # E-step ratio in place: `predicted` is not read again.
-        weights = op.rmatvec_rows(np.divide(na, predicted, out=predicted), bk)
+        weights = op.rmatvec_rows(np.divide(na, predicted, out=predicted))
         xa *= weights
         totals = xa.sum(axis=1, keepdims=True)
         dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix

@@ -85,34 +85,39 @@ class OLH(FrequencyOracle):
     ) -> np.ndarray:
         """``C(v) = |{j : H_j(v) = y_j}|`` for every value ``v``.
 
-        The aggregation runs through the active compute backend
-        (:func:`repro.engine.backend.backend`) — the NumPy backend is the
-        historical chunked loop (the in-place form of
-        :func:`~repro.freq_oracle.hashing.evaluate_hash` plus the support
-        comparison in two preallocated ``(chunk, d)`` buffers), the
-        threaded backend fans user spans across its worker pool (int64
-        partial counts sum exactly, so the result is identical), and the
-        numba backend runs a JIT-compiled Carter-Wegman loop.
-
-        ``chunk_size`` bounds memory at ``chunk_size * d`` hash
-        evaluations per worker; resolution order is the explicit argument,
-        then the backend's ``olh_chunk_size``, then the module default
-        ``_AGGREGATE_CHUNK`` (tuned by the chunk sweep in
-        ``benchmarks/bench_perf_solver.py``).
+        The in-place form of :func:`~repro.freq_oracle.hashing.evaluate_hash`
+        and the support comparison run chunk by chunk in two preallocated
+        ``(chunk, d)`` buffers reused across chunks. ``chunk_size`` bounds
+        memory at ``chunk_size * d`` hash evaluations and defaults to the
+        module's ``_AGGREGATE_CHUNK`` (tuned by the chunk sweep in
+        ``benchmarks/bench_perf_solver.py``); the counts do not depend on it.
         """
-        from repro.engine.backend import backend
-
-        bk = backend()
-        if chunk_size is None:
-            chunk_size = bk.olh_chunk_size
         if chunk_size is None:
             chunk_size = _AGGREGATE_CHUNK
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        return bk.olh_support_counts(
-            reports.a, reports.b, reports.y, self.d, self.g,
-            chunk_size=int(chunk_size),
-        )
+        a, b, y, d = reports.a, reports.b, reports.y, self.d
+        counts = np.zeros(d, dtype=np.int64)
+        n = int(a.size)
+        if n == 0:
+            return counts
+        domain = np.arange(d, dtype=np.int64)[None, :]
+        chunk = max(1, min(int(chunk_size), n))
+        work = np.empty((chunk, d), dtype=np.int64)
+        match = np.empty((chunk, d), dtype=bool)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            rows = stop - start
+            hashes = evaluate_hash(
+                a[start:stop, None],
+                b[start:stop, None],
+                domain,
+                self.g,
+                out=work[:rows],
+            )
+            np.equal(hashes, y[start:stop, None], out=match[:rows])
+            counts += match[:rows].sum(axis=0)
+        return counts
 
     def aggregate_batch(self, reports: OLHReports) -> np.ndarray:
         """Unbiased frequencies ``((C(v)/n) - 1/g) / (p - 1/g)``."""

@@ -39,7 +39,6 @@ from typing import Any, Protocol
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.engine.backend import backend
 from repro.protocol.codecs import PayloadCodec, get_codec
 from repro.protocol.messages import (
     DEFAULT_ATTR,
@@ -382,16 +381,13 @@ def decode_frame_grouped(
     both transports through one code path. The blocks partition the frame
     exactly; leftover bytes after the declared buffers are an error.
 
-    Header validation and buffer slicing run sequentially through
-    :func:`iter_frame_blocks` (zero-copy ``frombuffer`` views, declared
-    order, so structural errors surface deterministically); the per-block
-    ``codec.from_columns`` materialization — the validation cost that
-    actually scales with report count — fans out across the active
-    compute backend's workers (:func:`repro.engine.backend.backend`), one
-    task per block.
+    Header validation and buffer slicing run first, over the whole frame,
+    through :func:`iter_frame_blocks` (zero-copy ``frombuffer`` views,
+    declared order, so structural errors surface deterministically); only
+    then does each block's ``codec.from_columns`` materialization run.
     """
     parsed = list(iter_frame_blocks(bytes(data), expected_round=expected_round))
-    decoded = backend().map_ordered(FrameBlock.materialize, parsed)
+    decoded = [block.materialize() for block in parsed]
     return parsed[0].round_id, {group.attr: group for group in decoded}
 
 

@@ -271,7 +271,6 @@ def estimate_rounds(
     servers: Mapping[str, "CollectionServer"],
     *,
     on_error: str = "raise",
-    backend: Any = None,
 ) -> dict[str, Any]:
     """Reconstruct several servers' estimates, fusing same-channel solves.
 
@@ -283,9 +282,7 @@ def estimate_rounds(
     warm-starts from its own server's cached posterior. Every fused column
     is bit-identical to that server's solo :meth:`CollectionServer.estimate`.
     Servers that cannot fuse (dense channels, non-EM families) solve alone.
-    The groups fan out across the compute backend's workers (``backend=`` —
-    a :class:`~repro.engine.backend.ComputeBackend`, a spec string like
-    ``"threaded:4"``, or ``None`` for the process-wide active backend).
+    The groups solve one after another, in the order of their first member.
 
     Every group runs to completion regardless of the others: one empty or
     broken round no longer aborts the whole batch. Failures surface per
@@ -304,16 +301,14 @@ def estimate_rounds(
         raise ValueError(
             f"on_error must be 'raise' or 'return', got {on_error!r}"
         )
-    from repro.engine.backend import resolve_backend
-
     named = list(servers.items())
     groups = [
         [named[i] for i in group]
         for group in fusion_groups([server.estimator for _, server in named])
     ]
     solved: dict[str, Any] = {}
-    for part in resolve_backend(backend).map_ordered(_estimate_group, groups):
-        solved.update(part)
+    for group in groups:
+        solved.update(_estimate_group(group))
     results = {name: solved[name] for name in servers}
     if on_error == "raise":
         for value in results.values():
@@ -375,11 +370,11 @@ class CollectionServer:
         self._codec = codec_for_estimator(estimator)
         self._cached: Any = None
         self._cached_key: str | None = None
-        # Ingest, estimate, merge, and snapshot all cross this lock: a shard
-        # worker folding reports in while another thread solves must never
-        # interleave a half-applied batch into the fingerprint the posterior
-        # cache is keyed on. Reentrant, because estimate() fans out through
-        # backend pools whose map may run inline on this thread.
+        # Ingest, estimate, merge, and snapshot all cross this lock: a fold
+        # landing while another thread solves must never interleave a
+        # half-applied batch into the fingerprint the posterior cache is
+        # keyed on. Reentrant only for merge(): a server merged into itself
+        # takes this one lock as both of its two locks.
         self._lock = threading.RLock()
 
     @classmethod
@@ -708,9 +703,9 @@ class PlanServer:
         (cached posteriors are reused, EM warm-starts after deltas) via
         :func:`estimate_rounds`: attributes on one structured channel
         solve as a single fused batch, bit-identical to solving each
-        alone, and the remaining groups run concurrently when the active
-        compute backend has workers. The session turns the estimates into
-        the typed :class:`~repro.tasks.results.AnalysisReport`. Raises
+        alone, and the remaining groups solve one after another. The
+        session turns the estimates into the typed
+        :class:`~repro.tasks.results.AnalysisReport`. Raises
         :class:`repro.EmptyAggregateError` naming the round and the
         still-empty attribute if any aggregator has no reports yet.
         """

@@ -4,8 +4,7 @@ A :class:`ServiceConfig` binds one :class:`~repro.tasks.plan.AnalysisPlan`
 to the deployment knobs of :mod:`repro.service`: how many shard
 partitions to run, how many JSON-lines uploads may wait to be parsed
 (the backpressure bound — the ingest tier never holds more than
-``queue_depth`` of them), how large one upload may be, and which compute
-backend each shard's solves run on.
+``queue_depth`` of them), and how large one upload may be.
 
 The plan is resolved once (:func:`~repro.tasks.planner.plan_analysis`)
 and the resulting :class:`~repro.tasks.planner.PlannedAnalysis` is shared
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from repro.service.faults import FaultPlan
 from repro.service.resilience import FSYNC_POLICIES
@@ -82,13 +80,6 @@ class ServiceConfig:
         waiting for the checkpoint writer.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
-    backends:
-        Compute-backend spec per shard (see
-        :func:`repro.engine.backend.make_backend`): a single spec string
-        applies to every shard, a sequence assigns one per shard index,
-        ``None`` uses the process-wide active backend everywhere. The
-        estimate tier runs each attribute's solve on its home shard's
-        backend.
     incremental:
         Forwarded to the estimate tier's merged
         :class:`~repro.protocol.server.CollectionServer` objects — keeps
@@ -139,7 +130,6 @@ class ServiceConfig:
     n_shards: int = 2
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    backends: str | Sequence[str | None] | None = None
     incremental: bool = True
     window: int | None = None
     decay: float | None = None
@@ -200,14 +190,6 @@ class ServiceConfig:
             raise ValueError(
                 f"max_header_bytes must be >= 1024, got {self.max_header_bytes}"
             )
-        if not isinstance(self.backends, (str, type(None))):
-            specs = tuple(self.backends)
-            if len(specs) != self.n_shards:
-                raise ValueError(
-                    f"backends lists {len(specs)} specs for {self.n_shards} "
-                    "shards; pass one spec string to share a backend"
-                )
-            object.__setattr__(self, "backends", specs)
 
     @classmethod
     def from_plan_file(cls, path: str | Path, **kwargs) -> "ServiceConfig":
@@ -226,13 +208,3 @@ class ServiceConfig:
             object.__setattr__(self, "_planned", plan_analysis(self.plan))
         assert self._planned is not None
         return self._planned
-
-    def backend_spec(self, shard: int) -> str | None:
-        """The compute-backend spec shard ``shard`` solves on."""
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(
-                f"shard must be in [0, {self.n_shards}), got {shard}"
-            )
-        if self.backends is None or isinstance(self.backends, str):
-            return self.backends
-        return self.backends[shard]

@@ -64,10 +64,9 @@ cache survives re-merges — an unchanged round skips its solves, a grown
 round warm-starts EM. A round's attributes then solve together through
 :func:`~repro.protocol.server.estimate_rounds` with ``on_error="return"``:
 attributes on one structured channel fuse into a single batched solve
-(bit-identical to solving each alone) across shards, split only where
-their home shards solve on different compute backends, and one empty
-attribute reports a structured error instead of hiding every other
-attribute's result.
+(bit-identical to solving each alone) whichever shards they live on, and
+one empty attribute reports a structured error instead of hiding every
+other attribute's result.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from uuid import uuid4
 
 import numpy as np
 
-from repro.engine.backend import ComputeBackend, make_backend
 from repro.protocol.codecs import codec_for_estimator
 from repro.protocol.frames import (
     FrameBlock,
@@ -194,10 +192,6 @@ class ShardAggregator:
     def __init__(self, shard_id: int, config: ServiceConfig) -> None:
         self.shard_id = int(shard_id)
         self._config = config
-        spec = config.backend_spec(self.shard_id)
-        self.backend: ComputeBackend | None = (
-            None if spec is None else make_backend(spec)
-        )
         self._checkpoint_path = (
             None
             if config.journal_dir is None
@@ -410,7 +404,6 @@ class ShardAggregator:
             ),
             "checkpoint_errors": c.checkpoint_errors,
             "last_checkpoint_error": c.last_checkpoint_error,
-            "backend": None if self.backend is None else self.backend.name,
         }
 
     def counters(self) -> dict[str, int]:
@@ -955,25 +948,6 @@ class ShardedCollector:
                 server.rebind_estimator(estimator)
         return merged
 
-    def _solve(self, merged: dict[str, CollectionServer], round_id: str) -> dict[str, Any]:
-        """Solve the round, fusing across shards that share a backend.
-
-        Each attribute solves on its home shard's backend; attributes whose
-        homes share one (every attribute, by default) go through a single
-        :func:`estimate_rounds` call, so same-channel attributes fuse no
-        matter which shard they live on.
-        """
-        by_backend: dict[int, tuple[ComputeBackend | None, dict[str, CollectionServer]]] = {}
-        for attr, server in merged.items():
-            backend = self.shards[self.ring.shard_for(round_id, attr)].backend
-            by_backend.setdefault(id(backend), (backend, {}))[1][attr] = server
-        results: dict[str, Any] = {}
-        for backend, servers in by_backend.values():
-            results.update(
-                estimate_rounds(servers, on_error="return", backend=backend)
-            )
-        return {attr: results[attr] for attr in merged}
-
     def estimate(self, round_id: str) -> dict[str, Any]:
         """Merge and solve one round; returns a JSON-safe summary.
 
@@ -996,7 +970,7 @@ class ShardedCollector:
             self._merges += 1
             self._merge_s_last = elapsed
             self._merge_s_max = max(self._merge_s_max, elapsed)
-            solved = self._solve(merged, round_id)
+            solved = estimate_rounds(merged, on_error="return")
             estimates = {
                 attr: value
                 for attr, value in solved.items()

@@ -407,7 +407,9 @@ class DedupLedger:
 # checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+#: Version 2 dropped the compute-backend field from estimator params; a
+#: version-1 slot carries it and would not rebuild, so it reads as absent.
+_CHECKPOINT_VERSION = 2
 
 #: Slot header: magic | BLAKE2b-128 digest | generation | payload length.
 #: The digest covers generation, length and payload, so a write torn

@@ -14,8 +14,8 @@ estimates with three amortizations layered on the one-shot pipeline:
 3. **Fusion** — attributes that share a structured channel operator, EM
    configuration and epsilon are stacked into one ``(d_out, B)``
    :meth:`repro.api.EMConfig.run_many` batch, so a multi-attribute tick
-   pays one solver dispatch through the backend seam instead of B. The
-   grouping and the batched solve are the serving tier's own
+   pays one solver call instead of B. The grouping and the batched solve
+   are the serving tier's own
    (:func:`repro.protocol.server.fusion_groups` and
    :func:`~repro.protocol.server.solve_together`), and every fused column
    is bit-identical to the attribute solving alone.

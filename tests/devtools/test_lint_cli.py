@@ -46,7 +46,6 @@ class TestExitCodes:
             "PRIV002",
             "NUM001",
             "NUM002",
-            "NUM003",
             "REG001",
         ):
             assert code in out

@@ -325,82 +325,6 @@ class TestNum002:
 
 
 # ----------------------------------------------------------------------
-# NUM003
-# ----------------------------------------------------------------------
-
-
-class TestNum003:
-    def test_bare_matmul_in_solver_flagged(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "def product(m, v):\n"
-            "    return m @ v\n",
-            rel="engine/solver.py",
-        )
-        assert codes(findings) == ["NUM003"]
-        assert "ComputeBackend" in findings[0].message
-
-    def test_np_dot_and_matmul_flagged(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "import numpy as np\n"
-            "def products(m, v):\n"
-            "    a = np.dot(m, v)\n"
-            "    b = np.matmul(m.T, v)\n"
-            "    return a, b\n",
-            rel="engine/operators.py",
-        )
-        assert codes(findings) == ["NUM003", "NUM003"]
-
-    def test_array_dot_method_flagged(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "def product(m, v):\n"
-            "    return m.dot(v)\n",
-            rel="engine/solver.py",
-        )
-        assert codes(findings) == ["NUM003"]
-
-    def test_backend_seam_calls_ok(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "def product(bk, m, v, y):\n"
-            "    return bk.matmul(m, v) + bk.rmatmul(m, y)\n",
-            rel="engine/solver.py",
-        )
-        assert findings == []
-
-    def test_dense_scopes_allowed(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "class Op:\n"
-            "    def to_dense(self):\n"
-            "        return self.left @ self.right\n",
-            rel="engine/operators.py",
-        )
-        assert findings == []
-
-    def test_other_modules_unconstrained(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "def project(m, v):\n"
-            "    return m @ v\n",
-            rel="core/hh.py",
-        )
-        assert findings == []
-
-    def test_inline_suppression_honored(self, tmp_path):
-        findings, suppressed = lint_source(
-            tmp_path,
-            "def product(m, v):\n"
-            "    return m @ v  # reprolint: disable=NUM003 -- bench baseline\n",
-            rel="engine/solver.py",
-        )
-        assert findings == []
-        assert len(suppressed) == 1
-
-
-# ----------------------------------------------------------------------
 # REG001
 # ----------------------------------------------------------------------
 

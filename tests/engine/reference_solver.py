@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.config import DEFAULT_MAX_ITER
-from repro.engine.backend import ComputeBackend, resolve_backend
 from repro.engine.operators import ChannelOperator, DenseChannel
 from repro.engine.solver import BatchEMResult
 from repro.utils.typing import ArrayLike, BoolArray, FloatArray
@@ -83,7 +82,6 @@ def batched_expectation_maximization(
     smoothing_kernel: ArrayLike | None = None,
     x0: ArrayLike | None = None,
     validate_matrix: bool = True,
-    backend: ComputeBackend | str | None = None,
 ) -> BatchEMResult:
     """Reconstruct ``B`` input histograms sharing one channel.
 
@@ -115,20 +113,12 @@ def batched_expectation_maximization(
     validate_matrix:
         Skip the column-stochastic check when the channel comes from the
         engine cache (already validated at insert).
-    backend:
-        Compute backend for the channel products — an instance, a registry
-        name (``"numpy"``, ``"threaded"``, ``"threaded:4"``, ``"numba"``),
-        or ``None`` for the process-wide active backend
-        (:func:`repro.engine.backend.backend`). Backends are
-        value-equivalent to 1e-12; the default NumPy backend is
-        bitwise-identical to the historical inline products.
 
     Returns
     -------
     BatchEMResult
         ``estimates`` is a ``(d, B)`` view of the problem-major solution.
     """
-    bk = resolve_backend(backend)
     if isinstance(matrix, ChannelOperator):
         op: ChannelOperator = matrix
     else:
@@ -179,7 +169,7 @@ def batched_expectation_maximization(
         x = x / x.sum(axis=1, keepdims=True)
 
     def product(v: FloatArray) -> FloatArray:
-        out = op.matvec_rows(v, bk)
+        out = op.matvec_rows(v)
         return np.maximum(out, _DENSITY_FLOOR, out=out)
 
     iterations = np.zeros(batch, dtype=np.int64)
@@ -196,7 +186,7 @@ def batched_expectation_maximization(
 
     for iteration in range(1, max_iter + 1):
         predicted = carried if carried is not None else product(xa)
-        weights = op.rmatvec_rows(na / predicted, bk)
+        weights = op.rmatvec_rows(na / predicted)
         xa = xa * weights
         totals = xa.sum(axis=1, keepdims=True)
         dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix

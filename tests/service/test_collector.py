@@ -348,25 +348,6 @@ class TestShardedEquivalence:
                 assert a["estimates"][attr] == b["estimates"][attr]
             assert a["report"] == b["report"]
 
-    def test_per_shard_backends_do_not_change_the_answer(self):
-        plan = make_plan()
-        frames = feed_frames(plan, n_users=1000, batch=250, seed=5)
-        with (
-            ShardedCollector(ServiceConfig(plan=plan, n_shards=2)) as plain,
-            ShardedCollector(
-                ServiceConfig(
-                    plan=plan, n_shards=2, backends=("numpy", "threaded:2")
-                )
-            ) as mixed,
-        ):
-            for frame, _ in frames:
-                plain.submit_feed(frame, "r1")
-                mixed.submit_feed(frame, "r1")
-            assert (
-                plain.estimate("r1")["estimates"]
-                == mixed.estimate("r1")["estimates"]
-            )
-
 
 class TestStats:
     def test_stats_shape(self):

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.protocol.frames import iter_frame_blocks
+from repro.protocol.server import CollectionServer
 from repro.service import (
     DedupLedger,
     Fault,
@@ -33,7 +34,7 @@ from repro.service import (
     start_local_service,
     write_checkpoint,
 )
-from repro.service import core
+from repro.service import core, resilience
 from repro.service.loadgen import http_request, synthesize_frames
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Mean
 
@@ -558,6 +559,49 @@ class TestCheckpointCuts:
                 journal = config.journal_dir / f"shard-{shard_id}.journal"
                 assert ckpt["generation"] == (3, 2, 1)[torn]
                 assert ckpt["journal_offset"] == journal.stat().st_size
+
+    def test_version_1_slots_are_skipped_on_restart(self, tmp_path, monkeypatch):
+        """Version-1 slots carried a ``backend`` estimator param that no
+        estimator takes now; recovery treats them as absent and replays."""
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "v1", checkpoint_every=2)
+        with ShardedCollector(config) as collector:
+            for key, frame in uploads:
+                collector.submit(frame, "r1", key=key)
+        forged = []
+        for shard_id in range(config.n_shards):
+            prefix = config.journal_dir / f"shard-{shard_id}.ckpt"
+            for generation in (1, 2):
+                slot = resilience._read_slot(
+                    prefix.with_name(f"{prefix.name}.{generation % 2}")
+                )
+                assert slot["generation"] == generation
+                for attrs in slot["states"].values():
+                    for state in attrs.values():
+                        params = state["estimator"]["params"]
+                        if "postprocess" in params:  # EMConfig fields
+                            params["backend"] = None
+                            forged.append(state)
+                with monkeypatch.context() as patch:
+                    patch.setattr(resilience, "_CHECKPOINT_VERSION", 1)
+                    write_checkpoint(
+                        prefix,
+                        generation=generation,
+                        journal_offset=slot["journal_offset"],
+                        states=slot["states"],
+                        counters=slot["counters"],
+                    )
+            assert load_checkpoint(prefix) is None
+        assert forged
+        with pytest.raises(TypeError, match="backend"):
+            CollectionServer.from_state(forged[0])
+        with ShardedCollector(config) as recovered:
+            stats = recovered.stats()
+            # Two blocks an upload, every one replayed from the journal.
+            assert stats["journal"]["recovered_records"] == 2 * len(uploads)
+            assert stats["uploads_accepted"] == len(uploads)
+            assert estimates_of(recovered) == baseline
 
     def test_torn_checkpoint_write_recovers_from_the_other_slot(self, tmp_path):
         uploads = keyed_uploads(make_plan(), n_users=3000)

@@ -1,4 +1,4 @@
-"""ServiceConfig validation and per-shard backend selection."""
+"""ServiceConfig validation."""
 
 import pytest
 
@@ -23,33 +23,11 @@ class TestServiceConfig:
         config = ServiceConfig(plan=plan)
         assert config.n_shards == 2
         assert config.queue_depth >= 1
-        assert config.backend_spec(0) is None
-        assert config.backend_spec(1) is None
 
     def test_planned_is_resolved_once_and_cached(self, plan):
         config = ServiceConfig(plan=plan)
         assert config.planned is config.planned
         assert set(config.planned.allocation) == {"age", "income"}
-
-    def test_single_backend_spec_applies_to_every_shard(self, plan):
-        config = ServiceConfig(plan=plan, n_shards=3, backends="threaded:2")
-        assert [config.backend_spec(i) for i in range(3)] == ["threaded:2"] * 3
-
-    def test_per_shard_backend_specs(self, plan):
-        config = ServiceConfig(
-            plan=plan, n_shards=2, backends=("numpy", "threaded:2")
-        )
-        assert config.backend_spec(0) == "numpy"
-        assert config.backend_spec(1) == "threaded:2"
-
-    def test_backend_list_length_must_match_shards(self, plan):
-        with pytest.raises(ValueError, match="backends lists 1"):
-            ServiceConfig(plan=plan, n_shards=2, backends=("numpy",))
-
-    def test_backend_spec_bounds_checked(self, plan):
-        config = ServiceConfig(plan=plan, n_shards=2)
-        with pytest.raises(ValueError, match="shard must be"):
-            config.backend_spec(2)
 
     @pytest.mark.parametrize(
         "kwargs, match",
