@@ -1,176 +1,12 @@
-"""Compute backends: equivalence, determinism, registry, plumbing.
-
-The load-bearing guarantees:
-
-* the ``threaded`` backend (and ``numba``, when the optional dependency is
-  installed) matches the NumPy backend to 1e-12 on full EM/EMS solves —
-  dense channels and structured operators alike (hypothesis-driven);
-* threaded results are *bit-identical* for every worker count — shard
-  boundaries depend on the data shape, never on the pool size;
-* OLH support counts and frame decode are exactly equal through every
-  backend;
-* the process-wide ``set_backend``/``use_backend`` state, the
-  ``make_backend`` registry (memoization, ``"threaded:N"`` parsing), the
-  ``REPRO_BACKEND`` env-var fallback, and the ``EMConfig.backend`` field
-  all behave as documented.
-"""
+"""Determinism of chunked kernels: how the work is cut never changes the result."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.api.config import EMConfig
-from repro.core.smoothing import binomial_kernel
-from repro.core.square_wave import DiscreteSquareWave, SquareWave
-from repro.engine.backend import (
-    BACKEND_ENV_VAR,
-    BackendUnavailableError,
-    NumpyBackend,
-    ThreadedBackend,
-    _initial_backend,
-    available_backends,
-    backend,
-    effective_cpu_count,
-    make_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
-from repro.engine.cache import cached_channel_operator
-from repro.engine.solver import batched_expectation_maximization
 from repro.freq_oracle.olh import OLH
-from repro.protocol.frames import decode_frame_grouped, encode_frame_blocks
-from repro.protocol.server import CollectionServer, estimate_rounds
-
-ATOL = 1e-12
-
-WORKER_COUNTS = (1, 2, 4, 8)
-
-
-def _numba_or_skip():
-    try:
-        return make_backend("numba")
-    except BackendUnavailableError:
-        pytest.skip("numba not installed")
-
-
-def _em_problem(seed, d, batch, *, dense):
-    """A seeded (channel, counts) pair; dense matrix or structured operator."""
-    rng = np.random.default_rng(seed)
-    sw = SquareWave(1.0)
-    if dense:
-        channel = np.asarray(sw.transition_matrix(d, d))
-        probe = channel
-    else:
-        channel = cached_channel_operator(DiscreteSquareWave(1.0, d))
-        probe = channel.to_dense()
-    counts = np.stack(
-        [
-            rng.multinomial(
-                20_000, probe @ rng.dirichlet(np.ones(probe.shape[1]))
-            ).astype(float)
-            for _ in range(batch)
-        ],
-        axis=1,
-    )
-    return channel, counts
-
-
-# -- solver equivalence --------------------------------------------------------
-
-
-class TestSolverEquivalence:
-    # Iterations are pinned (tol=-1.0) so the numpy-vs-threaded comparison
-    # is at a fixed iteration count: the 1e-12 contract is on values, and a
-    # ~1e-17 sliced-BLAS drift must not be allowed to flip a stop decision
-    # and turn a value test into a convergence-boundary test.
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        d=st.integers(8, 96),
-        batch=st.integers(1, 24),
-        dense=st.booleans(),
-        smoothing=st.booleans(),
-        workers=st.sampled_from(WORKER_COUNTS),
-    )
-    def test_threaded_matches_numpy(
-        self, seed, d, batch, dense, smoothing, workers
-    ):
-        channel, counts = _em_problem(seed, d, batch, dense=dense)
-        kernel = binomial_kernel(2) if smoothing else None
-        kwargs = dict(tol=-1.0, max_iter=25, smoothing_kernel=kernel)
-        reference = batched_expectation_maximization(
-            channel, counts, backend=NumpyBackend(), **kwargs
-        )
-        result = batched_expectation_maximization(
-            channel, counts, backend=make_backend(f"threaded:{workers}"), **kwargs
-        )
-        np.testing.assert_allclose(
-            result.estimates, reference.estimates, atol=ATOL, rtol=0.0
-        )
-        assert np.array_equal(result.iterations, reference.iterations)
-
-    def test_numba_matches_numpy(self):
-        numba = _numba_or_skip()
-        for dense in (True, False):
-            channel, counts = _em_problem(7, 48, 8, dense=dense)
-            reference = batched_expectation_maximization(
-                channel, counts, tol=-1.0, max_iter=25, backend=NumpyBackend()
-            )
-            result = batched_expectation_maximization(
-                channel, counts, tol=-1.0, max_iter=25, backend=numba
-            )
-            np.testing.assert_allclose(
-                result.estimates, reference.estimates, atol=ATOL, rtol=0.0
-            )
-
-    def test_default_backend_is_bitwise_historical(self):
-        # backend=None resolves to the process-wide NumPy backend, whose
-        # primitives are the literal expressions the solver used to inline.
-        channel, counts = _em_problem(3, 64, 6, dense=True)
-        explicit = batched_expectation_maximization(
-            channel, counts, backend=NumpyBackend()
-        )
-        default = batched_expectation_maximization(channel, counts)
-        assert np.array_equal(default.estimates, explicit.estimates)
-        assert np.array_equal(default.iterations, explicit.iterations)
 
 
 class TestDeterminism:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        d=st.integers(8, 96),
-        batch=st.integers(1, 24),
-        dense=st.booleans(),
-    )
-    def test_bit_identical_across_worker_counts(self, seed, d, batch, dense):
-        channel, counts = _em_problem(seed, d, batch, dense=dense)
-        results = [
-            batched_expectation_maximization(
-                channel, counts, backend=make_backend(f"threaded:{w}")
-            )
-            for w in WORKER_COUNTS
-        ]
-        for other in results[1:]:
-            assert np.array_equal(other.estimates, results[0].estimates)
-            assert np.array_equal(other.iterations, results[0].iterations)
-            assert np.array_equal(
-                other.log_likelihood, results[0].log_likelihood
-            )
-
-    def test_olh_counts_identical_across_worker_counts(self):
-        rng = np.random.default_rng(11)
-        oracle = OLH(epsilon=1.0, d=32)
-        reports = oracle.privatize(rng.integers(0, 32, size=10_000), rng=rng)
-        with use_backend(NumpyBackend()):
-            reference = oracle.support_counts(reports)
-        for w in WORKER_COUNTS:
-            with use_backend(ThreadedBackend(w, olh_chunk_size=512)):
-                counts = oracle.support_counts(reports)
-            assert np.array_equal(counts, reference)
-
     def test_olh_chunk_size_does_not_change_counts(self):
         rng = np.random.default_rng(12)
         oracle = OLH(epsilon=1.0, d=16)
@@ -182,196 +18,3 @@ class TestDeterminism:
             )
         with pytest.raises(ValueError, match="chunk_size"):
             oracle.support_counts(reports, chunk_size=0)
-
-    def test_numba_olh_counts_exact(self):
-        numba = _numba_or_skip()
-        rng = np.random.default_rng(13)
-        oracle = OLH(epsilon=1.0, d=24)
-        reports = oracle.privatize(rng.integers(0, 24, size=2_000), rng=rng)
-        reference = oracle.support_counts(reports)
-        with use_backend(numba):
-            counts = oracle.support_counts(reports)
-        assert np.array_equal(counts, reference)
-
-
-# -- frame decode + solve scheduler -------------------------------------------
-
-
-class TestParallelPlumbing:
-    def test_frame_decode_identical_through_threaded_backend(self):
-        rng = np.random.default_rng(21)
-        frame = encode_frame_blocks(
-            "r1",
-            [(f"a{i}", "float", rng.random(500)) for i in range(5)],
-        )
-        round_id, reference = decode_frame_grouped(frame)
-        assert round_id == "r1"
-        with use_backend(ThreadedBackend(4)):
-            _, groups = decode_frame_grouped(frame)
-        assert list(groups) == list(reference)
-        for attr in reference:
-            assert np.array_equal(groups[attr].reports, reference[attr].reports)
-
-    def test_map_ordered_propagates_worker_exceptions(self):
-        # Frame-block materialization and multi-round solves run through
-        # map_ordered: an exception in any item must surface, not vanish
-        # into the pool.
-        def explode(v):
-            if v == 2:
-                raise ValueError("boom in worker")
-            return v
-
-        bk = make_backend("threaded:2")
-        with pytest.raises(ValueError, match="boom in worker"):
-            bk.map_ordered(explode, [1, 2, 3])
-
-    def test_estimate_rounds_matches_sequential(self):
-        rng = np.random.default_rng(23)
-        servers = {}
-        for name in ("alpha", "beta", "gamma"):
-            server = CollectionServer("r1", "sw-ems", 1.0, 64, attr=name)
-            server.ingest_reports(
-                server.privatize(rng.random(2_000), rng=rng)
-            )
-            servers[name] = server
-        with use_backend(NumpyBackend()):
-            sequential = {
-                name: server.estimate() for name, server in servers.items()
-            }
-        for server in servers.values():  # drop cached posteriors
-            server._cached = None
-            server._cached_key = None
-        with use_backend(ThreadedBackend(3)):
-            concurrent = estimate_rounds(servers)
-        assert list(concurrent) == list(sequential)
-        for name in sequential:
-            np.testing.assert_allclose(
-                concurrent[name], sequential[name], atol=ATOL, rtol=0.0
-            )
-
-    def test_estimate_rounds_propagates_empty_round(self):
-        from repro.api.errors import EmptyAggregateError
-
-        servers = {"value": CollectionServer("r1", "sw-ems", 1.0, 32)}
-        with use_backend(ThreadedBackend(2)):
-            with pytest.raises(EmptyAggregateError, match="no reports ingested"):
-                estimate_rounds(servers)
-
-
-# -- registry + process-wide state --------------------------------------------
-
-
-class TestBackendRegistry:
-    def test_available_backends(self):
-        assert available_backends() == ("numba", "numpy", "threaded")
-
-    def test_named_instances_are_memoized(self):
-        assert make_backend("threaded:4") is make_backend("threaded:4")
-        assert make_backend("numpy") is make_backend("numpy")
-        assert make_backend("threaded:4").workers == 4
-
-    def test_instance_passthrough(self):
-        instance = ThreadedBackend(2)
-        assert make_backend(instance) is instance
-        assert resolve_backend(instance) is instance
-
-    def test_unknown_and_malformed_specs_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("cuda")
-        with pytest.raises(ValueError, match="suffix"):
-            make_backend("numpy:4")
-        with pytest.raises(ValueError, match="integer"):
-            make_backend("threaded:lots")
-
-    def test_threaded_validates_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ThreadedBackend(0)
-        with pytest.raises(ValueError, match="column_chunk"):
-            ThreadedBackend(1, column_chunk=0)
-
-    def test_effective_cpu_count_positive(self):
-        assert effective_cpu_count() >= 1
-
-    def test_set_backend_returns_previous(self):
-        original = backend()
-        try:
-            previous = set_backend("threaded:2")
-            assert previous is original
-            assert backend() is make_backend("threaded:2")
-        finally:
-            set_backend(original)
-        assert backend() is original
-
-    def test_use_backend_scopes_and_restores(self):
-        original = backend()
-        with use_backend("threaded:2") as active:
-            assert backend() is active
-            assert active.workers == 2
-        assert backend() is original
-        # ...including when the body raises.
-        with pytest.raises(RuntimeError, match="boom"):
-            with use_backend("threaded:2"):
-                raise RuntimeError("boom")
-        assert backend() is original
-
-    def test_resolve_backend_none_is_active(self):
-        with use_backend("threaded:2") as active:
-            assert resolve_backend(None) is active
-
-    def test_env_var_selects_initial_backend(self):
-        chosen = _initial_backend({BACKEND_ENV_VAR: "threaded:3"})
-        assert chosen.name == "threaded"
-        assert chosen.workers == 3
-        assert _initial_backend({}).name == "numpy"
-
-    def test_env_var_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="unusable"):
-            chosen = _initial_backend({BACKEND_ENV_VAR: "not-a-backend"})
-        assert chosen.name == "numpy"
-
-    def test_threaded_close_shuts_pool_down(self):
-        bk = ThreadedBackend(2)
-        assert bk.map_ordered(lambda v: v + 1, [1, 2, 3]) == [2, 3, 4]
-        bk.close()
-        # The pool rebuilds lazily after close.
-        assert bk.map_ordered(lambda v: v * 2, [1, 2]) == [2, 4]
-        bk.close()
-
-    def test_describe_is_json_serializable(self):
-        import json
-
-        for bk in (NumpyBackend(), ThreadedBackend(2)):
-            info = json.loads(json.dumps(bk.describe()))
-            assert info["name"] == bk.name
-            assert info["workers"] == bk.workers
-
-
-class TestEMConfigBackend:
-    def test_round_trip_preserves_backend(self):
-        config = EMConfig(backend="threaded:2")
-        assert EMConfig(**config.to_dict()) == config
-        assert EMConfig(**EMConfig().to_dict()).backend is None
-
-    def test_run_many_uses_configured_backend(self):
-        channel, counts = _em_problem(31, 48, 4, dense=True)
-        reference = EMConfig().run_many(channel, counts, 1.0)
-        threaded = EMConfig(backend="threaded:2").run_many(channel, counts, 1.0)
-        np.testing.assert_allclose(
-            threaded.estimates, reference.estimates, atol=ATOL, rtol=0.0
-        )
-        assert np.array_equal(threaded.iterations, reference.iterations)
-
-    def test_unknown_backend_fails_at_solve_time(self):
-        config = EMConfig(backend="cuda")  # constructible: lazy validation
-        channel, counts = _em_problem(32, 16, 2, dense=True)
-        with pytest.raises(ValueError, match="unknown backend"):
-            config.run_many(channel, counts, 1.0)
-
-    def test_estimator_state_round_trips_backend(self):
-        from repro.api.base import Estimator
-        from repro.core.pipeline import SWEstimator
-
-        est = SWEstimator(1.0, 32, backend="threaded:2")
-        rebuilt = Estimator.from_state(est.to_state())
-        assert isinstance(rebuilt, SWEstimator)
-        assert rebuilt.config.backend == "threaded:2"
