@@ -17,8 +17,8 @@ from conftest import (
     save_series,
 )
 
+from repro.api import make_estimator
 from repro.experiments.figures import fig2_distribution_distances
-from repro.experiments.methods import make_method
 
 _METHODS = ("sw-ems", "sw-em", "hh-admm", "cfo-16", "cfo-32", "cfo-64")
 
@@ -33,7 +33,7 @@ def fig2_rows():
 @pytest.mark.parametrize("method", _METHODS)
 def test_fig2_method_fit(benchmark, beta_dataset_bench, method):
     """Time one full collection + reconstruction round per method."""
-    estimator = make_method(method, 1.0, BENCH_D)
+    estimator = make_estimator(method, 1.0, BENCH_D)
     rng = np.random.default_rng(0)
     out = benchmark.pedantic(
         lambda: estimator.fit(beta_dataset_bench.values, rng=rng),

@@ -16,8 +16,8 @@ from conftest import (
     save_series,
 )
 
+from repro.api import make_estimator
 from repro.experiments.figures import fig3_range_queries
-from repro.experiments.methods import make_method
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def fig3_rows():
 @pytest.mark.parametrize("method", ("hh", "haar-hrr"))
 def test_fig3_hierarchy_fit(benchmark, beta_dataset_bench, method):
     """Time the hierarchy estimators' collection + reconstruction."""
-    estimator = make_method(method, 1.0, BENCH_D)
+    estimator = make_estimator(method, 1.0, BENCH_D)
     rng = np.random.default_rng(0)
     out = benchmark.pedantic(
         lambda: estimator.fit(beta_dataset_bench.values, rng=rng),

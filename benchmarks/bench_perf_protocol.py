@@ -5,9 +5,9 @@ machine-readable ``BENCH_protocol.json`` so the perf trajectory is recorded
 from run to run (the CI perf-smoke step uploads it as an artifact):
 
 1. **Columnar frames vs JSON lines** — encode + decode of n SW reports
-   through the binary frame codec vs the v1 JSON-lines codec
-   (target: >= 25x round trip at n = 1e6). The vectorized v1 encoder is
-   also compared against the legacy per-dataclass encoder it replaced.
+   through the binary frame codec vs the v2 JSON-lines codec
+   (``encode_batch_v2(..., "float")`` and ``decode_feed``; target: >= 25x
+   round trip at n = 1e6).
 2. **Incremental estimation** — a mid-round ``CollectionServer.estimate()``
    after a small ingest delta (warm-started from the cached posterior) vs a
    cold EMS solve from the uniform prior on identical counts (target:
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.square_wave import SquareWave
 from repro.protocol.frames import decode_frame, encode_frame
-from repro.protocol.messages import SWReport, decode_batch, encode_batch
+from repro.protocol.messages import decode_feed, encode_batch_v2
 from repro.protocol.server import CollectionServer
 
 
@@ -43,28 +43,22 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _legacy_encode_batch(round_id: str, values: np.ndarray) -> str:
-    """The pre-vectorization v1 encoder: one dataclass + dumps per report."""
-    return "\n".join(
-        SWReport(round_id, float(v)).to_json() for v in values
-    )
-
-
 def bench_wire_codecs(n: int, repeats: int) -> dict:
     """Frame vs JSON-lines encode/decode throughput on n SW reports."""
     reports = SquareWave(1.0).privatize(
         np.random.default_rng(0).random(n), rng=np.random.default_rng(1)
     )
 
-    jsonl_encode_s = _best_of(lambda: encode_batch("r", reports), repeats)
-    payload = encode_batch("r", reports)
+    jsonl_encode_s = _best_of(
+        lambda: encode_batch_v2("r", reports, "float"), repeats
+    )
+    payload = encode_batch_v2("r", reports, "float")
     jsonl_decode_s = _best_of(
-        lambda: decode_batch(payload, expected_round="r"), repeats
+        lambda: decode_feed(payload, expected_round="r"), repeats
     )
-    legacy_encode_s = _best_of(
-        lambda: _legacy_encode_batch("r", reports), repeats
-    )
-    assert _legacy_encode_batch("r", reports) == payload  # byte-identical
+    np.testing.assert_array_equal(
+        decode_feed(payload, expected_round="r").reports, reports
+    )  # lossless
 
     frame_encode_s = _best_of(
         lambda: encode_frame("r", reports, "float"), repeats
@@ -90,7 +84,6 @@ def bench_wire_codecs(n: int, repeats: int) -> dict:
         "decode_speedup": jsonl_decode_s / frame_decode_s,
         "roundtrip_speedup": jsonl_s / frame_s,
         "size_ratio": len(payload) / len(frame),
-        "v1_encode_vectorization_speedup": legacy_encode_s / jsonl_encode_s,
     }
 
 
@@ -193,8 +186,6 @@ def main() -> int:
           f"{wire['frame_decode_s'] * 1e3:.2f} ms)")
     print(f"frame roundtrip: {wire['roundtrip_speedup']:>8.1f}x, "
           f"{wire['size_ratio']:.1f}x smaller on the wire")
-    print(f"v1 encoder   : {wire['v1_encode_vectorization_speedup']:>10.1f}x "
-          "vs per-dataclass legacy path (byte-identical)")
     print(f"warm estimate: {inc['warm_speedup']:>10.1f}x vs cold solve "
           f"({inc['cold_iterations']} -> {inc['warm_iterations']} EM iterations "
           f"after +{inc['n_delta']:,} of {inc['n_initial']:,} reports)")

@@ -1,12 +1,12 @@
 """Streaming collection: the deployment-shaped client/server protocol.
 
-Scenario: an app ships the SWClient to devices; reports arrive at the server
-in batches over days. The server keeps only O(d) counters, can publish an
+Scenario: an app ships the Square Wave client to devices; reports arrive at
+the server in batches over days. The server keeps only O(d) counters, can publish an
 interim estimate at any time, and the final estimate equals what a one-shot
 batch collection would have produced.
 
-Also demonstrates the wire format (JSON lines) and the capacity-planning
-helpers in ``repro.analysis``.
+Also demonstrates the wire format (protocol-v2 JSON lines) and the
+capacity-planning helpers in ``repro.analysis``.
 
 Run:  python examples/streaming_collection.py
 """
@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis import olh_variance, required_population
 from repro.datasets import taxi_dataset
 from repro.metrics import wasserstein_distance
-from repro.protocol import SWClient, SWServer
+from repro.protocol import CollectionServer
 
 EPSILON = 1.0
 ROUND = "pickup-times-2026-06"
@@ -32,14 +32,15 @@ def main() -> None:
     # --- The fleet: 300k devices reporting over five "days". ---------------
     ds = taxi_dataset(n=300_000, rng=21)
     truth = ds.histogram(512)
-    client = SWClient(ROUND, epsilon=EPSILON)
-    server = SWServer(ROUND, epsilon=EPSILON, d=512)
+    server = CollectionServer(ROUND, "sw-ems", EPSILON, 512)
 
     days = np.array_split(ds.values, 5)
     for day, batch in enumerate(days, start=1):
-        payload = client.report_batch(batch, rng=np.random.default_rng(day))
+        # Client side: randomize on the device, encode for the wire.
+        reports = server.privatize(batch, rng=np.random.default_rng(day))
+        payload = server.encode(reports, format="jsonl")
         first_line = payload.splitlines()[0]
-        count = server.ingest_batch(payload)
+        count = server.ingest_lines(payload)
         interim = server.estimate()
         err = wasserstein_distance(truth, interim)
         print(f"day {day}: +{count:,} reports (total {server.n_reports:,}), "

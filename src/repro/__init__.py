@@ -81,8 +81,6 @@ _EXPORTS: dict[str, str] = {
     "CosineWave": "repro.core.waves",
     "EpanechnikovWave": "repro.core.waves",
     "MultiAttributeSW": "repro.multidim",
-    "SWClient": "repro.protocol",
-    "SWServer": "repro.protocol",
     "CollectionServer": "repro.protocol",
     "PlanServer": "repro.protocol",
     "olh_variance": "repro.analysis",
@@ -209,8 +207,6 @@ if TYPE_CHECKING:
     from repro.protocol import (
         CollectionServer as CollectionServer,
         PlanServer as PlanServer,
-        SWClient as SWClient,
-        SWServer as SWServer,
     )
     from repro.streaming import (
         DecayedState as DecayedState,

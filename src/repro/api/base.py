@@ -205,8 +205,12 @@ class Estimator(abc.ABC):
 
         Both estimators must be the same type with identical parameters;
         afterwards ``self.estimate()`` equals an estimate over the union of
-        both shards' reports. Returns ``self`` for chaining.
+        both shards' reports. Returns ``self`` for chaining. Merging an
+        estimator into itself would count its reports twice, so ``other is
+        self`` is rejected.
         """
+        if other is self:
+            raise ValueError(f"cannot merge a {type(self).__name__} into itself")
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot merge {type(other).__name__} into {type(self).__name__}"

@@ -32,7 +32,7 @@ from repro.engine.cache import (
     cached_object,
     validated_channel_operator,
 )
-from repro.engine.operators import UniformPlusBandedChannel, channel_mode
+from repro.engine.operators import UniformPlusBandedChannel
 from repro.freq_oracle.adaptive import choose_oracle
 from repro.freq_oracle.grr import GRR
 from repro.freq_oracle.olh import OLH
@@ -180,11 +180,7 @@ class CFOBinning(Estimator):
         (:class:`~repro.engine.operators.UniformPlusBandedChannel`). The
         column-stochastic invariant is checked once at cache insert, like
         every engine-cached channel.
-        ``repro.engine.set_channel_mode("dense")`` restores the dense
-        matrix path.
         """
-        if channel_mode() == "dense":
-            return self.transition_matrix
         if not isinstance(self.oracle, GRR):
             raise RuntimeError(
                 "the chunk channel is defined for the GRR oracle only; "

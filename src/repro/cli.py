@@ -2,11 +2,7 @@
 
 Subcommands mirror the deployment workflow:
 
-* ``privatize`` — randomize a file of private values into a JSONL report
-  file (the client side; run it where the data lives);
-* ``aggregate`` — reconstruct the distribution from a report file (the
-  server side);
-* ``estimate`` — both halves at once, for simulations;
+* ``estimate`` — privatize and aggregate in one step, for simulations;
 * ``audit`` — numerically verify a mechanism's LDP guarantee;
 * ``plan`` — back-of-envelope population sizing for a target accuracy;
 * ``analyze`` — run a declarative analysis plan (``repro.tasks``) over a
@@ -22,10 +18,6 @@ Subcommands mirror the deployment workflow:
 
 Examples::
 
-    python -m repro privatize --epsilon 1.0 --round-id r1 \
-        --input values.txt --output reports.jsonl --seed 7
-    python -m repro aggregate --epsilon 1.0 --round-id r1 --d 256 \
-        --input reports.jsonl --output histogram.csv
     python -m repro estimate --epsilon 1.0 --d 256 --method sw-ems \
         --input values.txt --output histogram.csv
     python -m repro audit --shape square --epsilon 1.0
@@ -52,35 +44,6 @@ from repro.core.waves import ALL_WAVE_SHAPES, make_wave
 from repro.privacy.audit import audit_continuous_mechanism
 
 __all__ = ["main"]
-
-
-def _cmd_privatize(args) -> int:
-    from repro.protocol.client import SWClient
-
-    values = io.read_values(args.input)
-    client = SWClient(args.round_id, epsilon=args.epsilon, b=args.b)
-    payload = client.report_batch(values, rng=np.random.default_rng(args.seed))
-    with open(args.output, "w") as handle:
-        handle.write(payload + "\n")
-    print(f"wrote {values.size} reports to {args.output}")
-    return 0
-
-
-def _cmd_aggregate(args) -> int:
-    from repro.protocol.server import CollectionServer
-
-    server = CollectionServer(
-        args.round_id, f"sw-{args.postprocess}", args.epsilon, args.d, b=args.b,
-    )
-    with open(args.input) as handle:
-        count = server.ingest_lines(handle.read())
-    histogram = server.estimate()
-    io.write_histogram_csv(histogram, args.output)
-    print(
-        f"aggregated {count} reports; EMS/EM ran "
-        f"{server.estimator.result_.iterations} iterations; wrote {args.output}"
-    )
-    return 0
 
 
 def _print_method_table() -> None:
@@ -545,25 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical distribution estimation under local differential privacy",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("privatize", help="randomize values into LDP reports")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--round-id", required=True)
-    p.add_argument("--input", required=True, help="one value in [0,1] per line")
-    p.add_argument("--output", required=True, help="JSONL report file")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=_cmd_privatize)
-
-    p = sub.add_parser("aggregate", help="reconstruct a distribution from reports")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--round-id", required=True)
-    p.add_argument("--d", type=int, default=1024)
-    p.add_argument("--postprocess", choices=("ems", "em"), default="ems")
-    p.add_argument("--input", required=True, help="JSONL report file")
-    p.add_argument("--output", required=True, help="histogram CSV")
-    p.set_defaults(fn=_cmd_aggregate)
 
     p = sub.add_parser("estimate", help="privatize + aggregate in one step")
     p.add_argument("--epsilon", type=float, default=None)

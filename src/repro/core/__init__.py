@@ -12,12 +12,7 @@ from repro.core.bandwidth import (
     mutual_information_bound,
     optimal_bandwidth,
 )
-from repro.core.em import (
-    EMResult,
-    em_reconstruct,
-    ems_reconstruct,
-    expectation_maximization,
-)
+from repro.core.em import EMResult, expectation_maximization
 from repro.core.general_wave import WAVE_SHAPES, GeneralWave
 from repro.core.pipeline import (
     DiscreteSWEstimator,
@@ -38,8 +33,6 @@ __all__ = [
     "mutual_information_bound",
     "EMResult",
     "expectation_maximization",
-    "em_reconstruct",
-    "ems_reconstruct",
     "binomial_kernel",
     "smooth",
     "WaveEstimator",

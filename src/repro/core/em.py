@@ -14,7 +14,8 @@ removes the delicate stopping-threshold tuning that plain EM needs.
 
 Stopping: iterate until the log-likelihood improvement drops below ``tol``.
 Paper defaults (Section 6.1): ``tol = 1e-3 * e^eps`` for EM and
-``tol = 1e-3`` for EMS.
+``tol = 1e-3`` for EMS; :class:`repro.api.EMConfig` applies them
+(``EMConfig(postprocess="em").run(matrix, counts, epsilon)``).
 
 This module is the single-problem view of the batched solver in
 :mod:`repro.engine.solver` — ``expectation_maximization`` wraps one count
@@ -26,12 +27,9 @@ BLAS-batched pass.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.api.config import DEFAULT_MAX_ITER
-from repro.core.smoothing import binomial_kernel
 from repro.engine.operators import ChannelOperator
 from repro.engine.solver import EMResult, batched_expectation_maximization
 
@@ -39,8 +37,6 @@ __all__ = [
     "EMResult",
     "DEFAULT_MAX_ITER",
     "expectation_maximization",
-    "em_reconstruct",
-    "ems_reconstruct",
 ]
 
 
@@ -102,34 +98,3 @@ def expectation_maximization(
         smoothing_kernel=smoothing_kernel,
         x0=x0,
     ).column(0)
-
-
-def em_reconstruct(
-    matrix: np.ndarray,
-    counts: np.ndarray,
-    epsilon: float,
-    *,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EMResult:
-    """Plain EM with the paper's epsilon-scaled tolerance ``1e-3 * e^eps``."""
-    return expectation_maximization(
-        matrix, counts, tol=1e-3 * math.exp(epsilon), max_iter=max_iter
-    )
-
-
-def ems_reconstruct(
-    matrix: np.ndarray,
-    counts: np.ndarray,
-    *,
-    tol: float = 1e-3,
-    max_iter: int = DEFAULT_MAX_ITER,
-    smoothing_order: int = 2,
-) -> EMResult:
-    """EMS with the paper's fixed tolerance and (1, 2, 1)/4 kernel."""
-    return expectation_maximization(
-        matrix,
-        counts,
-        tol=tol,
-        max_iter=max_iter,
-        smoothing_kernel=binomial_kernel(smoothing_order),
-    )

@@ -36,7 +36,6 @@ from repro.api.errors import EmptyAggregateError
 from repro.core.em import EMResult
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
 from repro.engine.cache import cached_channel_operator, cached_transition_matrix
-from repro.engine.operators import channel_mode
 from repro.utils.validation import check_domain_size
 
 __all__ = ["WaveEstimator", "SWEstimator", "DiscreteSWEstimator", "estimate_distribution"]
@@ -142,17 +141,14 @@ class WaveEstimator(Estimator):
 
     @property
     def channel(self):
-        """What EM/EMS runs against: a structured operator, or the matrix.
+        """What EM/EMS runs against: the mechanism's channel operator.
 
-        With the engine's default ``"structured"`` channel mode this is the
-        mechanism's :class:`~repro.engine.operators.ChannelOperator`
-        (``O(d)`` per product for the wave channels); after
-        ``repro.engine.set_channel_mode("dense")`` — or inside the
-        :func:`repro.engine.dense_channels` context — it is the cached
-        dense matrix, restoring the historical solver path bit for bit.
+        A :class:`~repro.engine.operators.ChannelOperator` from the engine
+        cache — ``O(d)`` per product for the wave channels, and the dense
+        matrix wrapped as a
+        :class:`~repro.engine.operators.DenseChannel` for mechanisms
+        without exploitable structure.
         """
-        if channel_mode() == "dense":
-            return self.transition_matrix
         return self._build_operator()
 
     def _build_operator(self):

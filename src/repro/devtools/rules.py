@@ -9,8 +9,8 @@ RNG001    No global-state randomness: ``np.random.<fn>`` module calls,
           ``utils/rng.py``. Bit-reproducible ``n_jobs`` sweeps depend on
           every draw flowing through ``repro.utils.rng.as_generator``.
 PRIV001   Privacy taint: raw user-value parameters must pass through a
-          ``privatize``/``encode_report`` call before reaching a
-          ``repro.protocol`` encode path. This is the eps-LDP boundary.
+          ``privatize`` call before reaching a ``repro.protocol`` encode
+          path. This is the eps-LDP boundary.
 PRIV002   Every public constructor accepting ``epsilon``/``eps`` must
           validate positivity (``check_epsilon``) or delegate the value
           onward; silently stashing an unvalidated budget is how eps<=0
@@ -29,9 +29,8 @@ REG001    Every concrete ``Estimator`` subclass must be referenced by a
 SVC001    No blocking calls inside ``repro.service`` async handlers:
           ``time.sleep``, synchronous ``socket`` use, direct solve calls
           (``.estimate()``/``.report()``/``estimate_rounds``), or
-          JSON-lines decodes (``decode_feed_grouped``,
-          ``decode_any_feed``, ``decode_batch_grouped``) on the event
-          loop. Upload admission runs on the loop; work that costs in
+          JSON-lines decodes (``decode_feed_grouped``, ``decode_feed``,
+          ``decode_any_feed``) on the event loop. Upload admission runs on the loop; work that costs in
           proportion to its input must be offloaded through
           ``run_in_executor``/``asyncio.to_thread`` worker threads.
 STATE001  Window/decay maintenance must go through the sanctioned state
@@ -265,12 +264,10 @@ _RAW_PARAMS = frozenset(
 )
 
 #: Calls that put a payload on the wire.
-_ENCODE_SINKS = frozenset(
-    {"encode_batch", "encode_batch_v2", "encode_frame", "encode_frame_blocks"}
-)
+_ENCODE_SINKS = frozenset({"encode_batch_v2", "encode_frame", "encode_frame_blocks"})
 
 #: Calls that launder raw values into eps-LDP reports.
-_SANITIZERS = frozenset({"privatize", "encode_report"})
+_SANITIZERS = frozenset({"privatize"})
 
 
 class PrivacyTaintRule:
@@ -278,8 +275,8 @@ class PrivacyTaintRule:
 
     code = "PRIV001"
     summary = (
-        "raw user-value parameters must pass through privatize()/"
-        "encode_report() before reaching a repro.protocol encode path"
+        "raw user-value parameters must pass through privatize() before "
+        "reaching a repro.protocol encode path"
     )
 
     def check_module(self, module: AnalyzedModule) -> list[Finding]:
@@ -327,7 +324,7 @@ class PrivacyTaintRule:
                                 sub,
                                 self.code,
                                 f"raw values reach {_last_name(sub.func)}() without "
-                                "an intervening privatize()/encode_report() call — "
+                                "an intervening privatize() call — "
                                 "this would ship unrandomized user data",
                             )
                         )
@@ -846,9 +843,7 @@ _BLOCKING_SLEEPS = frozenset({"time.sleep", "sleep"})
 _BLOCKING_SOLVES = frozenset({"estimate", "report", "estimate_rounds"})
 #: JSON-lines decoders: ~50 ms per MB, so never on the loop. Admission of
 #: what they return (and frame header parsing) does run on the loop.
-_JSONL_DECODES = frozenset(
-    {"decode_feed_grouped", "decode_any_feed", "decode_batch_grouped"}
-)
+_JSONL_DECODES = frozenset({"decode_feed_grouped", "decode_feed", "decode_any_feed"})
 #: Offload seams whose argument subtrees legitimately name blocking work.
 _OFFLOAD_CALLS = frozenset({"run_in_executor", "to_thread"})
 

@@ -17,9 +17,8 @@ Three pieces, all pure infrastructure (no estimator logic lives here):
 Every EM-backed estimator (``repro.core.pipeline``, the EM mode of
 ``repro.binning``, ``repro.multidim``, the streaming ``repro.protocol``
 server) and the experiment sweep runner route through this package; the
-single-problem API in :mod:`repro.core.em` is a thin compatibility wrapper.
-Force the historical dense path with :func:`set_channel_mode` /
-:func:`dense_channels`.
+single-problem API in :mod:`repro.core.em` wraps one count vector into a
+one-column batch.
 """
 
 from repro.engine.cache import (
@@ -39,9 +38,6 @@ from repro.engine.operators import (
     DenseChannel,
     UniformPlusBandedChannel,
     UniformPlusToeplitzChannel,
-    channel_mode,
-    dense_channels,
-    set_channel_mode,
 )
 from repro.engine.solver import (
     BatchEMResult,
@@ -64,9 +60,6 @@ __all__ = [
     "DenseChannel",
     "UniformPlusBandedChannel",
     "UniformPlusToeplitzChannel",
-    "channel_mode",
-    "dense_channels",
-    "set_channel_mode",
     "EMResult",
     "BatchEMResult",
     "batched_expectation_maximization",

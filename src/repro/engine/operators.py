@@ -45,16 +45,14 @@ bit-identical to the same product computed alone. The column-layout
 
 Selection is automatic: estimators ask the engine cache
 (:func:`repro.engine.cache.cached_channel_operator`) which consults the
-mechanism's ``channel_operator`` hook and falls back to dense. Force the
-historical dense path globally with :func:`set_channel_mode` or locally
-with the :func:`dense_channels` context manager.
+mechanism's ``channel_operator`` hook and falls back to dense. A dense
+solve of the same counts stays one call away:
+``config.run(estimator.transition_matrix, counts, epsilon)``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -66,46 +64,7 @@ __all__ = [
     "DenseChannel",
     "UniformPlusBandedChannel",
     "UniformPlusToeplitzChannel",
-    "channel_mode",
-    "dense_channels",
-    "set_channel_mode",
 ]
-
-_CHANNEL_MODES = ("structured", "dense")
-_mode_lock = threading.Lock()
-_channel_mode = "structured"
-
-
-def channel_mode() -> str:
-    """The process-wide operator policy: ``"structured"`` or ``"dense"``."""
-    return _channel_mode
-
-
-def set_channel_mode(mode: str) -> str:
-    """Set the operator policy; returns the previous mode.
-
-    ``"structured"`` (the default) lets estimators run EM/EMS against the
-    structured operators below; ``"dense"`` restores the historical dense
-    matrix path everywhere (bitwise-identical plain-EM output). The policy
-    is a performance knob, not part of any estimator's serialized identity.
-    """
-    global _channel_mode
-    if mode not in _CHANNEL_MODES:
-        raise ValueError(f"mode must be one of {_CHANNEL_MODES}, got {mode!r}")
-    with _mode_lock:
-        previous = _channel_mode
-        _channel_mode = mode
-    return previous
-
-
-@contextlib.contextmanager
-def dense_channels() -> Iterator[None]:
-    """Context manager forcing the dense matrix path (benchmarks, debugging)."""
-    previous = set_channel_mode("dense")
-    try:
-        yield
-    finally:
-        set_channel_mode(previous)
 
 
 def _freeze(arr: ArrayLike, dtype: Any = np.float64) -> Any:

@@ -1,11 +1,6 @@
 """Experiment harness: method registry, sweep runner, per-figure configs."""
 
-from repro.experiments.methods import (
-    DISTRIBUTION_METRICS,
-    METHOD_REGISTRY,
-    MethodSpec,
-    make_method,
-)
+from repro.experiments.methods import DISTRIBUTION_METRICS, METHOD_REGISTRY
 from repro.experiments.plans import (
     report_errors,
     run_plan_trial,
@@ -19,8 +14,6 @@ __all__ = [
     "run_plan_trial",
     "report_errors",
     "METHOD_REGISTRY",
-    "MethodSpec",
-    "make_method",
     "DISTRIBUTION_METRICS",
     "SweepConfig",
     "ResultRow",

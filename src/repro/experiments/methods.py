@@ -1,10 +1,10 @@
 """Method table for the evaluation (paper Table 2) — a registry view.
 
-This module used to carry its own dispatch table; it is now a thin,
-backwards-compatible view over the central registry
-(:mod:`repro.api.registry`). Entries tagged ``"table2"`` are exactly the
-paper's competitors, and the specs here *are* the registry specs — there is
-no independent table to drift.
+The specs here *are* the central registry's specs
+(:mod:`repro.api.registry`): entries tagged ``"table2"`` are exactly the
+paper's competitors, in the paper's row order, so there is no independent
+table to drift. Build an estimator for one with
+:func:`repro.api.make_estimator`.
 
 Method kinds:
 
@@ -19,20 +19,14 @@ Method kinds:
 
 from __future__ import annotations
 
-import warnings
-
 from repro.api.registry import (
     DISTRIBUTION_METRICS,
     EstimatorSpec,
     get_spec,
     list_estimators,
-    make_estimator,
 )
 
-__all__ = ["MethodSpec", "METHOD_REGISTRY", "make_method", "DISTRIBUTION_METRICS"]
-
-#: Back-compat alias — method specs are registry estimator specs.
-MethodSpec = EstimatorSpec
+__all__ = ["METHOD_REGISTRY", "DISTRIBUTION_METRICS"]
 
 #: The paper's Table 2 row order (presentation only; specs live in the
 #: registry). Rendering code iterates METHOD_REGISTRY and must match it.
@@ -58,23 +52,3 @@ if set(METHOD_REGISTRY) != {spec.name for spec in list_estimators(tag="table2")}
     raise RuntimeError(
         "Table 2 order list out of sync with the registry's 'table2' tags"
     )
-
-
-def make_method(name: str, epsilon: float, d: int):
-    """Instantiate a registered method for one (epsilon, granularity).
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.registry.make_estimator`, kept for
-        the original ``experiments.methods`` surface; new code should call
-        ``make_estimator`` directly (which also accepts non-Table-2 names).
-    """
-    warnings.warn(
-        "make_method is deprecated; use repro.api.make_estimator",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if name not in METHOD_REGISTRY:
-        raise ValueError(
-            f"unknown method {name!r}; available: {sorted(METHOD_REGISTRY)}"
-        )
-    return make_estimator(name, epsilon, d)

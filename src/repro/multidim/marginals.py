@@ -136,9 +136,8 @@ class MultiAttributeSW(Estimator):
         All attributes share one channel (identical mechanism parameters),
         so the reconstructions are stacked into one ``(d_out, k)`` count
         matrix and solved in a single batched EM/EMS call through
-        :mod:`repro.engine` — whole-batch products (the structured Square
-        Wave operator by default, BLAS matmuls under the dense channel
-        mode) instead of ``k`` sequential solver loops. Per-attribute
+        :mod:`repro.engine` — whole-batch products through the structured
+        Square Wave operator instead of ``k`` sequential solver loops. Per-attribute
         diagnostics still land on each wrapped estimator's ``result_``.
 
         Attributes that received no reports get the uniform fallback (and a

@@ -1,13 +1,12 @@
 """Deployment-shaped client/server layer for LDP collection rounds.
 
-Protocol v1 is the original Square-Wave JSON-lines format; protocol v2
-generalizes the wire to every registered mechanism via payload codecs
-(:mod:`repro.protocol.codecs`), adds a columnar binary frame transport
+Protocol v2 carries every registered mechanism's reports via payload
+codecs (:mod:`repro.protocol.codecs`), over either JSON lines
+(:mod:`repro.protocol.messages`) or a columnar binary frame transport
 (:mod:`repro.protocol.frames`), and serves any registry estimator through
 :class:`CollectionServer` / :class:`PlanServer`.
 """
 
-from repro.protocol.client import SWClient
 from repro.protocol.codecs import (
     PayloadCodec,
     codec_for_estimator,
@@ -28,36 +27,26 @@ from repro.protocol.frames import (
 from repro.protocol.messages import (
     DEFAULT_ATTR,
     PROTOCOL_V2,
-    PROTOCOL_VERSION,
     FeedGroup,
     ReportEnvelope,
-    SWReport,
-    decode_batch,
-    decode_batch_grouped,
     decode_feed,
     decode_feed_grouped,
-    encode_batch,
     encode_batch_v2,
 )
 from repro.protocol.server import (
     CollectionServer,
     EstimateFailure,
     PlanServer,
-    SWServer,
     estimate_rounds,
 )
 
 __all__ = [
-    "SWClient",
     "CollectionServer",
     "PlanServer",
-    "SWServer",
     "EstimateFailure",
     "estimate_rounds",
-    "SWReport",
     "ReportEnvelope",
     "FeedGroup",
-    "PROTOCOL_VERSION",
     "PROTOCOL_V2",
     "DEFAULT_ATTR",
     "FRAME_MAGIC",
@@ -68,9 +57,6 @@ __all__ = [
     "get_codec",
     "list_codecs",
     "codec_for_estimator",
-    "encode_batch",
-    "decode_batch",
-    "decode_batch_grouped",
     "encode_batch_v2",
     "decode_feed",
     "decode_feed_grouped",

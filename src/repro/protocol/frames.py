@@ -396,7 +396,7 @@ def decode_any_feed(
 ) -> tuple[str, dict[str, FeedGroup]]:
     """Decode either transport into per-attribute report batches.
 
-    ``bytes`` must be a binary frame; ``str`` is a v1/v2 JSON-lines feed.
+    ``bytes`` must be a binary frame; ``str`` is a v2 JSON-lines feed.
     The single dispatch point every server and session ingest path routes
     through, so transport detection cannot drift between them.
     """

@@ -1,26 +1,23 @@
-"""Wire formats for collection rounds: v1 SW JSON lines + generic v2 envelopes.
+"""The JSON-lines wire format for collection rounds (protocol v2).
 
-A deployment sends one small message per user. Protocol **v1** is the
-original Square-Wave-only format — ``SWReport`` carries the protocol
-version, the collection round, the attribute (multi-attribute sessions
-share one feed), and the randomized float. Protocol **v2** generalizes the
-same JSON-lines shape to *every* mechanism family: a :class:`ReportEnvelope`
-carries the round, attribute, the payload codec name, and a codec-specific
-payload (see :mod:`repro.protocol.codecs`), so OLH hash triples and
-hierarchical level reports travel the same feed as SW floats.
+A deployment sends one small message per user. A :class:`ReportEnvelope`
+carries the protocol version, the collection round, the attribute
+(multi-attribute sessions share one feed), the payload codec name and a
+codec-specific payload (see :mod:`repro.protocol.codecs`), so SW floats,
+OLH hash triples and hierarchical level reports all travel the same feed.
 
-:func:`decode_feed_grouped` is the server-side entry point: it accepts a
-mixed v1/v2 feed (v1 lines decode as ``float`` payloads, byte-for-byte
-compatibly) and partitions it into per-attribute report batches. For bulk
-transport, prefer the columnar binary frames in
+:func:`decode_feed_grouped` is the server-side entry point: it partitions a
+feed into per-attribute report batches. Every line must carry
+``"version": 2``; a line without it, or with any other version, fails with
+its line number. For bulk transport, prefer the columnar binary frames in
 :mod:`repro.protocol.frames`; JSON lines stay the greppable,
 language-neutral interchange form.
 
 Nothing privacy-relevant lives here — by the time a value reaches a report
 it is already randomized — but decoding *validates* that reports are
-well-formed (and, for v1 floats, finite), so a corrupted or mismatched feed
-fails loudly instead of silently biasing the estimate. Malformed lines are
-reported with their 1-based line number.
+well-formed, so a corrupted or mismatched feed fails loudly instead of
+silently biasing the estimate. Malformed lines are reported with their
+1-based line number.
 """
 
 from __future__ import annotations
@@ -29,93 +26,28 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.protocol.codecs import PayloadCodec, get_codec
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "PROTOCOL_V2",
     "DEFAULT_ATTR",
-    "SWReport",
     "ReportEnvelope",
     "FeedGroup",
-    "encode_batch",
-    "decode_batch",
-    "decode_batch_grouped",
     "encode_batch_v2",
     "decode_feed",
     "decode_feed_grouped",
 ]
 
-PROTOCOL_VERSION = 1
-
-#: Generic-envelope protocol version (mechanism-agnostic payloads).
+#: The protocol version every JSON-lines report carries.
 PROTOCOL_V2 = 2
 
-#: Attribute id single-attribute rounds implicitly report under. Lines
-#: written before the field existed decode to this, so old feeds stay valid.
+#: Attribute id single-attribute rounds implicitly report under. The wire
+#: line omits ``attr`` when it is this default.
 DEFAULT_ATTR = "value"
 
 
 def _at_line(lineno: int | None) -> str:
     return f"line {lineno}: " if lineno is not None else ""
-
-
-@dataclass(frozen=True)
-class SWReport:
-    """One user's randomized report for one collection round (protocol v1).
-
-    ``attr`` identifies which attribute of a multi-attribute session the
-    report belongs to; single-attribute rounds leave it at
-    :data:`DEFAULT_ATTR` and the wire line omits it entirely, so the format
-    is byte-identical to the pre-``attr`` protocol in that case.
-    """
-
-    round_id: str
-    value: float
-    version: int = PROTOCOL_VERSION
-    attr: str = DEFAULT_ATTR
-
-    def to_json(self) -> str:
-        data = {"round_id": self.round_id, "value": self.value, "version": self.version}
-        if self.attr != DEFAULT_ATTR:
-            data["attr"] = self.attr
-        return json.dumps(data, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str, *, lineno: int | None = None) -> "SWReport":
-        try:
-            data = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(
-                f"{_at_line(lineno)}malformed SW report line: {line!r}"
-            ) from exc
-        return cls._from_data(data, line, lineno=lineno)
-
-    @classmethod
-    def _from_data(
-        cls, data: Any, line: str, *, lineno: int | None = None
-    ) -> "SWReport":
-        try:
-            report = cls(
-                round_id=str(data["round_id"]),
-                value=float(data["value"]),
-                version=int(data.get("version", PROTOCOL_VERSION)),
-                attr=str(data.get("attr", DEFAULT_ATTR)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{_at_line(lineno)}malformed SW report line: {line!r}"
-            ) from exc
-        if report.version != PROTOCOL_VERSION:
-            raise ValueError(
-                f"{_at_line(lineno)}unsupported protocol version {report.version} "
-                f"(this decoder speaks {PROTOCOL_VERSION})"
-            )
-        if not np.isfinite(report.value):
-            raise ValueError(f"{_at_line(lineno)}report value must be finite")
-        return report
 
 
 @dataclass(frozen=True)
@@ -125,8 +57,8 @@ class ReportEnvelope:
     ``mechanism`` names the payload codec (:mod:`repro.protocol.codecs`);
     ``payload`` is that codec's per-report form — a scalar for
     single-column codecs (SW float, GRR category), a small list otherwise
-    (OLH ``[a, b, y]``, HRR ``[row, bit]``, tree rows). As in v1, the wire
-    line omits ``attr`` when it is the default.
+    (OLH ``[a, b, y]``, HRR ``[row, bit]``, tree rows). The wire line omits
+    ``attr`` when it is the default.
     """
 
     round_id: str
@@ -165,30 +97,16 @@ class ReportEnvelope:
                 f"{_at_line(lineno)}malformed report envelope: {line!r}"
             )
         try:
-            # Coerce like the v1 decoder does, so e.g. "version": "1" keeps
-            # decoding through every v2-routed path too.
-            version = int(data.get("version", PROTOCOL_VERSION))
-        except (TypeError, ValueError) as exc:
+            # Coerced, so a "version": "2" line decodes like "version": 2.
+            version = int(data["version"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"{_at_line(lineno)}malformed report envelope: {line!r}"
             ) from exc
-        if version == PROTOCOL_VERSION:
-            # A v1 line is exactly a float-codec envelope; route through the
-            # v1 validator (on the already-parsed data — no second
-            # json.loads on the per-report hot path) so old feeds keep
-            # their old failure modes.
-            report = SWReport._from_data(data, line, lineno=lineno)
-            return cls(
-                round_id=report.round_id,
-                mechanism="float",
-                payload=report.value,
-                version=PROTOCOL_VERSION,
-                attr=report.attr,
-            )
         if version != PROTOCOL_V2:
             raise ValueError(
                 f"{_at_line(lineno)}unsupported protocol version {version} "
-                f"(this decoder speaks {PROTOCOL_VERSION} and {PROTOCOL_V2})"
+                f"(this decoder speaks {PROTOCOL_V2})"
             )
         try:
             return cls(
@@ -214,90 +132,6 @@ class FeedGroup:
     n: int
 
 
-# ----------------------------------------------------------------------
-# protocol v1 (SW floats)
-# ----------------------------------------------------------------------
-
-
-def encode_batch(round_id: str, values: np.ndarray, attr: str = DEFAULT_ATTR) -> str:
-    """Encode randomized values as v1 JSON lines (one report per line).
-
-    Lines are built from one pre-formatted array pass — ``json.dumps``
-    serializes finite doubles via ``float.__repr__``, so gluing
-    ``repr(value)`` between a constant prefix and suffix is byte-identical
-    to per-report ``SWReport(...).to_json()`` at a fraction of the cost.
-    Non-finite values fall back to the dataclass path so their (legacy)
-    ``Infinity``/``NaN`` spellings are preserved.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("values must be 1-dimensional")
-    if not np.isfinite(arr).all():  # pragma: no cover - legacy spelling path
-        return "\n".join(SWReport(round_id, float(v), attr=attr).to_json() for v in arr)
-    prefix = f'{{"round_id":{json.dumps(round_id)},"value":'
-    attr_part = "" if attr == DEFAULT_ATTR else f',"attr":{json.dumps(attr)}'
-    suffix = f',"version":{PROTOCOL_VERSION}{attr_part}}}'
-    return "\n".join(f"{prefix}{v!r}{suffix}" for v in arr.tolist())
-
-
-def _iter_reports(payload: str, expected_round: str | None):
-    for lineno, line in enumerate(payload.splitlines(), start=1):
-        if not line.strip():
-            continue
-        report = SWReport.from_json(line, lineno=lineno)
-        if expected_round is not None and report.round_id != expected_round:
-            raise ValueError(
-                f"{_at_line(lineno)}report for round {report.round_id!r} mixed "
-                f"into round {expected_round!r}"
-            )
-        yield report
-
-
-def decode_batch(
-    payload: str,
-    expected_round: str | None = None,
-    expected_attr: str | None = None,
-) -> np.ndarray:
-    """Decode v1 JSON lines into a report array, checking feed consistency.
-
-    ``expected_attr`` (when given) rejects reports for any other attribute —
-    the guard a single-attribute server uses against a mixed
-    multi-attribute feed. The default accepts everything, preserving the
-    pre-``attr`` behaviour.
-    """
-    values = []
-    for report in _iter_reports(payload, expected_round):
-        if expected_attr is not None and report.attr != expected_attr:
-            raise ValueError(
-                f"report for attribute {report.attr!r} mixed into "
-                f"attribute {expected_attr!r}"
-            )
-        values.append(report.value)
-    if not values:
-        raise ValueError("payload contained no reports")
-    return np.asarray(values, dtype=np.float64)
-
-
-def decode_batch_grouped(
-    payload: str, expected_round: str | None = None
-) -> dict[str, np.ndarray]:
-    """Decode a mixed multi-attribute v1 feed into per-attribute arrays."""
-    groups: dict[str, list[float]] = {}
-    for report in _iter_reports(payload, expected_round):
-        groups.setdefault(report.attr, []).append(report.value)
-    if not groups:
-        raise ValueError("payload contained no reports")
-    return {
-        attr: np.asarray(values, dtype=np.float64)
-        for attr, values in groups.items()
-    }
-
-
-# ----------------------------------------------------------------------
-# protocol v2 (generic envelopes)
-# ----------------------------------------------------------------------
-
-
 def encode_batch_v2(
     round_id: str,
     reports: Any,
@@ -307,8 +141,8 @@ def encode_batch_v2(
     """Encode one mechanism's report batch as v2 JSON lines.
 
     ``codec`` is a registered payload codec (or its name); each line is one
-    :class:`ReportEnvelope`. Like v1 encoding, lines share a pre-formatted
-    prefix/suffix so only the payload is serialized per report.
+    :class:`ReportEnvelope`. Lines share a pre-formatted prefix/suffix so
+    only the payload is serialized per report.
     """
     if isinstance(codec, str):
         codec = get_codec(codec)
@@ -328,7 +162,7 @@ def encode_batch_v2(
 def decode_feed_grouped(
     payload: str, expected_round: str | None = None
 ) -> tuple[str, dict[str, FeedGroup]]:
-    """Decode a mixed v1/v2 feed into per-attribute report batches.
+    """Decode a JSON-lines feed into per-attribute report batches.
 
     All lines must belong to one collection round (checked against
     ``expected_round`` when given) and each attribute must report through a
@@ -378,7 +212,7 @@ def decode_feed(
     expected_round: str | None = None,
     expected_attr: str | None = None,
 ) -> FeedGroup:
-    """Decode a single-attribute v1/v2 feed into one report batch.
+    """Decode a single-attribute JSON-lines feed into one report batch.
 
     The single-attribute counterpart of :func:`decode_feed_grouped`: a feed
     carrying any other attribute fails loudly (against ``expected_attr``

@@ -7,7 +7,7 @@ estimator's own ingest/merge/to_state machinery — memory stays O(state) no
 matter how many users stream in, and shard servers for the same round
 ``merge`` exactly. Both wire transports route through one code path: the
 columnar binary frames of :mod:`repro.protocol.frames` for bulk feeds, and
-v1/v2 JSON lines (:mod:`repro.protocol.messages`) for the greppable form.
+v2 JSON lines (:mod:`repro.protocol.messages`) for the greppable form.
 
 Mid-round ``estimate()`` is *incremental*: the server caches the last
 posterior keyed on a fingerprint of the aggregation state, skips the solve
@@ -33,9 +33,6 @@ solves through the same :func:`solve_together`.
 — one ``CollectionServer`` per planned attribute — off a single mixed
 frame/JSONL feed, and emits the typed
 :class:`~repro.tasks.results.AnalysisReport`.
-
-:class:`SWServer` remains as a thin deprecation shim over
-``CollectionServer`` for the original Square-Wave-only API.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
-import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -51,11 +47,11 @@ from typing import Any
 import numpy as np
 
 from repro.api.base import Estimator
-from repro.api.config import DEFAULT_MAX_ITER, EMConfig
+from repro.api.config import EMConfig
 from repro.api.errors import EmptyAggregateError
 from repro.api.registry import make_estimator
 from repro.binning.cfo_binning import CFOBinning
-from repro.core.pipeline import SWEstimator, WaveEstimator
+from repro.core.pipeline import WaveEstimator
 from repro.engine.operators import ChannelOperator
 from repro.protocol.codecs import codec_for_estimator
 from repro.protocol.frames import (
@@ -66,7 +62,6 @@ from repro.protocol.frames import (
 from repro.protocol.messages import (
     DEFAULT_ATTR,
     FeedGroup,
-    SWReport,
     decode_feed_grouped,
     encode_batch_v2,
 )
@@ -76,7 +71,6 @@ __all__ = [
     "CollectionServer",
     "EstimateFailure",
     "PlanServer",
-    "SWServer",
     "estimate_rounds",
 ]
 
@@ -222,7 +216,7 @@ def solve_together(
 
 
 @contextlib.contextmanager
-def _holding(locks: Iterable[threading.RLock]) -> Any:
+def _holding(locks: Iterable[threading.Lock]) -> Any:
     """Hold every distinct lock, taken in id order (as ``merge`` does)."""
     with contextlib.ExitStack() as stack:
         for lock in sorted({id(lock): lock for lock in locks}.values(), key=id):
@@ -373,9 +367,8 @@ class CollectionServer:
         # Ingest, estimate, merge, and snapshot all cross this lock: a fold
         # landing while another thread solves must never interleave a
         # half-applied batch into the fingerprint the posterior cache is
-        # keyed on. Reentrant only for merge(): a server merged into itself
-        # takes this one lock as both of its two locks.
-        self._lock = threading.RLock()
+        # keyed on.
+        self._lock = threading.Lock()
 
     @classmethod
     def for_estimator(
@@ -485,7 +478,7 @@ class CollectionServer:
         return self._ingest_groups(groups)
 
     def ingest_lines(self, payload: str) -> int:
-        """Add a v1/v2 JSON-lines batch; returns the reports ingested."""
+        """Add a JSON-lines batch; returns the reports ingested."""
         _, groups = decode_feed_grouped(payload, expected_round=self.round_id)
         return self._ingest_groups(groups)
 
@@ -550,7 +543,13 @@ class CollectionServer:
 
     # -- shard merge + serialization --------------------------------------
     def merge(self, other: "CollectionServer") -> "CollectionServer":
-        """Fold another shard server's aggregation state into this round's."""
+        """Fold another shard server's aggregation state into this round's.
+
+        A server merged into itself would count its reports twice, so
+        ``other is self`` is rejected before any lock is taken.
+        """
+        if other is self:
+            raise ValueError("cannot merge a server into itself")
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot merge {type(other).__name__} into {type(self).__name__}"
@@ -762,135 +761,5 @@ class PlanServer:
         mechanisms = {name: s.mechanism_name for name, s in self._servers.items()}
         return (
             f"PlanServer(round_id={self.round_id!r}, mechanisms={mechanisms}, "
-            f"n_reports={self.n_reports})"
-        )
-
-
-class SWServer(CollectionServer):
-    """Deprecated Square-Wave-only server; use :class:`CollectionServer`.
-
-    Kept as a thin shim so existing deployments keep working: the full
-    pre-v2 API (v1 ``ingest_batch``, delegated EM views, ``to_state``
-    layout) is preserved on top of the generic server — including its new
-    incremental ``estimate()``.
-    """
-
-    def __init__(
-        self,
-        round_id: str,
-        epsilon: float,
-        d: int = 1024,
-        *,
-        b: float | None = None,
-        postprocess: str = "ems",
-        tol: float | None = None,
-        max_iter: int = DEFAULT_MAX_ITER,
-        config: EMConfig | None = None,
-        attr: str = DEFAULT_ATTR,
-    ) -> None:
-        warnings.warn(
-            "SWServer is deprecated; use CollectionServer(round_id, 'sw-ems', "
-            "epsilon, d, ...) which serves every registered mechanism",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if config is None:
-            config = EMConfig(postprocess=postprocess, tol=tol, max_iter=max_iter)
-        estimator = SWEstimator(epsilon, d, b=b, config=config)
-        self._bind(round_id, estimator, attr, f"sw-{config.postprocess}", True)
-
-    # -- pre-v2 delegated views -------------------------------------------
-    @property
-    def mechanism(self):
-        return self._estimator.mechanism
-
-    @property
-    def config(self) -> EMConfig:
-        return self._estimator.config
-
-    @property
-    def epsilon(self) -> float:
-        return self._estimator.epsilon
-
-    @property
-    def d(self) -> int:
-        return self._estimator.d
-
-    @property
-    def postprocess(self) -> str:
-        return self._estimator.postprocess
-
-    @property
-    def tol(self) -> float:
-        """Effective stopping tolerance (always a plain ``float``)."""
-        return self._estimator.tol
-
-    @property
-    def max_iter(self) -> int:
-        return self._estimator.max_iter
-
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """The round's ``(d, d)`` channel matrix (shared, read-only)."""
-        return self._estimator.transition_matrix
-
-    @property
-    def result_(self):
-        return self._estimator.result_
-
-    # -- pre-v2 ingestion API ---------------------------------------------
-    def ingest(self, report: SWReport) -> None:
-        """Add one v1 report to the round."""
-        if report.round_id != self.round_id:
-            raise ValueError(
-                f"report for round {report.round_id!r} sent to round "
-                f"{self.round_id!r}"
-            )
-        if report.attr != self.attr:
-            raise ValueError(
-                f"report for attribute {report.attr!r} sent to server for "
-                f"attribute {self.attr!r}"
-            )
-        self._estimator.ingest(np.array([report.value]))
-
-    def ingest_batch(self, payload: str) -> int:
-        """Add a JSON-lines batch; returns the number of reports ingested."""
-        return self.ingest_lines(payload)
-
-    def ingest_values(self, values: np.ndarray) -> None:
-        """Add already-decoded randomized values (simulation fast path)."""
-        self._estimator.ingest(np.asarray(values, dtype=np.float64))
-
-    # -- pre-v2 serialization layout --------------------------------------
-    def to_state(self) -> dict:
-        """Serialize the round identity plus the aggregation state."""
-        return {
-            "class": "repro.protocol.server:SWServer",
-            "round_id": self.round_id,
-            "attr": self.attr,
-            "sw": self._estimator.to_state(),
-        }
-
-    @classmethod
-    def from_state(cls, payload: dict) -> "SWServer":
-        """Rebuild a shard server from :meth:`to_state` output."""
-        inner = Estimator.from_state(payload["sw"])
-        if not isinstance(inner, SWEstimator):
-            raise ValueError("SWServer state must wrap an SWEstimator")
-        server = cls(
-            payload["round_id"],
-            inner.epsilon,
-            inner.d,
-            b=inner.mechanism.b,
-            config=inner.config,
-            attr=payload.get("attr", DEFAULT_ATTR),
-        )
-        server._estimator = inner
-        return server
-
-    def __repr__(self) -> str:
-        return (
-            f"SWServer(round_id={self.round_id!r}, epsilon={self.epsilon}, "
-            f"d={self.d}, postprocess={self.postprocess!r}, "
             f"n_reports={self.n_reports})"
         )

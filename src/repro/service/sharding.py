@@ -102,12 +102,15 @@ def merge_tree(servers: Sequence[CollectionServer]) -> CollectionServer:
     The input servers are consumed: the fold merges right operands into
     left ones level by level — pass snapshots (:meth:`CollectionServer.
     from_state` clones), never live shard aggregators. Raises
-    ``ValueError`` on an empty sequence; round/attr mismatches surface
-    from :meth:`CollectionServer.merge` itself.
+    ``ValueError`` on an empty sequence or on a server passed twice (it
+    would count its reports twice); round/attr mismatches surface from
+    :meth:`CollectionServer.merge` itself.
     """
     layer = list(servers)
     if not layer:
         raise ValueError("merge_tree needs at least one server")
+    if len({id(server) for server in layer}) != len(layer):
+        raise ValueError("merge_tree got the same server more than once")
     while len(layer) > 1:
         merged = []
         for i in range(0, len(layer) - 1, 2):

@@ -14,15 +14,13 @@ lifecycle as every estimator in the package:
 * ``results()`` — answer every task, in real-world units, with optional
   bootstrap confidence intervals and per-task budget attribution.
 
-Sessions also speak the wire formats. The legacy v1 helpers
-(``encode_reports``/``ingest_payload``) carry wave and scalar reports as
-attribute-stamped SW JSON lines; the protocol-v2 pair
-``to_feed``/``ingest_feed`` round-trips *every* mechanism family — each
-attribute's reports travel under its estimator's payload codec
-(:mod:`repro.protocol.codecs`), either as one mixed columnar binary frame
-(:mod:`repro.protocol.frames`) or as envelope JSON lines — so a session is
-servable by a :class:`repro.protocol.server.PlanServer` over the same wire
-as a plain collection round.
+Sessions also speak the wire formats: ``to_feed``/``ingest_feed``
+round-trip *every* mechanism family — each attribute's reports travel under
+its estimator's payload codec (:mod:`repro.protocol.codecs`), either as one
+mixed columnar binary frame (:mod:`repro.protocol.frames`) or as protocol-v2
+envelope JSON lines — so a session is servable by a
+:class:`repro.protocol.server.PlanServer` over the same wire as a plain
+collection round.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.api.errors import EmptyAggregateError
 from repro.core.pipeline import WaveEstimator
 from repro.metrics.queries import range_queries
 from repro.multidim.marginals import split_population
-from repro.protocol.messages import decode_batch_grouped, encode_batch
 from repro.tasks.plan import AnalysisPlan, AttributeSpec, Task
 from repro.tasks.planner import PlannedAnalysis, plan_analysis
 from repro.tasks.results import AnalysisReport, TaskResult
@@ -140,7 +137,7 @@ class Session:
         assigned a single attribute (weight-proportional) and spends the
         whole budget on it; under budget splitting every user reports every
         attribute at its allocated fraction. Returns per-attribute LDP
-        reports, ready for :meth:`ingest` or :meth:`encode_reports`.
+        reports, ready for :meth:`ingest` or :meth:`to_feed`.
         """
         arrays = self._check_data(data)
         gen = as_generator(rng)
@@ -219,57 +216,6 @@ class Session:
             estimator.reset()
 
     # -- wire format -------------------------------------------------------
-    def _require_wire_servable(self, name: str) -> None:
-        """Reject attributes whose estimators exchange structured reports.
-
-        The JSON-lines wire carries one float per report, which fits the
-        wave and scalar families; hierarchical estimators bundle per-level
-        oracle reports (``TreeReports``) and must travel via ``to_state``.
-        """
-        from repro.mean.scalar import ScalarMeanEstimator
-
-        estimator = self._estimators[name]
-        if not isinstance(estimator, (WaveEstimator, ScalarMeanEstimator)):
-            raise ValueError(
-                f"attribute {name!r}: {type(estimator).__name__} reports are "
-                "not plain numeric values and cannot travel the JSON-lines "
-                "wire format; ship shard state via to_state() instead"
-            )
-
-    def encode_reports(self, reports: Mapping[str, Any], round_id: str) -> str:
-        """Encode per-attribute reports as attribute-stamped JSON lines."""
-        unknown = set(reports) - set(self.attributes)
-        if unknown:
-            raise ValueError(f"reports for undeclared attributes {sorted(unknown)}")
-        chunks = []
-        for name, batch in reports.items():
-            self._require_wire_servable(name)
-            arr = np.asarray(batch)
-            if arr.ndim != 1 or arr.dtype.kind not in "fiu":
-                raise ValueError(
-                    f"attribute {name!r}: reports of "
-                    f"{type(self._estimators[name]).__name__} are not plain "
-                    "numeric values and cannot travel the JSON-lines wire format"
-                )
-            chunks.append(encode_batch(round_id, arr.astype(np.float64), attr=name))
-        if not chunks:
-            raise ValueError("no reports to encode")
-        return "\n".join(chunks)
-
-    def ingest_payload(self, payload: str, round_id: str | None = None) -> int:
-        """Decode a mixed multi-attribute feed and route it; returns count."""
-        groups = decode_batch_grouped(payload, expected_round=round_id)
-        unknown = set(groups) - set(self.attributes)
-        if unknown:
-            raise ValueError(f"payload reports undeclared attributes {sorted(unknown)}")
-        for name in groups:
-            self._require_wire_servable(name)
-        total = 0
-        for name, values in groups.items():
-            self._estimators[name].ingest(values)
-            total += values.size
-        return total
-
     def to_feed(
         self,
         reports: Mapping[str, Any],
@@ -279,12 +225,12 @@ class Session:
     ) -> bytes | str:
         """Encode per-attribute reports as one mixed protocol-v2 feed.
 
-        Unlike the v1 :meth:`encode_reports`, every mechanism family is
-        servable: each attribute's batch travels under its estimator's
-        payload codec. ``format="frame"`` returns the columnar binary form
-        (one frame, one block per attribute), ``format="jsonl"`` the
-        envelope JSON-lines form. Invert with :meth:`ingest_feed` (or serve
-        through :class:`repro.protocol.server.PlanServer`).
+        Every mechanism family is servable: each attribute's batch travels
+        under its estimator's payload codec. ``format="frame"`` returns the
+        columnar binary form (one frame, one block per attribute),
+        ``format="jsonl"`` the envelope JSON-lines form. Invert with
+        :meth:`ingest_feed` (or serve through
+        :class:`repro.protocol.server.PlanServer`).
         """
         from repro.protocol.codecs import codec_for_estimator
         from repro.protocol.frames import encode_frame_blocks
@@ -311,7 +257,7 @@ class Session:
     def ingest_feed(self, feed: bytes | str, round_id: str | None = None) -> int:
         """Decode a mixed frame/JSONL feed and route it; returns the count.
 
-        Accepts the binary frame form (``bytes``) or v1/v2 JSON lines
+        Accepts the binary frame form (``bytes``) or v2 JSON lines
         (``str``); each attribute's payloads must travel under the codec
         its planned estimator expects. The feed ingests **atomically**: if
         any attribute's block is rejected — wrong codec, reports outside
@@ -349,7 +295,13 @@ class Session:
 
     # -- shard merge + serialization --------------------------------------
     def merge(self, other: "Session") -> "Session":
-        """Combine another shard's session state into this one, exactly."""
+        """Combine another shard's session state into this one, exactly.
+
+        A session merged into itself would count its reports twice, so
+        ``other is self`` is rejected.
+        """
+        if other is self:
+            raise ValueError("cannot merge a session into itself")
         if not isinstance(other, Session):
             raise TypeError(f"cannot merge {type(other).__name__} into Session")
         if other.plan.to_dict() != self.plan.to_dict():

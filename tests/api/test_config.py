@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import EMConfig
 from repro.core.pipeline import SWEstimator
-from repro.protocol.server import SWServer
+from repro.protocol.server import CollectionServer
 
 
 class TestDefaultTolerance:
@@ -36,7 +36,7 @@ class TestToleranceConsistencyAcrossSurfaces:
     @pytest.mark.parametrize("epsilon", [0.25, 1.0, 3.0])
     def test_server_and_estimator_identical(self, postprocess, epsilon):
         est = SWEstimator(epsilon, d=32, postprocess=postprocess)
-        server = SWServer("r", epsilon, d=32, postprocess=postprocess)
+        server = CollectionServer("r", f"sw-{postprocess}", epsilon, 32).estimator
         assert est.tol == server.tol
         assert type(est.tol) is float
         assert type(server.tol) is float
@@ -44,7 +44,7 @@ class TestToleranceConsistencyAcrossSurfaces:
 
     def test_explicit_tol_respected_on_both(self):
         assert SWEstimator(1.0, d=32, tol=0.5).tol == 0.5
-        assert SWServer("r", 1.0, d=32, tol=0.5).tol == 0.5
+        assert CollectionServer("r", "sw-ems", 1.0, 32, tol=0.5).estimator.tol == 0.5
 
 
 class TestEMConfigValidation:
@@ -86,9 +86,9 @@ class TestConfigConsumers:
 
     def test_server_shares_config_type(self):
         config = EMConfig(postprocess="em", tol=0.7)
-        server = SWServer("r", 1.0, d=32, config=config)
-        assert server.config is config
-        assert server.tol == 0.7
+        server = CollectionServer("r", "sw-em", 1.0, 32, config=config)
+        assert server.estimator.config is config
+        assert server.estimator.tol == 0.7
 
     def test_cfo_em_reconstruction(self, beta_values, rng):
         """CFOBinning consumes EMConfig: EM over GRR chunk reports."""

@@ -12,7 +12,7 @@ from repro.hierarchy.haar import HaarHRR
 from repro.hierarchy.hh import HierarchicalHistogram
 from repro.mean.scalar import ScalarMeanEstimator
 from repro.multidim.marginals import MultiAttributeSW
-from repro.protocol.server import SWServer
+from repro.protocol.server import CollectionServer
 
 _EMPTY_ESTIMATORS = [
     pytest.param(lambda: SWEstimator(1.0, d=16), id="sw"),
@@ -44,7 +44,7 @@ def test_empty_aggregate_error_is_a_runtime_error(factory):
 
 
 def test_server_estimate_on_empty_round():
-    server = SWServer("r1", epsilon=1.0, d=16)
+    server = CollectionServer("r1", "sw-ems", 1.0, 16)
     with pytest.raises(EmptyAggregateError, match="no reports ingested"):
         server.estimate()
 

@@ -13,8 +13,7 @@ from repro.hierarchy.admm import HHADMM
 from repro.hierarchy.haar import HaarHRR
 from repro.hierarchy.hh import HierarchicalHistogram
 from repro.mean.scalar import ScalarMeanEstimator
-from repro.protocol.client import SWClient
-from repro.protocol.server import SWServer
+from repro.protocol.server import CollectionServer
 
 
 @pytest.fixture(scope="module")
@@ -184,24 +183,37 @@ class TestMergeEquivalence:
         with pytest.raises(TypeError, match="cannot merge"):
             SWEstimator(1.0, d=64).merge(CFOBinning(1.0, d=64))
 
+    def test_merge_into_itself_rejected(self, values):
+        """A self-merge would double every count; it fails and changes nothing."""
+        est = SWEstimator(1.0, d=32)
+        est.partial_fit(values[:1000], rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="itself"):
+            est.merge(est)
+        assert est.n_reports == 1000
+
     def test_server_merge_shards(self, values):
-        client = SWClient("round", epsilon=1.0)
-        shard_a = SWServer("round", epsilon=1.0, d=32)
-        shard_b = SWServer("round", epsilon=1.0, d=32)
-        whole = SWServer("round", epsilon=1.0, d=32)
-        payload_a = client.report_batch(values[:3000], rng=np.random.default_rng(0))
-        payload_b = client.report_batch(values[3000:], rng=np.random.default_rng(1))
-        shard_a.ingest_batch(payload_a)
-        shard_b.ingest_batch(payload_b)
-        whole.ingest_batch(payload_a)
-        whole.ingest_batch(payload_b)
+        shard_a = CollectionServer("round", "sw-ems", 1.0, 32)
+        shard_b = CollectionServer("round", "sw-ems", 1.0, 32)
+        whole = CollectionServer("round", "sw-ems", 1.0, 32)
+        payload_a = whole.encode(
+            whole.privatize(values[:3000], rng=np.random.default_rng(0)), format="jsonl"
+        )
+        payload_b = whole.encode(
+            whole.privatize(values[3000:], rng=np.random.default_rng(1)), format="jsonl"
+        )
+        shard_a.ingest_lines(payload_a)
+        shard_b.ingest_lines(payload_b)
+        whole.ingest_lines(payload_a)
+        whole.ingest_lines(payload_b)
         merged = shard_a.merge(shard_b)
         assert merged.n_reports == whole.n_reports
         np.testing.assert_allclose(merged.estimate(), whole.estimate())
 
     def test_server_merge_rejects_round_mismatch(self):
         with pytest.raises(ValueError, match="round"):
-            SWServer("a", 1.0, d=32).merge(SWServer("b", 1.0, d=32))
+            CollectionServer("a", "sw-ems", 1.0, 32).merge(
+                CollectionServer("b", "sw-ems", 1.0, 32)
+            )
 
 
 class TestStateSerialization:
@@ -303,11 +315,10 @@ class TestStateSerialization:
             np.testing.assert_allclose(mine, theirs)
 
     def test_server_state_round_trip(self, values):
-        client = SWClient("r9", epsilon=1.0)
-        server = SWServer("r9", epsilon=1.0, d=32)
-        server.ingest_batch(client.report_batch(values, rng=np.random.default_rng(0)))
+        server = CollectionServer("r9", "sw-ems", 1.0, 32)
+        server.ingest_reports(server.privatize(values, rng=np.random.default_rng(0)))
         payload = json.loads(json.dumps(server.to_state()))
-        restored = SWServer.from_state(payload)
+        restored = CollectionServer.from_state(payload)
         assert restored.round_id == "r9"
         assert restored.n_reports == server.n_reports
         np.testing.assert_allclose(restored.estimate(), server.estimate())
@@ -368,5 +379,5 @@ class TestReprs:
         assert "g=" in r and "d=32" in r
 
     def test_server_repr(self):
-        r = repr(SWServer("survey", 1.0, d=32))
+        r = repr(CollectionServer("survey", "sw-ems", 1.0, 32))
         assert "round_id='survey'" in r and "n_reports=0" in r

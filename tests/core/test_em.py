@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.em import (
-    em_reconstruct,
-    ems_reconstruct,
-    expectation_maximization,
-)
+from repro.api.config import EMConfig
+from repro.core.em import expectation_maximization
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import SquareWave
 
@@ -114,17 +111,18 @@ class TestEMS:
         sw = SquareWave(1.0)
         matrix = sw.transition_matrix(16, 16)
         counts = rng.integers(1, 100, 16).astype(float)
-        result = ems_reconstruct(matrix, counts)
+        result = EMConfig(postprocess="ems").run(matrix, counts, 1.0)
         assert (result.estimate >= 0).all()
         assert result.estimate.sum() == pytest.approx(1.0)
 
     def test_paper_default_tolerances(self, rng):
-        """em_reconstruct scales tol by e^eps; ems_reconstruct fixes 1e-3."""
+        """EM's tol scales by e^eps; EMS's is a fixed 1e-3."""
         sw = SquareWave(1.0)
         matrix = sw.transition_matrix(8, 8)
         counts = rng.integers(1, 50, 8).astype(float)
         # Both should converge and produce distributions.
-        for result in (em_reconstruct(matrix, counts, epsilon=1.0), ems_reconstruct(matrix, counts)):
+        for postprocess in ("em", "ems"):
+            result = EMConfig(postprocess=postprocess).run(matrix, counts, 1.0)
             assert result.converged
             assert result.estimate.sum() == pytest.approx(1.0)
 
@@ -149,8 +147,8 @@ class TestEMS:
                 .multinomial(n, matrix @ x_true)
                 .astype(float)
             )
-            em = em_reconstruct(matrix, counts, epsilon=epsilon)
-            ems = ems_reconstruct(matrix, counts)
+            em = EMConfig(postprocess="em").run(matrix, counts, epsilon)
+            ems = EMConfig(postprocess="ems").run(matrix, counts, epsilon)
             em_errors.append(wasserstein_distance(x_true, em.estimate))
             ems_errors.append(wasserstein_distance(x_true, ems.estimate))
         assert np.mean(ems_errors) < np.mean(em_errors)

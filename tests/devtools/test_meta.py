@@ -82,9 +82,9 @@ class TestInjections:
     def test_raw_value_encode_injection_fails(self, tmp_path, monkeypatch, capsys):
         api = self._copy_api(tmp_path)
         (api / "leaky.py").write_text(
-            "from repro.protocol.messages import encode_batch\n\n\n"
+            "from repro.protocol.messages import encode_batch_v2\n\n\n"
             "def ship(values):\n"
-            "    return encode_batch(values)\n",
+            "    return encode_batch_v2('r', values, 'float')\n",
             encoding="utf-8",
         )
         monkeypatch.chdir(tmp_path)

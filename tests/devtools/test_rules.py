@@ -118,7 +118,7 @@ class TestPriv001:
         findings, _ = lint_source(
             tmp_path,
             "def send(values):\n"
-            "    return encode_batch(values)\n",
+            "    return encode_batch_v2('r', values, 'float')\n",
         )
         assert codes(findings) == ["PRIV001"]
 
@@ -136,7 +136,7 @@ class TestPriv001:
             tmp_path,
             "def send(mech, values):\n"
             "    reports = mech.privatize(values)\n"
-            "    return encode_batch(reports)\n",
+            "    return encode_batch_v2('r', reports, 'float')\n",
         )
         assert findings == []
 
@@ -148,11 +148,20 @@ class TestPriv001:
         )
         assert findings == []
 
+    def test_only_privatize_sanitizes(self, tmp_path):
+        """A call named like an encoder does not launder raw values."""
+        findings, _ = lint_source(
+            tmp_path,
+            "def send(values):\n"
+            "    return encode_frame('r', encode_report(values), 'float')\n",
+        )
+        assert codes(findings) == ["PRIV001"]
+
     def test_skips_test_files(self, tmp_path):
         findings, _ = lint_source(
             tmp_path,
             "def send(values):\n"
-            "    return encode_batch(values)\n",
+            "    return encode_batch_v2('r', values, 'float')\n",
             rel="test_send.py",
         )
         assert findings == []
@@ -539,7 +548,8 @@ class TestAsyncBlockingRule:
         "call",
         [
             "decode_feed_grouped(body, expected_round=round_id)",
-            "messages.decode_batch_grouped(body)",
+            "messages.decode_feed_grouped(body)",
+            "decode_feed(body, expected_round=round_id)",
             "frames.decode_any_feed(body, round_id)",
         ],
     )
@@ -547,7 +557,7 @@ class TestAsyncBlockingRule:
         findings, _ = lint_source(
             tmp_path,
             "from repro.protocol import frames, messages\n"
-            "from repro.protocol.messages import decode_feed_grouped\n"
+            "from repro.protocol.messages import decode_feed, decode_feed_grouped\n"
             "async def handle(body, round_id):\n"
             f"    return {call}\n",
             rel="service/handlers.py",

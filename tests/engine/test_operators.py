@@ -10,7 +10,8 @@ The load-bearing guarantees:
   and smoothing);
 * the dense fallback — raw ndarray or :class:`DenseChannel` — is
   bitwise-identical to the historical solver output;
-* estimators request operators by default and honor the dense override.
+* estimators request operators, and their estimates match a dense solve
+  of the same counts (``config.run(est.transition_matrix, ...)``).
 """
 
 import numpy as np
@@ -30,9 +31,6 @@ from repro.engine.operators import (
     UniformPlusBandedChannel,
     UniformPlusToeplitzChannel,
     _banded_product,
-    channel_mode,
-    dense_channels,
-    set_channel_mode,
 )
 from repro.engine.solver import batched_expectation_maximization
 from repro.multidim.marginals import MultiAttributeSW
@@ -268,15 +266,25 @@ class TestSolverEquivalence:
 # -- estimator plumbing -------------------------------------------------------
 
 
+def _dense_solve(estimator, config, counts):
+    """The same counts solved on the estimator's dense transition matrix."""
+    return config.run(estimator.transition_matrix, counts, estimator.epsilon)
+
+
 class TestEstimatorPlumbing:
     def test_default_mode_is_structured(self):
-        assert channel_mode() == "structured"
+        """Every EM-backed estimator solves on a structured operator."""
+        for est in (
+            SWEstimator(1.0, d=64),
+            DiscreteSWEstimator(1.0, d=32),
+            CFOBinning(1.0, d=64, bins=16, em=EMConfig()),
+        ):
+            assert isinstance(est.channel, ChannelOperator)
+            assert est.channel.structured
 
     def test_wave_estimator_requests_operator(self):
         est = SWEstimator(1.0, d=64)
         assert isinstance(est.channel, UniformPlusToeplitzChannel)
-        with dense_channels():
-            assert isinstance(est.channel, np.ndarray)
 
     def test_discrete_estimator_requests_operator(self):
         est = DiscreteSWEstimator(1.0, d=32)
@@ -288,57 +296,42 @@ class TestEstimatorPlumbing:
         second = SWEstimator(1.0, d=48).channel
         assert first is second
 
-    def test_set_channel_mode_round_trip(self):
-        previous = set_channel_mode("dense")
-        try:
-            assert channel_mode() == "dense"
-            assert previous == "structured"
-        finally:
-            set_channel_mode(previous)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            set_channel_mode("sparse")
-
     @pytest.mark.parametrize("postprocess", ["em", "ems"])
     def test_wave_estimate_matches_dense_mode(self, postprocess):
         values = np.random.default_rng(0).beta(4, 2, 8000)
         est = SWEstimator(1.0, d=64, postprocess=postprocess)
         est.partial_fit(values, rng=np.random.default_rng(1))
         structured = est.estimate()
-        structured_iters = est.result_.iterations
-        with dense_channels():
-            dense = est.estimate()
-        assert est.result_.iterations == structured_iters
-        np.testing.assert_allclose(structured, dense, atol=1e-9)
+        dense = _dense_solve(est, est.config, est._counts)
+        assert dense.iterations == est.result_.iterations
+        np.testing.assert_allclose(structured, dense.estimate, atol=1e-9)
 
     def test_discrete_estimate_matches_dense_mode(self):
         values = np.random.default_rng(2).random(6000)
         est = DiscreteSWEstimator(1.0, d=48)
         est.partial_fit(values, rng=np.random.default_rng(3))
         structured = est.estimate()
-        with dense_channels():
-            dense = est.estimate()
-        np.testing.assert_allclose(structured, dense, atol=1e-9)
+        dense = _dense_solve(est, est.config, est._counts)
+        np.testing.assert_allclose(structured, dense.estimate, atol=1e-9)
 
     def test_cfo_em_estimate_matches_dense_mode(self):
         values = np.random.default_rng(4).beta(2, 5, 6000)
         est = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
         est.partial_fit(values, rng=np.random.default_rng(5))
         structured = est.estimate()
-        with dense_channels():
-            dense = est.estimate()
-        np.testing.assert_allclose(structured, dense, atol=1e-9)
+        dense = _dense_solve(est, est.em, est._chunk_acc)
+        np.testing.assert_allclose(structured, dense.estimate, atol=1e-9)
 
     def test_marginals_batched_solve_uses_operator(self):
         values = np.random.default_rng(6).random((5000, 2))
         est = MultiAttributeSW(1.0, n_attributes=2, d=32)
         est.partial_fit(values, rng=np.random.default_rng(7))
         structured = est.estimate()
-        iters = [e.result_.iterations for e in est.estimators]
-        with dense_channels():
-            dense = est.estimate()
-        assert [e.result_.iterations for e in est.estimators] == iters
-        for s, m in zip(structured, dense, strict=True):
-            np.testing.assert_allclose(s, m, atol=1e-9)
+        for inner, solved in zip(est.estimators, structured, strict=True):
+            assert isinstance(inner.channel, UniformPlusToeplitzChannel)
+            dense = _dense_solve(inner, inner.config, inner._counts)
+            assert dense.iterations == inner.result_.iterations
+            np.testing.assert_allclose(solved, dense.estimate, atol=1e-9)
 
     def test_warm_start_through_operator(self):
         # The CollectionServer x0 path: a warm start near the posterior

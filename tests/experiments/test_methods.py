@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments.methods import (
-    DISTRIBUTION_METRICS,
-    METHOD_REGISTRY,
-    make_method,
-)
+from repro.api import make_estimator
+from repro.experiments.methods import DISTRIBUTION_METRICS, METHOD_REGISTRY
 
 
 class TestRegistryContents:
@@ -59,13 +56,14 @@ class TestRegistryContents:
         assert not METHOD_REGISTRY["hh"].supports("w1")
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestMakeMethod:
+    """Each Table-2 method builds through ``repro.api.make_estimator``."""
+
     @pytest.mark.parametrize(
         "name", ["sw-ems", "sw-em", "hh-admm", "cfo-16", "hh", "haar-hrr"]
     )
     def test_instantiates_fit_capable(self, name, beta_values, rng):
-        method = make_method(name, 1.0, 64)
+        method = make_estimator(name, 1.0, 64)
         out = method.fit(beta_values, rng=rng)
         assert out.shape == (64,)
 
@@ -73,38 +71,15 @@ class TestMakeMethod:
         """Scalar methods are real estimators now, not (name, eps) tuples."""
         from repro.mean.scalar import ScalarMeanEstimator
 
-        sr = make_method("sr", 1.0, 64)
+        sr = make_estimator("sr", 1.0, 64)
         assert isinstance(sr, ScalarMeanEstimator)
         assert sr.name == "sr"
         assert sr.epsilon == 1.0
-        pm = make_method("pm", 2.0, 64)
+        pm = make_estimator("pm", 2.0, 64)
         assert pm.name == "pm"
         assert pm.epsilon == 2.0
         assert pm.kind == "scalar"
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            make_method("dp-sgd", 1.0, 64)
-
-
-class TestMakeMethodDeprecationShim:
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="make_estimator"):
-            make_method("sw-ems", 1.0, 64)
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    @pytest.mark.parametrize("name", sorted(METHOD_REGISTRY))
-    def test_matches_make_estimator(self, name):
-        """The shim builds the same estimator repro.api.make_estimator does."""
-        from repro.api import make_estimator
-
-        shimmed = make_method(name, 1.0, 64)
-        direct = make_estimator(name, 1.0, 64)
-        assert type(shimmed) is type(direct)
-        assert shimmed._params() == direct._params()
-
-    def test_unknown_name_warns_before_rejecting(self):
-        """Even the error path goes through the deprecation warning."""
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown method"):
-                make_method("nope", 1.0, 64)
+        with pytest.raises(ValueError, match="unknown estimator"):
+            make_estimator("dp-sgd", 1.0, 64)

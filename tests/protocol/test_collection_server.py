@@ -1,11 +1,11 @@
-"""Tests for the mechanism-agnostic CollectionServer (and the SWServer shim)."""
+"""Tests for the mechanism-agnostic CollectionServer."""
 
 import numpy as np
 import pytest
 
 from repro.api.errors import EmptyAggregateError
 from repro.api.registry import list_estimators
-from repro.protocol import CollectionServer, SWServer, encode_batch
+from repro.protocol import CollectionServer
 
 
 def reportable_values(spec, rng, n=400, d=64):
@@ -197,6 +197,14 @@ class TestMergeAndState:
         with pytest.raises(TypeError):
             a.merge(object())
 
+    def test_merge_into_itself_rejected(self, rng):
+        """A self-merge would double every count; it fails and changes nothing."""
+        server = CollectionServer("r", "sw-ems", 1.0, 16)
+        server.ingest_reports(server.privatize(rng.random(500), rng=rng))
+        with pytest.raises(ValueError, match="itself"):
+            server.merge(server)
+        assert server.n_reports == 500
+
     def test_state_roundtrip(self, rng):
         server = CollectionServer("r", "olh", 1.0, 16, attr="income")
         server.ingest_reports(server.privatize(rng.integers(0, 16, 200), rng=rng))
@@ -210,32 +218,3 @@ class TestMergeAndState:
     def test_repr_names_mechanism_and_codec(self):
         server = CollectionServer("r", "olh", 1.0, 16)
         assert "olh" in repr(server)
-
-
-class TestSWServerShim:
-    def test_construction_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="CollectionServer"):
-            SWServer("r", epsilon=1.0, d=32)
-
-    def test_shim_is_a_collection_server(self):
-        with pytest.warns(DeprecationWarning):
-            server = SWServer("r", epsilon=1.0, d=32)
-        assert isinstance(server, CollectionServer)
-        assert server.mechanism_name == "sw-ems"
-        assert server.codec.name == "float"
-
-    def test_shim_matches_generic_server(self, rng):
-        """The shim and CollectionServer('sw-ems') agree bit for bit."""
-        with pytest.warns(DeprecationWarning):
-            shim = SWServer("r", epsilon=1.0, d=32)
-        generic = CollectionServer("r", "sw-ems", 1.0, 32)
-        reports = generic.privatize(rng.random(1000), rng=rng)
-        shim.ingest_values(reports)
-        generic.ingest_reports(reports)
-        np.testing.assert_array_equal(shim.estimate(), generic.estimate())
-
-    def test_shim_speaks_v2_feeds_too(self, rng):
-        with pytest.warns(DeprecationWarning):
-            shim = SWServer("r", epsilon=1.0, d=32)
-        feed = shim.encode(shim.privatize(rng.random(50), rng=rng))
-        assert shim.ingest_feed(feed) == 50

@@ -143,6 +143,16 @@ class TestShardedPlanServing:
         with pytest.raises(TypeError):
             server.merge(object())
 
+    def test_merge_into_itself_rejected(self, plan, feeds):
+        """The plan server's session refuses the self-merge that would
+        double every attribute's counts; nothing changes."""
+        server = PlanServer(plan, "round-1")
+        server.ingest_feed(feeds[0])
+        before = server.n_reports
+        with pytest.raises(ValueError, match="itself"):
+            server.merge(server)
+        assert server.n_reports == before
+
     def test_state_roundtrip(self, plan, feeds):
         server = PlanServer(plan, "round-1")
         server.ingest_feed(feeds[0])

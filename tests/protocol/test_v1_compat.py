@@ -1,130 +1,106 @@
-"""Backwards compatibility: v1 feeds, error line numbers, encoder identity.
+"""The JSON-lines wire after the v1 format was removed.
 
-The checked-in fixture feeds under ``fixtures/`` were written by the v1
-protocol (including lines that predate the ``version`` and ``attr``
-fields); they must keep decoding to the same values through both the v1
-decoders and the version-aware v2 feed decoder, forever.
+Protocol v1 (the Square-Wave-only ``{"round_id", "value", "version": 1}``
+line) is no longer decoded: a v1 line, or a line with no ``version``, fails
+with its 1-based line number, and nothing of the feed is ingested. What
+these tests pin for the v2 envelopes that remain: the line shape, the
+line-numbered errors, and the prefix/suffix encoder's byte identity with
+per-report serialization.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.protocol import (
-    SWReport,
-    decode_batch,
-    decode_batch_grouped,
+    CollectionServer,
+    ReportEnvelope,
+    decode_feed,
     decode_feed_grouped,
-    encode_batch,
+    encode_batch_v2,
 )
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-SINGLE_ATTR_VALUES = [0.125, -0.21640625, 1.0839, 0.5, 0.75]
+V1_LINE = '{"round_id":"r","value":0.25,"version":1}'
 
 
-@pytest.fixture(scope="module")
-def single_attr_feed():
-    return (FIXTURES / "v1_single_attr.jsonl").read_text()
+def _line(round_id="r", payload=0.1, version=2):
+    return json.dumps(
+        {"round_id": round_id, "mech": "float", "payload": payload, "version": version}
+    )
 
 
-@pytest.fixture(scope="module")
-def multi_attr_feed():
-    return (FIXTURES / "v1_multi_attr.jsonl").read_text()
+class TestV1LinesRejected:
+    def test_v1_line_rejected_with_line_number(self):
+        feed = f"{_line()}\n{V1_LINE}"
+        with pytest.raises(ValueError, match="line 2: unsupported protocol version 1"):
+            decode_feed_grouped(feed)
 
+    def test_line_without_version_rejected(self):
+        feed = f'{_line()}\n\n{{"round_id":"r","value":0.1}}'
+        with pytest.raises(ValueError, match="line 3: malformed"):
+            decode_feed_grouped(feed)
 
-class TestFixtureFeeds:
-    def test_v1_decoder(self, single_attr_feed):
-        decoded = decode_batch(single_attr_feed, expected_round="fixture-round")
-        np.testing.assert_array_equal(decoded, SINGLE_ATTR_VALUES)
-
-    def test_v2_feed_decoder_accepts_v1(self, single_attr_feed):
-        round_id, groups = decode_feed_grouped(single_attr_feed)
-        assert round_id == "fixture-round"
-        assert set(groups) == {"value"}
-        assert groups["value"].mechanism == "float"
-        np.testing.assert_array_equal(groups["value"].reports, SINGLE_ATTR_VALUES)
-
-    def test_multi_attr_fixture_both_decoders_agree(self, multi_attr_feed):
-        v1 = decode_batch_grouped(multi_attr_feed, expected_round="fixture-round")
-        _, v2 = decode_feed_grouped(multi_attr_feed, expected_round="fixture-round")
-        assert set(v1) == set(v2) == {"income", "age", "value"}
-        for attr in v1:
-            np.testing.assert_array_equal(v1[attr], v2[attr].reports)
-
-    def test_pre_attr_lines_decode_to_default(self, multi_attr_feed):
-        groups = decode_batch_grouped(multi_attr_feed)
-        np.testing.assert_array_equal(groups["value"], [0.3])
-
-    def test_collection_server_serves_v1_fixture(self, single_attr_feed):
-        """An old on-disk feed ingests straight into the generic server."""
-        from repro.protocol import CollectionServer
-
-        server = CollectionServer("fixture-round", "sw-ems", 1.0, 16)
-        assert server.ingest_feed(single_attr_feed) == len(SINGLE_ATTR_VALUES)
+    def test_server_ingests_nothing_of_a_v1_feed(self):
+        server = CollectionServer("r", "sw-ems", 1.0, 16)
+        with pytest.raises(ValueError, match="line 1"):
+            server.ingest_feed(V1_LINE)
+        assert server.n_reports == 0
 
 
 class TestLineNumberedErrors:
     def test_malformed_line_reports_position(self):
-        feed = '{"round_id":"r","value":0.1,"version":1}\nnot json at all\n'
+        feed = f"{_line()}\nnot json at all\n"
         with pytest.raises(ValueError, match="line 2.*malformed"):
-            decode_batch(feed)
+            decode_feed(feed)
 
     def test_missing_field_reports_position(self):
-        feed = '{"round_id":"r","value":0.1,"version":1}\n\n{"value":0.2}'
+        feed = f'{_line()}\n\n{{"payload":0.2,"version":2}}'
         with pytest.raises(ValueError, match="line 3"):
-            decode_batch(feed)
+            decode_feed(feed)
 
     def test_round_mix_reports_position(self):
-        feed = (
-            '{"round_id":"a","value":0.1,"version":1}\n'
-            '{"round_id":"b","value":0.2,"version":1}'
-        )
+        feed = f"{_line('a')}\n{_line('b', 0.2)}"
         with pytest.raises(ValueError, match="line 2.*mixed"):
-            decode_batch(feed, expected_round="a")
+            decode_feed(feed, expected_round="a")
 
     def test_bad_version_reports_position(self):
-        feed = '{"round_id":"r","value":0.1,"version":99}'
         with pytest.raises(ValueError, match="line 1.*version"):
-            decode_batch(feed)
+            decode_feed(_line(version=99))
 
     def test_single_line_api_keeps_plain_message(self):
         with pytest.raises(ValueError, match="^malformed"):
-            SWReport.from_json('{"value":0.1}')
+            ReportEnvelope.from_json('{"payload":0.1,"version":2}')
 
 
 class TestVectorizedEncoder:
     def test_byte_identical_to_dataclass_path(self, rng):
-        """Regression: the array-pass encoder must match per-report
-        ``SWReport(...).to_json()`` byte for byte."""
+        """Regression: the prefix/suffix encoder must match per-report
+        ``ReportEnvelope(...).to_json()`` byte for byte."""
         values = np.concatenate([
             rng.random(200),
             np.array([0.0, 1.0, 0.5, 1e-17, 1.25e300, -3.5]),
         ])
         for attr in ("value", "income"):
-            fast = encode_batch("round/7 \"x\"", values, attr=attr)
+            fast = encode_batch_v2("round/7 \"x\"", values, "float", attr=attr)
             slow = "\n".join(
-                SWReport("round/7 \"x\"", float(v), attr=attr).to_json()
+                ReportEnvelope("round/7 \"x\"", "float", float(v), attr=attr).to_json()
                 for v in values
             )
             assert fast == slow
 
     def test_roundtrip_via_decoder(self, rng):
         values = rng.random(50)
-        decoded = decode_batch(encode_batch("r", values), expected_round="r")
-        np.testing.assert_array_equal(decoded, values)
+        decoded = decode_feed(encode_batch_v2("r", values, "float"), expected_round="r")
+        np.testing.assert_array_equal(decoded.reports, values)
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-dimensional"):
-            encode_batch("r", np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1-d"):
+            encode_batch_v2("r", np.zeros((2, 2)), "float")
 
 
 class TestEnvelopeFormat:
     def test_v2_line_shape(self):
-        from repro.protocol import ReportEnvelope
-
         line = ReportEnvelope("r", "olh", [1, 2, 3]).to_json()
         data = json.loads(line)
         assert data == {
@@ -133,38 +109,21 @@ class TestEnvelopeFormat:
         assert ReportEnvelope.from_json(line) == ReportEnvelope("r", "olh", [1, 2, 3])
 
     def test_v2_attr_roundtrip(self):
-        from repro.protocol import ReportEnvelope
-
         envelope = ReportEnvelope("r", "float", 0.5, attr="income")
         assert ReportEnvelope.from_json(envelope.to_json()) == envelope
 
-    def test_v1_line_becomes_float_envelope(self):
-        from repro.protocol import ReportEnvelope
-
-        envelope = ReportEnvelope.from_json(SWReport("r", 0.25).to_json())
-        assert envelope.mechanism == "float"
-        assert envelope.payload == 0.25
-        assert envelope.version == 1
-
     def test_string_version_coerced_like_v1(self):
-        """Previously-accepted v1 lines with a string version keep decoding."""
-        from repro.protocol import ReportEnvelope
-
-        line = '{"round_id":"r","value":0.5,"version":"1"}'
-        assert SWReport.from_json(line).version == 1
-        assert ReportEnvelope.from_json(line).mechanism == "float"
+        """A string version is coerced, as the v1 decoder coerced it."""
+        line = '{"round_id":"r","mech":"float","payload":0.5,"version":"2"}'
+        assert ReportEnvelope.from_json(line).version == 2
         _, groups = decode_feed_grouped(line)
         np.testing.assert_array_equal(groups["value"].reports, [0.5])
 
     def test_unknown_version_rejected(self):
-        from repro.protocol import ReportEnvelope
-
         with pytest.raises(ValueError, match="version"):
-            ReportEnvelope.from_json('{"round_id":"r","mech":"float","payload":1,"version":3}')
+            ReportEnvelope.from_json(_line(payload=1, version=3))
 
     def test_mixed_mechanism_per_attr_rejected(self):
-        from repro.protocol import ReportEnvelope
-
         feed = "\n".join([
             ReportEnvelope("r", "float", 0.5).to_json(),
             ReportEnvelope("r", "category", 3).to_json(),

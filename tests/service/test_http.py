@@ -104,6 +104,20 @@ class TestIngestRoutes:
         assert status == 400
         assert "round" in payload["error"]
 
+    def test_v1_jsonl_line_is_400(self, service):
+        """The v1 Square-Wave line is no longer decoded, even for a planned
+        float attribute; nothing of the upload is accepted."""
+        line = '{"round_id":"r1","value":0.25,"version":1,"attr":"age"}'
+        status, payload = request(
+            service, "POST", "/v1/rounds/r1/reports",
+            body=line.encode("utf-8"), content_type="application/jsonlines",
+        )
+        assert status == 400
+        assert "line 1: unsupported protocol version 1" in payload["error"]
+        _, statz = request(service, "GET", "/statz")
+        assert statz["uploads_accepted"] == 0
+        assert sum(s["reports_ingested"] for s in statz["shards"]) == 0
+
     def test_get_reports_is_405(self, service):
         status, _ = request(service, "GET", "/v1/rounds/r1/reports")
         assert status == 405

@@ -118,6 +118,14 @@ class TestMergeTree:
             folded.estimate(), reference.estimate(), rtol=1e-9, atol=1e-12
         )
 
+    def test_repeated_server_rejected(self):
+        """A server listed twice would count its reports twice."""
+        shards, _ = make_shard_servers(3, seed=4)
+        for members in ([shards[0], shards[0]], [*shards, shards[0]]):
+            with pytest.raises(ValueError, match="more than once"):
+                merge_tree(members)
+        assert [s.n_reports for s in shards] == [200, 200, 200]
+
     def test_round_mismatch_surfaces(self, rng):
         a = CollectionServer("r1", "olh", 1.0, 16)
         b = CollectionServer("r2", "olh", 1.0, 16)

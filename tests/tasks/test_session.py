@@ -210,22 +210,32 @@ class TestStateAndWire:
         reports = tx.privatize(
             {k: v[:5_000] for k, v in survey_data.items()}, rng=rng
         )
-        payload = tx.encode_reports(reports, "round-9")
+        payload = tx.to_feed(reports, "round-9", format="jsonl")
         rx = Session(survey_plan)
-        assert rx.ingest_payload(payload, "round-9") == 5_000
+        assert rx.ingest_feed(payload, "round-9") == 5_000
         assert sum(rx.n_reports.values()) == 5_000
 
     def test_wire_rejects_unknown_attribute(self, survey_plan):
-        from repro.protocol import encode_batch
+        from repro.protocol import encode_batch_v2
 
-        payload = encode_batch("r", np.array([0.1]), attr="ssn")
+        payload = encode_batch_v2("r", np.array([0.1]), "float", attr="ssn")
         with pytest.raises(ValueError, match="undeclared"):
-            Session(survey_plan).ingest_payload(payload, "r")
+            Session(survey_plan).ingest_feed(payload, "r")
 
     def test_encode_rejects_undeclared_attribute(self, survey_plan):
         """A typo'd name fails at the sender, not on the receiving shard."""
         with pytest.raises(ValueError, match="undeclared"):
-            Session(survey_plan).encode_reports({"incmoe": np.array([0.1])}, "r")
+            Session(survey_plan).to_feed({"incmoe": np.array([0.1])}, "r")
+
+    def test_merge_into_itself_rejected(self, survey_plan, survey_data):
+        """A self-merge would double every count; it fails and changes nothing."""
+        session = Session(survey_plan).partial_fit(
+            {k: v[:1_000] for k, v in survey_data.items()}, rng=3
+        )
+        before = session.n_reports
+        with pytest.raises(ValueError, match="itself"):
+            session.merge(session)
+        assert session.n_reports == before
 
     def test_fit_sharded_matches_manual_merge(self, survey_plan, survey_data):
         data = {k: v[:12_000] for k, v in survey_data.items()}
@@ -248,32 +258,19 @@ class TestStateAndWire:
         with pytest.raises(ValueError, match="at least one user"):
             Session.fit_sharded(survey_plan, {"income": [], "age": []}, shards=2)
 
-    def test_wire_rejects_structured_reports(self):
-        plan = AnalysisPlan(
-            epsilon=1.0,
-            attributes=(AttributeSpec("x", d=16),),
-            tasks=(RangeQueries("x", windows=((0.1, 0.4),)),),
-        )
-        session = Session(plan)  # hh-admm -> TreeReports, not floats
-        reports = session.privatize(
-            {"x": np.random.default_rng(0).random(200)}, rng=np.random.default_rng(1)
-        )
-        with pytest.raises(ValueError, match="wire"):
-            session.encode_reports(reports, "r")
-
     def test_wire_ingest_rejects_structured_estimator_attribute(self):
         """A float feed for an hh-admm attribute fails loudly, not with an
         AttributeError deep inside the tree aggregator."""
-        from repro.protocol import encode_batch
+        from repro.protocol import encode_batch_v2
 
         plan = AnalysisPlan(
             epsilon=1.0,
             attributes=(AttributeSpec("x", d=16),),
             tasks=(RangeQueries("x", windows=((0.1, 0.4),)),),
         )
-        payload = encode_batch("r", np.array([0.2, 0.3]), attr="x")
-        with pytest.raises(ValueError, match="wire"):
-            Session(plan).ingest_payload(payload, "r")
+        payload = encode_batch_v2("r", np.array([0.2, 0.3]), "float", attr="x")
+        with pytest.raises(ValueError, match="payloads"):
+            Session(plan).ingest_feed(payload, "r")
 
 
 class TestResultFeatures:

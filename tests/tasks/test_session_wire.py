@@ -1,9 +1,7 @@
 """Session wire round-trips: to_feed/ingest_feed over frames and JSON lines.
 
-The v1 helpers (``encode_reports``/``ingest_payload``) only carry wave and
-scalar reports; these tests cover the protocol-v2 path, which must serve
-*every* planned mechanism — including the hierarchical families whose
-reports the v1 wire rejects.
+The protocol-v2 path must serve *every* planned mechanism, including the
+hierarchical families whose reports are structured rows, not floats.
 """
 
 import numpy as np
@@ -129,8 +127,8 @@ class TestFeedRoundTrip:
 
 class TestHierarchicalOverTheWire:
     def test_range_only_plan_round_trips(self):
-        """Range-only plans resolve to hh-admm, whose TreeReports the v1
-        wire cannot carry — the v2 feed must."""
+        """Range-only plans resolve to hh-admm, whose TreeReports the v2
+        feed carries as level-tagged rows."""
         plan = AnalysisPlan(
             epsilon=1.0,
             attributes=(AttributeSpec(name="latency", low=0.0, high=1.0),),
@@ -142,9 +140,6 @@ class TestHierarchicalOverTheWire:
         sender = Session(plan)
         data = {"latency": gen.beta(2.0, 5.0, 8_192)}
         reports = sender.privatize(data, rng=gen)
-
-        with pytest.raises(ValueError, match="JSON-lines"):
-            sender.encode_reports(reports, "r")  # the v1 wire still rejects
 
         receiver = Session(plan)
         count = receiver.ingest_feed(sender.to_feed(reports, "r"), "r")

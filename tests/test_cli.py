@@ -14,15 +14,19 @@ def values_file(tmp_path, beta_values):
 
 
 class TestPrivatizeAggregate:
+    """A round from files: ``pack --format jsonl`` privatizes on the client,
+    ``collect`` aggregates on the server."""
+
     def test_full_round(self, tmp_path, values_file, beta_values):
         reports = tmp_path / "reports.jsonl"
         hist = tmp_path / "hist.csv"
         assert main([
-            "privatize", "--epsilon", "1.0", "--round-id", "r1",
+            "pack", "--epsilon", "1.0", "--d", "64", "--round-id", "r1",
+            "--format", "jsonl",
             "--input", str(values_file), "--output", str(reports), "--seed", "3",
         ]) == 0
         assert main([
-            "aggregate", "--epsilon", "1.0", "--round-id", "r1", "--d", "64",
+            "collect", "--epsilon", "1.0", "--round-id", "r1", "--d", "64",
             "--input", str(reports), "--output", str(hist),
         ]) == 0
         estimate = read_histogram_csv(hist)
@@ -33,15 +37,22 @@ class TestPrivatizeAggregate:
     def test_round_mismatch_fails_cleanly(self, tmp_path, values_file, capsys):
         reports = tmp_path / "reports.jsonl"
         main([
-            "privatize", "--epsilon", "1.0", "--round-id", "a",
+            "pack", "--epsilon", "1.0", "--round-id", "a", "--format", "jsonl",
             "--input", str(values_file), "--output", str(reports),
         ])
         code = main([
-            "aggregate", "--epsilon", "1.0", "--round-id", "b", "--d", "64",
+            "collect", "--epsilon", "1.0", "--round-id", "b", "--d", "64",
             "--input", str(reports), "--output", str(tmp_path / "h.csv"),
         ])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["privatize", "aggregate"])
+    def test_sw_only_subcommands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--epsilon", "1.0", "--round-id", "r1"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEstimate:

@@ -16,7 +16,7 @@ from repro.core.square_wave import SquareWave
 from repro.hierarchy.tree import TreeLayout, range_decomposition
 from repro.metrics.distances import ks_distance, wasserstein_distance
 from repro.postprocess import norm_cut, norm_full, norm_mul, norm_sub
-from repro.protocol.messages import SWReport
+from repro.protocol.messages import ReportEnvelope
 
 
 class TestProtocolProperties:
@@ -29,8 +29,8 @@ class TestProtocolProperties:
         st.floats(-2.0, 2.0, allow_nan=False),
     )
     def test_report_json_roundtrip(self, round_id, value):
-        report = SWReport(round_id, value)
-        assert SWReport.from_json(report.to_json()) == report
+        report = ReportEnvelope(round_id, "float", value)
+        assert ReportEnvelope.from_json(report.to_json()) == report
 
 
 class TestEMRectangularGrids:
