@@ -43,6 +43,19 @@ whatever ``B`` is. A structured product for one row of a batch is therefore
 bit-identical to the same product computed alone. The column-layout
 ``matvec``/``rmatvec`` (``(d,)`` or ``(d, B)``) wrap the row form.
 
+Each product direction has one implementation, and it runs on a
+:class:`Workspace`: the buffers of one solve. A structured workspace holds
+the cumulative-sum rows, one gather of both band ends (from one table of
+``hi`` then ``lo``), the ramp gather with its per-ramp sums, and the
+output rows; the tables themselves stay on the operator, read-only.
+:func:`repro.engine.solver.batched_expectation_maximization`
+allocates one per direction per solve (:meth:`ChannelOperator.workspaces`)
+and views its active rows as columns freeze (:meth:`Workspace.head`), so an
+iteration calls NumPy kernels straight into preallocated memory;
+``matvec_rows``/``rmatvec_rows`` make a fresh workspace per call and run
+the same code. Operators are immutable and shared across threads through
+the engine cache, so no scratch buffer ever lives on an operator.
+
 Selection is automatic: estimators ask the engine cache
 (:func:`repro.engine.cache.cached_channel_operator`) which consults the
 mechanism's ``channel_operator`` hook and falls back to dense. A dense
@@ -85,42 +98,185 @@ def _by_columns(
     return rows_product(np.ascontiguousarray(v.T)).T
 
 
-def _banded_product(
-    v: FloatArray, lo: IntArray, hi: IntArray, delta: float, outside: float
-) -> FloatArray:
-    """The cumsum-boxcar product of the uniform-plus-band channels.
+class Workspace:
+    """One product's buffers for one solve, over its first ``rows`` problems.
 
-    ``out[..., j] = outside * v.sum() + delta * v[..., lo[j]:hi[j]].sum()``
-    per problem row — the whole structured matvec/rmatvec for two-valued
-    band channels, and the plateau term of the Toeplitz channel.
+    :meth:`ChannelOperator.workspaces` allocates them for a whole batch;
+    :meth:`head` views the first ``rows`` rows of the same memory, which is
+    how a solve follows its active problems as columns freeze (the caller
+    moves the kept rows to the front). :meth:`apply` writes the product of
+    a C-contiguous ``(rows, n_in)`` batch into :attr:`out` and returns it;
+    the next call overwrites it.
     """
-    s = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.float64)
-    np.cumsum(v, axis=-1, out=s[..., 1:])
-    band = np.take(s, hi, axis=-1)
-    band -= np.take(s, lo, axis=-1)
-    band *= delta
-    band += outside * s[..., -1:]
-    return band
+
+    __slots__ = ()
+
+    out: FloatArray
+
+    def head(self, rows: int) -> "Workspace":
+        raise NotImplementedError
+
+    def apply(self, v: FloatArray) -> FloatArray:
+        raise NotImplementedError
+
+
+class _DenseProduct:
+    """``v @ matrix`` per problem row, as BLAS computes it."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: FloatArray) -> None:
+        self.matrix = matrix
+
+    def workspace(self, rows: int) -> "_DenseWorkspace":
+        return _DenseWorkspace(
+            self.matrix, np.empty((rows, self.matrix.shape[1])), rows
+        )
+
+
+class _DenseWorkspace(Workspace):
+    """``v @ matrix`` per row: one BLAS product into :attr:`out`."""
+
+    __slots__ = ("_matrix", "_full", "out")
+
+    def __init__(self, matrix: FloatArray, full: FloatArray, rows: int) -> None:
+        self._matrix = matrix
+        self._full = full
+        self.out = full[:rows]
+
+    def head(self, rows: int) -> "_DenseWorkspace":
+        return _DenseWorkspace(self._matrix, self._full, rows)
+
+    def apply(self, v: FloatArray) -> FloatArray:
+        return np.matmul(v, self._matrix, out=self.out)
+
+
+class _BandProduct:
+    """One direction of a uniform-plus-band product, as read-only tables.
+
+    For each problem row ``v`` with cumulative sums ``c`` (``c[0] = 0``),
+    ``out[j] = delta * (c[hi[j]] - c[lo[j]]) + outside * c[-1]``, then the
+    rise and the fall ramp sums of :class:`_RampWindows`, when there are
+    ramps, are added in that order. This is the whole product of the
+    two-valued band channels, and the plateau plus ramps of the Toeplitz
+    channel.
+    """
+
+    __slots__ = ("n_in", "ends", "delta", "outside", "ramps")
+
+    def __init__(
+        self,
+        n_in: int,
+        lo: IntArray,
+        hi: IntArray,
+        delta: float,
+        outside: float,
+        ramps: "_RampWindows | None" = None,
+    ) -> None:
+        self.n_in = n_in
+        # Both band ends in one table, ``hi`` first: one gather fetches both.
+        self.ends = _freeze(np.concatenate([hi, lo]), np.intp)
+        self.delta = delta
+        self.outside = outside
+        self.ramps = ramps
+
+    def workspace(self, rows: int) -> "_BandWorkspace":
+        m = self.ends.size // 2
+        full = [
+            np.zeros((rows, self.n_in + 1)),  # cumulative sums; column 0 stays 0
+            np.empty((rows, 2 * m)),  # gathered ends: hi, then lo
+            np.empty((rows, 1)),  # outside * row total
+            np.empty((rows, m)),  # the product
+        ]
+        if self.ramps is not None:
+            full += [
+                np.empty((rows, *self.ramps.values.shape)),  # gathered ramps
+                np.empty((rows, m)),  # one ramp's sums
+            ]
+        return _BandWorkspace(self, full, rows)
+
+
+class _BandWorkspace(Workspace):
+    """The buffers of one :class:`_BandProduct`, viewed over ``rows`` problems.
+
+    The gather tables are checked at construction, so every gather runs in
+    ``clip`` mode, which neither checks them again nor copies its output.
+    """
+
+    __slots__ = (
+        "_product", "_full", "out", "_cumsum", "_tail", "_row_total",
+        "_ends", "_hi", "_lo", "_total", "_gathered", "_ramp_parts", "_ramp_sum",
+    )
+
+    def __init__(self, product: _BandProduct, full: list[Any], rows: int) -> None:
+        self._product = product
+        self._full = full
+        cumsum, ends, self._total, self.out = (a[:rows] for a in full[:4])
+        self._cumsum = cumsum
+        self._tail = cumsum[:, 1:]
+        self._row_total = cumsum[:, -1:]
+        half = ends.shape[1] // 2
+        self._ends, self._hi, self._lo = ends, ends[:, :half], ends[:, half:]
+        if product.ramps is not None:
+            gathered, self._ramp_sum = (a[:rows] for a in full[4:])
+            split = product.ramps.split
+            self._gathered = gathered
+            self._ramp_parts = (gathered[:, :split], gathered[:, split:])
+
+    def head(self, rows: int) -> "_BandWorkspace":
+        return _BandWorkspace(self._product, self._full, rows)
+
+    def apply(self, v: FloatArray) -> FloatArray:
+        p = self._product
+        out = self.out
+        np.add.accumulate(v, axis=1, out=self._tail)
+        self._cumsum.take(p.ends, axis=1, out=self._ends, mode="clip")
+        np.subtract(self._hi, self._lo, out=out)
+        np.multiply(out, p.delta, out=out)
+        np.multiply(self._row_total, p.outside, out=self._total)
+        np.add(out, self._total, out=out)
+        if p.ramps is not None:
+            # Each ramp sums over its own window rows, in index order for
+            # every problem row, so a row's result does not depend on how
+            # many rows share the batch.
+            v.take(p.ramps._idx, axis=1, out=self._gathered, mode="clip")
+            np.multiply(self._gathered, p.ramps.values, out=self._gathered)
+            for part in self._ramp_parts:
+                np.add.reduce(part, axis=1, out=self._ramp_sum)
+                np.add(out, self._ramp_sum, out=out)
+        return out
+
+
+def _rows_product(product: Any, v: FloatArray) -> FloatArray:
+    """One product of a ``(B, n)`` batch through a workspace of its own."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return product.workspace(v.shape[0]).apply(v)
 
 
 class ChannelOperator:
     """A transition matrix exposed through its action, not its entries.
 
-    Subclasses implement the problem-major products :meth:`matvec_rows`
-    (``M x`` per row) and :meth:`rmatvec_rows` (``Mᵀ y`` per row), plus
-    :meth:`to_dense` for tests and interoperability; :meth:`matvec` and
-    :meth:`rmatvec` take column-layout vectors and batches. ``structured``
-    tells the solver whether the operator earns the product-reuse fast
-    loop (``False`` only for :class:`DenseChannel`, which must stay bitwise
-    compatible with the raw-ndarray path). Structured operators are also
-    the only ones whose batched rows are bit-identical to solo products,
-    which is what lets same-channel solves fuse.
+    Subclasses set the two product directions, ``M x`` and ``Mᵀ y``, and
+    implement :meth:`to_dense` for tests and interoperability. Each
+    direction has one implementation, run on a :class:`Workspace`: a solve
+    takes both from :meth:`workspaces` once, and :meth:`matvec_rows` /
+    :meth:`rmatvec_rows` (one product of a problem-major batch) and
+    :meth:`matvec` / :meth:`rmatvec` (column layout) make a fresh one per
+    call. Operators are immutable and shared across threads, so no scratch
+    buffer ever lives on one. ``structured`` tells the solver whether the
+    operator earns the product-reuse fast loop (``False`` only for
+    :class:`DenseChannel`, which must stay bitwise compatible with the
+    raw-ndarray path). Structured operators are also the only ones whose
+    batched rows are bit-identical to solo products, which is what lets
+    same-channel solves fuse.
     """
 
     #: Whether the solver may take the structured (product-reusing) loop.
     structured: bool = True
 
     shape: tuple[int, int]
+    _matvec: Any  # the M x direction: ``workspace(rows) -> Workspace``
+    _rmatvec: Any  # the Mᵀ y direction
 
     @property
     def d_out(self) -> int:
@@ -129,6 +285,10 @@ class ChannelOperator:
     @property
     def d(self) -> int:
         return self.shape[1]
+
+    def workspaces(self, rows: int) -> tuple[Workspace, Workspace]:
+        """Fresh ``(M x, Mᵀ y)`` workspaces for a solve over ``rows`` problems."""
+        return self._matvec.workspace(rows), self._rmatvec.workspace(rows)
 
     def matvec(self, x: ArrayLike) -> FloatArray:
         """``M @ x`` for ``x`` of shape ``(d,)`` or ``(d, B)``."""
@@ -139,12 +299,12 @@ class ChannelOperator:
         return _by_columns(self.rmatvec_rows, y)
 
     def matvec_rows(self, x: FloatArray) -> FloatArray:
-        """``M x`` for every row of a C-contiguous ``(B, d)`` float batch."""
-        raise NotImplementedError
+        """``M x`` for every row of a ``(B, d)`` float batch."""
+        return _rows_product(self._matvec, x)
 
     def rmatvec_rows(self, y: FloatArray) -> FloatArray:
-        """``Mᵀ y`` for every row of a C-contiguous ``(B, d_out)`` float batch."""
-        raise NotImplementedError
+        """``Mᵀ y`` for every row of a ``(B, d_out)`` float batch."""
+        return _rows_product(self._rmatvec, y)
 
     def to_dense(self) -> FloatArray:
         """Materialize the ``(d_out, d)`` matrix this operator represents."""
@@ -175,16 +335,12 @@ class DenseChannel(ChannelOperator):
             raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
         self._m = m
         self.shape = (int(m.shape[0]), int(m.shape[1]))
+        self._matvec = _DenseProduct(m.T)
+        self._rmatvec = _DenseProduct(m)
 
     @property
     def matrix(self) -> FloatArray:
         return self._m
-
-    def matvec_rows(self, x: FloatArray) -> FloatArray:
-        return x @ self._m.T
-
-    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
-        return y @ self._m
 
     def to_dense(self) -> FloatArray:
         return self._m
@@ -247,12 +403,10 @@ class UniformPlusBandedChannel(ChannelOperator):
         rlo, rhi = _transpose_bands(lo, hi, d)
         self._rlo = _freeze(rlo, np.int64)
         self._rhi = _freeze(rhi, np.int64)
-
-    def matvec_rows(self, x: FloatArray) -> FloatArray:
-        return _banded_product(x, self._lo, self._hi, self._delta, self.outside)
-
-    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
-        return _banded_product(y, self._rlo, self._rhi, self._delta, self.outside)
+        self._matvec = _BandProduct(d, lo, hi, self._delta, self.outside)
+        self._rmatvec = _BandProduct(
+            self.d_out, rlo, rhi, self._delta, self.outside
+        )
 
     def to_dense(self) -> FloatArray:
         cols = np.arange(self.d)[None, :]
@@ -265,15 +419,17 @@ class UniformPlusBandedChannel(ChannelOperator):
 
 
 class _RampWindows:
-    """The rise and fall ramp corrections of one product, gathered together.
+    """The rise and fall ramp corrections of one product, as window tables.
 
     Each ramp is a rectangular window table: ``starts[k]`` is the first
     index of row/column ``k``'s window into the opposing axis, and its
     ``(width, n)`` values are zero-padded beyond each window's true extent,
     so padded cells contribute nothing and the gather indices can be safely
     clipped into range. The rise table is stacked on the fall table, so one
-    ``np.take`` gathers both; ``split`` is the rise width. The tables are
-    read-only, since operators are shared across threads.
+    gather fetches both; ``split`` is the rise width. A ramp adds
+    ``sum_r values[r, k] * v[b, idx[r, k]]`` to ``out[b, k]``
+    (:meth:`_BandWorkspace.apply`). The tables are read-only, since
+    operators are shared across threads.
     """
 
     __slots__ = ("split", "values", "_idx")
@@ -292,20 +448,7 @@ class _RampWindows:
             tables.append(idx)
         self.split = rise[1].shape[0]
         self.values = _freeze(np.concatenate([rise[1], fall[1]]))
-        self._idx = _freeze(np.concatenate(tables), np.int64)
-
-    def add_to(self, out: FloatArray, v: FloatArray) -> None:
-        """Add the rise, then the fall sums to ``out``, per problem row.
-
-        A ramp adds ``sum_r values[r, k] * v[b, idx[r, k]]`` to
-        ``out[b, k]``. Each ramp sums over ``r`` on its own, in index
-        order for every row, so a row's result does not depend on how
-        many rows share the batch.
-        """
-        gathered = np.take(v, self._idx, axis=1)  # (B, rise + fall, n)
-        gathered *= self.values
-        out += gathered[:, : self.split].sum(axis=1)
-        out += gathered[:, self.split :].sum(axis=1)
+        self._idx = _freeze(np.concatenate(tables), np.intp)
 
 
 class UniformPlusToeplitzChannel(ChannelOperator):
@@ -380,6 +523,12 @@ class UniformPlusToeplitzChannel(ChannelOperator):
             self._col_windows(band_hi, plat_hi),
             d_out,
         )
+        self._matvec = _BandProduct(
+            d, band_lo, band_hi, self._plateau, self._baseline, self._ramps
+        )
+        self._rmatvec = _BandProduct(
+            d_out, rlo, rhi, self._plateau, self._baseline, self._col_ramps
+        )
 
     # -- exact band values -------------------------------------------------
     def _band_overlap(self, rows: IntArray, cols: IntArray) -> FloatArray:
@@ -439,21 +588,6 @@ class UniformPlusToeplitzChannel(ChannelOperator):
         """Widest ramp window — the ``k`` in the O(d·k·B) product cost."""
         ramps = self._ramps
         return max(ramps.split, ramps.values.shape[0] - ramps.split)
-
-    # -- products ----------------------------------------------------------
-    def matvec_rows(self, x: FloatArray) -> FloatArray:
-        out = _banded_product(
-            x, self._band_lo, self._band_hi, self._plateau, self._baseline
-        )
-        self._ramps.add_to(out, x)
-        return out
-
-    def rmatvec_rows(self, y: FloatArray) -> FloatArray:
-        out = _banded_product(
-            y, self._col_band_lo, self._col_band_hi, self._plateau, self._baseline
-        )
-        self._col_ramps.add_to(out, y)
-        return out
 
     def to_dense(self) -> FloatArray:
         """The represented matrix (matches the §5.5 builder to float rounding)."""

@@ -36,11 +36,21 @@ stops exactly when the slowest problem does. Stopping follows the paper's
 Section 6.1 rule — iterate until the per-column log-likelihood improvement
 drops below ``tol``.
 
-What does not change between iterations — the smoothing taps and edge
-weights, a zeroed log-likelihood scratch block — is set up once per solve,
-and the E/M/S steps update the active rows in place. The arithmetic is the
+Every buffer the loop touches is allocated once per solve and sized for
+the whole batch: the estimates and counts, the E-step, smoothing and
+log-likelihood scratch, the current and previous log-likelihoods (which
+swap roles each iteration) and one workspace per channel product
+(:class:`repro.engine.operators.Workspace`), whose ``M x`` output rows are
+the predicted densities. The active problems occupy the leading rows; when
+columns freeze, the kept rows move to the front in place and every buffer
+is viewed again over them. Each step then calls one NumPy kernel with
+``out=`` — ``np.add.accumulate``, ``ndarray.take(..., out=)`` and
+``np.add.reduce`` rather than the ``np.cumsum``/``np.take``/``.sum``
+wrappers over them — and allocates nothing. The buffers belong to the
+solve, never to the operator, which threads share. The arithmetic is the
 historical loop's, operation for operation: ``tests/engine/
-reference_solver.py`` keeps that loop, and the tests require the same bytes.
+reference_solver.py`` keeps that loop and the historical products, and the
+tests require the same bytes.
 
 :func:`repro.core.em.expectation_maximization` is the single-problem
 wrapper around this solver; :class:`EMResult` lives here so both views
@@ -136,25 +146,6 @@ class BatchEMResult:
         return (self.column(j) for j in range(self.batch_size))
 
 
-def _log_likelihood_rows(
-    counts: FloatArray,
-    predicted: FloatArray,
-    positive: BoolArray,
-    log_predicted: FloatArray,
-) -> FloatArray:
-    """Per-problem ``sum_j n_j log p_j`` (zero-count terms contribute 0).
-
-    ``positive`` is the precomputed ``counts > 0`` mask; the log is
-    evaluated only on those cells (zero-count cells never touch
-    ``predicted``, so nothing rides on the ``1e-300`` floor there), while
-    the summation still runs over each full contiguous row — the same
-    pairwise order as a lone 1-d sum. The logs land in the caller's
-    ``log_predicted`` scratch block, whose zero-count cells must hold 0.
-    """
-    np.log(predicted, out=log_predicted, where=positive)
-    return (counts * log_predicted).sum(axis=1)
-
-
 def _smoothing_taps(
     kernel: FloatArray, d: int
 ) -> tuple[list[tuple[float, slice, slice]], FloatArray]:
@@ -181,6 +172,89 @@ def _smoothing_taps(
         taps.append((tap, slice(lo, hi), slice(lo + offset, hi + offset)))
         weight[lo:hi] += tap
     return taps, weight
+
+
+class _ActiveRows:
+    """Every per-solve buffer of one batched solve, viewed over its active rows.
+
+    The buffers are allocated once, for the whole batch; the still-active
+    problems occupy their leading rows. The attributes are views over
+    those rows: the estimates ``x`` and counts ``n`` (the solver's own
+    copies), the E-step, smoothing and log-likelihood scratch, the current
+    and previous log-likelihoods, and the channel's two product
+    workspaces, whose ``M x`` output rows are the predicted densities.
+    When columns freeze, :meth:`compact` moves the kept rows of every
+    buffer that carries state from one iteration to the next to the front,
+    in place, and views everything again over them.
+    """
+
+    def __init__(
+        self,
+        op: ChannelOperator,
+        counts: FloatArray,
+        x: FloatArray,
+        smoothing: tuple[list[tuple[float, slice, slice]], FloatArray] | None,
+    ) -> None:
+        batch = x.shape[0]
+        self._x = x.copy()
+        self._n = np.array(counts, order="C")
+        self._positive = self._n > 0.0  # fixed: counts never change
+        # Zeroed once: logs land only on positive cells, so the zero-count
+        # cells stay 0 as rows move with the active set.
+        self._log = np.zeros(counts.shape)
+        self._terms = np.empty(counts.shape)
+        self._ll = np.empty((2, batch))
+        self._current = 0  # which row of `_ll` holds the current values
+        self._gain = np.empty(batch)
+        self._totals = np.empty((batch, 1))
+        self._forward, self._adjoint = op.workspaces(batch)
+        self._taps = [] if smoothing is None else smoothing[0]
+        self._smooth = None if smoothing is None else np.empty((2, *x.shape))
+        self._view(batch)
+
+    def _view(self, k: int) -> None:
+        self.x, self.n, self.positive = self._x[:k], self._n[:k], self._positive[:k]
+        self.log, self.terms = self._log[:k], self._terms[:k]
+        self.current = self._ll[self._current, :k]
+        self.previous = self._ll[1 - self._current, :k]
+        self.gain, self.totals = self._gain[:k], self._totals[:k]
+        self.forward, self.adjoint = self._forward.head(k), self._adjoint.head(k)
+        self.density = self.forward.out
+        if self._smooth is not None:
+            self.numerator, scaled = self._smooth[0, :k], self._smooth[1, :k]
+            self.taps = [
+                (tap, self.numerator[:, target], self.x[:, source], scaled[:, target])
+                for tap, target, source in self._taps
+            ]
+
+    def product(self, v: FloatArray) -> FloatArray:
+        """The predicted densities ``M v``, floored, into :attr:`density`."""
+        return np.maximum(self.forward.apply(v), _DENSITY_FLOOR, out=self.density)
+
+    def log_likelihood(self, out: FloatArray) -> FloatArray:
+        """Per-problem ``sum_j n_j log p_j`` of :attr:`density`, into ``out``.
+
+        The log is evaluated only on positive-count cells (zero-count cells
+        never touch the densities, so nothing rides on the ``1e-300`` floor
+        there), while the summation still runs over each full contiguous
+        row — the same pairwise order as a lone 1-d sum.
+        """
+        np.log(self.density, out=self.log, where=self.positive)
+        np.multiply(self.n, self.log, out=self.terms)
+        return np.add.reduce(self.terms, axis=1, out=out)
+
+    def swap_log_likelihoods(self) -> None:
+        """The current log-likelihoods become the previous ones."""
+        self._current = 1 - self._current
+        self.current, self.previous = self.previous, self.current
+
+    def compact(self, keep: BoolArray) -> None:
+        """Keep only the ``keep`` rows, moved to the front in order."""
+        stateful = ("x", "n", "positive", "log", "current", "density")
+        kept = [getattr(self, name)[keep] for name in stateful]
+        self._view(len(kept[0]))
+        for name, rows in zip(stateful, kept, strict=True):
+            getattr(self, name)[...] = rows
 
 
 def batched_expectation_maximization(
@@ -260,7 +334,6 @@ def batched_expectation_maximization(
         if smoothing_kernel is None
         else np.asarray(smoothing_kernel, dtype=np.float64)
     )
-    n = np.ascontiguousarray(n.T)  # (B, d_out): one problem per row
 
     if x0 is None:
         x = np.full((batch, d), 1.0 / d)
@@ -283,54 +356,49 @@ def batched_expectation_maximization(
         x = x / x.sum(axis=1, keepdims=True)
     smoothing = None if kernel is None else _smoothing_taps(kernel, d)
 
-    def product(v: FloatArray) -> FloatArray:
-        out = op.matvec_rows(v)
-        return np.maximum(out, _DENSITY_FLOOR, out=out)
-
+    rows = _ActiveRows(op, n.T, x, smoothing)
     iterations = np.zeros(batch, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
-    positive = n > 0.0  # fixed across iterations: counts never change
-    # Zeroed once: logs land only on positive cells, so the zero-count
-    # cells stay 0 as the rows are compacted with the active set.
-    log_predicted = np.zeros((batch, d_out))
-    initial = product(x)
-    previous = _log_likelihood_rows(n, initial, positive, log_predicted)
-    # Structured channels reuse the log-likelihood product as the next
-    # E-step's predicted densities (rows tracked alongside `idx`).
-    carried: FloatArray | None = initial if structured else None
+    rows.product(rows.x)
+    rows.log_likelihood(rows.previous)
     idx = np.arange(batch)  # the still-active problems
-    # `x` is this solve's own array; the active rows `xa` are updated in
-    # place and written back to `x` when a column freezes or the loop ends.
-    xa, na, pa = x, n, positive
     # The active columns' log-likelihoods, iteration after iteration, as
     # packed float64 bytes, and the iteration index from which each active
     # set applies.
     trace = bytearray()
     active_sets = [(0, idx)]
+    divide, multiply, add = np.divide, np.multiply, np.add
+    add_reduce, fmin_reduce = np.add.reduce, np.fmin.reduce
 
     for iteration in range(1, max_iter + 1):
-        predicted = carried if carried is not None else product(xa)
-        # E-step ratio in place: `predicted` is not read again.
-        weights = op.rmatvec_rows(np.divide(na, predicted, out=predicted))
-        xa *= weights
-        totals = xa.sum(axis=1, keepdims=True)
-        dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix
-        if dead.any():  # pragma: no cover
+        xa, totals = rows.x, rows.totals
+        # Structured channels reuse the log-likelihood product as this
+        # E-step's densities; dense channels recompute it.
+        density = rows.density if structured else rows.product(xa)
+        # E-step ratio in place: `density` is not read again.
+        divide(rows.n, density, out=density)
+        multiply(xa, rows.adjoint.apply(density), out=xa)
+        add_reduce(xa, axis=1, keepdims=True, out=totals)
+        # `fmin` skips NaN, so this is `(totals <= 0).any()` in one call.
+        if fmin_reduce(totals, axis=None) <= 0:  # pragma: no cover
+            dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix
             xa[dead] = 1.0 / d
             totals[dead] = 1.0
-        xa /= totals
+        divide(xa, totals, out=xa)
         if smoothing is not None:
-            taps, tap_weight = smoothing
-            numerator = np.zeros_like(xa)
-            for tap, target, source in taps:
-                numerator[:, target] += tap * xa[:, source]
-            np.divide(numerator, tap_weight, out=xa)
-            xa /= xa.sum(axis=1, keepdims=True)
-        refreshed = product(xa)
-        current = _log_likelihood_rows(na, refreshed, pa, log_predicted)
+            rows.numerator.fill(0.0)
+            for tap, target, source, scaled in rows.taps:
+                multiply(source, tap, out=scaled)
+                add(target, scaled, out=target)
+            divide(rows.numerator, smoothing[1], out=xa)
+            add_reduce(xa, axis=1, keepdims=True, out=totals)
+            divide(xa, totals, out=xa)
+        rows.product(xa)
+        current = rows.log_likelihood(rows.current)
         trace += current.tobytes()
-        finished = current - previous < tol
-        if finished.any():
+        gain = np.subtract(current, rows.previous, out=rows.gain)
+        if fmin_reduce(gain) < tol:
+            finished = gain < tol
             done = idx[finished]
             x[done] = xa[finished]
             iterations[done] = iteration
@@ -341,14 +409,10 @@ def batched_expectation_maximization(
             keep = ~finished
             idx = idx[keep]
             active_sets.append((iteration, idx))
-            xa, na, pa = xa[keep], na[keep], pa[keep]
-            log_predicted = log_predicted[keep]
-            current, refreshed = current[keep], refreshed[keep]
-        previous = current
-        if structured:
-            carried = refreshed
+            rows.compact(keep)
+        rows.swap_log_likelihoods()
     else:
-        x[idx] = xa
+        x[idx] = rows.x
         iterations[idx] = max_iter
 
     # Unpack the trace: each active set's rows fill that set's columns.

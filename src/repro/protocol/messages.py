@@ -23,6 +23,7 @@ silently biasing the estimate. Malformed lines are reported with their
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -142,7 +143,10 @@ def encode_batch_v2(
 
     ``codec`` is a registered payload codec (or its name); each line is one
     :class:`ReportEnvelope`. Lines share a pre-formatted prefix/suffix so
-    only the payload is serialized per report.
+    only the payload is serialized per report: by ``repr`` for one-column
+    codecs, whose payloads are the ints or finite floats of one ``<i8`` or
+    ``<f8`` column (for those ``json.dumps`` returns ``repr``), and by
+    ``json.dumps`` otherwise.
     """
     if isinstance(codec, str):
         codec = get_codec(codec)
@@ -153,6 +157,10 @@ def encode_batch_v2(
     )
     attr_part = "" if attr == DEFAULT_ATTR else f',"attr":{json.dumps(attr)}'
     suffix = f',"version":{PROTOCOL_V2}{attr_part}}}'
+    # A NaN or an infinity, which json.dumps spells differently, makes the
+    # sum non-finite.
+    if len(codec.columns) == 1 and payloads and math.isfinite(sum(payloads)):
+        return prefix + f"{suffix}\n{prefix}".join(map(repr, payloads)) + suffix
     dumps = json.dumps
     return "\n".join(
         f"{prefix}{dumps(p, separators=(',', ':'))}{suffix}" for p in payloads

@@ -8,6 +8,13 @@ helpers, so tests can require that :func:`repro.engine.solver.
 batched_expectation_maximization` returns the same bytes: estimates,
 iteration counts, converged flags, log-likelihoods and histories.
 
+Its channel products are the structured products as they stood before
+they moved onto per-solve workspaces: :func:`_banded_product` and
+:func:`_add_ramps` are the bodies of ``_banded_product`` and
+``_RampWindows.add_to`` copied verbatim, reading the operator's band
+bounds and ramp tables, and a dense channel is the BLAS product the solver
+always ran. So the reference does not run the products it checks.
+
 It is test code only — nothing in ``src/`` imports it.
 """
 
@@ -16,9 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.config import DEFAULT_MAX_ITER
-from repro.engine.operators import ChannelOperator, DenseChannel
+from repro.engine.operators import (
+    ChannelOperator,
+    DenseChannel,
+    UniformPlusBandedChannel,
+    UniformPlusToeplitzChannel,
+)
 from repro.engine.solver import BatchEMResult
-from repro.utils.typing import ArrayLike, BoolArray, FloatArray
+from repro.utils.typing import ArrayLike, BoolArray, FloatArray, IntArray
 
 __all__ = ["batched_expectation_maximization"]
 
@@ -29,6 +41,65 @@ _DENSITY_FLOOR = 1e-300
 #: demand so a ``max_iter`` of 10k with a wide batch does not preallocate
 #: a huge mostly-unused array.
 _HISTORY_CHUNK = 128
+
+
+def _banded_product(
+    v: FloatArray, lo: IntArray, hi: IntArray, delta: float, outside: float
+) -> FloatArray:
+    """The cumsum-boxcar product of the uniform-plus-band channels.
+
+    ``out[..., j] = outside * v.sum() + delta * v[..., lo[j]:hi[j]].sum()``
+    per problem row — the whole structured matvec/rmatvec for two-valued
+    band channels, and the plateau term of the Toeplitz channel.
+    """
+    s = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,), dtype=np.float64)
+    np.cumsum(v, axis=-1, out=s[..., 1:])
+    band = np.take(s, hi, axis=-1)
+    band -= np.take(s, lo, axis=-1)
+    band *= delta
+    band += outside * s[..., -1:]
+    return band
+
+
+def _add_ramps(self, out: FloatArray, v: FloatArray) -> None:
+    """Add the rise, then the fall sums to ``out``, per problem row.
+
+    ``self`` is the operator's ramp table (``_ramps`` or ``_col_ramps``).
+    A ramp adds ``sum_r values[r, k] * v[b, idx[r, k]]`` to
+    ``out[b, k]``. Each ramp sums over ``r`` on its own, in index
+    order for every row, so a row's result does not depend on how
+    many rows share the batch.
+    """
+    gathered = np.take(v, self._idx, axis=1)  # (B, rise + fall, n)
+    gathered *= self.values
+    out += gathered[:, : self.split].sum(axis=1)
+    out += gathered[:, self.split :].sum(axis=1)
+
+
+def matvec_rows(op: ChannelOperator, x: FloatArray) -> FloatArray:
+    """``M x`` per problem row, as the operators computed it."""
+    if isinstance(op, UniformPlusToeplitzChannel):
+        out = _banded_product(x, op._band_lo, op._band_hi, op._plateau, op._baseline)
+        _add_ramps(op._ramps, out, x)
+        return out
+    if isinstance(op, UniformPlusBandedChannel):
+        return _banded_product(x, op._lo, op._hi, op._delta, op.outside)
+    assert isinstance(op, DenseChannel)
+    return x @ op.matrix.T
+
+
+def rmatvec_rows(op: ChannelOperator, y: FloatArray) -> FloatArray:
+    """``Mᵀ y`` per problem row, as the operators computed it."""
+    if isinstance(op, UniformPlusToeplitzChannel):
+        out = _banded_product(
+            y, op._col_band_lo, op._col_band_hi, op._plateau, op._baseline
+        )
+        _add_ramps(op._col_ramps, out, y)
+        return out
+    if isinstance(op, UniformPlusBandedChannel):
+        return _banded_product(y, op._rlo, op._rhi, op._delta, op.outside)
+    assert isinstance(op, DenseChannel)
+    return y @ op.matrix
 
 
 def _log_likelihood_rows(
@@ -169,7 +240,7 @@ def batched_expectation_maximization(
         x = x / x.sum(axis=1, keepdims=True)
 
     def product(v: FloatArray) -> FloatArray:
-        out = op.matvec_rows(v)
+        out = matvec_rows(op, v)
         return np.maximum(out, _DENSITY_FLOOR, out=out)
 
     iterations = np.zeros(batch, dtype=np.int64)
@@ -186,7 +257,7 @@ def batched_expectation_maximization(
 
     for iteration in range(1, max_iter + 1):
         predicted = carried if carried is not None else product(xa)
-        weights = op.rmatvec_rows(na / predicted)
+        weights = rmatvec_rows(op, na / predicted)
         xa = xa * weights
         totals = xa.sum(axis=1, keepdims=True)
         dead = totals[:, 0] <= 0  # defensive; cannot occur with a valid matrix

@@ -1,5 +1,8 @@
 """Equivalence tests: batched EM/EMS vs the sequential single-problem API."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from repro.binning.cfo_binning import CFOBinning
 from repro.core.em import expectation_maximization
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
+from repro.engine.cache import cached_channel_operator
 from repro.engine.operators import DenseChannel, UniformPlusToeplitzChannel
 from repro.engine.solver import batched_expectation_maximization
 from tests.engine import reference_solver
@@ -275,6 +279,81 @@ class TestFusedColumnsBitIdentical:
             assert fused.estimates[:, j].tobytes() == solo.estimates[:, 0].tobytes()
             assert fused.iterations[j] == solo.iterations[0]
             assert fused.histories[j].tobytes() == solo.histories[0].tobytes()
+
+
+class TestSharedOperatorAcrossThreads:
+    """Solves on one cached operator from two threads match solo solves.
+
+    Every estimator of a channel shares one operator through the engine
+    cache, and a solve's scratch lives in buffers of its own, never on the
+    operator. Two threads solving at once must therefore return the bytes
+    each solve returns alone.
+    """
+
+    @pytest.mark.parametrize("mechanism", ["sw-toeplitz", "dsw-banded"])
+    def test_concurrent_solves_match_solo_solves(self, mechanism):
+        d = 32
+        if mechanism == "sw-toeplitz":
+            channel = cached_channel_operator(SquareWave(1.0), d, d)
+        else:
+            channel = cached_channel_operator(DiscreteSquareWave(1.0, d))
+        assert channel.structured
+        dense = channel.to_dense()
+        rng = np.random.default_rng(17)
+        solves = []
+        for i in range(100):
+            warm = rng.random(int(rng.integers(1, 6))) < 0.5
+            counts = np.stack(
+                [
+                    rng.multinomial(
+                        int(rng.integers(50, 20_000)),
+                        dense @ rng.dirichlet(np.full(channel.d, 0.5)),
+                    ).astype(float)
+                    for _ in warm
+                ],
+                axis=1,
+            )
+            x0 = None
+            if warm.any():
+                x0 = np.stack(
+                    [rng.dirichlet(np.ones(channel.d)) if w else np.ones(channel.d)
+                     for w in warm],
+                    axis=1,
+                )
+            kernel = binomial_kernel(2) if i % 3 else None
+            solves.append((counts, x0, kernel))
+
+        def solve(counts, x0, kernel):
+            result = batched_expectation_maximization(
+                channel, counts, x0=x0, smoothing_kernel=kernel,
+                tol=1e-3, max_iter=60, validate_matrix=False,
+            )
+            return (
+                result.estimates.tobytes(),
+                result.iterations.tobytes(),
+                result.converged.tobytes(),
+                tuple(h.tobytes() for h in result.histories),
+            )
+
+        alone = [solve(*args) for args in solves]
+        shared = [None] * len(solves)
+
+        def worker(first):
+            for i in range(first, len(solves), 2):
+                shared[i] = solve(*solves[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared == alone
 
 
 class TestMatchesHistoricalLoop:

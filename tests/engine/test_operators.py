@@ -30,10 +30,10 @@ from repro.engine.operators import (
     DenseChannel,
     UniformPlusBandedChannel,
     UniformPlusToeplitzChannel,
-    _banded_product,
 )
 from repro.engine.solver import batched_expectation_maximization
 from repro.multidim.marginals import MultiAttributeSW
+from tests.engine.reference_solver import _banded_product
 
 # Matvec outputs are compared on probability-scale inputs, where the
 # operator and the dense matmul agree to accumulated float rounding.
@@ -82,7 +82,7 @@ class TestContinuousOperator:
     def test_one_gather_keeps_each_ramp_sum_separate(
         self, epsilon, b, d, d_out, batch, seed
     ):
-        # One np.take fetches both ramps, yet the bytes are those of a
+        # One gather fetches both ramps, yet the bytes are those of a
         # gather and sum per ramp, added band, then rise, then fall.
         sw = SquareWave(epsilon, b=b)
         op = UniformPlusToeplitzChannel(sw.p, sw.q, sw.b, d, d_out)

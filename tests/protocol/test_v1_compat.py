@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.square_wave import SquareWave
 from repro.protocol import (
     CollectionServer,
     ReportEnvelope,
@@ -80,6 +81,13 @@ class TestVectorizedEncoder:
         values = np.concatenate([
             rng.random(200),
             np.array([0.0, 1.0, 0.5, 1e-17, 1.25e300, -3.5]),
+            np.array([-0.0, 5e-324, 1e-7, 1e16]),
+            # The Square Wave output domain's ends, [-b, 1 + b].
+            [
+                end
+                for b in (SquareWave(eps).b for eps in (0.5, 1.0, 2.0))
+                for end in (-b, 1.0 + b)
+            ],
         ])
         for attr in ("value", "income"):
             fast = encode_batch_v2("round/7 \"x\"", values, "float", attr=attr)
@@ -88,6 +96,14 @@ class TestVectorizedEncoder:
                 for v in values
             )
             assert fast == slow
+
+    def test_category_lines_byte_identical_to_dataclass_path(self, rng):
+        values = np.concatenate([rng.integers(0, 300, 200), [0, -1, 2**62]])
+        fast = encode_batch_v2("r", values, "category")
+        slow = "\n".join(
+            ReportEnvelope("r", "category", int(v)).to_json() for v in values
+        )
+        assert fast == slow
 
     def test_roundtrip_via_decoder(self, rng):
         values = rng.random(50)
