@@ -9,9 +9,9 @@ from run to run (the CI perf-smoke step uploads it as an artifact):
    (``encode_batch_v2(..., "float")`` and ``decode_feed``; target: >= 25x
    round trip at n = 1e6).
 2. **Incremental estimation** — a mid-round ``CollectionServer.estimate()``
-   after a small ingest delta (warm-started from the cached posterior) vs a
-   cold EMS solve from the uniform prior on identical counts (target:
-   measurably cheaper, i.e. >= 2x and fewer EM iterations).
+   after a small ingest delta (warm-started from the cached posterior) vs
+   the estimator's own cold EMS solve from the uniform prior on identical
+   counts (target: measurably cheaper, i.e. >= 2x and fewer EM iterations).
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_protocol.py [--quick]
           [--out benchmarks/BENCH_protocol.json]
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api.base import Estimator
 from repro.core.square_wave import SquareWave
 from repro.protocol.frames import decode_frame, encode_frame
 from repro.protocol.messages import decode_feed, encode_batch_v2
@@ -107,10 +108,9 @@ def bench_incremental_estimate(
     warm_s = time.perf_counter() - start
     warm_iterations = server.estimator.result_.iterations
 
-    # Cold baseline on the *same* final counts (what every mid-round
-    # estimate cost before the posterior cache existed).
-    cold = CollectionServer("r", "sw-ems", 1.0, d, incremental=False)
-    cold._estimator._counts = server._estimator._counts.copy()
+    # Cold baseline on the *same* final counts: the estimator's own
+    # estimate() solves from the uniform prior every time.
+    cold = Estimator.from_state(server.estimator.to_state())
     cold_s = _best_of(cold.estimate, repeats)
 
     # And the free case: nothing new arrived, the solve is skipped.

@@ -195,8 +195,9 @@ class WaveEstimator(Estimator):
         ``x0`` warm-starts EM/EMS from a previous posterior instead of the
         uniform prior — same fixed point, far fewer iterations when the
         counts changed only a little since that posterior was computed
-        (the incremental-serving path of
-        :class:`repro.protocol.server.CollectionServer`).
+        (the warm starts of :func:`repro.protocol.server.solve_cached`,
+        which the servers, the service's merge tier and the streaming
+        scheduler share). Without ``x0`` the solve is cold.
         """
         if self._counts.sum() <= 0:
             raise EmptyAggregateError("no reports ingested yet")

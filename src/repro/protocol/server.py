@@ -9,25 +9,28 @@ matter how many users stream in, and shard servers for the same round
 columnar binary frames of :mod:`repro.protocol.frames` for bulk feeds, and
 v2 JSON lines (:mod:`repro.protocol.messages`) for the greppable form.
 
-Mid-round ``estimate()`` is *incremental*: the server caches the last
-posterior keyed on a fingerprint of the aggregation state, skips the solve
-entirely when nothing new arrived, and — for the EM-backed families —
-warm-starts the solver from the cached posterior
-(:meth:`repro.api.EMConfig.run` ``x0``), so a small ingest delta costs a
-handful of EM iterations instead of a cold solve from the uniform prior.
-Those iterations themselves run against the structured channel operators
-of :mod:`repro.engine.operators` (the wrapped estimators request them by
-default), so a wave-mechanism round pays ``O(d)`` per iteration rather
-than a dense ``O(d^2)`` matmul.
+Mid-round ``estimate()`` reads through a :class:`PosteriorCache`: the last
+estimate per name, keyed by a 16-byte BLAKE2b digest of the aggregation
+state it was solved from (:func:`state_digest`). An unchanged state is a
+hit and skips the solve; a changed one solves, and the EM-backed families
+warm-start from the cached posterior (:meth:`repro.api.EMConfig.run`
+``x0``), so a small ingest delta costs a handful of EM iterations instead
+of a cold solve from the uniform prior. Those iterations themselves run
+against the structured channel operators of :mod:`repro.engine.operators`
+(the wrapped estimators request them by default), so a wave-mechanism
+round pays ``O(d)`` per iteration rather than a dense ``O(d^2)`` matmul.
 
-Solves that share a structured channel fuse: :func:`estimate_rounds`
-stacks every EM-backed server with the same channel object, ``EMConfig``
-and epsilon into one :meth:`repro.api.EMConfig.run_many` batch, each
-column warm-started from its own server's cached posterior. The batched
-solver is problem-major, so every fused column is bit-identical to the
-same server solving alone — fusion changes the cost of a poll, never its
-answer. :class:`repro.streaming.StreamingCollector` fuses its window
-solves through the same :func:`solve_together`.
+Solves that share a structured channel fuse: :func:`solve_cached` stacks
+every EM-backed estimator with the same channel object, ``EMConfig`` and
+epsilon into one :meth:`repro.api.EMConfig.run_many` batch
+(:func:`fusion_groups`, :func:`solve_together`), each column warm-started
+from its own cached posterior. The batched solver is problem-major, so
+every fused column is bit-identical to the same estimator solving alone —
+fusion changes the cost of a poll, never its answer. The servers
+(:func:`estimate_rounds`), the service's merge tier
+(:class:`repro.service.ShardedCollector`) and the streaming scheduler
+(:class:`repro.streaming.StreamingCollector`) all solve through
+:func:`solve_cached`, each with its own cache.
 
 :class:`PlanServer` serves a whole :class:`~repro.tasks.plan.AnalysisPlan`
 — one ``CollectionServer`` per planned attribute — off a single mixed
@@ -38,9 +41,10 @@ frame/JSONL feed, and emits the typed
 from __future__ import annotations
 
 import contextlib
-import json
+import hashlib
+import pickle
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -80,12 +84,12 @@ __all__ = [
 _WARM_START_MIX = 1e-6
 
 
-def _copy_estimate(value: Any) -> Any:
+def copy_estimate(value: Any) -> Any:
     """Defensive copy of an estimate (ndarray, list of ndarrays, or scalar)."""
     if isinstance(value, np.ndarray):
         return value.copy()
     if isinstance(value, list):
-        return [_copy_estimate(item) for item in value]
+        return [copy_estimate(item) for item in value]
     return value
 
 
@@ -215,6 +219,113 @@ def solve_together(
     return estimates
 
 
+def state_digest(state: Any) -> bytes:
+    """16-byte BLAKE2b digest of an aggregation-state payload.
+
+    What a :class:`PosteriorCache` keys on. ``pickle`` writes each float as
+    its bits, never as text, and keeps every distinction the payload's JSON
+    form makes (``1`` from ``1.0``, ``-0.0`` from ``0.0``). Every
+    ``_state()`` builds its dicts in one fixed key order, so equal states
+    share a digest.
+    """
+    return hashlib.blake2b(pickle.dumps(state, protocol=5), digest_size=16).digest()
+
+
+class PosteriorCache:
+    """The last estimate per name, keyed by the digest of its state.
+
+    Maps each name to a ``(state digest, estimate)`` pair, which
+    :func:`solve_cached` reads and writes. It takes no lock: every owner
+    already serializes the calls that reach it — a :class:`CollectionServer`
+    under its lock, the service's merge tier under its merge lock, the
+    streaming scheduler through its one caller.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, tuple[bytes, Any]] = {}
+
+    def put(self, name: Hashable, digest: bytes, estimate: Any) -> None:
+        """Cache a copy of ``estimate`` as ``name``'s answer for ``digest``."""
+        self._entries[name] = (digest, copy_estimate(estimate))
+
+    def clear(self) -> None:
+        """Forget every entry, so each name's next solve is cold."""
+        self._entries.clear()
+
+
+@dataclass(frozen=True)
+class CachedSolve:
+    """One member's answer from :func:`solve_cached`.
+
+    ``error`` replaces ``estimate`` when the state was empty or its solve
+    raised. ``hit`` means the estimate came from the cache, ``warm`` that
+    the solve started from the cached posterior, and ``batch`` lists the
+    positions of the members solved in the same call.
+    """
+
+    estimate: Any = None
+    error: Exception | None = None
+    hit: bool = False
+    warm: bool = False
+    batch: tuple[int, ...] = ()
+
+
+def _empty_error(name: Hashable) -> EmptyAggregateError:
+    """The error for a still-empty state; ``(round, attr)`` names both."""
+    if isinstance(name, tuple):
+        round_id, attr = name
+        where = f"round {round_id!r}, attribute {attr!r}"
+    else:
+        where = f"attribute {name!r}"
+    return EmptyAggregateError(f"no reports ingested for {where}")
+
+
+def solve_cached(
+    members: Sequence[tuple[PosteriorCache, Hashable, Estimator, bytes]],
+) -> list[CachedSolve]:
+    """Answer each ``(cache, name, estimator, digest)`` member, in order.
+
+    ``digest`` is the :func:`state_digest` of the state the estimator
+    solves. A member whose digest equals its cache entry's gets a copy of
+    the cached estimate, and an empty estimator gets a
+    :class:`repro.EmptyAggregateError`. The rest are grouped by
+    :func:`fusion_groups` and solved by :func:`solve_together`, each
+    warm-started from its cached posterior when that is an array and its
+    family can warm start; each fresh estimate is cached under its digest.
+    A group whose solve raises gives each of its members that error, and
+    the other groups still solve. The caller serializes access to every
+    cache named.
+    """
+    out = [CachedSolve()] * len(members)
+    pending: list[tuple[int, np.ndarray | None]] = []
+    for i, (cache, name, estimator, digest) in enumerate(members):
+        entry = cache._entries.get(name)
+        if estimator.n_reports <= 0:
+            out[i] = CachedSolve(error=_empty_error(name))
+        elif entry is not None and entry[0] == digest:
+            out[i] = CachedSolve(estimate=copy_estimate(entry[1]), hit=True)
+        else:
+            posterior = None if entry is None else entry[1]
+            warm = isinstance(posterior, np.ndarray) and warm_startable(estimator)
+            pending.append((i, posterior if warm else None))
+    for group in fusion_groups([members[i][2] for i, _ in pending]):
+        batch = tuple(pending[j][0] for j in group)
+        posteriors = [pending[j][1] for j in group]
+        try:
+            estimates = solve_together([members[i][2] for i in batch], posteriors)
+        except Exception as exc:  # surfaced per member, not aborted mid-batch
+            for i in batch:
+                out[i] = CachedSolve(error=exc)
+            continue
+        for i, posterior, estimate in zip(batch, posteriors, estimates, strict=True):
+            cache, name, _, digest = members[i]
+            cache.put(name, digest, estimate)
+            out[i] = CachedSolve(
+                estimate=estimate, warm=posterior is not None, batch=batch
+            )
+    return out
+
+
 @contextlib.contextmanager
 def _holding(locks: Iterable[threading.Lock]) -> Any:
     """Hold every distinct lock, taken in id order (as ``merge`` does)."""
@@ -224,43 +335,6 @@ def _holding(locks: Iterable[threading.Lock]) -> Any:
         yield
 
 
-def _estimate_group(
-    named: Sequence[tuple[str, "CollectionServer"]],
-) -> dict[str, Any]:
-    """Estimate servers of one fusion group under all their locks.
-
-    Cache hits and empty rounds are answered per server; the rest solve
-    together through :func:`solve_together`. Failures come back as
-    :class:`EstimateFailure` values, never raised.
-    """
-    out: dict[str, Any] = {}
-    pending: list[tuple[str, CollectionServer, str | None]] = []
-    with _holding(server._lock for _, server in named):
-        for name, server in named:
-            try:
-                hit, value = server._lookup()
-            except Exception as exc:  # surfaced per key, not aborted mid-batch
-                out[name] = EstimateFailure(key=name, error=exc)
-                continue
-            if hit:
-                out[name] = value
-            else:
-                pending.append((name, server, value))
-        try:
-            estimates = solve_together(
-                [server._estimator for _, server, _ in pending],
-                [server._warm_posterior() for _, server, _ in pending],
-            )
-        except Exception as exc:
-            for name, _, _ in pending:
-                out[name] = EstimateFailure(key=name, error=exc)
-        else:
-            for (name, server, key), estimate in zip(pending, estimates, strict=True):
-                server._remember(key, estimate)
-                out[name] = estimate
-    return out
-
-
 def estimate_rounds(
     servers: Mapping[str, "CollectionServer"],
     *,
@@ -268,13 +342,14 @@ def estimate_rounds(
 ) -> dict[str, Any]:
     """Reconstruct several servers' estimates, fusing same-channel solves.
 
-    The multi-attribute solve scheduler. Servers whose estimators share a
-    structured channel object, ``EMConfig`` and epsilon (see
-    :func:`fusion_groups`) are solved as one
-    :meth:`~repro.api.EMConfig.run_many` batch: each member's lock is
-    taken in id order, cache hits still skip the solve, and each column
-    warm-starts from its own server's cached posterior. Every fused column
-    is bit-identical to that server's solo :meth:`CollectionServer.estimate`.
+    The multi-attribute solve scheduler. Every server's lock is taken, in
+    id order, and the servers are answered through :func:`solve_cached`,
+    each from its own :class:`PosteriorCache`: unchanged states skip the
+    solve, and servers whose estimators share a structured channel object,
+    ``EMConfig`` and epsilon (see :func:`fusion_groups`) solve as one
+    :meth:`~repro.api.EMConfig.run_many` batch, each column warm-started
+    from its own server's cached posterior. Every fused column is
+    bit-identical to that server's solo :meth:`CollectionServer.estimate`.
     Servers that cannot fuse (dense channels, non-EM families) solve alone.
     The groups solve one after another, in the order of their first member.
 
@@ -296,14 +371,26 @@ def estimate_rounds(
             f"on_error must be 'raise' or 'return', got {on_error!r}"
         )
     named = list(servers.items())
-    groups = [
-        [named[i] for i in group]
-        for group in fusion_groups([server.estimator for _, server in named])
-    ]
-    solved: dict[str, Any] = {}
-    for group in groups:
-        solved.update(_estimate_group(group))
-    results = {name: solved[name] for name in servers}
+    with _holding(server._lock for _, server in named):
+        solves = solve_cached(
+            [
+                (
+                    server._posteriors,
+                    (server.round_id, server.attr),
+                    server._estimator,
+                    state_digest(server._estimator._state()),
+                )
+                for _, server in named
+            ]
+        )
+    results = {
+        name: (
+            solved.estimate
+            if solved.error is None
+            else EstimateFailure(key=name, error=solved.error)
+        )
+        for (name, _), solved in zip(named, solves, strict=True)
+    }
     if on_error == "raise":
         for value in results.values():
             if isinstance(value, EstimateFailure):
@@ -326,12 +413,6 @@ class CollectionServer:
         Attribute id this single-attribute round serves; feeds stamped with
         any other attribute are rejected, so a mixed multi-attribute
         session feed fails loudly instead of being silently folded in.
-    incremental:
-        Keep the last posterior (keyed on the aggregation-state
-        fingerprint) so mid-round ``estimate()`` calls skip unchanged
-        solves and warm-start EM after small deltas. ``False`` restores
-        the always-cold behaviour (useful for benchmarking the
-        difference).
     """
 
     def __init__(
@@ -342,11 +423,10 @@ class CollectionServer:
         d: int | None = None,
         *,
         attr: str = DEFAULT_ATTR,
-        incremental: bool = True,
         **kwargs,
     ) -> None:
         estimator = make_estimator(mechanism, epsilon, d, **kwargs)
-        self._bind(round_id, estimator, attr, str(mechanism), incremental)
+        self._bind(round_id, estimator, attr, str(mechanism))
 
     def _bind(
         self,
@@ -354,20 +434,17 @@ class CollectionServer:
         estimator: Estimator,
         attr: str,
         mechanism_name: str,
-        incremental: bool,
     ) -> None:
         self.round_id = str(round_id)
         self.attr = str(attr)
         self.mechanism_name = mechanism_name
-        self.incremental = bool(incremental)
         self._estimator = estimator
         self._codec = codec_for_estimator(estimator)
-        self._cached: Any = None
-        self._cached_key: str | None = None
+        self._posteriors = PosteriorCache()
         # Ingest, estimate, merge, and snapshot all cross this lock: a fold
         # landing while another thread solves must never interleave a
-        # half-applied batch into the fingerprint the posterior cache is
-        # keyed on.
+        # half-applied batch into the state the posterior cache's digest
+        # is taken of.
         self._lock = threading.Lock()
 
     @classmethod
@@ -378,7 +455,6 @@ class CollectionServer:
         *,
         attr: str = DEFAULT_ATTR,
         mechanism: str | None = None,
-        incremental: bool = True,
     ) -> "CollectionServer":
         """Wrap an existing estimator (shared aggregation state) in a server."""
         server = cls.__new__(cls)
@@ -388,7 +464,6 @@ class CollectionServer:
             estimator,
             attr,
             estimator.name if mechanism is None else str(mechanism),
-            incremental,
         )
         return server
 
@@ -424,25 +499,6 @@ class CollectionServer:
         if format == "jsonl":
             return encode_batch_v2(self.round_id, reports, self._codec, attr=self.attr)
         raise ValueError(f"format must be 'frame' or 'jsonl', got {format!r}")
-
-    def rebind_estimator(self, estimator: Estimator) -> None:
-        """Swap in a replacement aggregation state, keeping the posterior cache.
-
-        The estimate tier of a sharded deployment folds shard snapshots
-        into a freshly merged estimator each round; rebinding it here
-        (instead of rebuilding the server) preserves the fingerprint-keyed
-        posterior cache, so an unchanged merge skips the solve entirely and
-        a small delta warm-starts EM from the previous posterior. The
-        replacement must speak the same wire codec as the original.
-        """
-        codec = codec_for_estimator(estimator)
-        if codec.name != self._codec.name:
-            raise ValueError(
-                f"cannot rebind {type(estimator).__name__} ({codec.name!r} "
-                f"payloads) into a server expecting {self._codec.name!r}"
-            )
-        with self._lock:
-            self._estimator = estimator
 
     # -- ingestion ---------------------------------------------------------
     def ingest_reports(self, reports: Any) -> int:
@@ -488,58 +544,16 @@ class CollectionServer:
         return self._ingest_groups(groups)
 
     # -- estimation --------------------------------------------------------
-    def _state_key(self) -> str:
-        """Cheap fingerprint of the aggregation state the cache is keyed on.
-
-        Serializing ``_state()`` is O(state) — negligible next to a solve —
-        and content-based, so the cache cannot serve a stale posterior when
-        the state changed without the report count changing (e.g. a caller
-        ``reset()`` the shared estimator and re-ingested an equal-sized
-        batch).
-        """
-        return json.dumps(self._estimator._state(), sort_keys=True)
-
     def estimate(self) -> Any:
-        """Reconstruct from all reports so far (incremental mid-round).
+        """Reconstruct from all reports so far (cached mid-round).
 
-        With ``incremental=True`` (the default) the solve is skipped when
-        the aggregation state is unchanged since the last call, and
-        EM-backed estimators warm-start from the cached posterior
-        otherwise. Raises :class:`repro.EmptyAggregateError` naming the
-        round and attribute while the round is still empty.
+        The solve is skipped when the aggregation state is unchanged since
+        the last call, and EM-backed estimators warm-start from the cached
+        posterior otherwise (see :func:`estimate_rounds`). Raises
+        :class:`repro.EmptyAggregateError` naming the round and attribute
+        while the round is still empty.
         """
-        value = _estimate_group([(self.attr, self)])[self.attr]
-        if isinstance(value, EstimateFailure):
-            raise value.error
-        return value
-
-    def _lookup(self) -> tuple[bool, Any]:
-        """``(True, cached estimate)`` on a cache hit, else ``(False, state key)``.
-
-        Called under the lock; raises :class:`repro.EmptyAggregateError`
-        while the round is empty.
-        """
-        if self._estimator.n_reports == 0:
-            raise EmptyAggregateError(
-                f"no reports ingested for round {self.round_id!r}, "
-                f"attribute {self.attr!r}"
-            )
-        key = self._state_key() if self.incremental else None
-        if self.incremental and key == self._cached_key:
-            return True, _copy_estimate(self._cached)
-        return False, key
-
-    def _warm_posterior(self) -> np.ndarray | None:
-        """The cached posterior the next solve warm-starts from, if any."""
-        if self.incremental and isinstance(self._cached, np.ndarray):
-            return self._cached
-        return None
-
-    def _remember(self, key: str | None, estimate: Any) -> None:
-        """Cache a fresh solve's estimate under its state key."""
-        if self.incremental:
-            self._cached = _copy_estimate(estimate)
-            self._cached_key = key
+        return estimate_rounds({self.attr: self})[self.attr]
 
     # -- shard merge + serialization --------------------------------------
     def merge(self, other: "CollectionServer") -> "CollectionServer":
@@ -569,8 +583,7 @@ class CollectionServer:
         first, second = sorted((self._lock, other._lock), key=id)
         with first, second:
             self._estimator.merge(other._estimator)
-            self._cached = None
-            self._cached_key = None
+            self._posteriors.clear()
         return self
 
     def to_state(self) -> dict:
@@ -581,20 +594,21 @@ class CollectionServer:
                 "round_id": self.round_id,
                 "attr": self.attr,
                 "mechanism": self.mechanism_name,
-                "incremental": self.incremental,
                 "estimator": self._estimator.to_state(),
             }
 
     @classmethod
     def from_state(cls, payload: dict) -> "CollectionServer":
-        """Rebuild a shard server from :meth:`to_state` output."""
+        """Rebuild a shard server from :meth:`to_state` output.
+
+        An ``"incremental"`` key, which older checkpoints carry, is ignored.
+        """
         estimator = Estimator.from_state(payload["estimator"])
         return cls.for_estimator(
             payload["round_id"],
             estimator,
             attr=payload.get("attr", DEFAULT_ATTR),
             mechanism=payload.get("mechanism"),
-            incremental=payload.get("incremental", True),
         )
 
     def __repr__(self) -> str:
@@ -611,7 +625,7 @@ class PlanServer:
     One :class:`CollectionServer` per planned attribute, all sharing the
     underlying :class:`~repro.tasks.session.Session` aggregation state —
     frames and JSON-lines feeds route each block to the right attribute's
-    server, per-attribute ``estimate()`` is incremental, and
+    server, per-attribute ``estimate()`` is cached mid-round, and
     :meth:`report` emits the typed
     :class:`~repro.tasks.results.AnalysisReport` in real-world units.
 
@@ -624,33 +638,22 @@ class PlanServer:
     planned:
         Optional pre-resolved :class:`~repro.tasks.planner.PlannedAnalysis`
         (plan once, fan out to shard servers).
-    incremental:
-        Forwarded to every per-attribute :class:`CollectionServer`.
     """
 
-    def __init__(
-        self,
-        plan,
-        round_id: str,
-        *,
-        planned=None,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, plan, round_id: str, *, planned=None) -> None:
         from repro.tasks.session import Session
 
-        self._bind_session(Session(plan, planned=planned), round_id, incremental)
+        self._bind_session(Session(plan, planned=planned), round_id)
 
-    def _bind_session(self, session, round_id: str, incremental: bool) -> None:
+    def _bind_session(self, session, round_id: str) -> None:
         self.session = session
         self.round_id = str(round_id)
-        self.incremental = bool(incremental)
         self._servers = {
             name: CollectionServer.for_estimator(
                 self.round_id,
                 estimator,
                 attr=name,
                 mechanism=session.planned.choice_for(name).mechanism,
-                incremental=incremental,
             )
             for name, estimator in session.estimators.items()
         }
@@ -692,14 +695,14 @@ class PlanServer:
 
     # -- estimation --------------------------------------------------------
     def estimate(self, attr: str) -> Any:
-        """One attribute's reconstruction (incremental mid-round)."""
+        """One attribute's reconstruction (cached mid-round)."""
         return self.server(attr).estimate()
 
     def report(self, *, confidence: float | None = None, n_bootstrap: int = 100, rng: RngLike = None):
         """Answer every task in the plan from the state aggregated so far.
 
-        Reconstructions route through each attribute's incremental server
-        (cached posteriors are reused, EM warm-starts after deltas) via
+        Reconstructions route through each attribute's server (cached
+        posteriors are reused, EM warm-starts after deltas) via
         :func:`estimate_rounds`: attributes on one structured channel
         solve as a single fused batch, bit-identical to solving each
         alone, and the remaining groups solve one after another. The
@@ -731,8 +734,7 @@ class PlanServer:
             )
         self.session.merge(other.session)
         for server in self._servers.values():
-            server._cached = None
-            server._cached_key = None
+            server._posteriors.clear()
         return self
 
     def to_state(self) -> dict:
@@ -740,7 +742,6 @@ class PlanServer:
         return {
             "class": "repro.protocol.server:PlanServer",
             "round_id": self.round_id,
-            "incremental": self.incremental,
             "session": self.session.to_state(),
         }
 
@@ -751,9 +752,7 @@ class PlanServer:
 
         server = cls.__new__(cls)
         server._bind_session(
-            Session.from_state(payload["session"]),
-            payload["round_id"],
-            payload.get("incremental", True),
+            Session.from_state(payload["session"]), payload["round_id"]
         )
         return server
 

@@ -80,10 +80,6 @@ class ServiceConfig:
         waiting for the checkpoint writer.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
-    incremental:
-        Forwarded to the estimate tier's merged
-        :class:`~repro.protocol.server.CollectionServer` objects — keeps
-        warm-start behaviour on by default.
     window / decay:
         Continuous-collection mode (mutually exclusive). ``window=W``
         keeps a sliding window of the last ``W`` advanced rounds per
@@ -130,7 +126,6 @@ class ServiceConfig:
     n_shards: int = 2
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    incremental: bool = True
     window: int | None = None
     decay: float | None = None
     host: str = "127.0.0.1"

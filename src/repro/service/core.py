@@ -57,16 +57,16 @@ Fault tolerance is layered on the same serialization point
   bring it back warm.
 
 ``estimate()`` is the merge tier: snapshot every shard's states under
-their locks, fold per-attribute snapshots through
-the binary :func:`~repro.service.sharding.merge_tree`, and rebind the
-result into a persistent per-round server so the incremental posterior
-cache survives re-merges — an unchanged round skips its solves, a grown
-round warm-starts EM. A round's attributes then solve together through
-:func:`~repro.protocol.server.estimate_rounds` with ``on_error="return"``:
-attributes on one structured channel fuse into a single batched solve
-(bit-identical to solving each alone) whichever shards they live on, and
-one empty attribute reports a structured error instead of hiding every
-other attribute's result.
+their locks and fold per-attribute snapshots through the binary
+:func:`~repro.service.sharding.merge_tree` into one estimator per
+attribute. A round's estimators then solve together through
+:func:`~repro.protocol.server.solve_cached`, against the collector's one
+:class:`~repro.protocol.server.PosteriorCache` with an entry per
+``(round, attr)``: an unchanged round skips its solves, a grown round
+warm-starts EM, attributes on one structured channel fuse into a single
+batched solve (bit-identical to solving each alone) whichever shards they
+live on, and one empty attribute reports a structured error instead of
+hiding every other attribute's result.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ from uuid import uuid4
 
 import numpy as np
 
+from repro.api.base import Estimator
 from repro.protocol.codecs import codec_for_estimator
 from repro.protocol.frames import (
     FrameBlock,
@@ -95,7 +96,9 @@ from repro.protocol.messages import FeedGroup, decode_feed_grouped
 from repro.protocol.server import (
     CollectionServer,
     EstimateFailure,
-    estimate_rounds,
+    PosteriorCache,
+    solve_cached,
+    state_digest,
 )
 from repro.service.config import ServiceConfig
 from repro.service.faults import InjectedFault
@@ -239,7 +242,6 @@ class ShardAggregator:
                     choice.make(),
                     attr=attr,
                     mechanism=choice.mechanism,
-                    incremental=False,
                 )
                 self._servers[key] = server
         return server
@@ -525,9 +527,8 @@ class ShardedCollector:
         self.shards = [
             ShardAggregator(index, config) for index in range(config.n_shards)
         ]
-        # Merge tier: per-round persistent servers whose posterior caches
-        # survive re-merges (rebind_estimator), giving warm starts.
-        self._merged: dict[str, dict[str, CollectionServer]] = {}
+        # Merge tier: the last estimate per (round, attr), under _merge_lock.
+        self._posteriors = PosteriorCache()
         self._merge_lock = threading.Lock()
         self._merges = 0
         self._merge_s_max = 0.0
@@ -918,34 +919,22 @@ class ShardedCollector:
             self._writer.wait()
 
     # -- merge + estimate tier ---------------------------------------------
-    def _merge_round(self, round_id: str) -> dict[str, CollectionServer]:
+    def _merge_round(self, round_id: str) -> dict[str, Estimator]:
         """Snapshot shards and fold this round's state, attr by attr."""
         snapshots = [shard.snapshot(round_id) for shard in self.shards]
         if not any(snapshots):
             raise LookupError(f"no reports ever accepted for round {round_id!r}")
-        merged = self._merged.setdefault(round_id, {})
+        merged: dict[str, Estimator] = {}
         for attr in self._attrs:
             states = [snap[attr] for snap in snapshots if attr in snap]
             if states:
-                folded = merge_tree(
+                merged[attr] = merge_tree(
                     [CollectionServer.from_state(state) for state in states]
-                )
-                estimator = folded.estimator
+                ).estimator
             else:
                 # Declared but never reported: a fresh estimator makes the
                 # solve fail with the round's EmptyAggregateError.
-                estimator = self.planned.choice_for(attr).make()
-            server = merged.get(attr)
-            if server is None:
-                merged[attr] = CollectionServer.for_estimator(
-                    round_id,
-                    estimator,
-                    attr=attr,
-                    mechanism=self.planned.choice_for(attr).mechanism,
-                    incremental=self.config.incremental,
-                )
-            else:
-                server.rebind_estimator(estimator)
+                merged[attr] = self.planned.choice_for(attr).make()
         return merged
 
     def estimate(self, round_id: str) -> dict[str, Any]:
@@ -970,23 +959,31 @@ class ShardedCollector:
             self._merges += 1
             self._merge_s_last = elapsed
             self._merge_s_max = max(self._merge_s_max, elapsed)
-            solved = estimate_rounds(merged, on_error="return")
+            solves = solve_cached(
+                [
+                    (
+                        self._posteriors,
+                        (round_id, attr),
+                        estimator,
+                        state_digest(estimator._state()),
+                    )
+                    for attr, estimator in merged.items()
+                ]
+            )
             estimates = {
-                attr: value
-                for attr, value in solved.items()
-                if not isinstance(value, EstimateFailure)
+                attr: solved.estimate
+                for attr, solved in zip(merged, solves, strict=True)
+                if solved.error is None
             }
             errors = {
-                attr: value.to_dict()
-                for attr, value in solved.items()
-                if isinstance(value, EstimateFailure)
+                attr: EstimateFailure(key=attr, error=solved.error).to_dict()
+                for attr, solved in zip(merged, solves, strict=True)
+                if solved.error is not None
             }
             report = None
             if not errors:
                 session = Session.from_estimators(
-                    self.config.plan,
-                    {attr: merged[attr].estimator for attr in self._attrs},
-                    planned=self.planned,
+                    self.config.plan, merged, planned=self.planned
                 )
                 report = session.results(precomputed=estimates).to_dict()
             coverage = {}
@@ -1059,9 +1056,7 @@ class ShardedCollector:
         merged = self._merge_round(round_id)
         stream = self._ensure_stream()
         started = time.perf_counter()
-        result = stream.tick(
-            {attr: merged[attr].estimator for attr in self._attrs}
-        )
+        result = stream.tick(merged)
         tick_seconds = time.perf_counter() - started
         self._advanced.append(round_id)
         if record_meta and self._meta is not None and self._journals is not None:

@@ -2,11 +2,14 @@
 
 :class:`StreamingCollector` owns one window state per attribute
 (:mod:`repro.streaming.window`) and turns "a new round arrived" into fresh
-estimates with three amortizations layered on the one-shot pipeline:
+estimates through the serving tier's cached-solve path
+(:func:`repro.protocol.server.solve_cached`), against one
+:class:`~repro.protocol.server.PosteriorCache` keyed by attribute. That
+gives three amortizations layered on the one-shot pipeline:
 
-1. **Fingerprint skip** — each window keys a posterior cache on a stable
-   fingerprint of its contents; a tick whose window did not change costs
-   zero solves.
+1. **Fingerprint skip** — the cache keys each attribute's last estimate on
+   the digest of its window's contents (``fingerprint()``); a tick whose
+   window did not change costs zero solves, whatever the family.
 2. **Warm start** — EM-backed attributes start from the previous tick's
    posterior (mixed with a drop of uniform so no coordinate is exactly
    zero), via the estimator's existing ``estimate(x0=)`` plumbing. Same
@@ -14,16 +17,13 @@ estimates with three amortizations layered on the one-shot pipeline:
 3. **Fusion** — attributes that share a structured channel operator, EM
    configuration and epsilon are stacked into one ``(d_out, B)``
    :meth:`repro.api.EMConfig.run_many` batch, so a multi-attribute tick
-   pays one solver call instead of B. The grouping and the batched solve
-   are the serving tier's own
-   (:func:`repro.protocol.server.fusion_groups` and
-   :func:`~repro.protocol.server.solve_together`), and every fused column
-   is bit-identical to the attribute solving alone.
+   pays one solver call instead of B. Every fused column is bit-identical
+   to the attribute solving alone.
 
 Drift is the failure mode of warm starting: on a sampled cadence the
 scheduler cross-checks the warm posterior against a cold solve
-(:class:`repro.streaming.drift.DriftMonitor`) and invalidates the cache
-when the divergence crosses the threshold, adopting the fresh posterior.
+(:class:`repro.streaming.drift.DriftMonitor`) and, when the divergence
+crosses the threshold, caches the fresh posterior in its place.
 
 Privacy accounting for the stream lives in
 :func:`repro.privacy.audit_stream_budget`; :meth:`StreamingCollector.audit`
@@ -34,13 +34,14 @@ length and per-attribute allocation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
 
 from repro.api.base import Estimator
-from repro.protocol.server import fusion_groups, solve_together, warm_startable
+from repro.api.errors import EmptyAggregateError
+from repro.protocol.server import PosteriorCache, copy_estimate, solve_cached
 from repro.streaming.drift import DriftMonitor
 from repro.streaming.window import (
     CumulativeState,
@@ -130,9 +131,6 @@ class StreamingCollector:
         Exponential forgetting factor in ``(0, 1)`` (``DecayedState``).
         Mutually exclusive with ``window``; with neither, the collector
         aggregates everything since the start (``CumulativeState``).
-    warm_start:
-        Seed EM from the previous tick's posterior (default). ``False``
-        forces cold solves — mainly for benchmarking the amortization.
     drift_every / drift_threshold / drift_statistic:
         Cadence-sampled warm-vs-cold cross-check
         (:class:`repro.streaming.drift.DriftMonitor`); ``drift_every=0``
@@ -145,7 +143,6 @@ class StreamingCollector:
         *,
         window: int | None = None,
         decay: float | None = None,
-        warm_start: bool = True,
         drift_every: int = 0,
         drift_threshold: float = 0.05,
         drift_statistic: str = "tv",
@@ -156,7 +153,6 @@ class StreamingCollector:
             raise ValueError("window and decay are mutually exclusive")
         self.window = int(window) if window is not None else None
         self.decay = float(decay) if decay is not None else None
-        self.warm_start = bool(warm_start)
         self.drift = DriftMonitor(
             every=drift_every,
             threshold=drift_threshold,
@@ -166,8 +162,7 @@ class StreamingCollector:
             str(name): self._make_window(template)
             for name, template in templates.items()
         }
-        #: attribute -> (window fingerprint, posterior) of the last solve.
-        self._cache: dict[str, tuple[str, np.ndarray]] = {}
+        self._posteriors = PosteriorCache()
         self._last: dict[str, AttributeTick] = {}
         self._ticks = 0
 
@@ -208,7 +203,7 @@ class StreamingCollector:
     def estimates(self) -> dict[str, Any]:
         """Latest per-attribute estimates (from the most recent tick)."""
         return {
-            name: _copy(tick.estimate) for name, tick in self._last.items()
+            name: copy_estimate(tick.estimate) for name, tick in self._last.items()
         }
 
     # ------------------------------------------------------------------
@@ -251,122 +246,65 @@ class StreamingCollector:
         for name, round_estimator in rounds.items():
             self._windows[str(name)].push(round_estimator)
 
+        members = [
+            (self._posteriors, name, state.current, state.fingerprint())
+            for name, state in self._windows.items()
+        ]
+        solves = solve_cached(members)
         ticks: dict[str, AttributeTick] = {}
-        pending: list[tuple[str, Estimator, str]] = []
-        for name, state in self._windows.items():
-            current = state.current
-            fingerprint = state.fingerprint()
-            cached = self._cache.get(name)
-            if cached is not None and cached[0] == fingerprint:
-                ticks[name] = AttributeTick(
-                    attribute=name,
-                    estimate=_copy(cached[1]),
-                    warm=True,
-                    skipped=True,
-                )
-                continue
-            if _is_empty(current):
+        for (_, name, estimator, digest), solved in zip(members, solves, strict=True):
+            if isinstance(solved.error, EmptyAggregateError):
                 ticks[name] = AttributeTick(
                     attribute=name, estimate=None, skipped=True, empty=True
                 )
-                continue
-            pending.append((name, current, fingerprint))
-
-        groups = fusion_groups([estimator for _, estimator, _ in pending])
-        for group in groups:
-            ticks.update(self._solve([pending[i] for i in group]))
-        ticks = {name: ticks[name] for name in self._windows}
+            elif solved.error is not None:
+                raise solved.error
+            elif solved.hit:
+                ticks[name] = AttributeTick(
+                    attribute=name, estimate=solved.estimate, warm=True, skipped=True
+                )
+            else:
+                result = getattr(estimator, "result_", None)
+                tick = AttributeTick(
+                    attribute=name,
+                    estimate=copy_estimate(solved.estimate),
+                    iterations=int(result.iterations) if result is not None else None,
+                    converged=bool(result.converged) if result is not None else None,
+                    warm=solved.warm,
+                    fused=len(solved.batch) > 1,
+                )
+                ticks[name] = self._check_drift(name, estimator, digest, tick)
 
         self._last.update(ticks)
-        solved = sum(1 for t in ticks.values() if not t.skipped)
-        skipped = sum(1 for t in ticks.values() if t.skipped)
         return TickResult(
             tick=self._ticks,
             attributes=ticks,
-            fused_groups=sum(1 for group in groups if len(group) > 1),
-            solved=solved,
-            skipped=skipped,
+            fused_groups=len({s.batch for s in solves if len(s.batch) > 1}),
+            solved=sum(1 for t in ticks.values() if not t.skipped),
+            skipped=sum(1 for t in ticks.values() if t.skipped),
         )
 
-    # -- solve path --------------------------------------------------------
-    def _posterior_for(self, name: str, estimator: Estimator) -> np.ndarray | None:
-        """The previous tick's posterior to warm-start from, if any."""
-        if not (self.warm_start and warm_startable(estimator)):
-            return None
-        cached = self._cache.get(name)
-        return None if cached is None else cached[1]
-
-    def _solve(
-        self, members: list[tuple[str, Estimator, str]]
-    ) -> dict[str, AttributeTick]:
-        """Solve one fusion group (a fused batch, or one attribute alone)."""
-        posteriors = [
-            self._posterior_for(name, estimator) for name, estimator, _ in members
-        ]
-        estimates = solve_together(
-            [estimator for _, estimator, _ in members], posteriors
-        )
-        out: dict[str, AttributeTick] = {}
-        for (name, estimator, fingerprint), posterior, estimate in zip(
-            members, posteriors, estimates, strict=True
-        ):
-            result = getattr(estimator, "result_", None)
-            tick = AttributeTick(
-                attribute=name,
-                estimate=_copy(estimate),
-                iterations=int(result.iterations) if result is not None else None,
-                converged=bool(result.converged) if result is not None else None,
-                warm=posterior is not None,
-                fused=len(members) > 1,
-            )
-            out[name] = self._finish(name, estimator, fingerprint, tick)
-        return out
-
-    def _finish(
+    def _check_drift(
         self,
         name: str,
         estimator: Estimator,
-        fingerprint: str,
+        digest: bytes,
         tick: AttributeTick,
     ) -> AttributeTick:
-        """Drift cross-check (on cadence), then refresh the posterior cache."""
-        posterior = tick.estimate
-        if not isinstance(posterior, np.ndarray):
-            return tick  # scalar families: nothing to cache or cross-check
-        if (
-            tick.warm
-            and not tick.skipped
-            and self.drift.due(self._ticks)
-            and warm_startable(estimator)
-        ):
-            fresh = np.asarray(estimator.estimate(x0=None), dtype=np.float64)
-            check = self.drift.observe(self._ticks, name, posterior, fresh)
-            if check.drifted:
-                # Warm start went stale: adopt the cold posterior.
-                posterior = fresh
-                tick = AttributeTick(
-                    attribute=name,
-                    estimate=fresh.copy(),
-                    iterations=tick.iterations,
-                    converged=tick.converged,
-                    warm=tick.warm,
-                    fused=tick.fused,
-                    drift=check.statistic,
-                    drifted=True,
-                )
-            else:
-                tick = AttributeTick(
-                    attribute=name,
-                    estimate=tick.estimate,
-                    iterations=tick.iterations,
-                    converged=tick.converged,
-                    warm=tick.warm,
-                    fused=tick.fused,
-                    drift=check.statistic,
-                    drifted=False,
-                )
-        self._cache[name] = (fingerprint, posterior.copy())
-        return tick
+        """Cross-check a warm solve against a cold one, on the drift cadence.
+
+        A drifted warm posterior is replaced by the cold one, in the tick
+        and in the cache.
+        """
+        if not (tick.warm and self.drift.due(self._ticks)):
+            return tick
+        fresh = np.asarray(estimator.estimate(x0=None), dtype=np.float64)
+        check = self.drift.observe(self._ticks, name, tick.estimate, fresh)
+        if not check.drifted:
+            return replace(tick, drift=check.statistic)
+        # Warm start went stale: adopt the cold posterior.
+        self._posteriors.put(name, digest, fresh)
+        return replace(tick, estimate=fresh.copy(), drift=check.statistic, drifted=True)
 
     # ------------------------------------------------------------------
     # privacy accounting
@@ -406,22 +344,6 @@ class StreamingCollector:
             # which must audit as 10 rounds, not ceil to 11.
             return int(np.ceil(1.0 / (1.0 - self.decay) - 1e-9))
         return max(1, self._ticks)
-
-
-def _is_empty(estimator: Estimator) -> bool:
-    """Whether an estimator has ingested nothing (solve would raise)."""
-    n = getattr(estimator, "n_reports", None)
-    if n is None:
-        return False
-    return int(n) <= 0
-
-
-def _copy(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    if isinstance(value, list):
-        return [_copy(item) for item in value]
-    return value
 
 
 def iter_ticks(results: Iterable[TickResult]) -> dict[str, Any]:

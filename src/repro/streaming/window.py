@@ -26,14 +26,13 @@ linear sufficient statistic, the same answer is maintainable in O(d):
   everything so far" mode.
 
 All three expose the same surface: ``push(round_estimator)``,
-``current`` (an estimator over the window), ``fingerprint()`` (a stable
-key of the window contents, used by the warm-start posterior cache), and
-``n_rounds``.
+``current`` (an estimator over the window), ``fingerprint()`` (the
+:func:`~repro.protocol.server.state_digest` of the window contents, which
+the streaming scheduler's posterior cache keys on), and ``n_rounds``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any
 
@@ -44,6 +43,7 @@ from repro.api.arithmetic import (
     supports_state_arithmetic,
 )
 from repro.api.base import Estimator
+from repro.protocol.server import state_digest
 
 __all__ = [
     "CumulativeState",
@@ -103,9 +103,9 @@ class _WindowBase:
     def push(self, round_estimator: Estimator) -> None:
         raise NotImplementedError
 
-    def fingerprint(self) -> str:
-        """Stable key of the window contents (warm-start cache key)."""
-        return json.dumps(self.current._state(), sort_keys=True)
+    def fingerprint(self) -> bytes:
+        """Digest of the window contents (the posterior cache's key)."""
+        return state_digest(self.current._state())
 
 
 class CumulativeState(_WindowBase):
@@ -233,7 +233,8 @@ class DecayedState(_WindowBase):
         self._stale = True
         self._rounds += 1
 
-    def fingerprint(self) -> str:
+    def fingerprint(self) -> bytes:
+        """Digest of the float payload, not of the materialized state."""
         if self._payload is None:
-            return json.dumps(self._materialized._state(), sort_keys=True)
-        return json.dumps(self._payload, sort_keys=True)
+            return state_digest(self._materialized._state())
+        return state_digest(self._payload)

@@ -506,8 +506,9 @@ class Session:
         (:mod:`repro.core.confidence`) for attributes served by wave
         estimators; scalar and hierarchical mechanisms report ``ci=None``.
         ``precomputed`` supplies already-solved per-attribute estimates —
-        the incremental posterior cache of a
-        :class:`repro.protocol.server.PlanServer` — so serving doesn't
+        what a :class:`repro.protocol.server.PlanServer` or the service's
+        merge tier just read through its
+        :class:`~repro.protocol.server.PosteriorCache` — so serving doesn't
         re-run reconstructions the caller just produced; attributes absent
         from it are estimated fresh. Raises
         :class:`repro.EmptyAggregateError` naming the attribute and its

@@ -15,9 +15,10 @@ import pytest
 
 import repro.engine.solver as solver_module
 from repro.protocol import CollectionServer, PlanServer, estimate_rounds
+from repro.protocol.frames import decode_frame_grouped
 from repro.service import ServiceConfig, ShardedCollector
 from repro.service.loadgen import synthesize_frames
-from repro.tasks import AnalysisPlan, AttributeSpec, Distribution
+from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, plan_analysis
 
 ATTRS = ("a0", "a1", "a2", "a3")
 
@@ -53,23 +54,24 @@ def solve_widths(monkeypatch):
 
 
 class _SoloServers:
-    """One CollectionServer per attribute, re-bound to each new state so its
-    posterior cache warm-starts exactly as a long-lived server's would."""
+    """One long-lived CollectionServer per attribute, fed the same uploads,
+    each estimating alone from its own posterior cache."""
 
-    def __init__(self, reference: PlanServer) -> None:
-        self.reference = reference
-        self.servers: dict[str, CollectionServer] = {}
+    def __init__(self, plan: AnalysisPlan) -> None:
+        planned = plan_analysis(plan)
+        self.servers = {
+            attr: CollectionServer.for_estimator(
+                "r1", planned.choice_for(attr).make(), attr=attr
+            )
+            for attr in ATTRS
+        }
+
+    def ingest(self, frame: bytes) -> None:
+        _, groups = decode_frame_grouped(frame)
+        for attr, group in groups.items():
+            self.servers[attr].ingest_reports(group.reports)
 
     def estimates(self) -> dict[str, np.ndarray]:
-        for attr in ATTRS:
-            state = self.reference.server(attr).to_state()
-            estimator = CollectionServer.from_state(state).estimator
-            if attr in self.servers:
-                self.servers[attr].rebind_estimator(estimator)
-            else:
-                self.servers[attr] = CollectionServer.for_estimator(
-                    "r1", estimator, attr=attr
-                )
         return {attr: server.estimate() for attr, server in self.servers.items()}
 
 
@@ -77,10 +79,11 @@ def test_plan_server_report_is_one_fused_solve_with_solo_bits(solve_widths):
     plan = _plan()
     uploads = _uploads(plan, "r1")
     server = PlanServer(plan, "r1")
-    solo = _SoloServers(server)
+    solo = _SoloServers(plan)
     for part in (uploads[:2], uploads[2:]):  # a cold solve, then a warm one
         for frame in part:
             server.ingest_feed(frame)
+            solo.ingest(frame)
         solve_widths.clear()
         server.report()
         assert solve_widths == [len(ATTRS)]
@@ -93,13 +96,12 @@ def test_plan_server_report_is_one_fused_solve_with_solo_bits(solve_widths):
 def test_sharded_estimate_fuses_across_shards_with_solo_bits(solve_widths, n_shards):
     plan = _plan()
     uploads = _uploads(plan, "r1")
-    reference = PlanServer(plan, "r1")
-    solo = _SoloServers(reference)
+    solo = _SoloServers(plan)
     with ShardedCollector(ServiceConfig(plan=plan, n_shards=n_shards)) as collector:
         for part in (uploads[:2], uploads[2:]):
             for frame in part:
                 collector.submit(frame, "r1")
-                reference.ingest_feed(frame)
+                solo.ingest(frame)
             solve_widths.clear()
             result = collector.estimate("r1")
             assert solve_widths == [len(ATTRS)]

@@ -1,153 +1,174 @@
-"""Warm-cache survival across merge → rebind → re-merge cycles.
+"""Warm-cache survival across the merge tier's re-merges.
 
-The estimate tier of a sharded deployment never rebuilds its servers:
-each round it folds shard snapshots into a freshly merged estimator and
-``rebind_estimator``s it into the persistent :class:`CollectionServer`.
-These tests pin the cache contract that makes that cheap — an unchanged
-re-merge must serve the cached posterior without a solve, a small delta
-must warm-start EM from it — and that the contract holds when estimates
-race rebinds on threads, as they do under the service's solve pool.
+Every poll of a sharded deployment folds shard snapshots into freshly
+merged estimators and solves those (``ShardedCollector.estimate``), with
+one posterior cache entry per ``(round, attr)``. These tests pin the cache
+contract that makes that cheap — an unchanged re-merge must serve the
+cached posterior without a solve, a small delta must warm-start EM from
+it — and that the contract holds when polls race uploads on threads, as
+they do under the service's solve pool.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.api import make_estimator
-from repro.protocol import CollectionServer
+import repro.engine.solver as solver_module
+from repro.protocol import PlanServer
+from repro.service import ServiceConfig, ShardedCollector
+from repro.service.loadgen import synthesize_frames
+from repro.tasks import AnalysisPlan, AttributeSpec, Distribution
 
 D = 32
 
 
-def _shard_servers(n_shards, seed, n=400):
-    rng = np.random.default_rng(seed)
-    shards = []
-    for _ in range(n_shards):
-        shard = CollectionServer("r", "sw-ems", 1.0, D)
-        shard.ingest_reports(shard.privatize(rng.random(n), rng=rng))
-        shards.append(shard)
-    return shards
+def _plan() -> AnalysisPlan:
+    return AnalysisPlan(
+        epsilon=1.0,
+        attributes=(AttributeSpec("x", low=0.0, high=1.0, d=D),),
+        tasks=(Distribution("x"),),
+    )
 
 
-def _merge_snapshot(shards):
-    """The merge tier's move: fold shard states into a fresh estimator."""
-    merged = make_estimator("sw-ems", 1.0, D)
-    for shard in shards:
-        snapshot = CollectionServer.from_state(shard.to_state())
-        merged.merge(snapshot._estimator)
-    return merged
+def _uploads(n_users, seed, batch=400):
+    frames = synthesize_frames(_plan(), "r", n_users, batch_size=batch, rng=seed)
+    return [frame for frame, _ in frames]
+
+
+def _collector(uploads):
+    collector = ShardedCollector(ServiceConfig(plan=_plan(), n_shards=3))
+    for frame in uploads:
+        collector.submit(frame, "r")
+    return collector
+
+
+def _estimate(collector):
+    return np.asarray(collector.estimate("r")["estimates"]["x"], dtype=np.float64)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """``(counts, x0, estimates, iterations)`` of every batched solve."""
+    record: list[tuple] = []
+    lock = threading.Lock()
+    original = solver_module.batched_expectation_maximization
+
+    def recording(matrix, counts, **kwargs):
+        result = original(matrix, counts, **kwargs)
+        with lock:
+            record.append(
+                (
+                    np.array(counts, dtype=np.float64),
+                    kwargs.get("x0"),
+                    result.estimates.copy(),
+                    result.iterations.tolist(),
+                )
+            )
+        return result
+
+    monkeypatch.setattr(solver_module, "batched_expectation_maximization", recording)
+    return record
 
 
 class TestCacheSurvivesRemerge:
-    def test_identical_remerge_skips_the_solve(self):
-        shards = _shard_servers(3, seed=0)
-        server = CollectionServer("r", "sw-ems", 1.0, D)
-        server.rebind_estimator(_merge_snapshot(shards))
-        first = server.estimate()
+    def test_identical_remerge_skips_the_solve(self, solves):
+        with _collector(_uploads(1200, seed=0)) as collector:
+            first = _estimate(collector)
+            assert len(solves) == 1
+            # Poll two re-merges the same shard states into new estimators.
+            second = _estimate(collector)
+            assert len(solves) == 1
+            assert second.tobytes() == first.tobytes()
 
-        # Round two: same shards re-merged into a brand-new estimator.
-        remerged = _merge_snapshot(shards)
-        server.rebind_estimator(remerged)
-        second = server.estimate()
+    def test_cache_survives_many_cycles(self, solves):
+        with _collector(_uploads(800, seed=1)) as collector:
+            reference = _estimate(collector)
+            for _ in range(5):
+                assert _estimate(collector).tobytes() == reference.tobytes()
+            assert len(solves) == 1
 
-        np.testing.assert_array_equal(first, second)
-        # A cache hit never touches the rebound estimator's solver.
-        assert getattr(remerged, "result_", None) is None
-
-    def test_cache_survives_many_cycles(self):
-        shards = _shard_servers(2, seed=1)
-        server = CollectionServer("r", "sw-ems", 1.0, D)
-        server.rebind_estimator(_merge_snapshot(shards))
-        reference = server.estimate()
-        for _ in range(5):
-            server.rebind_estimator(_merge_snapshot(shards))
-            np.testing.assert_array_equal(server.estimate(), reference)
-
-    def test_delta_remerge_warm_starts(self):
-        """A re-merge with one extra shard solves warm: strictly fewer EM
+    def test_delta_remerge_warm_starts(self, solves):
+        """A re-merge with one extra upload solves warm: strictly fewer EM
         iterations than the same state solved cold."""
-        base = _shard_servers(3, seed=2, n=1000)
-        server = CollectionServer("r", "sw-ems", 1.0, D)
-        server.rebind_estimator(_merge_snapshot(base))
-        server.estimate()  # populate the posterior cache
+        base = _uploads(3000, seed=2, batch=1000)
+        delta = _uploads(100, seed=99)
+        with _collector(base) as collector:
+            _estimate(collector)  # populate the posterior cache
+            collector.submit(delta[0], "r")
+            solves.clear()
+            warm_estimate = _estimate(collector)
+        ((_, x0, _, (warm_iterations,)),) = solves
+        assert x0 is not None
 
-        delta = _shard_servers(1, seed=99, n=100)
-        grown = _merge_snapshot(base + delta)
-        server.rebind_estimator(grown)
-        warm_estimate = server.estimate()
-        warm_iterations = grown.result_.iterations
-
-        cold_server = CollectionServer("r", "sw-ems", 1.0, D)
-        cold_est = _merge_snapshot(base + delta)
-        cold_server.rebind_estimator(cold_est)
-        cold_estimate = cold_server.estimate()
-        cold_iterations = cold_est.result_.iterations
-
-        assert warm_iterations < cold_iterations
+        reference = PlanServer(_plan(), "r")
+        for frame in base + delta:
+            reference.ingest_feed(frame)
+        cold = reference.server("x").estimator
+        cold_estimate = cold.estimate()  # the estimator's own solve: cold
+        assert warm_iterations < cold.result_.iterations
         # Same fixed point: both stop within the EM convergence tolerance
         # of it, so the posteriors agree to solver precision, not bit-level.
         np.testing.assert_allclose(warm_estimate, cold_estimate, atol=5e-3)
 
-    def test_non_incremental_server_still_rebinds(self):
-        shards = _shard_servers(2, seed=3)
-        server = CollectionServer("r", "sw-ems", 1.0, D, incremental=False)
-        server.rebind_estimator(_merge_snapshot(shards))
-        first = server.estimate()
-        remerged = _merge_snapshot(shards)
-        server.rebind_estimator(remerged)
-        np.testing.assert_allclose(server.estimate(), first)
-        # No cache in non-incremental mode: the solve really ran.
-        assert remerged.result_ is not None
-
 
 class TestConcurrentRebindEstimate:
-    def test_estimates_race_rebind_cycles_safely(self):
-        """Readers racing merge→rebind cycles always see a consistent
-        posterior — never a torn state, an exception, or a stale shape."""
-        shards = _shard_servers(2, seed=4, n=500)
-        server = CollectionServer("r", "sw-ems", 1.0, D)
-        server.rebind_estimator(_merge_snapshot(shards))
-        server.estimate()
-        errors: list[Exception] = []
+    def test_estimates_race_rebind_cycles_safely(self, solves):
+        """Polls racing uploads always see a consistent posterior — never a
+        torn state, an exception, or a stale shape — and the last poll's
+        answer comes from a solve of the final counts."""
+        extra = _uploads(2000, seed=5, batch=200)
+        errors: list[BaseException] = []
         done = threading.Event()
+        with _collector(_uploads(1000, seed=4, batch=500)) as collector:
+            _estimate(collector)
 
-        def rebinder():
-            rng = np.random.default_rng(5)
+            def submitter():
+                try:
+                    for frame in extra:
+                        collector.submit(frame, "r")
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+                finally:
+                    done.set()
+
+            def poller():
+                try:
+                    while not done.is_set():
+                        estimate = _estimate(collector)
+                        assert estimate.shape == (D,)
+                        assert np.all(np.isfinite(estimate))
+                        assert estimate.sum() == pytest.approx(1.0)
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=submitter)] + [
+                threading.Thread(target=poller) for _ in range(3)
+            ]
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
             try:
-                for i in range(10):
-                    extra = CollectionServer("r", "sw-ems", 1.0, D)
-                    extra.ingest_reports(
-                        extra.privatize(rng.random(200), rng=rng)
-                    )
-                    shards.append(extra)
-                    server.rebind_estimator(_merge_snapshot(shards))
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
             finally:
-                done.set()
-
-        def estimator():
-            try:
-                while not done.is_set():
-                    estimate = server.estimate()
-                    assert estimate.shape == (D,)
-                    assert np.all(np.isfinite(estimate))
-                    assert estimate.sum() == pytest.approx(1.0)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=rebinder)] + [
-            threading.Thread(target=estimator) for _ in range(3)
+                sys.setswitchinterval(previous)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            final = collector.estimate("r")
+        assert final["n_reports"]["x"] == 3000
+        reference = PlanServer(_plan(), "r")
+        for frame in _uploads(1000, seed=4, batch=500) + extra:
+            reference.ingest_feed(frame)
+        counts = reference.server("x").estimator._counts
+        served = np.asarray(final["estimates"]["x"], dtype=np.float64).tobytes()
+        sources = [
+            record[0][:, j]
+            for record in solves
+            for j in range(record[2].shape[1])
+            if record[2][:, j].tobytes() == served
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert errors == []
-        assert not any(t.is_alive() for t in threads)
-        # The final state is the full 12-shard merge, solved consistently.
-        final = server.estimate()
-        expected_reports = 2 * 500 + 10 * 200
-        assert server.n_reports == expected_reports
-        assert final.sum() == pytest.approx(1.0)
+        assert sources, "the served estimate came from no recorded solve"
+        np.testing.assert_array_equal(sources[-1], counts)

@@ -2,9 +2,8 @@
 
 The service tier (``repro.service``) ingests on its admitting thread
 while estimates run on a solve pool; these tests pin the primitives
-that make that safe: locked ingest/estimate/merge interleavings,
-``rebind_estimator``, and ``estimate_rounds``'s structured per-key
-failures.
+that make that safe: locked ingest/estimate/merge interleavings and
+``estimate_rounds``'s structured per-key failures.
 """
 
 import threading
@@ -12,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.engine.solver as solver_module
 from repro.api.errors import EmptyAggregateError
 from repro.protocol import CollectionServer, EstimateFailure
 from repro.protocol.server import estimate_rounds
@@ -124,26 +124,6 @@ class TestConcurrentIngestEstimate:
         assert errors == []
 
 
-class TestRebindEstimator:
-    def test_rebind_keeps_cache_and_swaps_state(self):
-        server = CollectionServer("r", "sw-ems", 1.0, 32)
-        rng = np.random.default_rng(4)
-        server.ingest_reports(server.privatize(rng.random(500), rng=rng))
-        first = server.estimate()
-        assert server._cached is not None
-        # A merged replacement with identical params adopts the posterior.
-        replacement = CollectionServer.from_state(server.to_state())
-        server.rebind_estimator(replacement._estimator)
-        second = server.estimate()
-        np.testing.assert_array_equal(first, second)
-
-    def test_rebind_rejects_different_family(self):
-        sw = CollectionServer("r", "sw-ems", 1.0, 32)
-        olh = CollectionServer("r", "olh", 1.0, 32)
-        with pytest.raises(ValueError, match="cannot rebind"):
-            sw.rebind_estimator(olh._estimator)
-
-
 class TestEstimateRoundsErrors:
     def build(self, with_empty=True):
         rng = np.random.default_rng(11)
@@ -171,21 +151,26 @@ class TestEstimateRoundsErrors:
         assert payload["type"] == "EmptyAggregateError"
         assert "no reports" in payload["message"]
 
-    def test_raise_mode_still_solves_surviving_rounds_first(self):
+    def test_raise_mode_still_solves_surviving_rounds_first(self, monkeypatch):
         """The failing key must not cost the healthy keys their solve: their
-        posteriors are cached before the raise."""
+        posteriors are cached before the raise, so the retry solves nothing."""
         servers = self.build()
         with pytest.raises(EmptyAggregateError, match="no reports ingested"):
             estimate_rounds(servers)
-        assert servers["alpha"]._cached is not None
-        assert servers["beta"]._cached is not None
+        solves = []
+        original = solver_module.batched_expectation_maximization
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "batched_expectation_maximization", counting)
+        estimate_rounds({name: servers[name] for name in ("alpha", "beta")})
+        assert solves == []
 
     def test_return_mode_with_no_failures_matches_raise_mode(self):
+        returned = estimate_rounds(self.build(with_empty=False), on_error="return")
         servers = self.build(with_empty=False)
-        returned = estimate_rounds(servers, on_error="return")
-        for server in servers.values():
-            server._cached = None
-            server._cached_key = None
         raised = estimate_rounds(servers)
         for name in servers:
             np.testing.assert_allclose(

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.engine.solver as solver_module
 from repro.protocol.messages import FeedGroup
 from repro.service import ReportService, ServiceConfig, ShardedCollector
 from repro.service import core
@@ -285,21 +286,37 @@ class TestEstimate:
             assert result["errors"]["income"]["type"] == "EmptyAggregateError"
             assert result["report"] is None
 
-    def test_second_estimate_without_new_data_is_cached(self):
+    def test_second_estimate_without_new_data_is_cached(self, monkeypatch):
+        """A repeat poll solves nothing; one more upload costs one fused
+        solve, warm-started from the cached posteriors."""
+        solves: list[tuple[int, bool]] = []
+        original = solver_module.batched_expectation_maximization
+
+        def recording(matrix, counts, **kwargs):
+            result = original(matrix, counts, **kwargs)
+            solves.append((result.estimates.shape[1], kwargs.get("x0") is not None))
+            return result
+
+        monkeypatch.setattr(solver_module, "batched_expectation_maximization", recording)
         plan = make_plan()
+        frames = feed_frames(plan)
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
-            for frame, _ in feed_frames(plan):
+            for frame, _ in frames[:-1]:
                 collector.submit_feed(frame, "r1")
             first = collector.estimate("r1")
-            merged_before = {
-                attr: server
-                for attr, server in collector._merged["r1"].items()
-            }
+            assert solves == [(2, False)]
+            solves.clear()
             second = collector.estimate("r1")
-            # The merge tier rebinds into the same persistent servers so
-            # the posterior cache (and warm starts) survive re-merges.
-            assert collector._merged["r1"] == merged_before
-            assert first["estimates"] == second["estimates"]
+            assert solves == []
+            for attr in ("age", "income"):
+                assert (
+                    np.asarray(second["estimates"][attr]).tobytes()
+                    == np.asarray(first["estimates"][attr]).tobytes()
+                )
+            collector.submit_feed(frames[-1][0], "r1")
+            third = collector.estimate("r1")
+            assert solves == [(2, True)]
+            assert third["n_reports"] != first["n_reports"]
 
     def test_estimate_then_more_data_changes_answer(self):
         plan = make_plan()

@@ -603,6 +603,42 @@ class TestCheckpointCuts:
             assert stats["uploads_accepted"] == len(uploads)
             assert estimates_of(recovered) == baseline
 
+    def test_slots_with_the_incremental_key_still_restore(self, tmp_path):
+        """Older version-2 slots carry ``"incremental": false`` in every
+        shard server payload; recovery loads them and replays only the tail."""
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "old", checkpoint_every=2)
+        with ShardedCollector(config) as collector:
+            for key, frame in uploads:
+                collector.submit(frame, "r1", key=key)
+        for shard_id in range(config.n_shards):
+            prefix = config.journal_dir / f"shard-{shard_id}.ckpt"
+            for generation in (1, 2):
+                slot = resilience._read_slot(
+                    prefix.with_name(f"{prefix.name}.{generation % 2}")
+                )
+                for attrs in slot["states"].values():
+                    for state in attrs.values():
+                        state["incremental"] = False
+                write_checkpoint(
+                    prefix,
+                    generation=generation,
+                    journal_offset=slot["journal_offset"],
+                    states=slot["states"],
+                    counters=slot["counters"],
+                )
+            states = load_checkpoint(prefix)["states"]
+            assert all(
+                state["incremental"] is False
+                for attrs in states.values()
+                for state in attrs.values()
+            )
+        with ShardedCollector(config) as recovered:
+            # Two blocks an upload: only the fifth upload follows the last cut.
+            assert recovered.stats()["journal"]["recovered_records"] == 2
+            assert estimates_of(recovered) == baseline
+
     def test_torn_checkpoint_write_recovers_from_the_other_slot(self, tmp_path):
         uploads = keyed_uploads(make_plan(), n_users=3000)
         baseline = fault_free_baseline(tmp_path, uploads)

@@ -1,9 +1,12 @@
 """StreamingCollector: warm starts, fusion, fingerprint skips, drift."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.api import make_estimator
+from repro.api.base import Estimator
 from repro.streaming import StreamingCollector
 from repro.streaming.scheduler import iter_ticks
 from repro.streaming.telemetry import drifting_stream
@@ -38,11 +41,13 @@ class TestTickBasics:
     def test_warm_ticks_take_fewer_iterations(self):
         """The headline amortization: warm EM beats cold EM on a slow stream."""
         warm = _collector(window=8)
-        cold = _collector(window=8, warm_start=False)
         warm_total = cold_total = 0
         for seed in range(1, 6):
             warm_total += warm.tick(_rounds(warm, seed)).total_iterations
-            cold_total += cold.tick(_rounds(cold, seed)).total_iterations
+            # The estimator's own estimate() solves the same window cold.
+            cold = Estimator.from_state(warm.window_state("a0").current.to_state())
+            cold.estimate()
+            cold_total += cold.result_.iterations
         assert warm_total < cold_total
 
     def test_estimate_is_a_distribution(self):
@@ -68,6 +73,32 @@ class TestTickBasics:
         assert not result.attributes["a0"].skipped
         assert result.attributes["a1"].skipped
         assert result.skipped == 1 and result.solved == 1
+
+    @pytest.mark.parametrize("name", ["pm", "sw-multi", "sw-ems"])
+    def test_unchanged_window_is_a_hit_for_every_estimate_type(self, name):
+        """Scalar, list-valued and array estimates share one caching rule:
+        an unchanged window is skipped and answers what it answered before,
+        and a hit hands out a copy the caller may mutate."""
+        kwargs = {"n_attributes": 2} if name == "sw-multi" else {}
+        collector = StreamingCollector(
+            {"a0": make_estimator(name, 1.0, 64, **kwargs)}, window=4
+        )
+        gen = as_generator(3)
+        values = gen.random((500, 2)) if name == "sw-multi" else gen.random(500)
+        first = collector.tick({"a0": collector.make_round("a0", values, rng=gen)})
+        assert not first.attributes["a0"].skipped
+        expected = pickle.dumps(first.attributes["a0"].estimate)
+        second = collector.tick({})
+        assert second.attributes["a0"].skipped
+        assert second.solved == 0
+        hit = second.attributes["a0"].estimate
+        assert pickle.dumps(hit) == expected
+        if not isinstance(hit, float):
+            for array in hit if isinstance(hit, list) else [hit]:
+                array[:] = -1.0
+        third = collector.tick({})
+        assert third.attributes["a0"].skipped
+        assert pickle.dumps(third.attributes["a0"].estimate) == expected
 
     def test_empty_window_is_skipped_not_raised(self):
         collector = _collector()
