@@ -100,7 +100,7 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
             plan, "bench", n_users, batch_size=batch, rng=7
         ):
             feed_bytes += len(frame)
-            collector.submit_feed(frame, "bench")
+            collector.submit(frame, "bench")
         collector.flush()
         ingest_s = time.perf_counter() - started
         _, peak = tracemalloc.get_traced_memory()

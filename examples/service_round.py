@@ -93,7 +93,7 @@ def main() -> None:
             ServiceConfig(plan=plan, n_shards=n_shards)
         ) as collector:
             for frame, _n in frames:
-                collector.submit_feed(frame, ROUND)
+                collector.submit(frame, ROUND)
             answers.append(collector.estimate(ROUND)["estimates"])
     identical = json.dumps(answers[0]) == json.dumps(answers[1])
     print(f"1-shard vs 4-shard estimates bit-identical: {identical}")

@@ -40,7 +40,7 @@ def main() -> None:
         reports = server.privatize(batch, rng=np.random.default_rng(day))
         payload = server.encode(reports, format="jsonl")
         first_line = payload.splitlines()[0]
-        count = server.ingest_lines(payload)
+        count = server.ingest_feed(payload)
         interim = server.estimate()
         err = wasserstein_distance(truth, interim)
         print(f"day {day}: +{count:,} reports (total {server.n_reports:,}), "

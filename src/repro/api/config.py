@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.utils.typing import ArrayLike, FloatArray
+from repro.utils.validation import check_epsilon
 
 if TYPE_CHECKING:
     from repro.core.em import EMResult
@@ -82,7 +83,9 @@ class EMConfig:
         """Paper Section 6.1: ``1e-3 * e^eps`` for EM, fixed ``1e-3`` for EMS.
 
         Always returns a plain Python ``float`` (never a NumPy scalar), so
-        configs serialize cleanly and compare equal across call sites.
+        configs serialize cleanly and compare equal across call sites. The
+        EM rule raises ``ValueError`` for a budget that is not finite and
+        positive.
         """
         if postprocess not in POSTPROCESS_CHOICES:
             raise ValueError(
@@ -90,7 +93,7 @@ class EMConfig:
                 f"got {postprocess!r}"
             )
         if postprocess == "em":
-            return 1e-3 * math.exp(float(epsilon))
+            return 1e-3 * math.exp(check_epsilon(epsilon))
         return 1e-3
 
     def resolve_tolerance(self, epsilon: float) -> float:

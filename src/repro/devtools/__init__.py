@@ -6,27 +6,27 @@ hold at scale: every randomized component threads ``rng`` through
 never reach a ``repro.protocol`` encode path unprivatized (the eps-LDP
 boundary), every ``epsilon`` is validated positive, probability math never
 divides or logs unguarded, hot solver paths never materialize dense
-channels, and every concrete estimator family is registered with its wire
-codec and capabilities.
+channels, service coroutines never block the event loop or swallow a
+failure, and window state is maintained only through the sanctioned state
+arithmetic.
 
 ``reprolint`` turns those conventions into a stdlib-``ast`` static analysis
 pass::
 
-    python -m repro.devtools.lint src tests
+    python -m repro.devtools.lint src tests examples
 
-See :mod:`repro.devtools.rules` for the rule catalogue,
-:mod:`repro.devtools.baseline` for grandfathering, and the README's
-"Correctness tooling" section for suppression etiquette.
+See :mod:`repro.devtools.rules` for the rule catalogue and the README's
+"Correctness tooling" section for suppression etiquette. That every
+concrete estimator family is registered is checked at runtime, against the
+registry itself, by ``tests/api/test_registry.py``.
 """
 
 from repro.devtools.analyzer import AnalyzedModule, analyze_paths, load_module
-from repro.devtools.baseline import Baseline
 from repro.devtools.findings import Finding
 from repro.devtools.rules import RULES, rule_catalog
 
 __all__ = [
     "AnalyzedModule",
-    "Baseline",
     "Finding",
     "RULES",
     "analyze_paths",

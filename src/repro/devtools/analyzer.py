@@ -11,9 +11,9 @@ A finding is suppressed by a trailing comment on the *reported* line::
     rng = np.random.default_rng()  # reprolint: disable=RNG001 -- seeded upstream
 
 Multiple codes separate with commas (``disable=RNG001,NUM001``). Everything
-after the code list is the justification; rules never see it, humans do.
-Suppressing a line you cannot justify belongs in the baseline instead,
-where the entry carries an explicit ``reason`` field under review.
+after the code list is the justification; rules never see it, reviewers
+do. An inline suppression is the only way to accept a finding, so every
+accepted finding sits next to its reason.
 """
 
 from __future__ import annotations
@@ -59,13 +59,10 @@ def _parse_suppressions(lines: Sequence[str]) -> dict[int, frozenset[str]]:
 
 @dataclass
 class AnalyzedModule:
-    """One parsed source file plus the per-line metadata rules consume."""
+    """One parsed source file plus the per-line suppressions."""
 
-    path: Path
     rel: str
-    source: str
     tree: ast.Module
-    lines: list[str] = field(repr=False)
     suppressions: dict[int, frozenset[str]] = field(repr=False)
 
     @property
@@ -80,21 +77,13 @@ class AnalyzedModule:
             or name == "conftest.py"
         )
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             path=self.rel,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             rule=rule,
             message=message,
-            line_text=self.line_text(lineno),
         )
 
     def is_suppressed(self, finding: Finding) -> bool:
@@ -105,9 +94,9 @@ class AnalyzedModule:
 def load_module(path: Path, root: Path) -> AnalyzedModule:
     """Parse one file into an :class:`AnalyzedModule`.
 
-    Raises ``SyntaxError`` for unparseable sources; the CLI converts that
-    into a ``PARSE`` finding so a broken file fails the lint run instead of
-    silently escaping every rule.
+    Raises ``SyntaxError`` for unparseable sources; :func:`analyze_paths`
+    converts that into a ``PARSE`` finding so a broken file fails the lint
+    run instead of silently escaping every rule.
     """
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
@@ -115,14 +104,8 @@ def load_module(path: Path, root: Path) -> AnalyzedModule:
         rel = path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         rel = path.as_posix()
-    lines = source.splitlines()
     return AnalyzedModule(
-        path=path,
-        rel=rel,
-        source=source,
-        tree=tree,
-        lines=lines,
-        suppressions=_parse_suppressions(lines),
+        rel=rel, tree=tree, suppressions=_parse_suppressions(source.splitlines())
     )
 
 
@@ -140,52 +123,35 @@ def collect_files(paths: Iterable[Path]) -> list[Path]:
 
 
 def analyze_paths(
-    paths: Sequence[Path],
-    *,
-    root: Path,
-    rules: Sequence[object] | None = None,
+    paths: Sequence[Path], *, root: Path
 ) -> tuple[list[Finding], list[Finding]]:
-    """Run every rule over ``paths``.
+    """Run every rule in :data:`repro.devtools.rules.RULES` over ``paths``.
 
     Returns ``(findings, suppressed)`` — both sorted — where ``findings``
-    excludes anything silenced by an inline suppression. Baseline filtering
-    is the CLI's concern, not the analyzer's.
+    excludes anything silenced by an inline suppression.
     """
     from repro.devtools.rules import RULES
 
-    active_rules = RULES if rules is None else list(rules)
-    modules: list[AnalyzedModule] = []
     findings: list[Finding] = []
+    suppressed: list[Finding] = []
     for path in collect_files(paths):
         try:
-            modules.append(load_module(path, root))
+            module = load_module(path, root)
         except SyntaxError as exc:
-            rel = path.as_posix()
             findings.append(
                 Finding(
-                    path=rel,
+                    path=path.as_posix(),
                     line=exc.lineno or 1,
                     col=(exc.offset or 1) - 1,
                     rule="PARSE",
                     message=f"file does not parse: {exc.msg}",
                 )
             )
-
-    by_rel = {module.rel: module for module in modules}
-    for rule in active_rules:
-        checker = getattr(rule, "check_project", None)
-        if checker is not None:
-            findings.extend(checker(modules))
-        else:
-            for module in modules:
-                findings.extend(rule.check_module(module))
-
-    kept: list[Finding] = []
-    suppressed: list[Finding] = []
-    for finding in findings:
-        module = by_rel.get(finding.path)
-        if module is not None and module.is_suppressed(finding):
-            suppressed.append(finding)
-        else:
-            kept.append(finding)
-    return sorted(kept), sorted(suppressed)
+            continue
+        for rule in RULES:
+            for finding in rule.check_module(module):
+                if module.is_suppressed(finding):
+                    suppressed.append(finding)
+                else:
+                    findings.append(finding)
+    return sorted(findings), sorted(suppressed)

@@ -1,10 +1,4 @@
-"""The one record type every rule emits.
-
-A finding pins a rule violation to a source location *and* carries the
-stripped text of the offending line: locations drift as files are edited,
-so the baseline (:mod:`repro.devtools.baseline`) matches findings by
-``(rule, path, line_text)`` rather than by line number.
-"""
+"""The one record type every rule emits."""
 
 from __future__ import annotations
 
@@ -27,9 +21,6 @@ class Finding:
         Rule code (e.g. ``"RNG001"``).
     message:
         Human-readable explanation, one line.
-    line_text:
-        The stripped source line — the baseline's location-independent
-        fingerprint component.
     """
 
     path: str
@@ -37,12 +28,7 @@ class Finding:
     col: int
     rule: str
     message: str
-    line_text: str = ""
 
     def render(self) -> str:
         """``path:line:col RULE message`` — the CLI output line."""
         return f"{self.path}:{self.line}:{self.col} {self.rule} {self.message}"
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Location-independent identity used for baseline matching."""
-        return (self.rule, self.path, self.line_text)

@@ -2,20 +2,16 @@
 
 Usage::
 
-    python -m repro.devtools.lint [paths ...]
-        [--baseline FILE] [--no-baseline] [--update-baseline]
-        [--list-rules] [--quiet]
+    python -m repro.devtools.lint [paths ...] [--list-rules] [--quiet]
 
 Paths default to ``src tests``. Output is ruff-style
-``path:line:col RULE message``, one finding per line. Exit codes:
+``path:line:col RULE message``, one finding per line. A finding is
+accepted only by an inline ``# reprolint: disable=CODE -- reason`` on the
+reported line (see :mod:`repro.devtools.analyzer`). Exit codes:
 
-* ``0`` — no new (non-baselined, non-suppressed) findings,
-* ``1`` — new findings (or stale baseline entries: a fixed finding must
-  leave the baseline in the same change, or the baseline fossilizes),
+* ``0`` — no findings,
+* ``1`` — findings,
 * ``2`` — usage errors.
-
-``--update-baseline`` rewrites the baseline to exactly the current finding
-set (every rewritten entry still needs a human ``reason`` before review).
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.devtools.analyzer import analyze_paths
-from repro.devtools.baseline import DEFAULT_BASELINE, Baseline
 from repro.devtools.rules import rule_catalog
 
 __all__ = ["main"]
@@ -42,21 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src", "tests"],
         help="files or directories to lint (default: src tests)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to the current finding set and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -80,51 +60,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{code}  {summary}")
         return 0
 
-    root = Path.cwd()
     paths = [Path(p) for p in args.paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(f"error: no such path: {missing[0]}", file=sys.stderr)
         return 2
 
-    findings, suppressed = analyze_paths(paths, root=root)
-
-    baseline_path = Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE
-    if args.update_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        if not args.quiet:
-            print(
-                f"reprolint: wrote {len(findings)} entr"
-                f"{'y' if len(findings) == 1 else 'ies'} to {baseline_path}"
-            )
-        return 0
-
-    if args.no_baseline:
-        new, grandfathered, stale = findings, [], []
-    else:
-        baseline = Baseline.load(baseline_path)
-        new, grandfathered, stale = baseline.split(findings)
-
-    for finding in new:
+    findings, suppressed = analyze_paths(paths, root=Path.cwd())
+    for finding in findings:
         print(finding.render())
-    for entry in stale:
-        print(
-            f"{entry.path}:0:0 {entry.rule} stale baseline entry (finding no "
-            f"longer occurs): {entry.line_text!r} — remove it from "
-            f"{baseline_path.name}"
-        )
-
     if not args.quiet:
-        bits = [f"{len(new)} finding{'s' if len(new) != 1 else ''}"]
-        if grandfathered:
-            bits.append(f"{len(grandfathered)} baselined")
+        summary = f"{len(findings)} finding{'s' if len(findings) != 1 else ''}"
         if suppressed:
-            bits.append(f"{len(suppressed)} suppressed inline")
-        if stale:
-            bits.append(f"{len(stale)} stale baseline entries")
-        print(f"reprolint: {', '.join(bits)}")
-
-    return 1 if new or stale else 0
+            summary += f", {len(suppressed)} suppressed inline"
+        print(f"reprolint: {summary}")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ PRIV001   Privacy taint: raw user-value parameters must pass through a
 PRIV002   Every public constructor accepting ``epsilon``/``eps`` must
           validate positivity (``check_epsilon``) or delegate the value
           onward; silently stashing an unvalidated budget is how eps<=0
-          reaches the channel math.
+          reaches the channel math. Converting it (``float``, ``int``) or
+          computing with it (``math``/``numpy`` calls) is not delegating.
 NUM001    Float ``==``/``!=`` against float literals, unguarded
           ``np.log``-family calls, and division by count-like names
           without a positivity guard in scope.
@@ -22,17 +23,15 @@ NUM002    No dense-channel materialization (``transition_matrix``,
           ``.to_dense()``) inside the ``repro.engine`` solver/operator
           hot paths — the operator protocol exists precisely so these
           stay ``O(d * B)``.
-REG001    Every concrete ``Estimator`` subclass must be referenced by a
-          ``register_estimator`` factory and expose ``name``, ``kind``,
-          ``wire_codec``, and ``n_reports`` (declared on itself or an
-          ancestor below the ``Estimator`` root).
 SVC001    No blocking calls inside ``repro.service`` async handlers:
           ``time.sleep``, synchronous ``socket`` use, direct solve calls
-          (``.estimate()``/``.report()``/``estimate_rounds``), or
+          (``.estimate()``/``.report()``/``.advance_window()``/
+          ``.window_estimate()``, ``estimate_rounds``/``solve_cached``), or
           JSON-lines decodes (``decode_feed_grouped``, ``decode_feed``,
-          ``decode_any_feed``) on the event loop. Upload admission runs on the loop; work that costs in
-          proportion to its input must be offloaded through
-          ``run_in_executor``/``asyncio.to_thread`` worker threads.
+          ``decode_any_feed``) on the event loop. Upload admission runs on
+          the loop; work that costs in proportion to its input must be
+          offloaded through ``run_in_executor``/``asyncio.to_thread``
+          worker threads.
 STATE001  Window/decay maintenance must go through the sanctioned state
           arithmetic (``repro.api.subtract_state``/``scale_state`` and
           the payload helpers). Ad-hoc ``-``/``*``/``/`` arithmetic on
@@ -49,9 +48,13 @@ FT001     No silently swallowed failures in ``repro.service``: a bare
 ========  ============================================================
 
 Rules that only make sense for production code (PRIV001, PRIV002, NUM001,
-NUM002, REG001, SVC001, STATE001, FT001) skip test files; RNG001
-applies everywhere — a test that draws from global RNG state poisons
-reproducibility just as surely.
+NUM002, SVC001, STATE001, FT001) skip test files; RNG001 applies
+everywhere — a test that draws from global RNG state poisons
+reproducibility just as surely. The name sets below that match the
+package's own calls (encode sinks, sanitizers, validators, dense calls,
+blocking solves, JSON-lines decodes, state calls) name only functions that
+exist under ``src/repro``, and every rule has a mutation of a real source
+file that it must flag; ``tests/devtools/test_meta.py`` checks both.
 """
 
 from __future__ import annotations
@@ -381,7 +384,17 @@ class PrivacyTaintRule:
 # ----------------------------------------------------------------------
 
 _EPSILON_PARAMS = frozenset({"epsilon", "eps"})
-_EPSILON_VALIDATORS = frozenset({"check_epsilon", "validate_epsilon"})
+_EPSILON_VALIDATORS = frozenset({"check_epsilon"})
+#: Builtins and modules that only convert or compute with a budget: handing
+#: it to them is not passing it on to code that validates it.
+_NUMERIC_BUILTINS = frozenset({"float", "int"})
+_NUMERIC_MODULES = frozenset({"math", "np", "numpy"})
+
+
+def _is_numeric_call(func: ast.expr) -> bool:
+    """``float(x)``, ``int(x)``, ``math.exp(x)``, ``np.log(x)``, ..."""
+    dotted = _dotted(func) or ""
+    return dotted in _NUMERIC_BUILTINS or dotted.partition(".")[0] in _NUMERIC_MODULES
 
 
 class EpsilonValidationRule:
@@ -390,7 +403,8 @@ class EpsilonValidationRule:
     code = "PRIV002"
     summary = (
         "public constructors accepting epsilon/eps must validate positivity "
-        "(check_epsilon) or delegate the value to another constructor"
+        "(check_epsilon) or delegate the value to another constructor; "
+        "float()/int()/math/numpy calls do not delegate"
     )
 
     def check_module(self, module: AnalyzedModule) -> list[Finding]:
@@ -409,6 +423,7 @@ class EpsilonValidationRule:
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not node.name.startswith("_")
                 and node.name != "__init__"
+                and node.name not in _EPSILON_VALIDATORS
             ):
                 findings.extend(self._check_callable(module, node))
         return findings
@@ -427,6 +442,8 @@ class EpsilonValidationRule:
                 if _last_name(node.func) in _EPSILON_VALIDATORS:
                     validated.update(params)
                     break
+                if _is_numeric_call(node.func):
+                    continue
                 arguments = list(node.args) + [kw.value for kw in node.keywords]
                 for argument in arguments:
                     if isinstance(argument, ast.Name) and argument.id in params:
@@ -618,7 +635,7 @@ class NumericsRule:
 # ----------------------------------------------------------------------
 
 _HOT_MODULES = ("engine/solver.py", "engine/operators.py")
-_DENSE_CALLS = frozenset({"to_dense", "dense", "transition_matrix"})
+_DENSE_CALLS = frozenset({"to_dense", "transition_matrix"})
 
 
 class DenseMaterializationRule:
@@ -674,173 +691,22 @@ class DenseMaterializationRule:
 
 
 # ----------------------------------------------------------------------
-# REG001
-# ----------------------------------------------------------------------
-
-#: Capabilities every concrete estimator family must expose (declared on the
-#: class or inherited from an ancestor below the Estimator root).
-_REQUIRED_ATTRS = ("name", "kind", "wire_codec", "n_reports")
-
-
-class _ClassInfo:
-    __slots__ = ("name", "module", "node", "bases", "abstract", "declared")
-
-    def __init__(self, module: AnalyzedModule, node: ast.ClassDef) -> None:
-        self.name = node.name
-        self.module = module
-        self.node = node
-        self.bases = [
-            base for base in (_last_name(b) for b in node.bases) if base is not None
-        ]
-        self.abstract = any(
-            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and any(
-                _last_name(dec) == "abstractmethod" or _dotted(dec) == "abc.abstractmethod"
-                for dec in stmt.decorator_list
-            )
-            for stmt in node.body
-        )
-        declared: set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                declared.update(
-                    target.id for target in stmt.targets if isinstance(target, ast.Name)
-                )
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                declared.add(stmt.target.id)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                declared.add(stmt.name)
-        self.declared = declared
-
-
-class RegistryRule:
-    """REG001 — concrete estimator families are registered and capable."""
-
-    code = "REG001"
-    summary = (
-        "every concrete Estimator subclass is referenced by a "
-        "register_estimator factory and exposes name/kind/wire_codec/n_reports"
-    )
-
-    root_class = "Estimator"
-
-    def check_project(self, modules: Sequence[AnalyzedModule]) -> list[Finding]:
-        production = [module for module in modules if not module.is_test]
-        classes: dict[str, _ClassInfo] = {}
-        for module in production:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    # First definition wins; duplicate class names across
-                    # modules are rare enough not to matter for this rule.
-                    classes.setdefault(node.name, _ClassInfo(module, node))
-
-        descendants = self._descendants_of_root(classes)
-        if not descendants:
-            return []
-        parents = {
-            base
-            for info in classes.values()
-            for base in info.bases
-            if base in descendants
-        }
-        registered_refs = self._registered_references(production)
-        if not registered_refs:
-            # No registry module in the analyzed set (e.g. a rule fixture
-            # directory): only the capability half of the rule can apply.
-            registered_refs = None
-
-        findings: list[Finding] = []
-        for name in sorted(descendants):
-            info = classes[name]
-            if info.abstract or name.startswith("_") or name in parents:
-                continue
-            if registered_refs is not None and name not in registered_refs:
-                findings.append(
-                    info.module.finding(
-                        info.node,
-                        self.code,
-                        f"estimator family {name} is not wired into any "
-                        "register_estimator() factory; unregistered families "
-                        "are invisible to the planner, CLI, and servers",
-                    )
-                )
-            missing = [
-                attr
-                for attr in _REQUIRED_ATTRS
-                if not self._declares(classes, name, attr)
-            ]
-            if missing:
-                findings.append(
-                    info.module.finding(
-                        info.node,
-                        self.code,
-                        f"estimator family {name} does not declare or inherit "
-                        f"{', '.join(missing)}; wire_codec and capability "
-                        "attributes are what the protocol servers dispatch on",
-                    )
-                )
-        return findings
-
-    def _descendants_of_root(self, classes: dict[str, _ClassInfo]) -> set[str]:
-        out: set[str] = set()
-        changed = True
-        while changed:
-            changed = False
-            for name, info in classes.items():
-                if name in out:
-                    continue
-                if any(base == self.root_class or base in out for base in info.bases):
-                    out.add(name)
-                    changed = True
-        return out
-
-    def _declares(
-        self, classes: dict[str, _ClassInfo], name: str, attr: str
-    ) -> bool:
-        """Declared on the class or an ancestor below the Estimator root."""
-        seen: set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            if current in seen or current == self.root_class:
-                continue
-            seen.add(current)
-            info = classes.get(current)
-            if info is None:
-                continue
-            if attr in info.declared:
-                return True
-            stack.extend(info.bases)
-        return False
-
-    @staticmethod
-    def _registered_references(modules: Sequence[AnalyzedModule]) -> set[str]:
-        """All names referenced inside modules that call register_estimator."""
-        refs: set[str] = set()
-        for module in modules:
-            calls_register = any(
-                isinstance(node, ast.Call)
-                and _last_name(node.func) == "register_estimator"
-                for node in ast.walk(module.tree)
-            )
-            if not calls_register:
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Name):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-        return refs
-
-
-# ----------------------------------------------------------------------
 # SVC001
 # ----------------------------------------------------------------------
 
-#: Calls that block the event loop outright when made from a coroutine.
-_BLOCKING_SLEEPS = frozenset({"time.sleep", "sleep"})
 #: Synchronous solve entry points — each can run a full EM reconstruction.
-_BLOCKING_SOLVES = frozenset({"estimate", "report", "estimate_rounds"})
+_BLOCKING_SOLVES = frozenset(
+    {
+        "estimate",
+        "report",
+        "advance_window",
+        "window_estimate",
+        "estimate_rounds",
+        "solve_cached",
+    }
+)
+#: The module-level batch solvers, which block under a bare name too.
+_BATCH_SOLVES = frozenset({"estimate_rounds", "solve_cached"})
 #: JSON-lines decoders: ~50 ms per MB, so never on the loop. Admission of
 #: what they return (and frame header parsing) does run on the loop.
 _JSONL_DECODES = frozenset({"decode_feed_grouped", "decode_feed", "decode_any_feed"})
@@ -857,18 +723,20 @@ class AsyncBlockingRule:
     proportion to the upload, but at a few milliseconds per MB and with
     ``max_body_bytes`` bounding the upload, it stays on the loop. One
     ``time.sleep``, one synchronous socket round-trip, one un-offloaded
-    ``CollectionServer.estimate()`` or one JSON-lines decode (about 50 ms
-    per MB) in a coroutine stalls *every* connection, and the loadgen's
-    p99 shows it. Such work belongs on worker threads behind
-    ``run_in_executor`` / ``asyncio.to_thread`` — calls inside those
-    offload arguments (e.g. a lambda handed to an executor) are exempt,
-    as is ``asyncio.sleep``.
+    solve (``ShardedCollector.estimate()``/``advance_window()``/
+    ``window_estimate()``, ``estimate_rounds``/``solve_cached``) or one
+    JSON-lines decode (about 50 ms per MB) in a coroutine stalls *every*
+    connection, and the loadgen's p99 shows it. Such work belongs on worker
+    threads behind ``run_in_executor`` / ``asyncio.to_thread`` — calls
+    inside those offload arguments (e.g. a lambda handed to an executor)
+    are exempt, as is ``asyncio.sleep``.
     """
 
     code = "SVC001"
     summary = (
         "no blocking calls (time.sleep, sync socket use, direct "
-        ".estimate()/.report()/estimate_rounds solves, JSON-lines "
+        ".estimate()/.report()/.advance_window()/.window_estimate()/"
+        "estimate_rounds/solve_cached solves, JSON-lines "
         "decodes) inside repro.service async handlers; offload via "
         "run_in_executor/to_thread worker threads"
     )
@@ -938,12 +806,14 @@ class AsyncBlockingRule:
                     "stream APIs (open_connection/start_server)",
                 )
             ]
-        if fn in _BLOCKING_SOLVES and isinstance(node.func, ast.Attribute):
+        if fn in _BLOCKING_SOLVES and (
+            isinstance(node.func, ast.Attribute) or fn in _BATCH_SOLVES
+        ):
             return [
                 module.finding(
                     node,
                     self.code,
-                    f".{fn}() can run a full merge + EM solve; calling it "
+                    f"{fn}() can run a full merge + EM solve; calling it "
                     f"directly inside async {func.name}() blocks every "
                     "connection — offload it via loop.run_in_executor or "
                     "asyncio.to_thread",
@@ -958,16 +828,6 @@ class AsyncBlockingRule:
                     f"inside async {func.name}() it blocks every connection "
                     "— parse via loop.run_in_executor or asyncio.to_thread "
                     "and admit the parsed upload on the loop",
-                )
-            ]
-        if fn == "estimate_rounds" and isinstance(node.func, ast.Name):
-            return [
-                module.finding(
-                    node,
-                    self.code,
-                    f"estimate_rounds() fans out whole solve batches; inside "
-                    f"async {func.name}() it blocks every connection — "
-                    "offload it via loop.run_in_executor or asyncio.to_thread",
                 )
             ]
         return []
@@ -1173,7 +1033,6 @@ RULES: tuple[object, ...] = (
     EpsilonValidationRule(),
     NumericsRule(),
     DenseMaterializationRule(),
-    RegistryRule(),
     AsyncBlockingRule(),
     StateArithmeticRule(),
     SwallowedFaultRule(),

@@ -1,25 +1,21 @@
-"""Persistence helpers: histograms, values, and estimator configurations.
+"""Persistence helpers: values, tables and histograms.
 
 File formats are deliberately plain:
 
 * values — one float per line (the CLI's input format);
 * histograms — CSV with ``bucket,left,right,mass`` rows, so the estimate is
-  directly consumable by spreadsheets and plotting tools;
-* estimator configs — JSON with the public parameters (epsilon, b, d,
-  post-processing), enough to reconstruct an identical estimator; the
-  transition matrix is recomputed on load (it is a pure function of the
-  config and building it is cheaper than shipping ~d^2 floats).
+  directly consumable by spreadsheets and plotting tools.
+
+Estimators persist through ``Estimator.to_state``/``from_state``, which
+cover every family's parameters and aggregation state.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
-
-from repro.core.pipeline import SWEstimator
 
 __all__ = [
     "read_values",
@@ -27,8 +23,6 @@ __all__ = [
     "read_table",
     "read_histogram_csv",
     "write_histogram_csv",
-    "save_estimator_config",
-    "load_estimator_config",
 ]
 
 
@@ -122,38 +116,3 @@ def read_histogram_csv(path: str | Path) -> np.ndarray:
     if not masses:
         raise ValueError(f"{path}: no histogram rows found")
     return np.asarray(masses, dtype=np.float64)
-
-
-def save_estimator_config(estimator: SWEstimator, path: str | Path) -> Path:
-    """Persist an SW estimator's public parameters as JSON."""
-    config = {
-        "type": "SWEstimator",
-        "epsilon": estimator.epsilon,
-        "b": estimator.mechanism.b,
-        "d": estimator.d,
-        "d_out": estimator.d_out,
-        "postprocess": estimator.postprocess,
-        "tol": estimator.tol,
-        "max_iter": estimator.max_iter,
-        "smoothing_order": estimator.smoothing_order,
-    }
-    path = Path(path)
-    path.write_text(json.dumps(config, indent=2) + "\n")
-    return path
-
-
-def load_estimator_config(path: str | Path) -> SWEstimator:
-    """Rebuild an SW estimator from a saved config."""
-    config = json.loads(Path(path).read_text())
-    if config.get("type") != "SWEstimator":
-        raise ValueError(f"{path}: not an SWEstimator config")
-    return SWEstimator(
-        config["epsilon"],
-        config["d"],
-        b=config["b"],
-        d_out=config["d_out"],
-        postprocess=config["postprocess"],
-        tol=config["tol"],
-        max_iter=config["max_iter"],
-        smoothing_order=config["smoothing_order"],
-    )

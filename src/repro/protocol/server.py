@@ -58,17 +58,8 @@ from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import WaveEstimator
 from repro.engine.operators import ChannelOperator
 from repro.protocol.codecs import codec_for_estimator
-from repro.protocol.frames import (
-    decode_any_feed,
-    decode_frame_grouped,
-    encode_frame,
-)
-from repro.protocol.messages import (
-    DEFAULT_ATTR,
-    FeedGroup,
-    decode_feed_grouped,
-    encode_batch_v2,
-)
+from repro.protocol.frames import decode_any_feed, encode_frame
+from repro.protocol.messages import DEFAULT_ATTR, FeedGroup, encode_batch_v2
 from repro.utils.rng import RngLike
 
 __all__ = [
@@ -95,20 +86,15 @@ def copy_estimate(value: Any) -> Any:
 
 @dataclass(frozen=True)
 class EstimateFailure:
-    """One round's failed solve inside an :func:`estimate_rounds` batch.
+    """One key's failed solve inside a :func:`solve_cached` batch.
 
-    Carries the key it failed under and the original exception, so callers
-    (the service's estimate endpoint, monitoring) can report per-round
-    errors structurally instead of losing every other round's result to
-    the first raise.
+    Carries the key it failed under and the original exception, so the
+    service's estimate endpoint reports per-attribute errors structurally
+    instead of losing every other attribute's result to the first raise.
     """
 
     key: str
     error: Exception
-
-    @property
-    def message(self) -> str:
-        return str(self.error)
 
     def to_dict(self) -> dict[str, str]:
         """JSON-serializable form for service responses and logs."""
@@ -335,11 +321,7 @@ def _holding(locks: Iterable[threading.Lock]) -> Any:
         yield
 
 
-def estimate_rounds(
-    servers: Mapping[str, "CollectionServer"],
-    *,
-    on_error: str = "raise",
-) -> dict[str, Any]:
+def estimate_rounds(servers: Mapping[str, "CollectionServer"]) -> dict[str, Any]:
     """Reconstruct several servers' estimates, fusing same-channel solves.
 
     The multi-attribute solve scheduler. Every server's lock is taken, in
@@ -354,22 +336,15 @@ def estimate_rounds(
     The groups solve one after another, in the order of their first member.
 
     Every group runs to completion regardless of the others: one empty or
-    broken round no longer aborts the whole batch. Failures surface per
-    key — with ``on_error="return"`` the result maps each failed key to an
-    :class:`EstimateFailure` (successes map to their estimates as usual);
-    with the default ``on_error="raise"`` the first failed key's original
-    exception (notably :class:`repro.EmptyAggregateError` from a
+    broken round does not abort the whole batch. The first failed key's
+    original exception (notably :class:`repro.EmptyAggregateError` from a
     still-empty round) is re-raised after the batch finishes, so the
     surviving rounds' posteriors are still cached for the retry.
 
-    Returns ``{name: estimate_or_failure}`` in the mapping's iteration
-    order. Servers must be distinct aggregation states — don't pass the
-    same underlying estimator twice.
+    Returns ``{name: estimate}`` in the mapping's iteration order. Servers
+    must be distinct aggregation states — don't pass the same underlying
+    estimator twice.
     """
-    if on_error not in ("raise", "return"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'return', got {on_error!r}"
-        )
     named = list(servers.items())
     with _holding(server._lock for _, server in named):
         solves = solve_cached(
@@ -383,19 +358,10 @@ def estimate_rounds(
                 for _, server in named
             ]
         )
-    results = {
-        name: (
-            solved.estimate
-            if solved.error is None
-            else EstimateFailure(key=name, error=solved.error)
-        )
-        for (name, _), solved in zip(named, solves, strict=True)
-    }
-    if on_error == "raise":
-        for value in results.values():
-            if isinstance(value, EstimateFailure):
-                raise value.error
-    return results
+    for solved in solves:
+        if solved.error is not None:
+            raise solved.error
+    return {name: solved.estimate for (name, _), solved in zip(named, solves, strict=True)}
 
 
 class CollectionServer:
@@ -519,7 +485,9 @@ class CollectionServer:
             self._estimator.ingest(group.reports)
         return group.n
 
-    def _ingest_groups(self, groups: dict[str, FeedGroup]) -> int:
+    def ingest_feed(self, data: bytes | str) -> int:
+        """Add a feed of either transport (binary frame or JSON lines)."""
+        _, groups = decode_any_feed(data, expected_round=self.round_id)
         foreign = set(groups) - {self.attr}
         if foreign:
             raise ValueError(
@@ -527,21 +495,6 @@ class CollectionServer:
                 f"attribute {self.attr!r}"
             )
         return self._ingest_group(groups[self.attr])
-
-    def ingest_frame(self, data: bytes) -> int:
-        """Add a binary frame; returns the number of reports ingested."""
-        _, groups = decode_frame_grouped(data, expected_round=self.round_id)
-        return self._ingest_groups(groups)
-
-    def ingest_lines(self, payload: str) -> int:
-        """Add a JSON-lines batch; returns the reports ingested."""
-        _, groups = decode_feed_grouped(payload, expected_round=self.round_id)
-        return self._ingest_groups(groups)
-
-    def ingest_feed(self, data: bytes | str) -> int:
-        """Add a feed of either transport (binary frame or JSON lines)."""
-        _, groups = decode_any_feed(data, expected_round=self.round_id)
-        return self._ingest_groups(groups)
 
     # -- estimation --------------------------------------------------------
     def estimate(self) -> Any:

@@ -903,10 +903,6 @@ class ShardedCollector:
                 self.checkpoint()
         return receipt
 
-    def submit_feed(self, data: bytes | str, round_id: str) -> int:
-        """Anonymous-submission compatibility wrapper; see :meth:`submit`."""
-        return self.submit(data, round_id).accepted
-
     def flush(self) -> None:
         """Wait until every checkpoint cut so far is on disk.
 

@@ -28,6 +28,11 @@ class TestDefaultTolerance:
         with pytest.raises(ValueError, match="postprocess"):
             EMConfig.default_tolerance("norm-sub", 1.0)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_em_rule_rejects_invalid_budget(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            EMConfig.default_tolerance("em", epsilon)
+
 
 class TestToleranceConsistencyAcrossSurfaces:
     """Regression: pipeline (math.exp) and server (np.exp) used to drift."""

@@ -201,10 +201,10 @@ class TestMergeEquivalence:
         payload_b = whole.encode(
             whole.privatize(values[3000:], rng=np.random.default_rng(1)), format="jsonl"
         )
-        shard_a.ingest_lines(payload_a)
-        shard_b.ingest_lines(payload_b)
-        whole.ingest_lines(payload_a)
-        whole.ingest_lines(payload_b)
+        shard_a.ingest_feed(payload_a)
+        shard_b.ingest_feed(payload_b)
+        whole.ingest_feed(payload_a)
+        whole.ingest_feed(payload_b)
         merged = shard_a.merge(shard_b)
         assert merged.n_reports == whole.n_reports
         np.testing.assert_allclose(merged.estimate(), whole.estimate())
@@ -247,6 +247,14 @@ class TestStateSerialization:
         restored = estimator_from_state(payload)
         assert type(restored) is type(est)
         np.testing.assert_allclose(restored.estimate(), est.estimate())
+
+    def test_round_trip_preserves_non_default_parameters(self):
+        original = SWEstimator(1.5, d=128, b=0.2, postprocess="em", max_iter=500)
+        restored = estimator_from_state(json.loads(json.dumps(original.to_state())))
+        assert restored._params() == original._params()
+        np.testing.assert_array_equal(
+            restored.transition_matrix, original.transition_matrix
+        )
 
     def test_restored_shard_can_keep_ingesting(self, values):
         """The serialized shard state is live, not a frozen snapshot."""

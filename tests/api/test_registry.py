@@ -1,8 +1,13 @@
 """Tests for the central estimator registry (repro.api.registry)."""
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     Estimator,
     get_spec,
@@ -11,7 +16,7 @@ from repro.api import (
     register_estimator,
 )
 from repro.api.registry import _REGISTRY
-from repro.core.pipeline import estimate_distribution
+from repro.core.pipeline import SWEstimator, estimate_distribution
 from repro.experiments.methods import METHOD_REGISTRY
 
 #: Every registered name must build an estimator that completes a full
@@ -87,6 +92,83 @@ class TestRegistryContents:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             register_estimator("x", lambda e, d: None, kind="magic")
+
+
+#: What the collection servers dispatch on; each is declared on the family
+#: or an ancestor below the ``Estimator`` root.
+CAPABILITIES = ("name", "kind", "wire_codec", "n_reports")
+
+
+def package_estimator_classes() -> set[type]:
+    """Every ``Estimator`` subclass defined in the package, all modules loaded."""
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    found: set[type] = set()
+    stack = [Estimator]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("repro.")}
+
+
+def families(classes: set[type]) -> set[type]:
+    """The public, concrete classes that are not the base of another class
+    in ``classes``: family bases such as ``WaveEstimator`` are left out."""
+    return {
+        cls
+        for cls in classes
+        if not cls.__name__.startswith("_")
+        and not inspect.isabstract(cls)
+        and not any(other is not cls and issubclass(other, cls) for other in classes)
+    }
+
+
+def registration_problems(classes: set[type]) -> list[str]:
+    """Families in ``classes`` that no registered name builds, or that lack
+    a capability below the ``Estimator`` root."""
+    built = {type(make_estimator(spec.name, 1.0, D)) for spec in list_estimators()}
+    problems = []
+    for cls in families(classes):
+        label = f"{cls.__module__}.{cls.__qualname__}"
+        if cls not in built:
+            problems.append(f"{label} is built by no registered name")
+        below_root = cls.__mro__[: cls.__mro__.index(Estimator)]
+        for attr in CAPABILITIES:
+            if not any(attr in vars(klass) for klass in below_root):
+                problems.append(f"{label} does not declare {attr}")
+    return sorted(problems)
+
+
+class TestEveryFamilyRegistered:
+    """Every concrete estimator family in the package is registered and
+    declares what the servers dispatch on, checked against the registry."""
+
+    def test_package_families_are_registered_and_capable(self):
+        classes = package_estimator_classes()
+        assert registration_problems(classes) == []
+        assert SWEstimator in families(classes)
+
+    def test_unregistered_concrete_subclass_is_reported(self):
+        class BogusEstimator(SWEstimator):
+            name = "bogus"
+
+        problems = registration_problems(package_estimator_classes() | {BogusEstimator})
+        label = f"{__name__}.{BogusEstimator.__qualname__}"
+        assert problems == [f"{label} is built by no registered name"]
+
+    def test_missing_capability_is_reported(self):
+        class BareEstimator(Estimator):
+            name = "bare"
+
+        # Concrete for the check without implementing the lifecycle.
+        BareEstimator.__abstractmethods__ = frozenset()
+        assert registration_problems({BareEstimator}) == [
+            f"{__name__}.{BareEstimator.__qualname__} does not declare {attr}"
+            for attr in ("kind", "n_reports", "wire_codec")
+        ] + [f"{__name__}.{BareEstimator.__qualname__} is built by no registered name"]
 
 
 class TestRegistryRoundTrip:

@@ -148,7 +148,7 @@ class TestIngestFuzzNoPartialState:
             rejected = 0
             for bad in corruptions:
                 try:
-                    collector.submit_feed(bad, "r1")
+                    collector.submit(bad, "r1")
                 except ValueError:
                     rejected += 1
                     collector.flush()
@@ -159,7 +159,7 @@ class TestIngestFuzzNoPartialState:
                     )
             assert rejected >= len(corruptions) - 5  # flips rarely stay valid
             # The collector still works after the barrage.
-            assert collector.submit_feed(frame, "r1") == 200
+            assert collector.submit(frame, "r1").accepted == 200
             collector.flush()
             assert collector_fingerprint(collector) != before
 
@@ -170,6 +170,6 @@ class TestIngestFuzzNoPartialState:
         with ShardedCollector(config) as collector:
             before = collector_fingerprint(collector)
             with pytest.raises(ValueError, match="round"):
-                collector.submit_feed(frame, "other")
+                collector.submit(frame, "other")
             collector.flush()
             assert collector_fingerprint(collector) == before

@@ -114,7 +114,7 @@ class TestAttributeField:
         low = server.estimator.mechanism.output_low
         payload = _float_feed("r", np.full(3, low + 0.1), attr="income")
         with pytest.raises(ValueError, match="attribute"):
-            server.ingest_lines(payload)
+            server.ingest_feed(payload)
         assert server.n_reports == 0
 
     def test_server_rejects_foreign_attribute_report(self):
@@ -126,7 +126,7 @@ class TestAttributeField:
     def test_server_with_matching_attr_accepts(self, rng):
         server = CollectionServer("r", "sw-ems", 1.0, 32, attr="income")
         reports = server.privatize(rng.random(10), rng=rng)
-        assert server.ingest_lines(_float_feed("r", reports, attr="income")) == 10
+        assert server.ingest_feed(_float_feed("r", reports, attr="income")) == 10
 
     def test_server_attr_survives_state_roundtrip(self):
         server = CollectionServer("r", "sw-ems", 1.0, 32, attr="income")
@@ -163,7 +163,7 @@ class TestServer:
     def test_round_mismatch_rejected(self, rng):
         server = CollectionServer("round-a", "sw-ems", 1.0, 32)
         with pytest.raises(ValueError, match="round"):
-            server.ingest_lines(_float_feed("round-b", np.array([0.1])))
+            server.ingest_feed(_float_feed("round-b", np.array([0.1])))
 
     def test_estimate_before_reports_raises(self):
         with pytest.raises(RuntimeError, match="no reports"):
@@ -172,7 +172,7 @@ class TestServer:
     def test_counts_accumulate(self, rng):
         server = CollectionServer("r", "sw-ems", 1.0, 32)
         reports = server.privatize(rng.random(100), rng=rng)
-        server.ingest_lines(server.encode(reports, format="jsonl"))
+        server.ingest_feed(server.encode(reports, format="jsonl"))
         server.ingest_reports(server.privatize(np.array([0.3]), rng=rng))
         assert server.n_reports == 101
 
@@ -188,15 +188,15 @@ class TestServer:
         ]
         streamed = CollectionServer("r", "sw-ems", 1.0, 64)
         for payload in payloads:
-            streamed.ingest_lines(payload)
+            streamed.ingest_feed(payload)
         batched = CollectionServer("r", "sw-ems", 1.0, 64)
-        batched.ingest_lines("\n".join(payloads))
+        batched.ingest_feed("\n".join(payloads))
         np.testing.assert_allclose(streamed.estimate(), batched.estimate())
 
     def test_end_to_end_accuracy(self, beta_values):
         server = CollectionServer("survey", "sw-ems", 2.0, 64)
         reports = server.privatize(beta_values, rng=np.random.default_rng(0))
-        server.ingest_lines(server.encode(reports, format="jsonl"))
+        server.ingest_feed(server.encode(reports, format="jsonl"))
         estimate = server.estimate()
         truth = np.bincount(
             np.minimum((beta_values * 64).astype(int), 63), minlength=64

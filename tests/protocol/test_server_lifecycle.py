@@ -13,7 +13,7 @@ import pytest
 
 import repro.engine.solver as solver_module
 from repro.api.errors import EmptyAggregateError
-from repro.protocol import CollectionServer, EstimateFailure
+from repro.protocol import CollectionServer
 from repro.protocol.server import estimate_rounds
 
 
@@ -125,31 +125,15 @@ class TestConcurrentIngestEstimate:
 
 
 class TestEstimateRoundsErrors:
-    def build(self, with_empty=True):
+    def build(self):
         rng = np.random.default_rng(11)
         servers = {}
         for name in ("alpha", "beta"):
             server = CollectionServer("r", "sw-ems", 1.0, 32, attr=name)
             server.ingest_reports(server.privatize(rng.random(400), rng=rng))
             servers[name] = server
-        if with_empty:
-            servers["hollow"] = CollectionServer("r", "sw-ems", 1.0, 32)
+        servers["hollow"] = CollectionServer("r", "sw-ems", 1.0, 32)
         return servers
-
-    def test_return_mode_surfaces_structured_failures(self):
-        servers = self.build()
-        results = estimate_rounds(servers, on_error="return")
-        assert list(results) == ["alpha", "beta", "hollow"]
-        assert isinstance(results["alpha"], np.ndarray)
-        failure = results["hollow"]
-        assert isinstance(failure, EstimateFailure)
-        assert failure.key == "hollow"
-        assert isinstance(failure.error, EmptyAggregateError)
-        assert "no reports" in failure.message
-        payload = failure.to_dict()
-        assert payload["key"] == "hollow"
-        assert payload["type"] == "EmptyAggregateError"
-        assert "no reports" in payload["message"]
 
     def test_raise_mode_still_solves_surviving_rounds_first(self, monkeypatch):
         """The failing key must not cost the healthy keys their solve: their
@@ -167,19 +151,6 @@ class TestEstimateRoundsErrors:
         monkeypatch.setattr(solver_module, "batched_expectation_maximization", counting)
         estimate_rounds({name: servers[name] for name in ("alpha", "beta")})
         assert solves == []
-
-    def test_return_mode_with_no_failures_matches_raise_mode(self):
-        returned = estimate_rounds(self.build(with_empty=False), on_error="return")
-        servers = self.build(with_empty=False)
-        raised = estimate_rounds(servers)
-        for name in servers:
-            np.testing.assert_allclose(
-                returned[name], raised[name], rtol=1e-12, atol=1e-14
-            )
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            estimate_rounds(self.build(), on_error="ignore")
 
     def test_empty_mapping_is_empty_result(self):
         assert estimate_rounds({}) == {}

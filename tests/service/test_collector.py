@@ -67,7 +67,7 @@ class TestSubmitAndRoute:
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             total = 0
             for frame, n in feed_frames(plan):
-                assert collector.submit_feed(frame, "r1") == n
+                assert collector.submit(frame, "r1").accepted == n
                 total += n
             collector.flush()
             assert total == 4000
@@ -90,14 +90,14 @@ class TestSubmitAndRoute:
         )
         feed = session.to_feed(reports, "r1", format="jsonl")
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
-            assert collector.submit_feed(feed, "r1") == 50
+            assert collector.submit(feed, "r1").accepted == 50
 
     def test_round_mismatch_rejected(self):
         plan = make_plan()
         frame, _ = feed_frames(plan, n_users=100, batch=100)[0]
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             with pytest.raises(ValueError, match="round"):
-                collector.submit_feed(frame, "other-round")
+                collector.submit(frame, "other-round")
 
     def test_undeclared_attribute_rejected(self):
         plan = make_plan()
@@ -109,13 +109,13 @@ class TestSubmitAndRoute:
         frame, _ = feed_frames(other, n_users=100, batch=100)[0]
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             with pytest.raises(ValueError, match="height"):
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
 
     def test_empty_feed_rejected(self):
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             with pytest.raises(ValueError):
-                collector.submit_feed(b"", "r1")
+                collector.submit(b"", "r1")
 
 
 class TestBackpressure:
@@ -236,7 +236,7 @@ class TestBackpressure:
             assert stats["last_error"] is not None
             # The shard survived: a good feed still lands.
             frame, n = feed_frames(plan, n_users=100, batch=100)[0]
-            collector.submit_feed(frame, "r1")
+            collector.submit(frame, "r1")
             collector.flush()
             assert collector.shards[0].stats()["reports_ingested"] == n
 
@@ -252,7 +252,7 @@ class TestEstimate:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in feed_frames(plan):
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             result = collector.estimate("r1")
             assert result["errors"] == {}
             assert set(result["estimates"]) == {"age", "income"}
@@ -279,11 +279,13 @@ class TestEstimate:
             feed = session.to_feed(
                 {"age": reports["age"]}, "r1", format="frame"
             )
-            collector.submit_feed(feed, "r1")
+            collector.submit(feed, "r1")
             result = collector.estimate("r1")
             assert result["estimates"]["age"] is not None
             assert result["estimates"]["income"] is None
             assert result["errors"]["income"]["type"] == "EmptyAggregateError"
+            assert result["errors"]["income"]["key"] == "income"
+            assert "no reports" in result["errors"]["income"]["message"]
             assert result["report"] is None
 
     def test_second_estimate_without_new_data_is_cached(self, monkeypatch):
@@ -302,7 +304,7 @@ class TestEstimate:
         frames = feed_frames(plan)
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in frames[:-1]:
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             first = collector.estimate("r1")
             assert solves == [(2, False)]
             solves.clear()
@@ -313,7 +315,7 @@ class TestEstimate:
                     np.asarray(second["estimates"][attr]).tobytes()
                     == np.asarray(first["estimates"][attr]).tobytes()
                 )
-            collector.submit_feed(frames[-1][0], "r1")
+            collector.submit(frames[-1][0], "r1")
             third = collector.estimate("r1")
             assert solves == [(2, True)]
             assert third["n_reports"] != first["n_reports"]
@@ -323,10 +325,10 @@ class TestEstimate:
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             frames = feed_frames(plan, n_users=2000, batch=500)
             for frame, _ in frames[:2]:
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             first = collector.estimate("r1")
             for frame, _ in frames[2:]:
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             second = collector.estimate("r1")
             assert sum(second["n_reports"].values()) == 2000
             assert second["n_reports"] != first["n_reports"]
@@ -335,9 +337,9 @@ class TestEstimate:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in feed_frames(plan, round_id="a", seed=1):
-                collector.submit_feed(frame, "a")
+                collector.submit(frame, "a")
             for frame, _ in feed_frames(plan, n_users=1000, round_id="b", seed=2):
-                collector.submit_feed(frame, "b")
+                collector.submit(frame, "b")
             a = collector.estimate("a")
             b = collector.estimate("b")
             assert sum(a["n_reports"].values()) == 4000
@@ -356,8 +358,8 @@ class TestShardedEquivalence:
             ShardedCollector(ServiceConfig(plan=plan, n_shards=n_shards)) as multi,
         ):
             for frame, _ in frames:
-                single.submit_feed(frame, "r1")
-                multi.submit_feed(frame, "r1")
+                single.submit(frame, "r1")
+                multi.submit(frame, "r1")
             a = single.estimate("r1")
             b = multi.estimate("r1")
             assert a["n_reports"] == b["n_reports"]
@@ -371,7 +373,7 @@ class TestStats:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in feed_frames(plan, n_users=1000, batch=250):
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             collector.estimate("r1")
             stats = collector.stats()
             assert stats["n_shards"] == 2
@@ -389,7 +391,7 @@ class TestStats:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             for frame, _ in feed_frames(plan, n_users=400, batch=200):
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             # Every fold ran inside submit, so the only clock reads left in
             # repro.service.core are each merge's start and end.
             rng = np.random.default_rng(3)
@@ -422,7 +424,7 @@ class TestStats:
         collector.close()
         frame, _ = feed_frames(plan, n_users=100, batch=100)[0]
         with pytest.raises(RuntimeError, match="closed"):
-            collector.submit_feed(frame, "r1")
+            collector.submit(frame, "r1")
 
 
 class TestBoundedMemoryMillionReports:
@@ -450,7 +452,7 @@ class TestBoundedMemoryMillionReports:
             ):
                 total_feed_bytes += len(frame)
                 for collector in (single, multi):
-                    collector.submit_feed(frame, "r1")
+                    collector.submit(frame, "r1")
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             assert total_feed_bytes > 4_000_000
@@ -468,7 +470,7 @@ class TestBoundedMemoryMillionReports:
 
 class TestConcurrentSubmitters:
     def test_serialized_submissions_from_many_threads(self):
-        """submit_feed is used single-threaded by the HTTP tier, but a lock
+        """submit is used single-threaded by the HTTP tier, but a lock
         -free caller race must still never corrupt counts once the test
         serializes externally."""
         plan = make_plan()
@@ -482,7 +484,7 @@ class TestConcurrentSubmitters:
                 try:
                     for frame, _ in chunk:
                         with lock:
-                            collector.submit_feed(frame, "r1")
+                            collector.submit(frame, "r1")
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -513,7 +515,7 @@ class TestThreadInventory:
         before = set(threading.enumerate())
         with ShardedCollector(ServiceConfig(plan=plan, n_shards=4)) as collector:
             for frame, _ in feed_frames(plan, n_users=1000, batch=250):
-                collector.submit_feed(frame, "r1")
+                collector.submit(frame, "r1")
             collector.estimate("r1")
             assert self.started_since(before) == []
 

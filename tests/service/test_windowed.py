@@ -26,7 +26,7 @@ def ingest_round(collector, plan, round_id, seed, n_users=600):
     for frame, _n in synthesize_frames(
         plan, round_id, n_users, batch_size=300, rng=seed
     ):
-        collector.submit_feed(frame, round_id)
+        collector.submit(frame, round_id)
     collector.flush()
 
 

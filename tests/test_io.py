@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import SWEstimator
 from repro.io import (
-    load_estimator_config,
     read_histogram_csv,
     read_table,
     read_values,
-    save_estimator_config,
     write_histogram_csv,
     write_values,
 )
@@ -106,29 +103,3 @@ class TestTableIO:
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="no data rows"):
             read_table(path)
-
-
-class TestEstimatorConfig:
-    def test_roundtrip_preserves_parameters(self, tmp_path):
-        original = SWEstimator(1.5, d=128, b=0.2, postprocess="em", max_iter=500)
-        path = save_estimator_config(original, tmp_path / "est.json")
-        restored = load_estimator_config(path)
-        assert restored.epsilon == original.epsilon
-        assert restored.mechanism.b == original.mechanism.b
-        assert restored.d == original.d
-        assert restored.postprocess == original.postprocess
-        assert restored.max_iter == original.max_iter
-
-    def test_restored_estimator_identical_matrix(self, tmp_path):
-        original = SWEstimator(1.0, d=32)
-        path = save_estimator_config(original, tmp_path / "est.json")
-        restored = load_estimator_config(path)
-        np.testing.assert_array_equal(
-            original.transition_matrix, restored.transition_matrix
-        )
-
-    def test_wrong_type_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"type": "Other"}')
-        with pytest.raises(ValueError, match="not an SWEstimator"):
-            load_estimator_config(path)
