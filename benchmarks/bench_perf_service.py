@@ -8,22 +8,18 @@ machine-readable ``BENCH_service.json`` (uploaded as a CI artifact):
    reports/sec, the tracemalloc peak of the whole ingest tier, and the
    acceptance contract: the 4-shard merged estimate is **bit-identical**
    to the single-shard ingest of the same frames.
-2. **Backpressure exactness** — JSON-lines uploads over HTTP from more
-   concurrent clients than a ``queue_depth=2`` service lets wait for its
-   parse executor. Uploads past that bound get 429; each client retries
-   them under the same idempotency key after ``Retry-After``, and every
-   report must land exactly once. ``throttled_submissions`` counts the
-   429s.
-3. **HTTP end-to-end** — ``loadgen.run_load`` against a real socket
+2. **HTTP end-to-end** — ``loadgen.run_load`` against a real socket
    service: upload latency p50/p95/p99 and reports/sec, then one
    ``/estimate`` round-trip.
-4. **Admission** — the time ``ShardedCollector.submit`` takes to admit
+3. **Admission** — the time ``ShardedCollector.submit`` takes to admit
    one 1M-report frame (about 8 MB, the default body cap), without and
    with the journal: what such an upload holds the event loop for.
 
 Exit status gates only the deterministic contracts (bit-identity,
 exact accepted counts, bounded ingest memory); wall-clock numbers are
 recorded for the trajectory but would flake on noisy shared runners.
+That a refused upload leaves nothing behind and its same-key retry
+lands exactly once is tested in ``tests/service/test_faults.py``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_service.py [--quick]
           [--out benchmarks/BENCH_service.json]
@@ -32,7 +28,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_perf_service.py [--quick]
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import platform
@@ -50,21 +45,20 @@ from repro.service import (
     run_load,
     start_local_service,
 )
-from repro.service.loadgen import http_request, synthesize_frames
+from repro.service.loadgen import synthesize_frames
 from repro.tasks import (
     AnalysisPlan,
     AttributeSpec,
     Distribution,
     Mean,
     Quantiles,
-    Session,
 )
 
 #: The "never materialize the feed" contract: peak tracked ingest memory
 #: must stay under a fixed working-set allowance (estimator state, batch
-#: synthesis buffers, queue slots) plus half the raw feed volume. Peak
-#: scales with queue_depth x batch, not with the feed, so the fraction
-#: only gets easier to meet as the feed grows.
+#: synthesis buffers) plus half the raw feed volume. Peak scales with
+#: the batch, not with the feed, so the fraction only gets easier to meet
+#: as the feed grows.
 MEMORY_FIXED_ALLOWANCE_BYTES = 4_000_000
 MEMORY_BUDGET_FRACTION = 0.5
 
@@ -89,9 +83,7 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
     results: dict = {"n_users": n_users, "batch_size": batch}
     estimates: dict[int, dict] = {}
     for n_shards in (1, 4):
-        collector = ShardedCollector(
-            ServiceConfig(plan=plan, n_shards=n_shards, queue_depth=8)
-        )
+        collector = ShardedCollector(ServiceConfig(plan=plan, n_shards=n_shards))
         feed_bytes = 0
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -138,86 +130,6 @@ def bench_sharded_ingest(plan: AnalysisPlan, n_users: int, batch: int) -> dict:
     return results
 
 
-def _jsonl_uploads(
-    plan: AnalysisPlan, round_id: str, n_users: int, batch: int, seed: int
-) -> list[tuple[str, bytes]]:
-    """``(idempotency key, JSON-lines body)`` uploads for ``n_users`` clients."""
-    session = Session(plan)
-    gen = np.random.default_rng(seed)
-    uploads = []
-    for start in range(0, n_users, batch):
-        size = min(batch, n_users - start)
-        values = {
-            spec.name: gen.uniform(spec.low, spec.high, size)
-            for spec in plan.attributes
-        }
-        feed = session.to_feed(session.privatize(values, rng=gen), round_id, format="jsonl")
-        uploads.append((f"{round_id}-{start}", feed.encode("utf-8")))
-    return uploads
-
-
-async def _post_until_admitted(
-    host: str, port: int, round_id: str, uploads: list[tuple[str, bytes]],
-    concurrency: int,
-) -> tuple[int, int]:
-    """Post every upload from ``concurrency`` clients; returns
-    ``(reports accepted, 429s)``.
-
-    Each client retries a 429 under the same idempotency key after its
-    ``Retry-After``; any other refusal is permanent and raises.
-    """
-    pending = list(reversed(uploads))
-    accepted = throttled = 0
-
-    async def client() -> None:
-        nonlocal accepted, throttled
-        while pending:
-            key, body = pending.pop()
-            while True:
-                headers: dict[str, str] = {}
-                status, payload, _reader, writer = await http_request(
-                    host, port, "POST", f"/v1/rounds/{round_id}/reports",
-                    body=body, content_type="application/jsonlines",
-                    headers={"Idempotency-Key": key}, response_headers=headers,
-                )
-                writer.close()
-                if status != 429:
-                    break
-                throttled += 1
-                await asyncio.sleep(float(headers.get("retry-after", "1")))
-            if status not in (200, 202):
-                raise RuntimeError(f"upload {key} refused ({status}): {payload!r}")
-            accepted += json.loads(payload)["accepted"]
-
-    await asyncio.gather(*(client() for _ in range(concurrency)))
-    return accepted, throttled
-
-
-def bench_backpressure(
-    plan: AnalysisPlan, n_users: int, batch: int, concurrency: int = 8
-) -> dict:
-    """Throttled JSON-lines uploads must never be lost or double-counted."""
-    uploads = _jsonl_uploads(plan, "bp", n_users, batch, seed=11)
-    config = ServiceConfig(plan=plan, n_shards=2, queue_depth=2)
-    with start_local_service(config) as handle:
-        accepted, throttled = asyncio.run(
-            _post_until_admitted(handle.host, handle.port, "bp", uploads, concurrency)
-        )
-        shards = handle.collector.stats()["shards"]
-    ingested = sum(s["reports_ingested"] for s in shards)
-    errors = sum(s["ingest_errors"] for s in shards)
-    return {
-        "n_users": n_users,
-        "queue_depth": 2,
-        "concurrency": concurrency,
-        "throttled_submissions": throttled,
-        "reports_accepted": accepted,
-        "reports_ingested": ingested,
-        "ingest_errors": errors,
-        "exact": bool(accepted == ingested == n_users and errors == 0),
-    }
-
-
 def bench_admission(plan: AnalysisPlan, repeats: int = 7) -> dict:
     """Median time to admit one 1M-report frame, without and with the journal."""
     frame, _n = next(
@@ -239,9 +151,7 @@ def bench_admission(plan: AnalysisPlan, repeats: int = 7) -> dict:
 
 def bench_http(plan: AnalysisPlan, n_users: int, batch: int, concurrency: int) -> dict:
     """Real-socket load run + one estimate round-trip."""
-    with start_local_service(
-        ServiceConfig(plan=plan, n_shards=4, queue_depth=32)
-    ) as handle:
+    with start_local_service(ServiceConfig(plan=plan, n_shards=4)) as handle:
         report = run_load(
             handle.host, handle.port, plan, "load", n_users,
             batch_size=batch, concurrency=concurrency, rng=13,
@@ -274,11 +184,9 @@ def main() -> int:
 
     if args.quick:
         ingest_users, ingest_batch = 60_000, 10_000
-        bp_users, bp_batch = 10_000, 1_000
         http_users, http_batch = 20_000, 2_000
     else:
         ingest_users, ingest_batch = 1_000_000, 50_000
-        bp_users, bp_batch = 100_000, 5_000
         http_users, http_batch = 200_000, 10_000
 
     plan = bench_plan()
@@ -293,7 +201,6 @@ def main() -> int:
     report["sharded_ingest"] = bench_sharded_ingest(
         plan, ingest_users, ingest_batch
     )
-    report["backpressure"] = bench_backpressure(plan, bp_users, bp_batch)
     report["http"] = bench_http(plan, http_users, http_batch, concurrency=8)
     report["admission"] = bench_admission(plan)
 
@@ -304,7 +211,6 @@ def main() -> int:
         "memory_fixed_allowance_bytes": MEMORY_FIXED_ALLOWANCE_BYTES,
         "memory_budget_fraction": MEMORY_BUDGET_FRACTION,
         "memory_bounded_ok": report["sharded_ingest"]["memory_bounded"],
-        "backpressure_exact_ok": report["backpressure"]["exact"],
         "http_all_accepted_ok": report["http"]["all_accepted"],
         "http_estimate_clean_ok": report["http"]["estimate_errors"] == {},
     }
@@ -323,11 +229,6 @@ def main() -> int:
         )
     print(
         f"bit-identical 1-vs-4 shards: {ingest['bit_identical_1_vs_4_shards']}"
-    )
-    bp = report["backpressure"]
-    print(
-        f"backpressure: {bp['throttled_submissions']} throttles, "
-        f"{bp['reports_ingested']:,} ingested, exact={bp['exact']}"
     )
     http = report["http"]
     print(
@@ -351,7 +252,6 @@ def main() -> int:
         for key in (
             "bit_identical_1_vs_4_shards_ok",
             "memory_bounded_ok",
-            "backpressure_exact_ok",
             "http_all_accepted_ok",
             "http_estimate_clean_ok",
         )

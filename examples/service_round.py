@@ -51,7 +51,7 @@ def make_plan() -> AnalysisPlan:
 
 def main() -> None:
     plan = make_plan()
-    config = ServiceConfig(plan=plan, n_shards=4, queue_depth=32)
+    config = ServiceConfig(plan=plan, n_shards=4)
 
     # --- The service: asyncio HTTP front end + 4 shard aggregators. -------
     with start_local_service(config) as handle:

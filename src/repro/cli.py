@@ -307,7 +307,6 @@ def _service_config(args):
     return ServiceConfig.from_plan_file(
         args.plan,
         n_shards=args.shards,
-        queue_depth=args.queue_depth,
         window=args.window,
         decay=args.decay,
         host=args.host,
@@ -344,8 +343,7 @@ def _cmd_serve(args) -> int:
             mode += f", journaling to {config.journal_dir}"
         print(
             f"serving plan {args.plan} on http://{host}:{port} "
-            f"({config.n_shards} shards, parse backlog {config.queue_depth}"
-            f"{mode}); Ctrl-C to stop",
+            f"({config.n_shards} shards{mode}); Ctrl-C to stop",
             flush=True,
         )
 
@@ -611,11 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8350, help="0 picks a free port")
     p.add_argument("--shards", type=int, default=2, help="shard aggregators")
-    p.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="JSON-lines uploads that may wait to be parsed; one more gets "
-        "429 (also bounds unwritten checkpoint snapshots per shard)",
-    )
     p.add_argument(
         "--window", type=int, default=None,
         help="continuous mode: sliding window of the last N advanced rounds",

@@ -92,11 +92,16 @@ def _dotted(node: ast.expr) -> str | None:
     return None
 
 
-def _expr_names(node: ast.AST) -> set[str]:
-    """Every dotted name appearing anywhere inside ``node``."""
+def _expr_names(node: ast.AST, *, bases: bool = True) -> set[str]:
+    """Every dotted name appearing anywhere inside ``node``; with
+    ``bases=False``, only those that are not the base of a longer one
+    (``self.density``, not ``self``)."""
+    skip = set() if bases else {
+        id(sub.value) for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    }
     out: set[str] = set()
     for sub in ast.walk(node):
-        if isinstance(sub, (ast.Name, ast.Attribute)):
+        if isinstance(sub, (ast.Name, ast.Attribute)) and id(sub) not in skip:
             dotted = _dotted(sub)
             if dotted is not None:
                 out.add(dotted)
@@ -596,7 +601,7 @@ class NumericsRule:
             return []
         if _contains_guard_call(argument):
             return []
-        if self._has_positivity_evidence(scope, _expr_names(argument)):
+        if self._has_positivity_evidence(scope, _expr_names(argument, bases=False)):
             return []
         return [
             module.finding(

@@ -125,18 +125,15 @@ def encode_frame(
     return encode_frame_blocks(round_id, [(attr, codec, reports)])
 
 
-def frame_digest(data: bytes | str) -> str:
-    """Stable BLAKE2b-128 hex digest of one upload's wire bytes.
+def frame_digest(data: bytes) -> str:
+    """Stable BLAKE2b-128 hex digest of one frame's wire bytes.
 
     The content-addressed identity of an upload: the service's durable
     ingest journal stamps every appended segment with it, and the
     idempotency layer uses it both as the default idempotency key and to
     detect key reuse across *different* payloads (a 409, not a replay).
-    JSON-lines feeds digest their UTF-8 encoding, so the same feed hashes
-    identically whichever transport carried it.
     """
-    raw = data.encode("utf-8") if isinstance(data, str) else bytes(data)
-    return blake2b(raw, digest_size=16).hexdigest()
+    return blake2b(data, digest_size=16).hexdigest()
 
 
 def encode_frame_block(block: FrameBlock) -> bytes:

@@ -1,8 +1,7 @@
 """Sharded async collection service over the protocol/tasks stack.
 
 The deployment-shaped top layer: an asyncio HTTP/1.1 ingest front end
-(:mod:`repro.service.http`) accepting RPF2 frame and JSON-lines uploads
-(a bounded parse backlog answers 429 when full), a set of shard
+(:mod:`repro.service.http`) accepting RPF2 frame uploads, a set of shard
 partitions routed by a consistent hash over ``(round, attr)`` into which
 each upload is folded as it is admitted (:mod:`repro.service.core`,
 :mod:`repro.service.sharding`), a warm-start-aware merge/estimate tier
@@ -26,7 +25,6 @@ from repro.service.config import (
     DEFAULT_DEDUP_CAPACITY,
     DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_HEADER_BYTES,
-    DEFAULT_QUEUE_DEPTH,
     DEFAULT_READ_TIMEOUT,
     ServiceConfig,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "DEFAULT_DEDUP_CAPACITY",
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_MAX_HEADER_BYTES",
-    "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_READ_TIMEOUT",
     "DEFAULT_RETRY_POLICY",
     "DedupLedger",

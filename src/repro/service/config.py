@@ -2,9 +2,8 @@
 
 A :class:`ServiceConfig` binds one :class:`~repro.tasks.plan.AnalysisPlan`
 to the deployment knobs of :mod:`repro.service`: how many shard
-partitions to run, how many JSON-lines uploads may wait to be parsed
-(the backpressure bound — the ingest tier never holds more than
-``queue_depth`` of them), and how large one upload may be.
+partitions to run, how large one upload may be, and whether and how the
+ingest journal is kept.
 
 The plan is resolved once (:func:`~repro.tasks.planner.plan_analysis`)
 and the resulting :class:`~repro.tasks.planner.PlannedAnalysis` is shared
@@ -27,16 +26,9 @@ __all__ = [
     "DEFAULT_DEDUP_CAPACITY",
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_MAX_HEADER_BYTES",
-    "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_READ_TIMEOUT",
     "ServiceConfig",
 ]
-
-#: Bound on the JSON-lines uploads waiting to be parsed, and on the
-#: unwritten checkpoint snapshots per shard. Deep enough to ride out a
-#: burst, shallow enough that ingest-tier memory stays a small multiple of
-#: one upload.
-DEFAULT_QUEUE_DEPTH = 64
 
 #: Largest accepted upload body. Bounds per-request ingest memory; clients
 #: with more reports send more frames.
@@ -72,12 +64,6 @@ class ServiceConfig:
     n_shards:
         Number of shard aggregators; ``(round, attr)`` keys are spread
         over them by the consistent ring of :mod:`repro.service.sharding`.
-    queue_depth:
-        Bound on the JSON-lines uploads waiting for the HTTP tier's parse
-        executor; one more is rejected whole (HTTP 429) before anything
-        of it is parsed. Frames are admitted inline and never wait. With
-        ``journal_dir`` it also bounds the checkpoint snapshots per shard
-        waiting for the checkpoint writer.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
     window / decay:
@@ -124,7 +110,6 @@ class ServiceConfig:
 
     plan: AnalysisPlan
     n_shards: int = 2
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     window: int | None = None
     decay: float | None = None
@@ -144,8 +129,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"

@@ -11,19 +11,17 @@ by construction: an upload is folded block by block (one decoded-columns
 block at a time, bounded by the upload size limit), aggregation state is
 O(state) per key, and nothing ever concatenates a full feed.
 
-:class:`ShardedCollector` is the coordinator. An upload is handled in two
-steps: :meth:`~ShardedCollector.parse` is stateless — it computes the
-content digest, decodes the frame header or the JSON lines, checks every
-block against the plan and counts reports — so it may run on any thread;
-:meth:`~ShardedCollector.submit` admits it, on one serialized admitting
-thread (the HTTP tier's event loop). Admission splits the upload into
-per-shard blocks, journals and commits them, then folds each one. It is
-**all-or-nothing**: an upload that fails validation, or finds every
-shard dead (:class:`ServiceOverloadError`, HTTP 429), raises before any
-block is journaled or folded, so a retried upload can never
-double-count. Load is bounded in front of admission: the HTTP tier
-refuses a JSON-lines upload with 429 while ``queue_depth`` of them wait
-for its parse executor (:mod:`repro.service.http`).
+:class:`ShardedCollector` is the coordinator. Every upload is one RPF2
+frame, handled in two steps: :meth:`~ShardedCollector.parse` is
+stateless — it computes the content digest, reads the frame header,
+checks every block against the plan and counts reports — so it may run
+on any thread; :meth:`~ShardedCollector.submit` admits it, on one
+serialized admitting thread (the HTTP tier's event loop). Admission
+splits the upload into per-shard blocks, journals and commits them, then
+folds each one. It is **all-or-nothing**: an upload that is not a frame,
+fails validation, or finds every shard dead
+(:class:`ServiceOverloadError`, HTTP 429), raises before any block is
+journaled or folded, so a retried upload can never double-count.
 
 Fault tolerance is layered on the same serialization point
 (:mod:`repro.service.resilience`):
@@ -86,13 +84,11 @@ from repro.api.base import Estimator
 from repro.protocol.codecs import codec_for_estimator
 from repro.protocol.frames import (
     FrameBlock,
-    encode_frame,
     encode_frame_block,
     frame_digest,
     is_frame,
     iter_frame_blocks,
 )
-from repro.protocol.messages import FeedGroup, decode_feed_grouped
 from repro.protocol.server import (
     CollectionServer,
     EstimateFailure,
@@ -115,12 +111,18 @@ from repro.service.sharding import HashRing, merge_tree
 from repro.tasks.session import Session
 
 __all__ = [
+    "CHECKPOINT_BACKLOG",
     "CheckpointWriter",
     "ParsedUpload",
     "ServiceOverloadError",
     "ShardAggregator",
     "ShardedCollector",
 ]
+
+
+#: Unwritten checkpoint snapshots the writer holds per shard; a newer cut
+#: past it replaces the newest of them, so a slow disk bounds the backlog.
+CHECKPOINT_BACKLOG = 64
 
 
 class ServiceOverloadError(RuntimeError):
@@ -137,7 +139,7 @@ class ParsedUpload:
 
     round_id: str
     digest: str
-    blocks: tuple[FrameBlock | FeedGroup, ...]
+    blocks: tuple[FrameBlock, ...]
     reports: int
 
 
@@ -211,7 +213,7 @@ class ShardAggregator:
         self.alive = True
 
     # -- admission (called from the collector's admitting thread) ----------
-    def enqueue(self, block: FrameBlock | FeedGroup, round_id: str) -> None:
+    def enqueue(self, block: FrameBlock, round_id: str) -> None:
         """Fold one admitted block into its server, on the calling thread.
 
         Fires the ``shard.fold`` fault site first. An injected crash there
@@ -246,7 +248,7 @@ class ShardAggregator:
                 self._servers[key] = server
         return server
 
-    def _fold(self, round_id: str, block: FrameBlock | FeedGroup) -> None:
+    def _fold(self, round_id: str, block: FrameBlock) -> None:
         """Fold one block into its server, with full error accounting.
 
         Shared by admission and journal replay, so a recovered shard
@@ -255,9 +257,8 @@ class ShardAggregator:
         """
         started = time.perf_counter()
         try:
-            group = block.materialize() if isinstance(block, FrameBlock) else block
-            server = self._server_for(round_id, group.attr)
-            self._counters.reports += server._ingest_group(group)
+            server = self._server_for(round_id, block.attr)
+            self._counters.reports += server._ingest_group(block.materialize())
             self._counters.blocks += 1
         except Exception as exc:
             # A block that validated at submit time but fails to fold
@@ -326,7 +327,7 @@ class ShardAggregator:
         finally:
             counters.checkpoints_done += snapshot.cuts
 
-    def ingest_direct(self, round_id: str, block: FrameBlock | FeedGroup) -> None:
+    def ingest_direct(self, round_id: str, block: FrameBlock) -> None:
         """Fold one block, firing no fault site: the journal replay path.
 
         Journal records must fold in exact journal order; only call this
@@ -426,22 +427,16 @@ class CheckpointWriter:
     Those fsyncs cover every record and commit before the cut, so a
     checkpoint never lands ahead of the journal it points into.
 
-    The writer holds at most ``depth`` unwritten snapshots per shard.
+    The writer holds at most :data:`CHECKPOINT_BACKLOG` unwritten
+    snapshots per shard.
     Past that, a newer cut replaces the shard's newest unwritten snapshot,
     so a disk that stays slower than the cuts bounds the writer's backlog
     instead of growing it.
     """
 
-    def __init__(
-        self,
-        journals: list[ShardJournal],
-        meta: MetaJournal,
-        *,
-        depth: int,
-    ) -> None:
+    def __init__(self, journals: list[ShardJournal], meta: MetaJournal) -> None:
         self._journals = journals
         self._meta = meta
-        self._depth = int(depth)
         self._cond = threading.Condition()
         self._queue: deque[_Snapshot] = deque()
         self._writing: _Snapshot | None = None
@@ -458,7 +453,7 @@ class CheckpointWriter:
         with self._cond:
             self._handed += 1
             queued = [item for item in self._queue if item.shard is snapshot.shard]
-            if len(queued) >= self._depth:
+            if len(queued) >= CHECKPOINT_BACKLOG:
                 newest = queued[-1]
                 newest.journal_offset = snapshot.journal_offset
                 newest.states = snapshot.states
@@ -563,9 +558,7 @@ class ShardedCollector:
                 fsync=config.journal_fsync,
                 faults=config.faults,
             )
-            self._writer = CheckpointWriter(
-                self._journals, self._meta, depth=config.queue_depth
-            )
+            self._writer = CheckpointWriter(self._journals, self._meta)
             self._recover()
 
     # -- durability: recovery ----------------------------------------------
@@ -780,34 +773,25 @@ class ShardedCollector:
                 "capacity until a shard is revived"
             ) from None
 
-    def parse(self, data: bytes | str, round_id: str) -> ParsedUpload:
-        """Decode and validate one upload without touching collector state.
+    def parse(self, data: bytes, round_id: str) -> ParsedUpload:
+        """Decode and validate one frame without touching collector state.
 
         Computes the upload's content digest, checks every block against
-        the plan and counts its reports. A frame is read header-first: its
-        blocks stay zero-copy views until admission folds them. A
-        JSON-lines feed decodes in full, which is why the HTTP
-        tier runs this step on an executor thread for it. Raises
-        ``ValueError`` for a malformed or mismatched feed.
+        the plan and counts its reports. The frame is read header-first:
+        its blocks stay zero-copy views until admission folds them.
+        Raises ``ValueError`` for anything that is not a frame (JSON lines
+        included) and for a malformed or mismatched frame.
         """
-        raw: bytes | str = (
-            bytes(data)
-            if isinstance(data, (bytes, bytearray, memoryview))
-            else data
-        )
-        blocks: list[FrameBlock | FeedGroup] = []
-        if isinstance(raw, bytes) and is_frame(raw):
-            for block in iter_frame_blocks(raw, expected_round=round_id):
-                self._check_block(block.attr, block.mechanism, block.round_id)
-                blocks.append(block)
-        else:
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            _, groups = decode_feed_grouped(text, expected_round=round_id)
-            for attr, group in groups.items():
-                self._check_block(attr, group.mechanism, round_id)
-                blocks.append(group)
-        if not blocks:
-            raise ValueError("feed carries no report blocks")
+        if not is_frame(data):
+            raise ValueError(
+                "upload is not an RPF2 frame; the service takes frames only "
+                "(build them with `python -m repro pack --format frame`)"
+            )
+        raw = bytes(data)
+        blocks = []
+        for block in iter_frame_blocks(raw, expected_round=round_id):
+            self._check_block(block.attr, block.mechanism, block.round_id)
+            blocks.append(block)
         return ParsedUpload(
             round_id=round_id,
             digest=frame_digest(raw),
@@ -817,7 +801,7 @@ class ShardedCollector:
 
     def submit(
         self,
-        data: bytes | str | ParsedUpload,
+        data: bytes | ParsedUpload,
         round_id: str,
         *,
         key: str | None = None,
@@ -880,17 +864,7 @@ class ShardedCollector:
             # client retries, exactly-once) or fully durable (the retry
             # gets a replay ack). The commit record is the pivot.
             for shard_id, block in batches:
-                segment = (
-                    encode_frame_block(block)
-                    if isinstance(block, FrameBlock)
-                    else encode_frame(
-                        round_id,
-                        block.reports,
-                        self._expected_codec[block.attr],
-                        block.attr,
-                    )
-                )
-                self._journals[shard_id].append(receipt.key, segment)
+                self._journals[shard_id].append(receipt.key, encode_frame_block(block))
             self._meta.commit(receipt)
         for shard_id, block in batches:
             self.shards[shard_id].enqueue(block, round_id)

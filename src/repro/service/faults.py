@@ -277,8 +277,8 @@ class RetryPolicy:
 
 
 # Default policy the loadgen uses when none is supplied: generous budget,
-# fast initial retry (a parse backlog drains in milliseconds), capped so a
-# saturated service is probed about once a second.
+# fast initial retry (a dropped connection reconnects in milliseconds),
+# capped so a service with no live shard is probed about once a second.
 DEFAULT_RETRY_POLICY = RetryPolicy(
     attempts=200, base_delay=0.004, max_delay=1.0, multiplier=2.0, jitter=0.5
 )

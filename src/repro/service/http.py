@@ -5,18 +5,18 @@ surface is four routes, so a framework would be all dependency and no
 leverage:
 
 * ``POST /v1/rounds/{round}/reports`` — upload one RPF2 frame
-  (``application/x-repro-frame`` / ``application/octet-stream``) or
-  JSON-lines batch (anything else). ``202`` with the accepted report
-  count, ``200`` when an ``Idempotency-Key`` (or identical content)
-  replays an already-accepted upload, ``400`` on a malformed or
-  mismatched feed, ``409`` when an idempotency key is reused for
-  different bytes, ``413`` past the body limit, ``429`` with
-  ``Retry-After`` when a JSON-lines upload finds the parse backlog full
-  (or every shard is dead); a refused upload leaves nothing behind, so
-  its retry is admitted fresh. Every upload is idempotent:
-  the key is the ``Idempotency-Key`` header when given, else the body's
-  content digest — so a client that times out and retries can never
-  double-ingest.
+  (``application/x-repro-frame`` / ``application/octet-stream``).
+  ``202`` with the accepted report count, ``200`` when an
+  ``Idempotency-Key`` (or identical content) replays an already-accepted
+  upload, ``400`` on a malformed or mismatched frame, ``409`` when an
+  idempotency key is reused for different bytes, ``413`` past the body
+  limit, ``415`` for a body that is not a frame (JSON lines included:
+  ``python -m repro pack --format frame`` builds frames), ``429`` with
+  ``Retry-After`` when every shard is dead; a refused upload leaves
+  nothing behind, so its retry is admitted fresh. Every upload is
+  idempotent: the key is the ``Idempotency-Key`` header when given, else
+  the body's content digest — so a client that times out and retries can
+  never double-ingest.
 * ``POST`` (or ``GET``) ``/v1/rounds/{round}/estimate`` — merge and
   solve the round. ``200`` with per-attribute estimates/errors and
   the plan-level report, ``404`` for a round no upload ever touched.
@@ -28,8 +28,7 @@ leverage:
 * ``GET /v1/stream/estimate`` — latest windowed estimates plus the
   per-window privacy audit; ``404`` before the first advance.
 * ``GET /healthz`` — liveness.
-* ``GET /statz`` — per-shard counters, the parse backlog, merge
-  latencies.
+* ``GET /statz`` — per-shard counters, merge latencies.
 
 Uploads are admitted on the event loop itself: the loop's single thread
 serializes admission (ledger lookup, routing, journal append, commit
@@ -40,15 +39,10 @@ per-record fsync runs on the loop. A frame is parsed inline, reading
 only its header, and folded there: hashing and folding the body are
 what cost. One 8 MB frame (the default body cap, 1M reports) holds the
 loop for about 32 ms, about 60 ms with the journal on (measured on a
-2-core host). Frames never wait, so they are never refused for load.
-Work that costs far more per byte runs off the loop: a JSON-lines body
-is decoded on a parse executor thread (50–100 ms per MB) and then
-admitted on the loop, and the merge/solve of an estimate runs on a
-separate solve executor so a long EM run cannot stall ingest. The
-JSON-lines uploads handed to the parse executor and not yet back are the
-one queue on the write path: at ``queue_depth`` of them, the next gets
-``429`` before anything of it is parsed. ``repro.devtools`` rule SVC001
-lints what may run on the loop.
+2-core host). Nothing on the write path waits in a queue, so no upload
+is refused for load. The merge/solve of an estimate runs on a separate
+solve executor so a long EM run cannot stall ingest. ``repro.devtools``
+rule SVC001 lints what may run on the loop.
 
 Hardening: each request's head+body must arrive within
 ``config.read_timeout`` seconds (``408`` and the connection closes — a
@@ -70,7 +64,7 @@ from typing import Any, Awaitable, Callable
 
 from repro.protocol.frames import is_frame
 from repro.service.config import ServiceConfig
-from repro.service.core import ParsedUpload, ServiceOverloadError, ShardedCollector
+from repro.service.core import ServiceOverloadError, ShardedCollector
 from repro.service.resilience import IdempotencyConflictError
 
 __all__ = ["ReportService", "ServiceHandle", "serve", "start_local_service"]
@@ -93,6 +87,7 @@ _REASONS = {
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    415: "Unsupported Media Type",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -145,14 +140,6 @@ class ReportService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.collector = ShardedCollector(config)
-        # JSON-lines decodes run here; admission stays on the loop. The
-        # uploads handed to it and not yet back are the parse backlog,
-        # bounded by queue_depth; only the event loop touches the counts.
-        self._parse_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-parse"
-        )
-        self._parse_backlog = 0
-        self._parse_backlog_max = 0
         # Solves run elsewhere so a slow merge/EM never blocks ingest.
         self._solve_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-solve"
@@ -187,7 +174,6 @@ class ReportService:
             writer.close()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
-        self._parse_pool.shutdown(wait=True)
         self._solve_pool.shutdown(wait=True)
         self.collector.close()
 
@@ -311,15 +297,7 @@ class ReportService:
         if path == "/statz":
             if method != "GET":
                 raise _HttpError(405, "statz is GET-only")
-            return (
-                200,
-                {
-                    **self.collector.stats(),
-                    "parse_backlog": self._parse_backlog,
-                    "parse_backlog_max": self._parse_backlog_max,
-                },
-                None,
-            )
+            return 200, self.collector.stats(), None
         if path == "/v1/stream/estimate":
             if method != "GET":
                 raise _HttpError(405, "stream estimate is GET-only")
@@ -348,26 +326,21 @@ class ReportService:
         if not body:
             raise _HttpError(400, "upload body is empty")
         content_type = headers.get("content-type", "").split(";")[0].strip()
-        frame = content_type in ("", *_FRAME_TYPES) and is_frame(body)
+        if content_type not in ("", *_FRAME_TYPES) or not is_frame(body):
+            raise _HttpError(
+                415,
+                "upload is not an RPF2 frame: the body must start with b'RPF2' "
+                "and its Content-Type be application/x-repro-frame or "
+                "application/octet-stream; build frames with "
+                "`python -m repro pack --format frame`",
+            )
         # Exactly-once contract: the client's Idempotency-Key when given,
         # the body's content digest otherwise. A replayed upload is acked
         # again (200) with its original count and nothing is re-ingested.
         key = headers.get("idempotency-key", "").strip()
         try:
-            if frame and key:
-                # Parsing a frame reads only its header: submit parses and
-                # admits it in one call on the loop.
-                receipt = self.collector.submit(body, round_id, key=key)
-            else:
-                if frame:
-                    upload = self.collector.parse(body, round_id)
-                else:
-                    upload = await self._parse_in_backlog(
-                        body, round_id, content_type
-                    )
-                receipt = self.collector.submit(
-                    upload, round_id, key=key or upload.digest
-                )
+            upload = self.collector.parse(body, round_id)
+            receipt = self.collector.submit(upload, round_id, key=key or upload.digest)
         except ServiceOverloadError as exc:
             return 429, {"error": str(exc)}, 1
         except IdempotencyConflictError as exc:
@@ -376,43 +349,6 @@ class ReportService:
             raise _HttpError(400, str(exc)) from None
         status = 200 if receipt.replayed else 202
         return status, receipt.to_dict(), None
-
-    async def _parse_in_backlog(
-        self, body: bytes, round_id: str, content_type: str
-    ) -> ParsedUpload:
-        """Parse a JSON-lines upload on the parse executor.
-
-        Raises :class:`ServiceOverloadError` (429), before anything of the
-        upload is parsed, when ``queue_depth`` uploads already wait there.
-        """
-        depth = self.config.queue_depth
-        if self._parse_backlog >= depth:
-            raise ServiceOverloadError(
-                f"{self._parse_backlog} JSON-lines uploads are waiting to be "
-                f"parsed (queue_depth {depth}); retry"
-            )
-        self._parse_backlog += 1
-        self._parse_backlog_max = max(self._parse_backlog_max, self._parse_backlog)
-        try:
-            return await asyncio.get_running_loop().run_in_executor(
-                self._parse_pool, self._parse_text, body, round_id, content_type
-            )
-        finally:
-            self._parse_backlog -= 1
-
-    def _parse_text(
-        self, body: bytes, round_id: str, content_type: str
-    ) -> ParsedUpload:
-        """Parse a non-frame upload; runs on the parse executor."""
-        feed: bytes | str = body
-        if content_type and content_type not in _FRAME_TYPES:
-            try:
-                feed = body.decode("utf-8")
-            except UnicodeDecodeError:
-                raise _HttpError(
-                    400, f"{content_type!r} body is not valid UTF-8"
-                ) from None
-        return self.collector.parse(feed, round_id)
 
     async def _handle_estimate(
         self, round_id: str

@@ -285,6 +285,31 @@ class TestNum001:
         )
         assert codes(findings) == ["NUM001"]
 
+    def test_guard_on_a_sibling_attribute_is_no_guard(self, tmp_path):
+        """A comparison on ``self.iterations`` says nothing of ``self.density``."""
+        findings, _ = lint_source(
+            tmp_path,
+            "import numpy as np\n"
+            "class Model:\n"
+            "    def log_density(self):\n"
+            "        if self.iterations > 0:\n"
+            "            pass\n"
+            "        return np.log(self.density)\n",
+        )
+        assert codes(findings) == ["NUM001"]
+
+    def test_guard_on_the_argument_attribute_ok(self, tmp_path):
+        findings, _ = lint_source(
+            tmp_path,
+            "import numpy as np\n"
+            "class Model:\n"
+            "    def log_density(self):\n"
+            "        if self.density.min() > 0:\n"
+            "            return np.log(self.density)\n"
+            "        raise ValueError('zero density')\n",
+        )
+        assert findings == []
+
     def test_floored_np_log_ok(self, tmp_path):
         findings, _ = lint_source(
             tmp_path,

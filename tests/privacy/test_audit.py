@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.square_wave import SquareWave
+from repro.freq_oracle import HRR, OLH
+from repro.freq_oracle.hashing import evaluate_hash
 from repro.privacy.audit import AuditResult, audit_continuous_mechanism, audit_matrix
 
 
@@ -37,6 +39,51 @@ class TestAuditMatrix:
         result = audit_matrix(m, 0.001)
         assert result.satisfied
         assert result.max_ratio == pytest.approx(1.0)
+
+
+def olh_channel(oracle: OLH) -> np.ndarray:
+    """OLH's g-ary GRR over the hashed value."""
+    m = np.full((oracle.g, oracle.g), (1.0 - oracle.p) / (oracle.g - 1))
+    np.fill_diagonal(m, oracle.p)
+    return m
+
+
+def hrr_channel(oracle: HRR) -> np.ndarray:
+    """HRR's keep/flip channel over the true Hadamard bit."""
+    return np.array([[oracle.p, 1.0 - oracle.p], [1.0 - oracle.p, oracle.p]])
+
+
+class TestHashedAndHadamardOracles:
+    """OLH and HRR perturb at exactly their declared epsilon."""
+
+    @pytest.mark.parametrize("eps", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize(
+        "oracle, channel", [(OLH, olh_channel), (HRR, hrr_channel)], ids=["olh", "hrr"]
+    )
+    def test_channel_ratio_is_e_eps(self, oracle, channel, eps):
+        result = audit_matrix(channel(oracle(eps, 64)), eps)
+        assert result.satisfied
+        assert result.max_ratio == pytest.approx(math.exp(eps), rel=0, abs=1e-9)
+
+    def within_five_sigma(self, kept: np.ndarray, p: float) -> None:
+        n = kept.size
+        assert abs(kept.sum() - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_olh_keeps_the_true_hash_at_rate_p(self):
+        eps, n = 1.0, 200_000
+        oracle = OLH(eps, 64)
+        values = np.random.default_rng(3).integers(0, 64, n)
+        reports = oracle.privatize(values, rng=np.random.default_rng(4))
+        kept = reports.y == evaluate_hash(reports.a, reports.b, values, oracle.g)
+        self.within_five_sigma(kept, math.exp(eps) / (math.exp(eps) + oracle.g - 1))
+
+    def test_hrr_keeps_the_true_bit_at_rate_p(self):
+        eps, n = 1.0, 200_000
+        oracle = HRR(eps, 64)
+        values = np.random.default_rng(3).integers(0, 64, n)
+        reports = oracle.privatize(values, rng=np.random.default_rng(4))
+        kept = reports.bit == oracle._hadamard_bits(reports.row, values)
+        self.within_five_sigma(kept, math.exp(eps) / (math.exp(eps) + 1.0))
 
 
 class TestAuditContinuous:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.engine.solver as solver_module
-from repro.protocol.messages import FeedGroup
+from repro.protocol.frames import FrameBlock, encode_frame
 from repro.service import ReportService, ServiceConfig, ShardedCollector
 from repro.service import core
 from repro.service.loadgen import synthesize_frames
@@ -18,7 +18,9 @@ from repro.tasks import (
     Distribution,
     Mean,
     Quantiles,
+    Session,
 )
+from tests.protocol.test_frame_fuzz import collector_fingerprint
 
 
 def make_plan() -> AnalysisPlan:
@@ -42,23 +44,24 @@ def feed_frames(plan, n_users=4000, round_id="r1", seed=7, batch=1000):
     )
 
 
-def jsonl_feeds(plan, count, round_id="r1", n_users=50):
-    """``count`` distinct JSON-lines uploads of ``n_users`` reports each."""
-    from repro.tasks import Session
+def mixed_plan() -> AnalysisPlan:
+    """A float attribute beside a category one (the discrete SW variant)."""
+    return AnalysisPlan(
+        epsilon=2.0,
+        attributes=(
+            AttributeSpec("age", low=0.0, high=100.0, d=16),
+            AttributeSpec("grade", low=0.0, high=16.0, d=16, kind="discrete"),
+        ),
+        tasks=(Distribution("age"), Distribution("grade")),
+    )
 
-    session = Session(plan)
-    rng = np.random.default_rng(5)
-    feeds = []
-    for _ in range(count):
-        reports = session.privatize(
-            {
-                "age": rng.uniform(1.0, 99.0, n_users),
-                "income": rng.uniform(100.0, 9e4, n_users),
-            },
-            rng=rng,
-        )
-        feeds.append(session.to_feed(reports, round_id, format="jsonl").encode())
-    return feeds
+
+#: ``(attr, codec, reports)``: each block carries the other attribute's
+#: payload codec, so only the mechanism comparison can refuse it.
+MISMATCHED_BLOCKS = [
+    ("age", "category", np.arange(40) % 16),
+    ("grade", "float", np.linspace(0.0, 1.0, 40)),
+]
 
 
 class TestSubmitAndRoute:
@@ -76,10 +79,9 @@ class TestSubmitAndRoute:
             )
             assert ingested == total
 
-    def test_jsonl_feed_accepted(self):
+    @pytest.mark.parametrize("encode", [str, str.encode], ids=["text", "bytes"])
+    def test_jsonl_feed_refused(self, tmp_path, encode):
         plan = make_plan()
-        from repro.tasks import Session
-
         session = Session(plan)
         reports = session.privatize(
             {
@@ -88,9 +90,14 @@ class TestSubmitAndRoute:
             },
             rng=np.random.default_rng(0),
         )
-        feed = session.to_feed(reports, "r1", format="jsonl")
-        with ShardedCollector(ServiceConfig(plan=plan)) as collector:
-            assert collector.submit(feed, "r1").accepted == 50
+        feed = encode(session.to_feed(reports, "r1", format="jsonl"))
+        config = ServiceConfig(plan=plan, journal_dir=tmp_path / "wal")
+        with ShardedCollector(config) as collector:
+            before = collector_fingerprint(collector)
+            with pytest.raises(ValueError, match="not an RPF2 frame"):
+                collector.submit(feed, "r1")
+            collector.flush()
+            assert collector_fingerprint(collector) == before
 
     def test_round_mismatch_rejected(self):
         plan = make_plan()
@@ -117,66 +124,28 @@ class TestSubmitAndRoute:
             with pytest.raises(ValueError):
                 collector.submit(b"", "r1")
 
+    @pytest.mark.parametrize("attr, codec, reports", MISMATCHED_BLOCKS)
+    def test_mechanism_mismatch_rejected_before_any_state(
+        self, tmp_path, attr, codec, reports
+    ):
+        frame = encode_frame("r1", reports, codec, attr=attr)
+        config = ServiceConfig(plan=mixed_plan(), journal_dir=tmp_path / "wal")
+        with ShardedCollector(config) as collector:
+            expected = collector._expected_codec[attr].name
+            assert expected != codec
+            before = collector_fingerprint(collector)
+            with pytest.raises(ValueError) as refused:
+                collector.submit(frame, "r1")
+            assert f"{codec!r}" in str(refused.value)
+            assert f"{expected!r}" in str(refused.value)
+            collector.flush()
+            assert collector_fingerprint(collector) == before
+
 
 class TestBackpressure:
-    def test_overflow_rejected_whole_and_drains_after(self):
-        """With the parse executor held, queue_depth JSON-lines uploads wait
-        for it and the next one is refused whole (429), leaving nothing
-        behind: its retry after the release is admitted fresh."""
-        plan = make_plan()
-        depth = 2
-        feeds = jsonl_feeds(plan, depth + 1)
-
-        def post(service, index):
-            headers = {
-                "content-type": "application/jsonlines",
-                "idempotency-key": f"k{index}",
-            }
-            return service._handle_reports("r1", headers, feeds[index])
-
-        async def scenario(service):
-            collector = service.collector
-            release = threading.Event()
-            held = service._parse_pool.submit(release.wait)
-            try:
-                waiting = [asyncio.ensure_future(post(service, i)) for i in range(depth)]
-                await asyncio.sleep(0)  # each reaches the parse executor
-                assert service._parse_backlog == depth
-                status, payload, retry_after = await post(service, depth)
-                assert (status, retry_after) == (429, 1)
-                assert "parse" in payload["error"]
-                # Nothing of the refused upload was kept.
-                assert collector.stats()["uploads_accepted"] == 0
-                assert collector.stats()["dedup"]["entries"] == 0
-            finally:
-                release.set()
-            held.result(timeout=10.0)
-            responses = await asyncio.wait_for(asyncio.gather(*waiting), timeout=10.0)
-            responses.append(await post(service, depth))
-            # 202 throughout: the retry is admitted fresh, not a replay.
-            assert [status for status, _, _ in responses] == [202] * (depth + 1)
-            return collector.stats(), sum(body["accepted"] for _, body, _ in responses)
-
-        async def run():
-            service = ReportService(
-                ServiceConfig(plan=plan, n_shards=1, queue_depth=depth)
-            )
-            try:
-                return service, *await scenario(service)
-            finally:
-                await service.stop()
-
-        service, stats, accepted = asyncio.run(run())
-        assert accepted == 50 * (depth + 1)
-        assert service._parse_backlog == 0
-        assert service._parse_backlog_max == depth
-        assert stats["uploads_accepted"] == depth + 1
-        assert stats["shards"][0]["reports_ingested"] == accepted
-        assert stats["shards"][0]["ingest_errors"] == 0
-
     def test_checkpoint_tasks_take_no_block_slot(self, tmp_path, monkeypatch):
-        """queue_depth=1 bounds the writer's unwritten snapshots, not
-        ingest: uploads are admitted and folded while a write is held."""
+        """A writer backlog of 1 bounds the unwritten snapshots, not ingest:
+        uploads are admitted and folded while a write is held."""
         plan = AnalysisPlan(
             epsilon=2.0,
             attributes=(AttributeSpec("age", low=0.0, high=100.0, d=32),),
@@ -192,9 +161,9 @@ class TestBackpressure:
             return real_write(path, **kwargs)
 
         monkeypatch.setattr(core, "write_checkpoint", gated_write)
+        monkeypatch.setattr(core, "CHECKPOINT_BACKLOG", 1)
         config = ServiceConfig(
-            plan=plan, n_shards=1, queue_depth=1, checkpoint_every=1,
-            journal_dir=tmp_path / "wal",
+            plan=plan, n_shards=1, checkpoint_every=1, journal_dir=tmp_path / "wal"
         )
         with ShardedCollector(config) as collector:
             shard = collector.shards[0]
@@ -215,7 +184,7 @@ class TestBackpressure:
                 collector.flush()
             stats = collector.stats()["shards"][0]
             assert stats["reports_ingested"] == 1200
-            # The writer holds queue_depth=1 unwritten snapshot per shard:
+            # The writer holds 1 unwritten snapshot per shard:
             # cuts 3 and 4 each replaced the one before, unwritten.
             assert stats["checkpoint_generation"] == len(frames) - 2
 
@@ -223,10 +192,11 @@ class TestBackpressure:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan, n_shards=1)) as collector:
             codec = collector._expected_codec["age"]
-            bad = FeedGroup(
+            bad = FrameBlock(
+                round_id="r1",
                 attr="age",
-                mechanism=codec.name,
-                reports=np.array([1e9]),  # far outside any wave support
+                codec=codec,
+                columns=codec.to_columns(np.array([1e9])),  # outside any wave support
                 n=1,
             )
             collector.shards[0].enqueue(bad, "r1")
@@ -437,12 +407,8 @@ class TestBoundedMemoryMillionReports:
         plan = make_plan()
         n_users, batch = 1_000_000, 50_000
         with (
-            ShardedCollector(
-                ServiceConfig(plan=plan, n_shards=1, queue_depth=8)
-            ) as single,
-            ShardedCollector(
-                ServiceConfig(plan=plan, n_shards=4, queue_depth=8)
-            ) as multi,
+            ShardedCollector(ServiceConfig(plan=plan, n_shards=1)) as single,
+            ShardedCollector(ServiceConfig(plan=plan, n_shards=4)) as multi,
         ):
             total_feed_bytes = 0
             tracemalloc.start()
@@ -477,9 +443,7 @@ class TestConcurrentSubmitters:
         frames = feed_frames(plan, n_users=2000, batch=100, seed=9)
         lock = threading.Lock()
         errors: list[Exception] = []
-        with ShardedCollector(
-            ServiceConfig(plan=plan, queue_depth=256)
-        ) as collector:
+        with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             def upload(chunk):
                 try:
                     for frame, _ in chunk:
@@ -532,7 +496,7 @@ class TestThreadInventory:
             assert self.started_since(before) == ["repro-checkpoint-writer"]
         assert self.started_since(before) == []
 
-    def test_report_service_adds_only_its_two_executor_threads(self, tmp_path):
+    def test_report_service_adds_only_its_solve_thread(self, tmp_path):
         plan = make_plan()
         before = set(threading.enumerate())
         config = ServiceConfig(plan=plan, n_shards=4, journal_dir=tmp_path / "wal")
@@ -540,9 +504,9 @@ class TestThreadInventory:
         async def scenario():
             service = ReportService(config)
             try:
-                headers = {"content-type": "application/jsonlines"}
+                headers = {"content-type": "application/x-repro-frame"}
                 status, _, _ = await service._handle_reports(
-                    "r1", headers, jsonl_feeds(plan, 1)[0]
+                    "r1", headers, feed_frames(plan, n_users=100, batch=100)[0][0]
                 )
                 assert status == 202
                 status, _, _ = await service._handle_estimate("r1")
@@ -553,7 +517,6 @@ class TestThreadInventory:
 
         assert asyncio.run(scenario()) == [
             "repro-checkpoint-writer",
-            "repro-parse_0",
             "repro-solve_0",
         ]
         assert self.started_since(before) == []

@@ -252,6 +252,62 @@ class TestGracefulDegradation:
                     collector.submit(frame, "r1")
                     collector.flush()
 
+    def test_refused_upload_leaves_nothing_and_its_retry_lands_once(self, tmp_path):
+        """With every shard dead, an upload gets 429 + Retry-After and
+        leaves no accepted upload, ledger entry or journal byte behind;
+        after revive, its same-key retry is admitted fresh (202) and the
+        estimate counts every acknowledged report once."""
+        plan = make_plan()
+        faults = FaultPlan([Fault("shard.fold", every=1, times=2)])
+        config = self.config(tmp_path, faults, n_shards=2)
+        uploads = feed_frames(plan, n_users=2400, batch=200)
+        with start_local_service(config) as handle:
+
+            def call(method, path, body=b"", key=None):
+                async def go():
+                    response_headers: dict[str, str] = {}
+                    status, payload, _reader, writer = await http_request(
+                        handle.host, handle.port, method, path, body=body,
+                        headers={"Idempotency-Key": key} if key else None,
+                        response_headers=response_headers,
+                    )
+                    writer.close()
+                    return status, json.loads(payload), response_headers
+
+                return asyncio.run(go())
+
+            acked = 0
+            for index, (frame, _n) in enumerate(uploads):
+                _, before, _ = call("GET", "/statz")
+                status, payload, headers = call(
+                    "POST", "/v1/rounds/r1/reports", frame, key=f"k{index}"
+                )
+                if status == 429:
+                    break
+                assert status == 202, payload
+                acked += payload["accepted"]
+            else:  # pragma: no cover - the two crashes never killed both shards
+                pytest.fail("no upload was refused")
+            assert headers["retry-after"] == "1"
+            assert "every shard is dead" in payload["error"]
+            _, after, _ = call("GET", "/statz")
+            assert before["shards_dead"] == after["shards_dead"] == [0, 1]
+            assert after["uploads_accepted"] == before["uploads_accepted"] == index
+            assert after["dedup"] == before["dedup"]
+            assert after["journal"]["bytes"] == before["journal"]["bytes"]
+            for shard in (0, 1):
+                handle.collector.revive(shard)
+            status, payload, _ = call(
+                "POST", "/v1/rounds/r1/reports", frame, key=f"k{index}"
+            )
+            assert status == 202
+            assert payload["replayed"] is False
+            acked += payload["accepted"]
+            status, estimate, _ = call("GET", "/v1/rounds/r1/estimate")
+            assert status == 200
+            assert estimate["degraded"] is False
+            assert sum(estimate["n_reports"].values()) == acked
+
     def test_fault_free_plan_changes_nothing(self, tmp_path):
         """A wired-but-silent FaultPlan must not perturb results."""
         frames = feed_frames(make_plan())

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.protocol.frames import is_frame
+from repro.protocol.frames import FRAME_MAGIC, encode_frame
 from repro.service import ServiceConfig, start_local_service
 from repro.service.loadgen import http_request, synthesize_frames
 from repro.tasks import (
@@ -17,6 +17,7 @@ from repro.tasks import (
     Mean,
     Session,
 )
+from tests.service.test_collector import MISMATCHED_BLOCKS, mixed_plan
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,19 @@ def request(handle, method, path, *, body=b"", content_type="application/x-repro
     return asyncio.run(go())
 
 
+def jsonl_feed(plan, n_users=60, seed=0) -> bytes:
+    """One JSON-lines feed of ``n_users`` reports per attribute."""
+    session = Session(plan)
+    reports = session.privatize(
+        {
+            "age": np.linspace(1.0, 99.0, n_users),
+            "income": np.linspace(50.0, 9e4, n_users),
+        },
+        rng=np.random.default_rng(seed),
+    )
+    return session.to_feed(reports, "r1", format="jsonl").encode("utf-8")
+
+
 def upload_round(handle, plan, round_id="r1", n_users=1200, seed=3):
     total = 0
     for frame, n in synthesize_frames(
@@ -68,22 +82,40 @@ class TestIngestRoutes:
     def test_frame_upload_accepted(self, service, plan):
         assert upload_round(service, plan) == 1200
 
-    def test_jsonl_upload_accepted(self, service, plan):
-        session = Session(plan)
-        reports = session.privatize(
-            {
-                "age": np.linspace(1.0, 99.0, 60),
-                "income": np.linspace(50.0, 9e4, 60),
-            },
-            rng=np.random.default_rng(0),
-        )
-        feed = session.to_feed(reports, "r1", format="jsonl")
+    @pytest.mark.parametrize(
+        "content_type", ["application/jsonlines", "application/x-repro-frame", ""]
+    )
+    def test_jsonl_upload_is_415(self, service, plan, content_type):
+        """JSON lines are an offline format: the service refuses them whole,
+        whatever their Content-Type, and names the conversion."""
+        _, before = request(service, "GET", "/statz")
         status, payload = request(
             service, "POST", "/v1/rounds/r1/reports",
-            body=feed.encode("utf-8"), content_type="application/jsonlines",
+            body=jsonl_feed(plan), content_type=content_type,
         )
-        assert status == 202
-        assert payload["accepted"] == 60
+        assert status == 415
+        assert "python -m repro pack --format frame" in payload["error"]
+        _, after = request(service, "GET", "/statz")
+        assert after == before
+
+    @pytest.mark.parametrize("content_type", ["application/jsonlines", "text/plain"])
+    def test_frame_with_other_content_type_is_415(self, service, plan, content_type):
+        frame, _ = next(synthesize_frames(plan, "r1", 50, batch_size=50, rng=1))
+        _, before = request(service, "GET", "/statz")
+        status, payload = request(
+            service, "POST", "/v1/rounds/r1/reports",
+            body=frame, content_type=content_type,
+        )
+        assert status == 415
+        assert "Content-Type" in payload["error"]
+        _, after = request(service, "GET", "/statz")
+        assert after == before
+        # The same bytes under a frame Content-Type are admitted fresh.
+        status, payload = request(
+            service, "POST", "/v1/rounds/r1/reports",
+            body=frame, content_type="application/octet-stream",
+        )
+        assert (status, payload["accepted"]) == (202, 50)
 
     def test_empty_body_is_400(self, service):
         status, payload = request(service, "POST", "/v1/rounds/r1/reports")
@@ -92,7 +124,8 @@ class TestIngestRoutes:
 
     def test_garbage_frame_is_400(self, service):
         status, payload = request(
-            service, "POST", "/v1/rounds/r1/reports", body=b"\x00\x01not a frame"
+            service, "POST", "/v1/rounds/r1/reports",
+            body=FRAME_MAGIC + b"\x00\x01not a frame",
         )
         assert status == 400
 
@@ -104,16 +137,28 @@ class TestIngestRoutes:
         assert status == 400
         assert "round" in payload["error"]
 
-    def test_v1_jsonl_line_is_400(self, service):
-        """The v1 Square-Wave line is no longer decoded, even for a planned
-        float attribute; nothing of the upload is accepted."""
+    @pytest.mark.parametrize("attr, codec, reports", MISMATCHED_BLOCKS)
+    def test_mechanism_mismatch_is_400(self, attr, codec, reports):
+        frame = encode_frame("r1", reports, codec, attr=attr)
+        with start_local_service(ServiceConfig(plan=mixed_plan())) as handle:
+            status, payload = request(
+                handle, "POST", "/v1/rounds/r1/reports", body=frame
+            )
+            assert status == 400
+            assert f"{codec!r} payloads" in payload["error"]
+            _, statz = request(handle, "GET", "/statz")
+            assert statz["uploads_accepted"] == 0
+
+    def test_v1_jsonl_line_is_415(self, service):
+        """A v1 Square-Wave line is not a frame either; nothing of the upload
+        is accepted."""
         line = '{"round_id":"r1","value":0.25,"version":1,"attr":"age"}'
         status, payload = request(
             service, "POST", "/v1/rounds/r1/reports",
             body=line.encode("utf-8"), content_type="application/jsonlines",
         )
-        assert status == 400
-        assert "line 1: unsupported protocol version 1" in payload["error"]
+        assert status == 415
+        assert "RPF2" in payload["error"]
         _, statz = request(service, "GET", "/statz")
         assert statz["uploads_accepted"] == 0
         assert sum(s["reports_ingested"] for s in statz["shards"]) == 0
@@ -139,18 +184,15 @@ class TestIngestRoutes:
 
 
 class TestAdmissionPlacement:
-    def test_admission_on_the_loop_and_jsonl_parse_off_it(
-        self, service, plan, monkeypatch
-    ):
-        """Frames parse and every upload is admitted on the loop thread;
-        a JSON-lines decode never runs there."""
+    def test_frames_parse_and_admit_on_the_loop(self, service, plan, monkeypatch):
+        """Every frame is parsed, then admitted, on the loop thread; a body
+        refused with 415 is never parsed."""
         collector = service.collector
         seen: list[tuple[str, threading.Thread]] = []
         real_parse, real_submit = collector.parse, collector.submit
 
         def parse(data, round_id):
-            kind = "frame" if isinstance(data, bytes) and is_frame(data) else "jsonl"
-            seen.append((kind, threading.current_thread()))
+            seen.append(("parse", threading.current_thread()))
             return real_parse(data, round_id)
 
         def submit(upload, round_id, *, key=None):
@@ -163,16 +205,6 @@ class TestAdmissionPlacement:
             frame
             for frame, _n in synthesize_frames(plan, "r1", 120, batch_size=60, rng=2)
         ]
-        session = Session(plan)
-        values = {"age": np.linspace(1.0, 99.0, 40), "income": np.linspace(5.0, 9e4, 40)}
-        feeds = [
-            session.to_feed(
-                session.privatize(values, rng=np.random.default_rng(seed)),
-                "r1",
-                format="jsonl",
-            ).encode("utf-8")
-            for seed in (4, 5)
-        ]
 
         async def upload(body, content_type, headers=None):
             status, _payload, _reader, writer = await http_request(
@@ -183,28 +215,15 @@ class TestAdmissionPlacement:
             return status
 
         uploads = [
-            (frames[0], "application/x-repro-frame", {"Idempotency-Key": "f0"}),
-            (frames[1], "application/x-repro-frame", None),  # keyed by digest
-            (feeds[0], "application/jsonlines", None),  # decoded to text first
-            (feeds[1], "application/octet-stream", None),  # not a frame: bytes
+            (frames[0], "application/x-repro-frame", {"Idempotency-Key": "f0"}, 202),
+            (frames[1], "application/x-repro-frame", None, 202),  # keyed by digest
+            (jsonl_feed(plan), "application/jsonlines", None, 415),
+            (jsonl_feed(plan, seed=1), "application/octet-stream", None, 415),
         ]
-        for body, content_type, headers in uploads:
-            assert asyncio.run(upload(body, content_type, headers)) == 202
-        loop_thread = service._thread
-        # A keyed frame is parsed inside submit; every other upload is
-        # parsed first, then admitted.
-        assert [kind for kind, _ in seen] == [
-            "admit", "frame",
-            "frame", "admit",
-            "jsonl", "admit",
-            "jsonl", "admit",
-        ]
-        for kind, thread in seen:
-            if kind == "jsonl":
-                assert thread is not loop_thread
-                assert thread.name.startswith("repro-parse")
-            else:
-                assert thread is loop_thread
+        for body, content_type, headers, expected in uploads:
+            assert asyncio.run(upload(body, content_type, headers)) == expected
+        assert [kind for kind, _ in seen] == ["parse", "admit", "parse", "admit"]
+        assert all(thread is service._thread for _, thread in seen)
 
 
 class TestEstimateRoute:
@@ -301,94 +320,13 @@ class TestConnectionBehavior:
         assert b"400" in asyncio.run(go())
 
 
-class TestBackpressureOverHttp:
-    def test_overloaded_service_returns_429_with_retry_after(self, plan):
-        """queue_depth JSON-lines uploads wait for a held parse executor;
-        the next gets a 429 with Retry-After and leaves nothing behind, so
-        its retry under the same key is admitted fresh (202)."""
-        depth = 2
-        session = Session(plan)
-        rng = np.random.default_rng(7)
-        feeds = []
-        for _ in range(depth + 1):
-            reports = session.privatize(
-                {
-                    "age": rng.uniform(1.0, 99.0, 80),
-                    "income": rng.uniform(50.0, 9e4, 80),
-                },
-                rng=rng,
-            )
-            feeds.append(session.to_feed(reports, "r1", format="jsonl").encode())
-        config = ServiceConfig(plan=plan, n_shards=1, queue_depth=depth)
-        with start_local_service(config) as handle:
-            service = handle.service
-
-            async def call(method, path, body=b"", key=None):
-                response_headers: dict[str, str] = {}
-                status, payload, _reader, writer = await http_request(
-                    handle.host, handle.port, method, path,
-                    body=body, content_type="application/jsonlines",
-                    headers={"Idempotency-Key": key} if key else None,
-                    response_headers=response_headers,
-                )
-                writer.close()
-                return status, json.loads(payload), response_headers
-
-            def post(index):
-                path = "/v1/rounds/r1/reports"
-                return call("POST", path, feeds[index], key=f"k{index}")
-
-            async def backlog_full():
-                while service._parse_backlog < depth:
-                    await asyncio.sleep(0.001)
-
-            async def scenario():
-                release = threading.Event()
-                held = service._parse_pool.submit(release.wait)
-                try:
-                    waiting = [asyncio.ensure_future(post(i)) for i in range(depth)]
-                    await asyncio.wait_for(backlog_full(), timeout=10.0)
-                    refused = await post(depth)
-                    _, statz, _ = await call("GET", "/statz")
-                finally:
-                    release.set()
-                held.result(timeout=10.0)
-                admitted = await asyncio.wait_for(
-                    asyncio.gather(*waiting), timeout=10.0
-                )
-                retried = await post(depth)
-                return refused, statz, admitted, retried
-
-            refused, statz, admitted, retried = asyncio.run(scenario())
-            status, payload, headers = refused
-            assert status == 429
-            assert headers["retry-after"] == "1"
-            assert "parse" in payload["error"]
-            # The refused upload left nothing behind.
-            assert statz["uploads_accepted"] == 0
-            assert statz["dedup"]["entries"] == 0
-            assert statz["parse_backlog"] == depth
-            assert [status for status, _, _ in admitted] == [202] * depth
-            assert retried[0] == 202  # admitted fresh, not a replay
-            accepted = sum(body["accepted"] for _, body, _ in [*admitted, retried])
-            assert accepted == 80 * (depth + 1)
-            status, statz = request(handle, "GET", "/statz")
-            assert statz["parse_backlog"] == 0
-            assert statz["parse_backlog_max"] == depth
-            assert statz["uploads_accepted"] == depth + 1
-            status, payload = request(handle, "GET", "/v1/rounds/r1/estimate")
-            assert status == 200
-            assert payload["errors"] == {}
-            assert sum(payload["n_reports"].values()) == accepted
-
-
 class TestBoundedMemoryOverHttp:
     def test_streamed_uploads_never_materialize_the_feed(self, plan):
         """Ingest-tier memory stays bounded while a feed much larger than
         the queue capacity streams through the HTTP front end."""
         import tracemalloc
 
-        config = ServiceConfig(plan=plan, n_shards=2, queue_depth=4)
+        config = ServiceConfig(plan=plan, n_shards=2)
         with start_local_service(config) as handle:
             total_bytes = 0
             tracemalloc.start()

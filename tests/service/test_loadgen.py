@@ -105,9 +105,7 @@ class TestLoadReport:
 
 class TestRunLoadEndToEnd:
     def test_load_run_accepts_every_report(self, plan):
-        with start_local_service(
-            ServiceConfig(plan=plan, n_shards=2, queue_depth=16)
-        ) as handle:
+        with start_local_service(ServiceConfig(plan=plan, n_shards=2)) as handle:
             report = run_load(
                 handle.host, handle.port, plan, "load-1", 5000,
                 batch_size=500, concurrency=4, rng=17,
@@ -122,11 +120,9 @@ class TestRunLoadEndToEnd:
             assert sum(result["n_reports"].values()) == 5000
             assert result["errors"] == {}
 
-    def test_backpressure_retries_keep_the_feed_exact(self, plan):
-        """Eight uploaders against queue_depth=2: every report lands once."""
-        with start_local_service(
-            ServiceConfig(plan=plan, n_shards=1, queue_depth=2)
-        ) as handle:
+    def test_concurrent_uploaders_keep_the_feed_exact(self, plan):
+        """Eight uploaders against one shard: every report lands once."""
+        with start_local_service(ServiceConfig(plan=plan, n_shards=1)) as handle:
             report = run_load(
                 handle.host, handle.port, plan, "load-2", 4000,
                 batch_size=100, concurrency=8, rng=23,

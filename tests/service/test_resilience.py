@@ -748,6 +748,10 @@ def hold_journal_fsync(monkeypatch, collector):
 class TestCheckpointWriter:
     """A slow checkpoint fsync stalls neither admission nor the folds."""
 
+    @pytest.fixture(autouse=True)
+    def writer_backlog(self, monkeypatch):
+        monkeypatch.setattr(core, "CHECKPOINT_BACKLOG", 2)
+
     def config(self, tmp_path) -> ServiceConfig:
         # One attribute on one shard: every upload is one block.
         plan = AnalysisPlan(
@@ -758,7 +762,6 @@ class TestCheckpointWriter:
         return ServiceConfig(
             plan=plan,
             n_shards=1,
-            queue_depth=2,
             checkpoint_every=1,
             journal_dir=tmp_path / "wal",
         )
@@ -890,8 +893,7 @@ class TestCheckpointWriter:
         monkeypatch.setattr(core, "write_checkpoint", recording_write)
         uploads = keyed_uploads(make_plan(), n_users=3000, batch=100)
         config = config_for(
-            tmp_path, n_shards=4, queue_depth=1, checkpoint_every=1,
-            dedup_capacity=64,
+            tmp_path, n_shards=4, checkpoint_every=1, dedup_capacity=64,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

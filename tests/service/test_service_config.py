@@ -22,7 +22,10 @@ class TestServiceConfig:
     def test_defaults(self, plan):
         config = ServiceConfig(plan=plan)
         assert config.n_shards == 2
-        assert config.queue_depth >= 1
+
+    def test_queue_depth_is_not_an_option(self, plan):
+        with pytest.raises(TypeError, match="queue_depth"):
+            ServiceConfig(plan=plan, queue_depth=2)
 
     def test_planned_is_resolved_once_and_cached(self, plan):
         config = ServiceConfig(plan=plan)
@@ -33,7 +36,6 @@ class TestServiceConfig:
         "kwargs, match",
         [
             ({"n_shards": 0}, "n_shards"),
-            ({"queue_depth": 0}, "queue_depth"),
             ({"max_body_bytes": 0}, "max_body_bytes"),
         ],
     )
