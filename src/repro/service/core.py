@@ -113,6 +113,7 @@ from repro.tasks.session import Session
 __all__ = [
     "CHECKPOINT_BACKLOG",
     "CheckpointWriter",
+    "NotAFrameError",
     "ParsedUpload",
     "ServiceOverloadError",
     "ShardAggregator",
@@ -127,6 +128,19 @@ CHECKPOINT_BACKLOG = 64
 
 class ServiceOverloadError(RuntimeError):
     """An upload was rejected whole for lack of capacity (HTTP 429)."""
+
+
+class NotAFrameError(ValueError):
+    """An upload that is not an RPF2 frame (HTTP 415).
+
+    The service takes frames only; JSON lines are the offline format.
+    """
+
+    def __init__(self, reason: str = "upload is not an RPF2 frame") -> None:
+        super().__init__(
+            f"{reason}; the service takes RPF2 frames only "
+            "(build them with `python -m repro pack --format frame`)"
+        )
 
 
 @dataclass(frozen=True)
@@ -779,14 +793,12 @@ class ShardedCollector:
         Computes the upload's content digest, checks every block against
         the plan and counts its reports. The frame is read header-first:
         its blocks stay zero-copy views until admission folds them.
-        Raises ``ValueError`` for anything that is not a frame (JSON lines
-        included) and for a malformed or mismatched frame.
+        Raises :exc:`NotAFrameError` for a body without the frame magic
+        (JSON lines included), before reading anything past it, and
+        ``ValueError`` for a malformed or mismatched frame.
         """
         if not is_frame(data):
-            raise ValueError(
-                "upload is not an RPF2 frame; the service takes frames only "
-                "(build them with `python -m repro pack --format frame`)"
-            )
+            raise NotAFrameError()
         raw = bytes(data)
         blocks = []
         for block in iter_frame_blocks(raw, expected_round=round_id):

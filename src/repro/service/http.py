@@ -62,9 +62,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable
 
-from repro.protocol.frames import is_frame
 from repro.service.config import ServiceConfig
-from repro.service.core import ServiceOverloadError, ShardedCollector
+from repro.service.core import NotAFrameError, ServiceOverloadError, ShardedCollector
 from repro.service.resilience import IdempotencyConflictError
 
 __all__ = ["ReportService", "ServiceHandle", "serve", "start_local_service"]
@@ -326,21 +325,20 @@ class ReportService:
         if not body:
             raise _HttpError(400, "upload body is empty")
         content_type = headers.get("content-type", "").split(";")[0].strip()
-        if content_type not in ("", *_FRAME_TYPES) or not is_frame(body):
-            raise _HttpError(
-                415,
-                "upload is not an RPF2 frame: the body must start with b'RPF2' "
-                "and its Content-Type be application/x-repro-frame or "
-                "application/octet-stream; build frames with "
-                "`python -m repro pack --format frame`",
-            )
         # Exactly-once contract: the client's Idempotency-Key when given,
         # the body's content digest otherwise. A replayed upload is acked
         # again (200) with its original count and nothing is re-ingested.
         key = headers.get("idempotency-key", "").strip()
         try:
+            if content_type not in ("", *_FRAME_TYPES):
+                raise NotAFrameError(
+                    f"Content-Type {content_type!r} is not "
+                    f"{' or '.join(_FRAME_TYPES)}"
+                )
             upload = self.collector.parse(body, round_id)
             receipt = self.collector.submit(upload, round_id, key=key or upload.digest)
+        except NotAFrameError as exc:
+            raise _HttpError(415, str(exc)) from None
         except ServiceOverloadError as exc:
             return 429, {"error": str(exc)}, 1
         except IdempotencyConflictError as exc:

@@ -94,7 +94,7 @@ class TestSubmitAndRoute:
         config = ServiceConfig(plan=plan, journal_dir=tmp_path / "wal")
         with ShardedCollector(config) as collector:
             before = collector_fingerprint(collector)
-            with pytest.raises(ValueError, match="not an RPF2 frame"):
+            with pytest.raises(core.NotAFrameError, match="not an RPF2 frame"):
                 collector.submit(feed, "r1")
             collector.flush()
             assert collector_fingerprint(collector) == before

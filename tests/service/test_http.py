@@ -185,8 +185,10 @@ class TestIngestRoutes:
 
 class TestAdmissionPlacement:
     def test_frames_parse_and_admit_on_the_loop(self, service, plan, monkeypatch):
-        """Every frame is parsed, then admitted, on the loop thread; a body
-        refused with 415 is never parsed."""
+        """Every frame is parsed, then admitted, on the loop thread. A body
+        under a non-frame Content-Type never reaches ``parse``, and
+        ``parse`` refuses one without the frame magic, so neither is
+        admitted."""
         collector = service.collector
         seen: list[tuple[str, threading.Thread]] = []
         real_parse, real_submit = collector.parse, collector.submit
@@ -222,7 +224,9 @@ class TestAdmissionPlacement:
         ]
         for body, content_type, headers, expected in uploads:
             assert asyncio.run(upload(body, content_type, headers)) == expected
-        assert [kind for kind, _ in seen] == ["parse", "admit", "parse", "admit"]
+        assert [kind for kind, _ in seen] == [
+            "parse", "admit", "parse", "admit", "parse",
+        ]
         assert all(thread is service._thread for _, thread in seen)
 
 

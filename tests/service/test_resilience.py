@@ -874,6 +874,7 @@ class TestCheckpointWriter:
         """Four shards, a one-snapshot writer backlog and a 1 µs switch
         interval: every written checkpoint equals a replay of its journal
         prefix, and every cut is written or replaced by a newer one."""
+        monkeypatch.setattr(core, "CHECKPOINT_BACKLOG", 1)
         written = []
         entered, release = threading.Event(), threading.Event()
         real_write = core.write_checkpoint
@@ -904,6 +905,8 @@ class TestCheckpointWriter:
                         # The first write held while half the uploads
                         # were cut: each shard's backlog stayed at one.
                         assert entered.wait(timeout=10.0)
+                        queued = [item.shard for item in collector._writer._queue]
+                        assert len(queued) == len(set(queued)) == config.n_shards
                         release.set()
                     collector.submit(frame, "r1", key=key)
                 before = estimates_of(collector)
