@@ -22,7 +22,7 @@ artifact):
 3. **Fusion** — a multi-attribute tick solved through one fused
    ``run_many`` batch vs per-attribute dispatch.
 4. **Stream budget audit** — the multi-round accounting identity
-   (``per_window = rounds * per_round`` under every-round participation)
+   (``cumulative = rounds * per_round`` under every-round participation)
    checked exactly.
 
 Exit status gates only the deterministic contracts (bit-identity, warm <
@@ -244,15 +244,15 @@ def bench_stream_audit() -> dict:
         allocation, 8.0, rounds=rounds, participation="once"
     )
     identity = (
-        every.per_window_epsilon == rounds * every.per_round_epsilon
-        and once.per_window_epsilon == once.per_round_epsilon
+        every.cumulative_epsilon == rounds * every.per_round_epsilon
+        and once.cumulative_epsilon == once.per_round_epsilon
     )
     return {
         "allocation": allocation,
         "rounds": rounds,
         "per_round_epsilon": every.per_round_epsilon,
-        "every_round_window_epsilon": every.per_window_epsilon,
-        "once_window_epsilon": once.per_window_epsilon,
+        "every_round_window_epsilon": every.cumulative_epsilon,
+        "once_window_epsilon": once.cumulative_epsilon,
         "identity_holds": bool(identity),
     }
 

@@ -15,8 +15,8 @@ aggregator publishes a fresh estimate over the last 6 rounds. The
 
 The stream drifts on purpose: a mixture whose mass migrates between two
 modes, with the drift monitor cross-checking warm posteriors on a
-cadence. The final audit reports the per-window effective epsilon a
-single every-round participant spends.
+cadence. The audit reports the cumulative epsilon a user who reported
+in every round has spent: every round counts, not only the window's.
 
 Run:  python examples/streaming_round.py
 """
@@ -67,6 +67,18 @@ def main() -> None:
             f"({flags}), mode error {mode_err:.3f}"
         )
 
+    # What does continuous participation cost? The collector saw every
+    # report, so a user in all ROUNDS rounds has spent ROUNDS x EPSILON by
+    # sequential composition, though the estimate covers only the last
+    # WINDOW rounds. That figure bounds what anyone holding all of the
+    # user's reports can learn; against a budget of 8 it is over.
+    audit = collector.audit({"income": EPSILON}, epsilon_budget=8.0)
+    print(
+        f"budget: {audit.per_round_epsilon:.1f} eps/round -> "
+        f"{audit.cumulative_epsilon:.1f} eps over all {audit.rounds} rounds "
+        f"for an every-round user (budget 8.0, satisfied={audit.satisfied})"
+    )
+
     # A tick with no new round: the window fingerprint is unchanged, so
     # the cached posterior is served without a solve.
     idle = collector.tick({})
@@ -75,15 +87,6 @@ def main() -> None:
         "(fingerprint cache hit, zero solves)"
     )
     print(f"total EM iterations across the stream: {total_iterations}")
-
-    # What does continuous participation cost? A user reporting every
-    # round influences WINDOW rounds of the current estimate.
-    audit = collector.audit({"income": EPSILON}, epsilon_budget=8.0)
-    print(
-        f"budget: {audit.per_round_epsilon:.1f} eps/round -> "
-        f"{audit.per_window_epsilon:.1f} eps over the {audit.rounds}-round "
-        f"window (budget 8.0, satisfied={audit.satisfied})"
-    )
 
 
 if __name__ == "__main__":

@@ -103,7 +103,6 @@ _EXPORTS: dict[str, str] = {
     "audit_stream_budget": "repro.privacy",
     "StreamingCollector": "repro.streaming",
     "SlidingWindowState": "repro.streaming",
-    "DecayedState": "repro.streaming",
 }
 
 __all__ = [*_EXPORTS, "__version__"]
@@ -209,7 +208,6 @@ if TYPE_CHECKING:
         PlanServer as PlanServer,
     )
     from repro.streaming import (
-        DecayedState as DecayedState,
         SlidingWindowState as SlidingWindowState,
         StreamingCollector as StreamingCollector,
     )

@@ -12,9 +12,6 @@ Three pieces every method in the package plugs into:
 """
 
 from repro.api.arithmetic import (
-    add_payload,
-    scale_payload,
-    scale_state,
     subtract_payload,
     subtract_state,
     supports_state_arithmetic,
@@ -46,10 +43,7 @@ __all__ = [
     "mechanism_spec",
     "mechanism_from_spec",
     "subtract_state",
-    "scale_state",
-    "add_payload",
     "subtract_payload",
-    "scale_payload",
     "supports_state_arithmetic",
     "EMConfig",
     "EmptyAggregateError",

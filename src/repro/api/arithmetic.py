@@ -2,56 +2,45 @@
 
 Every built-in estimator keeps *linear* sufficient statistics (count
 vectors, oracle sketches, tree-level accumulators), which is what makes
-shard ``merge`` exact. The same linearity supports two more operations the
-streaming layer needs:
+shard ``merge`` exact. The same linearity gives merge an inverse, which
+the streaming layer's sliding window needs:
 
 * ``subtract_state(est, other)`` — remove a previously-merged shard's
   contribution (sliding-window eviction: advance = add newest round +
-  subtract the evicted one, O(d) instead of re-ingesting W rounds);
-* ``scale_state(est, gamma)`` — multiply the whole state by a scalar
-  (exponential decay: ``state <- gamma * state + newest``).
+  subtract the evicted one, O(d) instead of re-ingesting W rounds).
 
-Both operate on the JSON state payloads (``_state()``/``_load_state``), so
+It operates on the JSON state payloads (``_state()``/``_load_state``), so
 window math never touches raw feeds and works uniformly across families.
-These helpers are the *only* sanctioned way to do window/decay arithmetic
-on estimator state — reprolint rule STATE001 flags ad-hoc arithmetic on
-raw state dicts outside ``repro.api``/``repro.streaming``.
+These helpers are the *only* sanctioned way to do window arithmetic on
+estimator state — reprolint rule STATE001 flags ad-hoc arithmetic on raw
+state dicts outside ``repro.api``/``repro.streaming``.
 
 Exactness: bucketized counts are integer-valued float64, and integer
 arithmetic below 2^53 is exact in binary floating point, so a sliding
 window maintained by add/subtract is *bit-identical* to re-ingesting the
-surviving rounds from scratch. Scaling leaves integer space, so decayed
-states are approximate-by-design (and families that coerce counts back to
-``int`` on load would truncate — which is why :class:`DecayedState` keeps
-its authoritative accumulator in payload space, not estimator space).
+surviving rounds from scratch.
 
-Estimators opt in via the ``state_arithmetic`` class attribute (mirrored
-as a capability flag in the registry). The default is ``True`` because
-linearity is the package-wide contract; an estimator whose state is *not*
-closed under subtraction/scaling (e.g. one keeping min/max or a sketch
-with nonlinear collisions) must set it to ``False``.
+Estimators opt in via the ``state_arithmetic`` class attribute. The
+default is ``True`` because linearity is the package-wide contract; an
+estimator whose state is *not* closed under subtraction (e.g. one keeping
+min/max or a sketch with nonlinear collisions) must set it to ``False``.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-from typing import Any, Callable
+from typing import Any
 
 from repro.api.base import Estimator
 
 __all__ = [
     "subtract_state",
-    "scale_state",
-    "add_payload",
     "subtract_payload",
-    "scale_payload",
     "supports_state_arithmetic",
 ]
 
 
 def supports_state_arithmetic(estimator: Estimator) -> bool:
-    """Whether ``estimator`` sanctions window/decay state arithmetic."""
+    """Whether ``estimator`` sanctions window state arithmetic."""
     return bool(getattr(estimator, "state_arithmetic", False))
 
 
@@ -60,7 +49,7 @@ def _require_arithmetic(estimator: Estimator) -> None:
         raise TypeError(
             f"{type(estimator).__name__} does not support state arithmetic "
             "(state_arithmetic=False); its state is not closed under "
-            "subtraction/scaling"
+            "subtraction"
         )
 
 
@@ -78,12 +67,12 @@ def _check_compatible(estimator: Estimator, other: Estimator) -> None:
         )
 
 
-def _zip_payload(state: Any, other: Any, op: Callable[[Any, Any], Any]) -> Any:
-    """Elementwise ``op`` over mirrored JSON state payloads.
+def subtract_payload(state: Any, other: Any) -> Any:
+    """``state - other`` over mirrored JSON state payloads.
 
-    Numbers combine via ``op``; lists recurse elementwise (shapes must
-    match); dicts recurse by key (key sets must match); any non-numeric
-    leaf must be equal on both sides and passes through unchanged.
+    Numbers subtract; lists recurse elementwise (shapes must match); dicts
+    recurse by key (key sets must match); any non-numeric leaf must be
+    equal on both sides and passes through unchanged.
     """
     if isinstance(state, bool) or isinstance(other, bool):
         # bool is an int subclass; treat flags as structure, not counts.
@@ -91,60 +80,21 @@ def _zip_payload(state: Any, other: Any, op: Callable[[Any, Any], Any]) -> Any:
             raise ValueError("state payloads disagree on a non-numeric leaf")
         return state
     if isinstance(state, (int, float)) and isinstance(other, (int, float)):
-        return op(state, other)
+        return state - other
     if isinstance(state, list) and isinstance(other, list):
         if len(state) != len(other):
             raise ValueError(
                 f"state payload shape mismatch: {len(state)} != {len(other)}"
             )
-        return [_zip_payload(a, b, op) for a, b in zip(state, other)]
+        return [subtract_payload(a, b) for a, b in zip(state, other)]
     if isinstance(state, dict) and isinstance(other, dict):
         if state.keys() != other.keys():
             raise ValueError(
                 f"state payload keys mismatch: {sorted(state)} != {sorted(other)}"
             )
-        return {key: _zip_payload(state[key], other[key], op) for key in state}
+        return {key: subtract_payload(state[key], other[key]) for key in state}
     if state != other:
         raise ValueError("state payloads disagree on a non-numeric leaf")
-    return state
-
-
-def subtract_payload(state: Any, other: Any) -> Any:
-    """``state - other`` over mirrored JSON state payloads."""
-    return _zip_payload(state, other, operator.sub)
-
-
-def add_payload(state: Any, other: Any) -> Any:
-    """``state + other`` over mirrored JSON state payloads.
-
-    The payload-space twin of :meth:`Estimator.merge`, for accumulators
-    (like :class:`repro.streaming.DecayedState`) that keep their
-    authoritative state as a payload rather than an estimator.
-    """
-    return _zip_payload(state, other, operator.add)
-
-
-def scale_payload(state: Any, gamma: float) -> Any:
-    """``gamma * state`` over a JSON state payload.
-
-    Numbers scale (ints become floats unless the product is integral);
-    lists and dicts recurse; non-numeric leaves pass through unchanged.
-    """
-    if isinstance(state, bool):
-        return state
-    if isinstance(state, int):
-        scaled = state * gamma
-        # Keep integer identity when scaling doesn't leave integer space
-        # (gamma=1.0, or zero counts), so int-coercing loaders stay exact.
-        if math.isfinite(scaled) and scaled == int(scaled):
-            return int(scaled)
-        return scaled
-    if isinstance(state, float):
-        return state * gamma
-    if isinstance(state, list):
-        return [scale_payload(item, gamma) for item in state]
-    if isinstance(state, dict):
-        return {key: scale_payload(value, gamma) for key, value in state.items()}
     return state
 
 
@@ -162,19 +112,3 @@ def subtract_state(estimator: Estimator, other: Estimator) -> Estimator:
     estimator._load_state(subtract_payload(estimator._state(), other._state()))
     return estimator
 
-
-def scale_state(estimator: Estimator, gamma: float) -> Estimator:
-    """Scale ``estimator``'s aggregation state by ``gamma`` in place.
-
-    Used for exponential forgetting (``0 < gamma < 1``). Scaling leaves
-    integer-count space, so families whose loaders coerce counts to ``int``
-    truncate; prefer keeping a decayed accumulator in payload space (see
-    :class:`repro.streaming.DecayedState`) when compounding many ticks.
-    Returns ``estimator`` for chaining.
-    """
-    _require_arithmetic(estimator)
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
-    estimator._load_state(scale_payload(estimator._state(), gamma))
-    return estimator

@@ -135,13 +135,13 @@ class Estimator(abc.ABC):
     mergeable: bool = True
 
     #: Whether the aggregation state is closed under the sanctioned window
-    #: arithmetic (``repro.api.subtract_state`` / ``scale_state``): state
-    #: payloads must be linear in the ingested reports, so subtracting a
-    #: previously-merged shard or scaling by a decay factor yields the
-    #: state of a valid (possibly weighted) collection. True for every
+    #: arithmetic (``repro.api.subtract_state``): state payloads must be
+    #: linear in the ingested reports, so subtracting a previously-merged
+    #: shard yields the state of the collection without it. True for every
     #: built-in family — all keep linear sufficient statistics; set to
     #: ``False`` for states with nonlinear components (min/max, medians,
-    #: collision-dependent sketches).
+    #: collision-dependent sketches). Window states check it on their
+    #: template.
     state_arithmetic: bool = True
 
     #: Name of the payload codec (:mod:`repro.protocol.codecs`) this

@@ -72,11 +72,8 @@ class EstimatorSpec:
         ``factory(epsilon, d, **kwargs) -> Estimator``.
     supported_metrics:
         Benchmark metrics this estimator is evaluated on (paper Table 2).
-    streaming / mergeable / state_arithmetic:
-        Capability flags of the produced estimators; ``state_arithmetic``
-        marks families whose states support the sanctioned window math
-        (``repro.api.subtract_state`` / ``scale_state``) used by
-        ``repro.streaming``.
+    streaming / mergeable:
+        Capability flags of the produced estimators.
     codec:
         Default wire payload codec (:mod:`repro.protocol.codecs`) the
         family's reports travel under, or ``None`` when it depends on
@@ -92,7 +89,6 @@ class EstimatorSpec:
     description: str = ""
     streaming: bool = True
     mergeable: bool = True
-    state_arithmetic: bool = True
     codec: str | None = None
     tags: frozenset[str] = frozenset()
 
@@ -112,7 +108,6 @@ def register_estimator(
     description: str = "",
     streaming: bool = True,
     mergeable: bool = True,
-    state_arithmetic: bool = True,
     codec: str | None = None,
     tags: tuple[str, ...] = (),
     overwrite: bool = False,
@@ -134,7 +129,6 @@ def register_estimator(
         description=description,
         streaming=streaming,
         mergeable=mergeable,
-        state_arithmetic=state_arithmetic,
         codec=codec,
         tags=frozenset(tags),
     )
@@ -170,15 +164,12 @@ def list_estimators(
     kind: str | None = None,
     tag: str | None = None,
     metric: str | None = None,
-    state_arithmetic: bool | None = None,
 ) -> list[EstimatorSpec]:
     """All registered specs (sorted by name), optionally filtered.
 
     ``metric`` filters to estimators whose ``supported_metrics`` include it —
     the capability query the task planner (:mod:`repro.tasks.planner`) uses
     to answer "which mechanisms can serve a mean/quantile/range task?".
-    ``state_arithmetic=True`` filters to families whose states support the
-    sanctioned window math (the query ``repro.streaming`` uses).
     """
     specs = sorted(_REGISTRY.values(), key=lambda spec: spec.name)
     if kind is not None:
@@ -187,10 +178,6 @@ def list_estimators(
         specs = [spec for spec in specs if tag in spec.tags]
     if metric is not None:
         specs = [spec for spec in specs if spec.supports(metric)]
-    if state_arithmetic is not None:
-        specs = [
-            spec for spec in specs if spec.state_arithmetic == state_arithmetic
-        ]
     return specs
 
 

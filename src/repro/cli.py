@@ -308,7 +308,6 @@ def _service_config(args):
         args.plan,
         n_shards=args.shards,
         window=args.window,
-        decay=args.decay,
         host=args.host,
         port=args.port,
         journal_dir=getattr(args, "journal_dir", None),
@@ -337,8 +336,6 @@ def _cmd_serve(args) -> int:
         mode = ""
         if config.window is not None:
             mode = f", sliding window of {config.window} rounds"
-        elif config.decay is not None:
-            mode = f", decayed window (gamma={config.decay})"
         if config.journal_dir is not None:
             mode += f", journaling to {config.journal_dir}"
         print(
@@ -374,7 +371,6 @@ def _cmd_recover(args) -> int:
         args.plan,
         n_shards=n_shards,
         window=args.window,
-        decay=args.decay,
         journal_dir=journal_dir,
     )
     with ShardedCollector(config) as collector:
@@ -412,7 +408,6 @@ def _cmd_stream(args) -> int:
     import numpy as np
 
     from repro.api import make_estimator
-    from repro.privacy import audit_stream_budget
     from repro.streaming import (
         StreamingCollector,
         drifting_stream,
@@ -426,7 +421,6 @@ def _cmd_stream(args) -> int:
     collector = StreamingCollector(
         {"value": make_estimator(args.method, args.epsilon, args.d)},
         window=args.window,
-        decay=args.decay,
         drift_every=args.drift_every,
         drift_threshold=args.drift_threshold,
     )
@@ -447,15 +441,10 @@ def _cmd_stream(args) -> int:
             f"tick {result.tick:3d}: iterations={tick.iterations} "
             f"warm={tick.warm}{drift}{flag}"
         )
-    audit = audit_stream_budget(
-        {"value": args.epsilon},
-        args.epsilon,
-        rounds=collector.effective_rounds,
-    )
+    audit = collector.audit({"value": args.epsilon}, args.epsilon)
     print(
-        f"per-window epsilon {audit.per_window_epsilon:.4g} over "
-        f"{audit.rounds} effective rounds "
-        f"(per-round {audit.per_round_epsilon:.4g})"
+        f"cumulative epsilon {audit.cumulative_epsilon:.4g} over "
+        f"{audit.rounds} rounds (per-round {audit.per_round_epsilon:.4g})"
     )
     if args.output is not None:
         with open(args.output, "w") as handle:
@@ -614,10 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continuous mode: sliding window of the last N advanced rounds",
     )
     p.add_argument(
-        "--decay", type=float, default=None,
-        help="continuous mode: exponential forgetting factor in (0, 1)",
-    )
-    p.add_argument(
         "--journal-dir", default=None,
         help="durable ingest journal directory (enables crash recovery)",
     )
@@ -646,10 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sliding-window length, when the deployment was windowed",
     )
     p.add_argument(
-        "--decay", type=float, default=None,
-        help="decay factor, when the deployment used decayed windows",
-    )
-    p.add_argument(
         "--round-id", default=None,
         help="also estimate this round from the recovered state",
     )
@@ -668,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window", type=int, default=None,
         help="sliding window length (default: cumulative)",
-    )
-    p.add_argument(
-        "--decay", type=float, default=None,
-        help="exponential forgetting factor in (0, 1)",
     )
     p.add_argument(
         "--stream", choices=("drift", "mixture"), default="drift",

@@ -32,12 +32,13 @@ SVC001    No blocking calls inside ``repro.service`` async handlers:
           the loop; work that costs in proportion to its input must be
           offloaded through ``run_in_executor``/``asyncio.to_thread``
           worker threads.
-STATE001  Window/decay maintenance must go through the sanctioned state
-          arithmetic (``repro.api.subtract_state``/``scale_state`` and
-          the payload helpers). Ad-hoc ``-``/``*``/``/`` arithmetic on
+STATE001  Window maintenance must go through the sanctioned state
+          arithmetic (``repro.api.subtract_state`` and
+          ``subtract_payload``). Ad-hoc ``-``/``*``/``/`` arithmetic on
           state payloads outside ``repro.api``/``repro.streaming``
           silently skips the compatibility and shape checks that make
-          window advance bit-identical to re-ingesting.
+          window advance bit-identical to re-ingesting; no scaling of a
+          state is sanctioned at all.
 FT001     No silently swallowed failures in ``repro.service``: a bare
           ``except:`` / ``except Exception`` / ``except BaseException``
           handler must re-raise, reference the bound exception, or touch
@@ -868,25 +869,24 @@ def _touches_state(node: ast.AST) -> bool:
 
 
 class StateArithmeticRule:
-    """STATE001 — window/decay math uses the sanctioned state helpers.
+    """STATE001 — window math uses the sanctioned state helpers.
 
-    ``repro.api.subtract_state``/``scale_state`` (and the payload-level
-    ``subtract_payload``/``add_payload``/``scale_payload``) carry the
-    compatibility checks — same family, same ``_params()``, mirrored
-    payload shapes — that make sliding-window advance bit-identical to
-    re-ingesting the window. A hand-rolled ``current - evicted`` or
-    ``0.9 * state["n"]`` elsewhere skips all of that and is exactly the
-    kind of drift this rule exists to catch. ``repro/api/`` and
+    ``repro.api.subtract_state`` (and the payload-level
+    ``subtract_payload``) carry the compatibility checks — same family,
+    same ``_params()``, mirrored payload shapes — that make sliding-window
+    advance bit-identical to re-ingesting the window. A hand-rolled
+    ``current - evicted`` elsewhere skips all of that, and a
+    ``0.9 * state["n"]`` has no sanctioned form at all: both are exactly
+    the kind of drift this rule exists to catch. ``repro/api/`` and
     ``repro/streaming/`` are exempt: they are where the sanctioned
     arithmetic lives.
     """
 
     code = "STATE001"
     summary = (
-        "window/decay state maintenance must use the sanctioned "
-        "repro.api subtract_state/scale_state helpers; no ad-hoc "
-        "-/*// arithmetic on state payloads outside repro.api/"
-        "repro.streaming"
+        "window state maintenance must use the sanctioned repro.api "
+        "subtract_state helper; no ad-hoc -/*// arithmetic on state "
+        "payloads outside repro.api/repro.streaming"
     )
 
     _FLAGGED_OPS = (ast.Sub, ast.Mult, ast.Div)
@@ -919,8 +919,8 @@ class StateArithmeticRule:
             self.code,
             f"ad-hoc '{symbol}' arithmetic on a state payload bypasses the "
             "compatibility/shape checks of the sanctioned helpers; use "
-            "repro.api.subtract_state/scale_state (or the payload-level "
-            "subtract_payload/add_payload/scale_payload)",
+            "repro.api.subtract_state (or the payload-level "
+            "subtract_payload)",
         )
 
 

@@ -123,15 +123,15 @@ class StreamAuditResult:
     """Outcome of a multi-round (streaming) budget audit.
 
     ``per_round_epsilon`` is the single-round per-user spend under the
-    declared attribute composition; ``per_window_epsilon`` is the
-    effective spend over a window of ``rounds`` rounds under the declared
-    participation model. ``satisfied`` compares the *window* spend to the
-    budget with the same float-tolerance margin as the one-shot audit.
+    declared attribute composition; ``cumulative_epsilon`` is what one
+    user has spent over all ``rounds`` rounds under the declared
+    participation model. ``satisfied`` compares the cumulative spend to
+    the budget with the same float-tolerance margin as the one-shot audit.
     """
 
     epsilon_budget: float
     per_round_epsilon: float
-    per_window_epsilon: float
+    cumulative_epsilon: float
     rounds: int
     composition: str
     participation: str
@@ -139,19 +139,19 @@ class StreamAuditResult:
 
     @property
     def satisfied(self) -> bool:
-        return self.per_window_epsilon <= self.epsilon_budget * (1.0 + 1e-9)
+        return self.cumulative_epsilon <= self.epsilon_budget * (1.0 + 1e-9)
 
     @property
     def slack(self) -> float:
-        """Unspent window budget (negative means the stream over-spends)."""
-        return self.epsilon_budget - self.per_window_epsilon
+        """Unspent budget (negative means the stream over-spends)."""
+        return self.epsilon_budget - self.cumulative_epsilon
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serializable form for service responses and CLI output."""
         return {
             "epsilon_budget": self.epsilon_budget,
             "per_round_epsilon": self.per_round_epsilon,
-            "per_window_epsilon": self.per_window_epsilon,
+            "cumulative_epsilon": self.cumulative_epsilon,
             "rounds": self.rounds,
             "composition": self.composition,
             "participation": self.participation,
@@ -169,24 +169,23 @@ def audit_stream_budget(
     composition: str = "sequential",
     participation: str = "every-round",
 ) -> StreamAuditResult:
-    """Audit a continuous collection's per-window privacy spend.
+    """Audit a continuous collection's cumulative privacy spend.
 
     Extends :func:`audit_budget` across rounds. Within one round,
     ``composition`` composes the per-attribute allocation exactly as the
-    one-shot audit does. Across the ``rounds`` rounds a single user can
-    influence a windowed estimate, sequential composition applies again
-    under ``participation="every-round"`` (the same user reports in every
-    round: spends add, ``per_window = rounds * per_round``), while
+    one-shot audit does. Across the ``rounds`` rounds collected so far,
+    sequential composition applies again under
+    ``participation="every-round"`` (the same user reports in every round:
+    spends add, ``cumulative = rounds * per_round``), while
     ``participation="once"`` models per-round user sampling where each
-    user reports in at most one round of the window (parallel composition
-    across rounds: ``per_window = per_round``).
+    user reports in at most one round (parallel composition across
+    rounds: ``cumulative = per_round``).
 
-    A sliding window of length ``W`` passes ``rounds=W``; a decayed state
-    with factor ``gamma`` passes its effective window
-    ``ceil(1 / (1 - gamma))``; cumulative collection passes the tick
-    count so far. The window view is what matters operationally: a plan
-    that satisfies its one-shot budget can still blow the longitudinal
-    budget after a handful of every-round ticks.
+    ``rounds`` counts every round collected, whatever window the estimate
+    is published over: under LDP the collector sees every report, so the
+    cumulative figure bounds what anyone holding all of a user's reports
+    can learn about that user. A plan that satisfies its one-shot budget
+    can still blow this budget after a handful of every-round ticks.
     """
     rounds = int(rounds)
     if rounds < 1:
@@ -197,11 +196,11 @@ def audit_stream_budget(
         )
     base = audit_budget(per_attribute, epsilon_budget, composition=composition)
     per_round = base.per_user_epsilon
-    per_window = per_round * rounds if participation == "every-round" else per_round
+    cumulative = per_round * rounds if participation == "every-round" else per_round
     return StreamAuditResult(
         epsilon_budget=base.epsilon_budget,
         per_round_epsilon=per_round,
-        per_window_epsilon=float(per_window),
+        cumulative_epsilon=float(cumulative),
         rounds=rounds,
         composition=composition,
         participation=participation,

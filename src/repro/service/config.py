@@ -66,14 +66,12 @@ class ServiceConfig:
         over them by the consistent ring of :mod:`repro.service.sharding`.
     max_body_bytes:
         Largest accepted upload body, enforced before the body is read.
-    window / decay:
-        Continuous-collection mode (mutually exclusive). ``window=W``
-        keeps a sliding window of the last ``W`` advanced rounds per
-        attribute; ``decay=gamma`` keeps an exponentially-forgotten
-        aggregate. Either enables
+    window:
+        Continuous-collection mode: ``window=W`` keeps a sliding window
+        of the last ``W`` advanced rounds per attribute and enables
         :meth:`~repro.service.core.ShardedCollector.advance_window` and
         the ``/v1/rounds/{round}/advance`` + ``/v1/stream/estimate``
-        routes; with both unset the service is one-shot only.
+        routes; unset, the service is one-shot only.
     host, port:
         Bind address for :func:`repro.service.http.serve`. Port ``0``
         picks a free port (the bound address is reported back).
@@ -112,7 +110,6 @@ class ServiceConfig:
     n_shards: int = 2
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     window: int | None = None
-    decay: float | None = None
     host: str = "127.0.0.1"
     port: int = 0
     journal_dir: str | Path | None = None
@@ -133,16 +130,10 @@ class ServiceConfig:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
             )
-        if self.window is not None and self.decay is not None:
-            raise ValueError("window and decay are mutually exclusive")
         if self.window is not None:
             object.__setattr__(self, "window", int(self.window))
             if self.window < 1:
                 raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.decay is not None:
-            object.__setattr__(self, "decay", float(self.decay))
-            if not 0.0 < self.decay < 1.0:
-                raise ValueError(f"decay must be in (0, 1), got {self.decay}")
         if self.journal_dir is not None:
             object.__setattr__(self, "journal_dir", Path(self.journal_dir))
         if self.journal_fsync not in FSYNC_POLICIES:
@@ -176,8 +167,8 @@ class ServiceConfig:
 
     @property
     def windowed(self) -> bool:
-        """Whether continuous-collection (window or decay) mode is on."""
-        return self.window is not None or self.decay is not None
+        """Whether continuous-collection (sliding-window) mode is on."""
+        return self.window is not None
 
     @property
     def planned(self) -> PlannedAnalysis:

@@ -1000,7 +1000,6 @@ class ShardedCollector:
             self._stream = StreamingCollector(
                 self.planned.make_estimators(),
                 window=self.config.window,
-                decay=self.config.decay,
             )
         return self._stream
 
@@ -1023,7 +1022,7 @@ class ShardedCollector:
         if not self.config.windowed:
             raise RuntimeError(
                 "collector is not in windowed mode; construct the "
-                "ServiceConfig with window= or decay="
+                "ServiceConfig with window="
             )
         with self._merge_lock:
             return self._advance_locked(round_id, record_meta=True)
@@ -1058,27 +1057,26 @@ class ShardedCollector:
         }
 
     def window_estimate(self) -> dict[str, Any]:
-        """Latest windowed estimates plus the per-window privacy audit.
+        """Latest windowed estimates plus the stream's privacy audit.
 
-        Raises ``LookupError`` until at least one round has been advanced.
+        The audit charges every advanced round (``ticks``), not only the
+        ``window`` rounds the estimate aggregates. Raises ``LookupError``
+        until at least one round has been advanced.
         """
         if not self.config.windowed:
             raise RuntimeError(
                 "collector is not in windowed mode; construct the "
-                "ServiceConfig with window= or decay="
+                "ServiceConfig with window="
             )
         with self._merge_lock:
             if self._stream is None or not self._advanced:
                 raise LookupError("no rounds advanced into the window yet")
             stream = self._stream
-            audit = self.planned.stream_audit(stream.effective_rounds)
+            audit = self.planned.stream_audit(stream.n_ticks)
             return {
-                "mode": "window" if self.config.window is not None else "decay",
                 "window": self.config.window,
-                "decay": self.config.decay,
                 "ticks": stream.n_ticks,
                 "rounds": list(self._advanced),
-                "effective_rounds": stream.effective_rounds,
                 "estimates": {
                     attr: _jsonify_estimate(value)
                     for attr, value in stream.estimates().items()

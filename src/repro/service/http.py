@@ -26,7 +26,7 @@ leverage:
   with the tick result, ``404`` for an untouched round, ``409`` when the
   round was already advanced, ``400`` when the service is one-shot.
 * ``GET /v1/stream/estimate`` — latest windowed estimates plus the
-  per-window privacy audit; ``404`` before the first advance.
+  stream's cumulative privacy audit; ``404`` before the first advance.
 * ``GET /healthz`` — liveness.
 * ``GET /statz`` — per-shard counters, merge latencies.
 

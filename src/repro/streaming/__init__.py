@@ -3,21 +3,22 @@
 The paper evaluates one-shot rounds; a production aggregator runs forever.
 This package turns the one-shot pipeline into that monitoring workload:
 
-* window states (:class:`SlidingWindowState`, :class:`DecayedState`) keep
-  a per-attribute aggregate over recent rounds in O(d) per tick, exact
-  (bit-identical to re-ingesting) for the sliding window;
+* window states (:class:`SlidingWindowState` over the last ``W`` rounds,
+  :class:`CumulativeState` over every round so far) keep a per-attribute
+  aggregate in O(d) per tick; the sliding window's is bit-identical to
+  re-ingesting the rounds it holds;
 * :class:`StreamingCollector` schedules the per-tick solves — posterior
   cache with fingerprint skip, EM warm starts, fused multi-attribute
   batches — and cross-checks warm starts for drift on a sampled cadence;
 * :func:`repro.privacy.audit_stream_budget` (re-exported by
-  ``repro.privacy``) accounts the multi-round privacy spend with a
-  per-window effective-epsilon view;
+  ``repro.privacy``) accounts the multi-round privacy spend: every round
+  a user reported in, whatever the window;
 * :mod:`repro.streaming.telemetry` provides seeded drifting streams for
   examples and benchmarks.
 
 Window math goes exclusively through the sanctioned state arithmetic
-(``repro.api.subtract_state`` / ``scale_state``); reprolint rule STATE001
-enforces that boundary for the rest of the tree.
+(``repro.api.subtract_state``); reprolint rule STATE001 enforces that
+boundary for the rest of the tree.
 """
 
 from repro.streaming.drift import DriftMonitor, chi_square, total_variation
@@ -29,7 +30,6 @@ from repro.streaming.scheduler import (
 from repro.streaming.telemetry import drifting_stream, shifting_mixture_stream
 from repro.streaming.window import (
     CumulativeState,
-    DecayedState,
     SlidingWindowState,
     clone_template,
 )
@@ -37,7 +37,6 @@ from repro.streaming.window import (
 __all__ = [
     "AttributeTick",
     "CumulativeState",
-    "DecayedState",
     "DriftMonitor",
     "SlidingWindowState",
     "StreamingCollector",

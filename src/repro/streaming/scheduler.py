@@ -27,8 +27,8 @@ crosses the threshold, caches the fresh posterior in its place.
 
 Privacy accounting for the stream lives in
 :func:`repro.privacy.audit_stream_budget`; :meth:`StreamingCollector.audit`
-reports the per-window effective epsilon for the collector's own window
-length and per-attribute allocation.
+charges every tick so far against the per-attribute allocation, whatever
+the window length.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.protocol.server import PosteriorCache, copy_estimate, solve_cached
 from repro.streaming.drift import DriftMonitor
 from repro.streaming.window import (
     CumulativeState,
-    DecayedState,
     SlidingWindowState,
     _WindowBase,
     clone_template,
@@ -126,11 +125,9 @@ class StreamingCollector:
         ``{attribute: estimator}`` defining family and parameters per
         attribute; templates are cloned, never mutated.
     window:
-        Sliding-window length in rounds (``SlidingWindowState``).
-    decay:
-        Exponential forgetting factor in ``(0, 1)`` (``DecayedState``).
-        Mutually exclusive with ``window``; with neither, the collector
-        aggregates everything since the start (``CumulativeState``).
+        Sliding-window length in rounds (``SlidingWindowState``); without
+        it, the collector aggregates everything since the start
+        (``CumulativeState``).
     drift_every / drift_threshold / drift_statistic:
         Cadence-sampled warm-vs-cold cross-check
         (:class:`repro.streaming.drift.DriftMonitor`); ``drift_every=0``
@@ -142,17 +139,13 @@ class StreamingCollector:
         templates: Mapping[str, Estimator],
         *,
         window: int | None = None,
-        decay: float | None = None,
         drift_every: int = 0,
         drift_threshold: float = 0.05,
         drift_statistic: str = "tv",
     ) -> None:
         if not templates:
             raise ValueError("templates must be non-empty")
-        if window is not None and decay is not None:
-            raise ValueError("window and decay are mutually exclusive")
         self.window = int(window) if window is not None else None
-        self.decay = float(decay) if decay is not None else None
         self.drift = DriftMonitor(
             every=drift_every,
             threshold=drift_threshold,
@@ -169,8 +162,6 @@ class StreamingCollector:
     def _make_window(self, template: Estimator) -> _WindowBase:
         if self.window is not None:
             return SlidingWindowState(template, self.window)
-        if self.decay is not None:
-            return DecayedState(template, self.decay)
         return CumulativeState(template)
 
     @classmethod
@@ -317,33 +308,23 @@ class StreamingCollector:
         composition: str = "sequential",
         participation: str = "every-round",
     ) -> Any:
-        """Per-window effective-epsilon audit for this collector's stream.
+        """Cumulative privacy spend of this collector's stream so far.
 
-        The window length is the collector's own: ``window`` rounds for a
-        sliding window, ``ceil(1 / (1 - decay))`` equivalent rounds for a
-        decayed state, and the number of ticks so far for cumulative
-        aggregation. See :func:`repro.privacy.audit_stream_budget`.
+        Every tick counts as a round, whatever the window: the collector
+        saw each report it ever folded, and a windowed estimate still
+        depends on evicted rounds through its warm starts. Before the
+        first tick the audit prices one round. See
+        :func:`repro.privacy.audit_stream_budget`.
         """
         from repro.privacy.audit import audit_stream_budget
 
         return audit_stream_budget(
             per_attribute,
             epsilon_budget,
-            rounds=self.effective_rounds,
+            rounds=max(1, self._ticks),
             composition=composition,
             participation=participation,
         )
-
-    @property
-    def effective_rounds(self) -> int:
-        """Rounds a single user can influence the current estimate through."""
-        if self.window is not None:
-            return self.window
-        if self.decay is not None:
-            # Tolerance absorbs float artifacts: 1/(1-0.9) is 10 + 2 ulp,
-            # which must audit as 10 rounds, not ceil to 11.
-            return int(np.ceil(1.0 / (1.0 - self.decay) - 1e-9))
-        return max(1, self._ticks)
 
 
 def iter_ticks(results: Iterable[TickResult]) -> dict[str, Any]:

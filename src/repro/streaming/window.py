@@ -13,19 +13,11 @@ linear sufficient statistic, the same answer is maintainable in O(d):
   surviving rounds from scratch (integer add/subtract is exact in float64).
   Memory is O(W * d): the ring keeps payloads, never raw reports.
 
-* :class:`DecayedState` — exponential forgetting,
-  ``state <- gamma * state + newest``, O(d) per tick and O(d) memory.
-  The authoritative accumulator lives in *payload* space (floats), and is
-  materialized into an estimator only when an estimate is needed; this
-  keeps repeated decay exact-in-float even for families whose loaders
-  coerce counts back to integers (truncation happens once at
-  materialization, never compounds in the accumulator).
-
 * :class:`CumulativeState` — no forgetting; plain merge accumulation,
   provided so the scheduler has a uniform interface for the "estimate
   everything so far" mode.
 
-All three expose the same surface: ``push(round_estimator)``,
+Both expose the same surface: ``push(round_estimator)``,
 ``current`` (an estimator over the window), ``fingerprint()`` (the
 :func:`~repro.protocol.server.state_digest` of the window contents, which
 the streaming scheduler's posterior cache keys on), and ``n_rounds``.
@@ -36,18 +28,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.api.arithmetic import (
-    add_payload,
-    scale_payload,
-    subtract_state,
-    supports_state_arithmetic,
-)
+from repro.api.arithmetic import subtract_state, supports_state_arithmetic
 from repro.api.base import Estimator
 from repro.protocol.server import state_digest
 
 __all__ = [
     "CumulativeState",
-    "DecayedState",
     "SlidingWindowState",
     "clone_template",
 ]
@@ -75,7 +61,7 @@ def _check_round(template: Estimator, round_estimator: Estimator) -> None:
 
 
 class _WindowBase:
-    """Shared surface of the three window states."""
+    """Shared surface of the window states."""
 
     def __init__(self, template: Estimator) -> None:
         if not supports_state_arithmetic(template):
@@ -182,59 +168,3 @@ class SlidingWindowState(_WindowBase):
             rebuilt.merge(self._scratch)
         return rebuilt
 
-
-class DecayedState(_WindowBase):
-    """Exponentially-decayed aggregate: ``state <- decay * state + newest``.
-
-    ``decay`` in ``(0, 1)``; the effective window is ``1 / (1 - decay)``
-    rounds. The accumulator is a float-space payload — materialized into an
-    estimator lazily — so repeated decay never compounds integer
-    truncation in families whose loaders coerce counts to ``int``.
-    """
-
-    def __init__(self, template: Estimator, decay: float) -> None:
-        super().__init__(template)
-        decay = float(decay)
-        if not 0.0 < decay < 1.0:
-            raise ValueError(f"decay must be in (0, 1), got {decay}")
-        self._decay = decay
-        self._payload: dict[str, Any] | None = None
-        self._materialized = clone_template(template)
-        self._stale = True
-
-    @property
-    def decay(self) -> float:
-        return self._decay
-
-    @property
-    def effective_window(self) -> float:
-        """Equivalent-rounds mass of the decayed sum: ``1 / (1 - decay)``."""
-        return 1.0 / (1.0 - self._decay)
-
-    @property
-    def current(self) -> Estimator:
-        if self._payload is None:
-            return self._materialized  # empty template state
-        if self._stale:
-            self._materialized._load_state(self._payload)
-            self._stale = False
-        return self._materialized
-
-    def push(self, round_estimator: Estimator) -> None:
-        _check_round(self._template, round_estimator)
-        newest = round_estimator._state()
-        if self._payload is None:
-            # Scale by 1.0 to deep-copy without aliasing the round's state.
-            self._payload = scale_payload(newest, 1.0)
-        else:
-            self._payload = add_payload(
-                scale_payload(self._payload, self._decay), newest
-            )
-        self._stale = True
-        self._rounds += 1
-
-    def fingerprint(self) -> bytes:
-        """Digest of the float payload, not of the materialized state."""
-        if self._payload is None:
-            return state_digest(self._materialized._state())
-        return state_digest(self._payload)

@@ -82,11 +82,10 @@ class PlannedAnalysis:
         )
 
     def stream_audit(self, rounds: int, *, participation: str = "every-round"):
-        """Per-window effective epsilon when this plan runs continuously.
+        """Cumulative epsilon when this plan runs for ``rounds`` rounds.
 
-        ``rounds`` is the window length in collection rounds (a sliding
-        window's ``W``, a decayed state's effective window, or the tick
-        count for cumulative collection). Returns
+        ``rounds`` counts every collection round so far (the tick count),
+        whatever window the estimates are published over. Returns
         :class:`repro.privacy.audit.StreamAuditResult`; see
         :func:`repro.privacy.audit.audit_stream_budget` for the
         composition/participation semantics.

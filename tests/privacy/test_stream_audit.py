@@ -1,4 +1,4 @@
-"""Multi-round budget accounting: sequential composition across a window."""
+"""Multi-round budget accounting: sequential composition across rounds."""
 
 import json
 
@@ -20,7 +20,7 @@ class TestStreamAuditBasics:
     def test_every_round_multiplies_spend(self):
         result = audit_stream_budget({"a": 0.5, "b": 0.5}, 4.0, rounds=3)
         assert result.per_round_epsilon == pytest.approx(1.0)
-        assert result.per_window_epsilon == pytest.approx(3.0)
+        assert result.cumulative_epsilon == pytest.approx(3.0)
         assert result.satisfied
         assert result.slack == pytest.approx(1.0)
 
@@ -28,10 +28,10 @@ class TestStreamAuditBasics:
         result = audit_stream_budget(
             {"a": 1.0}, 1.0, rounds=100, participation="once"
         )
-        assert result.per_window_epsilon == pytest.approx(1.0)
+        assert result.cumulative_epsilon == pytest.approx(1.0)
         assert result.satisfied
 
-    def test_over_budget_window_flagged(self):
+    def test_over_budget_stream_flagged(self):
         result = audit_stream_budget({"a": 1.0}, 2.0, rounds=3)
         assert not result.satisfied
         assert result.slack == pytest.approx(-1.0)
@@ -64,7 +64,7 @@ class TestStreamAuditProperties:
         rounds=st.integers(min_value=1, max_value=64),
         composition=st.sampled_from(["sequential", "parallel"]),
     )
-    def test_window_spend_is_rounds_times_per_round(
+    def test_cumulative_spend_is_rounds_times_per_round(
         self, allocation, budget, rounds, composition
     ):
         result = audit_stream_budget(
@@ -73,7 +73,7 @@ class TestStreamAuditProperties:
         assert isinstance(result, StreamAuditResult)
         one_shot = audit_budget(allocation, budget, composition=composition)
         assert result.per_round_epsilon == pytest.approx(one_shot.per_user_epsilon)
-        assert result.per_window_epsilon == pytest.approx(
+        assert result.cumulative_epsilon == pytest.approx(
             rounds * result.per_round_epsilon
         )
 
@@ -90,8 +90,8 @@ class TestStreamAuditProperties:
             allocation, budget, rounds=rounds, participation="once"
         )
         every = audit_stream_budget(allocation, budget, rounds=rounds)
-        assert once.per_window_epsilon <= every.per_window_epsilon
-        assert once.per_window_epsilon == pytest.approx(once.per_round_epsilon)
+        assert once.cumulative_epsilon <= every.cumulative_epsilon
+        assert once.cumulative_epsilon == pytest.approx(once.per_round_epsilon)
         if every.satisfied:
             assert once.satisfied
 
@@ -106,7 +106,7 @@ class TestStreamAuditProperties:
         stream = audit_stream_budget(allocation, budget, rounds=1)
         one_shot = audit_budget(allocation, budget)
         assert stream.satisfied == one_shot.satisfied
-        assert stream.per_window_epsilon == pytest.approx(
+        assert stream.cumulative_epsilon == pytest.approx(
             one_shot.per_user_epsilon
         )
 
@@ -119,6 +119,6 @@ class TestStreamAuditProperties:
     def test_spend_is_monotone_in_rounds(self, allocation, budget, rounds):
         shorter = audit_stream_budget(allocation, budget, rounds=rounds)
         longer = audit_stream_budget(allocation, budget, rounds=rounds + 1)
-        assert longer.per_window_epsilon > shorter.per_window_epsilon
+        assert longer.cumulative_epsilon > shorter.cumulative_epsilon
         if longer.satisfied:
             assert shorter.satisfied

@@ -14,7 +14,7 @@ import pytest
 from repro.api import list_estimators, make_estimator
 from repro.api.base import Estimator
 from repro.protocol.server import state_digest
-from repro.streaming.window import DecayedState, SlidingWindowState, clone_template
+from repro.streaming.window import SlidingWindowState, clone_template
 
 SPECS = list_estimators()
 
@@ -100,21 +100,3 @@ class TestDigestDecisions:
         assert window.fingerprint() != before
         assert not _same_key(kept, window.current)
 
-
-def test_decayed_state_keys_on_its_payload():
-    """Two decayed windows whose payloads differ only where the estimator
-    truncates (``n``) materialize to equal states, yet differ in digest."""
-    template = make_estimator("grr", 1.0, 8)
-
-    def round_of(n, weighted):
-        estimator = clone_template(template)
-        estimator._load_state({"n": n, "weighted": weighted})
-        return estimator
-
-    windows = [DecayedState(template, decay=0.5) for _ in range(2)]
-    for window, first_n in zip(windows, (4, 5), strict=True):
-        window.push(round_of(first_n, [float(i) for i in range(8)]))
-        window.push(round_of(1, [0.5] * 8))
-    left, right = (window.current._state() for window in windows)
-    assert state_digest(left) == state_digest(right)
-    assert windows[0].fingerprint() != windows[1].fingerprint()

@@ -31,20 +31,10 @@ def ingest_round(collector, plan, round_id, seed, n_users=600):
 
 
 class TestWindowedConfig:
-    def test_window_and_decay_are_exclusive(self, plan):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ServiceConfig(plan=plan, window=4, decay=0.9)
-
     def test_window_bounds(self, plan):
         with pytest.raises(ValueError, match="window"):
             ServiceConfig(plan=plan, window=0)
         assert ServiceConfig(plan=plan, window=4).windowed
-
-    def test_decay_bounds(self, plan):
-        for bad in (0.0, 1.0, -0.2, 2.0):
-            with pytest.raises(ValueError, match="decay"):
-                ServiceConfig(plan=plan, decay=bad)
-        assert ServiceConfig(plan=plan, decay=0.9).windowed
 
     def test_one_shot_by_default(self, plan):
         assert not ServiceConfig(plan=plan).windowed
@@ -72,16 +62,18 @@ class TestWindowedCollector:
                 assert result["round"] == round_id
                 assert result["tick"] == i + 1
             estimate = collector.window_estimate()
-            assert estimate["mode"] == "window"
+            assert set(estimate) == {
+                "window", "ticks", "rounds", "estimates", "audit"
+            }
             assert estimate["window"] == 3
             assert estimate["ticks"] == 4
-            assert estimate["effective_rounds"] == 3
             assert set(estimate["estimates"]) == {"income", "hours"}
             assert len(estimate["estimates"]["income"]) == 32
             audit = estimate["audit"]
-            assert audit["rounds"] == 3
-            assert audit["per_window_epsilon"] == pytest.approx(
-                3 * audit["per_round_epsilon"]
+            # Every advanced round is charged, not only the 3 in the window.
+            assert audit["rounds"] == 4
+            assert audit["cumulative_epsilon"] == pytest.approx(
+                4 * audit["per_round_epsilon"]
             )
             stats = collector.stats()
             assert stats["windowed"] is True
@@ -173,9 +165,9 @@ class TestWindowedHttp:
             assert payload["tick"] == i + 1
         status, payload = request(service, "GET", "/v1/stream/estimate")
         assert status == 200
-        assert payload["mode"] == "window"
+        assert payload["window"] == 3
         assert set(payload["estimates"]) == {"income", "hours"}
-        assert payload["audit"]["rounds"] == 3
+        assert payload["audit"]["rounds"] == 2
 
     def test_double_advance_is_conflict(self, service, plan):
         self.upload(service, plan, "r0", seed=0)

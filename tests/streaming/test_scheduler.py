@@ -228,30 +228,45 @@ class TestDrift:
 
 
 class TestModesAndAudit:
-    def test_window_and_decay_are_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            _collector(window=2, decay=0.5)
-
     def test_empty_templates_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             StreamingCollector({})
 
-    def test_effective_rounds_per_mode(self):
-        assert _collector(window=7).effective_rounds == 7
-        assert _collector(decay=0.9).effective_rounds == 10
-        cumulative = _collector()
-        assert cumulative.effective_rounds == 1
-        cumulative.tick(_rounds(cumulative, seed=0))
-        cumulative.tick(_rounds(cumulative, seed=1))
-        assert cumulative.effective_rounds == 2
-
-    def test_audit_reports_window_spend(self):
-        collector = _collector(window=3)
-        audit = collector.audit({"a0": 1.0}, 3.0)
-        assert audit.rounds == 3
-        assert audit.per_window_epsilon == pytest.approx(3.0)
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_audit_charges_every_tick(self, window):
+        """The spend grows with the ticks, past the window length."""
+        collector = _collector(window=window)
+        assert collector.audit({"a0": 1.0}, 3.0).rounds == 1
+        for seed in range(4):
+            collector.tick(_rounds(collector, seed))
+        audit = collector.audit({"a0": 1.0}, 4.0)
+        assert audit.rounds == 4
+        assert audit.cumulative_epsilon == pytest.approx(4.0)
         assert audit.satisfied
-        assert not collector.audit({"a0": 1.0}, 2.0).satisfied
+        assert not collector.audit({"a0": 1.0}, 3.0).satisfied
+
+    def test_evicted_round_still_moves_the_estimate_and_is_charged(self):
+        """Two streams differ only in round 1; the window evicts it at tick 11.
+
+        The final estimate still differs (each tick's EM starts from the
+        previous tick's posterior), so the audit must charge all 30 rounds,
+        not the 10 the window holds.
+        """
+        gen = as_generator(11)
+        rounds = [gen.beta(2, 5, 2000) for _ in range(30)]
+        changed = [gen.beta(5, 2, 2000), *rounds[1:]]
+        finals, audits = [], []
+        for values_by_round in (rounds, changed):
+            collector = _collector(window=10)
+            for index, values in enumerate(values_by_round):
+                collector.tick(
+                    {"a0": collector.make_round("a0", values, rng=index)}
+                )
+            finals.append(collector.estimates()["a0"])
+            audits.append(collector.audit({"a0": 1.0}, 8.0))
+        assert not np.array_equal(finals[0], finals[1])
+        assert [audit.rounds for audit in audits] == [30, 30]
+        assert audits[0].cumulative_epsilon == pytest.approx(30.0)
 
     def test_from_plan(self):
         plan = AnalysisPlan(

@@ -1,12 +1,11 @@
 """Window states: O(d) maintenance vs re-ingesting, exactness, validation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_estimator
-from repro.streaming import CumulativeState, DecayedState, SlidingWindowState
+from repro.streaming import CumulativeState, SlidingWindowState
 from repro.streaming.window import clone_template
 from repro.utils.rng import as_generator
 
@@ -103,45 +102,6 @@ class TestSlidingWindow:
         assert all(isinstance(p, dict) for p in win._ring)
 
 
-class TestDecayedState:
-    def test_decay_matches_explicit_recursion(self):
-        template = _template()
-        decay = 0.5
-        state = DecayedState(template, decay=decay)
-        rounds = [_round(template, seed) for seed in range(4)]
-        expected = np.zeros(template.channel.d_out)
-        for est in rounds:
-            state.push(est)
-            expected = decay * expected + est._counts
-        assert np.allclose(state.current._counts, expected)
-
-    def test_repeated_decay_does_not_compound_truncation(self):
-        """The accumulator lives in float payload space, not estimator space."""
-        template = _template()
-        state = DecayedState(template, decay=0.9)
-        for seed in range(20):
-            state.push(_round(template, seed, n=30))
-        # materialize twice: the second read must not re-truncate
-        first = state.current._counts.copy()
-        second = state.current._counts
-        assert (first == second).all()
-
-    def test_decay_validation(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="decay"):
-                DecayedState(_template(), decay=bad)
-
-    def test_effective_window(self):
-        assert DecayedState(_template(), decay=0.9).effective_window == pytest.approx(10.0)
-
-    def test_fingerprint_changes_on_push(self):
-        template = _template()
-        state = DecayedState(template, decay=0.5)
-        empty = state.fingerprint()
-        state.push(_round(template, seed=0))
-        assert state.fingerprint() != empty
-
-
 class TestCumulativeState:
     def test_push_accumulates_everything(self):
         template = _template()
@@ -160,7 +120,6 @@ class TestArithmeticGate:
         template.state_arithmetic = False
         for make in (
             lambda: SlidingWindowState(template, window=2),
-            lambda: DecayedState(template, decay=0.5),
             lambda: CumulativeState(template),
         ):
             with pytest.raises(TypeError, match="state_arithmetic"):

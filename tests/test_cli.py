@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.io import read_histogram_csv, write_values
 from repro.metrics.distances import wasserstein_distance
+from repro.service import ServiceConfig, ShardedCollector
+from repro.service.loadgen import synthesize_frames
+from repro.tasks import AnalysisPlan, AttributeSpec, Distribution
 from tests.conftest import true_histogram
 
 
@@ -336,3 +341,76 @@ class TestServeWorkflow:
             "--output", str(tmp_path / "h.csv"),
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestContinuousCollection:
+    """``stream`` simulates a windowed stream; ``recover`` rebuilds a
+    windowed deployment from its journals."""
+
+    def test_stream_writes_ticks_and_charges_every_round(self, tmp_path, capsys):
+        out = tmp_path / "stream.json"
+        assert main([
+            "stream", "--window", "3", "--ticks", "4", "--users", "2000",
+            "--d", "32", "--output", str(out),
+        ]) == 0
+        result = json.loads(out.read_text())
+        ticks = result["ticks"]
+        assert [row["tick"] for row in ticks] == [1, 2, 3, 4]
+        assert [row["attributes"]["value"]["warm"] for row in ticks] == [
+            False, True, True, True,
+        ]
+        audit = result["audit"]
+        assert audit["rounds"] == 4
+        assert audit["cumulative_epsilon"] == pytest.approx(4.0)
+        assert audit["satisfied"] is False
+        assert "cumulative epsilon 4 over 4 rounds" in capsys.readouterr().out
+
+    def test_recover_rebuilds_the_live_window_bit_for_bit(self, tmp_path, capsys):
+        plan = AnalysisPlan(
+            epsilon=2.0,
+            attributes=(
+                AttributeSpec("income", low=0.0, high=1e5, d=32),
+                AttributeSpec("hours", low=0.0, high=120.0, d=32),
+            ),
+            tasks=(Distribution("income"), Distribution("hours")),
+        )
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(plan.to_json())
+        journal_dir = tmp_path / "wal"
+        config = ServiceConfig(
+            plan=plan, n_shards=2, window=2, journal_dir=journal_dir
+        )
+        with ShardedCollector(config) as collector:
+            for seed, round_id in enumerate(("r1", "r2", "r3")):
+                for frame, _n in synthesize_frames(
+                    plan, round_id, 600, batch_size=300, rng=seed
+                ):
+                    collector.submit(frame, round_id)
+                collector.advance_window(round_id)
+            live = collector.window_estimate()
+        out = tmp_path / "recovered.json"
+        assert main([
+            "recover", "--plan", str(plan_file), "--journal-dir", str(journal_dir),
+            "--window", "2", "--output", str(out),
+        ]) == 0
+        assert "window re-advanced through 3 ticks" in capsys.readouterr().out
+        recovered = json.loads(out.read_text())["window"]
+        assert recovered["rounds"] == ["r1", "r2", "r3"]
+        assert recovered["estimates"] == live["estimates"]
+        assert recovered["audit"] == live["audit"]
+        assert recovered["audit"]["rounds"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--plan", "plan.json"],
+            ["recover", "--plan", "plan.json", "--journal-dir", "wal"],
+            ["stream"],
+        ],
+        ids=["serve", "recover", "stream"],
+    )
+    def test_decay_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--decay", "0.9"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --decay" in capsys.readouterr().err

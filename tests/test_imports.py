@@ -82,7 +82,7 @@ def test_hierarchical_estimator_loads_scipy_when_built():
 
 def test_every_public_name_is_its_defining_module_object():
     names = [name for name in repro.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 70
+    assert len(names) == len(set(names)) == 69
     for name in names:
         value = getattr(repro, name)
         home = importlib.import_module(repro._EXPORTS[name])
@@ -95,7 +95,7 @@ def test_every_public_name_is_its_defining_module_object():
 def test_star_import_and_dir_cover_every_public_name():
     namespace: dict = {}
     exec("from repro import *", namespace)
-    assert len(repro.__all__) == 71
+    assert len(repro.__all__) == 70
     assert [name for name in repro.__all__ if name not in namespace] == []
     assert namespace["__version__"] == repro.__version__
     listed = dir(repro)
