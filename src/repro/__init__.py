@@ -42,7 +42,6 @@ _EXPORTS: dict[str, str] = {
     "make_estimator": "repro.api",
     "list_estimators": "repro.api",
     "register_estimator": "repro.api",
-    "estimator_from_state": "repro.api",
     "ScalarMeanEstimator": "repro.mean",
     "SWEstimator": "repro.core",
     "DiscreteSWEstimator": "repro.core",
@@ -80,7 +79,6 @@ _EXPORTS: dict[str, str] = {
     "ALL_WAVE_SHAPES": "repro.core.waves",
     "CosineWave": "repro.core.waves",
     "EpanechnikovWave": "repro.core.waves",
-    "MultiAttributeSW": "repro.multidim",
     "CollectionServer": "repro.protocol",
     "PlanServer": "repro.protocol",
     "olh_variance": "repro.analysis",
@@ -134,7 +132,6 @@ if TYPE_CHECKING:
         Estimator as Estimator,
         EstimatorSpec as EstimatorSpec,
         Mechanism as Mechanism,
-        estimator_from_state as estimator_from_state,
         list_estimators as list_estimators,
         make_estimator as make_estimator,
         register_estimator as register_estimator,
@@ -192,9 +189,6 @@ if TYPE_CHECKING:
         range_query_mae as range_query_mae,
         variance_error as variance_error,
         wasserstein_distance as wasserstein_distance,
-    )
-    from repro.multidim import (
-        MultiAttributeSW as MultiAttributeSW,
     )
     from repro.postprocess import (
         norm_sub as norm_sub,

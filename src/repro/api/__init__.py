@@ -30,7 +30,6 @@ from repro.api.registry import (
     RANGE_METRICS,
     SCALAR_METRICS,
     EstimatorSpec,
-    estimator_from_state,
     get_spec,
     list_estimators,
     make_estimator,
@@ -54,7 +53,6 @@ __all__ = [
     "get_spec",
     "make_estimator",
     "list_estimators",
-    "estimator_from_state",
     "DISTRIBUTION_METRICS",
     "RANGE_METRICS",
     "SCALAR_METRICS",

@@ -240,7 +240,7 @@ class Estimator(abc.ABC):
 
         The payload is plain JSON-compatible data, so shard-local state can
         cross process or machine boundaries; invert with
-        :meth:`from_state` (or ``repro.api.estimator_from_state``).
+        :meth:`from_state`.
         """
         return {
             "estimator": self.name,

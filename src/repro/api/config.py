@@ -1,8 +1,8 @@
 """Single source of truth for EM/EMS configuration (paper Section 6.1).
 
 Every estimator that reconstructs a distribution with EM or EMS — the wave
-estimators (and so every collection server built on them) and the
-EM-backed CFO-binning path — consumes one :class:`EMConfig`. Centralizing it here fixes a real bug class:
+estimators, and so every collection server built on them — consumes one
+:class:`EMConfig`. Centralizing it here fixes a real bug class:
 the paper's tolerance rule (``1e-3 * e^eps`` for plain EM, a fixed ``1e-3``
 for EMS) used to be re-implemented per call site, once with ``math.exp`` and
 once with ``np.exp`` (returning a NumPy scalar), so nominally-identical

@@ -3,8 +3,8 @@
 One registry replaces the string-dispatch tables that used to live in
 ``repro.core.pipeline.estimate_distribution`` and
 ``repro.experiments.methods.METHOD_REGISTRY``: every estimator family is
-registered here once, with its capabilities (kind, supported metrics,
-streaming, mergeability), and every consumer — ``estimate_distribution``,
+registered here once, with its capabilities (kind and supported
+metrics), and every consumer — ``estimate_distribution``,
 ``choose_oracle``, the experiment runner, the CLI, and the protocol server —
 resolves names through :func:`make_estimator`.
 
@@ -27,7 +27,6 @@ __all__ = [
     "get_spec",
     "make_estimator",
     "list_estimators",
-    "estimator_from_state",
 ]
 
 #: Metrics computable from a reconstructed probability distribution
@@ -54,7 +53,6 @@ ESTIMATOR_KINDS: tuple[str, ...] = (
     "leaf-signed",
     "scalar",
     "frequency",
-    "marginals",
 )
 
 
@@ -72,12 +70,6 @@ class EstimatorSpec:
         ``factory(epsilon, d, **kwargs) -> Estimator``.
     supported_metrics:
         Benchmark metrics this estimator is evaluated on (paper Table 2).
-    streaming / mergeable:
-        Capability flags of the produced estimators.
-    codec:
-        Default wire payload codec (:mod:`repro.protocol.codecs`) the
-        family's reports travel under, or ``None`` when it depends on
-        construction (resolve from the instance's ``wire_codec``).
     tags:
         Free-form labels; ``"table2"`` marks the paper's benchmark set.
     """
@@ -87,9 +79,6 @@ class EstimatorSpec:
     factory: Callable[..., Any] = field(repr=False)
     supported_metrics: tuple[str, ...] = ()
     description: str = ""
-    streaming: bool = True
-    mergeable: bool = True
-    codec: str | None = None
     tags: frozenset[str] = frozenset()
 
     def supports(self, metric: str) -> bool:
@@ -106,9 +95,6 @@ def register_estimator(
     kind: str,
     supported_metrics: tuple[str, ...] = (),
     description: str = "",
-    streaming: bool = True,
-    mergeable: bool = True,
-    codec: str | None = None,
     tags: tuple[str, ...] = (),
     overwrite: bool = False,
 ) -> EstimatorSpec:
@@ -127,9 +113,6 @@ def register_estimator(
         factory=factory,
         supported_metrics=tuple(supported_metrics),
         description=description,
-        streaming=streaming,
-        mergeable=mergeable,
-        codec=codec,
         tags=frozenset(tags),
     )
     _REGISTRY[name] = spec
@@ -179,13 +162,6 @@ def list_estimators(
     if metric is not None:
         specs = [spec for spec in specs if spec.supports(metric)]
     return specs
-
-
-def estimator_from_state(payload: dict[str, Any]) -> Any:
-    """Rebuild any estimator (with aggregation state) from ``to_state()``."""
-    from repro.api.base import Estimator
-
-    return Estimator.from_state(payload)
 
 
 # ----------------------------------------------------------------------
@@ -252,12 +228,6 @@ def _scalar(mechanism: str) -> Callable[..., Any]:
     return factory
 
 
-def _sw_multi(epsilon: float, d: int = 256, *, n_attributes: int = 2, **kwargs: Any) -> Any:
-    from repro.multidim.marginals import MultiAttributeSW
-
-    return MultiAttributeSW(epsilon, n_attributes, d, **kwargs)
-
-
 def _oracle(name: str) -> Callable[..., Any]:
     def factory(epsilon: float, d: int, **kwargs: Any) -> Any:
         from repro.freq_oracle.grr import GRR
@@ -274,7 +244,6 @@ register_estimator(
     "sw-ems",
     _sw("ems"),
     kind="distribution",
-    codec="float",
     supported_metrics=DISTRIBUTION_METRICS,
     description="Square Wave + EM with smoothing (this paper)",
     tags=("table2",),
@@ -283,7 +252,6 @@ register_estimator(
     "sw-em",
     _sw("em"),
     kind="distribution",
-    codec="float",
     supported_metrics=DISTRIBUTION_METRICS,
     description="Square Wave + plain EM (this paper)",
     tags=("table2",),
@@ -292,7 +260,6 @@ register_estimator(
     "sw-discrete-ems",
     _sw_discrete("ems"),
     kind="distribution",
-    codec="category",
     supported_metrics=DISTRIBUTION_METRICS,
     description="Discrete SW (bucketize-before-randomize, Section 5.4) + EMS",
 )
@@ -300,7 +267,6 @@ register_estimator(
     "sw-discrete-em",
     _sw_discrete("em"),
     kind="distribution",
-    codec="category",
     supported_metrics=DISTRIBUTION_METRICS,
     description="Discrete SW (bucketize-before-randomize, Section 5.4) + plain EM",
 )
@@ -308,7 +274,6 @@ register_estimator(
     "hh-admm",
     _hh_admm,
     kind="distribution",
-    codec="tree",
     supported_metrics=DISTRIBUTION_METRICS,
     description="Hierarchical histogram + ADMM post-processing (this paper)",
     tags=("table2",),
@@ -333,7 +298,6 @@ register_estimator(
     "hh",
     _hh,
     kind="leaf-signed",
-    codec="tree",
     supported_metrics=RANGE_METRICS,
     description="Hierarchical histogram, constrained inference only [18]",
     tags=("table2",),
@@ -342,7 +306,6 @@ register_estimator(
     "haar-hrr",
     _haar_hrr,
     kind="leaf-signed",
-    codec="tree",
     supported_metrics=RANGE_METRICS,
     description="Discrete Haar transform + Hadamard randomized response [18]",
     tags=("table2",),
@@ -351,7 +314,6 @@ register_estimator(
     "sr",
     _scalar("sr"),
     kind="scalar",
-    codec="float",
     supported_metrics=SCALAR_METRICS,
     description="Stochastic Rounding mean/variance estimator [9]",
     tags=("table2",),
@@ -360,36 +322,25 @@ register_estimator(
     "pm",
     _scalar("pm"),
     kind="scalar",
-    codec="float",
     supported_metrics=SCALAR_METRICS,
     description="Piecewise Mechanism mean/variance estimator [30]",
     tags=("table2",),
 )
 register_estimator(
-    "sw-multi",
-    _sw_multi,
-    kind="marginals",
-    codec="multi",
-    description="Population-split SW marginals over k attributes (n_attributes=)",
-)
-register_estimator(
     "grr",
     _oracle("grr"),
     kind="frequency",
-    codec="category",
     description="Generalized Randomized Response frequency oracle",
 )
 register_estimator(
     "olh",
     _oracle("olh"),
     kind="frequency",
-    codec="olh",
     description="Optimized Local Hashing frequency oracle",
 )
 register_estimator(
     "hrr",
     _oracle("hrr"),
     kind="frequency",
-    codec="hrr",
     description="Hadamard Randomized Response frequency oracle",
 )

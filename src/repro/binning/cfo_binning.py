@@ -10,13 +10,9 @@ Choosing ``c`` trades noise (more chunks -> more noise) against binning bias
 which is exactly the weakness the paper's SW+EMS removes. The paper reports
 ``c in {16, 32, 64}``.
 
-``CFOBinning`` implements the :class:`repro.api.Estimator` lifecycle. The
-default post-processing is the paper's Norm-Sub, whose sufficient statistic
-is the user-weighted chunk-frequency estimate (exact under ``merge``). With
-an :class:`repro.api.EMConfig` the estimator instead reconstructs the fine
-histogram by EM/EMS on the GRR chunk reports: the transition matrix composes
-chunk membership with the GRR noise channel, so the smoothing prior (not the
-uniform-within-bin assumption) fills in sub-chunk shape.
+``CFOBinning`` implements the :class:`repro.api.Estimator` lifecycle. Its
+post-processing is the paper's Norm-Sub, whose sufficient statistic is the
+user-weighted chunk-frequency estimate (exact under ``merge``).
 """
 
 from __future__ import annotations
@@ -24,15 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.base import Estimator
-from repro.api.config import EMConfig
 from repro.api.errors import EmptyAggregateError
-from repro.core.em import EMResult
-from repro.engine.cache import (
-    cached_matrix,
-    cached_object,
-    validated_channel_operator,
-)
-from repro.engine.operators import UniformPlusBandedChannel
 from repro.freq_oracle.adaptive import choose_oracle
 from repro.freq_oracle.grr import GRR
 from repro.freq_oracle.olh import OLH
@@ -77,11 +65,6 @@ class CFOBinning(Estimator):
     oracle:
         ``"adaptive"`` (default: lower-variance GRR/OLH pick), ``"grr"``, or
         ``"olh"``.
-    em:
-        Optional :class:`repro.api.EMConfig` (or its ``to_dict()`` form)
-        enabling EM/EMS reconstruction of the fine histogram from GRR chunk
-        reports. EM needs per-bucket multinomial counts, so it forces the
-        GRR oracle; combining it with ``oracle="olh"`` is an error.
     """
 
     kind = "distribution"
@@ -93,7 +76,6 @@ class CFOBinning(Estimator):
         bins: int = 32,
         *,
         oracle: str = "adaptive",
-        em: EMConfig | dict | None = None,
     ) -> None:
         self.epsilon = check_epsilon(epsilon)
         self.d = check_domain_size(d)
@@ -104,23 +86,13 @@ class CFOBinning(Estimator):
             raise ValueError(
                 f"oracle must be one of {_ORACLE_CHOICES}, got {oracle!r}"
             )
-        if isinstance(em, dict):
-            em = EMConfig(**em)
-        if em is not None and oracle == "olh":
-            raise ValueError(
-                "EM reconstruction needs per-bucket report counts, which OLH "
-                "does not produce; use oracle='grr' (or 'adaptive')"
-            )
         self.oracle_choice = oracle
-        self.em = em
-        if em is not None or oracle == "grr":
+        if oracle == "grr":
             self.oracle = GRR(self.epsilon, self.bins)
         elif oracle == "olh":
             self.oracle = OLH(self.epsilon, self.bins)
         else:
             self.oracle = choose_oracle(self.epsilon, self.bins)
-        self._matrix: np.ndarray | None = None
-        self.result_: EMResult | None = None
         self.reset()
 
     @property
@@ -137,69 +109,6 @@ class CFOBinning(Estimator):
         """Reports ingested into the current aggregation state."""
         return self._n
 
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """``(bins, d)``: chunk membership composed with the GRR channel.
-
-        Column ``i`` (a fine bucket inside chunk ``c``) is the GRR report
-        distribution of chunk ``c`` — ``p`` on the true chunk, ``q``
-        elsewhere — so columns sum to ``p + (bins - 1) q = 1``. Served
-        read-only from the process-wide engine cache, keyed on the channel
-        parameters.
-        """
-        if self._matrix is None:
-            if not isinstance(self.oracle, GRR):
-                raise RuntimeError(
-                    "transition_matrix is defined for the GRR channel only; "
-                    f"this estimator uses {self.oracle.name}"
-                )
-            self._matrix = cached_matrix(self._channel_key(), self._build_matrix)
-        return self._matrix
-
-    def _channel_key(self) -> tuple:
-        """One cache identity for the chunk channel, dense and structured.
-
-        Both :attr:`transition_matrix` and :attr:`channel` key off this
-        tuple (the operator entry tagged apart), so the two paths can
-        never silently serve differently-parameterized channels.
-        """
-        return ("cfo-grr-channel", self.bins, self.d, self.oracle.p, self.oracle.q)
-
-    def _build_matrix(self) -> np.ndarray:
-        noise = np.full((self.bins, self.bins), self.oracle.q)
-        np.fill_diagonal(noise, self.oracle.p)
-        return np.repeat(noise, self.d // self.bins, axis=1)
-
-    @property
-    def channel(self):
-        """What EM runs against: the chunk channel as a structured operator.
-
-        Row ``c`` of the channel is ``p`` on chunk ``c``'s ``d / bins``
-        fine buckets and ``q`` elsewhere — a uniform-plus-band structure,
-        so both EM products run as cumulative-sum boxcars
-        (:class:`~repro.engine.operators.UniformPlusBandedChannel`). The
-        column-stochastic invariant is checked once at cache insert, like
-        every engine-cached channel.
-        """
-        if not isinstance(self.oracle, GRR):
-            raise RuntimeError(
-                "the chunk channel is defined for the GRR oracle only; "
-                f"this estimator uses {self.oracle.name}"
-            )
-        per = self.d // self.bins
-        return cached_object(
-            ("operator", *self._channel_key()),
-            lambda: validated_channel_operator(
-                UniformPlusBandedChannel(
-                    self.d,
-                    np.arange(self.bins, dtype=np.int64) * per,
-                    (np.arange(self.bins, dtype=np.int64) + 1) * per,
-                    inside=self.oracle.p,
-                    outside=self.oracle.q,
-                )
-            ),
-        )
-
     # -- lifecycle ---------------------------------------------------------
     def privatize(self, values: np.ndarray, rng=None):
         """Client-side: bucketize unit values into chunks, then CFO-randomize."""
@@ -210,45 +119,25 @@ class CFOBinning(Estimator):
         n = self.oracle._report_count(reports)
         if n == 0:
             return
-        if self.em is not None:
-            arr = np.asarray(reports, dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= self.bins:
-                raise ValueError("reports outside the GRR output domain")
-            self._chunk_acc += np.bincount(arr, minlength=self.bins)
-        else:
-            self._chunk_acc += n * self.oracle.aggregate_batch(reports)
+        self._chunk_acc += n * self.oracle.aggregate_batch(reports)
         self._n += n
 
-    def estimate(self, *, x0: np.ndarray | None = None) -> np.ndarray:
-        """Reconstruct the ``d``-bucket histogram from all ingested reports.
-
-        In EM mode, ``x0`` warm-starts the solve from a previous posterior
-        (see :meth:`repro.core.pipeline.WaveEstimator.estimate`); Norm-Sub
-        mode has no iterative solve and ignores it.
-        """
+    def estimate(self) -> np.ndarray:
+        """Reconstruct the ``d``-bucket histogram from all ingested reports."""
         if self._n == 0:
             raise EmptyAggregateError("no reports ingested yet")
-        if self.em is not None:
-            self.result_ = self.em.run(
-                self.channel, self._chunk_acc, self.epsilon,
-                validated=True, x0=x0,
-            )
-            return self.result_.estimate
         chunk_distribution = norm_sub(self._chunk_acc / self._n, total=1.0)
         return spread_uniformly(chunk_distribution, self.d)
 
     def reset(self) -> None:
-        #: Norm-Sub mode: user-weighted chunk-frequency estimates;
-        #: EM mode: raw per-chunk report counts. Both are linear in shards.
+        #: User-weighted chunk-frequency estimates, linear in shards.
         self._chunk_acc = np.zeros(self.bins, dtype=np.float64)
         self._n = 0
-        self.result_ = None
 
     # -- shard merge + serialization --------------------------------------
     def _merge_state(self, other: "CFOBinning") -> None:
         self._chunk_acc += other._chunk_acc
         self._n += other._n
-        self.result_ = None
 
     def _params(self) -> dict:
         return {
@@ -256,7 +145,6 @@ class CFOBinning(Estimator):
             "d": self.d,
             "bins": self.bins,
             "oracle": self.oracle_choice,
-            "em": self.em.to_dict() if self.em is not None else None,
         }
 
     def _state(self) -> dict:
@@ -271,7 +159,6 @@ class CFOBinning(Estimator):
             )
         self._n = int(state["n"])
         self._chunk_acc = chunk_acc
-        self.result_ = None
 
     def _repr_fields(self) -> dict:
         return {
@@ -279,5 +166,5 @@ class CFOBinning(Estimator):
             "d": self.d,
             "bins": self.bins,
             "oracle": self.oracle.name,
-            "postprocess": self.em.postprocess if self.em is not None else "norm-sub",
+            "postprocess": "norm-sub",
         }

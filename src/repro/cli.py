@@ -52,17 +52,11 @@ def _print_method_table() -> None:
     specs = list_estimators()
     name_w = max(len(s.name) for s in specs)
     kind_w = max(len(s.kind) for s in specs)
-    header = (
-        f"{'method':<{name_w}}  {'kind':<{kind_w}}  stream  merge  description"
-    )
+    header = f"{'method':<{name_w}}  {'kind':<{kind_w}}  description"
     print(header)
     print("-" * len(header))
     for spec in specs:
-        print(
-            f"{spec.name:<{name_w}}  {spec.kind:<{kind_w}}  "
-            f"{'yes' if spec.streaming else 'no ':<6}  "
-            f"{'yes' if spec.mergeable else 'no ':<5}  {spec.description}"
-        )
+        print(f"{spec.name:<{name_w}}  {spec.kind:<{kind_w}}  {spec.description}")
 
 
 def _cmd_estimate(args) -> int:
@@ -88,13 +82,6 @@ def _cmd_estimate(args) -> int:
         return 2
 
     spec = get_spec(args.method)
-    if spec.kind == "marginals":
-        print(
-            f"error: {args.method} needs an (n, k) value matrix; "
-            "use the repro.MultiAttributeSW API directly",
-            file=sys.stderr,
-        )
-        return 2
     values = io.read_values(args.input)
     estimator = make_estimator(args.method, args.epsilon, args.d)
     rng = np.random.default_rng(args.seed)
@@ -197,11 +184,6 @@ def _write_feed(feed: bytes | str, path: str) -> None:
 
 def _reportable_values(spec, values, d: int):
     """Map unit-domain inputs onto what the mechanism's clients report."""
-    if spec.kind == "marginals":
-        raise ValueError(
-            f"{spec.name} needs an (n, k) value matrix; "
-            "use the repro.MultiAttributeSW API directly"
-        )
     if spec.kind == "frequency":
         from repro.utils.histograms import bucketize
 
@@ -264,13 +246,6 @@ def _cmd_collect(args) -> int:
     from repro.protocol.server import CollectionServer
 
     spec = get_spec(args.method)
-    if spec.kind == "marginals":
-        print(
-            f"error: {args.method} estimates per-attribute marginals; "
-            "serve it through a PlanServer instead",
-            file=sys.stderr,
-        )
-        return 2
     server = CollectionServer(
         args.round_id, args.method, args.epsilon, args.d, attr=args.attr
     )

@@ -211,12 +211,6 @@ class WaveEstimator(Estimator):
         self._counts = np.zeros(self.d_out, dtype=np.float64)
         self.result_ = None
 
-    def aggregate_counts(self, counts: np.ndarray) -> np.ndarray:
-        """Reconstruct from one report histogram (resets prior state)."""
-        self.reset()
-        self.ingest_counts(counts)
-        return self.estimate()
-
     def confidence_bands(
         self,
         *,

@@ -14,9 +14,9 @@ Three pieces, all pure infrastructure (no estimator logic lives here):
   ``B`` independent reconstruction problems sharing one channel run as
   whole-batch products with a per-column convergence mask.
 
-Every EM-backed estimator (``repro.core.pipeline``, the EM mode of
-``repro.binning``, ``repro.multidim``, the streaming ``repro.protocol``
-server) and the experiment sweep runner route through this package; the
+Every EM-backed estimator (the wave families of ``repro.core.pipeline``,
+solved alone or fused by the streaming ``repro.protocol`` server) and the
+experiment sweep runner route through this package; the
 single-problem API in :mod:`repro.core.em` wraps one count vector into a
 one-column batch.
 """

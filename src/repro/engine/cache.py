@@ -48,7 +48,6 @@ __all__ = [
     "matrix_cache_info",
     "mechanism_cache_key",
     "set_matrix_cache_limit",
-    "validated_channel_operator",
 ]
 
 #: Default byte budget for cached matrices. 1 GiB holds ~128 distinct
@@ -185,18 +184,6 @@ def cached_transition_matrix(
 _DENSE_FALLBACK = object()
 
 
-def validated_channel_operator(operator: Any) -> Any:
-    """Insert-time check for a structured operator: columns must sum to 1.
-
-    ``column_sums`` is an O(d) product, so this is the operator analogue of
-    the matrix cache's column-stochastic check — done once at insert so hot
-    solver runs can pass ``validated=True``.
-    """
-    if not np.allclose(operator.column_sums(), 1.0, atol=1e-6):
-        raise ValueError("operator columns must sum to 1")
-    return operator
-
-
 def cached_channel_operator(
     mechanism: Any, d: int | None = None, d_out: int | None = None
 ) -> Any:
@@ -223,7 +210,9 @@ def cached_channel_operator(
             operator = hook() if d is None else hook(d, d_out)
         if operator is None:
             return _DENSE_FALLBACK
-        return validated_channel_operator(operator)
+        if not np.allclose(operator.column_sums(), 1.0, atol=1e-6):
+            raise ValueError("operator columns must sum to 1")
+        return operator
 
     cached = cached_object(key, build)
     if cached is _DENSE_FALLBACK:

@@ -19,8 +19,9 @@ Three operator implementations cover the package's channels:
   a dense matrix through it is bitwise-identical to the historical path.
 * :class:`UniformPlusBandedChannel` — channels whose entries take exactly
   two values, ``inside`` on a per-row contiguous column band and
-  ``outside`` elsewhere: the discrete Square Wave (§5.4) and the
-  CFO-binning GRR chunk channel (§4.1). Exact by construction.
+  ``outside`` elsewhere: the discrete Square Wave (§5.4), and any
+  chunk-aligned band such as GRR over binned chunks (§4.1). Exact by
+  construction.
 * :class:`UniformPlusToeplitzChannel` — the continuous Square Wave (§5.2).
   The trapezoid overlap kernel is translation-invariant in the *continuous*
   coordinate, but the input grid (width ``1/d``) and output grid (width
@@ -366,9 +367,10 @@ class UniformPlusBandedChannel(ChannelOperator):
 
     ``M[j, i] = inside`` when ``lo[j] <= i < hi[j]`` and ``outside``
     elsewhere. Covers the discrete Square Wave (band = the ``2b+1`` wide
-    moving window) and the CFO-binning GRR chunk channel (band = the chunk's
-    fine buckets). Both products run off one cumulative sum — ``O(d · B)``
-    regardless of band width, vs ``O(d_out · d · B)`` dense.
+    moving window) and chunk-aligned bands such as GRR over binned chunks
+    (band = the chunk's fine buckets). Both products run off one cumulative
+    sum — ``O(d · B)`` regardless of band width, vs ``O(d_out · d · B)``
+    dense.
 
     ``lo``/``hi`` must be nondecreasing so the transposed band is also
     contiguous per column.

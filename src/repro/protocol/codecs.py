@@ -16,12 +16,11 @@ once:
   one raw little-endian buffer, so encoding and decoding a million reports
   is a handful of ``ndarray`` operations instead of a Python loop.
 
-Codecs are registered by name next to the estimator registry
-(:class:`repro.api.registry.EstimatorSpec` records each family's default
-codec) and every estimator instance names its codec via the ``wire_codec``
-attribute, so :func:`codec_for_estimator` resolves the right one even for
-families whose payload type depends on construction (CFO binning reports
-through GRR or OLH depending on the chosen oracle).
+Codecs are registered by name, and every estimator instance names its
+codec via the ``wire_codec`` attribute, so :func:`codec_for_estimator`
+resolves the right one even for families whose payload type depends on
+construction (CFO binning reports through GRR or OLH depending on the
+chosen oracle).
 
 Nothing privacy-relevant lives here — payloads are already randomized — but
 decoding validates shapes and dtypes, so a corrupted feed fails loudly
@@ -431,39 +430,8 @@ class TreeCodec(PayloadCodec):
         return TreeReports(reports=reports, counts=counts)
 
 
-class MultiAttributeCodec(PayloadCodec):
-    """Population-split marginals: ``(attribute slot, SW float)`` per user."""
-
-    name = "multi"
-    columns = (("attribute", "<i8"), ("value", "<f8"))
-
-    def to_columns(self, reports: Any) -> dict[str, np.ndarray]:
-        from repro.multidim.marginals import MultiAttributeReports
-
-        if not isinstance(reports, MultiAttributeReports):
-            raise ValueError(
-                "multi codec expects MultiAttributeReports, got "
-                f"{type(reports).__name__}"
-            )
-        return {
-            "attribute": reports.attribute.astype(np.int64),
-            "value": reports.value.astype(np.float64),
-        }
-
-    def from_columns(self, columns: dict[str, np.ndarray]):
-        from repro.multidim.marginals import MultiAttributeReports
-
-        cols = self._check_columns(columns)
-        if cols["attribute"].min() < 0:
-            raise ValueError("multi codec: attribute slots must be >= 0")
-        return MultiAttributeReports(
-            attribute=cols["attribute"], value=cols["value"]
-        )
-
-
 register_codec(FloatValueCodec())
 register_codec(CategoryCodec())
 register_codec(OLHCodec())
 register_codec(HRRCodec())
 register_codec(TreeCodec())
-register_codec(MultiAttributeCodec())

@@ -54,7 +54,6 @@ from repro.api.base import Estimator
 from repro.api.config import EMConfig
 from repro.api.errors import EmptyAggregateError
 from repro.api.registry import make_estimator
-from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import WaveEstimator
 from repro.engine.operators import ChannelOperator
 from repro.protocol.codecs import codec_for_estimator
@@ -76,11 +75,9 @@ _WARM_START_MIX = 1e-6
 
 
 def copy_estimate(value: Any) -> Any:
-    """Defensive copy of an estimate (ndarray, list of ndarrays, or scalar)."""
+    """Defensive copy of an estimate (ndarray or scalar)."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if isinstance(value, list):
-        return [copy_estimate(item) for item in value]
     return value
 
 
@@ -106,18 +103,14 @@ class EstimateFailure:
 
 
 def warm_startable(estimator: Estimator) -> bool:
-    """EM-backed families whose ``estimate`` accepts ``x0=``."""
-    if isinstance(estimator, WaveEstimator):
-        return True
-    return isinstance(estimator, CFOBinning) and estimator.em is not None
+    """EM-backed families whose ``estimate`` accepts ``x0=``: the wave family."""
+    return isinstance(estimator, WaveEstimator)
 
 
 def _em_inputs(estimator: Estimator) -> tuple[Any, np.ndarray, EMConfig] | None:
     """``(channel, counts, config)`` an EM-backed estimator solves, else ``None``."""
     if isinstance(estimator, WaveEstimator):
         return estimator.channel, estimator._counts, estimator.config
-    if isinstance(estimator, CFOBinning) and estimator.em is not None:
-        return estimator.channel, estimator._chunk_acc, estimator.em
     return None
 
 

@@ -41,7 +41,9 @@ Fault tolerance is layered on the same serialization point
   estimates are bit-identical. Uploads that crashed before their commit
   record are rolled back (their journal records are skipped), which is
   what makes a client retry after a lost ack exactly-once rather than
-  at-least-once.
+  at-least-once. A journal write that raises stops admission
+  (:class:`JournalFailedError`, HTTP 503) until a restart, so a same-key
+  retry is never journaled beside the failed attempt's records.
 * Idempotent ingest: a caller-supplied idempotency key is checked
   against a bounded :class:`~repro.service.resilience.DedupLedger`
   first thing in admission — a repeat of an accepted upload returns a
@@ -113,6 +115,7 @@ from repro.tasks.session import Session
 __all__ = [
     "CHECKPOINT_BACKLOG",
     "CheckpointWriter",
+    "JournalFailedError",
     "NotAFrameError",
     "ParsedUpload",
     "ServiceOverloadError",
@@ -128,6 +131,17 @@ CHECKPOINT_BACKLOG = 64
 
 class ServiceOverloadError(RuntimeError):
     """An upload was rejected whole for lack of capacity (HTTP 429)."""
+
+
+class JournalFailedError(RuntimeError):
+    """A journal write raised; nothing is admitted until a restart (HTTP 503).
+
+    The failed upload may have left records in the journals, even its
+    commit. A same-key retry journaled beside them would make recovery
+    fold the upload twice, so the collector refuses every upload until a
+    restart's recovery has settled the failed one: dropped if its commit
+    is missing, replay-acked if it landed.
+    """
 
 
 class NotAFrameError(ValueError):
@@ -161,8 +175,6 @@ def _jsonify_estimate(value: Any) -> Any:
     """JSON-safe form of one attribute's reconstruction."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonify_estimate(item) for item in value]
     if isinstance(value, np.generic):
         return value.item()
     return value
@@ -554,6 +566,7 @@ class ShardedCollector:
         self._uploads_accepted = 0
         self._since_checkpoint = 0
         self._recovered_records = 0
+        self._journal_error: str | None = None
         self._journals: list[ShardJournal] | None = None
         self._meta: MetaJournal | None = None
         self._writer: CheckpointWriter | None = None
@@ -615,10 +628,10 @@ class ShardedCollector:
     def _recover(self) -> None:
         """Rebuild state from journals; called once, before any traffic."""
         assert self._journals is not None and self._meta is not None
-        for journal in self._journals:
-            good = journal.good_offset(0)
-            if good < journal.size:
-                journal.truncate_to(good)  # crash-torn tail
+        for log in (*self._journals, self._meta):
+            good = log.good_offset()
+            if good < log.size:
+                log.truncate_to(good)  # crash-torn tail
         meta_records = self._meta.read()
         committed = self._committed_keys(meta_records)
         for journal in self._journals:
@@ -831,7 +844,10 @@ class ShardedCollector:
         :class:`ServiceOverloadError` (every shard dead) with no block
         folded and nothing journaled as committed. Once committed, the
         upload gets its receipt: a fold that crashes its shard kills that
-        shard, not the upload, whose blocks :meth:`revive` replays.
+        shard, not the upload, whose blocks :meth:`revive` replays. A
+        journal write that raises (a full or failing disk) raises
+        :class:`JournalFailedError`, for that upload and every later one,
+        until the collector is restarted.
 
         ``key`` is the upload's idempotency key. When supplied, a repeat
         of an already-accepted upload returns a ``replayed=True`` receipt
@@ -844,6 +860,8 @@ class ShardedCollector:
         """
         if self._closed:
             raise RuntimeError("collector is closed")
+        if self._journal_error is not None:
+            raise JournalFailedError(self._journal_error)
         upload = data if isinstance(data, ParsedUpload) else self.parse(data, round_id)
         if upload.round_id != round_id:
             raise ValueError(
@@ -874,10 +892,22 @@ class ShardedCollector:
             # Journal first, commit second, fold third: a crash at any
             # boundary leaves the upload either fully rolled back (the
             # client retries, exactly-once) or fully durable (the retry
-            # gets a replay ack). The commit record is the pivot.
-            for shard_id, block in batches:
-                self._journals[shard_id].append(receipt.key, encode_frame_block(block))
-            self._meta.commit(receipt)
+            # gets a replay ack). The commit record is the pivot. A write
+            # that raises (not a crash: an InjectedFault is no Exception)
+            # may leave this upload's records, even its commit, behind;
+            # only a restart's recovery can tell which, so admission stops.
+            try:
+                for shard_id, block in batches:
+                    self._journals[shard_id].append(
+                        receipt.key, encode_frame_block(block)
+                    )
+                self._meta.commit(receipt)
+            except Exception as exc:
+                self._journal_error = (
+                    f"journal write failed ({type(exc).__name__}: {exc}); "
+                    "no upload is admitted until the service is restarted"
+                )
+                raise JournalFailedError(self._journal_error) from exc
         for shard_id, block in batches:
             self.shards[shard_id].enqueue(block, round_id)
         if key is not None:
@@ -1059,7 +1089,9 @@ class ShardedCollector:
     def window_estimate(self) -> dict[str, Any]:
         """Latest windowed estimates plus the stream's privacy audit.
 
-        The audit charges every advanced round (``ticks``), not only the
+        The audit charges every round collected
+        (:attr:`~repro.streaming.StreamingCollector.n_rounds`; each advance
+        pushes every attribute, so that is ``ticks``), not only the
         ``window`` rounds the estimate aggregates. Raises ``LookupError``
         until at least one round has been advanced.
         """
@@ -1072,7 +1104,7 @@ class ShardedCollector:
             if self._stream is None or not self._advanced:
                 raise LookupError("no rounds advanced into the window yet")
             stream = self._stream
-            audit = self.planned.stream_audit(stream.n_ticks)
+            audit = self.planned.stream_audit(stream.n_rounds)
             return {
                 "window": self.config.window,
                 "ticks": stream.n_ticks,

@@ -13,7 +13,9 @@ leverage:
   limit, ``415`` for a body that is not a frame (JSON lines included:
   ``python -m repro pack --format frame`` builds frames), ``429`` with
   ``Retry-After`` when every shard is dead; a refused upload leaves
-  nothing behind, so its retry is admitted fresh. Every upload is
+  nothing behind, so its retry is admitted fresh. ``503`` once a journal
+  write has failed: nothing more is admitted until a restart, whose
+  recovery settles the failed upload. Every upload is
   idempotent: the key is the ``Idempotency-Key`` header when given, else
   the body's content digest — so a client that times out and retries can
   never double-ingest.
@@ -63,7 +65,12 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable
 
 from repro.service.config import ServiceConfig
-from repro.service.core import NotAFrameError, ServiceOverloadError, ShardedCollector
+from repro.service.core import (
+    JournalFailedError,
+    NotAFrameError,
+    ServiceOverloadError,
+    ShardedCollector,
+)
 from repro.service.resilience import IdempotencyConflictError
 
 __all__ = ["ReportService", "ServiceHandle", "serve", "start_local_service"]
@@ -90,6 +97,7 @@ _REASONS = {
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -343,6 +351,8 @@ class ReportService:
             return 429, {"error": str(exc)}, 1
         except IdempotencyConflictError as exc:
             raise _HttpError(409, str(exc)) from None
+        except JournalFailedError as exc:
+            raise _HttpError(503, str(exc)) from None
         except ValueError as exc:
             raise _HttpError(400, str(exc)) from None
         status = 200 if receipt.replayed else 202

@@ -128,8 +128,8 @@ def _digest(payload: bytes) -> bytes:
     return blake2b(payload, digest_size=16).digest()
 
 
-class ShardJournal:
-    """Append-only write-ahead log of one shard's accepted wire blocks."""
+class _AppendLog:
+    """An append-only file under an fsync policy: what both journals share."""
 
     def __init__(
         self,
@@ -151,9 +151,34 @@ class ShardJournal:
 
     @property
     def size(self) -> int:
-        """Current journal end offset (bytes)."""
+        """Current end offset (bytes)."""
         self._file.flush()
         return self.path.stat().st_size
+
+    def sync(self) -> None:
+        """Flush and fsync the log (the ``"checkpoint"`` policy hook)."""
+        if not self._closed:
+            self._file.flush()
+            if self.fsync != "never":
+                os.fsync(self._file.fileno())
+
+    def truncate_to(self, offset: int) -> None:
+        """Drop a crash-torn tail so new appends start at a record boundary."""
+        self._file.flush()
+        self._file.truncate(offset)
+        self._file.seek(offset)
+        if self.fsync != "never":
+            os.fsync(self._file.fileno())
+
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._file.flush()
+            self._file.close()
+
+
+class ShardJournal(_AppendLog):
+    """Append-only write-ahead log of one shard's accepted wire blocks."""
 
     def append(self, key: str, segment: bytes) -> int:
         """Append one record; returns the journal offset after it.
@@ -181,13 +206,6 @@ class ShardJournal:
         if self.faults is not None:
             self.faults.crash("journal.append.after")
         return self._file.tell()
-
-    def sync(self) -> None:
-        """Flush and fsync the journal (the ``"checkpoint"`` policy hook)."""
-        if not self._closed:
-            self._file.flush()
-            if self.fsync != "never":
-                os.fsync(self._file.fileno())
 
     def replay(self, start_offset: int = 0) -> Iterator[JournalRecord]:
         """Yield records from ``start_offset``; stop cleanly at a torn tail.
@@ -228,46 +246,15 @@ class ShardJournal:
             offset = record.end_offset
         return offset
 
-    def truncate_to(self, offset: int) -> None:
-        """Drop a crash-torn tail so new appends start at a record boundary."""
-        self._file.flush()
-        self._file.truncate(offset)
-        self._file.seek(offset)
-        if self.fsync != "never":
-            os.fsync(self._file.fileno())
 
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._file.flush()
-            self._file.close()
-
-
-class MetaJournal:
+class MetaJournal(_AppendLog):
     """Collector-level commit log: upload commits and window advances.
 
     JSON-lines with a per-line BLAKE2b digest prefix (``<hex> <json>``),
-    so a torn final line is detected and dropped exactly like a torn
-    shard-journal record. Compaction (:meth:`rewrite`) is atomic.
+    so a torn final line is detected, and truncated at recovery, exactly
+    like a torn shard-journal record. Compaction (:meth:`rewrite`) is
+    atomic.
     """
-
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        fsync: str = "checkpoint",
-        faults: FaultPlan | None = None,
-    ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
-            )
-        self.path = Path(path)
-        self.fsync = fsync
-        self.faults = faults
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = open(self.path, "ab")
-        self._closed = False
 
     @staticmethod
     def _line(record: dict[str, Any]) -> bytes:
@@ -275,19 +262,17 @@ class MetaJournal:
         raw = body.encode("utf-8")
         return _digest(raw).hex().encode("ascii") + b" " + raw + b"\n"
 
-    def append(self, record: dict[str, Any]) -> None:
+    def _write(self, line: bytes) -> None:
         if self._closed:
             raise RuntimeError("meta journal is closed")
-        self._file.write(self._line(record))
+        self._file.write(line)
         self._file.flush()
         if self.fsync == "always":
             os.fsync(self._file.fileno())
 
     def commit(self, receipt: IngestReceipt) -> None:
         """Record one upload as durably accepted (fault sites around it)."""
-        if self.faults is not None:
-            self.faults.crash("meta.commit.before")
-        self.append(
+        line = self._line(
             {
                 "kind": "commit",
                 "key": receipt.key,
@@ -297,22 +282,26 @@ class MetaJournal:
             }
         )
         if self.faults is not None:
+            self.faults.crash("meta.commit.before")
+            keep = self.faults.truncation("meta.truncate", len(line))
+            if keep is not None:
+                self._write(line[:keep])
+                raise InjectedCrash("meta.truncate", keep)
+        self._write(line)
+        if self.faults is not None:
             self.faults.crash("meta.commit.after")
 
     def advance(self, round_id: str, offsets: list[int]) -> None:
         """Record one windowed-round advance at its journal boundaries."""
-        self.append({"kind": "advance", "round": round_id, "offsets": offsets})
+        self._write(
+            self._line({"kind": "advance", "round": round_id, "offsets": offsets})
+        )
 
-    def sync(self) -> None:
-        if not self._closed:
-            self._file.flush()
-            if self.fsync != "never":
-                os.fsync(self._file.fileno())
-
-    def read(self) -> list[dict[str, Any]]:
-        """All intact records in append order (torn/corrupt lines dropped)."""
+    def _scan(self) -> tuple[list[dict[str, Any]], int]:
+        """Intact records in append order, and the offset just past them."""
         self._file.flush()
         records: list[dict[str, Any]] = []
+        good = 0
         with open(self.path, "rb") as handle:
             for line in handle:
                 if not line.endswith(b"\n"):
@@ -321,7 +310,21 @@ class MetaJournal:
                 if _digest(raw).hex().encode("ascii") != prefix:
                     break  # corruption implies everything after is suspect
                 records.append(json.loads(raw.decode("utf-8")))
-        return records
+                good += len(line)
+        return records, good
+
+    def read(self) -> list[dict[str, Any]]:
+        """All intact records in append order (torn/corrupt lines dropped)."""
+        return self._scan()[0]
+
+    def good_offset(self) -> int:
+        """Offset just past the last intact line (torn tail excluded).
+
+        Recovery truncates the log here before anything appends: a line
+        appended after a torn one would be glued onto it, and :meth:`read`
+        stops at the glued line, losing every later record.
+        """
+        return self._scan()[1]
 
     def rewrite(self, records: list[dict[str, Any]]) -> None:
         """Atomically replace the log (checkpoint-time compaction)."""
@@ -335,12 +338,6 @@ class MetaJournal:
         os.replace(tmp, self.path)
         self._file.close()
         self._file = open(self.path, "ab")
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._file.flush()
-            self._file.close()
 
 
 class DedupLedger:

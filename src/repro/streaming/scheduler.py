@@ -27,13 +27,13 @@ crosses the threshold, caches the fresh posterior in its place.
 
 Privacy accounting for the stream lives in
 :func:`repro.privacy.audit_stream_budget`; :meth:`StreamingCollector.audit`
-charges every tick so far against the per-attribute allocation, whatever
-the window length.
+charges every round collected so far against the per-attribute
+allocation, whatever the window length.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -188,6 +188,15 @@ class StreamingCollector:
     def n_ticks(self) -> int:
         return self._ticks
 
+    @property
+    def n_rounds(self) -> int:
+        """Rounds collected: the most pushed into any attribute's window.
+
+        An idle tick pushes nothing, so it is not counted. Equals
+        :attr:`n_ticks` when every tick pushes every attribute.
+        """
+        return max(state.n_rounds for state in self._windows.values())
+
     def window_state(self, attribute: str) -> _WindowBase:
         return self._windows[str(attribute)]
 
@@ -310,10 +319,11 @@ class StreamingCollector:
     ) -> Any:
         """Cumulative privacy spend of this collector's stream so far.
 
-        Every tick counts as a round, whatever the window: the collector
-        saw each report it ever folded, and a windowed estimate still
-        depends on evicted rounds through its warm starts. Before the
-        first tick the audit prices one round. See
+        Every round collected (:attr:`n_rounds`) is charged, whatever the
+        window: the collector saw each report it ever folded, and a
+        windowed estimate still depends on evicted rounds through its warm
+        starts. A tick that pushed no round collected nothing and is not
+        charged. Before the first round the audit prices one. See
         :func:`repro.privacy.audit_stream_budget`.
         """
         from repro.privacy.audit import audit_stream_budget
@@ -321,30 +331,7 @@ class StreamingCollector:
         return audit_stream_budget(
             per_attribute,
             epsilon_budget,
-            rounds=max(1, self._ticks),
+            rounds=max(1, self.n_rounds),
             composition=composition,
             participation=participation,
         )
-
-
-def iter_ticks(results: Iterable[TickResult]) -> dict[str, Any]:
-    """Summarize a sequence of tick results (iterations, skips, drift).
-
-    A small reporting convenience shared by the CLI ``stream`` command and
-    the benchmark harness.
-    """
-    ticks = list(results)
-    total_iterations = sum(t.total_iterations for t in ticks)
-    return {
-        "n_ticks": len(ticks),
-        "total_iterations": total_iterations,
-        "solved": sum(t.solved for t in ticks),
-        "skipped": sum(t.skipped for t in ticks),
-        "fused_groups": sum(t.fused_groups for t in ticks),
-        "drift_flags": sum(
-            1
-            for t in ticks
-            for a in t.attributes.values()
-            if a.drifted
-        ),
-    }

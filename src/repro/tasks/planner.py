@@ -84,8 +84,9 @@ class PlannedAnalysis:
     def stream_audit(self, rounds: int, *, participation: str = "every-round"):
         """Cumulative epsilon when this plan runs for ``rounds`` rounds.
 
-        ``rounds`` counts every collection round so far (the tick count),
-        whatever window the estimates are published over. Returns
+        ``rounds`` counts every collection round so far
+        (:attr:`repro.streaming.StreamingCollector.n_rounds`), whatever
+        window the estimates are published over. Returns
         :class:`repro.privacy.audit.StreamAuditResult`; see
         :func:`repro.privacy.audit.audit_stream_budget` for the
         composition/participation semantics.

@@ -33,7 +33,6 @@ from repro.api.base import Estimator
 from repro.api.errors import EmptyAggregateError
 from repro.core.pipeline import WaveEstimator
 from repro.metrics.queries import range_queries
-from repro.multidim.marginals import split_population
 from repro.tasks.plan import AnalysisPlan, AttributeSpec, Task
 from repro.tasks.planner import PlannedAnalysis, plan_analysis
 from repro.tasks.results import AnalysisReport, TaskResult
@@ -44,7 +43,22 @@ from repro.utils.histograms import (
 )
 from repro.utils.rng import RngLike, as_generator
 
-__all__ = ["Session"]
+__all__ = ["Session", "split_population"]
+
+
+def split_population(n: int, k: int, rng: RngLike = None) -> np.ndarray:
+    """Assign each of ``n`` users one of ``k`` slots uniformly at random.
+
+    The standard multi-attribute LDP recipe (Section 4.2 rationale): each
+    user spends their whole budget on a single attribute/slot, because LDP
+    noise scales much worse with epsilon than estimate counts do with users.
+    Used by equal-weight population-split plans (:meth:`Session.privatize`).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return as_generator(rng).integers(0, k, size=n)
 
 
 def _task_context(plan: AnalysisPlan, attribute: str) -> str:

@@ -17,7 +17,7 @@ FAMILIES = [spec.name for spec in list_estimators()]
 
 #: Families whose states are integer-valued bucket counts; every other
 #: family keeps debiased float weights.
-COUNT_STATES = {"sw-em", "sw-ems", "sw-discrete-em", "sw-discrete-ems", "sw-multi"}
+COUNT_STATES = {"sw-em", "sw-ems", "sw-discrete-em", "sw-discrete-ems"}
 
 
 def _fitted(name, seed, n=400):
@@ -26,8 +26,6 @@ def _fitted(name, seed, n=400):
     kind = get_spec(name).kind
     if kind == "frequency":
         values = gen.integers(0, 64, size=n)
-    elif kind == "marginals":
-        values = gen.random((n, 2))
     else:
         values = gen.random(n)
     est.partial_fit(values, rng=gen)

@@ -94,28 +94,3 @@ class TestConfigConsumers:
         server = CollectionServer("r", "sw-em", 1.0, 32, config=config)
         assert server.estimator.config is config
         assert server.estimator.tol == 0.7
-
-    def test_cfo_em_reconstruction(self, beta_values, rng):
-        """CFOBinning consumes EMConfig: EM over GRR chunk reports."""
-        from repro.binning.cfo_binning import CFOBinning
-        from repro.freq_oracle.grr import GRR
-
-        est = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
-        assert isinstance(est.oracle, GRR)
-        out = est.fit(beta_values[:5000], rng=rng)
-        assert out.shape == (64,)
-        assert (out >= 0).all()
-        assert out.sum() == pytest.approx(1.0)
-        assert est.result_ is not None
-
-    def test_cfo_em_rejects_olh(self):
-        from repro.binning.cfo_binning import CFOBinning
-
-        with pytest.raises(ValueError, match="OLH"):
-            CFOBinning(1.0, d=64, bins=16, oracle="olh", em=EMConfig())
-
-    def test_cfo_transition_matrix_columns_sum_to_one(self):
-        from repro.binning.cfo_binning import CFOBinning
-
-        est = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
-        np.testing.assert_allclose(est.transition_matrix.sum(axis=0), 1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import EMConfig, EmptyAggregateError
+from repro.api import EmptyAggregateError
 from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
 from repro.freq_oracle.grr import GRR
@@ -11,22 +11,17 @@ from repro.hierarchy.admm import HHADMM
 from repro.hierarchy.haar import HaarHRR
 from repro.hierarchy.hh import HierarchicalHistogram
 from repro.mean.scalar import ScalarMeanEstimator
-from repro.multidim.marginals import MultiAttributeSW
 from repro.protocol.server import CollectionServer
 
 _EMPTY_ESTIMATORS = [
     pytest.param(lambda: SWEstimator(1.0, d=16), id="sw"),
     pytest.param(lambda: DiscreteSWEstimator(1.0, d=16), id="sw-discrete"),
     pytest.param(lambda: CFOBinning(1.0, d=32, bins=16), id="cfo"),
-    pytest.param(
-        lambda: CFOBinning(1.0, d=32, bins=16, em=EMConfig()), id="cfo-em"
-    ),
     pytest.param(lambda: HierarchicalHistogram(1.0, d=16), id="hh"),
     pytest.param(lambda: HHADMM(1.0, d=16), id="hh-admm"),
     pytest.param(lambda: HaarHRR(1.0, d=16), id="haar-hrr"),
     pytest.param(lambda: GRR(1.0, 8), id="grr"),
     pytest.param(lambda: ScalarMeanEstimator(1.0, "pm"), id="pm"),
-    pytest.param(lambda: MultiAttributeSW(1.0, n_attributes=2, d=16), id="multi"),
 ]
 
 

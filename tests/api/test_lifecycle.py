@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Estimator, estimator_from_state, make_estimator
+from repro.api import Estimator, make_estimator
 from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
 from repro.freq_oracle.olh import OLH
@@ -244,17 +244,27 @@ class TestStateSerialization:
             data = values
         est.partial_fit(data, rng=np.random.default_rng(11))
         payload = json.loads(json.dumps(est.to_state()))
-        restored = estimator_from_state(payload)
+        restored = Estimator.from_state(payload)
         assert type(restored) is type(est)
         np.testing.assert_allclose(restored.estimate(), est.estimate())
 
     def test_round_trip_preserves_non_default_parameters(self):
         original = SWEstimator(1.5, d=128, b=0.2, postprocess="em", max_iter=500)
-        restored = estimator_from_state(json.loads(json.dumps(original.to_state())))
+        restored = Estimator.from_state(json.loads(json.dumps(original.to_state())))
         assert restored._params() == original._params()
         np.testing.assert_array_equal(
             restored.transition_matrix, original.transition_matrix
         )
+
+    def test_cfo_payload_with_an_em_param_is_refused(self, values):
+        """CFO binning is Norm-Sub only; a payload that still names an EM
+        config does not load."""
+        est = CFOBinning(1.0, d=64, bins=16)
+        est.partial_fit(values[:500], rng=np.random.default_rng(3))
+        payload = json.loads(json.dumps(est.to_state()))
+        payload["params"]["em"] = None
+        with pytest.raises(TypeError, match="em"):
+            Estimator.from_state(payload)
 
     def test_restored_shard_can_keep_ingesting(self, values):
         """The serialized shard state is live, not a frozen snapshot."""
@@ -274,8 +284,8 @@ class TestStateSerialization:
         shard_b = SWEstimator(1.0, d=32)
         shard_a.ingest(reports[:3000])
         shard_b.ingest(reports[3000:])
-        a2 = estimator_from_state(json.loads(json.dumps(shard_a.to_state())))
-        b2 = estimator_from_state(json.loads(json.dumps(shard_b.to_state())))
+        a2 = Estimator.from_state(json.loads(json.dumps(shard_a.to_state())))
+        b2 = Estimator.from_state(json.loads(json.dumps(shard_b.to_state())))
         merged = a2.merge(b2).estimate()
         np.testing.assert_allclose(
             merged, SWEstimator(1.0, d=32).aggregate(reports)
@@ -289,38 +299,12 @@ class TestStateSerialization:
         for shape in ("triangle", "cosine", "epanechnikov"):
             est = WaveEstimator(make_wave(shape, 1.0), d=16)
             est.partial_fit(values[:1500], rng=np.random.default_rng(0))
-            restored = estimator_from_state(json.loads(json.dumps(est.to_state())))
+            restored = Estimator.from_state(json.loads(json.dumps(est.to_state())))
             np.testing.assert_allclose(restored.estimate(), est.estimate())
             other = WaveEstimator(make_wave(shape, 1.0), d=16)
             other.partial_fit(values[1500:3000], rng=np.random.default_rng(1))
             est.merge(other)
             assert est.n_reports == 3000
-
-    def test_multi_attribute_state_and_merge(self, values):
-        from repro.multidim.marginals import MultiAttributeSW
-
-        matrix = np.column_stack([values, 1.0 - values])
-        shard_a = MultiAttributeSW(1.0, 2, d=16)
-        shard_b = MultiAttributeSW(1.0, 2, d=16)
-        combined = MultiAttributeSW(1.0, 2, d=16)
-        batches = [
-            MultiAttributeSW(1.0, 2, d=16).privatize(
-                part, rng=np.random.default_rng(seed)
-            )
-            for seed, part in enumerate(
-                (matrix[: len(matrix) // 2], matrix[len(matrix) // 2 :])
-            )
-        ]
-        shard_a.ingest(batches[0])
-        shard_b.ingest(batches[1])
-        combined.ingest(batches[0])
-        combined.ingest(batches[1])
-        restored = estimator_from_state(
-            json.loads(json.dumps(shard_b.to_state()))
-        )
-        merged = shard_a.merge(restored).estimate()
-        for mine, theirs in zip(merged, combined.estimate(), strict=True):
-            np.testing.assert_allclose(mine, theirs)
 
     def test_server_state_round_trip(self, values):
         server = CollectionServer("r9", "sw-ems", 1.0, 32)

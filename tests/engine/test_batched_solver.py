@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api.config import EMConfig
-from repro.binning.cfo_binning import CFOBinning
 from repro.core.em import expectation_maximization
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
@@ -17,6 +16,7 @@ from repro.engine.cache import cached_channel_operator
 from repro.engine.operators import DenseChannel, UniformPlusToeplitzChannel
 from repro.engine.solver import batched_expectation_maximization
 from tests.engine import reference_solver
+from tests.engine.test_operators import grr_chunk_channel
 
 
 def _problem_batch(d=24, batch=9, n=3000, seed=0):
@@ -196,25 +196,6 @@ class TestEMConfigRunMany:
                 batch.column(j).estimate, single.estimate, atol=1e-12
             )
 
-    def test_marginals_batched_path_matches_per_attribute(self):
-        from repro.multidim.marginals import MultiAttributeSW
-
-        values = np.random.default_rng(3).random((6000, 3))
-        est = MultiAttributeSW(1.0, n_attributes=3, d=16)
-        est.partial_fit(values, rng=np.random.default_rng(4))
-        marginals = est.estimate()
-        assert len(marginals) == 3
-        for attribute, marginal in zip(est.estimators, marginals, strict=True):
-            # Re-solve the attribute alone through the sequential API.
-            solo = attribute.config.run(
-                attribute.transition_matrix,
-                attribute._counts,
-                attribute.epsilon,
-                validated=True,
-            )
-            np.testing.assert_allclose(marginal, solo.estimate, atol=1e-12)
-            assert attribute.result_.iterations == solo.iterations
-
 
 def _structured_channel(kind, d):
     """A structured operator of each channel kind, over about ``d`` inputs."""
@@ -224,7 +205,7 @@ def _structured_channel(kind, d):
     if kind == "dsw-banded":
         return DiscreteSquareWave(1.0, d).channel_operator()
     bins = 4
-    return CFOBinning(1.0, bins * max(1, d // bins), bins=bins, em={}).channel
+    return grr_chunk_channel(1.0, bins * max(1, d // bins), bins)
 
 
 class TestFusedColumnsBitIdentical:

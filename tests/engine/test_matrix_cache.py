@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
 from repro.engine.cache import (
@@ -138,15 +137,6 @@ class TestEstimatorsUseSharedCache:
         a = DiscreteSWEstimator(1.0, d=32)
         b = DiscreteSWEstimator(1.0, d=32)
         assert a.transition_matrix is b.transition_matrix
-
-    def test_cfo_em_estimators_share_matrix(self):
-        from repro.api.config import EMConfig
-
-        a = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
-        b = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
-        assert a.transition_matrix is b.transition_matrix
-        with pytest.raises(ValueError, match="read-only"):
-            a.transition_matrix[0, 0] = 1.0
 
     def test_estimates_identical_before_and_after_caching(self, rng):
         # Same seed twice: the second run hits the cache, results must match.

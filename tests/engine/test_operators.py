@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.config import EMConfig
-from repro.binning.cfo_binning import CFOBinning
 from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
 from repro.core.smoothing import binomial_kernel
 from repro.core.square_wave import DiscreteSquareWave, SquareWave
@@ -32,7 +31,8 @@ from repro.engine.operators import (
     UniformPlusToeplitzChannel,
 )
 from repro.engine.solver import batched_expectation_maximization
-from repro.multidim.marginals import MultiAttributeSW
+from repro.freq_oracle.grr import GRR
+from repro.utils.histograms import bucketize
 from tests.engine.reference_solver import _banded_product
 
 # Matvec outputs are compared on probability-scale inputs, where the
@@ -159,13 +159,34 @@ class TestDiscreteOperator:
             UniformPlusBandedChannel(4, [2], [1], inside=0.5, outside=0.1)
 
 
+def grr_chunk_channel(epsilon: float, d: int, bins: int) -> UniformPlusBandedChannel:
+    """GRR over ``bins`` equal chunks of ``d`` fine buckets (CFO binning, §4.1).
+
+    Row ``c`` is ``p`` on chunk ``c``, the buckets ``[c·d/bins,
+    (c+1)·d/bins)``, and ``q`` elsewhere: chunk-aligned bands, beside
+    discrete SW's sliding ones.
+    """
+    grr = GRR(epsilon, bins)
+    lo = np.arange(bins, dtype=np.int64) * (d // bins)
+    return UniformPlusBandedChannel(
+        d, lo, lo + d // bins, inside=grr.p, outside=grr.q
+    )
+
+
+def grr_chunk_matrix(epsilon: float, d: int, bins: int) -> np.ndarray:
+    """The dense ``(bins, d)`` matrix of :func:`grr_chunk_channel`."""
+    grr = GRR(epsilon, bins)
+    noise = np.full((bins, bins), grr.q)
+    np.fill_diagonal(noise, grr.p)
+    return np.repeat(noise, d // bins, axis=1)
+
+
 class TestCFOOperator:
     def test_matches_dense_matrix(self):
-        est = CFOBinning(1.0, d=64, bins=8, em=EMConfig())
-        op = est.channel
-        assert isinstance(op, UniformPlusBandedChannel)
+        op = grr_chunk_channel(1.0, 64, 8)
+        assert op.structured
         np.testing.assert_allclose(
-            op.to_dense(), np.asarray(est.transition_matrix), atol=0
+            op.to_dense(), grr_chunk_matrix(1.0, 64, 8), atol=0
         )
         np.testing.assert_allclose(op.column_sums(), 1.0, atol=1e-12)
 
@@ -274,11 +295,7 @@ def _dense_solve(estimator, config, counts):
 class TestEstimatorPlumbing:
     def test_default_mode_is_structured(self):
         """Every EM-backed estimator solves on a structured operator."""
-        for est in (
-            SWEstimator(1.0, d=64),
-            DiscreteSWEstimator(1.0, d=32),
-            CFOBinning(1.0, d=64, bins=16, em=EMConfig()),
-        ):
+        for est in (SWEstimator(1.0, d=64), DiscreteSWEstimator(1.0, d=32)):
             assert isinstance(est.channel, ChannelOperator)
             assert est.channel.structured
 
@@ -314,24 +331,15 @@ class TestEstimatorPlumbing:
         dense = _dense_solve(est, est.config, est._counts)
         np.testing.assert_allclose(structured, dense.estimate, atol=1e-9)
 
-    def test_cfo_em_estimate_matches_dense_mode(self):
+    def test_chunk_channel_solve_matches_dense_mode(self):
         values = np.random.default_rng(4).beta(2, 5, 6000)
-        est = CFOBinning(1.0, d=64, bins=16, em=EMConfig())
-        est.partial_fit(values, rng=np.random.default_rng(5))
-        structured = est.estimate()
-        dense = _dense_solve(est, est.em, est._chunk_acc)
-        np.testing.assert_allclose(structured, dense.estimate, atol=1e-9)
-
-    def test_marginals_batched_solve_uses_operator(self):
-        values = np.random.default_rng(6).random((5000, 2))
-        est = MultiAttributeSW(1.0, n_attributes=2, d=32)
-        est.partial_fit(values, rng=np.random.default_rng(7))
-        structured = est.estimate()
-        for inner, solved in zip(est.estimators, structured, strict=True):
-            assert isinstance(inner.channel, UniformPlusToeplitzChannel)
-            dense = _dense_solve(inner, inner.config, inner._counts)
-            assert dense.iterations == inner.result_.iterations
-            np.testing.assert_allclose(solved, dense.estimate, atol=1e-9)
+        grr = GRR(1.0, 16)
+        reports = grr.privatize(bucketize(values, 16), rng=np.random.default_rng(5))
+        counts = np.bincount(reports, minlength=16).astype(np.float64)
+        config = EMConfig()
+        structured = config.run(grr_chunk_channel(1.0, 64, 16), counts, 1.0)
+        dense = config.run(grr_chunk_matrix(1.0, 64, 16), counts, 1.0)
+        np.testing.assert_allclose(structured.estimate, dense.estimate, atol=1e-9)
 
     def test_warm_start_through_operator(self):
         # The CollectionServer x0 path: a warm start near the posterior

@@ -14,7 +14,6 @@ from repro.freq_oracle.hashing import PRIME
 from repro.freq_oracle.hrr import HRRReports
 from repro.freq_oracle.olh import OLHReports
 from repro.hierarchy.hh import TreeReports
-from repro.multidim.marginals import MultiAttributeReports
 from repro.protocol.codecs import (
     codec_for_estimator,
     get_codec,
@@ -85,24 +84,12 @@ def tree_batches(draw):
     return TreeReports(reports=reports, counts=counts)
 
 
-@st.composite
-def multi_batches(draw):
-    n = draw(st.integers(1, 30))
-    attrs = st.lists(st.integers(0, 7), min_size=n, max_size=n)
-    vals = st.lists(finite_floats, min_size=n, max_size=n)
-    return MultiAttributeReports(
-        attribute=np.asarray(draw(attrs), dtype=np.int64),
-        value=np.asarray(draw(vals)),
-    )
-
-
 BATCHES = {
     "float": float_batches(),
     "category": category_batches(),
     "olh": olh_batches(),
     "hrr": hrr_batches(),
     "tree": tree_batches(),
-    "multi": multi_batches(),
 }
 
 
@@ -125,9 +112,6 @@ def assert_batches_equal(left, right):
         assert set(left.reports) == set(right.reports)
         for level in left.reports:
             assert_batches_equal(left.reports[level], right.reports[level])
-    elif isinstance(left, MultiAttributeReports):
-        np.testing.assert_array_equal(left.attribute, right.attribute)
-        np.testing.assert_array_equal(left.value, right.value)
     else:  # pragma: no cover - unknown batch type means a test bug
         raise AssertionError(f"unhandled batch type {type(left).__name__}")
 
@@ -175,7 +159,7 @@ class TestValidation:
 
     def test_registry_lists_builtins(self):
         names = {codec.name for codec in list_codecs()}
-        assert {"float", "category", "olh", "hrr", "tree", "multi"} <= names
+        assert {"float", "category", "olh", "hrr", "tree"} <= names
 
     def test_double_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -235,9 +219,7 @@ class TestCodecResolution:
 
         for spec in list_estimators():
             estimator = make_estimator(spec.name, 1.0, 64)
-            codec = codec_for_estimator(estimator)
-            if spec.codec is not None:
-                assert codec.name == spec.codec
+            assert codec_for_estimator(estimator).name == estimator.wire_codec
 
     def test_cfo_codec_tracks_oracle_choice(self):
         from repro.binning.cfo_binning import CFOBinning

@@ -13,8 +13,6 @@ def reportable_values(spec, rng, n=400, d=64):
     """Raw client values appropriate for one registry family."""
     if spec.kind == "frequency":
         return rng.integers(0, d, size=n)
-    if spec.kind == "marginals":
-        return rng.random((n, 2))
     return rng.random(n)
 
 
@@ -36,16 +34,10 @@ class TestRegistryRoundTrip:
         estimate = server.estimate()
         if spec.kind == "scalar":
             assert 0.0 <= estimate <= 1.0
-        elif spec.kind == "marginals":
-            assert all(np.isfinite(m).all() for m in estimate)
         else:
             assert np.isfinite(np.asarray(estimate)).all()
 
-    @pytest.mark.parametrize(
-        "spec",
-        [s for s in ALL_SPECS if s.kind != "marginals"],
-        ids=[s.name for s in ALL_SPECS if s.kind != "marginals"],
-    )
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=[s.name for s in ALL_SPECS])
     def test_wire_equals_direct_ingest(self, spec, rng):
         """Decoding its own encoded feed must not change the estimate."""
         direct = CollectionServer("r", spec.name, 1.0, 64)

@@ -22,8 +22,6 @@ SPECS = list_estimators()
 def _values(spec, rng, n=300, d=64):
     if spec.kind == "frequency":
         return rng.integers(0, d, size=n)
-    if spec.kind == "marginals":
-        return rng.random((n, 2))
     return rng.random(n)
 
 

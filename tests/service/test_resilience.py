@@ -447,6 +447,133 @@ class TestCrashRecoveryProperty:
             collector.close()
 
 
+def reports_in(collector) -> int:
+    """Reports the shards have folded, read without solving anything."""
+    return sum(shard["reports_ingested"] for shard in collector.stats()["shards"])
+
+
+async def post_upload(handle, key, frame):
+    status, payload, _reader, writer = await http_request(
+        handle.host, handle.port, "POST", "/v1/rounds/r1/reports",
+        body=frame, headers={"Idempotency-Key": key},
+    )
+    writer.close()
+    return status, json.loads(payload)
+
+
+class TestJournalFailures:
+    """A torn commit line or a journal write that raises loses no
+    acknowledged upload and counts none twice, across restarts."""
+
+    def test_restart_truncates_a_torn_commit_line(self, tmp_path):
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "torn", n_shards=2)
+        with ShardedCollector(config) as collector:
+            for key, frame in uploads[:2]:
+                collector.submit(frame, "r1", key=key)
+        # A death halfway through writing the next commit line.
+        line = MetaJournal._line({"kind": "commit", "key": uploads[2][0]})
+        with open(config.journal_dir / "meta.log", "ab") as handle:
+            handle.write(line[: len(line) // 2])
+        with ShardedCollector(config) as restarted:
+            assert reports_in(restarted) == 600
+            for key, frame in uploads[2:]:
+                restarted.submit(frame, "r1", key=key)
+            assert reports_in(restarted) == 1500
+            assert estimates_of(restarted) == baseline
+        with ShardedCollector(config) as again:
+            assert again.stats()["uploads_accepted"] == len(uploads)
+            assert reports_in(again) == 1500
+            assert estimates_of(again) == baseline
+
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_torn_commit_fault_rolls_the_upload_back(self, tmp_path, at):
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(
+            tmp_path / "torn", faults=FaultPlan([Fault("meta.truncate", at=at)])
+        )
+        collector = ShardedCollector(config)
+        try:
+            for key, frame in uploads:
+                try:
+                    receipt = collector.submit(frame, "r1", key=key)
+                except InjectedCrash:
+                    collector.close()
+                    collector = ShardedCollector(config)
+                    receipt = collector.submit(frame, "r1", key=key)
+                assert not receipt.replayed
+        finally:
+            collector.close()
+        assert config.faults.fired == (("meta.truncate", at),)
+        with ShardedCollector(config) as recovered:
+            assert recovered.stats()["uploads_accepted"] == len(uploads)
+            assert estimates_of(recovered) == baseline
+
+    @pytest.mark.parametrize("landed", [False, True])
+    def test_raising_journal_write_stops_admission_until_restart(
+        self, tmp_path, monkeypatch, landed
+    ):
+        """The commit of upload 2 raises ENOSPC once, before or after its
+        line reaches the log; the same-key retry must count once."""
+        uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "enospc", n_shards=2)
+        collector = ShardedCollector(config)
+        real_commit = collector._meta.commit
+        failures = [OSError(28, "No space left on device")]
+
+        def commit(receipt):
+            if receipt.key == uploads[1][0] and failures:
+                if landed:
+                    real_commit(receipt)
+                raise failures.pop()
+            real_commit(receipt)
+
+        monkeypatch.setattr(collector._meta, "commit", commit)
+        try:
+            collector.submit(uploads[0][1], "r1", key=uploads[0][0])
+            with pytest.raises(core.JournalFailedError, match="No space left"):
+                collector.submit(uploads[1][1], "r1", key=uploads[1][0])
+            # The same-key retry is refused, and so is every other upload.
+            for key, frame in uploads[1:]:
+                with pytest.raises(core.JournalFailedError, match="restarted"):
+                    collector.submit(frame, "r1", key=key)
+            assert reports_in(collector) == 300
+        finally:
+            collector.close()
+        with ShardedCollector(config) as restarted:
+            assert restarted.stats()["uploads_accepted"] == 1 + landed
+            assert reports_in(restarted) == 300 * (1 + landed)
+            replayed = [
+                restarted.submit(frame, "r1", key=key).replayed
+                for key, frame in uploads[1:]
+            ]
+            assert replayed == [landed, False, False, False]
+            assert reports_in(restarted) == 1500
+            assert estimates_of(restarted) == baseline
+        with ShardedCollector(config) as again:
+            assert again.stats()["uploads_accepted"] == len(uploads)
+            assert reports_in(again) == 1500
+            assert estimates_of(again) == baseline
+
+    def test_raising_journal_write_is_503(self, tmp_path, monkeypatch):
+        uploads = keyed_uploads(make_plan())
+        with start_local_service(config_for(tmp_path, n_shards=2)) as handle:
+
+            def commit(receipt):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(handle.collector._meta, "commit", commit)
+            for key, frame in (uploads[0], uploads[0], uploads[1]):
+                status, payload = asyncio.run(post_upload(handle, key, frame))
+                assert status == 503, payload
+                assert "Input/output error" in payload["error"]
+                assert "restarted" in payload["error"]
+            assert handle.collector.stats()["uploads_accepted"] == 0
+
+
 def replay_prefix(config, shard_id, journal_offset) -> dict:
     """A fresh replay of one shard's journal from 0 up to ``journal_offset``."""
     shard = ShardAggregator(shard_id, config)

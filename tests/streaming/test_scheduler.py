@@ -8,7 +8,6 @@ import pytest
 from repro.api import make_estimator
 from repro.api.base import Estimator
 from repro.streaming import StreamingCollector
-from repro.streaming.scheduler import iter_ticks
 from repro.streaming.telemetry import drifting_stream
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, plan_analysis
 from repro.utils.rng import as_generator
@@ -74,17 +73,16 @@ class TestTickBasics:
         assert result.attributes["a1"].skipped
         assert result.skipped == 1 and result.solved == 1
 
-    @pytest.mark.parametrize("name", ["pm", "sw-multi", "sw-ems"])
+    @pytest.mark.parametrize("name", ["pm", "sw-ems"])
     def test_unchanged_window_is_a_hit_for_every_estimate_type(self, name):
-        """Scalar, list-valued and array estimates share one caching rule:
-        an unchanged window is skipped and answers what it answered before,
-        and a hit hands out a copy the caller may mutate."""
-        kwargs = {"n_attributes": 2} if name == "sw-multi" else {}
+        """Scalar and array estimates share one caching rule: an unchanged
+        window is skipped and answers what it answered before, and a hit
+        hands out a copy the caller may mutate."""
         collector = StreamingCollector(
-            {"a0": make_estimator(name, 1.0, 64, **kwargs)}, window=4
+            {"a0": make_estimator(name, 1.0, 64)}, window=4
         )
         gen = as_generator(3)
-        values = gen.random((500, 2)) if name == "sw-multi" else gen.random(500)
+        values = gen.random(500)
         first = collector.tick({"a0": collector.make_round("a0", values, rng=gen)})
         assert not first.attributes["a0"].skipped
         expected = pickle.dumps(first.attributes["a0"].estimate)
@@ -94,8 +92,7 @@ class TestTickBasics:
         hit = second.attributes["a0"].estimate
         assert pickle.dumps(hit) == expected
         if not isinstance(hit, float):
-            for array in hit if isinstance(hit, list) else [hit]:
-                array[:] = -1.0
+            hit[:] = -1.0
         third = collector.tick({})
         assert third.attributes["a0"].skipped
         assert pickle.dumps(third.attributes["a0"].estimate) == expected
@@ -245,6 +242,18 @@ class TestModesAndAudit:
         assert audit.satisfied
         assert not collector.audit({"a0": 1.0}, 3.0).satisfied
 
+    def test_idle_tick_is_not_charged(self):
+        """Three ticks that each push a round, then one that pushes none."""
+        collector = _collector(window=2)
+        for seed in range(3):
+            collector.tick(_rounds(collector, seed))
+        collector.tick({})
+        assert collector.n_ticks == 4
+        assert collector.n_rounds == 3
+        audit = collector.audit({"a0": 1.0}, 4.0)
+        assert audit.rounds == 3
+        assert audit.cumulative_epsilon == pytest.approx(3.0)
+
     def test_evicted_round_still_moves_the_estimate_and_is_charged(self):
         """Two streams differ only in round 1; the window evicts it at tick 11.
 
@@ -283,13 +292,3 @@ class TestModesAndAudit:
         collector2 = StreamingCollector.from_plan(planned, window=4)
         assert set(collector2.attributes) == {"income", "age"}
 
-
-class TestIterTicks:
-    def test_summary_counts(self):
-        collector = _collector(n_attrs=2, window=4, drift_every=2, drift_threshold=0.5)
-        results = [collector.tick(_rounds(collector, seed)) for seed in range(1, 4)]
-        summary = iter_ticks(results)
-        assert summary["n_ticks"] == 3
-        assert summary["solved"] == 6
-        assert summary["total_iterations"] > 0
-        assert summary["fused_groups"] == 3

@@ -322,14 +322,6 @@ class TestServeWorkflow:
         ]) == 2
         assert "payloads" in capsys.readouterr().err
 
-    def test_pack_marginals_rejected(self, tmp_path, values_file, capsys):
-        assert main([
-            "pack", "--method", "sw-multi", "--epsilon", "1.0",
-            "--round-id", "r", "--input", str(values_file),
-            "--output", str(tmp_path / "f"),
-        ]) == 2
-        assert "matrix" in capsys.readouterr().err
-
     def test_collect_corrupted_feed_fails_cleanly(self, tmp_path, capsys):
         feed = tmp_path / "feed.jsonl"
         feed.write_text(

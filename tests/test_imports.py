@@ -2,8 +2,9 @@
 
 ``repro/__init__.py`` resolves its public names on first access, so the
 service, round and CLI paths never load the families they do not run —
-the hierarchical estimators (and scipy with them), the experiment
-runner, the datasets and the lint tooling.
+the hierarchical estimators (and scipy with them), the CFO-binning
+baseline with its frequency oracles and Norm-Sub post-processing, the
+experiment runner, the datasets and the lint tooling.
 """
 
 import importlib
@@ -23,6 +24,9 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 OPTIONAL = (
     "scipy",
     "repro.hierarchy",
+    "repro.binning",
+    "repro.freq_oracle",
+    "repro.postprocess",
     "repro.experiments",
     "repro.datasets",
     "repro.devtools",
@@ -82,7 +86,7 @@ def test_hierarchical_estimator_loads_scipy_when_built():
 
 def test_every_public_name_is_its_defining_module_object():
     names = [name for name in repro.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 69
+    assert len(names) == len(set(names)) == 67
     for name in names:
         value = getattr(repro, name)
         home = importlib.import_module(repro._EXPORTS[name])
@@ -95,7 +99,7 @@ def test_every_public_name_is_its_defining_module_object():
 def test_star_import_and_dir_cover_every_public_name():
     namespace: dict = {}
     exec("from repro import *", namespace)
-    assert len(repro.__all__) == 70
+    assert len(repro.__all__) == 68
     assert [name for name in repro.__all__ if name not in namespace] == []
     assert namespace["__version__"] == repro.__version__
     listed = dir(repro)
