@@ -74,6 +74,7 @@ def test_recovers_both_marginals(two_attribute_data):
     for name, values in two_attribute_data.items():
         truth = true_histogram(values, 64)
         assert wasserstein_distance(truth, np.asarray(marginals[name])) < 0.03
+        assert session.estimators[name].result_ is not None  # per-attribute diagnostics
 
 
 def test_more_attributes_worse_marginals(two_attribute_data):
