@@ -248,11 +248,10 @@ class TestModesAndAudit:
         for seed in range(3):
             collector.tick(_rounds(collector, seed))
         collector.tick({})
-        assert collector.n_ticks == 4
-        assert collector.n_rounds == 3
         audit = collector.audit({"a0": 1.0}, 4.0)
         assert audit.rounds == 3
         assert audit.cumulative_epsilon == pytest.approx(3.0)
+        assert (collector.n_ticks, collector.n_rounds) == (4, 3)
 
     def test_evicted_round_still_moves_the_estimate_and_is_charged(self):
         """Two streams differ only in round 1; the window evicts it at tick 11.
