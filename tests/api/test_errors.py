@@ -5,8 +5,11 @@ import pytest
 
 from repro.api import EmptyAggregateError
 from repro.binning.cfo_binning import CFOBinning
-from repro.core.pipeline import DiscreteSWEstimator, SWEstimator
+from repro.core.pipeline import DiscreteSWEstimator, SWEstimator, WaveEstimator
+from repro.core.waves import make_wave
 from repro.freq_oracle.grr import GRR
+from repro.freq_oracle.hrr import HRR
+from repro.freq_oracle.olh import OLH
 from repro.hierarchy.admm import HHADMM
 from repro.hierarchy.haar import HaarHRR
 from repro.hierarchy.hh import HierarchicalHistogram
@@ -17,11 +20,19 @@ _EMPTY_ESTIMATORS = [
     pytest.param(lambda: SWEstimator(1.0, d=16), id="sw"),
     pytest.param(lambda: DiscreteSWEstimator(1.0, d=16), id="sw-discrete"),
     pytest.param(lambda: CFOBinning(1.0, d=32, bins=16), id="cfo"),
+    # Eight chunks at eps=1 pick GRR, the chunk oracle that sixteen do not.
+    pytest.param(lambda: CFOBinning(1.0, d=32, bins=8), id="cfo-grr"),
+    pytest.param(
+        lambda: WaveEstimator(make_wave("triangle", 1.0), d=16), id="wave-triangle"
+    ),
     pytest.param(lambda: HierarchicalHistogram(1.0, d=16), id="hh"),
     pytest.param(lambda: HHADMM(1.0, d=16), id="hh-admm"),
     pytest.param(lambda: HaarHRR(1.0, d=16), id="haar-hrr"),
     pytest.param(lambda: GRR(1.0, 8), id="grr"),
+    pytest.param(lambda: OLH(1.0, 8), id="olh"),
+    pytest.param(lambda: HRR(1.0, 8), id="hrr"),
     pytest.param(lambda: ScalarMeanEstimator(1.0, "pm"), id="pm"),
+    pytest.param(lambda: ScalarMeanEstimator(1.0, "sr"), id="sr"),
 ]
 
 

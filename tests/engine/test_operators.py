@@ -190,6 +190,26 @@ class TestCFOOperator:
         )
         np.testing.assert_allclose(op.column_sums(), 1.0, atol=1e-12)
 
+    @given(
+        epsilon=st.floats(0.05, 5.0),
+        bins=st.integers(2, 40),
+        width=st.integers(1, 8),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60)
+    def test_products_match_dense(self, epsilon, bins, width, batch, seed):
+        """Chunks one bucket wide up to eight wide, at any chunk count."""
+        d = bins * width
+        op = grr_chunk_channel(epsilon, d, bins)
+        dense = grr_chunk_matrix(epsilon, d, bins)
+        rng = np.random.default_rng(seed)
+        x = _random_probs(rng, d, batch)
+        y = _random_probs(rng, bins, batch)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, atol=ATOL)
+        np.testing.assert_allclose(op.rmatvec(y), dense.T @ y, atol=ATOL)
+        np.testing.assert_allclose(op.column_sums(), 1.0, atol=1e-12)
+
 
 # -- solver equivalence: operator path vs dense path --------------------------
 

@@ -465,17 +465,20 @@ class TestJournalFailures:
     """A torn commit line or a journal write that raises loses no
     acknowledged upload and counts none twice, across restarts."""
 
-    def test_restart_truncates_a_torn_commit_line(self, tmp_path):
+    @pytest.mark.parametrize("torn", ["half", "newline"])
+    def test_restart_truncates_a_torn_commit_line(self, tmp_path, torn):
+        """A death halfway through the next commit line (its digest fails),
+        or just before its newline (its digest holds, the line is open)."""
         uploads = keyed_uploads(make_plan())
         baseline = fault_free_baseline(tmp_path, uploads)
         config = config_for(tmp_path / "torn", n_shards=2)
         with ShardedCollector(config) as collector:
             for key, frame in uploads[:2]:
                 collector.submit(frame, "r1", key=key)
-        # A death halfway through writing the next commit line.
         line = MetaJournal._line({"kind": "commit", "key": uploads[2][0]})
+        keep = len(line) // 2 if torn == "half" else len(line) - 1
         with open(config.journal_dir / "meta.log", "ab") as handle:
-            handle.write(line[: len(line) // 2])
+            handle.write(line[:keep])
         with ShardedCollector(config) as restarted:
             assert reports_in(restarted) == 600
             for key, frame in uploads[2:]:
@@ -558,14 +561,77 @@ class TestJournalFailures:
             assert reports_in(again) == 1500
             assert estimates_of(again) == baseline
 
-    def test_raising_journal_write_is_503(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_raising_shard_append_is_rolled_back_at_restart(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """Upload 2's first or second block append raises EIO. Blocks
+        journaled before it were never committed: the restart drops them,
+        and the same-key retry lands once."""
         uploads = keyed_uploads(make_plan())
+        baseline = fault_free_baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "eio", n_shards=2)
+        collector = ShardedCollector(config)
+        appended = []
+
+        def failing_append(real):
+            def append(key, segment):
+                if key == uploads[1][0]:
+                    appended.append(key)
+                    if len(appended) == failing + 1:
+                        raise OSError(5, "Input/output error")
+                return real(key, segment)
+
+            return append
+
+        for journal in collector._journals:
+            monkeypatch.setattr(journal, "append", failing_append(journal.append))
+        try:
+            collector.submit(uploads[0][1], "r1", key=uploads[0][0])
+            with pytest.raises(core.JournalFailedError, match="Input/output"):
+                collector.submit(uploads[1][1], "r1", key=uploads[1][0])
+            with pytest.raises(core.JournalFailedError, match="restarted"):
+                collector.submit(uploads[1][1], "r1", key=uploads[1][0])
+            orphans = [
+                record.key
+                for journal in collector._journals
+                for record in journal.replay(0)
+                if record.key == uploads[1][0]
+            ]
+            assert len(orphans) == failing
+        finally:
+            collector.close()
+        with ShardedCollector(config) as restarted:
+            assert restarted.stats()["uploads_accepted"] == 1
+            assert reports_in(restarted) == 300
+            for journal in restarted._journals:
+                assert {record.key for record in journal.replay(0)} <= {uploads[0][0]}
+            for key, frame in uploads[1:]:
+                assert not restarted.submit(frame, "r1", key=key).replayed
+            assert estimates_of(restarted) == baseline
+        with ShardedCollector(config) as again:
+            assert again.stats()["uploads_accepted"] == len(uploads)
+            assert reports_in(again) == 1500
+            assert estimates_of(again) == baseline
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            pytest.param(("_meta", "commit"), id="commit"),
+            pytest.param(("_journals", "append"), id="append"),
+        ],
+    )
+    def test_raising_journal_write_is_503(self, tmp_path, monkeypatch, stage):
+        uploads = keyed_uploads(make_plan())
+        logs, method = stage
         with start_local_service(config_for(tmp_path, n_shards=2)) as handle:
 
-            def commit(receipt):
+            def fail(*args):
                 raise OSError(5, "Input/output error")
 
-            monkeypatch.setattr(handle.collector._meta, "commit", commit)
+            found = getattr(handle.collector, logs)
+            for log in found if isinstance(found, list) else [found]:
+                monkeypatch.setattr(log, method, fail)
             for key, frame in (uploads[0], uploads[0], uploads[1]):
                 status, payload = asyncio.run(post_upload(handle, key, frame))
                 assert status == 503, payload

@@ -242,9 +242,10 @@ class TestModesAndAudit:
         assert audit.satisfied
         assert not collector.audit({"a0": 1.0}, 3.0).satisfied
 
-    def test_idle_tick_is_not_charged(self):
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_idle_tick_is_not_charged(self, window):
         """Three ticks that each push a round, then one that pushes none."""
-        collector = _collector(window=2)
+        collector = _collector(window=window)
         for seed in range(3):
             collector.tick(_rounds(collector, seed))
         collector.tick({})
@@ -252,6 +253,19 @@ class TestModesAndAudit:
         assert audit.rounds == 3
         assert audit.cumulative_epsilon == pytest.approx(3.0)
         assert (collector.n_ticks, collector.n_rounds) == (4, 3)
+
+    def test_tick_pushing_some_attributes_charges_the_busiest(self):
+        """a0 gets rounds at ticks 1 and 2, a1 at ticks 1 and 3: each of
+        their users reported twice in three ticks, so two rounds are charged."""
+        collector = _collector(n_attrs=2, window=4)
+        collector.tick(_rounds(collector, 0))
+        for seed, name in ((1, "a0"), (2, "a1")):
+            collector.tick({name: _rounds(collector, seed)[name]})
+        assert (collector.n_ticks, collector.n_rounds) == (3, 2)
+        audit = collector.audit({"a0": 0.5, "a1": 0.5}, 2.0)
+        assert audit.rounds == 2
+        assert audit.cumulative_epsilon == pytest.approx(2.0)
+        assert audit.satisfied
 
     def test_evicted_round_still_moves_the_estimate_and_is_charged(self):
         """Two streams differ only in round 1; the window evicts it at tick 11.

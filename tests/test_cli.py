@@ -193,6 +193,36 @@ class TestAnalyze:
         }
         assert results["per_user_epsilon"] == 1.0
 
+    def test_marginals_plan_end_to_end(self, table_file, tmp_path, capsys):
+        """Several marginals come from a plan's marginals task: each
+        attribute gets ``sw-ems`` and its own share of the users."""
+        import json
+
+        plan_path = tmp_path / "marginals.json"
+        plan_path.write_text(json.dumps({
+            "epsilon": 2.0,
+            "attributes": [
+                {"name": "income", "low": 0.0, "high": 100000.0, "d": 32},
+                {"name": "age", "low": 18.0, "high": 90.0, "d": 32},
+            ],
+            "tasks": [{"task": "marginals", "names": ["income", "age"]}],
+        }))
+        assert main(["analyze", "--plan", str(plan_path), "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "income: sw-ems" in out and "age: sw-ems" in out
+        out_path = tmp_path / "results.json"
+        code = main([
+            "analyze", "--plan", str(plan_path), "--input", str(table_file),
+            "--output", str(out_path), "--seed", "5",
+        ])
+        assert code == 0
+        (result,) = json.loads(out_path.read_text())["results"]
+        assert result["task"] == "marginals"
+        assert result["n_reports"] == 5000
+        for name in ("income", "age"):
+            assert len(result["value"][name]) == 32
+            assert sum(result["value"][name]) == pytest.approx(1.0)
+
     def test_missing_io_flags(self, plan_file, capsys):
         assert main(["analyze", "--plan", str(plan_file)]) == 2
         assert "required" in capsys.readouterr().err
