@@ -41,9 +41,9 @@ Fault tolerance is layered on the same serialization point
   estimates are bit-identical. Uploads that crashed before their commit
   record are rolled back (their journal records are skipped), which is
   what makes a client retry after a lost ack exactly-once rather than
-  at-least-once. A journal write that raises stops admission
-  (:class:`JournalFailedError`, HTTP 503) until a restart, so a same-key
-  retry is never journaled beside the failed attempt's records.
+  at-least-once. A journal write that raises stops admission and window
+  advances (:class:`JournalFailedError`, HTTP 503) until a restart, so a
+  same-key retry is never journaled beside the failed attempt's records.
 * Idempotent ingest: a caller-supplied idempotency key is checked
   against a bounded :class:`~repro.service.resilience.DedupLedger`
   first thing in admission — a repeat of an accepted upload returns a
@@ -134,13 +134,16 @@ class ServiceOverloadError(RuntimeError):
 
 
 class JournalFailedError(RuntimeError):
-    """A journal write raised; nothing is admitted until a restart (HTTP 503).
+    """A journal write raised; no upload or advance is admitted until a
+    restart (HTTP 503).
 
-    The failed upload may have left records in the journals, even its
-    commit. A same-key retry journaled beside them would make recovery
-    fold the upload twice, so the collector refuses every upload until a
-    restart's recovery has settled the failed one: dropped if its commit
-    is missing, replay-acked if it landed.
+    The failed write may have left records in the journals, even a commit
+    or an advance line. A same-key retry journaled beside them would make
+    recovery fold the upload twice, and an advance recorded after them
+    would replay over reports the live window never saw. So the collector
+    refuses every upload and advance until a restart's recovery has
+    settled the failed write: dropped if its line is missing, replayed if
+    it landed.
     """
 
 
@@ -846,8 +849,8 @@ class ShardedCollector:
         upload gets its receipt: a fold that crashes its shard kills that
         shard, not the upload, whose blocks :meth:`revive` replays. A
         journal write that raises (a full or failing disk) raises
-        :class:`JournalFailedError`, for that upload and every later one,
-        until the collector is restarted.
+        :class:`JournalFailedError`, for that upload and every later one
+        and for every advance, until the collector is restarted.
 
         ``key`` is the upload's idempotency key. When supplied, a repeat
         of an already-accepted upload returns a ``replayed=True`` receipt
@@ -903,11 +906,7 @@ class ShardedCollector:
                     )
                 self._meta.commit(receipt)
             except Exception as exc:
-                self._journal_error = (
-                    f"journal write failed ({type(exc).__name__}: {exc}); "
-                    "no upload is admitted until the service is restarted"
-                )
-                raise JournalFailedError(self._journal_error) from exc
+                raise self._journal_failed(exc) from exc
         for shard_id, block in batches:
             self.shards[shard_id].enqueue(block, round_id)
         if key is not None:
@@ -918,6 +917,15 @@ class ShardedCollector:
             if self._since_checkpoint >= self.config.checkpoint_every:
                 self.checkpoint()
         return receipt
+
+    def _journal_failed(self, exc: Exception) -> JournalFailedError:
+        """Stop admission after a journal write raised (see
+        :class:`JournalFailedError`); returns the error to raise."""
+        self._journal_error = (
+            f"journal write failed ({type(exc).__name__}: {exc}); "
+            "no upload or advance is admitted until the service is restarted"
+        )
+        return JournalFailedError(self._journal_error)
 
     def flush(self) -> None:
         """Wait until every checkpoint cut so far is on disk.
@@ -1047,7 +1055,9 @@ class ShardedCollector:
         upload ever touched raises ``LookupError``. With journaling, the
         advance is recorded in the meta journal together with the shard
         journals' offsets, so a restarted windowed service replays its
-        tick sequence at the exact same boundaries.
+        tick sequence at the exact same boundaries. Once a journal write
+        has raised, here or in :meth:`submit`, every advance raises
+        :class:`JournalFailedError` until the collector is restarted.
         """
         if not self.config.windowed:
             raise RuntimeError(
@@ -1055,6 +1065,8 @@ class ShardedCollector:
                 "ServiceConfig with window="
             )
         with self._merge_lock:
+            if self._journal_error is not None:
+                raise JournalFailedError(self._journal_error)
             return self._advance_locked(round_id, record_meta=True)
 
     def _advance_locked(
@@ -1071,9 +1083,14 @@ class ShardedCollector:
         tick_seconds = time.perf_counter() - started
         self._advanced.append(round_id)
         if record_meta and self._meta is not None and self._journals is not None:
-            self._meta.advance(
-                round_id, [journal.size for journal in self._journals]
-            )
+            # The live window has ticked; if its record is lost, only a
+            # restart can tell, so nothing more is admitted or advanced.
+            try:
+                self._meta.advance(
+                    round_id, [journal.size for journal in self._journals]
+                )
+            except Exception as exc:
+                raise self._journal_failed(exc) from exc
         payload = result.to_dict()
         for tick in payload["attributes"].values():
             tick["estimate"] = _jsonify_estimate(tick["estimate"])

@@ -7,7 +7,7 @@ deterministic way to break the service at its real seams:
 * :class:`FaultPlan` — a set of :class:`Fault` rules attached to named
   injection **sites** the production code consults at its critical
   points (``journal.append.before``/``.after``, ``journal.truncate``,
-  ``meta.commit.before``/``.after``, ``meta.truncate``, ``shard.fold``,
+  ``meta.commit.before``/``.after``, ``shard.fold``,
   ``checkpoint.truncate``, ``http.drop``, ``http.delay``). Each rule
   fires on an exact hit count (``at=``), a cadence (``every=``), or a
   seeded coin (``prob=``); the coin is a pure function of ``(seed, site,
@@ -53,7 +53,6 @@ FAULT_SITES = (
     "journal.truncate",  # write only part of a record, then crash (torn tail)
     "meta.commit.before",  # crash before the upload's commit record
     "meta.commit.after",  # crash after commit, before fold/ack
-    "meta.truncate",  # write only part of a commit line, then crash (torn line)
     "shard.fold",  # crash a block's fold at admission (the shard dies)
     "checkpoint.truncate",  # write part of a checkpoint slot, then crash its shard
     "http.drop",  # close the connection instead of writing the response
@@ -97,8 +96,8 @@ class Fault:
     ``prob`` flips the seeded per-hit coin. ``times`` caps the total
     number of firings (``None`` = unlimited); ``delay`` is the injected
     latency for ``http.delay``; ``keep_bytes`` is how much of the record
-    a ``journal.truncate``, ``meta.truncate`` or ``checkpoint.truncate``
-    firing actually writes before crashing (``None`` = half the record).
+    a ``journal.truncate`` or ``checkpoint.truncate`` firing actually
+    writes before crashing (``None`` = half the record).
     """
 
     site: str

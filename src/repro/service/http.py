@@ -26,7 +26,8 @@ leverage:
   the completed round into the continuous window
   (:meth:`~repro.service.core.ShardedCollector.advance_window`). ``200``
   with the tick result, ``404`` for an untouched round, ``409`` when the
-  round was already advanced, ``400`` when the service is one-shot.
+  round was already advanced, ``400`` when the service is one-shot,
+  ``503`` once a journal write has failed (until a restart).
 * ``GET /v1/stream/estimate`` — latest windowed estimates plus the
   stream's cumulative privacy audit; ``404`` before the first advance.
 * ``GET /healthz`` — liveness.
@@ -382,6 +383,8 @@ class ReportService:
             raise _HttpError(404, str(exc)) from None
         except ValueError as exc:
             raise _HttpError(409, str(exc)) from None
+        except JournalFailedError as exc:
+            raise _HttpError(503, str(exc)) from None
         except RuntimeError as exc:
             raise _HttpError(400, str(exc)) from None
         return 200, result, None

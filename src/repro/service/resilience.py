@@ -262,17 +262,19 @@ class MetaJournal(_AppendLog):
         raw = body.encode("utf-8")
         return _digest(raw).hex().encode("ascii") + b" " + raw + b"\n"
 
-    def _write(self, line: bytes) -> None:
+    def append(self, record: dict[str, Any]) -> None:
         if self._closed:
             raise RuntimeError("meta journal is closed")
-        self._file.write(line)
+        self._file.write(self._line(record))
         self._file.flush()
         if self.fsync == "always":
             os.fsync(self._file.fileno())
 
     def commit(self, receipt: IngestReceipt) -> None:
         """Record one upload as durably accepted (fault sites around it)."""
-        line = self._line(
+        if self.faults is not None:
+            self.faults.crash("meta.commit.before")
+        self.append(
             {
                 "kind": "commit",
                 "key": receipt.key,
@@ -282,20 +284,11 @@ class MetaJournal(_AppendLog):
             }
         )
         if self.faults is not None:
-            self.faults.crash("meta.commit.before")
-            keep = self.faults.truncation("meta.truncate", len(line))
-            if keep is not None:
-                self._write(line[:keep])
-                raise InjectedCrash("meta.truncate", keep)
-        self._write(line)
-        if self.faults is not None:
             self.faults.crash("meta.commit.after")
 
     def advance(self, round_id: str, offsets: list[int]) -> None:
         """Record one windowed-round advance at its journal boundaries."""
-        self._write(
-            self._line({"kind": "advance", "round": round_id, "offsets": offsets})
-        )
+        self.append({"kind": "advance", "round": round_id, "offsets": offsets})
 
     def _scan(self) -> tuple[list[dict[str, Any]], int]:
         """Intact records in append order, and the offset just past them."""

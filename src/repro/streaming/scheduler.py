@@ -158,6 +158,7 @@ class StreamingCollector:
         self._posteriors = PosteriorCache()
         self._last: dict[str, AttributeTick] = {}
         self._ticks = 0
+        self._rounds = 0
 
     def _make_window(self, template: Estimator) -> _WindowBase:
         if self.window is not None:
@@ -190,12 +191,14 @@ class StreamingCollector:
 
     @property
     def n_rounds(self) -> int:
-        """Rounds collected: the most pushed into any attribute's window.
+        """Rounds collected: the ticks that pushed at least one round.
 
-        An idle tick pushes nothing, so it is not counted. Equals
-        :attr:`n_ticks` when every tick pushes every attribute.
+        An idle tick pushes nothing, so it is not counted. A tick that
+        pushes only some attributes counts whole: under a population split
+        a user who reports every round may report a different attribute in
+        each. Equals :attr:`n_ticks` when every tick pushes a round.
         """
-        return max(state.n_rounds for state in self._windows.values())
+        return self._rounds
 
     def window_state(self, attribute: str) -> _WindowBase:
         return self._windows[str(attribute)]
@@ -243,6 +246,8 @@ class StreamingCollector:
                 f"collector serves {sorted(self._windows)}"
             )
         self._ticks += 1
+        if rounds:
+            self._rounds += 1
         for name, round_estimator in rounds.items():
             self._windows[str(name)].push(round_estimator)
 

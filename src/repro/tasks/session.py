@@ -150,25 +150,28 @@ class Session:
         share the user axis). Under population splitting each user is
         assigned a single attribute (weight-proportional) and spends the
         whole budget on it; under budget splitting every user reports every
-        attribute at its allocated fraction. Returns per-attribute LDP
-        reports, ready for :meth:`ingest` or :meth:`to_feed`.
+        attribute at its allocated fraction. One non-finite or out-of-range
+        value refuses the whole batch with ``ValueError``, whichever
+        attribute its user is assigned. Returns per-attribute LDP reports,
+        ready for :meth:`ingest` or :meth:`to_feed`.
         """
         arrays = self._check_data(data)
         gen = as_generator(rng)
+        # Every column is checked before the split: whether a bad value is
+        # refused must not depend on which attribute its user is assigned.
+        units = {name: self.plan.attribute(name).to_unit(col) for name, col in arrays.items()}
         reports: dict[str, Any] = {}
         if self.plan.split == "population":
             n = next(iter(arrays.values())).size
             assignment = self._assign(n, gen)
             for index, name in enumerate(self.attributes):
-                group = np.compress(assignment == index, arrays[name])
+                group = np.compress(assignment == index, units[name])
                 if group.size == 0:
                     continue
-                unit = self.plan.attribute(name).to_unit(group)
-                reports[name] = self._estimators[name].privatize(unit, rng=gen)
+                reports[name] = self._estimators[name].privatize(group, rng=gen)
         else:
             for name in self.attributes:
-                unit = self.plan.attribute(name).to_unit(arrays[name])
-                reports[name] = self._estimators[name].privatize(unit, rng=gen)
+                reports[name] = self._estimators[name].privatize(units[name], rng=gen)
         return reports
 
     # -- server side -------------------------------------------------------

@@ -257,14 +257,19 @@ class TestStateSerialization:
         )
 
     def test_cfo_payload_with_an_em_param_is_refused(self, values):
-        """CFO binning is Norm-Sub only; a payload that still names an EM
-        config does not load."""
+        """CFO binning is Norm-Sub only. Every CFO payload written while it
+        had an EM mode carries ``em`` (``None`` when off) and no longer
+        loads; without the key, the same payload loads and estimates."""
         est = CFOBinning(1.0, d=64, bins=16)
         est.partial_fit(values[:500], rng=np.random.default_rng(3))
         payload = json.loads(json.dumps(est.to_state()))
         payload["params"]["em"] = None
         with pytest.raises(TypeError, match="em"):
             Estimator.from_state(payload)
+        del payload["params"]["em"]
+        np.testing.assert_array_equal(
+            Estimator.from_state(payload).estimate(), est.estimate()
+        )
 
     def test_restored_shard_can_keep_ingesting(self, values):
         """The serialized shard state is live, not a frozen snapshot."""

@@ -461,6 +461,14 @@ async def post_upload(handle, key, frame):
     return status, json.loads(payload)
 
 
+async def post_advance(handle, round_id):
+    status, payload, _reader, writer = await http_request(
+        handle.host, handle.port, "POST", f"/v1/rounds/{round_id}/advance"
+    )
+    writer.close()
+    return status, json.loads(payload)
+
+
 class TestJournalFailures:
     """A torn commit line or a journal write that raises loses no
     acknowledged upload and counts none twice, across restarts."""
@@ -489,30 +497,6 @@ class TestJournalFailures:
             assert again.stats()["uploads_accepted"] == len(uploads)
             assert reports_in(again) == 1500
             assert estimates_of(again) == baseline
-
-    @pytest.mark.parametrize("at", [1, 3])
-    def test_torn_commit_fault_rolls_the_upload_back(self, tmp_path, at):
-        uploads = keyed_uploads(make_plan())
-        baseline = fault_free_baseline(tmp_path, uploads)
-        config = config_for(
-            tmp_path / "torn", faults=FaultPlan([Fault("meta.truncate", at=at)])
-        )
-        collector = ShardedCollector(config)
-        try:
-            for key, frame in uploads:
-                try:
-                    receipt = collector.submit(frame, "r1", key=key)
-                except InjectedCrash:
-                    collector.close()
-                    collector = ShardedCollector(config)
-                    receipt = collector.submit(frame, "r1", key=key)
-                assert not receipt.replayed
-        finally:
-            collector.close()
-        assert config.faults.fired == (("meta.truncate", at),)
-        with ShardedCollector(config) as recovered:
-            assert recovered.stats()["uploads_accepted"] == len(uploads)
-            assert estimates_of(recovered) == baseline
 
     @pytest.mark.parametrize("landed", [False, True])
     def test_raising_journal_write_stops_admission_until_restart(
@@ -638,6 +622,147 @@ class TestJournalFailures:
                 assert "Input/output error" in payload["error"]
                 assert "restarted" in payload["error"]
             assert handle.collector.stats()["uploads_accepted"] == 0
+
+
+class TestWindowedJournalFailures:
+    """A journal write that raises in windowed mode stops advances too, so
+    the restarted window equals the live one and no round is lost."""
+
+    ROUNDS = ("r1", "r2", "r3")
+
+    def uploads(self):
+        plan = make_plan()
+        return {
+            round_id: keyed_uploads(plan, round_id=round_id, n_users=600, seed=4)
+            for round_id in self.ROUNDS
+        }
+
+    def window_of(self, collector) -> str:
+        return json.dumps(collector.window_estimate(), sort_keys=True)
+
+    def baseline(self, tmp_path, uploads) -> str:
+        config = config_for(tmp_path / "baseline", n_shards=2, window=2)
+        with ShardedCollector(config) as collector:
+            for round_id in self.ROUNDS:
+                for key, frame in uploads[round_id]:
+                    collector.submit(frame, round_id, key=key)
+                collector.advance_window(round_id)
+            return self.window_of(collector)
+
+    @pytest.mark.parametrize("landed", [False, True])
+    def test_raising_commit_refuses_advances_until_restart(
+        self, tmp_path, monkeypatch, landed
+    ):
+        """r2's second upload fails to commit, before or after its line
+        lands. An advance recorded after a landed line would replay over
+        an upload the live window never folded, so it is refused."""
+        uploads = self.uploads()
+        baseline = self.baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "enospc", n_shards=2, window=2)
+        failing = uploads["r2"][1][0]
+        collector = ShardedCollector(config)
+        real_commit = collector._meta.commit
+        failures = [OSError(28, "No space left on device")]
+
+        def commit(receipt):
+            if receipt.key == failing and failures:
+                if landed:
+                    real_commit(receipt)
+                raise failures.pop()
+            real_commit(receipt)
+
+        monkeypatch.setattr(collector._meta, "commit", commit)
+        try:
+            for key, frame in uploads["r1"]:
+                collector.submit(frame, "r1", key=key)
+            collector.advance_window("r1")
+            collector.submit(uploads["r2"][0][1], "r2", key=uploads["r2"][0][0])
+            with pytest.raises(core.JournalFailedError, match="No space left"):
+                collector.submit(uploads["r2"][1][1], "r2", key=failing)
+            with pytest.raises(core.JournalFailedError, match="restarted"):
+                collector.advance_window("r2")
+            live = self.window_of(collector)
+        finally:
+            collector.close()
+        with ShardedCollector(config) as restarted:
+            assert self.window_of(restarted) == live
+            replayed = [
+                restarted.submit(frame, "r2", key=key).replayed
+                for key, frame in uploads["r2"]
+            ]
+            assert replayed == [True, landed]
+            restarted.advance_window("r2")
+            for key, frame in uploads["r3"]:
+                restarted.submit(frame, "r3", key=key)
+            restarted.advance_window("r3")
+            assert self.window_of(restarted) == baseline
+        with ShardedCollector(config) as again:
+            assert self.window_of(again) == baseline
+
+    @pytest.mark.parametrize("landed", [False, True])
+    def test_raising_advance_record_refuses_later_rounds_until_restart(
+        self, tmp_path, monkeypatch, landed
+    ):
+        """r2's advance record fails to write, before or after it lands.
+        Nothing more is admitted or advanced; after the restart r2 is
+        advanced once, and r3 after it, as in a fault-free run."""
+        uploads = self.uploads()
+        baseline = self.baseline(tmp_path, uploads)
+        config = config_for(tmp_path / "eio", n_shards=2, window=2)
+        collector = ShardedCollector(config)
+        real_advance = collector._meta.advance
+
+        def advance(round_id, offsets):
+            if round_id == "r2":
+                if landed:
+                    real_advance(round_id, offsets)
+                raise OSError(5, "Input/output error")
+            real_advance(round_id, offsets)
+
+        monkeypatch.setattr(collector._meta, "advance", advance)
+        try:
+            for round_id in ("r1", "r2"):
+                for key, frame in uploads[round_id]:
+                    collector.submit(frame, round_id, key=key)
+            collector.advance_window("r1")
+            with pytest.raises(core.JournalFailedError, match="Input/output"):
+                collector.advance_window("r2")
+            key, frame = uploads["r3"][0]
+            with pytest.raises(core.JournalFailedError, match="restarted"):
+                collector.submit(frame, "r3", key=key)
+            with pytest.raises(core.JournalFailedError, match="restarted"):
+                collector.advance_window("r3")
+        finally:
+            collector.close()
+        with ShardedCollector(config) as restarted:
+            advanced = ["r1", "r2"] if landed else ["r1"]
+            assert restarted.window_estimate()["rounds"] == advanced
+            if landed:
+                with pytest.raises(ValueError, match="already advanced"):
+                    restarted.advance_window("r2")
+            else:
+                restarted.advance_window("r2")
+            for key, frame in uploads["r3"]:
+                restarted.submit(frame, "r3", key=key)
+            restarted.advance_window("r3")
+            assert self.window_of(restarted) == baseline
+        with ShardedCollector(config) as again:
+            assert self.window_of(again) == baseline
+
+    def test_refused_advance_is_503(self, tmp_path, monkeypatch):
+        uploads = self.uploads()
+        config = config_for(tmp_path, n_shards=2, window=2)
+        with start_local_service(config) as handle:
+
+            def fail(*args):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(handle.collector._meta, "commit", fail)
+            key, frame = uploads["r1"][0]
+            assert asyncio.run(post_upload(handle, key, frame))[0] == 503
+            status, payload = asyncio.run(post_advance(handle, "r1"))
+            assert status == 503, payload
+            assert "restarted" in payload["error"]
 
 
 def replay_prefix(config, shard_id, journal_offset) -> dict:

@@ -254,18 +254,31 @@ class TestModesAndAudit:
         assert audit.cumulative_epsilon == pytest.approx(3.0)
         assert (collector.n_ticks, collector.n_rounds) == (4, 3)
 
-    def test_tick_pushing_some_attributes_charges_the_busiest(self):
-        """a0 gets rounds at ticks 1 and 2, a1 at ticks 1 and 3: each of
-        their users reported twice in three ticks, so two rounds are charged."""
+    def test_tick_pushing_some_attributes_is_charged_whole(self):
+        """a0 gets rounds at ticks 1 and 2, a1 at ticks 1 and 3: a user who
+        reports every round reported in all three, so three are charged."""
         collector = _collector(n_attrs=2, window=4)
         collector.tick(_rounds(collector, 0))
         for seed, name in ((1, "a0"), (2, "a1")):
             collector.tick({name: _rounds(collector, seed)[name]})
-        assert (collector.n_ticks, collector.n_rounds) == (3, 2)
+        assert (collector.n_ticks, collector.n_rounds) == (3, 3)
         audit = collector.audit({"a0": 0.5, "a1": 0.5}, 2.0)
+        assert audit.rounds == 3
+        assert audit.cumulative_epsilon == pytest.approx(3.0)
+        assert not audit.satisfied
+
+    def test_disjoint_ticks_are_charged_under_parallel_composition(self):
+        """Under a population split a user may report a0 in round 1 and a1
+        in round 2: two rounds at the per-round epsilon each, although no
+        window holds more than one."""
+        collector = _collector(n_attrs=2)
+        for seed, name in ((0, "a0"), (1, "a1")):
+            collector.tick({name: _rounds(collector, seed)[name]})
+        assert [collector.window_state(n).n_rounds for n in ("a0", "a1")] == [1, 1]
+        audit = collector.audit({"a0": 1.0, "a1": 1.0}, 1.5, composition="parallel")
         assert audit.rounds == 2
         assert audit.cumulative_epsilon == pytest.approx(2.0)
-        assert audit.satisfied
+        assert not audit.satisfied
 
     def test_evicted_round_still_moves_the_estimate_and_is_charged(self):
         """Two streams differ only in round 1; the window evicts it at tick 11.

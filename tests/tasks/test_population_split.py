@@ -147,6 +147,20 @@ def test_rejects_out_of_range(rng):
         session.privatize({"a0": np.full(5, 1.5), "a1": np.full(5, 1.5)}, rng=rng)
 
 
+@pytest.mark.parametrize("bad", [7.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("column", ["a0", "a1"])
+def test_one_bad_value_refuses_the_batch_at_every_split(bad, column):
+    """Whichever attribute the split assigns its user, one bad value in
+    one column refuses the batch and ingests nothing."""
+    session = Session(marginals_plan(2))
+    data = {name: np.linspace(0.0, 1.0, 10) for name in ("a0", "a1")}
+    data[column][3] = bad
+    for seed in range(8):
+        with pytest.raises(ValueError, match=f"{column!r}.*finite and inside"):
+            session.partial_fit(data, rng=seed)
+    assert session.n_reports == {"a0": 0, "a1": 0}
+
+
 def test_reports_in_sw_domain(two_attribute_data, rng):
     session = Session(marginals_plan(2))
     reports = session.privatize(two_attribute_data, rng=rng)
