@@ -91,17 +91,22 @@ class AttributeSpec:
     def span(self) -> float:
         return float(self.high - self.low)
 
-    def to_unit(self, values: np.ndarray) -> np.ndarray:
-        """Map raw values from ``[low, high]`` onto the unit domain."""
+    def check(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as float64; raises unless all are finite and inside
+        ``[low, high]``."""
         arr = np.asarray(values, dtype=np.float64)
-        if arr.size and (
-            not np.isfinite(arr).all() or arr.min() < self.low or arr.max() > self.high
-        ):
+        # A NaN makes min and max NaN, which fails both comparisons; the
+        # bounds are finite, so an infinity fails one. No temporary array.
+        if arr.size and not (self.low <= arr.min() and arr.max() <= self.high):
             raise ValueError(
                 f"attribute {self.name!r}: values must be finite and inside "
                 f"[{self.low}, {self.high}]"
             )
-        return (arr - self.low) / self.span
+        return arr
+
+    def to_unit(self, values: np.ndarray) -> np.ndarray:
+        """Map raw values from ``[low, high]`` onto the unit domain."""
+        return (self.check(values) - self.low) / self.span
 
     def from_unit(self, positions) -> np.ndarray | float:
         """Map unit-domain positions back into ``[low, high]``."""

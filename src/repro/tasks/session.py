@@ -133,7 +133,9 @@ class Session:
                     f"attribute {name!r} has {arr.size} values, expected {n} "
                     "(one row per user across all attributes)"
                 )
-            arrays[name] = arr
+            # Every column is checked before any split: whether a bad value
+            # is refused must not depend on which attribute its user draws.
+            arrays[name] = self.plan.attribute(name).check(arr)
         return arrays
 
     def _assign(self, n: int, rng) -> np.ndarray:
@@ -157,21 +159,20 @@ class Session:
         """
         arrays = self._check_data(data)
         gen = as_generator(rng)
-        # Every column is checked before the split: whether a bad value is
-        # refused must not depend on which attribute its user is assigned.
-        units = {name: self.plan.attribute(name).to_unit(col) for name, col in arrays.items()}
         reports: dict[str, Any] = {}
         if self.plan.split == "population":
             n = next(iter(arrays.values())).size
             assignment = self._assign(n, gen)
             for index, name in enumerate(self.attributes):
-                group = np.compress(assignment == index, units[name])
+                group = np.compress(assignment == index, arrays[name])
                 if group.size == 0:
                     continue
-                reports[name] = self._estimators[name].privatize(group, rng=gen)
+                unit = self.plan.attribute(name).to_unit(group)
+                reports[name] = self._estimators[name].privatize(unit, rng=gen)
         else:
             for name in self.attributes:
-                reports[name] = self._estimators[name].privatize(units[name], rng=gen)
+                unit = self.plan.attribute(name).to_unit(arrays[name])
+                reports[name] = self._estimators[name].privatize(unit, rng=gen)
         return reports
 
     # -- server side -------------------------------------------------------
