@@ -42,13 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.service import (
-    ServiceConfig,
-    ShardedCollector,
-    run_load,
-    start_local_service,
-)
-from repro.service.loadgen import synthesize_frames
+from repro.service import ServiceConfig, ShardedCollector, start_local_service
+from repro.service.loadgen import run_load, synthesize_frames
 from repro.tasks import (
     AnalysisPlan,
     AttributeSpec,
@@ -265,8 +260,7 @@ def main() -> int:
         f"http: {http['reports_per_second']:,.0f} reports/s, "
         f"p50={http['latency_ms']['p50']:.2f}ms "
         f"p95={http['latency_ms']['p95']:.2f}ms "
-        f"p99={http['latency_ms']['p99']:.2f}ms, "
-        f"throttled={http['n_throttled']}"
+        f"p99={http['latency_ms']['p99']:.2f}ms"
     )
     admission = report["admission"]
     print(

@@ -15,13 +15,8 @@ Run:  PYTHONPATH=src python examples/service_round.py
 
 import json
 
-from repro.service import (
-    ServiceConfig,
-    ShardedCollector,
-    run_load,
-    start_local_service,
-)
-from repro.service.loadgen import synthesize_frames
+from repro.service import ServiceConfig, ShardedCollector, start_local_service
+from repro.service.loadgen import run_load, synthesize_frames
 from repro.tasks import (
     AnalysisPlan,
     AttributeSpec,
@@ -66,10 +61,9 @@ def main() -> None:
         print(f"uploaded {load.n_reports_accepted:,} reports in "
               f"{load.n_uploads} frames: "
               f"{load.reports_per_second:,.0f} reports/s, "
-              f"p99 {load.to_dict()['latency_ms']['p99']:.1f} ms, "
-              f"{load.n_throttled} throttled")
+              f"p99 {load.to_dict()['latency_ms']['p99']:.1f} ms")
 
-        # --- One estimate call merges shard snapshots and solves. ---------
+        # --- One estimate call reads each home shard and solves. ----------
         result = handle.collector.estimate(ROUND)
         report = result["report"]
         by_task = {r["task"] + ":" + r["attribute"]: r for r in report["results"]}

@@ -453,8 +453,7 @@ def _cmd_loadgen(args) -> int:
         f"{summary['n_uploads']} frames over {summary['elapsed_seconds']}s "
         f"({summary['reports_per_second']:,.0f} reports/s; "
         f"p50 {summary['latency_ms']['p50']}ms, "
-        f"p99 {summary['latency_ms']['p99']}ms, "
-        f"{summary['n_throttled']} throttled)"
+        f"p99 {summary['latency_ms']['p99']}ms)"
     )
     if args.output is not None:
         with open(args.output, "w") as handle:

@@ -4,20 +4,19 @@ The deployment-shaped top layer: an asyncio HTTP/1.1 ingest front end
 (:mod:`repro.service.http`) accepting RPF2 frame uploads, a set of shard
 partitions routed by a consistent hash over ``(round, attr)`` into which
 each upload is folded as it is admitted (:mod:`repro.service.core`,
-:mod:`repro.service.sharding`), a warm-start-aware merge/estimate tier
-folding shard snapshots through a binary merge tree, and a load
-harness that simulates millions of clients
-(:mod:`repro.service.loadgen`). Run it from the CLI with
-``python -m repro serve --plan plan.json`` and drive it with
-``python -m repro loadgen``.
+:mod:`repro.service.sharding`), and a warm-start-aware merge/estimate
+tier that reads each attribute from its home shard. Run it from the CLI
+with ``python -m repro serve --plan plan.json``. The load harness that
+simulates millions of clients, :mod:`repro.service.loadgen`, is the
+client side: import it directly (``python -m repro loadgen`` does), as
+nothing here loads it.
 
 Fault tolerance rides on the same layers
 (:mod:`repro.service.resilience`, :mod:`repro.service.faults`): durable
 per-shard write-ahead journals with periodic checkpoints and
 bit-identical crash recovery (``repro serve --journal-dir``, ``repro
-recover``), idempotent uploads with replay acks, graceful degradation
-around dead shards, and a seeded fault-injection harness that makes all
-of it testable.
+recover``), idempotent uploads with replay acks, and a seeded
+fault-injection harness that makes all of it testable.
 """
 
 from repro.service.config import (
@@ -28,11 +27,7 @@ from repro.service.config import (
     DEFAULT_READ_TIMEOUT,
     ServiceConfig,
 )
-from repro.service.core import (
-    ServiceOverloadError,
-    ShardAggregator,
-    ShardedCollector,
-)
+from repro.service.core import ShardAggregator, ShardedCollector
 from repro.service.faults import (
     DEFAULT_RETRY_POLICY,
     FAULT_SITES,
@@ -48,13 +43,6 @@ from repro.service.http import (
     serve,
     start_local_service,
 )
-from repro.service.loadgen import (
-    LoadReport,
-    percentile,
-    percentiles,
-    run_load,
-    synthesize_frames,
-)
 from repro.service.resilience import (
     DedupLedger,
     IdempotencyConflictError,
@@ -64,7 +52,7 @@ from repro.service.resilience import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.service.sharding import HashRing, merge_tree, stable_hash
+from repro.service.sharding import HashRing, stable_hash
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
@@ -82,24 +70,17 @@ __all__ = [
     "IngestReceipt",
     "InjectedCrash",
     "InjectedFault",
-    "LoadReport",
     "MetaJournal",
     "ReportService",
     "RetryPolicy",
     "ServiceConfig",
     "ServiceHandle",
-    "ServiceOverloadError",
     "ShardAggregator",
     "ShardJournal",
     "ShardedCollector",
     "load_checkpoint",
-    "merge_tree",
-    "percentile",
-    "percentiles",
-    "run_load",
     "serve",
     "start_local_service",
     "stable_hash",
-    "synthesize_frames",
     "write_checkpoint",
 ]

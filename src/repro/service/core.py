@@ -3,13 +3,15 @@
 The ingest tier is a fixed set of :class:`ShardAggregator` partitions.
 Each owns the :class:`~repro.protocol.server.CollectionServer`
 aggregation states for the ``(round, attr)`` keys the consistent ring
-(:mod:`repro.service.sharding`) assigns it, plus an ``alive`` flag; with
-``journal_dir`` it also has one write-ahead journal. A shard runs no
-thread of its own: each block is folded into its server on the admitting
-thread as soon as its upload is accepted. Memory in this tier is bounded
-by construction: an upload is folded block by block (one decoded-columns
-block at a time, bounded by the upload size limit), aggregation state is
-O(state) per key, and nothing ever concatenates a full feed.
+(:mod:`repro.service.sharding`) assigns it; with ``journal_dir`` it also
+has one write-ahead journal. Every key lives wholly on its ring home
+shard. A shard runs no thread of its own: each block is folded into its
+server on the admitting thread as soon as its upload is accepted, so a
+real fault takes every shard down at once, and journal recovery answers
+it. Memory in this tier is bounded by construction: an upload is folded
+block by block (one decoded-columns block at a time, bounded by the
+upload size limit), aggregation state is O(state) per key, and nothing
+ever concatenates a full feed.
 
 :class:`ShardedCollector` is the coordinator. Every upload is one RPF2
 frame, handled in two steps: :meth:`~ShardedCollector.parse` is
@@ -18,10 +20,9 @@ checks every block against the plan and counts reports — so it may run
 on any thread; :meth:`~ShardedCollector.submit` admits it, on one
 serialized admitting thread (the HTTP tier's event loop). Admission
 splits the upload into per-shard blocks, journals and commits them, then
-folds each one. It is **all-or-nothing**: an upload that is not a frame,
-fails validation, or finds every shard dead
-(:class:`ServiceOverloadError`, HTTP 429), raises before any block is
-journaled or folded, so a retried upload can never double-count.
+folds each one. It is **all-or-nothing**: an upload that is not a frame
+or fails validation raises before any block is journaled or folded, so
+a retried upload can never double-count.
 
 Fault tolerance is layered on the same serialization point
 (:mod:`repro.service.resilience`):
@@ -30,9 +31,9 @@ Fault tolerance is layered on the same serialization point
   appended to the target shards' write-ahead logs and then sealed with a
   commit record in the collector's meta journal *before* any block is
   folded. Every ``checkpoint_every`` uploads, admission cuts a
-  checkpoint: right after the upload's folds it snapshots each live
-  shard's states and counters, pairs them with the shard's journal end
-  offset and hands them to the collector's one :class:`CheckpointWriter`
+  checkpoint: right after the upload's folds it snapshots each shard's
+  states and counters, pairs them with the shard's journal end offset
+  and hands them to the collector's one :class:`CheckpointWriter`
   thread. The writer fsyncs and writes the snapshots in cut order, so
   admission never waits on an fsync or a file write. A restarted
   collector recovers by loading each shard's newest verifying checkpoint
@@ -44,22 +45,17 @@ Fault tolerance is layered on the same serialization point
   at-least-once. A journal write that raises stops admission and window
   advances (:class:`JournalFailedError`, HTTP 503) until a restart, so a
   same-key retry is never journaled beside the failed attempt's records.
+  A journal directory is bound to the shard count that wrote it: the
+  collector refuses to start over one holding other shard journals.
 * Idempotent ingest: a caller-supplied idempotency key is checked
   against a bounded :class:`~repro.service.resilience.DedupLedger`
   first thing in admission — a repeat of an accepted upload returns a
   replay receipt (nothing ingested), a key reused for different bytes
   raises :exc:`~repro.service.resilience.IdempotencyConflictError`.
-* Graceful degradation: a shard whose fold or checkpoint write crashed
-  (the ``shard.fold`` and ``checkpoint.truncate`` fault sites) is dead.
-  It folds nothing more, is routed around on the ring (``exclude=``) and
-  is reported in ``estimate()``'s coverage metadata instead of failing
-  the round; :meth:`ShardedCollector.revive` replays its journal to
-  bring it back warm.
 
-``estimate()`` is the merge tier: snapshot every shard's states under
-their locks and fold per-attribute snapshots through the binary
-:func:`~repro.service.sharding.merge_tree` into one estimator per
-attribute. A round's estimators then solve together through
+``estimate()`` is the merge tier: copy each attribute's state for the
+round from its home shard, under that server's lock, into one estimator
+per attribute. A round's estimators then solve together through
 :func:`~repro.protocol.server.solve_cached`, against the collector's one
 :class:`~repro.protocol.server.PosteriorCache` with an entry per
 ``(round, attr)``: an unchanged round skips its solves, a grown round
@@ -109,7 +105,7 @@ from repro.service.resilience import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.service.sharding import HashRing, merge_tree
+from repro.service.sharding import HashRing
 from repro.tasks.session import Session
 
 __all__ = [
@@ -118,7 +114,6 @@ __all__ = [
     "JournalFailedError",
     "NotAFrameError",
     "ParsedUpload",
-    "ServiceOverloadError",
     "ShardAggregator",
     "ShardedCollector",
 ]
@@ -127,10 +122,6 @@ __all__ = [
 #: Unwritten checkpoint snapshots the writer holds per shard; a newer cut
 #: past it replaces the newest of them, so a slow disk bounds the backlog.
 CHECKPOINT_BACKLOG = 64
-
-
-class ServiceOverloadError(RuntimeError):
-    """An upload was rejected whole for lack of capacity (HTTP 429)."""
 
 
 class JournalFailedError(RuntimeError):
@@ -217,10 +208,10 @@ class _Snapshot:
 
 
 class ShardAggregator:
-    """One shard: a partition of the servers, and whether it is alive.
+    """One shard: a partition of the servers.
 
-    It runs no thread. :meth:`enqueue` folds each admitted block on the
-    admitting thread; journal replay folds through :meth:`ingest_direct`.
+    It runs no thread. Admission and journal replay both fold each block
+    through :meth:`_fold`, on the calling thread.
     """
 
     def __init__(self, shard_id: int, config: ServiceConfig) -> None:
@@ -235,32 +226,6 @@ class ShardAggregator:
         self._servers: dict[tuple[str, str], CollectionServer] = {}
         self._servers_lock = threading.Lock()
         self._counters = _ShardCounters()
-        #: False once an injected crash hit this shard's fold or its
-        #: checkpoint write. Ordinary fold and checkpoint errors are
-        #: counted, not fatal, so a dead shard has genuinely lost its
-        #: ingest path; only :meth:`ShardedCollector.revive` replaces it.
-        self.alive = True
-
-    # -- admission (called from the collector's admitting thread) ----------
-    def enqueue(self, block: FrameBlock, round_id: str) -> None:
-        """Fold one admitted block into its server, on the calling thread.
-
-        Fires the ``shard.fold`` fault site first. An injected crash there
-        kills the shard: it is marked dead and the block is dropped
-        unfolded, as a process death would drop it. A dead shard folds
-        nothing more; its journal still holds every committed block, which
-        :meth:`ShardedCollector.revive` replays.
-        """
-        if not self.alive:
-            return
-        faults = self._config.faults
-        if faults is not None:
-            try:
-                faults.crash("shard.fold")
-            except InjectedFault:
-                self.alive = False
-                return
-        self._fold(round_id, block)
 
     def _server_for(self, round_id: str, attr: str) -> CollectionServer:
         key = (round_id, attr)
@@ -280,9 +245,11 @@ class ShardAggregator:
     def _fold(self, round_id: str, block: FrameBlock) -> None:
         """Fold one block into its server, with full error accounting.
 
-        Shared by admission and journal replay, so a recovered shard
+        Admission and journal replay both fold here, so a recovered shard
         reproduces exactly the counter trajectory the uninterrupted run
-        would have had.
+        would have had. Replay must fold in exact journal order, so it
+        runs only while no live traffic targets the shard (collector
+        construction).
         """
         started = time.perf_counter()
         try:
@@ -292,7 +259,7 @@ class ShardAggregator:
         except Exception as exc:
             # A block that validated at submit time but fails to fold
             # (e.g. out-of-domain reports) is dropped and surfaced via
-            # /statz rather than killing the shard.
+            # /statz rather than failing the upload.
             self._counters.errors += 1
             self._counters.last_error = f"{type(exc).__name__}: {exc}"
         finally:
@@ -318,63 +285,41 @@ class ShardAggregator:
         Runs ``syncs`` (the journal and meta-log fsyncs), then writes the
         next generation's slot. A failed write is counted and leaves the
         previous checkpoint in place (the next generation reuses the same
-        slot). An injected crash marks this shard dead, as a crash of its
-        fold does, and a dead shard's snapshots are dropped unwritten: it
-        keeps its previous checkpoint.
+        slot). An injected crash is a process death: it propagates and
+        ends the writer.
         """
         assert self._checkpoint_path is not None
         counters = self._counters
+        generation = self._checkpoint_generation + 1
+        started = time.perf_counter()
         try:
-            if not self.alive:
-                return
-            generation = self._checkpoint_generation + 1
-            started = time.perf_counter()
-            try:
-                for sync in syncs:
-                    sync()
-                write_checkpoint(
-                    self._checkpoint_path,
-                    generation=generation,
-                    journal_offset=snapshot.journal_offset,
-                    states=snapshot.states,
-                    counters=snapshot.counters,
-                    faults=self._config.faults,
-                )
-            except Exception as exc:
-                counters.checkpoint_errors += 1
-                counters.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
-            else:
-                self._checkpoint_generation = generation
-            elapsed = time.perf_counter() - started
-            counters.checkpoint_seconds_last = elapsed
-            counters.checkpoint_seconds_max = max(
-                counters.checkpoint_seconds_max, elapsed
+            for sync in syncs:
+                sync()
+            write_checkpoint(
+                self._checkpoint_path,
+                generation=generation,
+                journal_offset=snapshot.journal_offset,
+                states=snapshot.states,
+                counters=snapshot.counters,
+                faults=self._config.faults,
             )
-        except InjectedFault:
-            # Admission stops folding into this shard from its next block.
-            self.alive = False
-        finally:
-            counters.checkpoints_done += snapshot.cuts
-
-    def ingest_direct(self, round_id: str, block: FrameBlock) -> None:
-        """Fold one block, firing no fault site: the journal replay path.
-
-        Journal records must fold in exact journal order; only call this
-        while no live traffic targets this shard (collector construction
-        and :meth:`ShardedCollector.revive` both guarantee that).
-        """
-        self._fold(round_id, block)
+        except Exception as exc:
+            counters.checkpoint_errors += 1
+            counters.last_checkpoint_error = f"{type(exc).__name__}: {exc}"
+        else:
+            self._checkpoint_generation = generation
+        elapsed = time.perf_counter() - started
+        counters.checkpoint_seconds_last = elapsed
+        counters.checkpoint_seconds_max = max(counters.checkpoint_seconds_max, elapsed)
+        counters.checkpoints_done += snapshot.cuts
 
     # -- merge-tier views --------------------------------------------------
-    def snapshot(self, round_id: str) -> dict[str, dict]:
-        """Serialized per-attribute server states for one round."""
+    def snapshot(self, round_id: str, attr: str) -> dict[str, Any] | None:
+        """Serialized state of one ``(round, attr)`` server, copied under
+        its lock; ``None`` when this shard holds no such server."""
         with self._servers_lock:
-            servers = [
-                server
-                for (rid, _), server in self._servers.items()
-                if rid == round_id
-            ]
-        return {server.attr: server.to_state() for server in servers}
+            server = self._servers.get((round_id, attr))
+        return None if server is None else server.to_state()
 
     def snapshot_all(self) -> dict[str, dict[str, Any]]:
         """Serialized server states for every round (checkpoint payload)."""
@@ -416,7 +361,6 @@ class ShardAggregator:
         checkpoints_done = c.checkpoints_done
         return {
             "shard": self.shard_id,
-            "alive": self.alive,
             "blocks_ingested": c.blocks,
             "reports_ingested": c.reports,
             "ingest_errors": c.errors,
@@ -447,7 +391,7 @@ class ShardAggregator:
 class CheckpointWriter:
     """The one thread that puts the shards' checkpoint snapshots on disk.
 
-    At each cut, admission calls :meth:`hand` with a snapshot of each live
+    At each cut, admission calls :meth:`hand` with a snapshot of each
     shard and goes straight on; :meth:`hand` never touches the disk. The
     writer takes the snapshots in hand-off order, which is cut order for
     every shard.
@@ -461,6 +405,9 @@ class CheckpointWriter:
     Past that, a newer cut replaces the shard's newest unwritten snapshot,
     so a disk that stays slower than the cuts bounds the writer's backlog
     instead of growing it.
+
+    An injected crash in a write ends the thread, as a killed process
+    would end it: nothing more is written until the collector restarts.
     """
 
     def __init__(self, journals: list[ShardJournal], meta: MetaJournal) -> None:
@@ -501,7 +448,7 @@ class CheckpointWriter:
 
     def wait(self) -> None:
         """Block until every snapshot handed before this call is written,
-        or dropped because its shard is dead."""
+        or the writer has stopped."""
         with self._cond:
             mark = self._handed
             self._cond.wait_for(
@@ -523,6 +470,8 @@ class CheckpointWriter:
                 with self._cond:
                     self._writing = None
                     self._cond.notify_all()
+        except InjectedFault:
+            return  # a simulated process death: the writer ends here
         finally:
             with self._cond:
                 self._stopped = True
@@ -536,8 +485,27 @@ class CheckpointWriter:
         self._thread.join()
 
 
+def _check_journal_shards(journal_dir: Path, n_shards: int) -> None:
+    """Refuse a journal directory written with another shard count.
+
+    Every ``(round, attr)`` is journaled on its ring home shard, and the
+    ring is a function of the shard count: a restart with fewer shards
+    would never open the others' journals, and one with more would look
+    for a key on a shard that never held it.
+    """
+    found = sorted(path.name for path in journal_dir.glob("shard-*.journal"))
+    expected = sorted(f"shard-{index}.journal" for index in range(n_shards))
+    if found and found != expected:
+        raise ValueError(
+            f"journal dir {journal_dir} holds {len(found)} shard journal(s) "
+            f"({', '.join(found)}) but n_shards is {n_shards}; a journal "
+            "directory keeps the shard count that wrote it, so restart with "
+            "that count or start in a fresh directory"
+        )
+
+
 class ShardedCollector:
-    """Routes uploads across shard aggregators and merges their answers."""
+    """Routes uploads to their home shards and merges their answers."""
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
@@ -575,6 +543,7 @@ class ShardedCollector:
         self._writer: CheckpointWriter | None = None
         if config.journal_dir is not None:
             journal_dir = Path(config.journal_dir)
+            _check_journal_shards(journal_dir, config.n_shards)
             self._journals = [
                 ShardJournal(
                     journal_dir / f"shard-{index}.journal",
@@ -625,7 +594,7 @@ class ShardedCollector:
     def _replay_segment(self, shard: ShardAggregator, segment: bytes) -> None:
         """Fold one journaled segment exactly as live ingest would have."""
         for block in iter_frame_blocks(segment):
-            shard.ingest_direct(block.round_id, block)
+            shard._fold(block.round_id, block)
             self._recovered_records += 1
 
     def _recover(self) -> None:
@@ -715,68 +684,26 @@ class ShardedCollector:
 
     # -- durability: checkpoints -------------------------------------------
     def checkpoint(self) -> None:
-        """Cut a checkpoint of every live shard at its journal's end.
+        """Cut a checkpoint of every shard at its journal's end.
 
         Only the cut happens here: every admitted block is already folded,
-        so each live shard's states are exactly the fold of its journal
-        records up to the journal's current end offset. Each is snapshotted
-        with that offset and handed to the :class:`CheckpointWriter`. The
+        so each shard's states are exactly the fold of its journal records
+        up to the journal's current end offset. Each is snapshotted with
+        that offset and handed to the :class:`CheckpointWriter`. The
         writer fsyncs the shard's journal and the meta log (per
         ``journal_fsync``), then writes the states with the offset they
         cover, so the next recovery replays only the tail. A caller that
-        needs the files on disk calls :meth:`flush` afterwards. Dead
-        shards keep their previous checkpoint. Like :meth:`submit`, call
-        it from the admitting thread. Requires ``journal_dir``.
+        needs the files on disk calls :meth:`flush` afterwards. Like
+        :meth:`submit`, call it from the admitting thread. Requires
+        ``journal_dir``.
         """
         if self._journals is None or self._writer is None:
             raise RuntimeError(
                 "checkpointing requires a journal_dir-configured service"
             )
         for shard_id, shard in enumerate(self.shards):
-            if shard.alive:
-                shard._hand_checkpoint(self._journals[shard_id].size, self._writer)
+            shard._hand_checkpoint(self._journals[shard_id].size, self._writer)
         self._since_checkpoint = 0
-
-    # -- degradation --------------------------------------------------------
-    def _dead_shards(self) -> frozenset[int]:
-        """Shards marked dead by an injected crash (health probe)."""
-        return frozenset(
-            index for index, shard in enumerate(self.shards) if not shard.alive
-        )
-
-    def revive(self, shard_id: int) -> dict[str, Any]:
-        """Replace a dead shard with a fresh one, warm from its journal.
-
-        With journaling, the replacement replays the dead shard's
-        checkpoint + committed journal tail, so everything the shard ever
-        acked — including the blocks it dropped unfolded once it died — is
-        recovered. Without journaling the replacement starts empty (the
-        in-memory state is gone) and coverage metadata keeps reporting the
-        loss. The ring re-includes the shard automatically on the next
-        submit.
-        """
-        if not 0 <= shard_id < len(self.shards):
-            raise ValueError(
-                f"shard must be in [0, {len(self.shards)}), got {shard_id}"
-            )
-        old = self.shards[shard_id]
-        if old.alive:
-            raise ValueError(f"shard {shard_id} is alive; nothing to revive")
-        if self._writer is not None:
-            self._writer.wait()
-        fresh = ShardAggregator(shard_id, self.config)
-        replayed = 0
-        if self._journals is not None and self._meta is not None:
-            committed = self._committed_keys(self._meta.read())
-            offset = fresh.restore_checkpoint()
-            for record in self._journals[shard_id].replay(offset):
-                if record.key not in committed:
-                    continue
-                before = self._recovered_records
-                self._replay_segment(fresh, record.segment)
-                replayed += self._recovered_records - before
-        self.shards[shard_id] = fresh
-        return {"shard": shard_id, "replayed_records": replayed}
 
     # -- validation + routing ----------------------------------------------
     def _check_block(self, attr: str, mechanism: str, round_id: str) -> None:
@@ -793,15 +720,6 @@ class ShardedCollector:
             )
         if not round_id:
             raise ValueError("round id must be non-empty")
-
-    def _route(self, round_id: str, attr: str, dead: frozenset[int]) -> int:
-        try:
-            return self.ring.shard_for(round_id, attr, exclude=dead)
-        except ValueError:
-            raise ServiceOverloadError(
-                "every shard is dead; the service has no ingest "
-                "capacity until a shard is revived"
-            ) from None
 
     def parse(self, data: bytes, round_id: str) -> ParsedUpload:
         """Decode and validate one frame without touching collector state.
@@ -839,16 +757,13 @@ class ShardedCollector:
         ``data`` is the raw upload or what :meth:`parse` made of it.
         Admission is stateful and must be serialized — one admitting
         thread at a time (the HTTP tier admits on its event loop). It
-        checks the idempotency ledger, routes around dead shards, journals
-        and commits the upload, folds its blocks, records its key, and
-        every ``checkpoint_every`` uploads cuts a checkpoint.
+        checks the idempotency ledger, routes each block to its home
+        shard, journals and commits the upload, folds its blocks, records
+        its key, and every ``checkpoint_every`` uploads cuts a checkpoint.
 
-        All-or-nothing: raises ``ValueError`` (bad feed) or
-        :class:`ServiceOverloadError` (every shard dead) with no block
-        folded and nothing journaled as committed. Once committed, the
-        upload gets its receipt: a fold that crashes its shard kills that
-        shard, not the upload, whose blocks :meth:`revive` replays. A
-        journal write that raises (a full or failing disk) raises
+        All-or-nothing: raises ``ValueError`` (bad feed) with no block
+        folded and nothing journaled as committed. A journal write that
+        raises (a full or failing disk) raises
         :class:`JournalFailedError`, for that upload and every later one
         and for every advance, until the collector is restarted.
 
@@ -880,9 +795,8 @@ class ShardedCollector:
             if replay is not None:
                 self._replays_served += 1
                 return replay
-        dead = self._dead_shards()
         batches = [
-            (self._route(round_id, block.attr, dead), block)
+            (self.ring.shard_for(round_id, block.attr), block)
             for block in upload.blocks
         ]
         receipt = IngestReceipt(
@@ -908,7 +822,7 @@ class ShardedCollector:
             except Exception as exc:
                 raise self._journal_failed(exc) from exc
         for shard_id, block in batches:
-            self.shards[shard_id].enqueue(block, round_id)
+            self.shards[shard_id]._fold(round_id, block)
         if key is not None:
             self._ledger.record(receipt)
         self._uploads_accepted += 1
@@ -931,30 +845,31 @@ class ShardedCollector:
         """Wait until every checkpoint cut so far is on disk.
 
         Every block accepted so far is already folded: admission folds
-        before it returns. So this waits for the checkpoint writer only;
-        a dead shard's pending snapshots are dropped, never written, so a
-        degraded service never hangs here.
+        before it returns. So this waits for the checkpoint writer only,
+        and returns at once if the writer has stopped.
         """
         if self._writer is not None:
             self._writer.wait()
 
     # -- merge + estimate tier ---------------------------------------------
     def _merge_round(self, round_id: str) -> dict[str, Estimator]:
-        """Snapshot shards and fold this round's state, attr by attr."""
-        snapshots = [shard.snapshot(round_id) for shard in self.shards]
-        if not any(snapshots):
+        """Copy this round's state, attr by attr, from each home shard."""
+        states = {
+            attr: self.shards[self.ring.shard_for(round_id, attr)].snapshot(
+                round_id, attr
+            )
+            for attr in self._attrs
+        }
+        if all(state is None for state in states.values()):
             raise LookupError(f"no reports ever accepted for round {round_id!r}")
         merged: dict[str, Estimator] = {}
-        for attr in self._attrs:
-            states = [snap[attr] for snap in snapshots if attr in snap]
-            if states:
-                merged[attr] = merge_tree(
-                    [CollectionServer.from_state(state) for state in states]
-                ).estimator
-            else:
+        for attr, state in states.items():
+            if state is None:
                 # Declared but never reported: a fresh estimator makes the
                 # solve fail with the round's EmptyAggregateError.
                 merged[attr] = self.planned.choice_for(attr).make()
+            else:
+                merged[attr] = CollectionServer.from_state(state).estimator
         return merged
 
     def estimate(self, round_id: str) -> dict[str, Any]:
@@ -963,15 +878,10 @@ class ShardedCollector:
         The result maps ``"estimates"`` per attribute (``None`` where that
         attribute's solve failed, with the failure under ``"errors"``) and
         carries the full plan-level ``"report"`` when every attribute
-        solved. ``"coverage"`` reports what each attribute's estimate is
-        actually built on — reports seen, home shard, and whether that
-        home is alive — so a degraded round returns a usable answer with
-        its caveats attached instead of failing. Raises ``LookupError``
-        for a round no upload ever touched. Every upload acknowledged
+        solved. Raises ``LookupError`` for a round no upload ever touched. Every upload acknowledged
         before the call is in the answer; pending checkpoint writes are not
         waited for.
         """
-        dead = sorted(self._dead_shards())
         with self._merge_lock:
             started = time.perf_counter()
             merged = self._merge_round(round_id)
@@ -1006,14 +916,6 @@ class ShardedCollector:
                     self.config.plan, merged, planned=self.planned
                 )
                 report = session.results(precomputed=estimates).to_dict()
-            coverage = {}
-            for attr in self._attrs:
-                home = self.ring.shard_for(round_id, attr)
-                coverage[attr] = {
-                    "n_reports_seen": merged[attr].n_reports,
-                    "home_shard": home,
-                    "home_alive": home not in dead,
-                }
             return {
                 "round": round_id,
                 "n_reports": {
@@ -1024,9 +926,6 @@ class ShardedCollector:
                     for attr in self._attrs
                 },
                 "errors": errors,
-                "coverage": coverage,
-                "shards_dead": dead,
-                "degraded": bool(dead),
                 "report": report,
             }
 
@@ -1157,7 +1056,6 @@ class ShardedCollector:
             "window_ticks": 0 if self._stream is None else self._stream.n_ticks,
             "rounds": self.rounds(),
             "shards": [shard.stats() for shard in self.shards],
-            "shards_dead": sorted(self._dead_shards()),
             "uploads_accepted": self._uploads_accepted,
             "dedup": {
                 "entries": len(self._ledger),

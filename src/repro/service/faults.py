@@ -7,8 +7,8 @@ deterministic way to break the service at its real seams:
 * :class:`FaultPlan` — a set of :class:`Fault` rules attached to named
   injection **sites** the production code consults at its critical
   points (``journal.append.before``/``.after``, ``journal.truncate``,
-  ``meta.commit.before``/``.after``, ``shard.fold``,
-  ``checkpoint.truncate``, ``http.drop``, ``http.delay``). Each rule
+  ``meta.commit.before``/``.after``, ``checkpoint.truncate``,
+  ``http.drop``, ``http.delay``). Each rule
   fires on an exact hit count (``at=``), a cadence (``every=``), or a
   seeded coin (``prob=``); the coin is a pure function of ``(seed, site,
   hit index)``, so a failing chaos run replays bit-identically from its
@@ -17,6 +17,7 @@ deterministic way to break the service at its real seams:
   ``BaseException`` deliberately: the service's broad ``except
   Exception`` error accounting must *not* be able to absorb a simulated
   process death, exactly as a real ``kill -9`` would not be absorbed.
+  Wherever it fires, the answer is a restart and journal recovery.
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
   jitter and a bounded attempt budget. This replaces the loadgen's old
   hand-rolled linear sleep; with idempotency keys attached by the
@@ -53,8 +54,7 @@ FAULT_SITES = (
     "journal.truncate",  # write only part of a record, then crash (torn tail)
     "meta.commit.before",  # crash before the upload's commit record
     "meta.commit.after",  # crash after commit, before fold/ack
-    "shard.fold",  # crash a block's fold at admission (the shard dies)
-    "checkpoint.truncate",  # write part of a checkpoint slot, then crash its shard
+    "checkpoint.truncate",  # write part of a checkpoint slot, then crash the writer
     "http.drop",  # close the connection instead of writing the response
     "http.delay",  # delay the response by Fault.delay seconds
 )
@@ -232,8 +232,7 @@ class RetryPolicy:
     ``jitter * 100`` percent, where the shrink factor is a pure function
     of ``(seed, attempt)`` — two runs with the same seed back off on the
     same schedule, so a chaos test that depends on retry timing replays
-    exactly. A server-supplied ``Retry-After`` takes precedence when it
-    asks for a *longer* wait (never shorter: the server knows its queue).
+    exactly.
 
     ``attempts`` is the total budget — the number of tries, not retries.
     """
@@ -260,16 +259,13 @@ class RetryPolicy:
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
-    def delay(self, attempt: int, *, retry_after: float | None = None) -> float:
+    def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based), in seconds."""
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0, got {attempt}")
         raw = self.base_delay * self.multiplier ** min(attempt, 63)
         capped = min(self.max_delay, raw)
-        backoff = capped * (1.0 - self.jitter * _unit(self.seed, "retry", attempt))
-        if retry_after is not None and retry_after > backoff:
-            return float(retry_after)
-        return backoff
+        return capped * (1.0 - self.jitter * _unit(self.seed, "retry", attempt))
 
     def schedule(self) -> list[float]:
         """The full deterministic backoff schedule (one entry per retry)."""
@@ -278,7 +274,7 @@ class RetryPolicy:
 
 # Default policy the loadgen uses when none is supplied: generous budget,
 # fast initial retry (a dropped connection reconnects in milliseconds),
-# capped so a service with no live shard is probed about once a second.
+# capped so a restarting service is probed about once a second.
 DEFAULT_RETRY_POLICY = RetryPolicy(
     attempts=200, base_delay=0.004, max_delay=1.0, multiplier=2.0, jitter=0.5
 )

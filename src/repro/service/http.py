@@ -11,11 +11,10 @@ leverage:
   upload, ``400`` on a malformed or mismatched frame, ``409`` when an
   idempotency key is reused for different bytes, ``413`` past the body
   limit, ``415`` for a body that is not a frame (JSON lines included:
-  ``python -m repro pack --format frame`` builds frames), ``429`` with
-  ``Retry-After`` when every shard is dead; a refused upload leaves
-  nothing behind, so its retry is admitted fresh. ``503`` once a journal
-  write has failed: nothing more is admitted until a restart, whose
-  recovery settles the failed upload. Every upload is
+  ``python -m repro pack --format frame`` builds frames); a refused
+  upload leaves nothing behind, so its retry is admitted fresh. ``503``
+  once a journal write has failed: nothing more is admitted until a
+  restart, whose recovery settles the failed upload. Every upload is
   idempotent: the key is the ``Idempotency-Key`` header when given, else
   the body's content digest — so a client that times out and retries can
   never double-ingest.
@@ -69,7 +68,6 @@ from repro.service.config import ServiceConfig
 from repro.service.core import (
     JournalFailedError,
     NotAFrameError,
-    ServiceOverloadError,
     ShardedCollector,
 )
 from repro.service.resilience import IdempotencyConflictError
@@ -95,29 +93,20 @@ _REASONS = {
     409: "Conflict",
     413: "Payload Too Large",
     415: "Unsupported Media Type",
-    429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
 
-def _response(
-    status: int,
-    payload: dict[str, Any],
-    *,
-    retry_after: int | None = None,
-    close: bool = False,
-) -> bytes:
+def _response(status: int, payload: dict[str, Any], *, close: bool = False) -> bytes:
     body = json.dumps(payload).encode("utf-8")
     headers = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
+        "Connection: close" if close else "Connection: keep-alive",
     ]
-    if retry_after is not None:
-        headers.append(f"Retry-After: {retry_after}")
-    headers.append("Connection: close" if close else "Connection: keep-alive")
     return ("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + body
 
 
@@ -258,24 +247,18 @@ class ReportService:
                     break
                 method, target, headers, body = request
                 try:
-                    status, payload, retry = await self._route(
-                        method, target, headers, body
-                    )
+                    status, payload = await self._route(method, target, headers, body)
                 except _HttpError as exc:
-                    status, payload, retry = exc.status, {"error": str(exc)}, None
+                    status, payload = exc.status, {"error": str(exc)}
                 except Exception as exc:  # never kill the connection loop
-                    status, payload, retry = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        None,
-                    )
+                    status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
                 if faults is not None:
                     delay = faults.delay_for("http.delay")
                     if delay > 0.0:
                         await asyncio.sleep(delay)
                     if faults.fires("http.drop"):
                         break  # simulate the response lost on the wire
-                writer.write(_response(status, payload, retry_after=retry))
+                writer.write(_response(status, payload))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -296,16 +279,16 @@ class ReportService:
 
     async def _route(
         self, method: str, target: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict[str, Any], int | None]:
+    ) -> tuple[int, dict[str, Any]]:
         path = target.split("?", 1)[0]
         if path == "/healthz":
             if method != "GET":
                 raise _HttpError(405, "healthz is GET-only")
-            return 200, {"status": "ok", "rounds": self.collector.rounds()}, None
+            return 200, {"status": "ok", "rounds": self.collector.rounds()}
         if path == "/statz":
             if method != "GET":
                 raise _HttpError(405, "statz is GET-only")
-            return 200, self.collector.stats(), None
+            return 200, self.collector.stats()
         if path == "/v1/stream/estimate":
             if method != "GET":
                 raise _HttpError(405, "stream estimate is GET-only")
@@ -330,7 +313,7 @@ class ReportService:
 
     async def _handle_reports(
         self, round_id: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict[str, Any], int | None]:
+    ) -> tuple[int, dict[str, Any]]:
         if not body:
             raise _HttpError(400, "upload body is empty")
         content_type = headers.get("content-type", "").split(";")[0].strip()
@@ -348,8 +331,6 @@ class ReportService:
             receipt = self.collector.submit(upload, round_id, key=key or upload.digest)
         except NotAFrameError as exc:
             raise _HttpError(415, str(exc)) from None
-        except ServiceOverloadError as exc:
-            return 429, {"error": str(exc)}, 1
         except IdempotencyConflictError as exc:
             raise _HttpError(409, str(exc)) from None
         except JournalFailedError as exc:
@@ -357,11 +338,9 @@ class ReportService:
         except ValueError as exc:
             raise _HttpError(400, str(exc)) from None
         status = 200 if receipt.replayed else 202
-        return status, receipt.to_dict(), None
+        return status, receipt.to_dict()
 
-    async def _handle_estimate(
-        self, round_id: str
-    ) -> tuple[int, dict[str, Any], int | None]:
+    async def _handle_estimate(self, round_id: str) -> tuple[int, dict[str, Any]]:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
@@ -369,11 +348,9 @@ class ReportService:
             )
         except LookupError as exc:
             raise _HttpError(404, str(exc)) from None
-        return 200, result, None
+        return 200, result
 
-    async def _handle_advance(
-        self, round_id: str
-    ) -> tuple[int, dict[str, Any], int | None]:
+    async def _handle_advance(self, round_id: str) -> tuple[int, dict[str, Any]]:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
@@ -387,11 +364,9 @@ class ReportService:
             raise _HttpError(503, str(exc)) from None
         except RuntimeError as exc:
             raise _HttpError(400, str(exc)) from None
-        return 200, result, None
+        return 200, result
 
-    async def _handle_stream_estimate(
-        self,
-    ) -> tuple[int, dict[str, Any], int | None]:
+    async def _handle_stream_estimate(self) -> tuple[int, dict[str, Any]]:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
@@ -401,7 +376,7 @@ class ReportService:
             raise _HttpError(404, str(exc)) from None
         except RuntimeError as exc:
             raise _HttpError(400, str(exc)) from None
-        return 200, result, None
+        return 200, result
 
 
 async def serve(config: ServiceConfig, *, ready: Callable[[str, int], Any] | None = None) -> None:

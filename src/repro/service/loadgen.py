@@ -15,14 +15,16 @@ summarized as p50/p95/p99 alongside sustained reports/sec;
 ``benchmarks/bench_perf_service.py`` checks the numbers into
 ``benchmarks/BENCH_service.json``.
 
-Backpressure and faults are part of the contract: a 429 is counted,
+Faults are part of the contract: a dropped connection is counted,
 backed off through a shared :class:`~repro.service.faults.RetryPolicy`
-(capped exponential, deterministic jitter, ``Retry-After`` honored), and
-the frame is retried — never dropped. Every upload carries an
-``Idempotency-Key``, so a retry after a dropped connection or lost ack
-is acked as a replay instead of double-ingesting: the total accepted
-report count is deterministic even when the service throttles, delays,
-or drops responses mid-run.
+(capped exponential, deterministic jitter), and the frame is retried —
+never dropped. Every upload carries an ``Idempotency-Key``, so a retry
+after a dropped connection or lost ack is acked as a replay instead of
+double-ingesting: the total accepted report count is deterministic even
+when the service delays or drops responses mid-run.
+
+The service imports nothing from here: this module is the client side,
+loaded by ``repro loadgen``, the examples, the benchmarks and the tests.
 """
 
 from __future__ import annotations
@@ -125,7 +127,6 @@ class LoadReport:
     n_reports_accepted: int
     elapsed_seconds: float
     latencies_ms: list[float] = field(repr=False, default_factory=list)
-    n_throttled: int = 0
     n_errors: int = 0
     n_replayed: int = 0
     n_conn_drops: int = 0
@@ -152,7 +153,6 @@ class LoadReport:
                     ),
                 )
             ),
-            "n_throttled": self.n_throttled,
             "n_errors": self.n_errors,
             "n_replayed": self.n_replayed,
             "n_conn_drops": self.n_conn_drops,
@@ -168,7 +168,6 @@ async def http_request(
     body: bytes = b"",
     content_type: str = "application/x-repro-frame",
     headers: dict[str, str] | None = None,
-    response_headers: dict[str, str] | None = None,
     reader: asyncio.StreamReader | None = None,
     writer: asyncio.StreamWriter | None = None,
 ) -> tuple[int, bytes, asyncio.StreamReader, asyncio.StreamWriter]:
@@ -176,9 +175,7 @@ async def http_request(
 
     Returns ``(status, body, reader, writer)``; pass the reader/writer
     back in to reuse the connection. ``headers`` adds request headers
-    (e.g. ``Idempotency-Key``); pass a dict as ``response_headers`` to
-    receive the response's headers (lower-cased names) — the retry loop
-    reads ``Retry-After`` from it. The stdlib-only counterpart of the
+    (e.g. ``Idempotency-Key``). The stdlib-only counterpart of the
     server's handler — the loadgen's whole client stack.
     """
     if reader is None or writer is None:
@@ -206,8 +203,6 @@ async def http_request(
         if line in (b"\r\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
-        if response_headers is not None:
-            response_headers[name.strip().lower()] = value.strip()
         if name.strip().lower() == "content-length":
             length = int(value.strip())
     payload = await reader.readexactly(length) if length else b""
@@ -233,12 +228,10 @@ async def _uploader(
             frame, _n, key = item
             for attempt in range(policy.attempts):
                 started = time.perf_counter()
-                response_headers: dict[str, str] = {}
                 try:
                     status, payload, reader, writer = await http_request(
                         host, port, "POST", path, body=frame,
                         headers={"Idempotency-Key": key},
-                        response_headers=response_headers,
                         reader=reader, writer=writer,
                     )
                 except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -264,21 +257,6 @@ async def _uploader(
                     if status == 200:
                         report.n_replayed += 1
                     break
-                if status == 429:
-                    # Backpressure: count it, back off on the shared
-                    # policy (honoring the server's Retry-After when it
-                    # asks for longer), retry the same frame.
-                    report.n_throttled += 1
-                    retry_after = response_headers.get("retry-after")
-                    await asyncio.sleep(
-                        policy.delay(
-                            attempt,
-                            retry_after=(
-                                float(retry_after) if retry_after else None
-                            ),
-                        )
-                    )
-                    continue
                 report.n_errors += 1
                 break
             else:
@@ -342,9 +320,9 @@ def run_load(
     frame is accepted and returns the :class:`LoadReport`. Frame
     synthesis is streamed through a bounded queue, so generator and
     uploaders overlap without ever materializing the full feed. Retries
-    (backpressure and dropped connections alike) follow ``retry_policy``
-    and carry per-upload idempotency keys, so the accepted totals are
-    exactly-once whatever the fault pattern.
+    after a dropped connection follow ``retry_policy`` and carry
+    per-upload idempotency keys, so the accepted totals are exactly-once
+    whatever the fault pattern.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")

@@ -105,7 +105,7 @@ def test_sharded_estimate_fuses_across_shards_with_solo_bits(solve_widths, n_sha
             solve_widths.clear()
             result = collector.estimate("r1")
             assert solve_widths == [len(ATTRS)]
-            homes = {cov["home_shard"] for cov in result["coverage"].values()}
+            homes = {collector.ring.shard_for("r1", attr) for attr in ATTRS}
             assert len(homes) == n_shards  # the fused batch spans every shard
             expected = solo.estimates()
             for attr in ATTRS:

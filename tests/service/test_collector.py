@@ -199,7 +199,7 @@ class TestBackpressure:
                 columns=codec.to_columns(np.array([1e9])),  # outside any wave support
                 n=1,
             )
-            collector.shards[0].enqueue(bad, "r1")
+            collector.shards[0]._fold("r1", bad)
             collector.flush()
             stats = collector.shards[0].stats()
             assert stats["ingest_errors"] == 1
@@ -353,7 +353,6 @@ class TestStats:
             per_shard = stats["shards"]
             assert [s["shard"] for s in per_shard] == [0, 1]
             assert sum(s["reports_ingested"] for s in per_shard) == 1000
-            assert all(s["alive"] for s in per_shard)
 
     def test_merge_stats_stay_constant_size(self, monkeypatch):
         """/statz merge fields keep the values a full duration log would
@@ -505,11 +504,11 @@ class TestThreadInventory:
             service = ReportService(config)
             try:
                 headers = {"content-type": "application/x-repro-frame"}
-                status, _, _ = await service._handle_reports(
+                status, _ = await service._handle_reports(
                     "r1", headers, feed_frames(plan, n_users=100, batch=100)[0][0]
                 )
                 assert status == 202
-                status, _, _ = await service._handle_estimate("r1")
+                status, _ = await service._handle_estimate("r1")
                 assert status == 200
                 return self.started_since(before)
             finally:

@@ -163,6 +163,53 @@ class TestIngestRoutes:
         assert statz["uploads_accepted"] == 0
         assert sum(s["reports_ingested"] for s in statz["shards"]) == 0
 
+    def test_refused_uploads_leave_nothing_behind(self, plan, tmp_path):
+        """A 400, a 409 and a 415 keep no accepted upload, report, ledger
+        entry or journal byte, so a refused key's real upload lands fresh
+        and the estimate counts every acknowledged report once."""
+        (first, n_first), (second, n_second) = synthesize_frames(
+            plan, "r1", 200, batch_size=100, rng=4
+        )
+        config = ServiceConfig(plan=plan, n_shards=2, journal_dir=tmp_path / "wal")
+        with start_local_service(config) as handle:
+
+            def post(body, key, content_type="application/x-repro-frame"):
+                async def go():
+                    status, _payload, _reader, writer = await http_request(
+                        handle.host, handle.port, "POST", "/v1/rounds/r1/reports",
+                        body=body, content_type=content_type,
+                        headers={"Idempotency-Key": key},
+                    )
+                    writer.close()
+                    return status
+
+                return asyncio.run(go())
+
+            def kept(statz):
+                return (
+                    statz["uploads_accepted"],
+                    [shard["reports_ingested"] for shard in statz["shards"]],
+                    statz["dedup"]["entries"],
+                    statz["journal"]["bytes"],
+                )
+
+            assert post(first, "k0") == 202
+            _, before = request(handle, "GET", "/statz")
+            refused = [
+                (first[: len(first) // 2], "k1", "application/x-repro-frame", 400),
+                (second, "k0", "application/x-repro-frame", 409),
+                (second, "k1", "application/jsonlines", 415),
+            ]
+            for body, key, content_type, expected in refused:
+                assert post(body, key, content_type) == expected
+            _, after = request(handle, "GET", "/statz")
+            assert kept(after) == kept(before)
+            assert after["dedup"]["conflicts"] == 1
+            assert post(second, "k1") == 202
+            status, estimate = request(handle, "GET", "/v1/rounds/r1/estimate")
+            assert status == 200
+            assert sum(estimate["n_reports"].values()) == n_first + n_second
+
     def test_get_reports_is_405(self, service):
         status, _ = request(service, "GET", "/v1/rounds/r1/reports")
         assert status == 405

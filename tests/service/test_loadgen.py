@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.protocol import iter_frame_blocks
-from repro.service import LoadReport, ServiceConfig, run_load, start_local_service
-from repro.service.loadgen import percentile, percentiles, synthesize_frames
+from repro.service import ServiceConfig, start_local_service
+from repro.service.loadgen import (
+    LoadReport,
+    percentile,
+    percentiles,
+    run_load,
+    synthesize_frames,
+)
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution, Mean
 
 
@@ -88,12 +94,12 @@ class TestLoadReport:
             n_reports_accepted=100,
             elapsed_seconds=2.0,
             latencies_ms=[1.0, 2.0, 3.0],
-            n_throttled=1,
+            n_replayed=1,
         )
         payload = report.to_dict()
         assert payload["reports_per_second"] == 50.0
         assert set(payload["latency_ms"]) == {"p50", "p95", "p99"}
-        assert payload["n_throttled"] == 1
+        assert payload["n_replayed"] == 1
         assert payload["n_errors"] == 0
 
     def test_zero_elapsed_rate_is_nan(self):

@@ -377,6 +377,29 @@ class TestRestartBitIdentity:
             assert collector.stats()["dedup"]["replays_served"] == len(uploads)
             assert estimates_of(collector) == baseline
 
+    def test_restart_with_another_shard_count_is_refused(self, tmp_path):
+        """A journal directory keeps the shard count that wrote it. Fewer
+        shards would never open the other journals; more would move a
+        key's home off the shard whose journal holds it."""
+        uploads = keyed_uploads(make_plan())
+        for written, restarted in ((2, 1), (1, 4)):
+            config = config_for(tmp_path / f"{written}to{restarted}", n_shards=written)
+            with ShardedCollector(config) as collector:
+                for key, frame in uploads:
+                    collector.submit(frame, "r1", key=key)
+                before = estimates_of(collector)
+            journals = sorted(config.journal_dir.glob("shard-*.journal"))
+            assert len(journals) == written
+            other = config_for(tmp_path / f"{written}to{restarted}", n_shards=restarted)
+            with pytest.raises(
+                ValueError, match=rf"holds {written} shard.*n_shards is {restarted}"
+            ):
+                ShardedCollector(other)
+            # Refused before any file is opened: the writing count recovers.
+            assert sorted(config.journal_dir.glob("shard-*.journal")) == journals
+            with ShardedCollector(config) as recovered:
+                assert estimates_of(recovered) == before
+
 
 class TestCrashRecoveryProperty:
     """Crash at every journal/commit boundary; recovery is bit-identical."""
@@ -774,17 +797,18 @@ def replay_prefix(config, shard_id, journal_offset) -> dict:
             if record.end_offset > journal_offset:
                 break
             for block in iter_frame_blocks(record.segment):
-                shard.ingest_direct(block.round_id, block)
+                shard._fold(block.round_id, block)
         return json.loads(json.dumps(shard.snapshot_all()))
     finally:
         journal.close()
 
 
 def restart_healthy(config) -> ShardedCollector:
-    """Restart until no shard died writing its recovery checkpoint."""
+    """Restart until no fault fired while writing the recovery checkpoint."""
     while True:
+        fired = len(config.faults.fired)
         collector = ShardedCollector(config)
-        if not collector.stats()["shards_dead"]:
+        if len(config.faults.fired) == fired:
             return collector
         collector.close()
 
@@ -960,8 +984,8 @@ class TestCheckpointCuts:
     def test_torn_checkpoint_write_recovers_from_the_other_slot(self, tmp_path):
         uploads = keyed_uploads(make_plan(), n_users=3000)
         baseline = fault_free_baseline(tmp_path, uploads)
-        # Two shards, each holding one attribute of r1. Hits 5 and 6 are
-        # the third cut's writes: each overwrites the slot holding its
+        # Two shards, each holding one attribute of r1. Hit 5 is the third
+        # cut's write of shard 0: it overwrites the slot holding that
         # shard's first generation.
         faults = FaultPlan([Fault("checkpoint.truncate", at=5)])
         config = config_for(
@@ -972,14 +996,15 @@ class TestCheckpointCuts:
         try:
             for key, frame in uploads:
                 collector.submit(frame, "r1", key=key)
-                collector.flush()  # the writer kills the shard mid-write
-                dead = collector.stats()["shards_dead"]
-                if dead:
-                    torn += [
-                        load_checkpoint(config.journal_dir / f"shard-{i}.ckpt")["generation"]
-                        for i in dead
-                    ]
-                    collector.close()
+                collector.flush()  # the crash mid-write ends the writer
+                if faults.fired and not torn:
+                    writer = collector._writer._thread
+                    writer.join(timeout=10.0)
+                    assert not writer.is_alive()
+                    torn.append(
+                        load_checkpoint(config.journal_dir / "shard-0.ckpt")["generation"]
+                    )
+                    collector.close()  # the process died: restart it
                     collector = ShardedCollector(config)
                     assert collector.stats()["journal"]["recovered_records"] > 0
             assert faults.fired == (("checkpoint.truncate", 5),)
@@ -1005,13 +1030,14 @@ class TestCheckpointCuts:
         try:
             for key, frame in uploads:
                 for _ in range(200):
+                    fired = len(faults.fired)
                     try:
                         collector.submit(frame, "r1", key=key)
                     except InjectedFault:
                         pass
                     else:
                         collector.flush()
-                        if not collector.stats()["shards_dead"]:
+                        if len(faults.fired) == fired:
                             break
                     collector.close()
                     collector = restart_healthy(config)
@@ -1036,7 +1062,6 @@ class TestCheckpointCuts:
             collector.submit(uploads[1][1], "r1", key=uploads[1][0])
             collector.flush()
             shard = collector.stats()["shards"][0]
-            assert shard["alive"] is True
             assert shard["checkpoint_errors"] == 1
             assert "IsADirectoryError" in shard["last_checkpoint_error"]
             assert shard["checkpoint_generation"] == 1

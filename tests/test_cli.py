@@ -422,6 +422,25 @@ class TestContinuousCollection:
         assert recovered["audit"] == live["audit"]
         assert recovered["audit"]["rounds"] == 3
 
+    def test_recover_refuses_another_shard_count(self, tmp_path, capsys):
+        plan = AnalysisPlan(
+            epsilon=2.0,
+            attributes=(AttributeSpec("income", low=0.0, high=1e5, d=32),),
+            tasks=(Distribution("income"),),
+        )
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(plan.to_json())
+        journal_dir = tmp_path / "wal"
+        config = ServiceConfig(plan=plan, n_shards=2, journal_dir=journal_dir)
+        with ShardedCollector(config) as collector:
+            for frame, _n in synthesize_frames(plan, "r1", 600, batch_size=300, rng=0):
+                collector.submit(frame, "r1")
+        argv = ["recover", "--plan", str(plan_file), "--journal-dir", str(journal_dir)]
+        assert main([*argv, "--shards", "3"]) == 2
+        assert "n_shards is 3" in capsys.readouterr().err
+        assert main(argv) == 0  # inferred from the two shard journals
+        assert "across 2 shards" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

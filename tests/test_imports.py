@@ -4,7 +4,8 @@
 service, round and CLI paths never load the families they do not run —
 the hierarchical estimators (and scipy with them), the CFO-binning
 baseline with its frequency oracles and Norm-Sub post-processing, the
-experiment runner, the datasets and the lint tooling.
+experiment runner, the datasets, the lint tooling and the service's load
+generator, which is client-side code.
 """
 
 import importlib
@@ -30,6 +31,7 @@ OPTIONAL = (
     "repro.experiments",
     "repro.datasets",
     "repro.devtools",
+    "repro.service.loadgen",
 )
 
 
