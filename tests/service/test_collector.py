@@ -1,6 +1,7 @@
 """ShardedCollector: routing, backpressure, merge/estimate, observability."""
 
 import asyncio
+import json
 import threading
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.engine.solver as solver_module
+from repro.protocol import CollectionServer
 from repro.protocol.frames import FrameBlock, encode_frame
 from repro.service import ReportService, ServiceConfig, ShardedCollector
 from repro.service import core
@@ -231,6 +233,15 @@ class TestEstimate:
             assert tasks == {"distribution", "mean", "quantiles"}
             assert sum(result["n_reports"].values()) == 4000
 
+    def test_result_carries_exactly_the_documented_fields(self):
+        plan = make_plan()
+        with ShardedCollector(ServiceConfig(plan=plan, n_shards=3)) as collector:
+            for frame, _ in feed_frames(plan, n_users=1000, batch=500):
+                collector.submit(frame, "r1")
+            result = collector.estimate("r1")
+        assert sorted(result) == ["errors", "estimates", "n_reports", "report", "round"]
+        assert result["round"] == "r1"
+
     def test_missing_attribute_reports_structured_error(self):
         """One silent attribute must not hide the other's estimate."""
         plan = make_plan()
@@ -336,6 +347,78 @@ class TestShardedEquivalence:
             for attr in ("age", "income"):
                 assert a["estimates"][attr] == b["estimates"][attr]
             assert a["report"] == b["report"]
+
+
+class TestHomeShards:
+    """Every ``(round, attr)`` lives wholly on its ring home shard."""
+
+    ROUNDS = ("r1", "r2", "r3", "r4")
+
+    def fill(self, collector, plan):
+        for seed, round_id in enumerate(self.ROUNDS):
+            for frame, _ in feed_frames(
+                plan, n_users=400, round_id=round_id, seed=seed, batch=200
+            ):
+                collector.submit(frame, round_id)
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_every_key_lives_only_on_its_home_shard(self, n_shards):
+        plan = make_plan()
+        config = ServiceConfig(plan=plan, n_shards=n_shards)
+        with ShardedCollector(config) as collector:
+            self.fill(collector, plan)
+            homed = [0] * n_shards
+            for round_id in self.ROUNDS:
+                answer = collector.estimate(round_id)["n_reports"]
+                assert sum(answer.values()) == 400
+                for attr in ("age", "income"):
+                    home = collector.ring.shard_for(round_id, attr)
+                    states = [shard.snapshot(round_id, attr) for shard in collector.shards]
+                    assert [i for i, state in enumerate(states) if state] == [home]
+                    n = CollectionServer.from_state(states[home]).n_reports
+                    assert n == answer[attr]
+                    homed[home] += n
+            shards = collector.stats()["shards"]
+            assert [s["reports_ingested"] for s in shards] == homed
+
+    def test_a_poll_reads_one_server_per_attribute(self, monkeypatch):
+        plan = make_plan()
+        reads = []
+        real_snapshot = core.ShardAggregator.snapshot
+
+        def spy(shard, round_id, attr):
+            reads.append((shard.shard_id, round_id, attr))
+            return real_snapshot(shard, round_id, attr)
+
+        monkeypatch.setattr(core.ShardAggregator, "snapshot", spy)
+        with ShardedCollector(ServiceConfig(plan=plan, n_shards=4)) as collector:
+            self.fill(collector, plan)
+            for round_id in self.ROUNDS:
+                reads.clear()
+                collector.estimate(round_id)
+                assert sorted(reads) == sorted(
+                    (collector.ring.shard_for(round_id, attr), round_id, attr)
+                    for attr in ("age", "income")
+                )
+
+    def test_snapshot_is_detached_from_the_live_server(self):
+        """The merge tier solves a copy: neither later folds nor changes
+        to the copy reach the other side."""
+        plan = make_plan()
+        frames = feed_frames(plan, n_users=800, batch=400)
+        with ShardedCollector(ServiceConfig(plan=plan, n_shards=2)) as collector:
+            collector.submit(frames[0][0], "r1")
+            home = collector.shards[collector.ring.shard_for("r1", "age")]
+            state = home.snapshot("r1", "age")
+            frozen = json.dumps(state, sort_keys=True)
+            copy = CollectionServer.from_state(state)
+            copy.merge(CollectionServer.from_state(home.snapshot("r1", "age")))
+            assert copy.n_reports == 2 * CollectionServer.from_state(state).n_reports
+            assert json.dumps(home.snapshot("r1", "age"), sort_keys=True) == frozen
+            collector.submit(frames[1][0], "r1")
+            assert json.dumps(state, sort_keys=True) == frozen
+            live = CollectionServer.from_state(home.snapshot("r1", "age"))
+            assert live.n_reports > CollectionServer.from_state(state).n_reports
 
 
 class TestStats:

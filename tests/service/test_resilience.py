@@ -401,6 +401,44 @@ class TestRestartBitIdentity:
                 assert estimates_of(recovered) == before
 
 
+class TestJournalDirShardCount:
+    """A journal directory is bound to the shard count that wrote it."""
+
+    @pytest.mark.parametrize(
+        ("present", "n_shards"),
+        [((0, 1, 2), 2), ((0,), 3), ((0, 2), 3), ((1, 2), 2)],
+        ids=["fewer", "more", "gap", "renumbered"],
+    )
+    def test_another_journal_set_is_refused_before_any_file_is_made(
+        self, tmp_path, present, n_shards
+    ):
+        journal_dir = tmp_path / "wal"
+        journal_dir.mkdir()
+        for index in present:
+            (journal_dir / f"shard-{index}.journal").touch()
+        listing = sorted(journal_dir.iterdir())
+        with pytest.raises(
+            ValueError, match=rf"holds {len(present)} shard.*n_shards is {n_shards}"
+        ):
+            ShardedCollector(config_for(tmp_path, n_shards=n_shards))
+        assert sorted(journal_dir.iterdir()) == listing
+
+    def test_directory_without_shard_journals_takes_any_count(self, tmp_path):
+        journal_dir = tmp_path / "wal"
+        journal_dir.mkdir()
+        (journal_dir / "notes.txt").write_text("not a journal")
+        config = config_for(tmp_path, n_shards=4)
+        with ShardedCollector(config) as collector:
+            for key, frame in keyed_uploads(make_plan()):
+                collector.submit(frame, "r1", key=key)
+            before = estimates_of(collector)
+        assert sorted(path.name for path in journal_dir.glob("shard-*.journal")) == [
+            f"shard-{index}.journal" for index in range(4)
+        ]
+        with ShardedCollector(config) as recovered:
+            assert estimates_of(recovered) == before
+
+
 class TestCrashRecoveryProperty:
     """Crash at every journal/commit boundary; recovery is bit-identical."""
 
@@ -1071,6 +1109,40 @@ class TestCheckpointCuts:
             before = estimates_of(collector)
         with ShardedCollector(config) as recovered:
             assert estimates_of(recovered) == before
+
+
+    def test_injected_crash_ends_the_writer_and_admission_goes_on(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash mid-write kills the writer thread alone, as a killed
+        process would end it: the thread returns without an unhandled
+        exception, flush() stops waiting for it, uploads are still
+        admitted and folded, and a restart recovers them all."""
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        uploads = keyed_uploads(make_plan())
+        faults = FaultPlan([Fault("checkpoint.truncate", at=1)])
+        config = config_for(tmp_path, faults=faults, n_shards=1, checkpoint_every=1)
+        with ShardedCollector(config) as collector:
+            key, frame = uploads[0]
+            collector.submit(frame, "r1", key=key)
+            collector.flush()
+            writer = collector._writer._thread
+            writer.join(timeout=10.0)
+            assert not writer.is_alive()
+            assert faults.fired == (("checkpoint.truncate", 1),)
+            for key, frame in uploads[1:]:
+                collector.submit(frame, "r1", key=key)
+            collector.flush()  # returns at once: nothing will write the cuts
+            stats = collector.stats()
+            assert stats["uploads_accepted"] == len(uploads)
+            assert stats["shards"][0]["checkpoints_pending"] == len(uploads)
+            assert stats["shards"][0]["checkpoint_generation"] == 0
+            before = estimates_of(collector)
+        assert unhandled == []
+        with ShardedCollector(config) as recovered:
+            assert estimates_of(recovered) == before
+            assert recovered.stats()["uploads_accepted"] == len(uploads)
 
 
 def hold_journal_fsync(monkeypatch, collector):

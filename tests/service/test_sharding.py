@@ -55,3 +55,24 @@ class TestHashRing:
         with pytest.raises(ValueError, match="n_shards"):
             HashRing(0)
 
+
+    def test_single_shard_owns_every_key(self):
+        ring = HashRing(1)
+        keys = [(f"r{r}", f"attr-{i}") for r in range(5) for i in range(50)]
+        assert {ring.shard_for(*k) for k in keys} == {0}
+
+    @pytest.mark.parametrize("n_shards", [2, 3, 7])
+    def test_a_grown_ring_moves_keys_only_onto_the_new_shard(self, n_shards):
+        """The consistent-hashing contract: adding shard ``n`` takes keys
+        from the old shards onto ``n`` and never shuffles the rest."""
+        small, large = HashRing(n_shards), HashRing(n_shards + 1)
+        keys = [(f"r{r}", f"attr-{i}") for r in range(4) for i in range(250)]
+        moved = [k for k in keys if small.shard_for(*k) != large.shard_for(*k)]
+        assert moved
+        assert {large.shard_for(*k) for k in moved} == {n_shards}
+
+    def test_round_is_part_of_the_key(self):
+        """One attribute's rounds spread over every shard, so a long-lived
+        attribute does not pin all of its history on one shard."""
+        ring = HashRing(4)
+        assert {ring.shard_for(f"round-{r}", "age") for r in range(200)} == {0, 1, 2, 3}

@@ -441,6 +441,29 @@ class TestContinuousCollection:
         assert main(argv) == 0  # inferred from the two shard journals
         assert "across 2 shards" in capsys.readouterr().out
 
+    def test_recover_refuses_a_journal_set_with_a_gap(self, tmp_path, capsys):
+        """The count inferred from the files cannot paper over a lost
+        journal: two files named shard-0 and shard-2 are not two shards."""
+        plan = AnalysisPlan(
+            epsilon=2.0,
+            attributes=(AttributeSpec("income", low=0.0, high=1e5, d=32),),
+            tasks=(Distribution("income"),),
+        )
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(plan.to_json())
+        journal_dir = tmp_path / "wal"
+        config = ServiceConfig(plan=plan, n_shards=3, journal_dir=journal_dir)
+        with ShardedCollector(config) as collector:
+            for frame, _n in synthesize_frames(plan, "r1", 600, batch_size=300, rng=0):
+                collector.submit(frame, "r1")
+        (journal_dir / "shard-1.journal").unlink()
+        argv = ["recover", "--plan", str(plan_file), "--journal-dir", str(journal_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "shard-0.journal, shard-2.journal" in err
+        assert "n_shards is 2" in err
+        assert not (journal_dir / "shard-1.journal").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
