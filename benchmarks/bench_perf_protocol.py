@@ -1,13 +1,12 @@
 """Performance benchmark for the protocol-v2 serving stack.
 
-Times the two serving claims against their baselines and writes a
-machine-readable ``BENCH_protocol.json`` so the perf trajectory is recorded
-from run to run (the CI perf-smoke step uploads it as an artifact):
+Times the serving stack and writes a machine-readable
+``BENCH_protocol.json`` so the perf trajectory is recorded from run to run
+(the CI perf-smoke step uploads it as an artifact):
 
-1. **Columnar frames vs JSON lines** — encode + decode of n SW reports
-   through the binary frame codec vs the v2 JSON-lines codec
-   (``encode_batch_v2(..., "float")`` and ``decode_feed``; target: >= 25x
-   round trip at n = 1e6).
+1. **Frame codec** — encode and decode of n SW reports through the RPF2
+   frame, the one wire format (``encode_frame`` and
+   ``decode_frame_grouped``); recorded, not gated.
 2. **Incremental estimation** — a mid-round ``CollectionServer.estimate()``
    after a small ingest delta (warm-started from the cached posterior) vs
    the estimator's own cold EMS solve from the uniform prior on identical
@@ -30,8 +29,7 @@ import numpy as np
 
 from repro.api.base import Estimator
 from repro.core.square_wave import SquareWave
-from repro.protocol.frames import decode_frame, encode_frame
-from repro.protocol.messages import decode_feed, encode_batch_v2
+from repro.protocol.frames import decode_frame_grouped, encode_frame
 from repro.protocol.server import CollectionServer
 
 
@@ -45,46 +43,27 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def bench_wire_codecs(n: int, repeats: int) -> dict:
-    """Frame vs JSON-lines encode/decode throughput on n SW reports."""
+    """Frame encode and decode times on n SW reports."""
     reports = SquareWave(1.0).privatize(
         np.random.default_rng(0).random(n), rng=np.random.default_rng(1)
     )
 
-    jsonl_encode_s = _best_of(
-        lambda: encode_batch_v2("r", reports, "float"), repeats
-    )
-    payload = encode_batch_v2("r", reports, "float")
-    jsonl_decode_s = _best_of(
-        lambda: decode_feed(payload, expected_round="r"), repeats
-    )
-    np.testing.assert_array_equal(
-        decode_feed(payload, expected_round="r").reports, reports
-    )  # lossless
+    def decode(frame: bytes) -> np.ndarray:
+        _, groups = decode_frame_grouped(frame, expected_round="r")
+        return groups["value"].reports
 
     frame_encode_s = _best_of(
         lambda: encode_frame("r", reports, "float"), repeats
     )
     frame = encode_frame("r", reports, "float")
-    frame_decode_s = _best_of(
-        lambda: decode_frame(frame, expected_round="r"), repeats
-    )
-    decoded = decode_frame(frame, expected_round="r").reports
-    np.testing.assert_array_equal(decoded, reports)  # lossless
+    frame_decode_s = _best_of(lambda: decode(frame), repeats)
+    np.testing.assert_array_equal(decode(frame), reports)  # lossless
 
-    jsonl_s = jsonl_encode_s + jsonl_decode_s
-    frame_s = frame_encode_s + frame_decode_s
     return {
         "n_reports": n,
-        "jsonl_encode_s": jsonl_encode_s,
-        "jsonl_decode_s": jsonl_decode_s,
         "frame_encode_s": frame_encode_s,
         "frame_decode_s": frame_decode_s,
-        "jsonl_bytes": len(payload),
         "frame_bytes": len(frame),
-        "encode_speedup": jsonl_encode_s / frame_encode_s,
-        "decode_speedup": jsonl_decode_s / frame_decode_s,
-        "roundtrip_speedup": jsonl_s / frame_s,
-        "size_ratio": len(payload) / len(frame),
     }
 
 
@@ -167,9 +146,7 @@ def main() -> int:
     wire = report["wire_codecs"]
     inc = report["incremental_estimate"]
     report["targets"] = {
-        "frame_roundtrip_speedup_min": 25.0,
         "incremental_speedup_min": 2.0,
-        "frame_roundtrip_ok": wire["roundtrip_speedup"] >= 25.0,
         "incremental_ok": inc["warm_speedup"] >= 2.0
         and inc["warm_iterations"] < inc["cold_iterations"],
     }
@@ -178,14 +155,9 @@ def main() -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"frame encode : {wire['encode_speedup']:>10.1f}x vs JSON lines "
-          f"({wire['jsonl_encode_s'] * 1e3:.0f} ms -> "
-          f"{wire['frame_encode_s'] * 1e3:.2f} ms at n={wire['n_reports']:,})")
-    print(f"frame decode : {wire['decode_speedup']:>10.1f}x "
-          f"({wire['jsonl_decode_s'] * 1e3:.0f} ms -> "
-          f"{wire['frame_decode_s'] * 1e3:.2f} ms)")
-    print(f"frame roundtrip: {wire['roundtrip_speedup']:>8.1f}x, "
-          f"{wire['size_ratio']:.1f}x smaller on the wire")
+    print(f"frame encode : {wire['frame_encode_s'] * 1e3:>8.2f} ms, "
+          f"decode {wire['frame_decode_s'] * 1e3:.2f} ms "
+          f"({wire['frame_bytes']:,} bytes at n={wire['n_reports']:,})")
     print(f"warm estimate: {inc['warm_speedup']:>10.1f}x vs cold solve "
           f"({inc['cold_iterations']} -> {inc['warm_iterations']} EM iterations "
           f"after +{inc['n_delta']:,} of {inc['n_initial']:,} reports)")

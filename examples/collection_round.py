@@ -2,14 +2,15 @@
 
 Scenario: a fleet of devices holds two private attributes (income, age).
 Three regional collectors each receive a shard of the fleet's reports as
-*columnar binary frames* — one mixed frame per shard, carrying both
+RPF2 frames, the one wire format — one frame per shard, carrying both
 attributes under their mechanisms' payload codecs — aggregate them with a
 ``PlanServer``, and ship O(state) shard summaries to a coordinator that
 merges them exactly and answers every planned task in real-world units.
 
 Also demonstrates the incremental mid-round estimate: after a small late
 batch arrives, ``estimate()`` warm-starts EM from the cached posterior
-instead of re-solving from the uniform prior.
+instead of re-solving from the uniform prior (faster, and close to but not
+the same as a cold solve of the same counts).
 
 Run:  PYTHONPATH=src python examples/collection_round.py
 """
@@ -62,7 +63,7 @@ def main() -> None:
         reports = client.privatize(
             {name: values[lo:hi] for name, values in population.items()}, rng=gen
         )
-        frames.append(client.to_feed(reports, ROUND, format="frame"))
+        frames.append(client.to_feed(reports, ROUND))
     sizes = ", ".join(f"{len(f) / 1e6:.1f} MB" for f in frames)
     print(f"{N_SHARDS} shard frames ({sizes}) for {N_USERS:,} users")
 
@@ -89,7 +90,7 @@ def main() -> None:
     late = client.privatize(
         {name: values[:2_000] for name, values in population.items()}, rng=gen
     )
-    coordinator.ingest_feed(client.to_feed(late, ROUND, format="frame"))
+    coordinator.ingest_feed(client.to_feed(late, ROUND))
     coordinator.estimate("income")
     warm_iterations = income_server.estimator.result_.iterations
     print(f"\nlate batch of 2,000: warm re-estimate took {warm_iterations} EM "

@@ -1,11 +1,13 @@
 """Streaming collection: the deployment-shaped client/server protocol.
 
 Scenario: an app ships the Square Wave client to devices; reports arrive at
-the server in batches over days. The server keeps only O(d) counters, can publish an
-interim estimate at any time, and the final estimate equals what a one-shot
-batch collection would have produced.
+the server in batches over days. The server keeps only O(d) counters and can
+publish an interim estimate at any time. Each interim estimate warm-starts the
+next solve, so the final estimate is close to, but not the same as, what a
+one-shot collection of the same reports would produce: with this script's
+five daily polls the two are about 0.015 apart in total variation.
 
-Also demonstrates the wire format (protocol-v2 JSON lines) and the
+Also demonstrates the wire format (protocol-v2 RPF2 frames) and the
 capacity-planning helpers in ``repro.analysis``.
 
 Run:  python examples/streaming_collection.py
@@ -38,15 +40,14 @@ def main() -> None:
     for day, batch in enumerate(days, start=1):
         # Client side: randomize on the device, encode for the wire.
         reports = server.privatize(batch, rng=np.random.default_rng(day))
-        payload = server.encode(reports, format="jsonl")
-        first_line = payload.splitlines()[0]
-        count = server.ingest_feed(payload)
+        frame = server.encode(reports)
+        count = server.ingest_feed(frame)
         interim = server.estimate()
         err = wasserstein_distance(truth, interim)
         print(f"day {day}: +{count:,} reports (total {server.n_reports:,}), "
               f"interim W1 = {err:.5f}")
         if day == 1:
-            print(f"  wire sample: {first_line}")
+            print(f"  wire: one {len(frame):,}-byte frame, magic {frame[:4]!r}")
 
     # --- Final estimate. ----------------------------------------------------
     final = server.estimate()

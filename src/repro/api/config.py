@@ -127,10 +127,11 @@ class EMConfig:
         ``validated=True`` skips the column-stochastic channel check — pass
         it when the channel comes from the engine cache, which validates
         once at insert. ``x0`` warm-starts the solve from a previous
-        posterior instead of the uniform prior — the fixed point is the
-        same (EM is monotone in the likelihood), but a nearby start
-        converges in far fewer iterations, which is what makes mid-round
-        incremental estimates cheap (:mod:`repro.protocol.server`).
+        posterior instead of the uniform prior: a nearby start converges
+        in far fewer iterations, which is what makes mid-round
+        incremental estimates cheap (:mod:`repro.protocol.server`). It
+        stops at the tolerance near where it started, so its estimate is
+        not the cold solve's.
         Returns the :class:`~repro.core.em.EMResult`.
         """
         return self.run_many(

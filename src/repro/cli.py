@@ -8,9 +8,9 @@ Subcommands mirror the deployment workflow:
 * ``analyze`` — run a declarative analysis plan (``repro.tasks``) over a
   CSV of raw per-user values and write typed task results as JSON;
 * ``pack`` / ``unpack`` / ``collect`` — the protocol-v2 serving workflow:
-  randomize values into a wire feed for *any* registered mechanism
-  (``--format jsonl|frame``), convert/inspect feeds, and run the
-  mechanism-agnostic collection server over one or more shard feeds;
+  randomize values into an RPF2 frame for *any* registered mechanism,
+  inspect frames, and run the mechanism-agnostic collection server over
+  one or more shard frames;
 * ``serve`` / ``loadgen`` — the deployment tier (``repro.service``): run
   the sharded async HTTP collection service for a plan, and drive a
   running service with synthetic clients while measuring ingest
@@ -25,8 +25,8 @@ Examples::
     python -m repro analyze --plan plan.json --input survey.csv \
         --output results.json --seed 7
     python -m repro pack --method olh --epsilon 1.0 --d 64 --round-id r1 \
-        --format frame --input values.txt --output feed.rpf --seed 7
-    python -m repro unpack --input feed.rpf --format jsonl --output feed.jsonl
+        --input values.txt --output feed.rpf --seed 7
+    python -m repro unpack --input feed.rpf
     python -m repro collect --method olh --epsilon 1.0 --d 64 --round-id r1 \
         --input feed.rpf --output frequencies.csv
 """
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -162,26 +163,6 @@ def _cmd_analyze(args) -> int:
     return 0 if audit.satisfied else 1
 
 
-def _read_feed(path: str) -> bytes | str:
-    """Read a wire feed, auto-detecting binary frames vs JSON lines."""
-    from repro.protocol.frames import is_frame
-
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if is_frame(data):
-        return data
-    return data.decode("utf-8")
-
-
-def _write_feed(feed: bytes | str, path: str) -> None:
-    if isinstance(feed, bytes):
-        with open(path, "wb") as handle:
-            handle.write(feed)
-    else:
-        with open(path, "w") as handle:
-            handle.write(feed + "\n")
-
-
 def _reportable_values(spec, values, d: int):
     """Map unit-domain inputs onto what the mechanism's clients report."""
     if spec.kind == "frequency":
@@ -195,49 +176,31 @@ def _cmd_pack(args) -> int:
     from repro.api.registry import get_spec, make_estimator
     from repro.protocol.codecs import codec_for_estimator
     from repro.protocol.frames import encode_frame
-    from repro.protocol.messages import encode_batch_v2
 
     spec = get_spec(args.method)
     values = _reportable_values(spec, io.read_values(args.input), args.d)
     estimator = make_estimator(args.method, args.epsilon, args.d)
     codec = codec_for_estimator(estimator)
     reports = estimator.privatize(values, rng=np.random.default_rng(args.seed))
-    if args.format == "frame":
-        feed: bytes | str = encode_frame(
-            args.round_id, reports, codec, attr=args.attr
-        )
-    else:
-        feed = encode_batch_v2(args.round_id, reports, codec, attr=args.attr)
-    _write_feed(feed, args.output)
+    Path(args.output).write_bytes(
+        encode_frame(args.round_id, reports, codec, attr=args.attr)
+    )
     print(
-        f"packed {values.size} {args.method} reports ({codec.name} payloads, "
-        f"{args.format}) to {args.output}"
+        f"packed {values.size} {args.method} reports ({codec.name} payloads) "
+        f"to {args.output}"
     )
     return 0
 
 
 def _cmd_unpack(args) -> int:
-    from repro.protocol.frames import decode_any_feed, encode_frame_blocks
-    from repro.protocol.messages import encode_batch_v2
+    from repro.protocol.frames import decode_frame_grouped
 
-    round_id, groups = decode_any_feed(_read_feed(args.input))
+    round_id, groups = decode_frame_grouped(Path(args.input).read_bytes())
     for group in groups.values():
         print(
             f"round {round_id!r} attr {group.attr!r}: {group.n} reports "
             f"({group.mechanism} payloads)"
         )
-    if args.output is None:
-        return 0
-    blocks = [(g.attr, g.mechanism, g.reports) for g in groups.values()]
-    if args.format == "frame":
-        out: bytes | str = encode_frame_blocks(round_id, blocks)
-    else:
-        out = "\n".join(
-            encode_batch_v2(round_id, reports, mech, attr=attr)
-            for attr, mech, reports in blocks
-        )
-    _write_feed(out, args.output)
-    print(f"rewrote feed as {args.format} to {args.output}")
     return 0
 
 
@@ -251,7 +214,7 @@ def _cmd_collect(args) -> int:
     )
     total = 0
     for path in args.input:
-        total += server.ingest_feed(_read_feed(path))
+        total += server.ingest_feed(Path(path).read_bytes())
     estimate = server.estimate()
     if spec.kind == "scalar":
         with open(args.output, "w") as handle:
@@ -328,7 +291,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_recover(args) -> int:
     import json
-    from pathlib import Path
 
     from repro.service import ServiceConfig, ShardedCollector
 
@@ -517,35 +479,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(
-        "pack", help="randomize values into a protocol-v2 wire feed"
+        "pack", help="randomize values into a protocol-v2 RPF2 frame"
     )
     p.add_argument("--method", default="sw-ems", help="any registered estimator")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, default=1024)
     p.add_argument("--round-id", required=True)
     p.add_argument("--attr", default="value", help="attribute id to stamp reports with")
-    p.add_argument(
-        "--format", choices=("jsonl", "frame"), default="frame",
-        help="wire transport: columnar binary frame or envelope JSON lines",
-    )
     p.add_argument("--input", required=True, help="one value in [0,1] per line")
-    p.add_argument("--output", required=True, help="feed file")
+    p.add_argument("--output", required=True, help="frame file")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_pack)
 
     p = sub.add_parser(
-        "unpack", help="inspect a wire feed and optionally convert its format"
+        "unpack", help="inspect a frame: round, attribute, count and codec per block"
     )
-    p.add_argument("--input", required=True, help="feed file (frame or JSON lines)")
-    p.add_argument("--output", default=None, help="converted feed (omit to inspect only)")
-    p.add_argument(
-        "--format", choices=("jsonl", "frame"), default="jsonl",
-        help="output transport when --output is given",
-    )
+    p.add_argument("--input", required=True, help="frame file")
     p.set_defaults(fn=_cmd_unpack)
 
     p = sub.add_parser(
-        "collect", help="aggregate wire feeds with the mechanism-agnostic server"
+        "collect", help="aggregate frames with the mechanism-agnostic server"
     )
     p.add_argument("--method", default="sw-ems", help="any registered estimator")
     p.add_argument("--epsilon", type=float, required=True)
@@ -554,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attr", default="value")
     p.add_argument(
         "--input", required=True, nargs="+",
-        help="one or more shard feed files (frame or JSON lines, auto-detected)",
+        help="one or more shard frame files",
     )
     p.add_argument("--output", required=True, help="estimate CSV")
     p.set_defaults(fn=_cmd_collect)

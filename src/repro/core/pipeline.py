@@ -193,11 +193,12 @@ class WaveEstimator(Estimator):
         """Reconstruct the input histogram from all reports ingested so far.
 
         ``x0`` warm-starts EM/EMS from a previous posterior instead of the
-        uniform prior — same fixed point, far fewer iterations when the
-        counts changed only a little since that posterior was computed
-        (the warm starts of :func:`repro.protocol.server.solve_cached`,
-        which the servers, the service's merge tier and the streaming
-        scheduler share). Without ``x0`` the solve is cold.
+        uniform prior — far fewer iterations when the counts changed only
+        a little since that posterior was computed, but not the cold
+        solve's estimate (the warm starts of
+        :func:`repro.protocol.server.solve_cached`, which the servers, the
+        service's merge tier and the streaming scheduler share). Without
+        ``x0`` the solve is cold.
         """
         if self._counts.sum() <= 0:
             raise EmptyAggregateError("no reports ingested yet")

@@ -24,14 +24,12 @@ NUM002    No dense-channel materialization (``transition_matrix``,
           hot paths — the operator protocol exists precisely so these
           stay ``O(d * B)``.
 SVC001    No blocking calls inside ``repro.service`` async handlers:
-          ``time.sleep``, synchronous ``socket`` use, direct solve calls
+          ``time.sleep``, synchronous ``socket`` use, or direct solve calls
           (``.estimate()``/``.report()``/``.advance_window()``/
-          ``.window_estimate()``, ``estimate_rounds``/``solve_cached``), or
-          JSON-lines decodes (``decode_feed_grouped``, ``decode_feed``,
-          ``decode_any_feed``) on the event loop. Upload admission runs on
-          the loop; work that costs in proportion to its input must be
-          offloaded through ``run_in_executor``/``asyncio.to_thread``
-          worker threads.
+          ``.window_estimate()``, ``estimate_rounds``/``solve_cached``) on
+          the event loop. Upload admission runs on the loop; work that
+          costs in proportion to its input must be offloaded through
+          ``run_in_executor``/``asyncio.to_thread`` worker threads.
 STATE001  Window maintenance must go through the sanctioned state
           arithmetic (``repro.api.subtract_state`` and
           ``subtract_payload``). Ad-hoc ``-``/``*``/``/`` arithmetic on
@@ -53,9 +51,9 @@ NUM002, SVC001, STATE001, FT001) skip test files; RNG001 applies
 everywhere — a test that draws from global RNG state poisons
 reproducibility just as surely. The name sets below that match the
 package's own calls (encode sinks, sanitizers, validators, dense calls,
-blocking solves, JSON-lines decodes, state calls) name only functions that
-exist under ``src/repro``, and every rule has a mutation of a real source
-file that it must flag; ``tests/devtools/test_meta.py`` checks both.
+blocking solves, state calls) name only functions that exist under
+``src/repro``, and every rule has a mutation of a real source file that
+it must flag; ``tests/devtools/test_meta.py`` checks both.
 """
 
 from __future__ import annotations
@@ -273,7 +271,7 @@ _RAW_PARAMS = frozenset(
 )
 
 #: Calls that put a payload on the wire.
-_ENCODE_SINKS = frozenset({"encode_batch_v2", "encode_frame", "encode_frame_blocks"})
+_ENCODE_SINKS = frozenset({"encode_frame", "encode_frame_blocks"})
 
 #: Calls that launder raw values into eps-LDP reports.
 _SANITIZERS = frozenset({"privatize"})
@@ -713,9 +711,6 @@ _BLOCKING_SOLVES = frozenset(
 )
 #: The module-level batch solvers, which block under a bare name too.
 _BATCH_SOLVES = frozenset({"estimate_rounds", "solve_cached"})
-#: JSON-lines decoders: ~50 ms per MB, so never on the loop. Admission of
-#: what they return (and frame header parsing) does run on the loop.
-_JSONL_DECODES = frozenset({"decode_feed_grouped", "decode_feed", "decode_any_feed"})
 #: Offload seams whose argument subtrees legitimately name blocking work.
 _OFFLOAD_CALLS = frozenset({"run_in_executor", "to_thread"})
 
@@ -728,23 +723,21 @@ class AsyncBlockingRule:
     admit the upload, fold its decoded blocks, respond. Folding is work in
     proportion to the upload, but at a few milliseconds per MB and with
     ``max_body_bytes`` bounding the upload, it stays on the loop. One
-    ``time.sleep``, one synchronous socket round-trip, one un-offloaded
+    ``time.sleep``, one synchronous socket round-trip or one un-offloaded
     solve (``ShardedCollector.estimate()``/``advance_window()``/
-    ``window_estimate()``, ``estimate_rounds``/``solve_cached``) or one
-    JSON-lines decode (about 50 ms per MB) in a coroutine stalls *every*
-    connection, and the loadgen's p99 shows it. Such work belongs on worker
-    threads behind ``run_in_executor`` / ``asyncio.to_thread`` — calls
-    inside those offload arguments (e.g. a lambda handed to an executor)
-    are exempt, as is ``asyncio.sleep``.
+    ``window_estimate()``, ``estimate_rounds``/``solve_cached``) in a
+    coroutine stalls *every* connection, and the loadgen's p99 shows it.
+    Such work belongs on worker threads behind ``run_in_executor`` /
+    ``asyncio.to_thread`` — calls inside those offload arguments (e.g. a
+    lambda handed to an executor) are exempt, as is ``asyncio.sleep``.
     """
 
     code = "SVC001"
     summary = (
         "no blocking calls (time.sleep, sync socket use, direct "
         ".estimate()/.report()/.advance_window()/.window_estimate()/"
-        "estimate_rounds/solve_cached solves, JSON-lines "
-        "decodes) inside repro.service async handlers; offload via "
-        "run_in_executor/to_thread worker threads"
+        "estimate_rounds/solve_cached solves) inside repro.service async "
+        "handlers; offload via run_in_executor/to_thread worker threads"
     )
 
     def check_module(self, module: AnalyzedModule) -> list[Finding]:
@@ -823,17 +816,6 @@ class AsyncBlockingRule:
                     f"directly inside async {func.name}() blocks every "
                     "connection — offload it via loop.run_in_executor or "
                     "asyncio.to_thread",
-                )
-            ]
-        if fn in _JSONL_DECODES:
-            return [
-                module.finding(
-                    node,
-                    self.code,
-                    f"{fn}() decodes JSON lines at about 50 ms per MB; "
-                    f"inside async {func.name}() it blocks every connection "
-                    "— parse via loop.run_in_executor or asyncio.to_thread "
-                    "and admit the parsed upload on the loop",
                 )
             ]
         return []

@@ -1,10 +1,9 @@
 """Deployment-shaped client/server layer for LDP collection rounds.
 
 Protocol v2 carries every registered mechanism's reports via payload
-codecs (:mod:`repro.protocol.codecs`), over either JSON lines
-(:mod:`repro.protocol.messages`) or a columnar binary frame transport
-(:mod:`repro.protocol.frames`), and serves any registry estimator through
-:class:`CollectionServer` / :class:`PlanServer`.
+codecs (:mod:`repro.protocol.codecs`) in one wire format, the columnar
+binary RPF2 frame (:mod:`repro.protocol.frames`), and serves any registry
+estimator through :class:`CollectionServer` / :class:`PlanServer`.
 """
 
 from repro.protocol.codecs import (
@@ -15,23 +14,16 @@ from repro.protocol.codecs import (
     register_codec,
 )
 from repro.protocol.frames import (
+    DEFAULT_ATTR,
     FRAME_MAGIC,
+    PROTOCOL_V2,
+    FeedGroup,
     FrameBlock,
-    decode_frame,
     decode_frame_grouped,
     encode_frame,
     encode_frame_blocks,
     is_frame,
     iter_frame_blocks,
-)
-from repro.protocol.messages import (
-    DEFAULT_ATTR,
-    PROTOCOL_V2,
-    FeedGroup,
-    ReportEnvelope,
-    decode_feed,
-    decode_feed_grouped,
-    encode_batch_v2,
 )
 from repro.protocol.server import (
     CollectionServer,
@@ -45,7 +37,6 @@ __all__ = [
     "PlanServer",
     "EstimateFailure",
     "estimate_rounds",
-    "ReportEnvelope",
     "FeedGroup",
     "PROTOCOL_V2",
     "DEFAULT_ATTR",
@@ -57,12 +48,8 @@ __all__ = [
     "get_codec",
     "list_codecs",
     "codec_for_estimator",
-    "encode_batch_v2",
-    "decode_feed",
-    "decode_feed_grouped",
     "encode_frame",
     "encode_frame_blocks",
-    "decode_frame",
     "decode_frame_grouped",
     "is_frame",
 ]

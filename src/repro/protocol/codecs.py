@@ -6,15 +6,10 @@ user for Square Wave, a category index for GRR and discrete SW, an
 HRR, per-level oracle bundles for the hierarchical estimators — yet the
 collection service must carry all of them over one wire. A
 :class:`PayloadCodec` closes that gap: it maps a mechanism's report batch to
-and from a set of named, fixed-dtype *columns*, which serve two encodings at
-once:
-
-* the v2 JSON-lines form (:class:`repro.protocol.messages.ReportEnvelope`)
-  carries one row's payload per line — a scalar for single-column codecs, a
-  small array otherwise;
-* the binary frame form (:mod:`repro.protocol.frames`) writes each column as
-  one raw little-endian buffer, so encoding and decoding a million reports
-  is a handful of ``ndarray`` operations instead of a Python loop.
+and from a set of named, fixed-dtype *columns*, and a frame
+(:mod:`repro.protocol.frames`) writes each column as one raw little-endian
+buffer, so encoding and decoding a million reports is a handful of
+``ndarray`` operations instead of a Python loop.
 
 Codecs are registered by name, and every estimator instance names its
 codec via the ``wire_codec`` attribute, so :func:`codec_for_estimator`
@@ -30,7 +25,7 @@ instead of silently biasing the estimate.
 from __future__ import annotations
 
 import abc
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -51,21 +46,15 @@ class PayloadCodec(abc.ABC):
 
     Subclasses declare ``name`` and ``columns`` — an ordered tuple of
     ``(column_name, dtype_str)`` pairs with dtypes from ``{"<f8", "<i8"}`` —
-    and implement :meth:`to_columns` / :meth:`from_columns`. The JSON-lines
-    payload forms (:meth:`to_payloads` / :meth:`from_payloads`) are derived:
-    a single-column codec's payload is the bare value, a multi-column
-    codec's payload is the row as a list.
+    and implement :meth:`to_columns` / :meth:`from_columns`.
     """
 
-    #: Registry key; also what travels in the envelope ``mech`` field.
+    #: Registry key; also what travels in a frame block's ``mech`` field.
     name: str = ""
 
     #: Ordered ``(name, dtype)`` column layout of one report batch.
     columns: tuple[tuple[str, str], ...] = ()
 
-    # ------------------------------------------------------------------
-    # columnar form (frames)
-    # ------------------------------------------------------------------
     @abc.abstractmethod
     def to_columns(self, reports: Any) -> dict[str, np.ndarray]:
         """Decompose a report batch into equal-length 1-d column arrays."""
@@ -97,8 +86,8 @@ class PayloadCodec(abc.ABC):
                     f"non-empty 1-d array, got shape {arr.shape}"
                 )
             if arr.dtype.kind not in "fiu":
-                # Corrupted payloads (null, strings, nested objects) must
-                # fail as ValueError, not as astype's TypeError.
+                # A column of strings or objects must fail as ValueError,
+                # not as astype's TypeError.
                 raise ValueError(
                     f"codec {self.name!r}: column {col_name!r} carries "
                     f"non-numeric values"
@@ -130,37 +119,6 @@ class PayloadCodec(abc.ABC):
                 f"codec {self.name!r}: unexpected columns {sorted(unknown)}"
             )
         return out
-
-    # ------------------------------------------------------------------
-    # row form (JSON lines)
-    # ------------------------------------------------------------------
-    def to_payloads(self, reports: Any) -> list:
-        """One JSON-ready payload per report (scalar or per-row list)."""
-        cols = self.to_columns(reports)
-        arrays = [cols[col_name].tolist() for col_name, _ in self.columns]
-        if len(arrays) == 1:
-            return arrays[0]
-        return [list(row) for row in zip(*arrays, strict=True)]
-
-    def from_payloads(self, payloads: Sequence) -> Any:
-        """Rebuild a report batch from a list of per-report payloads."""
-        if len(payloads) == 0:
-            raise ValueError(f"codec {self.name!r}: no payloads to decode")
-        names = [col_name for col_name, _ in self.columns]
-        try:
-            arr = np.asarray(payloads)
-        except ValueError:
-            arr = np.asarray(payloads, dtype=object)  # ragged rows
-        if len(names) == 1:
-            columns = {names[0]: arr}
-        else:
-            if arr.ndim != 2 or arr.shape[1] != len(names):
-                raise ValueError(
-                    f"codec {self.name!r}: each payload must be a "
-                    f"{len(names)}-element row, got array shape {arr.shape}"
-                )
-            columns = {name: arr[:, j] for j, name in enumerate(names)}
-        return self.from_columns(columns)
 
     def __repr__(self) -> str:
         layout = ", ".join(f"{n}:{d}" for n, d in self.columns)

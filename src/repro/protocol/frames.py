@@ -1,10 +1,8 @@
-"""Columnar binary frames: the bulk-transport form of protocol v2.
+"""Columnar binary frames: the one wire format of protocol v2.
 
-JSON lines are greppable but cost a Python-level parse per report — at
-collection scale (millions of reports per round) that dominates the server's
-ingest path. A *frame* carries the same information as a v2 JSON-lines feed
-in a columnar binary layout, so encoding and decoding are a handful of
-``ndarray`` buffer operations:
+Every feed a client sends, a server ingests or the service journals is a
+*frame*: each attribute's reports in a columnar binary layout, so
+encoding and decoding are a handful of ``ndarray`` buffer operations:
 
 .. code-block:: text
 
@@ -21,10 +19,10 @@ in a columnar binary layout, so encoding and decoding are a handful of
 
 One frame holds one collection round and any number of attribute *blocks*
 (a multi-attribute session round fits in a single frame); each block's
-column layout is its payload codec's (:mod:`repro.protocol.codecs`), so a
-frame and the equivalent JSON-lines feed decode to identical report
-batches. Buffers are validated against the header before any array is
-built — a truncated or padded frame fails loudly.
+column layout is its payload codec's (:mod:`repro.protocol.codecs`).
+Buffers are validated against the header before any array is built — a
+truncated or padded frame fails loudly. ``python -m repro pack`` writes
+frames from raw values.
 """
 
 from __future__ import annotations
@@ -34,32 +32,33 @@ import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Any, Protocol
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.protocol.codecs import PayloadCodec, get_codec
-from repro.protocol.messages import (
-    DEFAULT_ATTR,
-    PROTOCOL_V2,
-    FeedGroup,
-    decode_feed_grouped,
-)
 
 __all__ = [
+    "PROTOCOL_V2",
+    "DEFAULT_ATTR",
     "FRAME_MAGIC",
+    "FeedGroup",
     "FrameBlock",
     "is_frame",
     "encode_frame",
     "encode_frame_block",
     "encode_frame_blocks",
-    "decode_frame",
     "decode_frame_grouped",
-    "decode_any_feed",
     "frame_digest",
     "iter_frame_blocks",
 ]
+
+#: The protocol version every frame header carries.
+PROTOCOL_V2 = 2
+
+#: Attribute id single-attribute rounds report under.
+DEFAULT_ATTR = "value"
 
 #: First four bytes of every frame ("Repro Protocol Frame", version 2).
 FRAME_MAGIC = b"RPF2"
@@ -76,6 +75,16 @@ def is_frame(data: bytes) -> bool:
     if not isinstance(data, (bytes, bytearray, memoryview)):
         return False
     return bytes(data[:4]) == FRAME_MAGIC
+
+
+@dataclass(frozen=True)
+class FeedGroup:
+    """One attribute's worth of a decoded feed: codec name + report batch."""
+
+    attr: str
+    mechanism: str
+    reports: Any
+    n: int
 
 
 @dataclass(frozen=True)
@@ -182,75 +191,43 @@ def _write_frame(round_id: str, blocks: Sequence[_Block | FrameBlock]) -> bytes:
     return b"".join(parts)
 
 
-class _SupportsRead(Protocol):
-    """Anything with a ``read(n)`` returning at most ``n`` bytes."""
-
-    def read(self, n: int, /) -> bytes: ...
-
-
 class _ByteSource:
-    """Exact-read cursor over either a byte string or a binary stream.
+    """Exact-read cursor over one frame's bytes.
 
-    Byte-string sources hand out zero-copy ``memoryview`` slices; stream
-    sources read exactly the requested span (looping over short reads).
-    Either way a short span surfaces as ``None`` so the caller can raise
-    with block/column context, and :meth:`leftover` reports undeclared
-    trailing bytes after the last declared buffer.
+    Hands out zero-copy ``memoryview`` slices. A short span surfaces as
+    ``None`` so the caller can raise with block/column context, and
+    :meth:`leftover` counts undeclared trailing bytes after the last
+    declared buffer.
     """
 
-    def __init__(self, source: bytes | bytearray | memoryview | _SupportsRead) -> None:
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._buf: memoryview | None = memoryview(bytes(source))
-            self._offset = 0
-            self._stream: _SupportsRead | None = None
-        else:
-            self._buf = None
-            self._offset = 0
-            self._stream = source
+    def __init__(self, data: bytes) -> None:
+        self._buf = memoryview(bytes(data))
+        self._offset = 0
 
-    def take(self, nbytes: int) -> memoryview | bytes | None:
-        """The next ``nbytes`` exactly, or ``None`` if the source runs dry."""
-        if self._buf is not None:
-            end = self._offset + nbytes
-            if end > len(self._buf):
-                return None
-            view = self._buf[self._offset : end]
-            self._offset = end
-            return view
-        assert self._stream is not None
-        parts: list[bytes] = []
-        remaining = nbytes
-        while remaining > 0:
-            chunk = self._stream.read(remaining)
-            if not chunk:
-                return None
-            parts.append(chunk)
-            remaining -= len(chunk)
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+    def take(self, nbytes: int) -> memoryview | None:
+        """The next ``nbytes`` exactly, or ``None`` if the frame runs dry."""
+        end = self._offset + nbytes
+        if end > len(self._buf):
+            return None
+        view = self._buf[self._offset : end]
+        self._offset = end
+        return view
 
     def leftover(self) -> int:
-        """Bytes remaining after the declared buffers (0 for a clean frame).
-
-        For streams only *whether* bytes remain is knowable without
-        draining; one trailing byte is reported as 1.
-        """
-        if self._buf is not None:
-            return len(self._buf) - self._offset
-        assert self._stream is not None
-        return 1 if self._stream.read(1) else 0
+        """Bytes remaining after the declared buffers (0 for a clean frame)."""
+        return len(self._buf) - self._offset
 
 
 @dataclass(frozen=True)
 class FrameBlock:
     """One attribute's column block, decoded lazily from a frame.
 
-    ``columns`` holds the raw wire arrays (zero-copy views for byte-string
-    sources); :meth:`materialize` runs the codec's ``from_columns``
-    validation — the cost that scales with report count — and returns the
-    :class:`~repro.protocol.messages.FeedGroup` servers ingest. Streaming
-    consumers (the service ingest tier) materialize and drop one block at a
-    time, so peak memory stays bounded by the largest block rather than the
-    whole feed.
+    ``columns`` holds the raw wire arrays (zero-copy views of the frame);
+    :meth:`materialize` runs the codec's ``from_columns`` validation — the
+    cost that scales with report count — and returns the
+    :class:`FeedGroup` servers ingest. Streaming consumers (the service
+    ingest tier) materialize and drop one block at a time, so peak memory
+    stays bounded by the largest block rather than the whole feed.
     """
 
     round_id: str
@@ -277,7 +254,10 @@ class FrameBlock:
 def _read_header_from(src: _ByteSource) -> dict[str, Any]:
     prefix = src.take(8)
     if prefix is None or bytes(prefix[:4]) != FRAME_MAGIC:
-        raise ValueError("not a protocol v2 frame (bad magic)")
+        raise ValueError(
+            "not a protocol v2 frame (bad magic); build frames with "
+            "`python -m repro pack`"
+        )
     (header_len,) = _HEADER_LEN.unpack_from(bytes(prefix), 4)
     if header_len > _MAX_HEADER_BYTES:
         raise ValueError("frame header length exceeds the payload (truncated?)")
@@ -298,20 +278,17 @@ def _read_header_from(src: _ByteSource) -> dict[str, Any]:
 
 
 def iter_frame_blocks(
-    source: bytes | bytearray | memoryview | _SupportsRead,
-    expected_round: str | None = None,
+    source: bytes, expected_round: str | None = None
 ) -> Iterator[FrameBlock]:
-    """Stream a frame's column blocks without materializing the whole feed.
+    """Walk a frame's column blocks without materializing the whole feed.
 
-    Accepts either a complete byte string or a binary stream (anything with
-    ``read(n)``, e.g. an open file or a socket wrapper) and yields one
-    :class:`FrameBlock` per declared block, in wire order. Header and
-    per-block structure are validated eagerly as the cursor reaches them —
-    duplicate attributes, bad counts, codec/column mismatches, and
-    truncated buffers fail loudly at the offending block — and undeclared
-    trailing bytes after the last block raise once the iterator is
-    exhausted, so a fully-drained iterator certifies the same structural
-    contract as :func:`decode_frame_grouped`.
+    Yields one :class:`FrameBlock` per declared block of the frame's
+    bytes, in wire order. Header and per-block structure are validated
+    eagerly as the cursor reaches them — duplicate attributes, bad counts,
+    codec/column mismatches, and truncated buffers fail loudly at the
+    offending block — and undeclared trailing bytes after the last block
+    raise once the iterator is exhausted, so a fully-drained iterator
+    certifies the same structural contract as :func:`decode_frame_grouped`.
 
     The generator never calls ``codec.from_columns``; callers choose when
     (and whether) to pay per-block materialization via
@@ -373,58 +350,22 @@ def decode_frame_grouped(
 ) -> tuple[str, dict[str, FeedGroup]]:
     """Decode a frame into per-attribute report batches.
 
-    Returns ``(round_id, {attr: FeedGroup})`` — the same shape as
-    :func:`repro.protocol.messages.decode_feed_grouped`, so servers route
-    both transports through one code path. The blocks partition the frame
-    exactly; leftover bytes after the declared buffers are an error.
+    Returns ``(round_id, {attr: FeedGroup})``, the one decode every server
+    and session ingest path routes through. The blocks partition the
+    frame exactly; leftover bytes after the declared buffers are an error.
+    Anything but bytes (a JSON-lines text feed, say) is refused with a
+    ``ValueError`` before anything is decoded.
 
     Header validation and buffer slicing run first, over the whole frame,
     through :func:`iter_frame_blocks` (zero-copy ``frombuffer`` views,
     declared order, so structural errors surface deterministically); only
     then does each block's ``codec.from_columns`` materialization run.
     """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError(
+            f"feed is {type(data).__name__}, not bytes: it must be an RPF2 "
+            "frame built by `python -m repro pack`"
+        )
     parsed = list(iter_frame_blocks(bytes(data), expected_round=expected_round))
     decoded = [block.materialize() for block in parsed]
     return parsed[0].round_id, {group.attr: group for group in decoded}
-
-
-def decode_any_feed(
-    data: bytes | str, expected_round: str | None = None
-) -> tuple[str, dict[str, FeedGroup]]:
-    """Decode either transport into per-attribute report batches.
-
-    ``bytes`` must be a binary frame; ``str`` is a v2 JSON-lines feed.
-    The single dispatch point every server and session ingest path routes
-    through, so transport detection cannot drift between them.
-    """
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        if not is_frame(data):
-            raise ValueError("byte feed does not start with a frame magic")
-        return decode_frame_grouped(bytes(data), expected_round=expected_round)
-    return decode_feed_grouped(data, expected_round=expected_round)
-
-
-def decode_frame(
-    data: bytes,
-    expected_round: str | None = None,
-    expected_attr: str | None = None,
-) -> FeedGroup:
-    """Decode a single-attribute frame into one report batch.
-
-    A frame carrying any other attribute fails loudly (against
-    ``expected_attr`` when given, or against homogeneity otherwise).
-    """
-    _, groups = decode_frame_grouped(data, expected_round=expected_round)
-    if expected_attr is not None:
-        foreign = set(groups) - {expected_attr}
-        if foreign:
-            raise ValueError(
-                f"frame for attribute {sorted(foreign)[0]!r} sent to "
-                f"attribute {expected_attr!r}"
-            )
-        return groups[expected_attr]
-    if len(groups) != 1:
-        raise ValueError(
-            f"frame mixes attributes {sorted(groups)}; use decode_frame_grouped"
-        )
-    return next(iter(groups.values()))

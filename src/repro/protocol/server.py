@@ -5,9 +5,8 @@ estimator (:func:`repro.api.make_estimator`): wire-format decoding and
 round/attribute enforcement live here, while aggregation rides the
 estimator's own ingest/merge/to_state machinery — memory stays O(state) no
 matter how many users stream in, and shard servers for the same round
-``merge`` exactly. Both wire transports route through one code path: the
-columnar binary frames of :mod:`repro.protocol.frames` for bulk feeds, and
-v2 JSON lines (:mod:`repro.protocol.messages`) for the greppable form.
+``merge`` exactly. Feeds travel as the columnar binary frames of
+:mod:`repro.protocol.frames`, the one wire format.
 
 Mid-round ``estimate()`` reads through a :class:`PosteriorCache`: the last
 estimate per name, keyed by a 16-byte BLAKE2b digest of the aggregation
@@ -33,8 +32,8 @@ fusion changes the cost of a poll, never its answer. The servers
 :func:`solve_cached`, each with its own cache.
 
 :class:`PlanServer` serves a whole :class:`~repro.tasks.plan.AnalysisPlan`
-— one ``CollectionServer`` per planned attribute — off a single mixed
-frame/JSONL feed, and emits the typed
+— one ``CollectionServer`` per planned attribute — off a single
+multi-attribute frame, and emits the typed
 :class:`~repro.tasks.results.AnalysisReport`.
 """
 
@@ -57,8 +56,12 @@ from repro.api.registry import make_estimator
 from repro.core.pipeline import WaveEstimator
 from repro.engine.operators import ChannelOperator
 from repro.protocol.codecs import codec_for_estimator
-from repro.protocol.frames import decode_any_feed, encode_frame
-from repro.protocol.messages import DEFAULT_ATTR, FeedGroup, encode_batch_v2
+from repro.protocol.frames import (
+    DEFAULT_ATTR,
+    FeedGroup,
+    decode_frame_grouped,
+    encode_frame,
+)
 from repro.utils.rng import RngLike
 
 __all__ = [
@@ -447,17 +450,9 @@ class CollectionServer:
         """Randomize raw values with the round's mechanism (client side)."""
         return self._estimator.privatize(values, rng=rng)
 
-    def encode(self, reports: Any, *, format: str = "frame") -> bytes | str:
-        """Encode one report batch as this round's wire feed.
-
-        ``format="frame"`` produces the columnar binary form,
-        ``format="jsonl"`` the v2 JSON-lines form.
-        """
-        if format == "frame":
-            return encode_frame(self.round_id, reports, self._codec, attr=self.attr)
-        if format == "jsonl":
-            return encode_batch_v2(self.round_id, reports, self._codec, attr=self.attr)
-        raise ValueError(f"format must be 'frame' or 'jsonl', got {format!r}")
+    def encode(self, reports: Any) -> bytes:
+        """Encode one report batch as this round's single-block frame."""
+        return encode_frame(self.round_id, reports, self._codec, attr=self.attr)
 
     # -- ingestion ---------------------------------------------------------
     def ingest_reports(self, reports: Any) -> int:
@@ -478,9 +473,9 @@ class CollectionServer:
             self._estimator.ingest(group.reports)
         return group.n
 
-    def ingest_feed(self, data: bytes | str) -> int:
-        """Add a feed of either transport (binary frame or JSON lines)."""
-        _, groups = decode_any_feed(data, expected_round=self.round_id)
+    def ingest_feed(self, data: bytes) -> int:
+        """Add one frame of this round's attribute; returns the report count."""
+        _, groups = decode_frame_grouped(data, expected_round=self.round_id)
         foreign = set(groups) - {self.attr}
         if foreign:
             raise ValueError(
@@ -566,12 +561,12 @@ class CollectionServer:
 
 
 class PlanServer:
-    """Serves a whole analysis plan off one mixed multi-attribute feed.
+    """Serves a whole analysis plan off one multi-attribute frame.
 
     One :class:`CollectionServer` per planned attribute, all sharing the
-    underlying :class:`~repro.tasks.session.Session` aggregation state —
-    frames and JSON-lines feeds route each block to the right attribute's
-    server, per-attribute ``estimate()`` is cached mid-round, and
+    underlying :class:`~repro.tasks.session.Session` aggregation state — a
+    frame routes each block to the right attribute's server,
+    per-attribute ``estimate()`` is cached mid-round, and
     :meth:`report` emits the typed
     :class:`~repro.tasks.results.AnalysisReport` in real-world units.
 
@@ -629,8 +624,8 @@ class PlanServer:
             ) from None
 
     # -- ingestion ---------------------------------------------------------
-    def ingest_feed(self, data: bytes | str) -> int:
-        """Route one mixed frame/JSONL feed; returns the reports ingested.
+    def ingest_feed(self, data: bytes) -> int:
+        """Route one multi-attribute frame; returns the reports ingested.
 
         Delegates to :meth:`repro.tasks.session.Session.ingest_feed` (the
         per-attribute servers share the session's estimators), inheriting

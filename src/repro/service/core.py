@@ -141,13 +141,13 @@ class JournalFailedError(RuntimeError):
 class NotAFrameError(ValueError):
     """An upload that is not an RPF2 frame (HTTP 415).
 
-    The service takes frames only; JSON lines are the offline format.
+    Frames are the one wire format; ``python -m repro pack`` builds them.
     """
 
     def __init__(self, reason: str = "upload is not an RPF2 frame") -> None:
         super().__init__(
             f"{reason}; the service takes RPF2 frames only "
-            "(build them with `python -m repro pack --format frame`)"
+            "(build them with `python -m repro pack`)"
         )
 
 
@@ -727,8 +727,8 @@ class ShardedCollector:
         Computes the upload's content digest, checks every block against
         the plan and counts its reports. The frame is read header-first:
         its blocks stay zero-copy views until admission folds them.
-        Raises :exc:`NotAFrameError` for a body without the frame magic
-        (JSON lines included), before reading anything past it, and
+        Raises :exc:`NotAFrameError` for a body without the frame magic,
+        before reading anything past it, and
         ``ValueError`` for a malformed or mismatched frame.
         """
         if not is_frame(data):

@@ -10,14 +10,13 @@ leverage:
   ``Idempotency-Key`` (or identical content) replays an already-accepted
   upload, ``400`` on a malformed or mismatched frame, ``409`` when an
   idempotency key is reused for different bytes, ``413`` past the body
-  limit, ``415`` for a body that is not a frame (JSON lines included:
-  ``python -m repro pack --format frame`` builds frames); a refused
-  upload leaves nothing behind, so its retry is admitted fresh. ``503``
-  once a journal write has failed: nothing more is admitted until a
-  restart, whose recovery settles the failed upload. Every upload is
-  idempotent: the key is the ``Idempotency-Key`` header when given, else
-  the body's content digest — so a client that times out and retries can
-  never double-ingest.
+  limit, ``415`` for a body that is not a frame (``python -m repro pack``
+  builds frames); a refused upload leaves nothing behind, so its retry
+  is admitted fresh. ``503`` once a journal write has failed: nothing
+  more is admitted until a restart, whose recovery settles the failed
+  upload. Every upload is idempotent: the key is the ``Idempotency-Key``
+  header when given, else the body's content digest — so a client that
+  times out and retries can never double-ingest.
 * ``POST`` (or ``GET``) ``/v1/rounds/{round}/estimate`` — merge and
   solve the round. ``200`` with per-attribute estimates/errors and
   the plan-level report, ``404`` for a round no upload ever touched.

@@ -1,10 +1,12 @@
 """Drift detection for warm-started streaming estimation.
 
-Warm-starting EM from the previous tick's posterior is a pure speed
-optimization when the stream is stationary — the fixed point is the same.
-Under *drift* the fixed point moves; EM still converges, but a warm start
-near a stale mode can take a locally-converged shortcut that a cold solve
-would not. The cheap guard: on a sampled cadence, run one cold solve next
+Warm-starting EM from the previous tick's posterior saves iterations,
+but it does not reproduce a cold solve: EM stops at its tolerance near
+where it started, so even on a stationary stream the warm estimate
+differs from a cold one of the same counts, far more under plain EM than
+under EMS (the README's "Serving" section gives measured gaps). Under
+*drift* the target moves as well, and a warm start near a stale mode can
+take a locally-converged shortcut that a cold solve would not. The cheap guard: on a sampled cadence, run one cold solve next
 to the warm one and compare the posteriors with a divergence statistic.
 Small divergence certifies the warm start; large divergence flags drift,
 and the scheduler invalidates its posterior cache (adopting the fresh

@@ -12,8 +12,11 @@ gives three amortizations layered on the one-shot pipeline:
    window did not change costs zero solves, whatever the family.
 2. **Warm start** — EM-backed attributes start from the previous tick's
    posterior (mixed with a drop of uniform so no coordinate is exactly
-   zero), via the estimator's existing ``estimate(x0=)`` plumbing. Same
-   fixed point, far fewer iterations when the window moved by one round.
+   zero), via the estimator's existing ``estimate(x0=)`` plumbing. Far
+   fewer iterations when the window moved by one round, but not the same
+   answer: the solve stops at its tolerance near where it started, so a
+   warm-started estimate differs from a cold solve of the same window and
+   depends on the ticks before it.
 3. **Fusion** — attributes that share a structured channel operator, EM
    configuration and epsilon are stacked into one ``(d_out, B)``
    :meth:`repro.api.EMConfig.run_many` batch, so a multi-attribute tick

@@ -14,13 +14,12 @@ lifecycle as every estimator in the package:
 * ``results()`` — answer every task, in real-world units, with optional
   bootstrap confidence intervals and per-task budget attribution.
 
-Sessions also speak the wire formats: ``to_feed``/``ingest_feed``
+Sessions also speak the wire format: ``to_feed``/``ingest_feed``
 round-trip *every* mechanism family — each attribute's reports travel under
-its estimator's payload codec (:mod:`repro.protocol.codecs`), either as one
-mixed columnar binary frame (:mod:`repro.protocol.frames`) or as protocol-v2
-envelope JSON lines — so a session is servable by a
-:class:`repro.protocol.server.PlanServer` over the same wire as a plain
-collection round.
+its estimator's payload codec (:mod:`repro.protocol.codecs`) as one block
+of a columnar binary frame (:mod:`repro.protocol.frames`) — so a session is
+servable by a :class:`repro.protocol.server.PlanServer` over the same wire
+as a plain collection round.
 """
 
 from __future__ import annotations
@@ -240,20 +239,19 @@ class Session:
         round_id: str,
         *,
         format: str = "frame",
-    ) -> bytes | str:
-        """Encode per-attribute reports as one mixed protocol-v2 feed.
+    ) -> bytes:
+        """Encode per-attribute reports as one frame, a block per attribute.
 
         Every mechanism family is servable: each attribute's batch travels
-        under its estimator's payload codec. ``format="frame"`` returns the
-        columnar binary form (one frame, one block per attribute),
-        ``format="jsonl"`` the envelope JSON-lines form. Invert with
-        :meth:`ingest_feed` (or serve through
-        :class:`repro.protocol.server.PlanServer`).
+        under its estimator's payload codec. ``format`` accepts only
+        ``"frame"``, the one wire format. Invert with :meth:`ingest_feed`
+        (or serve through :class:`repro.protocol.server.PlanServer`).
         """
         from repro.protocol.codecs import codec_for_estimator
         from repro.protocol.frames import encode_frame_blocks
-        from repro.protocol.messages import encode_batch_v2
 
+        if format != "frame":
+            raise ValueError(f"format must be 'frame', got {format!r}")
         unknown = set(reports) - set(self.attributes)
         if unknown:
             raise ValueError(f"reports for undeclared attributes {sorted(unknown)}")
@@ -263,29 +261,21 @@ class Session:
             (name, codec_for_estimator(self._estimators[name]), batch)
             for name, batch in reports.items()
         ]
-        if format == "frame":
-            return encode_frame_blocks(round_id, blocks)
-        if format == "jsonl":
-            return "\n".join(
-                encode_batch_v2(round_id, batch, codec, attr=name)
-                for name, codec, batch in blocks
-            )
-        raise ValueError(f"format must be 'frame' or 'jsonl', got {format!r}")
+        return encode_frame_blocks(round_id, blocks)
 
-    def ingest_feed(self, feed: bytes | str, round_id: str | None = None) -> int:
-        """Decode a mixed frame/JSONL feed and route it; returns the count.
+    def ingest_feed(self, feed: bytes, round_id: str | None = None) -> int:
+        """Decode a frame and route its blocks; returns the count.
 
-        Accepts the binary frame form (``bytes``) or v2 JSON lines
-        (``str``); each attribute's payloads must travel under the codec
-        its planned estimator expects. The feed ingests **atomically**: if
-        any attribute's block is rejected — wrong codec, reports outside
-        the mechanism's domain — no aggregator keeps any of the feed, so a
+        Each attribute's payloads must travel under the codec its planned
+        estimator expects. The feed ingests **atomically**: if any
+        attribute's block is rejected — wrong codec, reports outside the
+        mechanism's domain — no aggregator keeps any of the feed, so a
         corrected retry cannot double-count the blocks that were valid.
         """
         from repro.protocol.codecs import codec_for_estimator
-        from repro.protocol.frames import decode_any_feed
+        from repro.protocol.frames import decode_frame_grouped
 
-        _, groups = decode_any_feed(feed, expected_round=round_id)
+        _, groups = decode_frame_grouped(feed, expected_round=round_id)
         unknown = set(groups) - set(self.attributes)
         if unknown:
             raise ValueError(f"feed reports undeclared attributes {sorted(unknown)}")

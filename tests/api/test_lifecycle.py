@@ -195,12 +195,8 @@ class TestMergeEquivalence:
         shard_a = CollectionServer("round", "sw-ems", 1.0, 32)
         shard_b = CollectionServer("round", "sw-ems", 1.0, 32)
         whole = CollectionServer("round", "sw-ems", 1.0, 32)
-        payload_a = whole.encode(
-            whole.privatize(values[:3000], rng=np.random.default_rng(0)), format="jsonl"
-        )
-        payload_b = whole.encode(
-            whole.privatize(values[3000:], rng=np.random.default_rng(1)), format="jsonl"
-        )
+        payload_a = whole.encode(whole.privatize(values[:3000], rng=np.random.default_rng(0)))
+        payload_b = whole.encode(whole.privatize(values[3000:], rng=np.random.default_rng(1)))
         shard_a.ingest_feed(payload_a)
         shard_b.ingest_feed(payload_b)
         whole.ingest_feed(payload_a)

@@ -174,7 +174,6 @@ def test_rule_name_sets_name_functions_that_exist():
         "_EPSILON_VALIDATORS",
         "_DENSE_CALLS",
         "_BLOCKING_SOLVES",
-        "_JSONL_DECODES",
         "_STATE_CALLS",
     ):
         missing = getattr(rules_module, attr) - defined

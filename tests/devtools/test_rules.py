@@ -118,7 +118,7 @@ class TestPriv001:
         findings, _ = lint_source(
             tmp_path,
             "def send(values):\n"
-            "    return encode_batch_v2('r', values, 'float')\n",
+            "    return encode_frame('r', values, 'float')\n",
         )
         assert codes(findings) == ["PRIV001"]
 
@@ -127,7 +127,7 @@ class TestPriv001:
             tmp_path,
             "def send(values):\n"
             "    payload = values * 2\n"
-            "    return encode_batch_v2('r', payload)\n",
+            "    return encode_frame('r', payload, 'float')\n",
         )
         assert codes(findings) == ["PRIV001"]
 
@@ -136,7 +136,7 @@ class TestPriv001:
             tmp_path,
             "def send(mech, values):\n"
             "    reports = mech.privatize(values)\n"
-            "    return encode_batch_v2('r', reports, 'float')\n",
+            "    return encode_frame('r', reports, 'float')\n",
         )
         assert findings == []
 
@@ -161,7 +161,7 @@ class TestPriv001:
         findings, _ = lint_source(
             tmp_path,
             "def send(values):\n"
-            "    return encode_batch_v2('r', values, 'float')\n",
+            "    return encode_frame('r', values, 'float')\n",
             rel="test_send.py",
         )
         assert findings == []
@@ -522,43 +522,6 @@ class TestAsyncBlockingRule:
             "import asyncio\n"
             "async def handle(collector, round_id):\n"
             "    return await asyncio.to_thread(collector.estimate, round_id)\n",
-            rel="service/handlers.py",
-        )
-        assert findings == []
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            "decode_feed_grouped(body, expected_round=round_id)",
-            "messages.decode_feed_grouped(body)",
-            "decode_feed(body, expected_round=round_id)",
-            "frames.decode_any_feed(body, round_id)",
-        ],
-    )
-    def test_jsonl_decode_on_the_loop_flagged(self, tmp_path, call):
-        findings, _ = lint_source(
-            tmp_path,
-            "from repro.protocol import frames, messages\n"
-            "from repro.protocol.messages import decode_feed, decode_feed_grouped\n"
-            "async def handle(body, round_id):\n"
-            f"    return {call}\n",
-            rel="service/handlers.py",
-        )
-        assert codes(findings) == ["SVC001"]
-        assert "run_in_executor" in findings[0].message
-
-    def test_offloaded_jsonl_decode_is_exempt(self, tmp_path):
-        findings, _ = lint_source(
-            tmp_path,
-            "import asyncio\n"
-            "from repro.protocol.messages import decode_feed_grouped\n"
-            "async def handle(pool, collector, body, round_id):\n"
-            "    loop = asyncio.get_running_loop()\n"
-            "    groups = await loop.run_in_executor(\n"
-            "        pool, lambda: decode_feed_grouped(body, expected_round=round_id)\n"
-            "    )\n"
-            "    parsed = await asyncio.to_thread(collector.parse, body, round_id)\n"
-            "    return collector.submit(parsed, round_id), groups\n",
             rel="service/handlers.py",
         )
         assert findings == []

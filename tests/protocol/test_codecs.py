@@ -1,8 +1,7 @@
 """Property tests for the protocol-v2 payload codecs.
 
-Every codec must satisfy ``decode(encode(x)) == x`` through both of its
-encodings — the columnar form (frames) and the per-report payload form
-(JSON lines) — for arbitrary valid report batches.
+Every codec must satisfy ``from_columns(to_columns(x)) == x`` — the
+columnar form a frame carries — for arbitrary valid report batches.
 """
 
 import numpy as np
@@ -131,25 +130,6 @@ class TestRoundTrips:
         assert set(columns) == {col for col, _ in codec.columns}
         assert_batches_equal(codec.from_columns(columns), batch)
 
-    @pytest.mark.parametrize("name", sorted(BATCHES))
-    @given(data=st.data())
-    def test_payloads_roundtrip(self, name, data):
-        codec = get_codec(name)
-        batch = data.draw(BATCHES[name])
-        payloads = codec.to_payloads(batch)
-        assert len(payloads) == codec.n_reports(batch)
-        assert_batches_equal(codec.from_payloads(payloads), batch)
-
-    @pytest.mark.parametrize("name", sorted(BATCHES))
-    @given(data=st.data())
-    def test_payloads_survive_json(self, name, data):
-        """Payloads stay exact through a JSON round trip (ints/doubles)."""
-        import json
-
-        codec = get_codec(name)
-        batch = data.draw(BATCHES[name])
-        payloads = json.loads(json.dumps(codec.to_payloads(batch)))
-        assert_batches_equal(codec.from_payloads(payloads), batch)
 
 
 class TestValidation:
@@ -179,11 +159,7 @@ class TestValidation:
 
     def test_hrr_codec_rejects_bad_bits(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            get_codec("hrr").from_payloads([[0, 2]])
-
-    def test_multi_column_payload_shape_checked(self):
-        with pytest.raises(ValueError, match="3-element"):
-            get_codec("olh").from_payloads([[1, 2]])
+            get_codec("hrr").from_columns({"row": np.array([0]), "bit": np.array([2])})
 
     def test_missing_column_rejected(self):
         with pytest.raises(ValueError, match="missing column"):
@@ -196,21 +172,28 @@ class TestValidation:
             )
 
     def test_tree_codec_rejects_mixed_oracle_level(self):
-        codec = get_codec("tree")
+        rows = np.array([[1, 0, 3, 0, 0], [1, 1, 3, 4, 5]])
+        columns = {name: rows[:, j] for j, (name, _) in enumerate(get_codec("tree").columns)}
         with pytest.raises(ValueError, match="mixes oracle"):
-            codec.from_payloads([[1, 0, 3, 0, 0], [1, 1, 3, 4, 5]])
+            get_codec("tree").from_columns(columns)
 
-    @pytest.mark.parametrize("payload", [None, "nope", {}, [None, None, None]])
-    def test_corrupted_payloads_raise_value_error(self, payload):
-        """null/string/object payloads must fail as ValueError (the error
-        type the CLI and feed decoders translate), never TypeError."""
-        for name in ("category", "float", "olh"):
-            with pytest.raises(ValueError):
-                get_codec(name).from_payloads([payload])
+    def test_tree_codec_rejects_bad_hrr_bits(self):
+        rows = np.array([[2, 2, 5, 0, 0]])
+        columns = {name: rows[:, j] for j, (name, _) in enumerate(get_codec("tree").columns)}
+        with pytest.raises(ValueError, match="HRR bit column"):
+            get_codec("tree").from_columns(columns)
 
-    def test_ragged_payload_rows_raise_value_error(self):
-        with pytest.raises(ValueError):
-            get_codec("olh").from_payloads([[1, 2, 3], [1, 2]])
+    @pytest.mark.parametrize("name", ["category", "float", "olh"])
+    def test_non_numeric_column_raises_value_error(self, name):
+        """A string or object column fails as ValueError (the error type the
+        CLI and the service translate), never as TypeError."""
+        columns = {col: np.array(["nope"], dtype=object) for col, _ in get_codec(name).columns}
+        with pytest.raises(ValueError, match="non-numeric"):
+            get_codec(name).from_columns(columns)
+
+    def test_fractional_integer_column_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            get_codec("category").from_columns({"value": np.array([1.0, 2.5])})
 
 
 class TestCodecResolution:

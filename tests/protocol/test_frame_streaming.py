@@ -1,29 +1,10 @@
-"""Streaming frame ingestion: iter_frame_blocks over buffers and files."""
-
-import io
+"""Block-by-block frame ingestion: iter_frame_blocks over a frame's bytes."""
 
 import numpy as np
 import pytest
 
-from repro.protocol import CollectionServer, FrameBlock, iter_frame_blocks
+from repro.protocol import CollectionServer, FeedGroup, FrameBlock, iter_frame_blocks
 from repro.protocol.frames import decode_frame_grouped, encode_frame_blocks
-from repro.protocol.messages import FeedGroup
-
-
-class TrickleReader:
-    """A file-like source that returns at most ``chunk`` bytes per read —
-    the worst-case short-read behavior a socket file can exhibit."""
-
-    def __init__(self, payload: bytes, chunk: int = 7) -> None:
-        self._buffer = io.BytesIO(payload)
-        self._chunk = chunk
-        self.reads = 0
-
-    def read(self, size: int = -1) -> bytes:
-        self.reads += 1
-        if size < 0:
-            return self._buffer.read()
-        return self._buffer.read(min(size, self._chunk))
 
 
 def make_frame(round_id="r1", n=300, seed=0):
@@ -55,21 +36,6 @@ class TestIterFrameBlocks:
         for block in iter_frame_blocks(make_frame(round_id="round-9")):
             assert block.round_id == "round-9"
 
-    def test_streams_from_file_like_source(self):
-        frame = make_frame()
-        from_bytes = [b.attr for b in iter_frame_blocks(frame)]
-        from_stream = [b.attr for b in iter_frame_blocks(io.BytesIO(frame))]
-        assert from_stream == from_bytes
-
-    def test_survives_short_reads(self):
-        """A source trickling 7 bytes at a time still parses exactly."""
-        frame = make_frame(n=50)
-        source = TrickleReader(frame, chunk=7)
-        blocks = list(iter_frame_blocks(source))
-        assert [b.attr for b in blocks] == ["age", "income"]
-        assert sum(b.n for b in blocks) == 100
-        assert source.reads > 10
-
     def test_expected_round_enforced(self):
         with pytest.raises(ValueError, match="round"):
             list(iter_frame_blocks(make_frame(round_id="r1"), expected_round="r2"))
@@ -77,11 +43,6 @@ class TestIterFrameBlocks:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             list(iter_frame_blocks(b"JUNKJUNKJUNKJUNK"))
-
-    def test_truncated_stream_rejected(self):
-        frame = make_frame()
-        with pytest.raises(ValueError):
-            list(iter_frame_blocks(frame[: len(frame) - 9]))
 
     def test_lazy_materialization(self):
         """Iterating yields undecoded blocks; decoding happens on demand."""

@@ -22,12 +22,12 @@ from repro.core.square_wave import _BLOCK, SquareWave
 from repro.protocol.codecs import CategoryCodec, FloatValueCodec, get_codec
 from repro.protocol.frames import (
     FRAME_MAGIC,
+    PROTOCOL_V2,
     decode_frame_grouped,
     encode_frame_block,
     encode_frame_blocks,
     iter_frame_blocks,
 )
-from repro.protocol.messages import PROTOCOL_V2
 from repro.utils.validation import check_domain_size
 from tests.protocol.test_codecs import BATCHES
 

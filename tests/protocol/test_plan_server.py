@@ -1,4 +1,4 @@
-"""Tests for PlanServer: serving a whole analysis plan off one mixed feed."""
+"""Tests for PlanServer: serving a whole analysis plan off one frame."""
 
 import numpy as np
 import pytest
@@ -42,22 +42,21 @@ def population():
 
 
 @pytest.fixture(scope="module")
-def feeds(plan, population):
-    """One frame and one JSONL feed of the same privatized round."""
-    gen = np.random.default_rng(3)
-    session = Session(plan)
-    reports = session.privatize(population, rng=gen)
-    return (
-        session.to_feed(reports, "round-1", format="frame"),
-        session.to_feed(reports, "round-1", format="jsonl"),
-    )
+def reports(plan, population):
+    """One privatized round of the whole population."""
+    return Session(plan).privatize(population, rng=np.random.default_rng(3))
+
+
+@pytest.fixture(scope="module")
+def frame(plan, reports):
+    """That round as one frame, a block per attribute."""
+    return Session(plan).to_feed(reports, "round-1")
 
 
 class TestIngestAndReport:
-    @pytest.mark.parametrize("which", [0, 1], ids=["frame", "jsonl"])
-    def test_mixed_feed_serves_every_task(self, plan, population, feeds, which):
+    def test_mixed_feed_serves_every_task(self, plan, population, frame):
         server = PlanServer(plan, "round-1")
-        count = server.ingest_feed(feeds[which])
+        count = server.ingest_feed(frame)
         assert count == population["income"].size
         assert sum(server.n_reports.values()) == count
         report = server.report()
@@ -67,19 +66,32 @@ class TestIngestAndReport:
         mean_age = report["mean:age"].value
         assert mean_age == pytest.approx(population["age"].mean(), abs=2.0)
 
-    def test_both_wires_agree(self, plan, feeds):
+    def test_frame_equals_direct_ingest(self, plan, reports, frame):
+        """Decoding the frame changes no estimate: every attribute answers
+        bit for bit what a session fed the reports directly answers."""
         from_frame = PlanServer(plan, "round-1")
-        from_lines = PlanServer(plan, "round-1")
-        from_frame.ingest_feed(feeds[0])
-        from_lines.ingest_feed(feeds[1])
-        np.testing.assert_allclose(
-            from_frame.estimate("income"), from_lines.estimate("income")
-        )
+        direct = PlanServer(plan, "round-1")
+        from_frame.ingest_feed(frame)
+        direct.session.ingest(reports)
+        assert from_frame.n_reports == direct.n_reports
+        for attr in from_frame.attributes:
+            np.testing.assert_array_equal(
+                np.asarray(from_frame.estimate(attr)), np.asarray(direct.estimate(attr))
+            )
 
-    def test_round_scoping(self, plan, feeds):
+    def test_text_feed_refused(self, plan):
+        """A JSON-lines feed is not a frame: a ValueError naming
+        ``python -m repro pack``, and no attribute ingests anything."""
+        server = PlanServer(plan, "round-1")
+        line = '{"round_id":"round-1","mech":"float","payload":0.5,"version":2,"attr":"age"}'
+        with pytest.raises(ValueError, match="`python -m repro pack`"):
+            server.ingest_feed(line)
+        assert server.n_reports == {"income": 0, "age": 0}
+
+    def test_round_scoping(self, plan, frame):
         server = PlanServer(plan, "another-round")
         with pytest.raises(ValueError, match="round"):
-            server.ingest_feed(feeds[0])
+            server.ingest_feed(frame)
 
     def test_unknown_attribute_rejected(self, plan, rng):
         from repro.protocol import encode_frame
@@ -101,9 +113,9 @@ class TestIngestAndReport:
         with pytest.raises(ValueError, match="declares no attribute"):
             server.estimate("height")
 
-    def test_per_attribute_estimates_are_incremental(self, plan, feeds):
+    def test_per_attribute_estimates_are_incremental(self, plan, frame):
         server = PlanServer(plan, "round-1")
-        server.ingest_feed(feeds[0])
+        server.ingest_feed(frame)
         first = server.estimate("income")
         estimator = server.server("income").estimator
         iterations = estimator.result_.iterations
@@ -143,19 +155,19 @@ class TestShardedPlanServing:
         with pytest.raises(TypeError):
             server.merge(object())
 
-    def test_merge_into_itself_rejected(self, plan, feeds):
+    def test_merge_into_itself_rejected(self, plan, frame):
         """The plan server's session refuses the self-merge that would
         double every attribute's counts; nothing changes."""
         server = PlanServer(plan, "round-1")
-        server.ingest_feed(feeds[0])
+        server.ingest_feed(frame)
         before = server.n_reports
         with pytest.raises(ValueError, match="itself"):
             server.merge(server)
         assert server.n_reports == before
 
-    def test_state_roundtrip(self, plan, feeds):
+    def test_state_roundtrip(self, plan, frame):
         server = PlanServer(plan, "round-1")
-        server.ingest_feed(feeds[0])
+        server.ingest_feed(frame)
         rebuilt = PlanServer.from_state(server.to_state())
         assert rebuilt.round_id == "round-1"
         assert rebuilt.n_reports == server.n_reports

@@ -1,112 +1,92 @@
 """Unit and integration tests for the client/server protocol layer."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+import repro.protocol
 from repro.metrics.distances import wasserstein_distance
 from repro.protocol import (
     DEFAULT_ATTR,
-    PROTOCOL_V2,
     CollectionServer,
-    ReportEnvelope,
-    decode_feed,
-    decode_feed_grouped,
-    encode_batch_v2,
+    decode_frame_grouped,
+    encode_frame,
+    encode_frame_blocks,
 )
+from tests.protocol.test_frames import rewrite_header
+
+#: The JSON-lines wire's API, which went when the frame became the only
+#: wire format: ``(module, dotted attribute)``.
+JSONL_API = [
+    ("repro.protocol", "ReportEnvelope"),
+    ("repro.protocol", "encode_batch_v2"),
+    ("repro.protocol", "decode_feed"),
+    ("repro.protocol", "decode_feed_grouped"),
+    ("repro.protocol", "decode_frame"),
+    ("repro.protocol.frames", "decode_any_feed"),
+    ("repro.protocol.frames", "decode_frame"),
+    ("repro.protocol.codecs", "PayloadCodec.to_payloads"),
+    ("repro.protocol.codecs", "PayloadCodec.from_payloads"),
+]
 
 
 def _float_feed(round_id, values, attr=DEFAULT_ATTR):
-    return encode_batch_v2(round_id, values, "float", attr=attr)
+    return encode_frame(round_id, values, "float", attr=attr)
 
 
-class TestMessages:
-    def test_json_roundtrip(self):
-        report = ReportEnvelope("round-1", "float", 0.42)
-        assert ReportEnvelope.from_json(report.to_json()) == report
+class TestOneWire:
+    """The RPF2 frame is the only wire format."""
 
-    def test_version_stamped(self):
-        assert ReportEnvelope("r", "float", 0.0).version == PROTOCOL_V2
+    def test_public_names(self):
+        assert sorted(repro.protocol.__all__) == [
+            "CollectionServer", "DEFAULT_ATTR", "EstimateFailure", "FRAME_MAGIC",
+            "FeedGroup", "FrameBlock", "PROTOCOL_V2", "PayloadCodec", "PlanServer",
+            "codec_for_estimator", "decode_frame_grouped", "encode_frame",
+            "encode_frame_blocks", "estimate_rounds", "get_codec", "is_frame",
+            "iter_frame_blocks", "list_codecs", "register_codec",
+        ]
+        for name in repro.protocol.__all__:
+            assert getattr(repro.protocol, name) is not None
 
-    def test_rejects_unknown_version(self):
-        bad = '{"round_id": "r", "mech": "float", "payload": 0.1, "version": 99}'
-        with pytest.raises(ValueError, match="version"):
-            ReportEnvelope.from_json(bad)
+    def test_messages_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.protocol.messages")
 
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError, match="malformed"):
-            ReportEnvelope.from_json('{"payload": 0.1, "version": 2}')
+    @pytest.mark.parametrize(
+        ("module", "path"), JSONL_API, ids=[f"{m}.{p}" for m, p in JSONL_API]
+    )
+    def test_jsonl_api_is_gone(self, module, path):
+        owner_name, _, name = path.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert not hasattr(owner, name)
 
-    def test_rejects_nonfinite(self):
-        line = '{"round_id": "r", "mech": "float", "payload": NaN, "version": 2}'
-        with pytest.raises(ValueError, match="finite"):
-            decode_feed(line)
-
-    def test_batch_roundtrip(self, rng):
-        values = rng.random(100)
-        payload = _float_feed("r7", values)
-        decoded = decode_feed(payload, expected_round="r7")
-        np.testing.assert_array_equal(decoded.reports, values)
-
-    def test_batch_round_mismatch(self, rng):
-        payload = _float_feed("round-a", rng.random(3))
-        with pytest.raises(ValueError, match="mixed"):
-            decode_feed(payload, expected_round="round-b")
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(ValueError, match="no reports"):
-            decode_feed("\n\n")
+    def test_encode_takes_no_format(self, rng):
+        server = CollectionServer("r", "sw-ems", 1.0, 32)
+        reports = server.privatize(rng.random(2), rng=rng)
+        with pytest.raises(TypeError, match="format"):
+            server.encode(reports, format="jsonl")
 
 
 class TestAttributeField:
-    def test_defaults_to_value(self):
-        assert ReportEnvelope("r", "float", 0.1).attr == DEFAULT_ATTR == "value"
+    def test_defaults_to_value(self, rng):
+        server = CollectionServer("r", "sw-ems", 1.0, 32)
+        assert server.attr == DEFAULT_ATTR == "value"
+        _, groups = decode_frame_grouped(server.encode(server.privatize(rng.random(3), rng=rng)))
+        assert set(groups) == {DEFAULT_ATTR}
 
-    def test_attr_roundtrip(self):
-        report = ReportEnvelope("r", "float", 0.25, attr="income")
-        assert ReportEnvelope.from_json(report.to_json()) == report
-
-    def test_default_attr_keeps_old_wire_format(self):
-        """Single-attribute lines leave the attribute off the wire."""
-        line = ReportEnvelope("r", "float", 0.5).to_json()
-        assert "attr" not in line
-
-    def test_decodes_pre_attr_lines(self):
-        """A line without the field decodes to the default attribute."""
-        line = '{"round_id": "r", "mech": "float", "payload": 0.1, "version": 2}'
-        assert ReportEnvelope.from_json(line).attr == DEFAULT_ATTR
-
-    def test_expected_attr_accepts_matching(self, rng):
-        payload = _float_feed("r", rng.random(5), attr="age")
-        assert decode_feed(payload, expected_round="r", expected_attr="age").n == 5
-
-    def test_expected_attr_rejects_mixed_feed(self, rng):
-        payload = "\n".join(
-            [_float_feed("r", rng.random(3), attr="age"),
-             _float_feed("r", rng.random(2), attr="income")]
+    def test_block_without_attr_reads_as_default(self, rng):
+        """A block whose header leaves the attribute out reports under the
+        default one."""
+        server = CollectionServer("r", "sw-ems", 1.0, 32)
+        frame = rewrite_header(
+            server.encode(server.privatize(rng.random(4), rng=rng)),
+            lambda header: header["blocks"][0].pop("attr"),
         )
-        with pytest.raises(ValueError, match="attribute.*mixed"):
-            decode_feed(payload, expected_round="r", expected_attr="age")
-
-    def test_grouped_decode(self, rng):
-        ages, incomes = rng.random(4), rng.random(6)
-        payload = "\n".join(
-            [_float_feed("r", ages, attr="age"),
-             _float_feed("r", incomes, attr="income")]
-        )
-        round_id, groups = decode_feed_grouped(payload, expected_round="r")
-        assert round_id == "r"
-        assert set(groups) == {"age", "income"}
-        np.testing.assert_array_equal(groups["age"].reports, ages)
-        np.testing.assert_array_equal(groups["income"].reports, incomes)
-
-    def test_grouped_decode_checks_round(self, rng):
-        payload = _float_feed("round-a", rng.random(3), attr="age")
-        with pytest.raises(ValueError, match="mixed"):
-            decode_feed_grouped(payload, expected_round="round-b")
-
-    def test_grouped_decode_empty_rejected(self):
-        with pytest.raises(ValueError, match="no reports"):
-            decode_feed_grouped("  \n ")
+        assert b'"attr"' not in frame
+        assert server.ingest_feed(frame) == 4
 
     def test_server_rejects_foreign_attribute_batch(self, rng):
         """A mixed multi-attribute feed cannot silently fold into one round."""
@@ -119,9 +99,20 @@ class TestAttributeField:
 
     def test_server_rejects_foreign_attribute_report(self):
         server = CollectionServer("r", "sw-ems", 1.0, 32)
-        line = ReportEnvelope("r", "float", 0.1, attr="income").to_json()
         with pytest.raises(ValueError, match="attribute"):
-            server.ingest_feed(line)
+            server.ingest_feed(_float_feed("r", np.array([0.1]), attr="income"))
+
+    def test_server_rejects_frame_mixing_attributes(self, rng):
+        """A frame that carries the server's attribute beside another one is
+        refused whole."""
+        server = CollectionServer("r", "sw-ems", 1.0, 32, attr="age")
+        reports = server.privatize(rng.random(5), rng=rng)
+        frame = encode_frame_blocks(
+            "r", [("age", "float", reports), ("income", "float", reports)]
+        )
+        with pytest.raises(ValueError, match="attribute 'income'"):
+            server.ingest_feed(frame)
+        assert server.n_reports == 0
 
     def test_server_with_matching_attr_accepts(self, rng):
         server = CollectionServer("r", "sw-ems", 1.0, 32, attr="income")
@@ -148,15 +139,16 @@ class TestClient:
         (report,) = server.privatize(np.array([0.5]), rng=rng)
         mechanism = server.estimator.mechanism
         assert mechanism.output_low <= report <= mechanism.output_high
-        envelope = ReportEnvelope.from_json(server.encode([report], format="jsonl"))
-        assert envelope.round_id == "r"
-        assert envelope.payload == report
+        round_id, groups = decode_frame_grouped(server.encode([report]))
+        assert round_id == "r"
+        assert groups[DEFAULT_ATTR].reports.tolist() == [report]
 
     def test_batch_encoding(self, rng):
         server = CollectionServer("r", "sw-ems", 1.0, 32)
         reports = server.privatize(rng.random(50), rng=rng)
-        payload = server.encode(reports, format="jsonl")
-        assert len(payload.splitlines()) == 50
+        _, groups = decode_frame_grouped(server.encode(reports))
+        assert groups[DEFAULT_ATTR].n == 50
+        np.testing.assert_array_equal(groups[DEFAULT_ATTR].reports, reports)
 
 
 class TestServer:
@@ -172,31 +164,29 @@ class TestServer:
     def test_counts_accumulate(self, rng):
         server = CollectionServer("r", "sw-ems", 1.0, 32)
         reports = server.privatize(rng.random(100), rng=rng)
-        server.ingest_feed(server.encode(reports, format="jsonl"))
+        server.ingest_feed(server.encode(reports))
         server.ingest_reports(server.privatize(np.array([0.3]), rng=rng))
         assert server.n_reports == 101
 
     def test_streaming_equals_batch(self, beta_values):
-        """Ingesting in many small batches gives the same estimate as one
-        big batch — counts are sufficient statistics."""
+        """Ingesting in many small frames gives the same estimate as one
+        big frame — counts are sufficient statistics."""
         client = CollectionServer("r", "sw-ems", 1.0, 64)
-        payloads = [
-            client.encode(
-                client.privatize(chunk, rng=np.random.default_rng(i)), format="jsonl"
-            )
+        chunks = [
+            client.privatize(chunk, rng=np.random.default_rng(i))
             for i, chunk in enumerate(np.array_split(beta_values, 7))
         ]
         streamed = CollectionServer("r", "sw-ems", 1.0, 64)
-        for payload in payloads:
-            streamed.ingest_feed(payload)
+        for chunk in chunks:
+            streamed.ingest_feed(client.encode(chunk))
         batched = CollectionServer("r", "sw-ems", 1.0, 64)
-        batched.ingest_feed("\n".join(payloads))
+        batched.ingest_feed(client.encode(np.concatenate(chunks)))
         np.testing.assert_allclose(streamed.estimate(), batched.estimate())
 
     def test_end_to_end_accuracy(self, beta_values):
         server = CollectionServer("survey", "sw-ems", 2.0, 64)
         reports = server.privatize(beta_values, rng=np.random.default_rng(0))
-        server.ingest_feed(server.encode(reports, format="jsonl"))
+        server.ingest_feed(server.encode(reports))
         estimate = server.estimate()
         truth = np.bincount(
             np.minimum((beta_values * 64).astype(int), 63), minlength=64
@@ -209,19 +199,19 @@ class TestServer:
         truth = np.bincount(
             np.minimum((beta_values * 64).astype(int), 63), minlength=64
         ) / beta_values.size
-        server.ingest_reports(
-            server.privatize(beta_values[:1000], rng=np.random.default_rng(1))
+        server.ingest_feed(
+            server.encode(server.privatize(beta_values[:1000], rng=np.random.default_rng(1)))
         )
         early = wasserstein_distance(truth, server.estimate())
-        server.ingest_reports(
-            server.privatize(beta_values[1000:], rng=np.random.default_rng(2))
+        server.ingest_feed(
+            server.encode(server.privatize(beta_values[1000:], rng=np.random.default_rng(2)))
         )
         late = wasserstein_distance(truth, server.estimate())
         assert late < early
 
     def test_em_mode(self, beta_values, rng):
         server = CollectionServer("r", "sw-em", 1.0, 32)
-        server.ingest_reports(server.privatize(beta_values[:5000], rng=rng))
+        server.ingest_feed(server.encode(server.privatize(beta_values[:5000], rng=rng)))
         est = server.estimate()
         assert server.estimator.postprocess == "em"
         assert est.sum() == pytest.approx(1.0)

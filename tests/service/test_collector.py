@@ -84,15 +84,10 @@ class TestSubmitAndRoute:
     @pytest.mark.parametrize("encode", [str, str.encode], ids=["text", "bytes"])
     def test_jsonl_feed_refused(self, tmp_path, encode):
         plan = make_plan()
-        session = Session(plan)
-        reports = session.privatize(
-            {
-                "age": np.linspace(1.0, 99.0, 50),
-                "income": np.linspace(100.0, 9e4, 50),
-            },
-            rng=np.random.default_rng(0),
+        feed = encode(
+            '{"round_id":"r1","mech":"float","payload":0.25,"version":2,"attr":"age"}\n'
+            '{"round_id":"r1","mech":"float","payload":0.5,"version":2,"attr":"income"}\n'
         )
-        feed = encode(session.to_feed(reports, "r1", format="jsonl"))
         config = ServiceConfig(plan=plan, journal_dir=tmp_path / "wal")
         with ShardedCollector(config) as collector:
             before = collector_fingerprint(collector)
@@ -247,8 +242,6 @@ class TestEstimate:
         plan = make_plan()
         with ShardedCollector(ServiceConfig(plan=plan)) as collector:
             # Only 'age' blocks: build single-attr frames by hand.
-            from repro.tasks import Session
-
             session = Session(plan)
             reports = session.privatize(
                 {
@@ -257,9 +250,7 @@ class TestEstimate:
                 },
                 rng=np.random.default_rng(1),
             )
-            feed = session.to_feed(
-                {"age": reports["age"]}, "r1", format="frame"
-            )
+            feed = session.to_feed({"age": reports["age"]}, "r1")
             collector.submit(feed, "r1")
             result = collector.estimate("r1")
             assert result["estimates"]["age"] is not None

@@ -4,7 +4,6 @@ import asyncio
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from repro.protocol.frames import FRAME_MAGIC, encode_frame
@@ -15,7 +14,6 @@ from repro.tasks import (
     AttributeSpec,
     Distribution,
     Mean,
-    Session,
 )
 from tests.service.test_collector import MISMATCHED_BLOCKS, mixed_plan
 
@@ -52,17 +50,12 @@ def request(handle, method, path, *, body=b"", content_type="application/x-repro
     return asyncio.run(go())
 
 
-def jsonl_feed(plan, n_users=60, seed=0) -> bytes:
-    """One JSON-lines feed of ``n_users`` reports per attribute."""
-    session = Session(plan)
-    reports = session.privatize(
-        {
-            "age": np.linspace(1.0, 99.0, n_users),
-            "income": np.linspace(50.0, 9e4, n_users),
-        },
-        rng=np.random.default_rng(seed),
-    )
-    return session.to_feed(reports, "r1", format="jsonl").encode("utf-8")
+def jsonl_feed(payload=0.25) -> bytes:
+    """A JSON-lines body in the v2 envelope form, one line per attribute."""
+    return (
+        f'{{"round_id":"r1","mech":"float","payload":{payload},"version":2,"attr":"age"}}\n'
+        f'{{"round_id":"r1","mech":"float","payload":{payload},"version":2,"attr":"income"}}\n'
+    ).encode("utf-8")
 
 
 def upload_round(handle, plan, round_id="r1", n_users=1200, seed=3):
@@ -91,10 +84,10 @@ class TestIngestRoutes:
         _, before = request(service, "GET", "/statz")
         status, payload = request(
             service, "POST", "/v1/rounds/r1/reports",
-            body=jsonl_feed(plan), content_type=content_type,
+            body=jsonl_feed(), content_type=content_type,
         )
         assert status == 415
-        assert "python -m repro pack --format frame" in payload["error"]
+        assert "(build them with `python -m repro pack`)" in payload["error"]
         _, after = request(service, "GET", "/statz")
         assert after == before
 
@@ -266,8 +259,8 @@ class TestAdmissionPlacement:
         uploads = [
             (frames[0], "application/x-repro-frame", {"Idempotency-Key": "f0"}, 202),
             (frames[1], "application/x-repro-frame", None, 202),  # keyed by digest
-            (jsonl_feed(plan), "application/jsonlines", None, 415),
-            (jsonl_feed(plan, seed=1), "application/octet-stream", None, 415),
+            (jsonl_feed(), "application/jsonlines", None, 415),
+            (jsonl_feed(payload=0.5), "application/octet-stream", None, 415),
         ]
         for body, content_type, headers, expected in uploads:
             assert asyncio.run(upload(body, content_type, headers)) == expected

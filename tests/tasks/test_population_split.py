@@ -3,7 +3,7 @@
 The plan path is the one way to collect several attributes: a
 :class:`~repro.tasks.Marginals` task resolves to ``sw-ems`` for each
 attribute, and :meth:`~repro.tasks.Session.privatize` assigns every user
-one of them. The reports travel over both wires and are served by
+one of them. The reports travel as RPF2 frames and are served by
 :class:`~repro.protocol.PlanServer` and the sharded service.
 """
 
@@ -231,14 +231,13 @@ def test_state_round_trip_and_merge_equal_one_session(two_attribute_data):
         assert merged._estimate(name).tobytes() == combined._estimate(name).tobytes()
 
 
-@pytest.mark.parametrize("wire", ["frame", "jsonl"])
-def test_feed_equals_direct_ingest(two_attribute_data, wire):
+def test_feed_equals_direct_ingest(two_attribute_data):
     sender = Session(marginals_plan(2))
     reports = sender.privatize(two_attribute_data, rng=np.random.default_rng(4))
     direct = Session(marginals_plan(2))
     direct.ingest(reports)
     receiver = Session(marginals_plan(2))
-    feed = sender.to_feed(reports, "r1", format=wire)
+    feed = sender.to_feed(reports, "r1")
     assert receiver.ingest_feed(feed, "r1") == two_attribute_data["a0"].size
     for name in receiver.attributes:
         assert receiver._estimate(name).tobytes() == direct._estimate(name).tobytes()

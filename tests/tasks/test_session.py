@@ -210,15 +210,15 @@ class TestStateAndWire:
         reports = tx.privatize(
             {k: v[:5_000] for k, v in survey_data.items()}, rng=rng
         )
-        payload = tx.to_feed(reports, "round-9", format="jsonl")
+        payload = tx.to_feed(reports, "round-9")
         rx = Session(survey_plan)
         assert rx.ingest_feed(payload, "round-9") == 5_000
         assert sum(rx.n_reports.values()) == 5_000
 
     def test_wire_rejects_unknown_attribute(self, survey_plan):
-        from repro.protocol import encode_batch_v2
+        from repro.protocol import encode_frame
 
-        payload = encode_batch_v2("r", np.array([0.1]), "float", attr="ssn")
+        payload = encode_frame("r", np.array([0.1]), "float", attr="ssn")
         with pytest.raises(ValueError, match="undeclared"):
             Session(survey_plan).ingest_feed(payload, "r")
 
@@ -261,14 +261,14 @@ class TestStateAndWire:
     def test_wire_ingest_rejects_structured_estimator_attribute(self):
         """A float feed for an hh-admm attribute fails loudly, not with an
         AttributeError deep inside the tree aggregator."""
-        from repro.protocol import encode_batch_v2
+        from repro.protocol import encode_frame
 
         plan = AnalysisPlan(
             epsilon=1.0,
             attributes=(AttributeSpec("x", d=16),),
             tasks=(RangeQueries("x", windows=((0.1, 0.4),)),),
         )
-        payload = encode_batch_v2("r", np.array([0.2, 0.3]), "float", attr="x")
+        payload = encode_frame("r", np.array([0.2, 0.3]), "float", attr="x")
         with pytest.raises(ValueError, match="payloads"):
             Session(plan).ingest_feed(payload, "r")
 

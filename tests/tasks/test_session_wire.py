@@ -1,4 +1,4 @@
-"""Session wire round-trips: to_feed/ingest_feed over frames and JSON lines.
+"""Session wire round-trips: to_feed/ingest_feed over RPF2 frames.
 
 The protocol-v2 path must serve *every* planned mechanism, including the
 hierarchical families whose reports are structured rows, not floats.
@@ -40,8 +40,7 @@ def population():
 
 
 class TestFeedRoundTrip:
-    @pytest.mark.parametrize("wire", ["frame", "jsonl"])
-    def test_feed_equals_direct_ingest(self, plan, population, wire):
+    def test_feed_equals_direct_ingest(self, plan, population):
         gen = np.random.default_rng(1)
         sender = Session(plan)
         reports = sender.privatize(population, rng=gen)
@@ -50,7 +49,7 @@ class TestFeedRoundTrip:
         direct.ingest(reports)
 
         receiver = Session(plan)
-        feed = sender.to_feed(reports, "r1", format=wire)
+        feed = sender.to_feed(reports, "r1")
         total = sum(np.asarray(batch).shape[0] for batch in reports.values())
         assert receiver.ingest_feed(feed, "r1") == total
         for attr in receiver.attributes:
@@ -66,11 +65,22 @@ class TestFeedRoundTrip:
         with pytest.raises(ValueError, match="round"):
             Session(plan).ingest_feed(feed, "other-round")
 
-    def test_bad_format_rejected(self, plan, population):
+    @pytest.mark.parametrize("wire", ["csv", "jsonl"])
+    def test_bad_format_rejected(self, plan, population, wire):
+        """The frame is the one wire: any other format is refused."""
         session = Session(plan)
         reports = session.privatize(population, rng=np.random.default_rng(3))
-        with pytest.raises(ValueError, match="format"):
-            session.to_feed(reports, "r", format="csv")
+        with pytest.raises(ValueError, match="format must be 'frame'"):
+            session.to_feed(reports, "r", format=wire)
+
+    def test_text_feed_refused(self, plan):
+        """A JSON-lines feed is not a frame: a ValueError naming
+        ``python -m repro pack``, and no attribute ingests anything."""
+        session = Session(plan)
+        line = '{"round_id":"r1","mech":"float","payload":0.5,"version":2,"attr":"age"}'
+        with pytest.raises(ValueError, match="`python -m repro pack`"):
+            session.ingest_feed(line, "r1")
+        assert session.n_reports == {"income": 0, "age": 0}
 
     def test_undeclared_attribute_rejected(self, plan):
         from repro.protocol import encode_frame

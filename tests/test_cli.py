@@ -4,13 +4,20 @@ import json
 
 import pytest
 
+from repro.api.registry import list_estimators, make_estimator
 from repro.cli import main
 from repro.io import read_histogram_csv, write_values
 from repro.metrics.distances import wasserstein_distance
+from repro.protocol import codec_for_estimator, encode_frame_blocks
 from repro.service import ServiceConfig, ShardedCollector
 from repro.service.loadgen import synthesize_frames
 from repro.tasks import AnalysisPlan, AttributeSpec, Distribution
 from tests.conftest import true_histogram
+
+
+#: Every registered family; d=64 suits all of them (a power of 4, and a
+#: multiple of every CFO bin count).
+SPECS = list_estimators()
 
 
 @pytest.fixture()
@@ -19,15 +26,14 @@ def values_file(tmp_path, beta_values):
 
 
 class TestPrivatizeAggregate:
-    """A round from files: ``pack --format jsonl`` privatizes on the client,
+    """A round from files: ``pack`` privatizes on the client into a frame,
     ``collect`` aggregates on the server."""
 
     def test_full_round(self, tmp_path, values_file, beta_values):
-        reports = tmp_path / "reports.jsonl"
+        reports = tmp_path / "reports.rpf"
         hist = tmp_path / "hist.csv"
         assert main([
             "pack", "--epsilon", "1.0", "--d", "64", "--round-id", "r1",
-            "--format", "jsonl",
             "--input", str(values_file), "--output", str(reports), "--seed", "3",
         ]) == 0
         assert main([
@@ -40,9 +46,9 @@ class TestPrivatizeAggregate:
         assert wasserstein_distance(truth, estimate) < 0.05
 
     def test_round_mismatch_fails_cleanly(self, tmp_path, values_file, capsys):
-        reports = tmp_path / "reports.jsonl"
+        reports = tmp_path / "reports.rpf"
         main([
-            "pack", "--epsilon", "1.0", "--round-id", "a", "--format", "jsonl",
+            "pack", "--epsilon", "1.0", "--round-id", "a",
             "--input", str(values_file), "--output", str(reports),
         ])
         code = main([
@@ -50,7 +56,7 @@ class TestPrivatizeAggregate:
             "--input", str(reports), "--output", str(tmp_path / "h.csv"),
         ])
         assert code == 2
-        assert "error: line 1:" in capsys.readouterr().err
+        assert "error: frame for round 'a' sent to round 'b'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["privatize", "aggregate"])
     def test_sw_only_subcommands_are_gone(self, command, capsys):
@@ -257,29 +263,46 @@ class TestAnalyze:
 class TestServeWorkflow:
     """pack / unpack / collect: the protocol-v2 serving subcommands."""
 
-    @pytest.mark.parametrize("fmt", ["frame", "jsonl"])
-    @pytest.mark.parametrize("method", ["sw-ems", "olh", "sw-discrete-ems"])
-    def test_pack_collect_round_trip(self, tmp_path, values_file, method, fmt):
+    @pytest.mark.parametrize("spec", SPECS, ids=[spec.name for spec in SPECS])
+    def test_pack_collect_round_trip(self, tmp_path, values_file, spec):
         feed = tmp_path / "feed"
         out = tmp_path / "est.csv"
         assert main([
-            "pack", "--method", method, "--epsilon", "1.0", "--d", "64",
-            "--round-id", "r1", "--format", fmt,
+            "pack", "--method", spec.name, "--epsilon", "1.0", "--d", "64",
+            "--round-id", "r1",
             "--input", str(values_file), "--output", str(feed), "--seed", "3",
         ]) == 0
         assert main([
-            "collect", "--method", method, "--epsilon", "1.0", "--d", "64",
+            "collect", "--method", spec.name, "--epsilon", "1.0", "--d", "64",
             "--round-id", "r1", "--input", str(feed), "--output", str(out),
         ]) == 0
-        assert read_histogram_csv(out).shape == (64,)
+        if spec.kind == "scalar":
+            assert out.read_text().startswith("statistic,value\nmean,")
+        else:
+            assert read_histogram_csv(out).shape == (64,)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=[spec.name for spec in SPECS])
+    def test_unpack_names_each_family_codec(self, tmp_path, values_file, spec, capsys):
+        feed = tmp_path / "feed.rpf"
+        assert main([
+            "pack", "--method", spec.name, "--epsilon", "1.0", "--d", "64",
+            "--round-id", "r2",
+            "--input", str(values_file), "--output", str(feed), "--seed", "4",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["unpack", "--input", str(feed)]) == 0
+        codec = codec_for_estimator(make_estimator(spec.name, 1.0, 64)).name
+        assert capsys.readouterr().out == (
+            f"round 'r2' attr 'value': 10000 reports ({codec} payloads)\n"
+        )
 
     def test_collect_merges_shard_feeds(self, tmp_path, values_file, capsys):
         feeds = []
-        for i, fmt in enumerate(("frame", "jsonl")):
+        for i in range(2):
             feed = tmp_path / f"shard{i}"
             main([
                 "pack", "--epsilon", "1.0", "--d", "64", "--round-id", "r",
-                "--format", fmt, "--input", str(values_file),
+                "--input", str(values_file),
                 "--output", str(feed), "--seed", str(i),
             ])
             feeds.append(str(feed))
@@ -290,28 +313,46 @@ class TestServeWorkflow:
         ]) == 0
         assert "20000 reports across 2 feed(s)" in capsys.readouterr().out
 
-    def test_unpack_inspects_and_converts(self, tmp_path, values_file, capsys):
+    def test_unpack_inspects(self, tmp_path, values_file, capsys):
         feed = tmp_path / "feed.rpf"
         main([
             "pack", "--method", "grr", "--epsilon", "1.0", "--d", "32",
-            "--round-id", "r9", "--format", "frame",
+            "--round-id", "r9", "--attr", "age",
             "--input", str(values_file), "--output", str(feed), "--seed", "1",
         ])
-        jsonl = tmp_path / "feed.jsonl"
-        assert main([
-            "unpack", "--input", str(feed), "--format", "jsonl",
-            "--output", str(jsonl),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "round 'r9'" in out and "category payloads" in out
-        first = jsonl.read_text().splitlines()[0]
-        assert '"mech":"category"' in first
-        # The converted feed still collects.
-        est = tmp_path / "est.csv"
-        assert main([
-            "collect", "--method", "grr", "--epsilon", "1.0", "--d", "32",
-            "--round-id", "r9", "--input", str(jsonl), "--output", str(est),
-        ]) == 0
+        capsys.readouterr()
+        assert main(["unpack", "--input", str(feed)]) == 0
+        assert capsys.readouterr().out == (
+            "round 'r9' attr 'age': 10000 reports (category payloads)\n"
+        )
+
+    def test_unpack_prints_every_block(self, tmp_path, capsys):
+        """A multi-attribute frame prints one line per block, in wire order."""
+        feed = tmp_path / "mixed.rpf"
+        feed.write_bytes(encode_frame_blocks(
+            "r3", [("income", "category", [0, 1, 2, 3, 4]), ("age", "float", [0.5] * 3)]
+        ))
+        assert main(["unpack", "--input", str(feed)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "round 'r3' attr 'income': 5 reports (category payloads)",
+            "round 'r3' attr 'age': 3 reports (float payloads)",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pack", "--epsilon", "1.0", "--round-id", "r", "--input", "v.txt",
+             "--output", "f.rpf", "--format", "jsonl"],
+            ["unpack", "--input", "f.rpf", "--format", "frame"],
+            ["unpack", "--input", "f.rpf", "--output", "f.jsonl"],
+        ],
+        ids=["pack-format", "unpack-format", "unpack-output"],
+    )
+    def test_conversion_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_collect_scalar_method(self, tmp_path, values_file):
         feed = tmp_path / "feed"
@@ -352,17 +393,36 @@ class TestServeWorkflow:
         ]) == 2
         assert "payloads" in capsys.readouterr().err
 
-    def test_collect_corrupted_feed_fails_cleanly(self, tmp_path, capsys):
-        feed = tmp_path / "feed.jsonl"
-        feed.write_text(
-            '{"round_id":"r","mech":"category","payload":null,"version":2}\n'
-        )
+    def test_collect_corrupted_feed_fails_cleanly(self, tmp_path, values_file, capsys):
+        feed = tmp_path / "feed.rpf"
+        main([
+            "pack", "--method", "grr", "--epsilon", "1.0", "--d", "16",
+            "--round-id", "r", "--input", str(values_file), "--output", str(feed),
+        ])
+        feed.write_bytes(feed.read_bytes()[:-3])
+        out = tmp_path / "h.csv"
         assert main([
             "collect", "--method", "grr", "--epsilon", "1.0", "--d", "16",
-            "--round-id", "r", "--input", str(feed),
-            "--output", str(tmp_path / "h.csv"),
+            "--round-id", "r", "--input", str(feed), "--output", str(out),
         ]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "truncated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_collect_refuses_jsonl_feed(self, tmp_path, capsys):
+        """A JSON-lines file is not a frame: exit 2, an error that names
+        ``python -m repro pack``, and no output file."""
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(
+            '{"round_id":"r","mech":"float","payload":0.25,"version":2}\n'
+            '{"round_id":"r","mech":"float","payload":0.75,"version":2}\n'
+        )
+        out = tmp_path / "h.csv"
+        assert main([
+            "collect", "--epsilon", "1.0", "--d", "16", "--round-id", "r",
+            "--input", str(feed), "--output", str(out),
+        ]) == 2
+        assert "`python -m repro pack`" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestContinuousCollection:

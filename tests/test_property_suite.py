@@ -16,21 +16,22 @@ from repro.core.square_wave import SquareWave
 from repro.hierarchy.tree import TreeLayout, range_decomposition
 from repro.metrics.distances import ks_distance, wasserstein_distance
 from repro.postprocess import norm_cut, norm_full, norm_mul, norm_sub
-from repro.protocol.messages import ReportEnvelope
+from repro.protocol.frames import decode_frame_grouped, encode_frame
 
 
 class TestProtocolProperties:
     @given(
-        st.text(
-            alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
-            min_size=1,
-            max_size=40,
-        ),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40),
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20),
         st.floats(-2.0, 2.0, allow_nan=False),
     )
-    def test_report_json_roundtrip(self, round_id, value):
-        report = ReportEnvelope(round_id, "float", value)
-        assert ReportEnvelope.from_json(report.to_json()) == report
+    def test_report_frame_roundtrip(self, round_id, attr, value):
+        """Any round id and attribute, and any finite report, survive a frame."""
+        frame = encode_frame(round_id, np.array([value]), "float", attr=attr)
+        decoded_round, groups = decode_frame_grouped(frame, expected_round=round_id)
+        assert decoded_round == round_id
+        assert list(groups) == [attr]
+        assert groups[attr].reports.tolist() == [value]
 
 
 class TestEMRectangularGrids:
